@@ -74,7 +74,7 @@ def main() -> None:
     # Fail a link and let the controller reweight, live.
     link = next(l for l in topo.links if l.name == "L1--S1")
     link.set_down()
-    controller.on_link_failure(link)
+    controller.push_all()
     print(f"\nafter S1-L1 failure, h0 -> h3 schedule: "
           f"{[hex(l) for l in hosts[0].lb.labels_for(3)]}")
     sim.run(until=duration + msec(15))

@@ -13,64 +13,22 @@ knob is exposed for longer runs (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import Testbed, TestbedConfig
+from repro.experiments.schemes import scheme_names
 from repro.metrics.collectors import LossAccountant, ThroughputMeter
 from repro.metrics.stats import jain_fairness, mean, percentile
-from repro.telemetry import TelemetryConfig, per_cell_telemetry
+from repro.net.fabrics import as_spec
+from repro.runner import JobSpec
+from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
+from repro.telemetry import TelemetryConfig
 from repro.units import KB, msec, usec
 
 DEFAULT_WARM_NS = msec(15)
 DEFAULT_MEASURE_NS = msec(30)
 START_JITTER_NS = usec(500)
-
-
-@dataclass
-class SweepOptions:
-    """The execution + passthrough options every ``run_*`` sweep shares
-    — one definition instead of the seven keyword arguments previously
-    copy-pasted across ``scalability.py`` / ``oversub.py`` /
-    ``synthetic.py`` (and now ``fabric_sweep.py``).
-
-    ``cell_kwargs`` centralizes the hash-preserving rule: per-cell
-    telemetry joins a JobSpec's kwargs **only when set**, so default
-    sweeps keep their historical content hashes and the result-store
-    cache stays warm.  ``fidelity`` (and ``topology``, for sweeps that
-    take one) ride inside each cell's *config*, where their defaults
-    normalize to the omitted-``None`` form for the same reason.
-    """
-
-    jobs: int = 1
-    store: Optional[object] = None  # ResultStore (untyped: import cycle)
-    force: bool = False
-    timeout_s: Optional[float] = None
-    retries: int = 1
-    log: Optional[Callable[[str], None]] = None
-    telemetry: Optional[TelemetryConfig] = None
-    fidelity: Optional[str] = None
-    #: sweep-coordinator base URL (repro.service); None = run locally
-    service: Optional[str] = None
-
-    def cell_kwargs(self, label: str) -> Dict[str, Any]:
-        """Kwargs to merge into one cell's JobSpec — empty when every
-        option is at its default, so spec hashes do not move."""
-        if self.telemetry is None:
-            return {}
-        return {"telemetry": per_cell_telemetry(self.telemetry, label)}
-
-    def execute(self, specs: Sequence[Any]) -> List[Any]:
-        """Fan the specs through the runner and return their results in
-        spec order."""
-        from repro.runner import collect_results, run_jobs
-
-        outcomes = run_jobs(
-            specs, jobs=self.jobs, store=self.store, force=self.force,
-            timeout_s=self.timeout_s, retries=self.retries, log=self.log,
-            service=self.service,
-        )
-        return collect_results(outcomes)
 
 
 @dataclass
@@ -153,21 +111,6 @@ def run_elephant_workload(
     )
 
 
-def averaged_over_seeds(
-    cfg: TestbedConfig,
-    pairs_fn,
-    seeds: Sequence[int],
-    **kwargs,
-) -> List[RunResult]:
-    """Run the same workload under several seeds.  ``pairs_fn(cfg, seed)``
-    may vary pairs per seed (random workloads)."""
-    results = []
-    for seed in seeds:
-        seeded = replace(cfg, seed=seed)
-        results.append(run_elephant_workload(seeded, pairs_fn(seeded, seed), **kwargs))
-    return results
-
-
 def fct_percentiles(fcts_ns: Sequence[int]) -> Dict[str, float]:
     """The paper's FCT report: p50/p90/p99/p99.9 in milliseconds."""
     if not fcts_ns:
@@ -188,3 +131,126 @@ def normalize_to(baseline: Dict[str, float], other: Dict[str, float]) -> Dict[st
         if key in other and base > 0:
             out[key] = (other[key] - base) / base
     return out
+
+
+# --- the parameters the paper sweeps share -----------------------------------
+
+
+def each_in(vocabulary, noun: str) -> Callable[[Sequence[str]], Tuple[str, ...]]:
+    """A ``Param.coerce`` admitting only values from ``vocabulary`` — a
+    sequence, or a callable returning the live one (registries grow)."""
+
+    def coerce(values: Sequence[str]) -> Tuple[str, ...]:
+        known = vocabulary() if callable(vocabulary) else vocabulary
+        unknown = [v for v in values if v not in known]
+        if unknown:
+            raise ValueError(f"unknown {noun}(s) {', '.join(unknown)}; "
+                             f"pick from {', '.join(known)}")
+        return tuple(values)
+
+    return coerce
+
+
+known_schemes = each_in(scheme_names, "scheme")
+
+
+def known_topology(spec: str) -> str:
+    as_spec(spec)  # raises ValueError naming the grammar
+    return spec
+
+
+def schemes_param(default: Sequence[str]) -> Param:
+    return Param("schemes", tuple(default), "--schemes", "strs",
+                 f"comma-separated scheme subset (default: "
+                 f"{','.join(default)})", coerce=known_schemes)
+
+
+def fidelity_param(default: Optional[str] = None) -> Param:
+    """``fidelity`` rides inside each cell's *config*, where "packet"
+    normalizes to the omitted None, so explicit-packet cells hash — and
+    hit the result store — exactly like historic ones."""
+    return Param("fidelity", default, "--fidelity",
+                 help="engine fidelity for every cell: 'packet' queues "
+                      "frames, 'flow' runs the fluid engine (repro.fluid); "
+                      f"default: {default or 'packet'}",
+                 choices=("packet", "flow"))
+
+
+WARM = Param("warm_ns", DEFAULT_WARM_NS, "--warm-ms", "ms",
+             "warmup window before measurement, simulated ms (default: 15)")
+MEASURE = Param("measure_ns", DEFAULT_MEASURE_NS, "--measure-ms", "ms",
+                "measurement window, simulated ms (default: 30)")
+
+PAPER_SCHEMES = ("ecmp", "mptcp", "presto", "optimal")
+
+
+def elephant_grid_sweep(
+    name: str,
+    description: str,
+    points_name: str,
+    point_word: str,
+    point_cls: type,
+    cell_fn: Callable[..., RunResult],
+    config_fn: Callable[..., TestbedConfig],
+) -> Sweep:
+    """Figs 7-9 and Figs 10-12 are one sweep over two fabrics: scheme x
+    fabric size x seed elephant runs, reduced per (scheme, size) to a
+    throughput / loss / fairness / RTT point.  ``point_word`` names the
+    size axis in labels, table headers and the point's ``n_<word>``."""
+
+    def cell(scheme: str, n: int, seed: int, p: Dict[str, Any]) -> JobSpec:
+        return JobSpec.make(
+            cell_fn,
+            cfg=config_fn(scheme, n, seed, p["fidelity"]),
+            label=f"{name}/{scheme}/{point_word}{n}/seed{seed}",
+            warm_ns=p["warm_ns"],
+            measure_ns=p["measure_ns"],
+            with_probes=p["with_probes"],
+        )
+
+    def reduce(cells, p):
+        grid: Dict[str, list] = {}
+        for (scheme, n), runs in cells:
+            per_flow = [r for run in runs for r in run.per_pair_rates_bps]
+            grid.setdefault(scheme, []).append(point_cls(
+                scheme, n,
+                mean_tput_bps=mean(per_flow),
+                loss_rate=mean([run.loss_rate for run in runs]),
+                fairness=jain_fairness(per_flow),
+                rtts_ns=[r for run in runs for r in run.rtts_ns],
+            ))
+        return grid
+
+    def rtt_ms(rtts_ns: Sequence[int], pct: float) -> str:
+        return f"{percentile(rtts_ns, pct) / 1e6:.2f}" if rtts_ns else "nan"
+
+    def table(grid):
+        headers = ["scheme", point_word, "tput Gbps", "loss", "jain",
+                   "rtt p50 ms", "rtt p99 ms"]
+        return headers, [
+            [scheme, getattr(pt, f"n_{point_word}"),
+             f"{pt.mean_tput_bps / 1e9:.2f}", f"{pt.loss_rate:.4%}",
+             f"{pt.fairness:.3f}", rtt_ms(pt.rtts_ns, 50),
+             rtt_ms(pt.rtts_ns, 99)]
+            for scheme, points in grid.items() for pt in points]
+
+    return Sweep(
+        name=name,
+        description=description,
+        params=(
+            schemes_param(PAPER_SCHEMES),
+            Param(points_name, (2, 4, 6, 8), "--points", "ints",
+                  f"comma-separated {point_word[:-1]} counts "
+                  f"(default: 2,4,6,8)"),
+            seeds_param((1, 2, 3)),
+            WARM,
+            MEASURE,
+            Param("with_probes", True),
+            TELEMETRY,
+            fidelity_param(),
+        ),
+        axes=("schemes", points_name),
+        cell=cell,
+        reduce=reduce,
+        table=table,
+    )

@@ -9,7 +9,8 @@ fat-tree and leaf-spine fabrics built from :class:`TopologySpec` —
 
 The unit of work is one (topology, workload, scheme, seed) simulation,
 :func:`run_fabric_cell`, submitted through the parallel runner like
-every other sweep.  FCT populations at this scale are too large to
+every other sweep; the grid is the :data:`FABRIC` declaration (the
+tournament reuses its parameters and cell builder).  FCT populations at this scale are too large to
 keep as lists, so cells aggregate on the fly with the bounded-memory
 collectors in :mod:`repro.metrics.streaming` and return summaries plus
 a worst-FCT top-k.
@@ -23,14 +24,20 @@ traffic is offered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.common import SweepOptions
+from repro.experiments.common import (
+    each_in,
+    fidelity_param,
+    known_topology,
+    schemes_param,
+)
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.streaming import StreamingQuantiles, TopK
-from repro.net.fabrics import TopologySpec, as_spec
+from repro.net.fabrics import as_spec
 from repro.net.routing import validate_trees
-from repro.runner import JobSpec, ResultStore
+from repro.runner import JobSpec
+from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.telemetry import TelemetryConfig
 from repro.units import MB, msec
 from repro.workloads.tracedriven import (
@@ -153,79 +160,102 @@ def run_fabric_cell(
     )
 
 
-def fabric_specs(
-    topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    seeds: Sequence[int] = (1, 2),
-    duration_ns: int = DEFAULT_DURATION_NS,
-    load_scale: float = 1.0,
-    validate: bool = False,
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = "flow",
-) -> List[JobSpec]:
-    """The full grid as runner jobs, ordered topology > workload >
-    scheme > seed.  Topology strings are validated up front so a typo
-    fails before any job is queued."""
-    for topology in topologies:
-        as_spec(topology)
-    opts = SweepOptions(telemetry=telemetry, fidelity=fidelity)
-    specs = []
-    for topology in topologies:
-        slug = as_spec(topology).slug()
-        for workload in workloads:
-            for scheme in schemes:
-                for seed in seeds:
-                    label = f"fabric/{slug}/{workload}/{scheme}/seed{seed}"
-                    specs.append(JobSpec.make(
-                        run_fabric_cell,
-                        cfg=fabric_config(topology, scheme, seed, fidelity),
-                        label=label,
-                        workload=workload,
-                        duration_ns=duration_ns,
-                        load_scale=load_scale,
-                        validate=validate,
-                        **opts.cell_kwargs(label),
-                    ))
-    return specs
+def fabric_grid_params(
+    topologies: Sequence[str],
+    schemes: Param,
+    seeds: Tuple[int, ...],
+    duration_ns: int,
+) -> Tuple[Param, ...]:
+    """The parameters of a topology x workload x scheme x seed grid of
+    :func:`run_fabric_cell` jobs — shared with the tournament, which
+    differs only in its defaults."""
+    return (
+        Param("topologies", tuple(topologies), "--topology", "each",
+              "fabric spec, repeatable — e.g. 'fat-tree:k=8', "
+              "'leaf-spine:pods=8,oversub=2', "
+              f"'clos:spines=4,leaves=4,hosts=4' (default: "
+              f"{' '.join(topologies)})",
+              coerce=lambda specs: tuple(map(known_topology, specs))),
+        Param("workloads", DEFAULT_WORKLOADS, "--workloads", "strs",
+              f"comma-separated workloads out of {','.join(WORKLOADS)} "
+              f"(default: {','.join(DEFAULT_WORKLOADS)})",
+              coerce=each_in(WORKLOADS, "workload")),
+        schemes,
+        seeds_param(seeds),
+        Param("duration_ns", duration_ns, "--duration-ms", "ms",
+              "offered-load window per cell, simulated ms "
+              f"(default: {duration_ns / 1e6:g})"),
+        Param("load_scale", 1.0, "--load-scale", "float",
+              "trace arrival-rate multiplier (default: 1.0)"),
+        Param("validate", False, "--validate", "flag",
+              "arm the spanning-tree oracle in every cell: trees must "
+              "reach every host and stay link-disjoint"),
+        TELEMETRY,
+        # flow fidelity by default: a 128-host fat-tree is far past
+        # what packet fidelity sustains
+        fidelity_param("flow"),
+    )
 
 
-def run_fabric_sweep(
-    topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    seeds: Sequence[int] = (1, 2),
-    duration_ns: int = DEFAULT_DURATION_NS,
-    load_scale: float = 1.0,
-    validate: bool = False,
-    *,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    log=None,
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = "flow",
-    service: Optional[str] = None,
-) -> Dict[Tuple[str, str, str], List[FabricCellResult]]:
-    """The full fabric grid, fanned out through the runner.  Keys are
-    (topology CLI string, workload, scheme); values are the per-seed
-    cell results."""
-    opts = SweepOptions(jobs=jobs, store=store, force=force,
-                        timeout_s=timeout_s, retries=retries, log=log,
-                        telemetry=telemetry, fidelity=fidelity,
-                        service=service)
-    specs = fabric_specs(topologies, workloads, schemes, seeds, duration_ns,
-                         load_scale, validate, telemetry=telemetry,
-                         fidelity=fidelity)
-    runs = opts.execute(specs)
-    grid: Dict[Tuple[str, str, str], List[FabricCellResult]] = {}
-    it = iter(runs)
-    for topology in topologies:
-        key_topo = as_spec(topology).cli()
-        for workload in workloads:
-            for scheme in schemes:
-                grid[(key_topo, workload, scheme)] = [
-                    next(it) for _ in seeds]
-    return grid
+def fabric_cell_spec(
+    sweep: str, topology: str, workload: str, scheme: str, seed: int,
+    p: Dict[str, Any], **extra: Any,
+) -> JobSpec:
+    """One grid cell's job; ``extra`` kwargs join only when a sweep
+    needs them, so default cells keep their hashes."""
+    return JobSpec.make(
+        run_fabric_cell,
+        cfg=fabric_config(topology, scheme, seed, p["fidelity"]),
+        label=f"{sweep}/{as_spec(topology).slug()}/{workload}/{scheme}"
+              f"/seed{seed}",
+        workload=workload,
+        duration_ns=p["duration_ns"],
+        load_scale=p["load_scale"],
+        validate=p["validate"],
+        **extra,
+    )
+
+
+def _cell(topology, workload, scheme, seed, p) -> JobSpec:
+    return fabric_cell_spec("fabric", topology, workload, scheme, seed, p)
+
+
+def _reduce(cells, p) -> Dict[Tuple[str, str, str], List[FabricCellResult]]:
+    return {(as_spec(topology).cli(), workload, scheme): runs
+            for (topology, workload, scheme), runs in cells}
+
+
+def _table(grid):
+    rows = []
+    for (topology, workload, scheme), cells in grid.items():
+        # report the worst seed's percentiles: tail metrics average badly
+        tail = max(cells, key=lambda c: c.fct_summary.get("p99") or 0.0)
+
+        def ms(key):
+            v = tail.fct_summary.get(key)
+            return f"{v / 1e6:.2f}" if v is not None else "nan"
+
+        rows.append([topology, workload, scheme,
+                     sum(c.flows_completed for c in cells),
+                     ms("p50"), ms("p99"), ms("p99.9")])
+    return ["topology", "workload", "scheme", "flows",
+            "fct p50 ms", "fct p99 ms", "fct p99.9 ms"], rows
+
+
+#: grid order topology > workload > scheme > seed; keyed (topology CLI
+#: string, workload, scheme) -> the per-seed cell results
+FABRIC = Sweep(
+    name="fabric",
+    description="Datacenter-scale: websearch/datamining traces + incast "
+                "over fat-tree/leaf-spine fabrics (flow fidelity by "
+                "default)",
+    params=fabric_grid_params(
+        DEFAULT_TOPOLOGIES, schemes_param(DEFAULT_SCHEMES),
+        seeds=(1, 2), duration_ns=DEFAULT_DURATION_NS),
+    axes=("topologies", "workloads", "schemes"),
+    cell=_cell,
+    reduce=_reduce,
+    table=_table,
+)
+fabric_specs = FABRIC.specs
+run_fabric_sweep = FABRIC.run

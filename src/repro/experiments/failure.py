@@ -17,9 +17,9 @@ crosses all three of the paper's postures in sequence:
 
 :func:`run_failure_timeline` is the primitive: one (workload, seed)
 run returning per-phase throughput plus the windowed throughput
-trajectory and convergence metrics.  The legacy per-stage API
-(:func:`run_failure_stage`, :func:`run_figure17`, :func:`run_figure18`)
-is kept as thin wrappers that slice the timeline.
+trajectory and convergence metrics.  :func:`run_figure17` and
+:func:`run_figure18` read the figures' bars and curves off its phase
+windows.
 
 Workloads: L1->L4 (each L1 host sends to an L4 host), L4->L1, stride(8)
 and random bijection; Fig 18 is the RTT distribution under bijection.
@@ -60,7 +60,7 @@ PHASE_GUARD_NS_MAX = 3_000_000  # 3 ms
 
 @dataclass
 class FailureResult:
-    """One Fig 17 bar / Fig 18 curve (legacy per-stage shape)."""
+    """One Fig 17 bar / Fig 18 curve."""
 
     stage: str
     workload: str
@@ -219,36 +219,7 @@ def run_failure_timeline(
     )
 
 
-# --- legacy per-stage API (thin wrappers over the timeline) -----------------
-
-
-def run_failure_stage(
-    stage: str,
-    workload: str,
-    seeds: Sequence[int] = (1, 2),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    with_probes: bool = False,
-) -> FailureResult:
-    """One bar of Fig 17 (or, with probes, one curve of Fig 18).
-
-    Now a view over :func:`run_failure_timeline`: the continuous run's
-    window for ``stage`` provides the numbers the three separate static
-    runs used to.
-    """
-    if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
-    _workload_pairs(workload, seeds[0] if seeds else 1)  # validate early
-    rates: List[float] = []
-    rtts: List[int] = []
-    for seed in seeds:
-        tl = run_failure_timeline(
-            workload, seed, warm_ns=warm_ns, measure_ns=measure_ns,
-            with_probes=with_probes)
-        phase = tl.phases[stage]
-        rates.append(phase.mean_flow_tput_bps)
-        rtts.extend(phase.rtts_ns)
-    return FailureResult(stage, workload, mean(rates), rtts)
+# --- Figs 17/18: per-stage views over the timeline --------------------------
 
 
 def run_figure17(

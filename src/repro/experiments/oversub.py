@@ -6,28 +6,24 @@ mean elephant throughput (Fig 10), RTT samples (Fig 11), loss rate
 (Fig 12a), fairness (Fig 12b).
 
 Like the scalability sweep, the unit of work is one (scheme, pair
-count, seed) simulation — :func:`run_oversub_seed` — submitted through
-the parallel runner; serial entry points wrap the same function.
+count, seed) simulation — :func:`run_oversub_seed` — and the grid is
+the :data:`OVERSUB` declaration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.experiments.common import (
     DEFAULT_MEASURE_NS,
     DEFAULT_WARM_NS,
     RunResult,
-    SweepOptions,
+    elephant_grid_sweep,
     run_elephant_workload,
 )
 from repro.experiments.harness import TestbedConfig
-from repro.metrics.stats import jain_fairness, mean
-from repro.runner import JobSpec, ResultStore
 from repro.telemetry import TelemetryConfig
-
-DEFAULT_SCHEMES = ("ecmp", "mptcp", "presto", "optimal")
 
 
 @dataclass
@@ -74,102 +70,14 @@ def run_oversub_seed(
     )
 
 
-def _point_from_runs(
-    scheme: str, n_pairs: int, runs: Sequence[RunResult]
-) -> OversubPoint:
-    per_flow = [r for run in runs for r in run.per_pair_rates_bps]
-    return OversubPoint(
-        scheme=scheme,
-        n_pairs=n_pairs,
-        mean_tput_bps=mean(per_flow),
-        loss_rate=mean([run.loss_rate for run in runs]),
-        fairness=jain_fairness(per_flow),
-        rtts_ns=[r for run in runs for r in run.rtts_ns],
-    )
-
-
-def run_oversub_point(
-    scheme: str,
-    n_pairs: int,
-    seeds: Sequence[int] = (1, 2, 3),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    with_probes: bool = True,
-) -> OversubPoint:
-    runs = [
-        run_oversub_seed(
-            oversub_config(scheme, n_pairs, seed),
-            warm_ns, measure_ns, with_probes,
-        )
-        for seed in seeds
-    ]
-    return _point_from_runs(scheme, n_pairs, runs)
-
-
-def oversub_specs(
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    pair_counts: Sequence[int] = (2, 4, 6, 8),
-    seeds: Sequence[int] = (1, 2, 3),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    with_probes: bool = True,
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = None,
-) -> List[JobSpec]:
-    """The full grid as runner jobs, ordered scheme > pair count > seed.
-
-    Per-cell telemetry joins a job's kwargs only when set (see
-    :meth:`SweepOptions.cell_kwargs`), so default sweeps keep their
-    historical content hashes (cache keys stay warm); ``fidelity``
-    rides inside each cell's config."""
-    opts = SweepOptions(telemetry=telemetry, fidelity=fidelity)
-    specs = []
-    for scheme in schemes:
-        for n_pairs in pair_counts:
-            for seed in seeds:
-                label = f"oversub/{scheme}/pairs{n_pairs}/seed{seed}"
-                specs.append(JobSpec.make(
-                    run_oversub_seed,
-                    cfg=oversub_config(scheme, n_pairs, seed, fidelity),
-                    label=label,
-                    warm_ns=warm_ns,
-                    measure_ns=measure_ns,
-                    with_probes=with_probes,
-                    **opts.cell_kwargs(label),
-                ))
-    return specs
-
-
-def run_oversub(
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    pair_counts: Sequence[int] = (2, 4, 6, 8),
-    seeds: Sequence[int] = (1, 2, 3),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    *,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    log=None,
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = None,
-    service: Optional[str] = None,
-) -> Dict[str, List[OversubPoint]]:
-    """The full Figs 10-12 grid, fanned out through the runner."""
-    opts = SweepOptions(jobs=jobs, store=store, force=force,
-                        timeout_s=timeout_s, retries=retries, log=log,
-                        telemetry=telemetry, fidelity=fidelity,
-                        service=service)
-    specs = oversub_specs(schemes, pair_counts, seeds, warm_ns, measure_ns,
-                          telemetry=telemetry, fidelity=fidelity)
-    runs = opts.execute(specs)
-    grid: Dict[str, List[OversubPoint]] = {}
-    it = iter(runs)
-    for scheme in schemes:
-        grid[scheme] = [
-            _point_from_runs(scheme, n_pairs, [next(it) for _ in seeds])
-            for n_pairs in pair_counts
-        ]
-    return grid
+#: grid order scheme > pair count > seed; keyed scheme -> [OversubPoint]
+OVERSUB = elephant_grid_sweep(
+    "oversub",
+    "Figs 10-12: the same metrics as the fabric oversubscribes 1x-4x "
+    "(2 spines, N host pairs)",
+    points_name="pair_counts", point_word="pairs",
+    point_cls=OversubPoint,
+    cell_fn=run_oversub_seed, config_fn=oversub_config,
+)
+oversub_specs = OVERSUB.specs
+run_oversub = OVERSUB.run

@@ -6,29 +6,25 @@ samples (Fig 8), loss rate (Fig 9a) and Jain fairness (Fig 9b).
 
 The sweep's unit of work is one (scheme, path count, seed) simulation
 — :func:`run_scalability_seed` — which the parallel runner
-(:mod:`repro.runner`) executes across worker processes; the serial
-entry points are thin wrappers over the same function, so parallel and
-serial results are identical.
+(:mod:`repro.runner`) executes across worker processes.  The grid
+itself is the :data:`SCALABILITY` declaration; ``scalability_specs``
+and ``run_scalability`` are its derived ``specs``/``run``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.experiments.common import (
     DEFAULT_MEASURE_NS,
     DEFAULT_WARM_NS,
     RunResult,
-    SweepOptions,
+    elephant_grid_sweep,
     run_elephant_workload,
 )
 from repro.experiments.harness import TestbedConfig
-from repro.metrics.stats import jain_fairness, mean
-from repro.runner import JobSpec, ResultStore
 from repro.telemetry import TelemetryConfig
-
-DEFAULT_SCHEMES = ("ecmp", "mptcp", "presto", "optimal")
 
 
 @dataclass
@@ -72,111 +68,14 @@ def run_scalability_seed(
     )
 
 
-def _point_from_runs(
-    scheme: str, n_paths: int, runs: Sequence[RunResult]
-) -> ScalabilityPoint:
-    per_flow = [r for run in runs for r in run.per_pair_rates_bps]
-    return ScalabilityPoint(
-        scheme=scheme,
-        n_paths=n_paths,
-        mean_tput_bps=mean(per_flow),
-        loss_rate=mean([run.loss_rate for run in runs]),
-        fairness=jain_fairness(per_flow),
-        rtts_ns=[r for run in runs for r in run.rtts_ns],
-    )
-
-
-def run_scalability_point(
-    scheme: str,
-    n_paths: int,
-    seeds: Sequence[int] = (1, 2, 3),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    with_probes: bool = True,
-) -> ScalabilityPoint:
-    """One (scheme, path count) cell of Figs 7-9, averaged over seeds."""
-    runs = [
-        run_scalability_seed(
-            scalability_config(scheme, n_paths, seed),
-            warm_ns, measure_ns, with_probes,
-        )
-        for seed in seeds
-    ]
-    return _point_from_runs(scheme, n_paths, runs)
-
-
-def scalability_specs(
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    path_counts: Sequence[int] = (2, 4, 6, 8),
-    seeds: Sequence[int] = (1, 2, 3),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    with_probes: bool = True,
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = None,
-) -> List[JobSpec]:
-    """The full grid as runner jobs, ordered scheme > path count > seed.
-
-    Per-cell telemetry joins a job's kwargs only when set (see
-    :meth:`SweepOptions.cell_kwargs`), so default sweeps keep their
-    historical content hashes (cache keys stay warm); ``fidelity``
-    rides inside each cell's config (where "packet" normalizes to the
-    hash-preserving None)."""
-    opts = SweepOptions(telemetry=telemetry, fidelity=fidelity)
-    specs = []
-    for scheme in schemes:
-        for n_paths in path_counts:
-            for seed in seeds:
-                label = f"scalability/{scheme}/paths{n_paths}/seed{seed}"
-                specs.append(JobSpec.make(
-                    run_scalability_seed,
-                    cfg=scalability_config(scheme, n_paths, seed, fidelity),
-                    label=label,
-                    warm_ns=warm_ns,
-                    measure_ns=measure_ns,
-                    with_probes=with_probes,
-                    **opts.cell_kwargs(label),
-                ))
-    return specs
-
-
-def run_scalability(
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    path_counts: Sequence[int] = (2, 4, 6, 8),
-    seeds: Sequence[int] = (1, 2, 3),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    *,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    log=None,
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = None,
-    service: Optional[str] = None,
-) -> Dict[str, List[ScalabilityPoint]]:
-    """The full Figs 7-9 grid, fanned out through the runner.
-
-    ``jobs=1`` (the default) preserves the historical serial behavior;
-    ``jobs=N`` runs the (scheme x path x seed) cells on N worker
-    processes, and ``store`` makes the sweep resumable.
-    """
-    opts = SweepOptions(jobs=jobs, store=store, force=force,
-                        timeout_s=timeout_s, retries=retries, log=log,
-                        telemetry=telemetry, fidelity=fidelity,
-                        service=service)
-    specs = scalability_specs(
-        schemes, path_counts, seeds, warm_ns, measure_ns,
-        telemetry=telemetry, fidelity=fidelity,
-    )
-    runs = opts.execute(specs)
-    grid: Dict[str, List[ScalabilityPoint]] = {}
-    it = iter(runs)
-    for scheme in schemes:
-        grid[scheme] = [
-            _point_from_runs(scheme, n_paths, [next(it) for _ in seeds])
-            for n_paths in path_counts
-        ]
-    return grid
+#: grid order scheme > path count > seed; keyed scheme -> [ScalabilityPoint]
+SCALABILITY = elephant_grid_sweep(
+    "scalability",
+    "Figs 7-9: throughput/RTT/loss/fairness vs path count "
+    "(2 leaves, N spines)",
+    points_name="path_counts", point_word="paths",
+    point_cls=ScalabilityPoint,
+    cell_fn=run_scalability_seed, config_fn=scalability_config,
+)
+scalability_specs = SCALABILITY.specs
+run_scalability = SCALABILITY.run

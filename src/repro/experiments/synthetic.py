@@ -7,27 +7,31 @@ Fig 16: mice (50 KB) flow completion time CDFs alongside the stride,
 random-bijection and shuffle elephants.
 
 The sweep's unit of work is one (scheme, workload, seed) simulation —
-:func:`run_synthetic_seed` — submitted through the parallel runner;
-:func:`run_synthetic` keeps its serial per-cell signature as a thin
-wrapper over the same function.
+:func:`run_synthetic_seed` — submitted through the parallel runner; the
+grid is the :data:`SYNTHETIC` declaration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.common import (
     DEFAULT_MEASURE_NS,
     DEFAULT_WARM_NS,
-    SweepOptions,
+    MEASURE,
+    PAPER_SCHEMES,
+    WARM,
+    each_in,
     fct_percentiles,
+    fidelity_param,
     run_elephant_workload,
+    schemes_param,
 )
 from repro.experiments.harness import Testbed, TestbedConfig
-
 from repro.metrics.stats import mean
-from repro.runner import JobSpec, ResultStore
+from repro.runner import JobSpec
+from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.sim.rand import RandomStreams
 from repro.telemetry import TelemetryConfig
 from repro.units import KB, MB, SEC, msec
@@ -38,7 +42,6 @@ from repro.workloads.synthetic import (
     stride_pairs,
 )
 
-DEFAULT_SCHEMES = ("ecmp", "mptcp", "presto", "optimal")
 WORKLOADS = ("shuffle", "random", "stride", "bijection")
 
 
@@ -171,106 +174,63 @@ def _run_shuffle_seed(
     )
 
 
-def _result_from_seed_runs(
-    scheme: str, workload: str, seed_runs: Sequence[SyntheticSeedRun]
-) -> SyntheticResult:
-    rates = [r for run in seed_runs for r in run.rates_bps]
-    fcts = [f for run in seed_runs for f in run.mice_fcts_ns]
-    return SyntheticResult(scheme, workload, mean(rates), fcts)
+def _cell(workload: str, scheme: str, seed: int, p: Dict[str, Any]) -> JobSpec:
+    return JobSpec.make(
+        run_synthetic_seed,
+        cfg=TestbedConfig(scheme=scheme, seed=seed, fidelity=p["fidelity"]),
+        label=f"synthetic/{workload}/{scheme}/seed{seed}",
+        workload=workload,
+        warm_ns=p["warm_ns"],
+        measure_ns=p["measure_ns"],
+        with_mice=p["with_mice"],
+        mice_interval_ns=p["mice_interval_ns"],
+    )
 
 
-def run_synthetic(
-    scheme: str,
-    workload: str,
-    seeds: Sequence[int] = (1, 2, 3),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    with_mice: bool = True,
-    mice_interval_ns: int = msec(5),
-) -> SyntheticResult:
-    """One (scheme, workload) cell of Figs 15/16."""
-    _check_workload(workload)
-    seed_runs = [
-        run_synthetic_seed(
-            TestbedConfig(scheme=scheme, seed=seed), workload,
-            warm_ns, measure_ns, with_mice, mice_interval_ns,
-        )
-        for seed in seeds
-    ]
-    return _result_from_seed_runs(scheme, workload, seed_runs)
+def _reduce(cells, p) -> Dict[Tuple[str, str], SyntheticResult]:
+    return {
+        (scheme, workload): SyntheticResult(
+            scheme, workload,
+            mean([r for run in runs for r in run.rates_bps]),
+            [f for run in runs for f in run.mice_fcts_ns])
+        for (workload, scheme), runs in cells
+    }
 
 
-def synthetic_specs(
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    workloads: Sequence[str] = WORKLOADS,
-    seeds: Sequence[int] = (1, 2, 3),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    with_mice: bool = True,
-    mice_interval_ns: int = msec(5),
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = None,
-) -> List[JobSpec]:
-    """The full grid as runner jobs, ordered workload > scheme > seed.
-
-    Per-cell telemetry joins a job's kwargs only when set (see
-    :meth:`SweepOptions.cell_kwargs`), so default sweeps keep their
-    historical content hashes (cache keys stay warm); ``fidelity``
-    rides inside each cell's config."""
-    for workload in workloads:
-        _check_workload(workload)
-    opts = SweepOptions(telemetry=telemetry, fidelity=fidelity)
-    specs = []
-    for workload in workloads:
-        for scheme in schemes:
-            for seed in seeds:
-                label = f"synthetic/{workload}/{scheme}/seed{seed}"
-                specs.append(JobSpec.make(
-                    run_synthetic_seed,
-                    cfg=TestbedConfig(scheme=scheme, seed=seed,
-                                      fidelity=fidelity),
-                    label=label,
-                    workload=workload,
-                    warm_ns=warm_ns,
-                    measure_ns=measure_ns,
-                    with_mice=with_mice,
-                    mice_interval_ns=mice_interval_ns,
-                    **opts.cell_kwargs(label),
-                ))
-    return specs
+def _table(grid):
+    rows = []
+    for (scheme, workload), res in grid.items():
+        pct = res.mice_percentiles_ms()
+        rows.append([
+            scheme, workload,
+            f"{res.mean_elephant_tput_bps / 1e9:.2f}",
+            f"{pct['p50']:.2f}" if pct else "nan",
+            f"{pct['p99']:.2f}" if pct else "nan",
+        ])
+    return ["scheme", "workload", "tput Gbps",
+            "mice p50 ms", "mice p99 ms"], rows
 
 
-def run_figure15_16(
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    workloads: Sequence[str] = WORKLOADS,
-    seeds: Sequence[int] = (1, 2, 3),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-    *,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    log=None,
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = None,
-    service: Optional[str] = None,
-) -> Dict[Tuple[str, str], SyntheticResult]:
-    """The full Figs 15/16 grid, fanned out through the runner."""
-    opts = SweepOptions(jobs=jobs, store=store, force=force,
-                        timeout_s=timeout_s, retries=retries, log=log,
-                        telemetry=telemetry, fidelity=fidelity,
-                        service=service)
-    specs = synthetic_specs(schemes, workloads, seeds, warm_ns, measure_ns,
-                            telemetry=telemetry, fidelity=fidelity)
-    runs = opts.execute(specs)
-    grid: Dict[Tuple[str, str], SyntheticResult] = {}
-    it = iter(runs)
-    for workload in workloads:
-        for scheme in schemes:
-            seed_runs = [next(it) for _ in seeds]
-            grid[(scheme, workload)] = _result_from_seed_runs(
-                scheme, workload, seed_runs
-            )
-    return grid
+#: grid order workload > scheme > seed; keyed (scheme, workload)
+SYNTHETIC = Sweep(
+    name="synthetic",
+    description="Figs 15-16: shuffle/random/stride/bijection elephants "
+                "+ mice FCTs on the 16-host Clos",
+    params=(
+        schemes_param(PAPER_SCHEMES),
+        Param("workloads", WORKLOADS, coerce=each_in(WORKLOADS, "workload")),
+        seeds_param((1, 2, 3)),
+        WARM,
+        MEASURE,
+        Param("with_mice", True),
+        Param("mice_interval_ns", msec(5)),
+        TELEMETRY,
+        fidelity_param(),
+    ),
+    axes=("workloads", "schemes"),
+    cell=_cell,
+    reduce=_reduce,
+    table=_table,
+)
+synthetic_specs = SYNTHETIC.specs
+run_figure15_16 = SYNTHETIC.run

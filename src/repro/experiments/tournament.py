@@ -22,10 +22,13 @@ by the bounded-memory P² collectors.  The driver then
   its fan-in bottleneck is the receiver access link, which no
   multipath scheme can widen);
 * emits the whole thing as deterministic bytes: no timestamps, sorted
-  keys, seed-order aggregation — so ``python -m
-  repro.experiments.tournament --seeds 1,2,3`` reproduces the
-  committed ``TOURNAMENT.json`` exactly, and nightly CI diffs the
-  ranking against it.
+  keys, seed-order aggregation — so ``python -m repro.runner run
+  tournament`` reproduces the committed ``TOURNAMENT.json`` exactly,
+  and nightly CI (``--check``) diffs the ranking against it.
+
+The grid, its flags and the artifact gate are the :data:`TOURNAMENT`
+declaration; ``tournament_specs``/``run_tournament`` are its derived
+``specs``/``run``.
 
 RepFlow's "mice at or below ECMP" claim is checked by the
 ``tournament_ordering`` oracle (:mod:`repro.validate.oracles`) at
@@ -36,24 +39,17 @@ grid here ranks it but does not gate on it.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.common import SweepOptions
-from repro.experiments.fabric_sweep import (
-    WORKLOADS,
-    fabric_config,
-    run_fabric_cell,
-)
+from repro.experiments.common import known_schemes
+from repro.experiments.fabric_sweep import fabric_cell_spec, fabric_grid_params
 from repro.experiments.schemes import scheme_names
 from repro.net.fabrics import as_spec
-from repro.runner import JobSpec, ResultStore
+from repro.runner import JobSpec
 from repro.runner.serialize import to_jsonable
-from repro.telemetry import TelemetryConfig
+from repro.runner.sweep import Artifact, Param, Sweep
 from repro.units import msec
 
 #: the three tournament fabrics: the paper's 16-host Clos shape, a
@@ -64,7 +60,6 @@ DEFAULT_TOPOLOGIES = (
     "leaf-spine:spines=2,hosts=4,pods=4",
     "fat-tree:k=4",
 )
-DEFAULT_WORKLOADS = ("websearch", "datamining", "incast")
 DEFAULT_SEEDS = (1, 2, 3)
 DEFAULT_DURATION_NS = msec(5)
 #: ``run_fabric_cell``'s incast fan-in default, mirrored here so small
@@ -145,66 +140,24 @@ class TournamentResult:
     checks_ok: bool = True
 
 
-def tournament_specs(
-    schemes: Sequence[str] = (),
-    topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    duration_ns: int = DEFAULT_DURATION_NS,
-    load_scale: float = 1.0,
-    validate: bool = False,
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = "flow",
-) -> List[JobSpec]:
-    """The grid as runner jobs, ordered topology > workload > scheme >
-    seed.  Inputs are validated up front so a typo fails before any
-    job is queued."""
-    schemes = tuple(schemes) or scheme_names()
-    for scheme in schemes:
-        if scheme not in scheme_names():
-            raise ValueError(
-                f"unknown scheme {scheme!r}; pick from {scheme_names()}")
-    for workload in workloads:
-        if workload not in WORKLOADS:
-            raise ValueError(
-                f"unknown workload {workload!r}; pick from {WORKLOADS}")
-    for topology in topologies:
-        as_spec(topology)
-    opts = SweepOptions(telemetry=telemetry, fidelity=fidelity)
-    specs = []
-    for topology in topologies:
+def _cell(topology: str, workload: str, scheme: str, seed: int,
+          p: Dict[str, Any]) -> JobSpec:
+    # incast needs out-of-rack workers; on fabrics smaller than the
+    # default fan-in of 8, clamp to what exists rather than crash the
+    # cell.  The kwarg is only added when it differs from the default
+    # so full-size grids keep their job hashes.
+    extra = {}
+    if workload == "incast":
         spec = as_spec(topology)
-        slug = spec.slug()
-        for workload in workloads:
-            # incast needs out-of-rack workers; on fabrics smaller than
-            # the default fan-in of 8, clamp to what exists rather than
-            # crash the cell.  The kwarg is only added when it differs
-            # from the default so full-size grids keep their job hashes.
-            extra = {}
-            if workload == "incast":
-                pool = spec.n_hosts() - spec.hosts_per_edge()
-                if pool < 1:
-                    raise ValueError(
-                        f"topology {topology!r} has no out-of-rack hosts "
-                        f"for the incast workload")
-                if pool < DEFAULT_INCAST_FANIN:
-                    extra["fanin"] = pool
-            for scheme in schemes:
-                for seed in seeds:
-                    label = (f"tournament/{slug}/{workload}/{scheme}"
-                             f"/seed{seed}")
-                    specs.append(JobSpec.make(
-                        run_fabric_cell,
-                        cfg=fabric_config(topology, scheme, seed, fidelity),
-                        label=label,
-                        workload=workload,
-                        duration_ns=duration_ns,
-                        load_scale=load_scale,
-                        validate=validate,
-                        **extra,
-                        **opts.cell_kwargs(label),
-                    ))
-    return specs
+        pool = spec.n_hosts() - spec.hosts_per_edge()
+        if pool < 1:
+            raise ValueError(
+                f"topology {topology!r} has no out-of-rack hosts "
+                f"for the incast workload")
+        if pool < DEFAULT_INCAST_FANIN:
+            extra["fanin"] = pool
+    return fabric_cell_spec(
+        "tournament", topology, workload, scheme, seed, p, **extra)
 
 
 def _mean(values: Sequence[Optional[float]]) -> Optional[float]:
@@ -303,61 +256,24 @@ def ordering_checks(
     return checks
 
 
-def run_tournament(
-    schemes: Sequence[str] = (),
-    topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    duration_ns: int = DEFAULT_DURATION_NS,
-    load_scale: float = 1.0,
-    validate: bool = False,
-    *,
-    jobs: Optional[int] = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    log=None,
-    telemetry: Optional[TelemetryConfig] = None,
-    fidelity: Optional[str] = "flow",
-    service: Optional[str] = None,
-) -> TournamentResult:
-    """Run the full grid through the runner and return the ranked,
-    checked tournament."""
-    schemes = tuple(schemes) or scheme_names()
-    topologies = tuple(topologies)
-    workloads = tuple(workloads)
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ValueError("seeds must name at least one seed")
-    opts = SweepOptions(jobs=jobs, store=store, force=force,
-                        timeout_s=timeout_s, retries=retries, log=log,
-                        telemetry=telemetry, fidelity=fidelity,
-                        service=service)
-    specs = tournament_specs(schemes, topologies, workloads, seeds,
-                             duration_ns, load_scale, validate,
-                             telemetry=telemetry, fidelity=fidelity)
-    runs = opts.execute(specs)
-    it = iter(runs)
-    cells = []
-    for topology in topologies:
-        key_topo = as_spec(topology).cli()
-        for workload in workloads:
-            for scheme in schemes:
-                per_seed = [next(it) for _ in seeds]
-                cells.append(_aggregate_cell(
-                    key_topo, workload, scheme, seeds, per_seed))
-    checks = ordering_checks(cells)
+def _reduce(cells, p: Dict[str, Any]) -> TournamentResult:
+    topologies = tuple(as_spec(t).cli() for t in p["topologies"])
+    aggregated = [
+        _aggregate_cell(as_spec(topology).cli(), workload, scheme,
+                        p["seeds"], per_seed)
+        for (topology, workload, scheme), per_seed in cells
+    ]
+    checks = ordering_checks(aggregated)
     return TournamentResult(
-        schemes=schemes,
-        topologies=tuple(as_spec(t).cli() for t in topologies),
-        workloads=workloads,
-        seeds=seeds,
-        duration_ns=duration_ns,
-        load_scale=load_scale,
-        fidelity=fidelity or "packet",
-        cells=cells,
-        standings=rank_standings(cells, schemes),
+        schemes=p["schemes"],
+        topologies=topologies,
+        workloads=p["workloads"],
+        seeds=p["seeds"],
+        duration_ns=p["duration_ns"],
+        load_scale=p["load_scale"],
+        fidelity=p["fidelity"] or "packet",
+        cells=aggregated,
+        standings=rank_standings(aggregated, p["schemes"]),
         checks=checks,
         checks_ok=all(c.ok for c in checks),
     )
@@ -444,87 +360,6 @@ def render_markdown(result: TournamentResult) -> str:
     return "\n".join(lines)
 
 
-# --- CLI ---------------------------------------------------------------------
-
-
-def _csv_strs(text: Optional[str]) -> Tuple[str, ...]:
-    return tuple(s for s in (text or "").split(",") if s)
-
-
-def _csv_ints(text: Optional[str]) -> Tuple[int, ...]:
-    return tuple(int(s) for s in (text or "").split(",") if s)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.tournament",
-        description="Race every registered scheme over the workload x "
-                    "topology grid and write the ranked TOURNAMENT.json.",
-    )
-    parser.add_argument(
-        "--schemes", default=None,
-        help="comma-separated subset (default: every registered scheme)")
-    parser.add_argument(
-        "--topology", action="append", default=None, metavar="SPEC",
-        help="fabric spec, repeatable — e.g. 'fat-tree:k=4', "
-             "'clos:spines=4,leaves=4,hosts=4' (default: the three "
-             "tournament fabrics)")
-    parser.add_argument(
-        "--workloads", default=None,
-        help="comma-separated workloads "
-             f"(default: {','.join(DEFAULT_WORKLOADS)})")
-    parser.add_argument(
-        "--seeds", default=",".join(str(s) for s in DEFAULT_SEEDS),
-        help="comma-separated seeds (default: 1,2,3)")
-    parser.add_argument(
-        "--duration-ms", type=float, default=DEFAULT_DURATION_NS / 1e6,
-        help="offered-load window per cell, simulated ms (default: 5)")
-    parser.add_argument(
-        "--load-scale", type=float, default=1.0,
-        help="trace arrival-rate multiplier (default: 1.0)")
-    parser.add_argument(
-        "--fidelity", choices=("packet", "flow"), default="flow",
-        help="engine fidelity for every cell (default: flow)")
-    parser.add_argument(
-        "--validate", action="store_true",
-        help="arm the spanning-tree oracle in every cell")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: os.cpu_count())")
-    parser.add_argument(
-        "--force", action="store_true",
-        help="invalidate cached cells and re-run")
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout")
-    parser.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="re-runs per failing cell (default: 1)")
-    parser.add_argument(
-        "--service", default=None, metavar="URL",
-        help="run cells on a sweep coordinator "
-             "(python -m repro.service coordinator) instead of a local "
-             "pool, e.g. http://127.0.0.1:8642")
-    parser.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help="result-store root (default: $REPRO_RESULTS_DIR or "
-             "benchmarks/results)")
-    parser.add_argument(
-        "--out", default=TOURNAMENT_PATH, metavar="FILE",
-        help=f"ranked-artifact path (default: {TOURNAMENT_PATH})")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed --out file instead of "
-             "writing it; exit 1 on any drift")
-    parser.add_argument(
-        "--markdown", default=None, metavar="FILE",
-        help="also write the markdown report to FILE")
-    parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-job progress lines")
-    return parser
-
-
 def _ranking_diff(old: Dict, new: Dict) -> List[str]:
     """Human-readable standings drift between two tournament payloads."""
     def ladder(payload: Dict) -> List[str]:
@@ -537,73 +372,34 @@ def _ranking_diff(old: Dict, new: Dict) -> List[str]:
     return [f"ranking drifted: committed {old_ladder} != new {new_ladder}"]
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
-    try:
-        seeds = _csv_ints(ns.seeds)
-    except ValueError as exc:
-        print(f"--seeds must be comma-separated integers: {exc}",
-              file=sys.stderr)
-        return 2
-    store = ResultStore(ns.results_dir)
-    log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
-    try:
-        result = run_tournament(
-            schemes=_csv_strs(ns.schemes),
-            topologies=tuple(ns.topology or DEFAULT_TOPOLOGIES),
-            workloads=_csv_strs(ns.workloads) or DEFAULT_WORKLOADS,
-            seeds=seeds,
-            duration_ns=msec(ns.duration_ms),
-            load_scale=ns.load_scale,
-            validate=ns.validate,
-            jobs=ns.jobs,
-            store=store,
-            force=ns.force,
-            timeout_s=ns.timeout,
-            retries=ns.retries,
-            log=log,
-            fidelity=ns.fidelity,
-            service=ns.service,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    payload = tournament_json(result)
-    report = render_markdown(result)
-    print(report)
-    if ns.markdown:
-        with open(ns.markdown, "w") as fh:
-            fh.write(report)
-        print(f"saved {ns.markdown}", file=sys.stderr)
+# --- the declaration ---------------------------------------------------------
 
-    if ns.check:
-        try:
-            with open(ns.out) as fh:
-                committed = fh.read()
-        except OSError as exc:
-            print(f"--check: cannot read {ns.out}: {exc}", file=sys.stderr)
-            return 1
-        if committed == payload:
-            print(f"--check: {ns.out} reproduced byte-for-byte",
-                  file=sys.stderr)
-            return 0 if result.checks_ok else 1
-        for line in _ranking_diff(json.loads(committed),
-                                  json.loads(payload)):
-            print(f"--check: {line}", file=sys.stderr)
-        print(f"--check: {ns.out} drifted from this run "
-              f"(regenerate with the same flags and review the diff)",
-              file=sys.stderr)
-        return 1
+_TOPOLOGIES, _WORKLOADS, _SCHEMES, *_REST = fabric_grid_params(
+    DEFAULT_TOPOLOGIES,
+    # () = every scheme registered when the sweep is bound
+    Param("schemes", (), "--schemes", "strs",
+          "comma-separated scheme subset (default: every registered "
+          "scheme)",
+          coerce=lambda s: known_schemes(s or scheme_names())),
+    seeds=DEFAULT_SEEDS, duration_ns=DEFAULT_DURATION_NS)
 
-    with open(ns.out, "w") as fh:
-        fh.write(payload)
-    print(f"saved {ns.out}", file=sys.stderr)
-    if not result.checks_ok:
-        print("ordering checks FAILED (see the report above)",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+#: grid order topology > workload > scheme > seed
+TOURNAMENT = Sweep(
+    name="tournament",
+    description="Scheme zoo standings: every registered scheme x "
+                "websearch/datamining/incast x three fabrics, "
+                "Borda-ranked by mice FCT; defaults reproduce the "
+                "committed TOURNAMENT.json",
+    # positionally schemes come first here, as they always have
+    params=(_SCHEMES, _TOPOLOGIES, _WORKLOADS, *_REST),
+    axes=("topologies", "workloads", "schemes"),
+    cell=_cell,
+    reduce=_reduce,
+    table=lambda result: (["rank", "scheme", "mean place", "wins", "cells"],
+                          standings_rows(result)),
+    artifact=Artifact(
+        TOURNAMENT_PATH, tournament_json, render_markdown,
+        ok=lambda result: result.checks_ok, drift=_ranking_diff),
+)
+tournament_specs = TOURNAMENT.specs
+run_tournament = TOURNAMENT.run

@@ -10,7 +10,6 @@ whole stack under random schedules with conservation-law checking
 """
 
 from repro.faults.controlplane import ControlPlane, LinkChange, Reaction
-from repro.faults.invariants import InvariantReport, byte_ledger, check_invariants
 from repro.faults.metrics import (
     BlackholeAccountant,
     ConvergenceReport,
@@ -45,7 +44,6 @@ __all__ = [
     "ControlPlane",
     "ConvergenceReport",
     "FaultSchedule",
-    "InvariantReport",
     "LinkChange",
     "LinkDegrade",
     "LinkDown",
@@ -58,8 +56,6 @@ __all__ = [
     "SwitchDown",
     "SwitchUp",
     "ThroughputTimeline",
-    "byte_ledger",
-    "check_invariants",
     "classic_failure_schedule",
     "convergence_report",
     "random_case",

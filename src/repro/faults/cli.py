@@ -23,15 +23,52 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.runner.store import DEFAULT_RESULTS_DIR, RESULTS_DIR_ENV, ResultStore
+from repro.experiments.common import (
+    MEASURE,
+    WARM,
+    each_in,
+    fidelity_param,
+    known_topology,
+)
+from repro.experiments.failure import FAILURE_WORKLOADS
+from repro.faults.soak import DEFAULT_DEADLINE_NS, DEFAULT_FAULT_WINDOW_NS
+from repro.runner.cli import (
+    UsageError,
+    add_execution_flags,
+    add_param_flags,
+    execution_options,
+    param_values,
+)
+from repro.runner.sweep import Param, seeds_param
 
 
-def _csv_ints(text: Optional[str]) -> Sequence[int]:
-    return tuple(int(s) for s in (text or "").split(",") if s)
+#: ``soak`` knobs — keywords of ``run_soak``
+SOAK_PARAMS = (
+    Param("n_cases", 20, "--cases", "int",
+          "number of random (schedule, seed) cases (default: 20)"),
+    Param("base_seed", 0, "--seed", "int",
+          "base seed all cases derive from (default: 0)"),
+    Param("max_faults", 2, "--max-faults", "int",
+          "max composite faults per schedule (default: 2)"),
+    Param("topology", None, "--topology",
+          help="fabric under chaos, e.g. 'fat-tree:k=4' (default: the "
+               "paper's 16-host Clos)", coerce=known_topology),
+    Param("fault_window_ns", DEFAULT_FAULT_WINDOW_NS, "--window-ms", "ms",
+          "fault window, all faults restored inside it (default: 40)"),
+    Param("deadline_ns", DEFAULT_DEADLINE_NS, "--deadline-ms", "ms",
+          "horizon by which flows + control plane must be done and the "
+          "sim quiesced (default: 500)"),
+)
 
-
-def _csv_strs(text: Optional[str]) -> Sequence[str]:
-    return tuple(s for s in (text or "").split(",") if s)
+#: ``fig17`` knobs
+FIG17_PARAMS = (
+    Param("workloads", FAILURE_WORKLOADS, "--workloads", "strs",
+          "comma-separated workload subset", coerce=each_in(FAILURE_WORKLOADS, "workload")),
+    seeds_param((1, 2)),
+    WARM,
+    MEASURE,
+    fidelity_param(),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,89 +80,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     soak = sub.add_parser(
         "soak", help="random fault schedules x seeds, invariants after each")
-    soak.add_argument("--cases", type=int, default=20, metavar="N",
-                      help="number of random (schedule, seed) cases")
-    soak.add_argument("--seed", type=int, default=0,
-                      help="base seed all cases derive from")
-    soak.add_argument("--max-faults", type=int, default=2,
-                      help="max composite faults per schedule")
-    soak.add_argument("--topology", default=None, metavar="SPEC",
-                      help="fabric under chaos, e.g. 'fat-tree:k=4' "
-                           "(default: the paper's 16-host Clos)")
-    soak.add_argument("--window-ms", type=float, default=40.0,
-                      help="fault window (all faults restored inside it)")
-    soak.add_argument("--deadline-ms", type=float, default=500.0,
-                      help="horizon by which flows + control plane must "
-                           "be done and the sim quiesced")
-    soak.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="worker processes (default: os.cpu_count())")
-    soak.add_argument("--timeout", type=float, default=None,
-                      metavar="SECONDS", help="per-case wall-clock timeout")
-    soak.add_argument("--force", action="store_true",
-                      help="ignore cached case results and re-run")
-    soak.add_argument("--no-store", action="store_true",
-                      help="skip the result store entirely")
-    soak.add_argument("--service", default=None, metavar="URL",
-                      help="run the soak cases on a sweep coordinator "
-                           "(python -m repro.service coordinator) instead "
-                           "of a local pool")
-    soak.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help=f"results root (default: ${RESULTS_DIR_ENV} or "
-             f"{DEFAULT_RESULTS_DIR})")
-    soak.add_argument("--quiet", action="store_true",
-                      help="suppress per-case progress lines")
+    add_param_flags(soak, SOAK_PARAMS)
+    add_execution_flags(soak, no_store=True)
 
     fig = sub.add_parser(
         "fig17", help="continuous symmetry->failover->weighted run(s)")
-    fig.add_argument("--workloads", default=None,
-                     help="comma-separated workload subset")
-    fig.add_argument("--seeds", default="1,2", help="comma-separated seeds")
-    fig.add_argument("--warm-ms", type=float, default=15.0)
-    fig.add_argument("--measure-ms", type=float, default=30.0,
-                     help="per-phase measurement window, in simulated ms")
-    fig.add_argument(
-        "--fidelity", choices=("packet", "flow"), default=None,
-        help="simulation fidelity: packet (default) or the fluid "
-             "flow-level engine")
+    add_param_flags(fig, FIG17_PARAMS)
     return parser
 
 
 def _cmd_soak(ns: argparse.Namespace) -> int:
     from repro.faults.soak import run_soak
     from repro.experiments.harness import format_table
-    from repro.units import msec
 
-    if ns.jobs is not None and ns.jobs < 1:
-        print(f"--jobs must be >= 1, got {ns.jobs}", file=sys.stderr)
-        return 2
-    if ns.timeout is not None and ns.timeout <= 0:
-        print(f"--timeout must be positive, got {ns.timeout}", file=sys.stderr)
-        return 2
-    if ns.topology is not None:
-        from repro.net.fabrics import as_spec
-
-        try:
-            as_spec(ns.topology)
-        except ValueError as exc:
-            print(f"bad --topology: {exc}", file=sys.stderr)
-            return 2
-    store = None if ns.no_store else ResultStore(ns.results_dir)
-    log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
-    report = run_soak(
-        n_cases=ns.cases,
-        base_seed=ns.seed,
-        fault_window_ns=msec(ns.window_ms),
-        deadline_ns=msec(ns.deadline_ms),
-        max_faults=ns.max_faults,
-        topology=ns.topology,
-        jobs=ns.jobs,
-        store=store,
-        force=ns.force,
-        timeout_s=ns.timeout,
-        log=log,
-        service=ns.service,
-    )
+    options = execution_options(ns)
+    report = run_soak(**param_values(SOAK_PARAMS, ns), **vars(options))
     headers = ["case", "schedule", "verdict", "flows", "faults",
                "reactions", "violations"]
     print(format_table(headers, report.rows()))
@@ -135,31 +104,22 @@ def _cmd_soak(ns: argparse.Namespace) -> int:
 
 
 def _cmd_fig17(ns: argparse.Namespace) -> int:
-    from repro.experiments.failure import (
-        FAILURE_WORKLOADS,
-        STAGES,
-        run_failure_timeline,
-    )
+    from repro.experiments.failure import STAGES, run_failure_timeline
     from repro.experiments.harness import TestbedConfig, format_table
     from repro.metrics.stats import mean
-    from repro.units import msec
 
-    workloads = _csv_strs(ns.workloads) or FAILURE_WORKLOADS
-    unknown = [w for w in workloads if w not in FAILURE_WORKLOADS]
-    if unknown:
-        print(f"unknown workload(s) {', '.join(unknown)}; "
-              f"pick from {', '.join(FAILURE_WORKLOADS)}", file=sys.stderr)
-        return 2
-    seeds = _csv_ints(ns.seeds) or (1,)
+    p = {param.name: param.default for param in FIG17_PARAMS}
+    p.update(param_values(FIG17_PARAMS, ns))
+    workloads, seeds, fidelity = p["workloads"], p["seeds"], p["fidelity"]
     rows = []
     for workload in workloads:
         timelines = [
             run_failure_timeline(
-                workload, seed, warm_ns=msec(ns.warm_ms),
-                measure_ns=msec(ns.measure_ms),
+                workload, seed, warm_ns=p["warm_ns"],
+                measure_ns=p["measure_ns"],
                 cfg=(TestbedConfig(scheme="presto", seed=seed,
-                                   fidelity=ns.fidelity)
-                     if ns.fidelity else None))
+                                   fidelity=fidelity)
+                     if fidelity else None))
             for seed in seeds
         ]
         per_stage = {
@@ -189,9 +149,13 @@ def _cmd_fig17(ns: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "soak":
-        return _cmd_soak(ns)
-    if ns.command == "fig17":
-        return _cmd_fig17(ns)
+    try:
+        if ns.command == "soak":
+            return _cmd_soak(ns)
+        if ns.command == "fig17":
+            return _cmd_fig17(ns)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     parser.print_help()
     return 2

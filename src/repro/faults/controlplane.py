@@ -1,8 +1,8 @@
 """Modeled Presto control plane: subscribe, detect, react — in-sim.
 
-The static experiments called :meth:`PrestoController.on_link_failure`
-by hand, outside simulated time.  This module gives the controller the
-reaction loop the paper describes (S3.3): it *subscribes* to every
+A controller that is only ever told to ``push_all()`` by hand reacts
+outside simulated time.  This module gives it the reaction loop the
+paper describes (S3.3): it *subscribes* to every
 link's ``on_state_change``, learns of a change ``detection_delay_ns``
 later (LOS propagation, OpenFlow port-status, topology daemon), spends
 ``reaction_delay_ns`` recomputing weighted schedules, and only then

@@ -3,7 +3,7 @@
 One *case* = a testbed config + a random self-restoring fault schedule
 + a handful of bounded cross-leaf elephants + a generous deadline.  The
 case runs with hardware fast failover and the modeled control plane
-both live, then :func:`repro.faults.invariants.check_invariants`
+both live, then :func:`repro.validate.invariants.check_invariants`
 decides pass/fail.  Cases are plain frozen dataclasses, so they ride
 through :mod:`repro.runner` (content-hashed caching, process pool,
 resume) like any experiment job — ``python -m repro.faults soak``.
@@ -21,19 +21,18 @@ fabric — the default remains the paper's 16-host Clos.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.common import START_JITTER_NS
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.faults.invariants import check_invariants
 from repro.faults.metrics import BlackholeAccountant
 from repro.faults.schedule import FaultSchedule, random_schedule
 from repro.net.fabrics import fabric_link_names
 from repro.runner.jobspec import JobSpec
-from repro.runner.pool import run_jobs
-from repro.runner.store import ResultStore
+from repro.runner.sweep import SweepOptions
 from repro.sim.rand import RandomStreams
 from repro.units import KB, MB, msec
+from repro.validate.invariants import check_invariants
 
 #: window the random faults land in (all restored before it ends)
 DEFAULT_FAULT_WINDOW_NS = msec(40)
@@ -201,14 +200,11 @@ def run_soak(
     deadline_ns: int = DEFAULT_DEADLINE_NS,
     max_faults: int = 2,
     topology: Optional[str] = None,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    timeout_s: Optional[float] = None,
-    log=None,
-    service: Optional[str] = None,
+    **execution: Any,
 ) -> SoakReport:
-    """Sample ``n_cases`` random cases and run them through the runner."""
+    """Sample ``n_cases`` random cases and run them through the runner
+    (``execution`` is any :class:`~repro.runner.sweep.SweepOptions`
+    field: ``jobs=4, store=...``)."""
     cases = [
         random_case(base_seed, i, fault_window_ns=fault_window_ns,
                     deadline_ns=deadline_ns, max_faults=max_faults,
@@ -220,8 +216,7 @@ def run_soak(
                      label=f"faults/soak/s{base_seed}/c{i}")
         for i, case in enumerate(cases)
     ]
-    outcomes = run_jobs(specs, jobs=jobs, store=store, force=force,
-                        timeout_s=timeout_s, log=log, service=service)
+    outcomes = SweepOptions(**execution).outcomes(specs)
     results = [o.result if o.ok else None for o in outcomes]
     errors = [o.error if not o.ok else None for o in outcomes]
     return SoakReport(base_seed=base_seed, cases=cases,

@@ -18,18 +18,11 @@ from repro.fluid.compare import (
     compare_report,
     write_report,
 )
+from repro.runner.cli import KINDS
 
 
 def _csv(value: str) -> List[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
-
-
-def _csv_ints(value: str) -> List[int]:
-    try:
-        return [int(item) for item in _csv(value)]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S,S", help="schemes per cell (default: "
         + ",".join(DEFAULT_SCHEMES) + ")")
     cmp_p.add_argument(
-        "--seeds", type=_csv_ints, default=[1, 2, 3], metavar="N,N")
+        "--seeds", type=KINDS["ints"], default=(1, 2, 3), metavar="N,N")
     cmp_p.add_argument(
         "--scale", type=float, default=1.0,
         help="shrink every warm/measure window (0.1 = ten times shorter)")

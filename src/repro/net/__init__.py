@@ -17,8 +17,6 @@ from repro.net.switch import EcmpGroup, FailoverGroup, Switch
 from repro.net.topology import (
     Topology,
     build_clos,
-    build_oversub,
-    build_scalability,
     build_single_switch,
 )
 from repro.net.fabrics import (
@@ -58,8 +56,6 @@ __all__ = [
     "Topology",
     "build_clos",
     "build_single_switch",
-    "build_scalability",
-    "build_oversub",
     "TopologySpec",
     "build_fabric",
     "build_fat_tree",

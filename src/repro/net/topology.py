@@ -4,10 +4,10 @@
   (default 4 spines x 4 leaves x 4 hosts/leaf = 16 hosts).
 * :func:`build_single_switch` — the paper's "Optimal" baseline: every
   host on one non-blocking switch.
-* :func:`build_scalability` — Fig 4a: two leaves joined by a variable
-  number of single-link spines (path count 2-8).
-* :func:`build_oversub` — Fig 4b: two leaves, two spines, a variable
-  number of host pairs (oversubscription 1-4x).
+
+The Fig 4a/4b shapes (two leaves joined by 2-8 spines; two spines with
+2-8 host pairs) are plain Clos specs — build them through
+``repro.net.fabrics.build_fabric(sim, TopologySpec.clos(...))``.
 
 A topology owns the simulator wiring: switches, links, host attachment
 and the *underlay* routing needed regardless of load-balancing scheme
@@ -17,7 +17,6 @@ the uplinks used by classic ECMP-on-real-MAC forwarding).
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional
 
 from repro.net.addresses import host_mac
@@ -279,48 +278,3 @@ def build_single_switch(sim: Simulator) -> Topology:
     topo.leaves = [sw]
     topo.spines = []
     return topo
-
-
-def build_scalability(
-    sim: Simulator,
-    n_paths: int,
-    rate_bps: float = gbps(10),
-    prop_delay_ns: int = usec(1),
-    buffer_bytes: Optional[int] = None,
-) -> Topology:
-    """Fig 4a: two leaves joined through ``n_paths`` spine switches, so
-    there are exactly ``n_paths`` disjoint L1->L2 paths.
-
-    .. deprecated:: PR 7
-        Build through the spec instead:
-        ``build_fabric(sim, TopologySpec.clos(n_paths, 2, ...))``.
-    """
-    warnings.warn(
-        "build_scalability is deprecated; use repro.net.fabrics."
-        "build_fabric(sim, TopologySpec.clos(n_paths, 2, hosts_per_leaf))",
-        DeprecationWarning, stacklevel=2)
-    return build_clos(sim, n_spines=n_paths, n_leaves=2,
-                      rate_bps=rate_bps, prop_delay_ns=prop_delay_ns,
-                      buffer_bytes=buffer_bytes)
-
-
-def build_oversub(
-    sim: Simulator,
-    rate_bps: float = gbps(10),
-    prop_delay_ns: int = usec(1),
-    buffer_bytes: Optional[int] = None,
-) -> Topology:
-    """Fig 4b: two leaves, two spines; attaching 2-8 host pairs yields
-    oversubscription ratios of 1-4x.
-
-    .. deprecated:: PR 7
-        Build through the spec instead:
-        ``build_fabric(sim, TopologySpec.clos(2, 2, n_pairs))``.
-    """
-    warnings.warn(
-        "build_oversub is deprecated; use repro.net.fabrics."
-        "build_fabric(sim, TopologySpec.clos(2, 2, n_pairs))",
-        DeprecationWarning, stacklevel=2)
-    return build_clos(sim, n_spines=2, n_leaves=2,
-                      rate_bps=rate_bps, prop_delay_ns=prop_delay_ns,
-                      buffer_bytes=buffer_bytes)

@@ -24,7 +24,6 @@ from repro.net.addresses import (
     shadow_mac,
     shadow_mac_host,
 )
-from repro.net.link import Link
 from repro.net.routing import (
     SpanningTree,
     allocate_spanning_trees,
@@ -156,18 +155,6 @@ class PrestoController:
                 group.set_backup(
                     port, backup, rewrite=_relabel_to_tree(relabel_tree)
                 )
-
-    def on_link_failure(self, link: Optional[Link] = None) -> None:
-        """Deprecated alias of :meth:`push_all`.
-
-        Experiments used to call this by hand after flipping a link;
-        the modeled control plane (:mod:`repro.faults.controlplane`)
-        now subscribes to ``Link.on_state_change`` and reacts in
-        simulated time, so nothing needs to remember to call anything.
-        ``link`` was always ignored (schedules are recomputed from the
-        whole live topology) and is kept only for call compatibility.
-        """
-        self.push_all()
 
 
 def _relabel_to_tree(tree_id: int):

@@ -6,13 +6,24 @@ Commands::
     python -m repro.runner run scalability --jobs 4
     python -m repro.runner run oversub --points 2,4 --seeds 1,2 --force
     python -m repro.runner run fabric --service http://127.0.0.1:8642
+    python -m repro.runner run tournament --check
     python -m repro.runner summary
     python -m repro.runner store gc
 
-``run`` writes the rendered table to ``<results-dir>/runner_<sweep>.txt``
+``run SWEEP`` is the one way to run a sweep.  Its flags are derived:
+one per parameter the sweep declares (``run SWEEP --help`` lists
+them), the execution flags every job-executing command shares, and —
+for sweeps with a committed artifact — ``--out/--check/--markdown``.
+It writes the rendered table to ``<results-dir>/runner_<sweep>.txt``
 and a machine-readable ``runner_<sweep>.json``; per-job results land in
 ``<results-dir>/store/<hash>.json``, which is what makes a re-run
 resume instead of re-simulate.
+
+This module also owns the flag plumbing the validate, faults and
+service CLIs reuse (:func:`add_execution_flags`,
+:func:`execution_options`, :func:`add_param_flags`,
+:func:`param_values`), so each flag and each rejection message is
+defined once.
 """
 
 from __future__ import annotations
@@ -21,18 +32,156 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.serialize import to_jsonable
 from repro.runner.store import DEFAULT_RESULTS_DIR, RESULTS_DIR_ENV, ResultStore
+from repro.runner.sweep import TELEMETRY, Param, Sweep, SweepOptions
+from repro.units import msec
 
 
-def _csv_strs(text: Optional[str]) -> Sequence[str]:
-    return tuple(s for s in (text or "").split(",") if s) or ()
+class UsageError(Exception):
+    """A flag value the command cannot run with; ``main`` prints the
+    message to stderr and exits with status 2."""
 
 
-def _csv_ints(text: Optional[str]) -> Sequence[int]:
-    return tuple(int(s) for s in (text or "").split(",") if s)
+# --- execution flags: shared by every job-executing command ------------------
+
+
+def add_retries_flag(parser: argparse.ArgumentParser) -> None:
+    """``--retries`` alone: the coordinator owns its queue's budget but
+    executes no jobs itself, so it takes none of the other flags."""
+    parser.add_argument(
+        "--retries", type=int, default=1, metavar="N",
+        help="how many times a job that raises (or times out) is re-run "
+             "before it reports failed; a dead worker or an expired "
+             "lease is not charged (default: 1; see EXPERIMENTS.md "
+             "'Running sweeps')")
+
+
+def add_execution_flags(parser: argparse.ArgumentParser,
+                        no_store: bool = False) -> None:
+    """``--jobs/--force/--timeout/--retries/--service/--results-dir/
+    --quiet`` (and ``--no-store`` where a command has always had it)."""
+    parser.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes (default: os.cpu_count(); 1 = in-process "
+             "serial)")
+    parser.add_argument(
+        "--force", action="store_true",
+        help="invalidate cached results for these jobs and re-run")
+    parser.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="per-job wall-clock timeout; a hung job is killed, retried, "
+             "then reported failed")
+    add_retries_flag(parser)
+    parser.add_argument(
+        "--service", default=None, metavar="URL",
+        help="run the jobs on a sweep coordinator (python -m "
+             "repro.service coordinator) instead of a local pool, e.g. "
+             "http://127.0.0.1:8642")
+    parser.add_argument(
+        "--results-dir", default=None, metavar="DIR",
+        help=f"results root (default: ${RESULTS_DIR_ENV} or "
+             f"{DEFAULT_RESULTS_DIR})")
+    if no_store:
+        parser.add_argument(
+            "--no-store", action="store_true",
+            help="skip the result store entirely")
+    parser.add_argument(
+        "--quiet", action="store_true",
+        help="suppress per-job progress lines")
+
+
+def execution_options(ns: argparse.Namespace) -> SweepOptions:
+    """The parsed execution flags as :class:`SweepOptions`."""
+    if ns.jobs is not None and ns.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
+    if ns.timeout is not None and ns.timeout <= 0:
+        raise UsageError(f"--timeout must be positive, got {ns.timeout}")
+    if ns.retries < 0:
+        raise UsageError(f"--retries must be >= 0, got {ns.retries}")
+    no_store = getattr(ns, "no_store", False)
+    return SweepOptions(
+        jobs=ns.jobs,
+        store=None if no_store else ResultStore(ns.results_dir),
+        force=ns.force,
+        timeout_s=ns.timeout,
+        retries=ns.retries,
+        log=None if ns.quiet else (lambda msg: print(msg, file=sys.stderr)),
+        service=ns.service,
+    )
+
+
+# --- parameter flags: derived from Param declarations ------------------------
+
+
+def _csv_strs(text: str) -> Tuple[str, ...]:
+    return tuple(s for s in text.split(",") if s)
+
+
+def _csv_ints(text: str) -> Tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(",") if s)
+    except ValueError as exc:
+        raise ValueError(f"must be comma-separated integers: {exc}") from None
+
+
+#: how a flag's text becomes a parameter value, by ``Param.kind``
+#: ("flag" = store_true and "each" = repeatable carry no text to convert)
+KINDS: Dict[str, Callable[[str], Any]] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "strs": _csv_strs,
+    "ints": _csv_ints,
+    # simulated milliseconds on the command line, integer ns inside
+    "ms": lambda text: msec(float(text)),
+}
+#: what --help shows in place of the value, by kind
+METAVARS = {"int": "N", "float": "F", "strs": "A,B", "ints": "N,N",
+            "ms": "MS", "each": "SPEC"}
+
+
+def add_param_flags(parser: argparse.ArgumentParser,
+                    params: Sequence[Param]) -> None:
+    """One flag per parameter that names one.  Values stay text here
+    and convert in :func:`param_values`, so a bad value is reported
+    the same way whichever flag carried it."""
+    for p in params:
+        if p.flag is None:
+            continue
+        if p.kind == "flag":
+            parser.add_argument(p.flag, dest=p.name, action="store_true",
+                                help=p.help)
+        else:
+            parser.add_argument(
+                p.flag, dest=p.name, default=None, choices=p.choices,
+                action="append" if p.kind == "each" else "store",
+                metavar=METAVARS.get(p.kind), help=p.help)
+
+
+def param_values(params: Sequence[Param],
+                 ns: argparse.Namespace) -> Dict[str, Any]:
+    """The parameters the command line set, converted and validated;
+    unset ones are left out so their declared defaults apply."""
+    values: Dict[str, Any] = {}
+    for p in params:
+        raw = getattr(ns, p.name) if p.flag else None
+        if raw is None or raw is False:
+            continue
+        try:
+            if p.kind == "each":
+                value = tuple(raw)
+            else:
+                value = raw if p.kind == "flag" else KINDS[p.kind](raw)
+            values[p.name] = p.coerce(value) if p.coerce else value
+        except ValueError as exc:
+            raise UsageError(f"bad {p.flag}: {exc}") from None
+    return values
+
+
+# --- the commands ------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,91 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the available sweeps")
 
-    run = sub.add_parser("run", help="run one sweep through the job pool")
-    run.add_argument(
-        "sweep", nargs="?", default=None,
-        help="sweep name (see `list`); defaults to 'fabric' when "
-             "--topology is given",
-    )
-    run.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: os.cpu_count(); 1 = in-process "
-             "serial)",
-    )
-    run.add_argument(
-        "--force", action="store_true",
-        help="invalidate cached results for this sweep's jobs and re-run",
-    )
-    run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock timeout; a hung job is killed, retried "
-             "once, then reported failed",
-    )
-    run.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="how many times a job that raises (or times out) is re-run "
-             "before it reports failed (default: 1; see EXPERIMENTS.md "
-             "'Retries, restarts and backoff')",
-    )
-    run.add_argument(
-        "--service", default=None, metavar="URL",
-        help="run the sweep's jobs on a sweep coordinator "
-             "(python -m repro.service coordinator) instead of a local "
-             "pool, e.g. http://127.0.0.1:8642",
-    )
-    run.add_argument(
-        "--schemes", default=None,
-        help="comma-separated scheme subset (default: the figure's four)",
-    )
-    run.add_argument(
-        "--points", default=None,
-        help="comma-separated sweep points (path counts / pair counts)",
-    )
-    run.add_argument("--seeds", default="1,2", help="comma-separated seeds")
-    run.add_argument(
-        "--fidelity", choices=("packet", "flow"), default=None,
-        help="engine fidelity for every cell: 'packet' (default) queues "
-             "frames, 'flow' runs the fluid engine (repro.fluid)",
-    )
-    run.add_argument(
-        "--topology", action="append", default=None, metavar="SPEC",
-        help="fabric spec, repeatable — e.g. 'fat-tree:k=8', "
-             "'leaf-spine:pods=8,oversub=2', "
-             "'clos:spines=4,leaves=4,hosts=4' (fabric sweep only; "
-             "implies `run fabric` when the sweep name is omitted)",
-    )
-    run.add_argument(
-        "--validate", action="store_true",
-        help="arm the spanning-tree oracle in every cell: trees must "
-             "reach every host and stay link-disjoint (fabric sweep only)",
-    )
-    run.add_argument(
-        "--warm-ms", type=float, default=15.0,
-        help="warmup window before measurement, in simulated ms",
-    )
-    run.add_argument(
-        "--measure-ms", type=float, default=25.0,
-        help="measurement window, in simulated ms",
-    )
-    run.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help=f"results root (default: ${RESULTS_DIR_ENV} or "
-             f"{DEFAULT_RESULTS_DIR})",
-    )
-    run.add_argument(
-        "--trace", action="store_true",
-        help="record per-cell event traces; Chrome/Perfetto-loadable "
-             "JSON lands in <results-dir>/traces/ (implies metric "
-             "snapshots in each stored result)",
-    )
-    run.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="collect per-cell metric snapshots (counters/gauges/"
-             "histograms) and write them to FILE as JSON",
-    )
-    run.add_argument(
-        "--quiet", action="store_true", help="suppress per-job progress lines"
-    )
+    # `run` parses per sweep (see _cmd_run); this stub documents it
+    sub.add_parser(
+        "run", help="run one sweep through the job pool",
+        usage="python -m repro.runner run SWEEP [flags]",
+        description="SWEEP is a name from `list`; `run SWEEP --help` "
+                    "shows that sweep's own flags.  The name may be "
+                    "omitted when --topology is given (implies 'fabric').")
 
     summary = sub.add_parser(
         "summary", help="show what the result store already holds"
@@ -195,133 +266,142 @@ def _cmd_list() -> int:
 
     width = max(len(name) for name in SWEEPS)
     for name, sweep in SWEEPS.items():
-        print(f"{name.ljust(width)}  {sweep.description}")
+        first, *more = sweep.description.split("\n")
+        print(f"{name.ljust(width)}  {first}")
+        for line in more:
+            print(f"{' ' * width}    {line}")
     return 0
 
 
-def _cmd_run(ns: argparse.Namespace) -> int:
-    from repro.experiments.harness import format_table
-    from repro.runner.sweeps import SWEEPS
-    from repro.units import msec
+def run_parser(sweep: Sweep) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro.runner run {sweep.name}",
+        description=sweep.description.split("\n")[0])
+    add_param_flags(parser, sweep.params)
+    add_execution_flags(parser)
+    parser.set_defaults(trace=False, metrics_out=None)
+    if TELEMETRY in sweep.params:
+        parser.add_argument(
+            "--trace", action="store_true",
+            help="record per-cell event traces; Chrome/Perfetto-loadable "
+                 "JSON lands in <results-dir>/traces/ (implies metric "
+                 "snapshots in each stored result)")
+        parser.add_argument(
+            "--metrics-out", default=None, metavar="FILE",
+            help="collect per-cell metric snapshots (counters/gauges/"
+                 "histograms) and write them to FILE as JSON")
+    if sweep.artifact is not None:
+        parser.add_argument(
+            "--out", default=sweep.artifact.path, metavar="FILE",
+            help=f"artifact path (default: {sweep.artifact.path})")
+        parser.add_argument(
+            "--check", action="store_true",
+            help="compare against the committed --out file instead of "
+                 "writing it; exit 1 on any drift")
+        parser.add_argument(
+            "--markdown", default=None, metavar="FILE",
+            help="also write the markdown report to FILE")
+    return parser
 
-    sweep_name = ns.sweep
-    if sweep_name is None:
-        if not ns.topology:
-            print("a sweep name is required (or pass --topology to imply "
-                  f"'fabric'); available: {', '.join(SWEEPS)}",
-                  file=sys.stderr)
-            return 2
-        sweep_name = "fabric"
-    sweep = SWEEPS.get(sweep_name)
-    if sweep is None:
-        print(f"unknown sweep {sweep_name!r}; available: {', '.join(SWEEPS)}",
-              file=sys.stderr)
-        return 2
-    if (ns.topology or ns.validate) and not sweep.accepts_topology:
-        print(f"--topology/--validate only apply to sweeps over fabrics "
-              f"(e.g. 'fabric'), not {sweep_name!r}", file=sys.stderr)
-        return 2
-    if ns.topology:
-        from repro.net.fabrics import as_spec
 
-        try:
-            for spec in ns.topology:
-                as_spec(spec)
-        except ValueError as exc:
-            print(f"bad --topology: {exc}", file=sys.stderr)
-            return 2
-    if ns.jobs is not None and ns.jobs < 1:
-        print(f"--jobs must be >= 1, got {ns.jobs}", file=sys.stderr)
-        return 2
-    if ns.timeout is not None and ns.timeout <= 0:
-        print(f"--timeout must be positive, got {ns.timeout}", file=sys.stderr)
-        return 2
-    if ns.retries < 0:
-        print(f"--retries must be >= 0, got {ns.retries}", file=sys.stderr)
-        return 2
-    try:
-        points = _csv_ints(ns.points) or tuple(sweep.default_points)
-        seeds = _csv_ints(ns.seeds)
-    except ValueError as exc:
-        print(f"--points/--seeds must be comma-separated integers: {exc}",
-              file=sys.stderr)
-        return 2
-    if not seeds:
-        print("--seeds must name at least one seed", file=sys.stderr)
-        return 2
-    schemes = _csv_strs(ns.schemes)
-    if sweep.scheme_vocab is not None:
-        vocab = list(sweep.scheme_vocab())
-        unknown = [s for s in schemes if s not in vocab]
-        if unknown:
-            print(f"unknown preset(s) {', '.join(unknown)}; "
-                  f"pick from {', '.join(vocab)}", file=sys.stderr)
-            return 2
-    else:
-        from repro.experiments.harness import SCHEMES
-
-        unknown = [s for s in schemes if s not in SCHEMES]
-        if unknown:
-            print(f"unknown scheme(s) {', '.join(unknown)}; "
-                  f"pick from {', '.join(SCHEMES)}", file=sys.stderr)
-            return 2
-
-    store = ResultStore(ns.results_dir)
-    telemetry = None
+def sweep_params(sweep: Sweep, ns: argparse.Namespace) -> Dict[str, Any]:
+    """``param_values`` plus the telemetry config ``--trace`` /
+    ``--metrics-out`` ask for (its trace directory hangs off the
+    results root)."""
+    params = param_values(sweep.params, ns)
     if ns.trace or ns.metrics_out:
         from repro.telemetry import TelemetryConfig
 
-        telemetry = TelemetryConfig(
+        root = ResultStore(ns.results_dir).root
+        params["telemetry"] = TelemetryConfig(
             metrics=True,
-            trace=bool(ns.trace),
-            trace_dir=os.path.join(store.root, "traces") if ns.trace else None,
+            trace=ns.trace,
+            trace_dir=os.path.join(root, "traces") if ns.trace else None,
         )
-    log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
-    extra = {}
-    if sweep.accepts_topology:
-        extra = {"topologies": tuple(ns.topology or ()),
-                 "validate": ns.validate}
-    report = sweep.run(
-        schemes,
-        points,
-        seeds,
-        msec(ns.warm_ms),
-        msec(ns.measure_ms),
-        jobs=ns.jobs,
-        store=store,
-        force=ns.force,
-        timeout_s=ns.timeout,
-        retries=ns.retries,
-        log=log,
-        telemetry=telemetry,
-        fidelity=ns.fidelity,
-        service=ns.service,
-        **extra,
-    )
-    table = format_table(report.headers, report.rows)
+    return params
+
+
+def _cmd_run(argv: List[str]) -> int:
+    from repro.experiments.harness import format_table
+    from repro.runner.sweeps import SWEEPS
+
+    name = argv[0] if argv and not argv[0].startswith("-") else None
+    rest = argv[1:] if name else argv
+    if name is None and any(a.startswith("--topology") for a in rest):
+        name = "fabric"
+    if name is None:
+        raise UsageError(
+            "a sweep name is required (or pass --topology to imply "
+            f"'fabric'); available: {', '.join(SWEEPS)}")
+    sweep = SWEEPS.get(name)
+    if sweep is None:
+        raise UsageError(
+            f"unknown sweep {name!r}; available: {', '.join(SWEEPS)}")
+    ns = run_parser(sweep).parse_args(rest)
+    options = execution_options(ns)
+    try:
+        payload = sweep.run(**sweep_params(sweep, ns), **vars(options))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    table = format_table(*sweep.table(payload))
     print(table)
 
-    os.makedirs(store.root, exist_ok=True)
-    txt_path = os.path.join(store.root, f"runner_{report.name}.txt")
+    root = options.store.root
+    os.makedirs(root, exist_ok=True)
+    txt_path = os.path.join(root, f"runner_{name}.txt")
     with open(txt_path, "w") as fh:
         fh.write(table + "\n")
-    json_path = os.path.join(store.root, f"runner_{report.name}.json")
+    json_path = os.path.join(root, f"runner_{name}.json")
     with open(json_path, "w") as fh:
         json.dump(
-            {"name": report.name, "table": table,
-             "data": to_jsonable(report.payload)},
+            {"name": name, "table": table, "data": to_jsonable(payload)},
             fh, indent=2, sort_keys=True,
         )
         fh.write("\n")
     print(f"saved {txt_path} and {json_path}", file=sys.stderr)
 
     if ns.metrics_out:
-        _write_metrics_out(store, report.name, ns.metrics_out)
-    if telemetry is not None and telemetry.trace:
-        print(f"traces in {os.path.join(store.root, 'traces')} "
+        _write_metrics_out(options.store, name, ns.metrics_out)
+    if ns.trace:
+        print(f"traces in {os.path.join(root, 'traces')} "
               "(load a .trace.json at https://ui.perfetto.dev)",
               file=sys.stderr)
+    if sweep.artifact is not None:
+        return _artifact_gate(sweep.artifact, payload, ns)
     return 0
+
+
+def _artifact_gate(artifact, payload: Any, ns: argparse.Namespace) -> int:
+    """Write the artifact, or with ``--check`` diff it against the
+    committed file.  Exit status 1 = drift or a failed verdict."""
+    if ns.markdown:
+        with open(ns.markdown, "w") as fh:
+            fh.write(artifact.to_markdown(payload))
+        print(f"saved {ns.markdown}", file=sys.stderr)
+    ok = artifact.ok(payload)
+    if not ok:
+        print("the result's own checks FAILED (see the report)",
+              file=sys.stderr)
+    new = artifact.to_json(payload)
+    if not ns.check:
+        with open(ns.out, "w") as fh:
+            fh.write(new)
+        print(f"saved {ns.out}", file=sys.stderr)
+        return 0 if ok else 1
+    try:
+        with open(ns.out) as fh:
+            committed = fh.read()
+    except OSError as exc:
+        print(f"--check: cannot read {ns.out}: {exc}", file=sys.stderr)
+        return 1
+    if committed == new:
+        print(f"--check: {ns.out} reproduced byte-for-byte", file=sys.stderr)
+        return 0 if ok else 1
+    for line in artifact.drift(json.loads(committed), json.loads(new)):
+        print(f"--check: {line}", file=sys.stderr)
+    print(f"--check: {ns.out} drifted from this run (regenerate with the "
+          f"same flags and review the diff)", file=sys.stderr)
+    return 1
 
 
 def _write_metrics_out(store: ResultStore, sweep_name: str, path: str) -> None:
@@ -358,7 +438,7 @@ def _cmd_perf(ns: argparse.Namespace) -> int:
     from repro.perf.suite import MACRO_BENCHES, MICRO_BENCHES
 
     names = []
-    for token in _csv_strs(ns.benches):
+    for token in KINDS["strs"](ns.benches or ""):
         if token == "micro":
             names.extend(MICRO_BENCHES)
         elif token == "macro":
@@ -444,20 +524,22 @@ def _cmd_summary(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        if argv[:1] == ["run"] and argv[1:] not in (["-h"], ["--help"]):
+            return _cmd_run(argv[1:])
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command is None:
-        parser.print_help()
-        return 0
     if ns.command == "list":
         return _cmd_list()
-    if ns.command == "run":
-        return _cmd_run(ns)
     if ns.command == "summary":
         return _cmd_summary(ns)
     if ns.command == "store":
         return _cmd_store(ns)
     if ns.command == "perf":
         return _cmd_perf(ns)
-    parser.error(f"unknown command {ns.command!r}")
-    return 2
+    parser.print_help()
+    return 0

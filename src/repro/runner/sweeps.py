@@ -1,386 +1,17 @@
-"""Named sweeps the CLI can list and run.
+"""The sweeps ``runner run`` and ``service submit`` know by name.
 
-Each sweep maps CLI options onto one experiment module's runner-backed
-grid function and renders the same summary rows the benchmark suite
-prints.  Registered here (vs. hard-coded in the CLI) so future
-experiments plug in with one entry.
+Each entry is the :class:`~repro.runner.sweep.Sweep` declared next to
+its cell function; a new experiment plugs in by declaring one and
+listing it here (EXPERIMENTS.md "Adding a sweep").  Importing this
+module imports every experiment, so only the CLIs do.
 """
 
-from __future__ import annotations
+from repro.experiments.fabric_sweep import FABRIC
+from repro.experiments.oversub import OVERSUB
+from repro.experiments.scalability import SCALABILITY
+from repro.experiments.synthetic import SYNTHETIC
+from repro.experiments.tournament import TOURNAMENT
+from repro.search.driver import SEARCH
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
-
-from repro.runner.store import ResultStore
-
-
-@dataclass
-class SweepReport:
-    """One finished sweep: a rendered table plus the raw grid."""
-
-    name: str
-    headers: List[str]
-    rows: List[List[object]]
-    payload: Any
-
-
-@dataclass
-class SweepDef:
-    name: str
-    description: str
-    #: default sweep points when --points is not given
-    default_points: Sequence[int]
-    run: Callable[..., SweepReport]
-    #: True when the sweep understands --topology / --validate; the CLI
-    #: rejects those flags for sweeps that do not
-    accepts_topology: bool = False
-    #: when set, the CLI validates --schemes tokens against this
-    #: vocabulary instead of the scheme registry (the search sweep
-    #: repurposes --schemes to pick its preset)
-    scheme_vocab: Optional[Callable[[], Sequence[str]]] = None
-
-
-def _rtt_ms(rtts_ns: Sequence[int], pct: float) -> str:
-    from repro.metrics.stats import percentile
-
-    return f"{percentile(rtts_ns, pct) / 1e6:.2f}" if rtts_ns else "nan"
-
-
-def _grid_rows(grid, point_attr: str) -> List[List[object]]:
-    rows = []
-    for scheme, points in grid.items():
-        for p in points:
-            rows.append([
-                scheme,
-                getattr(p, point_attr),
-                f"{p.mean_tput_bps / 1e9:.2f}",
-                f"{p.loss_rate:.4%}",
-                f"{p.fairness:.3f}",
-                _rtt_ms(p.rtts_ns, 50),
-                _rtt_ms(p.rtts_ns, 99),
-            ])
-    return rows
-
-
-def _run_scalability(
-    schemes: Sequence[str],
-    points: Sequence[int],
-    seeds: Sequence[int],
-    warm_ns: int,
-    measure_ns: int,
-    *,
-    jobs: int,
-    store: Optional[ResultStore],
-    force: bool,
-    timeout_s: Optional[float],
-    retries: int = 1,
-    log=None,
-    telemetry=None,
-    fidelity=None,
-    service: Optional[str] = None,
-) -> SweepReport:
-    from repro.experiments.scalability import DEFAULT_SCHEMES, run_scalability
-
-    grid = run_scalability(
-        schemes=schemes or DEFAULT_SCHEMES,
-        path_counts=points,
-        seeds=seeds,
-        warm_ns=warm_ns,
-        measure_ns=measure_ns,
-        jobs=jobs, store=store, force=force, timeout_s=timeout_s,
-        retries=retries, log=log,
-        telemetry=telemetry, fidelity=fidelity, service=service,
-    )
-    headers = ["scheme", "paths", "tput Gbps", "loss", "jain",
-               "rtt p50 ms", "rtt p99 ms"]
-    return SweepReport("scalability", headers, _grid_rows(grid, "n_paths"), grid)
-
-
-def _run_oversub(
-    schemes: Sequence[str],
-    points: Sequence[int],
-    seeds: Sequence[int],
-    warm_ns: int,
-    measure_ns: int,
-    *,
-    jobs: int,
-    store: Optional[ResultStore],
-    force: bool,
-    timeout_s: Optional[float],
-    retries: int = 1,
-    log=None,
-    telemetry=None,
-    fidelity=None,
-    service: Optional[str] = None,
-) -> SweepReport:
-    from repro.experiments.oversub import DEFAULT_SCHEMES, run_oversub
-
-    grid = run_oversub(
-        schemes=schemes or DEFAULT_SCHEMES,
-        pair_counts=points,
-        seeds=seeds,
-        warm_ns=warm_ns,
-        measure_ns=measure_ns,
-        jobs=jobs, store=store, force=force, timeout_s=timeout_s,
-        retries=retries, log=log,
-        telemetry=telemetry, fidelity=fidelity, service=service,
-    )
-    headers = ["scheme", "pairs", "tput Gbps", "loss", "jain",
-               "rtt p50 ms", "rtt p99 ms"]
-    return SweepReport("oversub", headers, _grid_rows(grid, "n_pairs"), grid)
-
-
-def _run_synthetic(
-    schemes: Sequence[str],
-    points: Sequence[int],  # unused: synthetic sweeps workloads, not sizes
-    seeds: Sequence[int],
-    warm_ns: int,
-    measure_ns: int,
-    *,
-    jobs: int,
-    store: Optional[ResultStore],
-    force: bool,
-    timeout_s: Optional[float],
-    retries: int = 1,
-    log=None,
-    telemetry=None,
-    fidelity=None,
-    service: Optional[str] = None,
-) -> SweepReport:
-    from repro.experiments.synthetic import (
-        DEFAULT_SCHEMES,
-        WORKLOADS,
-        run_figure15_16,
-    )
-
-    grid = run_figure15_16(
-        schemes=schemes or DEFAULT_SCHEMES,
-        workloads=WORKLOADS,
-        seeds=seeds,
-        warm_ns=warm_ns,
-        measure_ns=measure_ns,
-        jobs=jobs, store=store, force=force, timeout_s=timeout_s,
-        retries=retries, log=log,
-        telemetry=telemetry, fidelity=fidelity, service=service,
-    )
-    headers = ["scheme", "workload", "tput Gbps", "mice p50 ms", "mice p99 ms"]
-    rows = []
-    for (scheme, workload), res in grid.items():
-        pct = res.mice_percentiles_ms()
-        rows.append([
-            scheme, workload,
-            f"{res.mean_elephant_tput_bps / 1e9:.2f}",
-            f"{pct['p50']:.2f}" if pct else "nan",
-            f"{pct['p99']:.2f}" if pct else "nan",
-        ])
-    return SweepReport("synthetic", headers, rows, grid)
-
-
-def _run_fabric(
-    schemes: Sequence[str],
-    points: Sequence[int],  # unused: fabric sweeps topologies, not sizes
-    seeds: Sequence[int],
-    warm_ns: int,  # unused: trace cells measure from t=0 with a drain tail
-    measure_ns: int,
-    *,
-    jobs: int,
-    store: Optional[ResultStore],
-    force: bool,
-    timeout_s: Optional[float],
-    retries: int = 1,
-    log=None,
-    telemetry=None,
-    fidelity=None,
-    service: Optional[str] = None,
-    topologies: Sequence[str] = (),
-    validate: bool = False,
-) -> SweepReport:
-    from repro.experiments.fabric_sweep import (
-        DEFAULT_SCHEMES,
-        DEFAULT_TOPOLOGIES,
-        DEFAULT_WORKLOADS,
-        run_fabric_sweep,
-    )
-
-    grid = run_fabric_sweep(
-        topologies=topologies or DEFAULT_TOPOLOGIES,
-        workloads=DEFAULT_WORKLOADS,
-        schemes=schemes or DEFAULT_SCHEMES,
-        seeds=seeds,
-        duration_ns=measure_ns,
-        validate=validate,
-        jobs=jobs, store=store, force=force, timeout_s=timeout_s,
-        retries=retries, log=log,
-        telemetry=telemetry, service=service,
-        fidelity=fidelity if fidelity is not None else "flow",
-    )
-    headers = ["topology", "workload", "scheme", "flows",
-               "fct p50 ms", "fct p99 ms", "fct p99.9 ms"]
-    rows = []
-    for (topology, workload, scheme), cells in grid.items():
-        total = sum(c.flows_completed for c in cells)
-        # report the worst seed's percentiles: tail metrics average badly
-        tail = max(cells, key=lambda c: c.fct_summary.get("p99") or 0.0)
-
-        def _ms(key):
-            v = tail.fct_summary.get(key)
-            return f"{v / 1e6:.2f}" if v is not None else "nan"
-
-        rows.append([topology, workload, scheme, total,
-                     _ms("p50"), _ms("p99"), _ms("p99.9")])
-    return SweepReport("fabric", headers, rows, grid)
-
-
-def _run_tournament(
-    schemes: Sequence[str],
-    points: Sequence[int],  # unused: the tournament grid is fixed
-    seeds: Sequence[int],
-    warm_ns: int,  # unused: tournament cells measure from t=0
-    measure_ns: int,
-    *,
-    jobs: int,
-    store: Optional[ResultStore],
-    force: bool,
-    timeout_s: Optional[float],
-    retries: int = 1,
-    log=None,
-    telemetry=None,
-    fidelity=None,
-    service: Optional[str] = None,
-    topologies: Sequence[str] = (),
-    validate: bool = False,
-) -> SweepReport:
-    from repro.experiments.tournament import (
-        DEFAULT_TOPOLOGIES,
-        run_tournament,
-        standings_rows,
-    )
-
-    result = run_tournament(
-        schemes=schemes,
-        topologies=topologies or DEFAULT_TOPOLOGIES,
-        seeds=seeds,
-        duration_ns=measure_ns,
-        validate=validate,
-        jobs=jobs, store=store, force=force, timeout_s=timeout_s,
-        retries=retries, log=log,
-        telemetry=telemetry, service=service,
-        fidelity=fidelity if fidelity is not None else "flow",
-    )
-    headers = ["rank", "scheme", "mean place", "wins", "cells"]
-    return SweepReport("tournament", headers, standings_rows(result), result)
-
-
-def _search_presets() -> Sequence[str]:
-    from repro.search.driver import PRESETS
-
-    return sorted(PRESETS)
-
-
-def _run_search(
-    schemes: Sequence[str],
-    points: Sequence[int],  # unused: the search budget comes from the preset
-    seeds: Sequence[int],
-    warm_ns: int,  # unused: fitness cells use the preset's windows
-    measure_ns: int,
-    *,
-    jobs: int,
-    store: Optional[ResultStore],
-    force: bool,
-    timeout_s: Optional[float],
-    retries: int = 1,
-    log=None,
-    telemetry=None,
-    fidelity=None,
-    service: Optional[str] = None,
-) -> SweepReport:
-    from dataclasses import replace
-
-    from repro.search.driver import PRESETS, run_search
-
-    # --schemes names the preset here (searches fix their own scheme);
-    # default is the CI-friendly smoke preset, not the committed paper
-    # run, so `runner run search` stays cheap by default.
-    preset = schemes[0] if schemes else "smoke"
-    if preset not in PRESETS:
-        raise ValueError(
-            f"unknown search preset {preset!r}; pick from "
-            f"{sorted(PRESETS)} (searches pin their own scheme, so "
-            f"--schemes selects the preset)")
-    settings = PRESETS[preset]
-    overrides = {}
-    if seeds:
-        overrides["eval_seeds"] = tuple(seeds)
-    if fidelity is not None:
-        overrides["fidelity"] = fidelity
-    if overrides:
-        settings = replace(settings, **overrides)
-    result, _stats = run_search(
-        settings,
-        jobs=jobs, store=store, force=force, timeout_s=timeout_s,
-        retries=retries, log=log, service=service,
-    )
-    headers = ["rank"] + [k["name"] for k in result.knobs] + [
-        "mice FCT us", "gen"]
-    rows = []
-    for rank, rec in enumerate(result.frontier[:10], start=1):
-        fct = (f"{rec.fitness_ns / 1e3:.1f}"
-               if rec.fitness_ns is not None else "n/a")
-        rows.append([rank]
-                    + [rec.knobs[k["name"]] for k in result.knobs]
-                    + [fct, rec.generation])
-    return SweepReport("search", headers, rows, result)
-
-
-SWEEPS = {
-    "scalability": SweepDef(
-        name="scalability",
-        description="Figs 7-9: throughput/RTT/loss/fairness vs path count "
-                    "(2 leaves, N spines)",
-        default_points=(2, 4, 8),
-        run=_run_scalability,
-    ),
-    "oversub": SweepDef(
-        name="oversub",
-        description="Figs 10-12: the same metrics as the fabric "
-                    "oversubscribes 1x-4x (2 spines, N host pairs)",
-        default_points=(2, 4, 8),
-        run=_run_oversub,
-    ),
-    "synthetic": SweepDef(
-        name="synthetic",
-        description="Figs 15-16: shuffle/random/stride/bijection elephants "
-                    "+ mice FCTs on the 16-host Clos",
-        default_points=(),
-        run=_run_synthetic,
-    ),
-    "fabric": SweepDef(
-        name="fabric",
-        description="Datacenter-scale: websearch/datamining traces + incast "
-                    "over fat-tree/leaf-spine fabrics (--topology; flow "
-                    "fidelity by default)",
-        default_points=(),
-        run=_run_fabric,
-        accepts_topology=True,
-    ),
-    "tournament": SweepDef(
-        name="tournament",
-        description="Scheme zoo standings: every registered scheme x "
-                    "websearch/datamining/incast x three fabrics, "
-                    "Borda-ranked by mice FCT (see "
-                    "repro.experiments.tournament)",
-        default_points=(),
-        run=_run_tournament,
-        accepts_topology=True,
-    ),
-    "search": SweepDef(
-        name="search",
-        description="GA + successive-halving parameter search over the "
-                    "Presto design space; --schemes picks the preset "
-                    "(smoke/paper/failover/zoo — see python -m "
-                    "repro.search list)",
-        default_points=(),
-        run=_run_search,
-        scheme_vocab=_search_presets,
-    ),
-}
+SWEEPS = {sweep.name: sweep for sweep in (
+    SCALABILITY, OVERSUB, SYNTHETIC, FABRIC, TOURNAMENT, SEARCH)}

@@ -18,8 +18,8 @@ Layers (each importable on its own):
 ``halving``  pure successive-halving rung arithmetic.
 ``ga``       seeded sample/crossover/mutate/selection operators.
 ``fitness``  the picklable per-(config, seed) fitness cell.
-``driver``   the search loop + the committed ``SEARCH.json`` artifact.
-``cli``      ``python -m repro.search`` (also ``runner run search``).
+``driver``   the search loop, the committed ``SEARCH.json`` artifact and
+             the ``SEARCH`` sweep declaration (``runner run search``).
 """
 
 from repro.search.driver import (

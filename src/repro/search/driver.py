@@ -31,9 +31,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import TestbedConfig
-from repro.runner import JobSpec, ResultStore, collect_results, run_jobs
+from repro.runner import JobSpec, collect_results
 from repro.runner.pool import STATUS_CACHED
 from repro.runner.serialize import content_hash
+from repro.runner import sweep
 from repro.search.fitness import (
     DEFAULT_MEASURE_NS,
     DEFAULT_WARM_NS,
@@ -224,18 +225,13 @@ def paper_comparison(space: ParamSpace,
 
 
 def run_search(
-    settings: SearchSettings,
-    *,
-    jobs: Optional[int] = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    log=None,
-    service: Optional[str] = None,
+    settings: SearchSettings, **execution: Any,
 ) -> Tuple[SearchResult, RunStats]:
     """Run the full search; returns the serializable result and the
-    live runner stats (the latter deliberately kept out of the JSON)."""
+    live runner stats (the latter deliberately kept out of the JSON).
+    ``execution`` is any :class:`~repro.runner.sweep.SweepOptions`
+    field (``jobs=4, store=...``)."""
+    options = sweep.SweepOptions(**execution)
     space = settings.space
     seeds = settings.eval_seeds
     # screen every lattice extreme through TestbedConfig validation
@@ -272,9 +268,7 @@ def run_search(
                 submitted_hashes.add(spec.hash)
                 fresh += 1
         structural_submitted += len(specs)
-        outcomes = run_jobs(
-            specs, jobs=jobs, store=store, force=force,
-            timeout_s=timeout_s, retries=retries, log=log, service=service)
+        outcomes = options.outcomes(specs)
         stats.submitted += len(specs)
         for outcome in outcomes:
             if outcome.status == STATUS_CACHED:
@@ -528,3 +522,85 @@ def render_markdown(result: SearchResult) -> str:
                      f"| {_fmt(row['found'])} | {steps} |")
     lines.append("")
     return "\n".join(lines)
+
+
+# --- the sweep declaration ---------------------------------------------------
+
+SEARCH_PATH = "SEARCH.json"
+
+
+def _frontier_table(result: SearchResult):
+    names = [k["name"] for k in result.knobs]
+    return ["rank"] + names + ["mice FCT us", "gen"], [
+        [rank] + [rec.knobs[name] for name in names]
+        + [_us(rec.fitness_ns), rec.generation]
+        for rank, rec in enumerate(result.frontier[:10], start=1)]
+
+
+def _drift(old: Dict, new: Dict) -> List[str]:
+    lines = []
+    for key in ("preset", "ga_seed", "evaluated"):
+        a = old.get("fields", old).get(key)
+        b = new.get("fields", new).get(key)
+        if a != b:
+            lines.append(f"{key} drifted: committed {a!r} != new {b!r}")
+    return lines
+
+
+def _drive(p: Dict[str, Any], options: sweep.SweepOptions) -> SearchResult:
+    overrides = {name: value for name, value in p.items()
+                 if name != "preset" and value is not None}
+    result, stats = run_search(
+        replace(PRESETS[p["preset"]], **overrides), **vars(options))
+    if options.log is not None:
+        options.log(f"runner: {stats.submitted} submitted, "
+                    f"{stats.executed} executed, {stats.cached} store hits")
+    return result
+
+
+def _preset_lines() -> str:
+    return "\n".join(
+        f"--preset {name}: scheme={s.scheme} "
+        f"fidelity={s.fidelity or 'packet'} "
+        f"pop={s.population}x{s.generations} "
+        f"seeds={','.join(map(str, s.eval_seeds))} "
+        f"knobs=[{', '.join(p.name for p in s.space.params)}]"
+        + (", link-failure scenario" if s.disrupt else "")
+        for name, s in sorted(PRESETS.items()))
+
+
+def _preset_override(name: str, flag: str, help: str) -> sweep.Param:
+    return sweep.Param(name, None, flag, "int",
+                       f"{help} (default: the preset's)")
+
+
+#: no static grid — each rung's jobs depend on the last rung's ranking —
+#: so the search plugs its loop in as the ``driver``
+SEARCH = sweep.Sweep(
+    name="search",
+    description="GA + successive-halving parameter search over the "
+                "Presto design space; defaults reproduce the committed "
+                "SEARCH.json\n" + _preset_lines(),
+    params=(
+        sweep.Param("preset", "paper", "--preset",
+                    help="search preset (default: paper — the committed "
+                         "artifact)", choices=sorted(PRESETS)),
+        _preset_override("ga_seed", "--seed", "GA seed"),
+        _preset_override("population", "--population",
+                         "candidates per generation"),
+        _preset_override("generations", "--generations", "GA generations"),
+        _preset_override("eta", "--eta", "halving rate"),
+        _preset_override("base_seeds", "--base-seeds",
+                         "seeds per candidate on the first rung"),
+        sweep.Param("eval_seeds", None, "--seeds", "ints",
+                    "simulator seeds per full fitness evaluation "
+                    "(default: the preset's)"),
+        sweep.Param("fidelity", None, "--fidelity",
+                    help="fitness-cell engine fidelity (default: the "
+                         "preset's)", choices=("packet", "flow")),
+    ),
+    table=_frontier_table,
+    driver=_drive,
+    artifact=sweep.Artifact(SEARCH_PATH, search_json, render_markdown,
+                            drift=_drift),
+)

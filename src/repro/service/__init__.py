@@ -13,7 +13,7 @@ across machines with nothing but the standard library (``http.server``
   and ``POST /complete`` their results;
 * **clients** — any ``run_jobs(..., service=URL)`` caller, including
   every sweep/validate/faults CLI via ``--service``.  The parameter
-  search (``python -m repro.search run --service URL``) is the
+  search (``python -m repro.runner run search --service URL``) is the
   heaviest client: each GA rung fans its fitness cells through the
   coordinator, and because promoted candidates resubmit their
   earlier-seed jobs, the coordinator's store-hit path (not the

@@ -5,7 +5,7 @@ Subcommands::
     coordinator  --host --port --results-dir --retries --lease-ttl
                  --max-queue [--quiet]
     worker       URL [--name N] [--poll S] [--max-idle S] [--max-jobs N]
-    submit       URL SWEEP [sweep args...]   # enqueue without waiting
+    submit       URL SWEEP [sweep flags...]  # enqueue without waiting
     status       URL [--json] [--watch S]    # one-shot or polling status
 
 A typical two-machine sweep (see EXPERIMENTS.md "Sweep-as-a-service")::
@@ -28,6 +28,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.runner.cli import add_retries_flag
 from repro.service import protocol
 from repro.service.protocol import ServiceError, request_json
 
@@ -48,10 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--results-dir", default=None,
         help="ResultStore root (default: benchmarks/results or "
              "$REPRO_RESULTS_DIR); 'none' disables the store")
-    coord.add_argument(
-        "--retries", type=int, default=1,
-        help="per-job retry budget for worker-reported failures "
-             "(lease expiries are not charged; default 1)")
+    add_retries_flag(coord)
     coord.add_argument(
         "--lease-ttl", type=float, default=protocol.DEFAULT_LEASE_TTL_S,
         metavar="S",
@@ -77,21 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--max-jobs", type=int, default=None,
                         help="exit after executing this many jobs")
 
-    submit = sub.add_parser(
+    # `submit` parses per sweep (see _cmd_submit); this stub documents it
+    sub.add_parser(
         "submit", help="enqueue a named sweep's specs and return "
-                       "(fire-and-forget; `status --watch` to follow)")
-    submit.add_argument("url", help="coordinator base URL")
-    submit.add_argument("sweep", help="sweep name (see repro.runner list)")
-    submit.add_argument("--schemes", default=None,
-                        help="comma-separated scheme subset")
-    submit.add_argument("--points", default=None,
-                        help="comma-separated sweep points")
-    submit.add_argument("--seeds", default="1,2",
-                        help="comma-separated seeds")
-    submit.add_argument("--warm-ms", type=float, default=15.0)
-    submit.add_argument("--measure-ms", type=float, default=25.0)
-    submit.add_argument("--force", action="store_true",
-                        help="re-run even when the store has results")
+                       "(fire-and-forget; `status --watch` to follow)",
+        usage="python -m repro.service submit URL SWEEP [flags]",
+        description="SWEEP is a name from `python -m repro.runner list`; "
+                    "its flags are the ones `python -m repro.runner run "
+                    "SWEEP` takes (`submit URL SWEEP --help` lists them).")
 
     status = sub.add_parser(
         "status", help="print the coordinator's progress snapshot")
@@ -145,75 +136,50 @@ def _cmd_worker(ns: argparse.Namespace) -> int:
     return 0
 
 
-class _SpecsCaptured(Exception):
-    """Sentinel aborting a sweep run once its specs are in hand."""
-
-
-def collect_sweep_specs(
-    sweep_name: str,
-    *,
-    schemes: str = "",
-    points: str = "",
-    seeds: str = "1,2",
-    warm_ms: float = 15.0,
-    measure_ms: float = 25.0,
-) -> list:
-    """Build a named sweep's JobSpec list without running anything.
-
-    Every sweep grid funnels its specs through one
-    ``SweepOptions.execute(specs)`` call; this intercepts that call and
-    aborts the grid, so ``submit`` shares the sweeps' real
-    spec-construction code instead of duplicating it.
-    """
-    from repro.experiments.common import SweepOptions
-    from repro.runner.sweeps import SWEEPS
-    from repro.units import msec
-
-    sweep = SWEEPS[sweep_name]
-    captured: list = []
-    original = SweepOptions.execute
-
-    def capture(self, specs):
-        captured.extend(specs)
-        raise _SpecsCaptured
-
-    SweepOptions.execute = capture  # type: ignore[method-assign]
-    try:
-        sweep.run(
-            tuple(s for s in schemes.split(",") if s),
-            tuple(int(s) for s in points.split(",") if s)
-            or tuple(sweep.default_points),
-            tuple(int(s) for s in seeds.split(",") if s),
-            msec(warm_ms),
-            msec(measure_ms),
-            jobs=1, store=None, force=False, timeout_s=None,
-        )
-    except _SpecsCaptured:
-        pass
-    finally:
-        SweepOptions.execute = original  # type: ignore[method-assign]
-    return captured
-
-
-def _cmd_submit(ns: argparse.Namespace) -> int:
+def _cmd_submit(argv: List[str]) -> int:
+    from repro.runner.cli import (
+        UsageError,
+        add_execution_flags,
+        add_param_flags,
+        execution_options,
+        param_values,
+    )
     from repro.runner.serialize import to_jsonable
     from repro.runner.sweeps import SWEEPS
 
-    if ns.sweep not in SWEEPS:
-        print(f"unknown sweep {ns.sweep!r}; "
+    head = argparse.ArgumentParser(
+        prog="python -m repro.service submit", add_help=False)
+    head.add_argument("url")
+    head.add_argument("sweep")
+    target, flags = head.parse_known_args(argv)
+    sweep = SWEEPS.get(target.sweep)
+    if sweep is None:
+        print(f"unknown sweep {target.sweep!r}; "
               f"choose from {', '.join(sorted(SWEEPS))}", file=sys.stderr)
         return 2
+    if sweep.cell is None:
+        print(f"sweep {sweep.name!r} has no static grid to submit: each "
+              f"of its rounds depends on the last one's results.  Run it "
+              f"against the coordinator instead: python -m repro.runner "
+              f"run {sweep.name} --service {target.url}", file=sys.stderr)
+        return 2
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro.service submit URL {sweep.name}",
+        description=sweep.description)
+    add_param_flags(parser, sweep.params)
+    add_execution_flags(parser)
+    ns = parser.parse_args(flags)
     try:
-        specs = collect_sweep_specs(
-            ns.sweep, schemes=ns.schemes or "", points=ns.points or "",
-            seeds=ns.seeds, warm_ms=ns.warm_ms, measure_ms=ns.measure_ms)
-    except ValueError as exc:
+        options = execution_options(ns)
+        specs = sweep.specs(**param_values(sweep.params, ns))
+    except (UsageError, ValueError) as exc:
         print(f"bad sweep options: {exc}", file=sys.stderr)
         return 2
     payloads = [to_jsonable(spec) for spec in specs]
     try:
         status, body = request_json(
-            ns.url, "/submit", {"specs": payloads, "force": ns.force})
+            target.url, "/submit",
+            {"specs": payloads, "force": options.force})
     except ServiceError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -258,13 +224,14 @@ def _cmd_status(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["submit"] and argv[1:] not in (["-h"], ["--help"]):
+        return _cmd_submit(argv[1:])
     ns = build_parser().parse_args(argv)
     if ns.cmd == "coordinator":
         return _cmd_coordinator(ns)
     if ns.cmd == "worker":
         return _cmd_worker(ns)
-    if ns.cmd == "submit":
-        return _cmd_submit(ns)
     return _cmd_status(ns)
 
 

@@ -20,13 +20,40 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.runner.store import DEFAULT_RESULTS_DIR, RESULTS_DIR_ENV, ResultStore
+from repro.experiments.common import known_topology
+from repro.runner.cli import (
+    UsageError,
+    add_execution_flags,
+    add_param_flags,
+    execution_options,
+    param_values,
+)
+from repro.runner.sweep import Param, seeds_param
 
 DEFAULT_OUT = "VALIDATION.json"
 
 
-def _csv_ints(text: Optional[str]) -> Sequence[int]:
-    return tuple(int(s) for s in (text or "").split(",") if s)
+def _positive(value: float) -> float:
+    if value <= 0:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
+#: the grid knobs of ``run`` — keywords of ``run_oracles``
+RUN_PARAMS = (
+    seeds_param((1, 2, 3)),
+    Param("scale", 1.0, "--scale", "float",
+          "window scale factor (tests/smoke use e.g. 0.2)",
+          coerce=_positive),
+    Param("fidelity", None, "--fidelity",
+          help="simulation fidelity: packet (default) or the fluid "
+               "flow-level engine (skips packet-only oracles with --all)",
+          choices=("packet", "flow")),
+    Param("topology", None, "--topology",
+          help="fabric for topology-agnostic oracles, e.g. 'fat-tree:k=4' "
+               "(skips fabric-pinned oracles with --all)",
+          coerce=known_topology),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,56 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--all", action="store_true",
         help="run every registered oracle",
     )
-    run.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
-    run.add_argument(
-        "--scale", type=float, default=1.0, metavar="F",
-        help="window scale factor (tests/smoke use e.g. 0.2)",
-    )
-    run.add_argument(
-        "--fidelity", choices=("packet", "flow"), default=None,
-        help="simulation fidelity: packet (default) or the fluid "
-             "flow-level engine (skips packet-only oracles with --all)",
-    )
-    run.add_argument(
-        "--topology", default=None, metavar="SPEC",
-        help="fabric for topology-agnostic oracles, e.g. 'fat-tree:k=4' "
-             "(skips fabric-pinned oracles with --all)",
-    )
-    run.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: os.cpu_count(); 1 = in-process "
-             "serial)",
-    )
-    run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout",
-    )
-    run.add_argument(
-        "--force", action="store_true",
-        help="ignore cached cell results and re-run",
-    )
-    run.add_argument(
-        "--no-store", action="store_true",
-        help="skip the result store entirely",
-    )
-    run.add_argument(
-        "--service", default=None, metavar="URL",
-        help="run the oracle cells on a sweep coordinator "
-             "(python -m repro.service coordinator) instead of a local "
-             "pool",
-    )
-    run.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help=f"results root (default: ${RESULTS_DIR_ENV} or "
-             f"{DEFAULT_RESULTS_DIR})",
-    )
+    add_param_flags(run, RUN_PARAMS)
+    add_execution_flags(run, no_store=True)
     run.add_argument(
         "--out", default=DEFAULT_OUT, metavar="FILE",
         help=f"machine-readable output path (default: ./{DEFAULT_OUT})",
-    )
-    run.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-cell progress lines",
     )
 
     report = sub.add_parser(
@@ -142,88 +124,55 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     from repro.validate.oracles import ORACLES, oracle_names, run_oracles
     from repro.validate.report import write_validation_json
 
+    options = execution_options(ns)
+    grid = param_values(RUN_PARAMS, ns)
+    fidelity, topology = grid.get("fidelity"), grid.get("topology")
     known = oracle_names()
     names = tuple(ns.oracles)
     if ns.all:
         if names:
-            print("pass either oracle names or --all, not both",
-                  file=sys.stderr)
-            return 2
+            raise UsageError("pass either oracle names or --all, not both")
         names = known
-        if ns.fidelity == "flow":
+        if fidelity == "flow":
             skipped = [n for n in names if ORACLES[n].packet_only]
             names = tuple(n for n in names if not ORACLES[n].packet_only)
             if skipped and not ns.quiet:
                 print(f"skipping packet-only oracle(s) at --fidelity flow: "
                       f"{', '.join(skipped)}", file=sys.stderr)
-        if ns.topology is not None:
+        if topology is not None:
             skipped = [n for n in names if ORACLES[n].fixed_topology]
             names = tuple(n for n in names if not ORACLES[n].fixed_topology)
             if skipped and not ns.quiet:
                 print(f"skipping fabric-pinned oracle(s) with --topology: "
                       f"{', '.join(skipped)}", file=sys.stderr)
     if not names:
-        print(f"no oracles selected; name some or pass --all "
-              f"(available: {', '.join(known)})", file=sys.stderr)
-        return 2
+        raise UsageError(f"no oracles selected; name some or pass --all "
+                         f"(available: {', '.join(known)})")
     unknown = [n for n in names if n not in known]
     if unknown:
-        print(f"unknown oracle(s) {', '.join(unknown)}; "
-              f"pick from {', '.join(known)}", file=sys.stderr)
-        return 2
-    if ns.fidelity == "flow":
+        raise UsageError(f"unknown oracle(s) {', '.join(unknown)}; "
+                         f"pick from {', '.join(known)}")
+    if fidelity == "flow":
         packet_only = [n for n in names if ORACLES[n].packet_only]
         if packet_only:
-            print(f"oracle(s) {', '.join(packet_only)} are packet-only "
-                  f"and cannot run at --fidelity flow", file=sys.stderr)
-            return 2
-    if ns.topology is not None:
-        from repro.net.fabrics import as_spec
-
-        try:
-            as_spec(ns.topology)
-        except ValueError as exc:
-            print(f"bad --topology: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(
+                f"oracle(s) {', '.join(packet_only)} are packet-only "
+                f"and cannot run at --fidelity flow")
+    if topology is not None:
         pinned = [n for n in names if ORACLES[n].fixed_topology]
         if pinned:
-            print(f"oracle(s) {', '.join(pinned)} are pinned to a paper "
-                  f"fabric and ignore --topology", file=sys.stderr)
-            return 2
-    if ns.jobs is not None and ns.jobs < 1:
-        print(f"--jobs must be >= 1, got {ns.jobs}", file=sys.stderr)
-        return 2
-    if ns.timeout is not None and ns.timeout <= 0:
-        print(f"--timeout must be positive, got {ns.timeout}",
-              file=sys.stderr)
-        return 2
-    if ns.scale <= 0:
-        print(f"--scale must be positive, got {ns.scale}", file=sys.stderr)
-        return 2
-    try:
-        seeds = _csv_ints(ns.seeds)
-    except ValueError as exc:
-        print(f"--seeds must be comma-separated integers: {exc}",
-              file=sys.stderr)
-        return 2
-    if not seeds:
-        print("--seeds must name at least one seed", file=sys.stderr)
-        return 2
-
-    store = None if ns.no_store else ResultStore(ns.results_dir)
-    log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
-    reports = run_oracles(
-        names, seeds=seeds, scale=ns.scale,
-        jobs=ns.jobs if ns.jobs is not None else 1,
-        store=store, force=ns.force, timeout_s=ns.timeout, log=log,
-        fidelity=ns.fidelity, topology=ns.topology, service=ns.service,
-    )
+            raise UsageError(
+                f"oracle(s) {', '.join(pinned)} are pinned to a paper "
+                f"fabric and ignore --topology")
+    reports = run_oracles(names, **grid, **vars(options))
+    seeds = reports[0].seeds
     print(format_table(["oracle", "check", "verdict", "observed"],
                        _report_rows(reports)))
     path = write_validation_json(reports, ns.out)
     n_passed = sum(1 for r in reports if r.passed)
     print(f"\n{n_passed}/{len(reports)} oracles passed "
-          f"(seeds {','.join(map(str, seeds))}, scale {ns.scale:g}); "
+          f"(seeds {','.join(map(str, seeds))}, "
+          f"scale {grid.get('scale', 1.0):g}); "
           f"wrote {path}", file=sys.stderr)
     return 0 if n_passed == len(reports) else 1
 
@@ -267,7 +216,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if ns.command == "list":
         return _cmd_list()
     if ns.command == "run":
-        return _cmd_run(ns)
+        try:
+            return _cmd_run(ns)
+        except UsageError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     if ns.command == "report":
         return _cmd_report(ns)
     parser.error(f"unknown command {ns.command!r}")

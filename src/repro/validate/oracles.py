@@ -46,7 +46,8 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.synthetic import run_synthetic_seed
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.stats import mean
-from repro.runner import JobSpec, ResultStore, ref_of, run_jobs
+from repro.runner import JobSpec, ref_of
+from repro.runner.sweep import SweepOptions
 from repro.units import msec, usec
 from repro.validate.report import OracleReport
 
@@ -556,19 +557,16 @@ def run_oracles(
     seeds: Sequence[int] = (1, 2, 3),
     scale: float = 1.0,
     *,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    timeout_s: Optional[float] = None,
-    log=None,
     fidelity: Optional[str] = None,
     topology: Optional[str] = None,
-    service: Optional[str] = None,
+    **execution: Any,
 ) -> List[OracleReport]:
     """Run the named oracles (default: all) across ``seeds``.
 
     Every (oracle, scheme, seed) cell is one runner job, so the whole
-    suite fans out over ``jobs`` workers and resumes from ``store``.
+    suite fans out over ``jobs`` workers and resumes from ``store``
+    (``execution`` is any :class:`~repro.runner.sweep.SweepOptions`
+    field).
     A cell that errors does not kill the suite: its oracle reports a
     failed ``jobs_completed`` check carrying the error text.
 
@@ -593,11 +591,8 @@ def run_oracles(
     seeds = tuple(seeds)
     batches = [(od, od.build_specs(seeds, scale, fidelity, topology))
                for od in defs]
-    outcomes = run_jobs(
-        [spec for _, specs in batches for spec in specs],
-        jobs=jobs, store=store, force=force, timeout_s=timeout_s, log=log,
-        service=service,
-    )
+    outcomes = SweepOptions(**execution).outcomes(
+        [spec for _, specs in batches for spec in specs])
     reports: List[OracleReport] = []
     cursor = 0
     for od, specs in batches:

@@ -8,15 +8,15 @@ benchmarks assert the paper shapes at proper scale.
 
 import pytest
 
-from repro.experiments.failure import STAGES, run_failure_stage
+from repro.experiments.failure import STAGES, run_failure_timeline
 from repro.experiments.flowlet_cmp import run_flowlet_cmp
 from repro.experiments.flowlet_sizes import run_flowlet_sizes, slice_flowlets
 from repro.experiments.gro_micro import run_fig5, run_figure6
 from repro.experiments.northsouth import run_northsouth
-from repro.experiments.oversub import run_oversub_point
+from repro.experiments.oversub import run_oversub
 from repro.experiments.perhop_cmp import run_perhop_cmp
-from repro.experiments.scalability import run_scalability_point
-from repro.experiments.synthetic import run_synthetic
+from repro.experiments.scalability import run_scalability
+from repro.experiments.synthetic import run_figure15_16
 from repro.experiments.trace import run_trace
 from repro.units import MB, msec, usec
 
@@ -53,14 +53,15 @@ def test_fig6_runner():
 
 
 def test_scalability_point():
-    p = run_scalability_point("presto", 2, **FAST, with_probes=False)
+    # a one-point grid is the serial per-cell path
+    p = run_scalability(("presto",), (2,), **FAST, with_probes=False)["presto"][0]
     assert p.n_paths == 2
     assert p.mean_tput_bps > 1e9
     assert 0 <= p.fairness <= 1
 
 
 def test_oversub_point():
-    p = run_oversub_point("ecmp", 2, **FAST, with_probes=False)
+    p = run_oversub(("ecmp",), (2,), **FAST, with_probes=False)["ecmp"][0]
     assert p.oversubscription == 1.0
     assert p.mean_tput_bps > 0
 
@@ -77,20 +78,22 @@ def test_perhop_cmp_runner():
 
 
 def test_synthetic_runner_stride():
-    res = run_synthetic("presto", "stride", **FAST, with_mice=False)
+    res = run_figure15_16(("presto",), ("stride",), **FAST,
+                          with_mice=False)[("presto", "stride")]
     assert res.workload == "stride"
     assert res.mean_elephant_tput_bps > 1e9
 
 
 def test_synthetic_runner_shuffle():
-    res = run_synthetic("ecmp", "shuffle", **FAST, with_mice=False)
+    res = run_figure15_16(("ecmp",), ("shuffle",), **FAST,
+                          with_mice=False)[("ecmp", "shuffle")]
     assert res.workload == "shuffle"
     assert res.mean_elephant_tput_bps > 0
 
 
 def test_synthetic_rejects_unknown_workload():
     with pytest.raises(ValueError):
-        run_synthetic("presto", "zigzag", **FAST)
+        run_figure15_16(("presto",), ("zigzag",), **FAST)
 
 
 def test_trace_runner():
@@ -107,12 +110,14 @@ def test_northsouth_runner():
 
 
 def test_failure_stages():
+    timeline = run_failure_timeline("L1->L4", 1, warm_ns=msec(4),
+                                    measure_ns=msec(6))
+    assert tuple(timeline.phases) == STAGES
     for stage in STAGES:
-        res = run_failure_stage(stage, "L1->L4", seeds=(1,),
-                                warm_ns=msec(4), measure_ns=msec(6))
-        assert res.stage == stage
-        assert res.mean_tput_bps >= 0
+        phase = timeline.phases[stage]
+        assert phase.name == stage
+        assert phase.mean_flow_tput_bps >= 0
+    with pytest.raises(KeyError):
+        timeline.phases["chaos"]
     with pytest.raises(ValueError):
-        run_failure_stage("chaos", "stride")
-    with pytest.raises(ValueError):
-        run_failure_stage("symmetry", "zigzag")
+        run_failure_timeline("zigzag")

@@ -437,7 +437,10 @@ def test_fabric_specs_validate_topologies_up_front():
 def test_runner_cli_rejects_topology_for_non_fabric_sweeps(capsys):
     from repro.runner.cli import main
 
-    assert main(["run", "scalability", "--topology", "fat-tree:k=4"]) == 2
+    # scalability declares no --topology, so its parser rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "scalability", "--topology", "fat-tree:k=4"])
+    assert exc.value.code == 2
     assert "--topology" in capsys.readouterr().err
     assert main(["run", "--topology", "fat-tree:k=5"]) == 2
     assert "bad --topology" in capsys.readouterr().err
@@ -455,7 +458,7 @@ def test_k8_flow_fidelity_sweep_through_runner(tmp_path):
 
     rc = main([
         "run", "--topology", "fat-tree:k=8", "--fidelity", "flow",
-        "--seeds", "1", "--measure-ms", "3", "--validate",
+        "--seeds", "1", "--duration-ms", "3", "--validate",
         "--results-dir", str(tmp_path), "--quiet",
     ])
     assert rc == 0

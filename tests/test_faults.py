@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.controlplane import ControlPlane
-from repro.faults.invariants import byte_ledger, check_invariants
+from repro.validate.invariants import byte_ledger, check_invariants
 from repro.faults.metrics import BlackholeAccountant, ThroughputTimeline
 from repro.faults.schedule import (
     FaultSchedule,

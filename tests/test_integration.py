@@ -93,7 +93,7 @@ def test_weighted_stage_rebalances():
     tb = Testbed(cfg)
     link = next(l for l in tb.topo.links if l.name == "L1--S1")
     link.set_down()
-    tb.controller.on_link_failure(link)
+    tb.controller.push_all()
     apps = [tb.add_elephant(i, 12 + i, start_ns=i * usec(100)) for i in range(4)]
     tb.run(msec(25))
     rates = [a.delivered_bytes() * 8 / 25e-3 / 1e9 for a in apps]

@@ -335,7 +335,9 @@ class TestTournamentRanking:
         from repro.runner.sweeps import SWEEPS
 
         assert "tournament" in SWEEPS
-        assert SWEEPS["tournament"].accepts_topology
+        flags = {p.flag for p in SWEEPS["tournament"].params}
+        assert {"--topology", "--workloads", "--duration-ms"} <= flags
+        assert SWEEPS["tournament"].artifact.path == "TOURNAMENT.json"
 
 
 def test_tiny_tournament_is_deterministic(tmp_path):

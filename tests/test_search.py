@@ -317,11 +317,14 @@ def test_search_result_shape(tmp_path):
 
 
 def test_cli_run_and_check(tmp_path, capsys):
-    from repro.search.cli import main
+    # the same cycle runs for every artifact sweep in
+    # tests/test_sweeps.py; the preset echo and report heading are what
+    # only the search promises
+    from repro.runner.cli import main
 
     out = tmp_path / "SEARCH.json"
     md = tmp_path / "SEARCH.md"
-    args = ["run", "--preset", "smoke", "--quiet",
+    args = ["run", "search", "--preset", "smoke", "--quiet",
             "--results-dir", str(tmp_path / "store"),
             "--out", str(out), "--markdown", str(md)]
     assert main(args) == 0
@@ -329,7 +332,8 @@ def test_cli_run_and_check(tmp_path, capsys):
     assert payload.endswith("\n")
     assert json.loads(payload)["fields"]["preset"] == "smoke"
     assert "# Parameter search" in md.read_text()
-    # --check against the file just written: byte-identical, exit 0
+    # --check against the file just written: byte-identical, exit 0 —
+    # and from a warm store, which must not change the bytes
     assert main(args + ["--check"]) == 0
     # drift the committed file: --check must fail
     out.write_text(payload.replace('"smoke"', '"broke"', 1))
@@ -337,7 +341,7 @@ def test_cli_run_and_check(tmp_path, capsys):
 
 
 def test_cli_list(capsys):
-    from repro.search.cli import main
+    from repro.runner.cli import main
 
     assert main(["list"]) == 0
     captured = capsys.readouterr()
@@ -348,30 +352,36 @@ def test_cli_list(capsys):
 def test_runner_sweep_registration(tmp_path):
     from repro.runner.sweeps import SWEEPS
 
-    assert "search" in SWEEPS
-    report = SWEEPS["search"].run(
-        ["smoke"], (), (), 0, 0,
-        jobs=1, store=ResultStore(tmp_path / "store"), force=False,
-        timeout_s=None, retries=1)
-    assert report.name == "search"
-    assert report.rows
-    assert report.headers[0] == "rank"
+    search = SWEEPS["search"]
+    result = search.run(preset="smoke", jobs=1,
+                        store=ResultStore(tmp_path / "store"))
+    assert result.preset == "smoke"
+    headers, rows = search.table(result)
+    assert rows
+    assert headers[0] == "rank"
+    # an iterative search has no static grid to enumerate
+    with pytest.raises(ValueError, match="no static grid"):
+        search.specs(preset="smoke")
 
 
 def test_runner_cli_search_validates_presets(tmp_path, capsys):
-    # `runner run search` repurposes --schemes as the preset name; the
-    # CLI must validate it against the preset vocabulary, not the
-    # scheme registry (a regression here rejected every preset name).
+    # the search declares --preset itself (it used to borrow --schemes,
+    # and a regression there rejected every preset name): an unknown
+    # preset is an argparse choice error naming the vocabulary, and
+    # --schemes is not a search flag at all
     from repro.runner.cli import main
 
-    rc = main(["run", "search", "--schemes", "nonsense",
-               "--results-dir", str(tmp_path / "store")])
-    assert rc == 2
+    for bad in (["--preset", "nonsense"], ["--schemes", "smoke"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "search", *bad,
+                  "--results-dir", str(tmp_path / "store")])
+        assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "preset" in err and "smoke" in err
 
-    rc = main(["run", "search", "--schemes", "smoke", "--jobs", "1",
-               "--quiet", "--results-dir", str(tmp_path / "store")])
+    rc = main(["run", "search", "--preset", "smoke", "--jobs", "1",
+               "--quiet", "--results-dir", str(tmp_path / "store"),
+               "--out", str(tmp_path / "SEARCH.json")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "rank" in out and "flowcell_bytes" in out

@@ -22,7 +22,6 @@ import pytest
 
 from repro.runner import JobSpec, ResultStore, run_jobs, to_jsonable
 from repro.runner.lease import LeaseQueue
-from repro.service.cli import collect_sweep_specs
 from repro.service.cli import main as service_main
 from repro.service.coordinator import SweepCoordinator, serve
 from repro.service.protocol import Backpressure, request_json
@@ -409,18 +408,39 @@ def test_cli_rejects_unknown_sweep_and_dead_coordinator(capsys):
     assert "unreachable" in capsys.readouterr().err
 
 
-def test_collect_sweep_specs_matches_direct_construction():
-    from repro.experiments.scalability import scalability_specs
-
+def test_collect_sweep_specs_matches_direct_construction(
+        capsys, coordinator_factory):
+    """`submit` takes its flags from the sweep's own declaration and
+    enqueues exactly the sweep's ``specs()`` — including parameters the
+    old hard-copied flag list could not pass (--topology)."""
+    from repro.experiments.fabric_sweep import fabric_specs
     from repro.units import msec
 
-    specs = collect_sweep_specs("scalability", schemes="presto,ecmp",
-                                points="2,4", seeds="1")
-    assert len(specs) == 4
-    direct = scalability_specs(
-        schemes=("presto", "ecmp"), path_counts=(2, 4), seeds=(1,),
-        warm_ns=msec(15), measure_ns=msec(25))
-    assert {s.hash for s in specs} == {s.hash for s in direct}
+    start, _ = coordinator_factory
+    coordinator, url = start()
+    assert service_main([
+        "submit", url, "fabric", "--topology", "fat-tree:k=4",
+        "--workloads", "websearch", "--seeds", "1,2",
+        "--duration-ms", "1"]) == 0
+    assert "submitted 4 spec(s)" in capsys.readouterr().out
+    direct = fabric_specs(("fat-tree:k=4",), ("websearch",), seeds=(1, 2),
+                          duration_ns=msec(1))
+    queued = {job["id"]: job["label"] for job in coordinator.progress()["jobs"]}
+    assert queued == {spec.hash: spec.label for spec in direct}
+
+
+def test_submit_refuses_a_sweep_without_a_static_grid(
+        capsys, coordinator_factory):
+    """`submit search` used to run the whole search in-process and then
+    report "submitted 0 spec(s)"; it must refuse before doing anything."""
+    start, _ = coordinator_factory
+    coordinator, url = start()
+    assert service_main(["submit", url, "search", "--preset", "smoke"]) == 2
+    captured = capsys.readouterr()
+    assert "no static grid" in captured.err
+    assert f"runner run search --service {url}" in captured.err
+    assert captured.out == ""
+    assert coordinator.progress()["total"] == 0
 
 
 # --- the shared lease queue --------------------------------------------------

@@ -6,12 +6,8 @@ from repro.host.gro import OfficialGro
 from repro.host.host import Host
 from repro.net.addresses import host_mac
 from repro.net.switch import HASH_FLOWCELL
-from repro.net.topology import (
-    build_clos,
-    build_oversub,
-    build_scalability,
-    build_single_switch,
-)
+from repro.net.fabrics import TopologySpec, build_fabric
+from repro.net.topology import build_clos, build_single_switch
 from repro.sim.engine import Simulator
 
 
@@ -32,16 +28,14 @@ def test_clos_shape():
 
 def test_scalability_topology_paths():
     sim = Simulator()
-    with pytest.warns(DeprecationWarning, match="build_fabric"):
-        topo = build_scalability(sim, n_paths=6)
+    topo = build_fabric(sim, TopologySpec.clos(6, 2, 6))
     assert len(topo.spines) == 6
     assert len(topo.leaves) == 2
 
 
 def test_oversub_topology():
     sim = Simulator()
-    with pytest.warns(DeprecationWarning, match="build_fabric"):
-        topo = build_oversub(sim)
+    topo = build_fabric(sim, TopologySpec.clos(2, 2, 4))
     assert len(topo.spines) == 2
     assert len(topo.leaves) == 2
 

@@ -220,15 +220,6 @@ def test_validate_defaults_off_and_config_hash_unchanged():
     assert "validate" not in encoded["fields"]
 
 
-def test_faults_shim_reexports_validate_invariants():
-    from repro.faults import invariants as shim
-    from repro.validate import invariants as canonical
-
-    assert shim.check_invariants is canonical.check_invariants
-    assert shim.ValidationProbe is canonical.ValidationProbe
-    assert shim.InvariantViolation is canonical.InvariantViolation
-
-
 # --- report shapes -----------------------------------------------------------
 
 def test_oracle_report_require_and_failures():
