@@ -2,10 +2,13 @@
 
 One small, fast configuration per scheme — the 2-path Fig 4a cell with
 short warm/measure windows — serialized byte-for-byte into
-``tests/golden/<scheme>.json``.  The golden test re-runs the config and
-compares bytes: any change to simulation behavior (event ordering,
-float math, RNG draws) shows up as a diff, which is what lets hot-path
-optimizations prove they are behavior-preserving.
+``tests/golden/<scheme>.json``, plus the same cells at
+``fidelity="flow"`` for the schemes in :data:`FLOW_GOLDENS`
+(``tests/golden/flow_<scheme>.json``: one per transport, so how fluid
+transfers are opened is pinned too).  The golden test re-runs the
+config and compares bytes: any change to simulation behavior (event
+ordering, float math, RNG draws) shows up as a diff, which is what lets
+hot-path optimizations prove they are behavior-preserving.
 
 Regenerate intentionally-changed goldens with ``python
 tools/gen_golden.py`` and review the diff like any other code change.
@@ -15,11 +18,8 @@ from __future__ import annotations
 
 import json
 
-from repro.experiments.common import RunResult
-from repro.experiments.scalability import (
-    run_scalability_seed,
-    scalability_config,
-)
+from repro.experiments.common import run_elephant_workload
+from repro.experiments.scalability import scalability_config
 from repro.runner.serialize import to_jsonable
 from repro.units import msec
 
@@ -42,35 +42,51 @@ ZOO_GOLDEN_WORKLOAD = "websearch"
 ZOO_GOLDEN_DURATION_NS = msec(3)
 ZOO_GOLDEN_DRAIN_NS = msec(2)
 
+#: flow-fidelity fixtures, named ``flow_<scheme>``: one scheme per
+#: transport (tcp / mptcp / repflow), each the scheme's packet golden
+#: cell with only ``fidelity`` changed
+FLOW_GOLDENS = ("flow_presto", "flow_mptcp", "flow_repflow")
 
-def golden_zoo_run(scheme: str):
+
+def golden_zoo_run(scheme: str, fidelity=None):
     """The canonical tiny tournament cell for a zoo ``scheme``."""
     from repro.experiments.fabric_sweep import run_fabric_cell
     from repro.experiments.harness import TestbedConfig
 
     return run_fabric_cell(
         TestbedConfig(scheme=scheme, topology=ZOO_GOLDEN_TOPOLOGY,
-                      seed=GOLDEN_SEED),
+                      seed=GOLDEN_SEED, fidelity=fidelity),
         workload=ZOO_GOLDEN_WORKLOAD,
         duration_ns=ZOO_GOLDEN_DURATION_NS,
         drain_ns=ZOO_GOLDEN_DRAIN_NS,
     )
 
 
-def golden_run(scheme: str):
-    """The canonical tiny run for ``scheme``."""
+def golden_run(name: str):
+    """The canonical tiny run for golden ``name``: a scheme, or
+    ``flow_<scheme>`` for the same cell at flow fidelity."""
+    scheme = name.removeprefix("flow_")
+    fidelity = "flow" if scheme != name else None
     if scheme in ZOO_SCHEMES:
-        return golden_zoo_run(scheme)
-    return run_scalability_seed(
-        scalability_config(scheme, GOLDEN_PATHS, GOLDEN_SEED),
-        warm_ns=GOLDEN_WARM_NS,
-        measure_ns=GOLDEN_MEASURE_NS,
-        with_probes=True,
+        return golden_zoo_run(scheme, fidelity)
+    # (the Fig 4a cell, ``run_scalability_seed`` spelled out.)  Flow
+    # cells add a 1 ms mice stream beside the probe so the periodic
+    # spawner is pinned too; the packet cell has none, and its eleven
+    # fixtures must keep their bytes.
+    probe = [(0, GOLDEN_PATHS)]
+    return run_elephant_workload(
+        scalability_config(scheme, GOLDEN_PATHS, GOLDEN_SEED, fidelity),
+        [(i, GOLDEN_PATHS + i) for i in range(GOLDEN_PATHS)],
+        GOLDEN_WARM_NS,
+        GOLDEN_MEASURE_NS,
+        probe_pairs=probe,
+        mice_pairs=probe if fidelity else (),
+        mice_interval_ns=msec(1),
     )
 
 
-def golden_bytes(scheme: str) -> str:
+def golden_bytes(name: str) -> str:
     """The run, serialized exactly as the fixture files store it."""
     return json.dumps(
-        to_jsonable(golden_run(scheme)), indent=2, sort_keys=True
+        to_jsonable(golden_run(name)), indent=2, sort_keys=True
     ) + "\n"

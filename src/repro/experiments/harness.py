@@ -3,29 +3,35 @@ testbed and provide the measurement scaffolding every paper experiment
 shares.
 
 A *scheme* bundles what the paper varies between compared systems: the
-edge load balancer, the receiver GRO, how transfers are opened (plain
-TCP vs MPTCP) and, for "Optimal", the topology override (a single
-non-blocking switch).  Schemes are declared in
+edge load balancer, the receiver GRO, how transfers are opened (its
+transport) and, for "Optimal", the topology override (a single
+non-blocking switch).  Schemes and transports are declared in
 :mod:`repro.experiments.schemes`; ``SCHEMES`` here is a live view of
 that registry, so registering a new scheme makes it runnable without
 touching this module.
+
+There is one :class:`Testbed`.  What differs between fidelities sits
+behind its *data plane* (``tb.plane``), picked from ``cfg.fidelity``
+in the constructor: :class:`PacketPlane` here (hosts with TCP/GRO/CPU,
+wire transfers, the packet invariants) or
+:class:`repro.fluid.testbed.FluidPlane` (fluid hosts and transfers).
+Everything above it — transports, races, mice — is written once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
-from repro.experiments.schemes import get_scheme, is_registered, scheme_names
-from repro.host.app import (
-    BulkApp,
-    FlowIdAllocator,
-    MiceApp,
-    RepFlowApp,
-    RttProbeApp,
+from repro.experiments.schemes import (
+    TRANSPORTS,
+    get_scheme,
+    is_registered,
+    scheme_names,
 )
-from repro.lb.repflow import REPFLOW_MICE_BYTES
+from repro.fluid.testbed import FluidPlane
+from repro.host.app import BulkApp, FlowIdAllocator, MiceApp, RttProbeApp
 from repro.host.cpu import CpuCosts
 from repro.host.gro import OfficialGro, PrestoGro
 from repro.host.host import Host
@@ -232,27 +238,93 @@ class TestbedConfig:
         return TopologySpec.clos(
             self.n_spines, self.n_leaves, self.hosts_per_leaf)
 
-    def with_scheme(self, scheme: str) -> "TestbedConfig":
-        return replace(self, scheme=scheme)
+
+class PacketPlane:
+    """The packet-fidelity data plane of one :class:`Testbed`: real
+    hosts, wire transfers, and the packet-path probes and invariants."""
+
+    def __init__(self, tb: "Testbed"):
+        self.tb = tb
+
+    def make_host(self, host_id: int, lb: LoadBalancer) -> Host:
+        cfg = self.tb.cfg
+        return Host(self.tb.sim, host_id, lb=lb, gro=self._make_gro(),
+                    cpu_costs=cfg.cpu_costs, tcp_cfg=cfg.tcp,
+                    model_cpu=cfg.model_cpu)
+
+    def _make_gro(self):
+        # both names were validated at config / scheme registration
+        cfg = self.tb.cfg
+        if (cfg.gro_override or self.tb.scheme_def.gro) == "official":
+            return OfficialGro()
+        tuned = dict(initial_ewma_ns=cfg.gro_initial_ewma_ns,
+                     alpha=cfg.gro_alpha, ewma_gain=cfg.gro_ewma_gain)
+        return PrestoGro(
+            adaptive=cfg.gro_adaptive,
+            loss_detection=cfg.gro_loss_detection,
+            **{k: v for k, v in tuned.items() if v is not None})
+
+    def attach(self) -> None:
+        """After the controller installed the underlay: telemetry
+        probes, then the armed invariant observers."""
+        tb = self.tb
+        if tb.telemetry.enabled:
+            instrument_testbed(tb)
+        if tb.cfg.validate:
+            # Local import: repro.validate imports this module.
+            from repro.validate.invariants import ValidationProbe
+
+            tb.validation = ValidationProbe(tb)
+
+    # --- traffic ----------------------------------------------------------
+
+    def open(self, src: int, dst: int, size_bytes: Optional[int],
+             start_ns: Optional[int], on_complete,
+             subflows: Optional[int] = None):
+        """One wire transfer on fresh flow ids: a TCP flow, or — with
+        ``subflows`` — a coupled MPTCP connection.  ``start_ns=None``
+        opens a TCP sender now; everything else starts through the
+        heap, ``start_ns`` from now."""
+        tb = self.tb
+        if subflows is None:
+            return BulkApp(tb.sim, tb.hosts[src], tb.hosts[dst],
+                           tb.flow_ids.next(), size_bytes=size_bytes,
+                           start_ns=start_ns, on_complete=on_complete)
+        return MptcpConnection(tb.sim, tb.hosts[src], tb.hosts[dst],
+                               tb.flow_ids, n_subflows=subflows,
+                               size_bytes=size_bytes,
+                               start_ns=start_ns or 0,
+                               on_complete=on_complete)
+
+    def open_probe(self, src: int, dst: int, interval_ns: int,
+                   start_ns: int, stop_ns: Optional[int]) -> RttProbeApp:
+        tb = self.tb
+        return RttProbeApp(tb.sim, tb.hosts[src], tb.hosts[dst],
+                           tb.flow_ids, interval_ns=interval_ns,
+                           start_ns=start_ns, stop_ns=stop_ns)
+
+    # --- running / measurement ----------------------------------------------
+
+    def sync(self) -> None:
+        pass  # packet state is always current
+
+    def check(self):
+        from repro.validate.invariants import runtime_check
+
+        return runtime_check(self.tb)
+
+    def link_bytes(self) -> Dict[str, int]:
+        """Per-directional-port tx bytes, switch and host sides."""
+        switches = self.tb.topo.switches
+        ports = [p for name in sorted(switches) for p in switches[name].ports]
+        ports += [h.nic.port for h in self.tb.hosts if h.nic.port is not None]
+        return {port.name: port.tx_bytes for port in ports}
 
 
 class Testbed:
     """A built, runnable instance of one configuration."""
 
     __test__ = False  # not a pytest class, despite the name
-
-    def __new__(cls, cfg: TestbedConfig,
-                telemetry: Optional[TelemetryConfig] = None):
-        # The fidelity knob picks the engine: ``Testbed(cfg)`` with
-        # fidelity="flow" builds a FluidTestbed, so every caller —
-        # experiments, sweeps, oracles — selects fidelity through the
-        # config alone.  (type.__call__ then runs the *instance's*
-        # class __init__, i.e. FluidTestbed.__init__.)
-        if cls is Testbed and getattr(cfg, "fidelity", None) == "flow":
-            from repro.fluid.testbed import FluidTestbed
-
-            return object.__new__(FluidTestbed)
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -271,6 +343,10 @@ class Testbed:
         self.streams = RandomStreams(cfg.seed)
         self.flow_ids = FlowIdAllocator()
         self.topo = self._build_topology()
+        #: the one place fidelity is decided: everything below talks to
+        #: the plane, never to ``cfg.fidelity``
+        self.plane = (FluidPlane if cfg.fidelity == "flow"
+                      else PacketPlane)(self)
         self.hosts: List[Host] = []
         self._build_hosts()
         self.controller = PrestoController(self.topo)
@@ -281,17 +357,11 @@ class Testbed:
         self.apps: List[object] = []
         #: modeled control plane; None until enable_control_plane()
         self.control_plane = None
-        if self.telemetry.enabled:
-            instrument_testbed(self)
         #: armed invariant probe (repro.validate); None when not armed
         self.validation = None
         #: InvariantReport from the most recent validated run()
         self.last_invariant_report = None
-        if cfg.validate:
-            # Local import: repro.validate imports this module.
-            from repro.validate.invariants import ValidationProbe
-
-            self.validation = ValidationProbe(self)
+        self.plane.attach()
 
     # --- construction -----------------------------------------------------------
 
@@ -316,47 +386,14 @@ class Testbed:
             pool_alpha=cfg.pool_alpha,
         )
 
-    def _n_hosts(self) -> int:
-        return self.cfg.topology_spec().n_hosts()
-
-    def _make_lb(self, host_id: int) -> LoadBalancer:
-        rng = self.streams.stream(f"lb{host_id}")
-        return self.scheme_def.make_lb(self.cfg, host_id, rng, self.sim)
-
-    def _make_gro(self):
-        cfg = self.cfg
-        kind = cfg.gro_override
-        if kind is None:
-            kind = self.scheme_def.gro
-        if kind == "presto":
-            kwargs = dict(
-                adaptive=cfg.gro_adaptive,
-                loss_detection=cfg.gro_loss_detection,
-            )
-            if cfg.gro_initial_ewma_ns is not None:
-                kwargs["initial_ewma_ns"] = cfg.gro_initial_ewma_ns
-            if cfg.gro_alpha is not None:
-                kwargs["alpha"] = cfg.gro_alpha
-            if cfg.gro_ewma_gain is not None:
-                kwargs["ewma_gain"] = cfg.gro_ewma_gain
-            return PrestoGro(**kwargs)
-        if kind == "official":
-            return OfficialGro()
-        raise ValueError(f"unknown gro kind {kind!r}")
-
     def _build_hosts(self) -> None:
         cfg = self.cfg
         spec = cfg.topology_spec()
-        for host_id in range(self._n_hosts()):
-            host = Host(
-                self.sim,
+        for host_id in range(spec.n_hosts()):
+            rng = self.streams.stream(f"lb{host_id}")
+            host = self.plane.make_host(
                 host_id,
-                lb=self._make_lb(host_id),
-                gro=self._make_gro(),
-                cpu_costs=cfg.cpu_costs,
-                tcp_cfg=cfg.tcp,
-                model_cpu=cfg.model_cpu,
-            )
+                self.scheme_def.make_lb(cfg, host_id, rng, self.sim))
             if self.scheme_def.single_switch:
                 leaf = self.topo.leaves[0]
             else:
@@ -373,28 +410,11 @@ class Testbed:
 
     # --- convenience -----------------------------------------------------------
 
-    def host(self, i: int) -> Host:
-        return self.hosts[i]
-
     def pod_of(self, host_id: int) -> int:
         """Rack (edge switch) index a host logically belongs to, for any
         fabric shape.  The "optimal" single switch keeps the same
         numbering so workload generators stay scheme-agnostic."""
         return self.cfg.topology_spec().edge_of(host_id)
-
-    @property
-    def is_mptcp(self) -> bool:
-        return self.scheme_def.transport == "mptcp"
-
-    @property
-    def is_repflow(self) -> bool:
-        return self.scheme_def.transport == "repflow"
-
-    def _replicates(self, size_bytes: Optional[int]) -> bool:
-        """RepFlow races two copies of bounded mice only; elephants and
-        unbounded streams stay single-path TCP."""
-        return (self.is_repflow and size_bytes is not None
-                and size_bytes <= REPFLOW_MICE_BYTES)
 
     def enable_control_plane(self):
         """Attach the modeled control plane (repro.faults): the
@@ -416,6 +436,15 @@ class Testbed:
 
     # --- traffic ----------------------------------------------------------------
 
+    def open(self, src: int, dst: int, size_bytes: Optional[int],
+             start_ns: Optional[int], on_complete):
+        """Open one transfer over the scheme's transport (a
+        :data:`~repro.experiments.schemes.TRANSPORTS` row) without
+        registering it in ``apps`` — what ``add_elephant`` and every
+        mice request share.  ``start_ns=None`` means "now"."""
+        return TRANSPORTS[self.scheme_def.transport](
+            self, src, dst, size_bytes, start_ns, on_complete)
+
     def add_elephant(
         self,
         src: int,
@@ -424,41 +453,12 @@ class Testbed:
         start_ns: int = 0,
         on_complete=None,
     ):
-        """An elephant transfer using the scheme's transport (TCP/MPTCP).
+        """An elephant transfer using the scheme's transport.
 
-        Returns an object with ``delivered_bytes()`` and ``fct_ns``.
+        Returns a :class:`~repro.host.transfer.Transfer` that also has
+        ``fct_ns``.
         """
-        if self.is_mptcp:
-            app = MptcpConnection(
-                self.sim,
-                self.hosts[src],
-                self.hosts[dst],
-                self.flow_ids,
-                n_subflows=self.cfg.mptcp_subflows,
-                size_bytes=size_bytes,
-                start_ns=start_ns,
-                on_complete=on_complete,
-            )
-        elif self._replicates(size_bytes):
-            app = RepFlowApp(
-                self.sim,
-                self.hosts[src],
-                self.hosts[dst],
-                self.flow_ids,
-                size_bytes=size_bytes,
-                start_ns=start_ns,
-                on_complete=on_complete,
-            )
-        else:
-            app = BulkApp(
-                self.sim,
-                self.hosts[src],
-                self.hosts[dst],
-                self.flow_ids.next(),
-                size_bytes=size_bytes,
-                start_ns=start_ns,
-                on_complete=on_complete,
-            )
+        app = self.open(src, dst, size_bytes, start_ns, on_complete)
         self.apps.append(app)
         return app
 
@@ -470,65 +470,28 @@ class Testbed:
         interval_ns: int = msec(100),
         start_ns: int = 0,
         stop_ns: Optional[int] = None,
-    ):
+    ) -> MiceApp:
         """Periodic mice flows; returns an object exposing ``fcts_ns``."""
-        if self.is_mptcp:
-            app = MptcpMiceApp(
-                self,
-                src,
-                dst,
-                size_bytes=size_bytes,
-                interval_ns=interval_ns,
-                start_ns=start_ns,
-                stop_ns=stop_ns,
-            )
-        elif self._replicates(size_bytes):
-            app = RepFlowMiceApp(
-                self,
-                src,
-                dst,
-                size_bytes=size_bytes,
-                interval_ns=interval_ns,
-                start_ns=start_ns,
-                stop_ns=stop_ns,
-            )
-        else:
-            app = MiceApp(
-                self.sim,
-                self.hosts[src],
-                self.hosts[dst],
-                self.flow_ids,
-                size_bytes=size_bytes,
-                interval_ns=interval_ns,
-                start_ns=start_ns,
-                stop_ns=stop_ns,
-            )
+        app = MiceApp(self, src, dst, size_bytes=size_bytes,
+                      interval_ns=interval_ns, start_ns=start_ns,
+                      stop_ns=stop_ns)
         self.apps.append(app)
         return app
 
     def add_probe(self, src: int, dst: int, interval_ns: int = msec(1),
-                  start_ns: int = 0, stop_ns: Optional[int] = None) -> RttProbeApp:
-        app = RttProbeApp(
-            self.sim,
-            self.hosts[src],
-            self.hosts[dst],
-            self.flow_ids,
-            interval_ns=interval_ns,
-            start_ns=start_ns,
-            stop_ns=stop_ns,
-        )
+                  start_ns: int = 0, stop_ns: Optional[int] = None):
+        """An RTT probe; returns an object exposing ``rtts_ns``."""
+        app = self.plane.open_probe(src, dst, interval_ns, start_ns, stop_ns)
         self.apps.append(app)
         return app
 
     def run(self, until_ns: int) -> None:
         self.sim.run(until=until_ns)
+        self.plane.sync()
         if self.cfg.validate:
-            from repro.validate.invariants import (
-                InvariantViolation,
-                runtime_check,
-            )
+            from repro.validate.invariants import InvariantViolation
 
-            report = runtime_check(self)
+            report = self.plane.check()
             self.last_invariant_report = report
             if not report.ok:
                 raise InvariantViolation(
@@ -538,119 +501,10 @@ class Testbed:
 
     # --- measurement ----------------------------------------------------------
 
-    def elephant_delivered(self, app) -> int:
-        return app.delivered_bytes()
-
-
-class RepFlowMiceApp:
-    """Mice over RepFlow: each periodic request raced as two replicated
-    copies on disjoint trees; its FCT is the first finisher's."""
-
-    def __init__(self, tb: Testbed, src: int, dst: int, size_bytes: int,
-                 interval_ns: int, start_ns: int = 0,
-                 stop_ns: Optional[int] = None):
-        self.tb = tb
-        self.src = src
-        self.dst = dst
-        self.size_bytes = size_bytes
-        self.interval_ns = interval_ns
-        self.stop_ns = stop_ns
-        self.fcts_ns: List[int] = []
-        self.sent = 0
-        self._transfers: List[RepFlowApp] = []
-        tb.sim.schedule(start_ns, self._tick)
-
-    def _tick(self) -> None:
-        if self.stop_ns is not None and self.tb.sim.now >= self.stop_ns:
-            return
-        app = RepFlowApp(
-            self.tb.sim,
-            self.tb.hosts[self.src],
-            self.tb.hosts[self.dst],
-            self.tb.flow_ids,
-            size_bytes=self.size_bytes,
-            on_complete=self._done,
-        )
-        self._transfers.append(app)
-        self.sent += 1
-        self.tb.sim.schedule(self.interval_ns, self._tick)
-
-    def _done(self, app: RepFlowApp) -> None:
-        if app.fct_ns is not None:
-            self.fcts_ns.append(app.fct_ns)
-
-    @property
-    def dup_suppressed_bytes(self) -> int:
-        return sum(t.dup_suppressed_bytes for t in self._transfers)
-
-    # --- Transfer interface ---------------------------------------------------
-
-    def flow_ids(self) -> tuple:
-        return tuple(f for t in self._transfers for f in t.flow_ids())
-
-    def delivered_by_flow(self) -> dict:
-        out: dict = {}
-        for transfer in self._transfers:
-            out.update(transfer.delivered_by_flow())
-        return out
-
-    def delivered_bytes(self) -> int:
-        return sum(t.delivered_bytes() for t in self._transfers)
-
-
-class MptcpMiceApp:
-    """Mice over MPTCP: a fresh MPTCP connection per request.
-
-    The paper's Table 2 shows these timing out — small per-subflow
-    windows cannot trigger fast retransmit, so losses cost an RTO.
-    """
-
-    def __init__(self, tb: Testbed, src: int, dst: int, size_bytes: int,
-                 interval_ns: int, start_ns: int = 0, stop_ns: Optional[int] = None):
-        self.tb = tb
-        self.src = src
-        self.dst = dst
-        self.size_bytes = size_bytes
-        self.interval_ns = interval_ns
-        self.stop_ns = stop_ns
-        self.fcts_ns: List[int] = []
-        self.sent = 0
-        self._conns: List[MptcpConnection] = []
-        tb.sim.schedule(start_ns, self._tick)
-
-    def _tick(self) -> None:
-        if self.stop_ns is not None and self.tb.sim.now >= self.stop_ns:
-            return
-        conn = MptcpConnection(
-            self.tb.sim,
-            self.tb.hosts[self.src],
-            self.tb.hosts[self.dst],
-            self.tb.flow_ids,
-            n_subflows=self.tb.cfg.mptcp_subflows,
-            size_bytes=self.size_bytes,
-            on_complete=self._done,
-        )
-        self._conns.append(conn)
-        self.sent += 1
-        self.tb.sim.schedule(self.interval_ns, self._tick)
-
-    def _done(self, conn: MptcpConnection) -> None:
-        if conn.fct_ns is not None:
-            self.fcts_ns.append(conn.fct_ns)
-
-    # --- Transfer interface ---------------------------------------------------
-
-    def flow_ids(self) -> tuple:
-        return tuple(f for conn in self._conns for f in conn.flow_ids())
-
-    def delivered_by_flow(self) -> dict:
-        out: dict = {}
-        for conn in self._conns:
-            out.update(conn.delivered_by_flow())
-        return out
-
-    def delivered_bytes(self) -> int:
-        return sum(conn.delivered_bytes() for conn in self._conns)
+    def link_bytes(self) -> Dict[str, int]:
+        """Bytes carried so far per directional port, keyed by port
+        name — the one place measurement code learns per-link bytes."""
+        return self.plane.link_bytes()
 
 
 def format_table(headers: List[str], rows: List[List[object]]) -> str:

@@ -2,10 +2,11 @@
 
 A *scheme* bundles everything the paper varies between compared
 systems: how the edge picks paths (the load balancer factory), which
-receiver GRO runs, the transport (TCP vs MPTCP), whether the topology
-is the "Optimal" single switch, and how leaf ECMP groups hash.
+receiver GRO runs, the transport (a row of :data:`TRANSPORTS`), whether
+the topology is the "Optimal" single switch, and how leaf ECMP groups
+hash.
 
-Adding a scheme no longer touches the harness::
+Adding a scheme does not touch the harness::
 
     from repro.experiments.schemes import Scheme, register
 
@@ -19,6 +20,18 @@ Adding a scheme no longer touches the harness::
 and it is immediately runnable everywhere (``Testbed``, the sweep
 CLI's ``--schemes``, plotting scripts) because ``SCHEMES`` in
 :mod:`repro.experiments.harness` is a live view of this registry.
+
+Nor does adding a *transport*: it is one :data:`TRANSPORTS` row — a
+function that opens one transfer on a testbed — and both
+``add_elephant`` and every ``add_mice`` request go through it, at
+packet and flow fidelity alike::
+
+    from repro.experiments.schemes import TRANSPORTS
+    from repro.host.app import RaceApp
+
+    TRANSPORTS["race3"] = lambda tb, src, dst, size, start_ns, done: (
+        RaceApp(tb, src, dst, size, start_ns, done, copies=3))
+    register(Scheme(name="repflow3", transport="race3", make_lb=...))
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
+from repro.host.app import RaceApp
 from repro.lb.base import LoadBalancer
 from repro.lb.diffflow import DiffFlowLb
 from repro.lb.ecmp import EcmpLb
@@ -34,7 +48,7 @@ from repro.lb.elephant_iso import ElephantIsoLb
 from repro.lb.flowlet import FlowletLb
 from repro.lb.perpacket import PerPacketLb
 from repro.lb.presto_ecmp import PrestoEcmpLb
-from repro.lb.repflow import RepFlowLb
+from repro.lb.repflow import REPFLOW_MICE_BYTES, RepFlowLb
 from repro.net.switch import HASH_FLOW, HASH_FLOWCELL
 from repro.presto.vswitch import PrestoLb
 from repro.units import usec
@@ -53,7 +67,7 @@ class Scheme:
     description: str = ""
     #: receiver GRO this scheme runs by default: "official" | "presto"
     gro: str = "official"
-    #: transport transfers use: "tcp" | "mptcp"
+    #: how transfers are opened: a :data:`TRANSPORTS` key
     transport: str = "tcp"
     #: "Optimal" runs on one non-blocking switch instead of the Clos
     single_switch: bool = False
@@ -61,8 +75,37 @@ class Scheme:
     leaf_hash_mode: str = HASH_FLOW
 
 
-#: transports the harness knows how to open transfers for
-TRANSPORTS = ("tcp", "mptcp", "repflow")
+# --- transports ----------------------------------------------------------------
+# An open function is ``(tb, src, dst, size_bytes, start_ns, on_complete)
+# -> Transfer``.  ``size_bytes=None`` is an unbounded stream;
+# ``start_ns=None`` means "now, inside the caller's event" (a mice tick),
+# which a transport may honour or treat as "at +0 through the heap".
+# The data plane's ``tb.plane.open`` is the one primitive underneath.
+
+
+def _open_tcp(tb, src, dst, size_bytes, start_ns, on_complete):
+    return tb.plane.open(src, dst, size_bytes, start_ns, on_complete)
+
+
+def _open_mptcp(tb, src, dst, size_bytes, start_ns, on_complete):
+    return tb.plane.open(src, dst, size_bytes, start_ns, on_complete,
+                         subflows=tb.cfg.mptcp_subflows)
+
+
+def _open_repflow(tb, src, dst, size_bytes, start_ns, on_complete):
+    """RepFlow races two copies of bounded mice only; elephants and
+    unbounded streams stay single-path TCP."""
+    if size_bytes is None or size_bytes > REPFLOW_MICE_BYTES:
+        return _open_tcp(tb, src, dst, size_bytes, start_ns, on_complete)
+    return RaceApp(tb, src, dst, size_bytes, start_ns, on_complete)
+
+
+#: ``Scheme.transport`` -> open function; a new transport is one row
+TRANSPORTS: Dict[str, Callable] = {
+    "tcp": _open_tcp,
+    "mptcp": _open_mptcp,
+    "repflow": _open_repflow,
+}
 
 _REGISTRY: Dict[str, Scheme] = {}
 #: scheme name -> the module whose import registered it, so a duplicate
@@ -85,7 +128,7 @@ def register(scheme: Scheme) -> Scheme:
     if scheme.transport not in TRANSPORTS:
         raise ValueError(
             f"scheme {scheme.name!r}: transport must be one of "
-            f"{TRANSPORTS}, got {scheme.transport!r}")
+            f"{tuple(TRANSPORTS)}, got {scheme.transport!r}")
     _REGISTRY[scheme.name] = scheme
     caller = sys._getframe(1).f_globals.get("__name__", "<unknown module>")
     _REGISTERED_BY[scheme.name] = caller

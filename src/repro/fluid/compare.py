@@ -43,25 +43,6 @@ def _scaled_ns(base_ns: int, scale: float) -> int:
     return max(int(base_ns * scale), usec(100))
 
 
-def _link_bytes_packet(tb) -> Dict[str, int]:
-    """Per-directional-port tx bytes, switch and host sides."""
-    out: Dict[str, int] = {}
-    for name in sorted(tb.topo.switches):
-        for port in tb.topo.switches[name].ports:
-            out[port.name] = port.tx_bytes
-    for host in tb.hosts:
-        port = host.nic.port
-        if port is not None:
-            out[port.name] = port.tx_bytes
-    return out
-
-
-def _link_bytes(tb) -> Dict[str, int]:
-    if hasattr(tb, "engine"):
-        return tb.engine.link_bytes()
-    return _link_bytes_packet(tb)
-
-
 def _utilization(delta: Dict[str, int], tb, window_ns: int) -> Dict[str, float]:
     """bytes -> fraction of line rate over the window, keyed by port."""
     rates: Dict[str, float] = {}
@@ -95,10 +76,10 @@ def _scalability_cell(cfg: TestbedConfig, warm_ns: int,
         meter.track(app)
     marks: Dict[str, Dict[str, int]] = {}
     tb.sim.schedule(warm_ns, lambda: (meter.mark_start(tb.sim.now),
-                                      marks.update(warm=_link_bytes(tb))))
+                                      marks.update(warm=tb.link_bytes())))
     tb.run(warm_ns + measure_ns)
     meter.mark_end(tb.sim.now)
-    end = _link_bytes(tb)
+    end = tb.link_bytes()
     delta = {k: end.get(k, 0) - marks.get("warm", {}).get(k, 0)
              for k in sorted(end)}
     rates = meter.flow_rates_bps()
@@ -140,9 +121,9 @@ def _failover_cell(cfg: TestbedConfig, warm_ns: int,
     mark("before", warm_ns, t_fault)
     mark("after", t_fault + cfg.failover_latency_ns + msec(1), t_end)
     base = {}
-    tb.sim.schedule(warm_ns, lambda: base.update(_link_bytes(tb)))
+    tb.sim.schedule(warm_ns, lambda: base.update(tb.link_bytes()))
     tb.run(t_end)
-    end_bytes = _link_bytes(tb)
+    end_bytes = tb.link_bytes()
     delta = {k: end_bytes.get(k, 0) - base.get(k, 0)
              for k in sorted(end_bytes)}
     return {

@@ -182,8 +182,9 @@ class FluidTransfer:
 class FluidEngine:
     """Event-driven fluid allocator over a built topology.
 
-    One engine per :class:`~repro.fluid.testbed.FluidTestbed`.  The
-    testbed opens transfers; the engine owns advancement, reallocation
+    One engine per flow-fidelity testbed
+    (:class:`~repro.fluid.testbed.FluidPlane`).  The plane opens
+    transfers; the engine owns advancement, reallocation
     and completion.  All port bookkeeping is keyed by *port name*
     (strings), never Port objects, so every reduction in the allocator
     sorts deterministically across processes.

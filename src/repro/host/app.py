@@ -1,12 +1,19 @@
 """Traffic applications used by the paper's measurements.
 
 * :class:`BulkApp` — nuttcp/scp-style elephant: a fixed-size or endless
-  transfer; throughput is measured at the receiver.
-* :class:`MiceApp` — 50 KB request every 100 ms; the flow completion
-  time (request start until the payload is fully acknowledged) is the
-  paper's mice FCT metric.
+  packet-level TCP transfer; throughput is measured at the receiver.
 * :class:`RttProbeApp` — sockperf-style ping-pong: a tiny message is
   echoed by the peer; the round trip time is recorded at the client.
+
+and the engine-agnostic traffic layer, written once on top of the
+testbed's "open one transfer" primitives (so it runs unchanged at
+packet and flow fidelity):
+
+* :class:`RaceApp` — N full-size copies of one payload raced over
+  distinct paths, first finisher wins (RepFlow's transport half).
+* :class:`MiceApp` — a request every ``interval_ns`` over the scheme's
+  transport; the flow completion time (request start until the payload
+  is fully acknowledged) is the paper's mice FCT metric.
 """
 
 from __future__ import annotations
@@ -51,7 +58,12 @@ class BulkApp:
         self.size_bytes = size_bytes
         self.on_complete = on_complete
         self.sender = None
-        sim.schedule(start_ns, self._start)
+        if start_ns is None:
+            # "now": open the sender inside the caller's event (a mice
+            # tick) instead of deferring through the heap
+            self._start()
+        else:
+            sim.schedule(start_ns, self._start)
 
     def _start(self) -> None:
         self.sender = self.src.open_sender(
@@ -88,62 +100,55 @@ class BulkApp:
         return (fct,) if fct is not None else ()
 
 
-class RepFlowApp:
-    """One RepFlow transfer: the payload raced as two full copies over
-    disjoint paths (see :class:`repro.lb.repflow.RepFlowLb`).
+class RaceApp:
+    """One payload raced as ``copies`` full-size transfers over distinct
+    paths (RepFlow, Xu & Li: see :class:`repro.lb.repflow.RepFlowLb`).
 
-    The first copy to finish sets the transfer's FCT and is the one
-    whose bytes count as delivered; the duplicate's payload is
-    *suppressed* at the receiver — tracked in ``dup_suppressed_bytes``,
-    never in ``delivered_bytes()``, so byte conservation holds at the
+    Each copy is an ordinary single-flow transfer opened through the
+    testbed's data plane, so this runs at either fidelity.  The first
+    copy to finish sets the transfer's FCT and is the one whose bytes
+    count as delivered; the duplicates' payload is *suppressed* at the
+    receiver — tracked in ``dup_suppressed_bytes``, never in
+    ``delivered_bytes()``, so byte conservation holds at the
     application layer (received payload == flow size) while the wire
-    carries both copies.
+    carries every copy.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        src: Host,
-        dst: Host,
-        flow_ids: FlowIdAllocator,
-        size_bytes: int,
-        start_ns: int = 0,
-        on_complete=None,
-    ):
+    def __init__(self, tb, src: int, dst: int, size_bytes: int,
+                 start_ns: Optional[int] = 0, on_complete=None,
+                 copies: int = 2):
         if size_bytes is None or size_bytes <= 0:
             raise ValueError(
-                f"RepFlow replicates bounded transfers only, "
+                f"a race replicates bounded transfers only, "
                 f"got size_bytes={size_bytes}")
-        self.sim = sim
-        self.src = src
-        self.dst = dst
         self.size_bytes = size_bytes
         self.on_complete = on_complete
         self.winner = None
-        primary = flow_ids.next()
-        replica = flow_ids.next()
-        pair = getattr(src.lb, "pair", None)
-        if pair is not None:
-            pair(primary, replica)
+        # copies always start through the heap (never "now"), so the
+        # pairing below lands before any copy's first LB decision
         self.copies = tuple(
-            BulkApp(sim, src, dst, flow_id, size_bytes=size_bytes,
-                    start_ns=start_ns, on_complete=self._copy_done)
-            for flow_id in (primary, replica)
-        )
+            tb.plane.open(src, dst, size_bytes, start_ns or 0,
+                          self._copy_done)
+            for _ in range(copies))
+        pair = getattr(tb.hosts[src].lb, "pair", None)
+        if pair is not None:
+            primary, *replicas = (c.flow_ids()[0] for c in self.copies)
+            for replica in replicas:
+                pair(primary, replica)
 
-    def _copy_done(self, copy: BulkApp) -> None:
+    def _copy_done(self, copy) -> None:
         if self.winner is None:
             self.winner = copy
             if self.on_complete is not None:
                 self.on_complete(self)
 
-    def _leader(self) -> BulkApp:
+    def _leader(self):
         """The copy whose bytes count: the winner once decided, else
         whichever copy is ahead (ties go to the primary)."""
         if self.winner is not None:
             return self.winner
         return max(self.copies, key=lambda c: (c.delivered_bytes(),
-                                               -c.flow_id))
+                                               -c.flow_ids()[0]))
 
     @property
     def dup_suppressed_bytes(self) -> int:
@@ -155,12 +160,13 @@ class RepFlowApp:
     # --- Transfer interface ---------------------------------------------------
 
     def flow_ids(self) -> Tuple[int, ...]:
-        return tuple(c.flow_id for c in self.copies)
+        return tuple(f for c in self.copies for f in c.flow_ids())
 
     def delivered_by_flow(self) -> Dict[int, int]:
         leader = self._leader()
-        return {c.flow_id: (c.delivered_bytes() if c is leader else 0)
-                for c in self.copies}
+        out = {f: 0 for f in self.flow_ids()}
+        out.update(leader.delivered_by_flow())
+        return out
 
     def delivered_bytes(self) -> int:
         return self._leader().delivered_bytes()
@@ -177,60 +183,65 @@ class RepFlowApp:
 
 
 class MiceApp:
-    """Periodic 50 KB mice flows from ``src`` to ``dst``.
+    """Periodic mice flows from ``src`` to ``dst`` over the scheme's
+    transport (whatever ``tb.open`` opens: a TCP flow, an MPTCP
+    connection, a RepFlow race, a fluid).
 
-    Each request is a fresh flow; its FCT (write -> fully acked) is
+    Each request is a fresh transfer; its FCT (write -> fully acked) is
     appended to ``fcts_ns``.  Requests overlap if the previous one has
-    not finished (open-loop, as in the paper's 100 ms cadence).
+    not finished (open-loop, as in the paper's 100 ms cadence).  Over
+    MPTCP the paper's Table 2 shows these timing out — small
+    per-subflow windows cannot trigger fast retransmit, so losses cost
+    an RTO.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        src: Host,
-        dst: Host,
-        flow_ids: FlowIdAllocator,
-        size_bytes: int = 50 * KB,
-        interval_ns: int = msec(100),
-        start_ns: int = 0,
-        stop_ns: Optional[int] = None,
-    ):
-        self.sim = sim
+    def __init__(self, tb, src: int, dst: int, size_bytes: int = 50 * KB,
+                 interval_ns: int = msec(100), start_ns: int = 0,
+                 stop_ns: Optional[int] = None):
+        self.tb = tb
         self.src = src
         self.dst = dst
-        self._allocator = flow_ids
         self.size_bytes = size_bytes
         self.interval_ns = interval_ns
         self.stop_ns = stop_ns
         self.fcts_ns: List[int] = []
         self.sent = 0
-        self._spawned: List[int] = []
-        sim.schedule(start_ns, self._tick)
+        self._transfers: List = []
+        tb.sim.schedule(start_ns, self._tick)
 
     def _tick(self) -> None:
-        if self.stop_ns is not None and self.sim.now >= self.stop_ns:
+        sim = self.tb.sim
+        if self.stop_ns is not None and sim.now >= self.stop_ns:
             return
-        flow_id = self._allocator.next()
-        sender = self.src.open_sender(flow_id, self.dst.host_id, on_complete=self._done)
-        sender.write(self.size_bytes)
+        self._transfers.append(self.tb.open(
+            self.src, self.dst, self.size_bytes, None, self._done))
         self.sent += 1
-        self._spawned.append(flow_id)
-        self.sim.schedule(self.interval_ns, self._tick)
+        sim.schedule(self.interval_ns, self._tick)
 
-    def _done(self, sender) -> None:
-        if sender.fct_ns is not None:
-            self.fcts_ns.append(sender.fct_ns)
+    def _done(self, transfer) -> None:
+        if transfer.fct_ns is not None:
+            self.fcts_ns.append(transfer.fct_ns)
+
+    @property
+    def dup_suppressed_bytes(self) -> int:
+        """Duplicate payload suppressed by racing transports, rolled up
+        over spawned mice (0 for single-copy transports)."""
+        return sum(getattr(t, "dup_suppressed_bytes", 0)
+                   for t in self._transfers)
 
     # --- Transfer interface ---------------------------------------------------
 
     def flow_ids(self) -> Tuple[int, ...]:
-        return tuple(self._spawned)
+        return tuple(f for t in self._transfers for f in t.flow_ids())
 
     def delivered_by_flow(self) -> Dict[int, int]:
-        return {f: delivered_for(self.dst, f) for f in self._spawned}
+        out: Dict[int, int] = {}
+        for transfer in self._transfers:
+            out.update(transfer.delivered_by_flow())
+        return out
 
     def delivered_bytes(self) -> int:
-        return sum(delivered_for(self.dst, f) for f in self._spawned)
+        return sum(t.delivered_bytes() for t in self._transfers)
 
 
 class RttProbeApp:

@@ -14,10 +14,15 @@ contract the collectors consume instead:
 * ``fcts_ns`` — completion times recorded so far (empty for unbounded
   or unfinished transfers; one entry per completed request for mice).
 
-Implemented by :class:`~repro.host.app.BulkApp`,
-:class:`~repro.host.app.MiceApp`, :class:`~repro.host.app.RttProbeApp`,
-:class:`~repro.mptcp.mptcp.MptcpConnection` and
-:class:`~repro.experiments.harness.MptcpMiceApp`.
+Implemented by the wire transfers of each data plane —
+:class:`~repro.host.app.BulkApp`,
+:class:`~repro.mptcp.mptcp.MptcpConnection`,
+:class:`~repro.host.app.RttProbeApp` at packet fidelity;
+:class:`~repro.fluid.engine.FluidTransfer` and
+:class:`~repro.fluid.testbed.FluidProbeApp` at flow fidelity — and by
+the engine-agnostic layer above them, :class:`~repro.host.app.RaceApp`
+and :class:`~repro.host.app.MiceApp`
+(``tests/test_traffic_surface.py`` holds the whole matrix to it).
 """
 
 from __future__ import annotations

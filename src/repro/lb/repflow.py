@@ -8,10 +8,10 @@ the duplicate's payload.  Long flows are plain single-path ECMP — the
 elephant's bandwidth cost would double for no tail benefit.
 
 The transport half (opening the paired copies, first-finisher-wins FCT
-accounting, duplicate-byte suppression) lives in
-:class:`repro.host.app.RepFlowApp` (packet fidelity) and
-:class:`repro.fluid.testbed.RepFlowFluidApp` (flow fidelity); this LB
-supplies the path half: a replica flow registered via :meth:`pair` is
+accounting, duplicate-byte suppression) is
+:class:`repro.host.app.RaceApp`, selected for mice by the ``"repflow"``
+row of :data:`repro.experiments.schemes.TRANSPORTS` and identical at
+both fidelities; this LB supplies the path half: a replica flow registered via :meth:`pair` is
 pinned to a spanning-tree label a deterministic offset away from its
 primary's, so the copies ride link-disjoint trees instead of hoping
 two ECMP hashes diverge.

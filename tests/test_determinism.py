@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.goldens import golden_bytes, golden_run
+from repro.experiments.goldens import FLOW_GOLDENS, golden_bytes, golden_run
 from repro.experiments.schemes import scheme_names
 from repro.runner import JobSpec, collect_results, run_jobs, to_jsonable
 
@@ -46,12 +46,12 @@ def test_parallel_matches_serial():
 
 
 def test_every_scheme_has_a_golden_fixture():
-    # sweep_specs.json is the one non-scheme fixture (tests/test_sweeps.py)
+    # sweep_specs.json is the one non-run fixture (tests/test_sweeps.py)
     assert ({p.stem for p in GOLDEN_DIR.glob("*.json")} - {"sweep_specs"}
-            == set(SCHEMES))
+            == set(SCHEMES) | set(FLOW_GOLDENS))
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEMES + FLOW_GOLDENS)
 def test_golden_fixture_unchanged(scheme):
     fixture = (GOLDEN_DIR / f"{scheme}.json").read_text()
     assert golden_bytes(scheme) == fixture, (

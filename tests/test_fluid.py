@@ -4,8 +4,8 @@ and speedup gates.
 
 Tier 1 pins the contracts: ``TestbedConfig(fidelity=...)`` serializes
 omit-if-default (seed config hashes — and with them every cached
-runner result — are bit-unchanged), ``Testbed(cfg)`` dispatches to
-:class:`FluidTestbed` at ``fidelity="flow"``, the engine reproduces
+runner result — are bit-unchanged), ``Testbed(cfg)`` plugs in the
+fluid data plane at ``fidelity="flow"``, the engine reproduces
 line rate / fair shares / failover plateaus exactly, and serial vs
 parallel sweeps are byte-identical.  Tier 2 runs the cross-fidelity
 agreement gate and the >=20x speedup floor.
@@ -23,7 +23,7 @@ from repro.experiments.scalability import (
     scalability_specs,
 )
 from repro.experiments.synthetic import run_synthetic_seed
-from repro.fluid.testbed import FluidTestbed
+from repro.fluid.engine import FluidTransfer
 from repro.runner import collect_results, run_jobs, to_jsonable
 from repro.runner.serialize import content_hash
 from repro.units import KB, msec
@@ -71,14 +71,19 @@ def test_invalid_fidelity_rejected():
 
 
 def test_testbed_dispatches_on_fidelity():
-    assert isinstance(Testbed(TestbedConfig(fidelity="flow")), FluidTestbed)
-    assert not isinstance(Testbed(TestbedConfig()), FluidTestbed)
-    assert not isinstance(
-        Testbed(TestbedConfig(fidelity="packet")), FluidTestbed)
-    # naming the subclass directly must keep working too
-    assert isinstance(
-        FluidTestbed(TestbedConfig(scheme="ecmp", fidelity="flow")),
-        FluidTestbed)
+    """One ``Testbed`` class; the config knob alone decides whether
+    transfers are fluids on a ``FluidEngine`` or packet-level apps."""
+    flow = Testbed(TestbedConfig(fidelity="flow"))
+    assert type(flow) is Testbed
+    assert isinstance(flow.add_elephant(0, 5), FluidTransfer)
+    assert flow.engine.transfers == [flow.apps[0]]
+    for cfg in (TestbedConfig(), TestbedConfig(fidelity="packet")):
+        packet = Testbed(cfg)
+        assert type(packet) is Testbed
+        assert not hasattr(packet, "engine")
+        assert not isinstance(packet.add_elephant(0, 5), FluidTransfer)
+        assert hasattr(packet.hosts[0], "gro")  # hosts with a real stack
+    assert not hasattr(flow.hosts[0], "gro")
 
 
 # --- physics sanity ----------------------------------------------------------

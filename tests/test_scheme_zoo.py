@@ -150,7 +150,7 @@ def test_repflow_byte_conservation_despite_duplication(size):
     assert app.winner is not None, "copy never completed"
     assert app.delivered_bytes() == size
     by_flow = app.delivered_by_flow()
-    leader = app.winner.flow_id
+    (leader,) = app.winner.flow_ids()
     (loser,) = [f for f in app.flow_ids() if f != leader]
     assert by_flow[leader] == size
     assert by_flow[loser] == 0
@@ -165,12 +165,52 @@ def test_repflow_byte_conservation_despite_duplication(size):
 def test_repflow_replicates_only_mice():
     tb = Testbed(TestbedConfig(scheme="repflow", n_spines=2, n_leaves=2,
                                hosts_per_leaf=2, seed=1))
-    from repro.host.app import BulkApp, RepFlowApp
-
-    assert isinstance(tb.add_elephant(0, 2, size_bytes=50 * KB), RepFlowApp)
-    assert isinstance(tb.add_elephant(1, 3, size_bytes=2_000_000), BulkApp)
+    assert len(tb.add_elephant(0, 2, size_bytes=50 * KB).flow_ids()) == 2
+    assert len(tb.add_elephant(1, 3, size_bytes=2_000_000).flow_ids()) == 1
     # unbounded transfers cannot race to completion
-    assert isinstance(tb.add_elephant(0, 3), BulkApp)
+    assert len(tb.add_elephant(0, 3).flow_ids()) == 1
+
+
+@pytest.fixture
+def repflow3():
+    """A test-local scheme whose transport is a 3-copy race: the whole
+    definition is one TRANSPORTS row plus a registration — the seam
+    ROADMAP item 3 asks for, with no engine or harness edits."""
+    from repro.experiments import schemes
+    from repro.host.app import RaceApp
+
+    schemes.TRANSPORTS["race3"] = lambda tb, src, dst, size, start, done: (
+        RaceApp(tb, src, dst, size, start, done, copies=3))
+    schemes.register(schemes.Scheme(
+        name="repflow3", transport="race3",
+        make_lb=lambda cfg, host_id, rng, sim: RepFlowLb(host_id, rng)))
+    yield "repflow3"
+    del schemes._REGISTRY["repflow3"], schemes.TRANSPORTS["race3"]
+    del schemes._REGISTERED_BY["repflow3"]
+
+
+@pytest.mark.parametrize("fidelity", ["packet", "flow"])
+def test_new_transport_is_one_table_row_at_both_fidelities(repflow3,
+                                                           fidelity):
+    size = 60 * KB
+    tb = Testbed(TestbedConfig(scheme=repflow3, n_spines=2, n_leaves=2,
+                               hosts_per_leaf=2, seed=1, fidelity=fidelity,
+                               validate=True))
+    done = []
+    app = tb.add_elephant(0, 2, size_bytes=size, on_complete=done.append)
+    mice = tb.add_mice(1, 3, size_bytes=size, interval_ns=msec(1),
+                       stop_ns=msec(2))
+    tb.run(msec(20))
+    assert tb.last_invariant_report.ok
+    assert len(app.flow_ids()) == 3 and len(mice.flow_ids()) == 2 * 3
+    # first finisher wins, exactly once, and only its bytes count
+    assert done == [app] and app.winner in app.copies
+    assert app.fct_ns == min(c.fct_ns for c in app.copies)
+    assert app.delivered_bytes() == size
+    assert app.delivered_by_flow()[app.winner.flow_ids()[0]] == size
+    assert app.dup_suppressed_bytes > 0
+    assert len(mice.fcts_ns) == 2 and mice.delivered_bytes() == 2 * size
+    assert mice.dup_suppressed_bytes > 0
 
 
 # --- elephant isolation: the label partition ---------------------------------

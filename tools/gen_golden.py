@@ -3,8 +3,9 @@
 
 Usage::
 
-    python tools/gen_golden.py            # all schemes + sweep specs
+    python tools/gen_golden.py            # all schemes + flow cells + sweep specs
     python tools/gen_golden.py presto     # one scheme
+    python tools/gen_golden.py flow_mptcp # one flow-fidelity cell
     python tools/gen_golden.py sweep_specs
 
 Scheme goldens pin the simulator's exact behavior (see
@@ -23,7 +24,7 @@ import sys
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments.goldens import golden_bytes  # noqa: E402
+from repro.experiments.goldens import FLOW_GOLDENS, golden_bytes  # noqa: E402
 from repro.experiments.schemes import scheme_names  # noqa: E402
 
 GOLDEN_DIR = os.path.join(
@@ -117,7 +118,7 @@ def sweep_specs_text():
 
 
 def main(argv):
-    names = argv[1:] or list(scheme_names()) + [SWEEP_SPECS]
+    names = argv[1:] or [*scheme_names(), *FLOW_GOLDENS, SWEEP_SPECS]
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in names:
         path = os.path.join(GOLDEN_DIR, f"{name}.json")
