@@ -7,14 +7,14 @@ flowlet switching degenerates toward per-flow placement.
 
 from benchlib import save_result
 
-from repro.experiments.flowlet_sizes import run_figure1
+from repro.experiments.flowlet_sizes import FLOWLET_SIZES
 from repro.experiments.harness import format_table
 from repro.units import MB, msec, usec
 
 
 def test_fig1_flowlet_sizes(benchmark):
     results = benchmark.pedantic(
-        run_figure1,
+        FLOWLET_SIZES.run,
         kwargs=dict(
             max_competing=8,
             transfer_bytes=16 * MB,
@@ -24,14 +24,8 @@ def test_fig1_flowlet_sizes(benchmark):
         rounds=1,
         iterations=1,
     )
-    rows = []
-    for n, res in sorted(results.items()):
-        top = [f"{s / 1024:.0f}K" for s in res.top(10)]
-        rows.append([n, f"{res.head_fraction():.2f}", " ".join(top)])
-    save_result(
-        "fig01_flowlet_sizes",
-        format_table(["competing", "head_frac", "top-10 flowlet sizes"], rows),
-    )
+    save_result("fig01_flowlet_sizes",
+                format_table(*FLOWLET_SIZES.table(results)))
     # Paper: up to 3 competing flows, >50% of the transfer in one flowlet.
     for n in (0, 1, 2, 3):
         assert results[n].head_fraction() > 0.5, (

@@ -9,34 +9,18 @@ heavy reordering, pushes small segments, and throughput collapses to
 
 from benchlib import save_result
 
-from repro.experiments.gro_micro import run_figure5
+from repro.experiments.gro_micro import GRO_MICRO
 from repro.experiments.harness import format_table
-from repro.metrics.stats import mean, percentile
+from repro.metrics.stats import mean
 from repro.units import msec
 
 
 def test_fig5_gro_reordering(benchmark):
     results = benchmark.pedantic(
-        run_figure5, kwargs=dict(duration_ns=msec(40)), rounds=1, iterations=1
+        GRO_MICRO.run, kwargs=dict(duration_ns=msec(40)), rounds=1, iterations=1
     )
-    rows = []
-    for gro, res in results.items():
-        rows.append([
-            gro,
-            f"{res.throughput_bps / 1e9:.2f} Gbps",
-            f"{res.cpu_utilization:.0%}",
-            f"{res.frac_zero_ooo:.2f}",
-            f"{mean(res.segment_sizes) / 1024:.1f}K",
-            f"{percentile(res.segment_sizes, 50) / 1024:.1f}K",
-            res.fast_retransmits,
-        ])
-    save_result(
-        "fig05_gro_reordering",
-        format_table(
-            ["gro", "tput", "cpu", "frac OoO=0", "avg seg", "p50 seg", "spurious FR"],
-            rows,
-        ),
-    )
+    save_result("fig05_gro_reordering",
+                format_table(*GRO_MICRO.table(results)))
     presto, official = results["presto"], results["official"]
     # Fig 5a: Presto GRO masks reordering completely; official does not.
     assert presto.frac_zero_ooo >= 0.99

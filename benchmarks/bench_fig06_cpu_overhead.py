@@ -7,26 +7,22 @@ running with no reordering at the same 9.3 Gbps.
 
 from benchlib import save_result
 
-from repro.experiments.gro_micro import run_figure6
+from repro.experiments.gro_micro import CPU_OVERHEAD
 from repro.experiments.harness import format_table
 from repro.units import msec
 
 
 def test_fig6_cpu_overhead(benchmark):
     result = benchmark.pedantic(
-        run_figure6, kwargs=dict(duration_ns=msec(40)), rounds=1, iterations=1
+        CPU_OVERHEAD.run, kwargs=dict(duration_ns=msec(40)), rounds=1, iterations=1
     )
-    rows = [
-        [label, f"{util:.1%}"] for label, util in sorted(result.mean_util.items())
-    ]
-    rows.append(["overhead", f"{result.overhead:+.1%}"])
     series_txt = "\n".join(
         f"{label}: " + " ".join(f"{u:.0%}" for _, u in pts[:20])
         for label, pts in result.series.items()
     )
     save_result(
         "fig06_cpu_overhead",
-        format_table(["gro", "mean receive-core util"], rows) + "\n\n"
+        format_table(*CPU_OVERHEAD.table(result)) + "\n\n"
         "utilization time series (2 ms windows):\n" + series_txt,
     )
     # Paper: ~6% overhead; accept anything modest and nonnegative-ish.

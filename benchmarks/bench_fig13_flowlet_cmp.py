@@ -8,33 +8,20 @@ giant head flowlets).
 
 from benchlib import save_result
 
-from repro.experiments.flowlet_cmp import run_flowlet_cmp
+from repro.experiments.flowlet_cmp import FLOWLET_CMP
 from repro.experiments.harness import format_table
-from repro.metrics.stats import percentile
 from repro.units import msec
 
 
 def test_fig13_flowlet_cmp(benchmark):
     results = benchmark.pedantic(
-        run_flowlet_cmp,
+        FLOWLET_CMP.run,
         kwargs=dict(seeds=(1, 2), warm_ns=msec(15), measure_ns=msec(25)),
         rounds=1,
         iterations=1,
     )
-    rows = []
-    for scheme, res in results.items():
-        p50 = percentile(res.rtts_ns, 50) / 1e6 if res.rtts_ns else float("nan")
-        p999 = percentile(res.rtts_ns, 99.9) / 1e6 if res.rtts_ns else float("nan")
-        rows.append([
-            scheme,
-            f"{res.mean_tput_bps / 1e9:.2f}",
-            f"{p50:.2f}",
-            f"{p999:.2f}",
-        ])
-    save_result(
-        "fig13_flowlet_cmp",
-        format_table(["scheme", "tput Gbps", "rtt p50 ms", "rtt p99.9 ms"], rows),
-    )
+    save_result("fig13_flowlet_cmp",
+                format_table(*FLOWLET_CMP.table(results)))
     presto = results["presto"]
     f100 = results["flowlet100us"]
     f500 = results["flowlet500us"]

@@ -7,30 +7,20 @@ occupancy and delay; deterministic end-to-end round robin avoids it.
 
 from benchlib import save_result
 
+from repro.experiments.flowlet_cmp import PERHOP_CMP
 from repro.experiments.harness import format_table
-from repro.experiments.perhop_cmp import run_perhop_cmp
-from repro.metrics.stats import percentile
 from repro.units import msec
 
 
 def test_fig14_perhop(benchmark):
     results = benchmark.pedantic(
-        run_perhop_cmp,
+        PERHOP_CMP.run,
         kwargs=dict(seeds=(1, 2), warm_ns=msec(15), measure_ns=msec(25)),
         rounds=1,
         iterations=1,
     )
-    rows = []
-    for scheme, res in results.items():
-        p50 = percentile(res.rtts_ns, 50) / 1e6 if res.rtts_ns else float("nan")
-        p99 = percentile(res.rtts_ns, 99) / 1e6 if res.rtts_ns else float("nan")
-        rows.append([
-            scheme, f"{res.mean_tput_bps / 1e9:.2f}", f"{p50:.2f}", f"{p99:.2f}"
-        ])
-    save_result(
-        "fig14_perhop",
-        format_table(["scheme", "tput Gbps", "rtt p50 ms", "rtt p99 ms"], rows),
-    )
+    save_result("fig14_perhop",
+                format_table(*PERHOP_CMP.table(results)))
     shadow = results["presto"]
     perhop = results["presto_ecmp"]
     # Paper: shadow-MAC round robin beats per-hop hashing (9.3 vs 8.9

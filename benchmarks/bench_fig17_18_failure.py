@@ -8,7 +8,12 @@ longer non-blocking (Fig 18).
 
 from benchlib import save_result
 
-from repro.experiments.failure import run_figure17, run_figure18
+from repro.experiments.failure import (
+    FAILURE,
+    STAGES,
+    stage_rtts_ns,
+    stage_tput_bps,
+)
 from repro.experiments.harness import format_table
 from repro.metrics.stats import percentile
 from repro.units import msec
@@ -16,22 +21,15 @@ from repro.units import msec
 
 def test_fig17_failure_throughput(benchmark):
     grid = benchmark.pedantic(
-        run_figure17,
+        FAILURE.run,
         kwargs=dict(seeds=(1, 2), warm_ns=msec(15), measure_ns=msec(25)),
         rounds=1,
         iterations=1,
     )
-    rows = [
-        [stage, workload, f"{res.mean_tput_bps / 1e9:.2f}"]
-        for (stage, workload), res in grid.items()
-    ]
-    save_result(
-        "fig17_failure", format_table(["stage", "workload", "tput Gbps"], rows)
-    )
+    save_result("fig17_failure", format_table(*FAILURE.table(grid)))
     for workload in ("L1->L4", "L4->L1", "stride", "bijection"):
-        sym = grid[("symmetry", workload)].mean_tput_bps
-        fo = grid[("failover", workload)].mean_tput_bps
-        wt = grid[("weighted", workload)].mean_tput_bps
+        sym, fo, wt = (stage_tput_bps(grid[workload], stage)
+                       for stage in STAGES)
         # symmetry is (near) line rate
         assert sym > 7e9, f"{workload} symmetry {sym / 1e9:.1f}G"
         # failover keeps the network connected (nonzero, degraded)
@@ -42,25 +40,16 @@ def test_fig17_failure_throughput(benchmark):
 
 
 def test_fig18_failure_rtt(benchmark):
-    stages = benchmark.pedantic(
-        run_figure18,
-        kwargs=dict(seeds=(1,), warm_ns=msec(15), measure_ns=msec(25)),
+    grid = benchmark.pedantic(
+        FAILURE.run,
+        kwargs=dict(workloads=("bijection",), seeds=(1,), warm_ns=msec(15),
+                    measure_ns=msec(25), with_probes=True),
         rounds=1,
         iterations=1,
     )
-    rows = []
-    for stage, res in stages.items():
-        if res.rtts_ns:
-            rows.append([
-                stage,
-                f"{percentile(res.rtts_ns, 50) / 1e6:.3f}",
-                f"{percentile(res.rtts_ns, 99) / 1e6:.3f}",
-                len(res.rtts_ns),
-            ])
-    save_result(
-        "fig18_failure_rtt",
-        format_table(["stage", "rtt p50 ms", "rtt p99 ms", "samples"], rows),
-    )
+    stages = {stage: stage_rtts_ns(grid["bijection"], stage)
+              for stage in STAGES}
+    save_result("fig18_failure_rtt", format_table(*FAILURE.table(grid)))
     # Fig 18 caveat: in the paper the degraded stages' RTT CDFs sit above
     # symmetry's *at matched utilization*; our failover/weighted stages
     # run at lower throughput, so their medians can be lower while the
@@ -68,10 +57,10 @@ def test_fig18_failure_rtt(benchmark):
     # yields samples, and the degraded stages' relative tail (p99/p50)
     # is at least symmetry's.
     sym = stages["symmetry"]
-    assert sym.rtts_ns, "no probe samples in symmetry stage"
-    sym_spread = percentile(sym.rtts_ns, 99) / percentile(sym.rtts_ns, 50)
+    assert sym, "no probe samples in symmetry stage"
+    sym_spread = percentile(sym, 99) / percentile(sym, 50)
     for stage in ("failover", "weighted"):
-        rtts = stages[stage].rtts_ns
+        rtts = stages[stage]
         assert rtts, f"no probe samples in {stage} stage"
         spread = percentile(rtts, 99) / percentile(rtts, 50)
         assert spread >= 0.8 * sym_spread

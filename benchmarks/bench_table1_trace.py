@@ -7,41 +7,21 @@ tracks Optimal (within 2%) and beats ECMP by >10%.
 
 from benchlib import save_result
 
+from repro.experiments.common import mice_vs_ecmp
 from repro.experiments.harness import format_table
-from repro.experiments.trace import run_table1, table1_normalized
+from repro.experiments.trace import TRACE
 from repro.units import msec
 
 
 def test_table1_trace(benchmark):
     results = benchmark.pedantic(
-        run_table1,
+        TRACE.run,
         kwargs=dict(seeds=(1, 2), duration_ns=msec(100)),
         rounds=1,
         iterations=1,
     )
-    normalized = table1_normalized(results)
-    rows = []
-    for scheme, res in results.items():
-        pct = res.mice_percentiles_ms()
-        norm = normalized.get(scheme, {})
-        rows.append([
-            scheme,
-            len(res.mice_fcts_ns),
-            f"{pct.get('p50', float('nan')):.2f}",
-            f"{pct.get('p99', float('nan')):.2f}",
-            f"{pct.get('p99.9', float('nan')):.2f}",
-            f"{norm.get('p99', 0):+.0%}" if norm else "baseline",
-            f"{norm.get('p99.9', 0):+.0%}" if norm else "baseline",
-            f"{res.mean_elephant_tput_bps / 1e9:.2f}",
-        ])
-    save_result(
-        "table1_trace",
-        format_table(
-            ["scheme", "mice", "p50 ms", "p99 ms", "p99.9 ms",
-             "p99 vs ecmp", "p99.9 vs ecmp", "eleph Gbps"],
-            rows,
-        ),
-    )
+    normalized = mice_vs_ecmp(results)
+    save_result("table1_trace", format_table(*TRACE.table(results)))
     # Paper shape: Presto's mice FCT tail clearly below ECMP's.  (The
     # simulator shows -17..-30% at p90-p99.9 vs the paper's -32..-60%;
     # receiver-port sharing, identical across schemes, makes up a larger

@@ -7,39 +7,21 @@ ECMP; MPTCP's tail is dominated by RTO timeouts.
 
 from benchlib import save_result
 
+from repro.experiments.common import mice_vs_ecmp
 from repro.experiments.harness import format_table
-from repro.experiments.northsouth import run_table2, table2_normalized
+from repro.experiments.northsouth import NORTHSOUTH
 from repro.units import msec
 
 
 def test_table2_northsouth(benchmark):
     results = benchmark.pedantic(
-        run_table2,
+        NORTHSOUTH.run,
         kwargs=dict(seeds=(1, 2), warm_ns=msec(15), measure_ns=msec(25)),
         rounds=1,
         iterations=1,
     )
-    normalized = table2_normalized(results)
-    rows = []
-    for scheme, res in results.items():
-        pct = res.mice_percentiles_ms()
-        norm = normalized.get(scheme, {})
-        rows.append([
-            scheme,
-            f"{res.mean_elephant_tput_bps / 1e9:.2f}",
-            f"{pct.get('p50', float('nan')):.2f}",
-            f"{pct.get('p99.9', float('nan')):.2f}",
-            f"{norm.get('p99.9', 0):+.0%}" if norm else "baseline",
-            f"{res.mice_timeout_fraction:.1%}",
-        ])
-    save_result(
-        "table2_northsouth",
-        format_table(
-            ["scheme", "eleph Gbps", "mice p50 ms", "mice p99.9 ms",
-             "p99.9 vs ecmp", "RTO-hit mice"],
-            rows,
-        ),
-    )
+    normalized = mice_vs_ecmp(results)
+    save_result("table2_northsouth", format_table(*NORTHSOUTH.table(results)))
     # Throughput ordering (paper: 5.7 / 7.4 / 8.2 / 8.9).
     assert (
         results["presto"].mean_elephant_tput_bps

@@ -1,9 +1,8 @@
 """Shared helpers for the benchmark suite."""
 
-import json
 import os
 
-from repro.runner.serialize import to_jsonable
+from repro.runner.cli import save_table
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -15,16 +14,8 @@ def save_result(name: str, text: str, data=None) -> None:
     ``<name>.json`` is written; pass the experiment's structured result
     as ``data`` to include it (encoded with the runner's serialization
     helpers, so ``repro.runner.serialize.from_jsonable`` restores the
-    original dataclasses).
+    original dataclasses).  The files are written by the same function
+    ``runner run`` saves its tables with.
     """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    payload = {"name": name, "table": text}
-    if data is not None:
-        payload["data"] = to_jsonable(data)
-    with open(os.path.join(RESULTS_DIR, f"{name}.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_table(os.path.join(RESULTS_DIR, name), name, text, data)
     print(f"\n=== {name} ===\n{text}")

@@ -68,10 +68,15 @@ def run_elephant_workload(
     mice_size: int = 50 * KB,
     mice_interval_ns: int = msec(5),
     telemetry: Optional[TelemetryConfig] = None,
+    setup: Optional[Callable[[Testbed], None]] = None,
 ) -> RunResult:
     """One trial: elephants on ``pairs`` (+ optional probes and mice),
-    throughput measured over [warm, warm+measure]."""
+    throughput measured over [warm, warm+measure].  ``setup`` runs on
+    the fresh testbed first (cross traffic that must start before the
+    elephants are placed)."""
     tb = Testbed(cfg, telemetry=telemetry)
+    if setup is not None:
+        setup(tb)
     rng = tb.streams.stream("starts")
     apps = []
     meter = ThroughputMeter()
@@ -123,6 +128,11 @@ def fct_percentiles(fcts_ns: Sequence[int]) -> Dict[str, float]:
     }
 
 
+def pct_ms(samples_ns: Sequence[int], pct: float) -> str:
+    """A table cell: one percentile of nanosecond samples, in ms."""
+    return f"{percentile(samples_ns, pct) / 1e6:.2f}" if samples_ns else "nan"
+
+
 def normalize_to(baseline: Dict[str, float], other: Dict[str, float]) -> Dict[str, float]:
     """Relative change versus a baseline, as the paper's Tables 1/2
     (-0.56 means 56% shorter FCT than the baseline)."""
@@ -131,6 +141,25 @@ def normalize_to(baseline: Dict[str, float], other: Dict[str, float]) -> Dict[st
         if key in other and base > 0:
             out[key] = (other[key] - base) / base
     return out
+
+
+def mice_vs_ecmp(results: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
+    """Each scheme's mice FCT percentiles relative to ECMP's, as Tables
+    1/2 print them; empty when the grid has no ECMP baseline."""
+    if "ecmp" not in results:
+        return {}
+    base = results["ecmp"].mice_percentiles_ms()
+    return {scheme: normalize_to(base, res.mice_percentiles_ms())
+            for scheme, res in results.items() if scheme != "ecmp"}
+
+
+def vs_ecmp_cell(normalized: Dict[str, Dict[str, float]], scheme: str,
+                 key: str) -> str:
+    """A table cell out of :func:`mice_vs_ecmp`."""
+    if scheme == "ecmp":
+        return "baseline"
+    change = normalized.get(scheme, {}).get(key)
+    return "n/a" if change is None else f"{change:+.0%}"
 
 
 # --- the parameters the paper sweeps share -----------------------------------
@@ -159,6 +188,14 @@ def known_topology(spec: str) -> str:
     return spec
 
 
+def topology_param(help: str) -> Param:
+    """One optional fabric for the whole sweep; None = the experiment's
+    own (which keeps its historic spec hashes)."""
+    return Param("topology", None, "--topology", help=help,
+                 coerce=lambda spec: (None if spec is None
+                                      else known_topology(spec)))
+
+
 def schemes_param(default: Sequence[str]) -> Param:
     return Param("schemes", tuple(default), "--schemes", "strs",
                  f"comma-separated scheme subset (default: "
@@ -174,6 +211,23 @@ def fidelity_param(default: Optional[str] = None) -> Param:
                       "frames, 'flow' runs the fluid engine (repro.fluid); "
                       f"default: {default or 'packet'}",
                  choices=("packet", "flow"))
+
+
+def _positive_scale(scale: float) -> float:
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    return scale
+
+
+#: shrinks an experiment's base windows for smoke runs (see scaled_ns)
+SCALE = Param("scale", 1.0, "--scale", "float",
+              "window scale factor (tests/smoke use e.g. 0.2)",
+              coerce=_positive_scale)
+
+
+def scaled_ns(base_ns: int, scale: float) -> int:
+    """Scale a window, floored so a tiny test scale still simulates."""
+    return max(int(base_ns * scale), usec(100))
 
 
 WARM = Param("warm_ns", DEFAULT_WARM_NS, "--warm-ms", "ms",
@@ -221,17 +275,14 @@ def elephant_grid_sweep(
             ))
         return grid
 
-    def rtt_ms(rtts_ns: Sequence[int], pct: float) -> str:
-        return f"{percentile(rtts_ns, pct) / 1e6:.2f}" if rtts_ns else "nan"
-
     def table(grid):
         headers = ["scheme", point_word, "tput Gbps", "loss", "jain",
                    "rtt p50 ms", "rtt p99 ms"]
         return headers, [
             [scheme, getattr(pt, f"n_{point_word}"),
              f"{pt.mean_tput_bps / 1e9:.2f}", f"{pt.loss_rate:.4%}",
-             f"{pt.fairness:.3f}", rtt_ms(pt.rtts_ns, 50),
-             rtt_ms(pt.rtts_ns, 99)]
+             f"{pt.fairness:.3f}", pct_ms(pt.rtts_ns, 50),
+             pct_ms(pt.rtts_ns, 99)]
             for scheme, points in grid.items() for pt in points]
 
     return Sweep(

@@ -15,11 +15,14 @@ crosses all three of the paper's postures in sequence:
   manual call — prunes/reweights the tree schedules at every vSwitch,
   and balance returns.
 
-:func:`run_failure_timeline` is the primitive: one (workload, seed)
+:func:`run_failure_timeline` is the unit of work: one (workload, seed)
 run returning per-phase throughput plus the windowed throughput
-trajectory and convergence metrics.  :func:`run_figure17` and
-:func:`run_figure18` read the figures' bars and curves off its phase
-windows.
+trajectory and convergence metrics.  The :data:`FAILURE` sweep runs it
+per workload x seed; Fig 17's bars are :func:`stage_tput_bps` of each
+workload's timelines, Fig 18's curves :func:`stage_rtts_ns` of
+``workloads=("bijection",), with_probes=True``::
+
+    python -m repro.runner run failure --workloads 'L1->L4' --seeds 1
 
 Workloads: L1->L4 (each L1 host sends to an L4 host), L4->L1, stride(8)
 and random bijection; Fig 18 is the RTT distribution under bijection.
@@ -28,12 +31,17 @@ and random bijection; Fig 18 is the RTT distribution under bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import (
     DEFAULT_MEASURE_NS,
     DEFAULT_WARM_NS,
+    MEASURE,
     START_JITTER_NS,
+    WARM,
+    each_in,
+    fidelity_param,
+    pct_ms,
 )
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.metrics import (
@@ -45,6 +53,8 @@ from repro.faults.metrics import (
 from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.collectors import ThroughputMeter
 from repro.metrics.stats import mean
+from repro.runner import JobSpec, ref_of
+from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.sim.rand import RandomStreams
 from repro.workloads.synthetic import random_bijection_pairs, stride_pairs
 
@@ -56,16 +66,6 @@ FAILED_LINK = "L1--S1"
 #: hardware failover engage and TCP recover before we call a phase
 #: "steady" (the excluded gap is still visible in the timeline samples)
 PHASE_GUARD_NS_MAX = 3_000_000  # 3 ms
-
-
-@dataclass
-class FailureResult:
-    """One Fig 17 bar / Fig 18 curve."""
-
-    stage: str
-    workload: str
-    mean_tput_bps: float
-    rtts_ns: List[int] = field(default_factory=list)
 
 
 @dataclass
@@ -219,49 +219,86 @@ def run_failure_timeline(
     )
 
 
-# --- Figs 17/18: per-stage views over the timeline --------------------------
+# --- Figs 17/18: the sweep, and per-stage views over its timelines ----------
 
 
-def run_figure17(
-    workloads: Sequence[str] = FAILURE_WORKLOADS,
-    seeds: Sequence[int] = (1, 2),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-) -> Dict[Tuple[str, str], FailureResult]:
-    """All Fig 17 bars — one continuous run per (workload, seed), each
-    stage's bar read from its phase window."""
-    out: Dict[Tuple[str, str], FailureResult] = {}
-    for workload in workloads:
-        timelines = [
-            run_failure_timeline(workload, seed, warm_ns=warm_ns,
-                                 measure_ns=measure_ns)
-            for seed in seeds
-        ]
-        for stage in STAGES:
-            out[(stage, workload)] = FailureResult(
-                stage, workload,
-                mean([tl.phases[stage].mean_flow_tput_bps
-                      for tl in timelines]),
-            )
-    return out
+def failure_spec(workload: str, seed: int, warm_ns: int, measure_ns: int,
+                 fidelity: Optional[str] = None, with_probes: bool = False,
+                 label: str = "") -> JobSpec:
+    """One :func:`run_failure_timeline` job, for the ``failure`` sweep
+    and the ``failover`` oracle alike (equal cells share a store
+    record).  Defaults stay out of the kwargs — ``cfg`` compared after
+    ``TestbedConfig`` normalized it, so ``fidelity="packet"`` is one —
+    and historic cells keep their hashes.  ``cfg`` rides in kwargs: the
+    JobSpec ``cfg`` slot is the first positional (``workload`` here)."""
+    kwargs: Dict[str, Any] = dict(
+        workload=workload, seed=seed, warm_ns=warm_ns, measure_ns=measure_ns)
+    if with_probes:
+        kwargs["with_probes"] = True
+    cfg = TestbedConfig(scheme="presto", seed=seed, fidelity=fidelity)
+    if cfg != TestbedConfig(scheme="presto", seed=seed):
+        kwargs["cfg"] = cfg
+    return JobSpec(fn=ref_of(run_failure_timeline), kwargs=kwargs, label=label)
 
 
-def run_figure18(
-    seeds: Sequence[int] = (1, 2),
-    warm_ns: int = DEFAULT_WARM_NS,
-    measure_ns: int = DEFAULT_MEASURE_NS,
-) -> Dict[str, FailureResult]:
-    """RTT distributions per stage under random bijection."""
-    out: Dict[str, FailureResult] = {}
-    timelines = [
-        run_failure_timeline("bijection", seed, warm_ns=warm_ns,
-                             measure_ns=measure_ns, with_probes=True)
-        for seed in seeds
-    ]
-    for stage in STAGES:
-        out[stage] = FailureResult(
-            stage, "bijection",
-            mean([tl.phases[stage].mean_flow_tput_bps for tl in timelines]),
-            [r for tl in timelines for r in tl.phases[stage].rtts_ns],
-        )
-    return out
+def stage_tput_bps(timelines: Sequence[FailureTimeline], stage: str) -> float:
+    """One Fig 17 bar: mean per-flow goodput in ``stage``, over seeds."""
+    return mean([tl.phases[stage].mean_flow_tput_bps for tl in timelines])
+
+
+def stage_rtts_ns(timelines: Sequence[FailureTimeline], stage: str) -> List[int]:
+    """One Fig 18 curve: the probes' RTT samples inside ``stage``."""
+    return [r for tl in timelines for r in tl.phases[stage].rtts_ns]
+
+
+def _cell(workload: str, seed: int, p: Dict[str, Any]) -> JobSpec:
+    return failure_spec(
+        workload, seed, p["warm_ns"], p["measure_ns"], p["fidelity"],
+        p["with_probes"], label=f"failure/{workload}/seed{seed}")
+
+
+def _table(grid):
+    rows = []
+    for workload, timelines in grid.items():
+        rebalance = [tl.convergence.time_to_rebalance_ns for tl in timelines
+                     if tl.convergence.time_to_rebalance_ns is not None]
+        blackholed = mean([tl.blackholed_bytes.get("total", 0)
+                           for tl in timelines])
+        rows.append([
+            workload,
+            *(f"{stage_tput_bps(timelines, stage) / 1e9:.2f}"
+              for stage in STAGES),
+            f"{mean(rebalance) / 1e6:.1f}" if rebalance else "nan",
+            f"{blackholed / 1024:.0f}",
+            "/".join(pct_ms(stage_rtts_ns(timelines, stage), 99)
+                     for stage in STAGES),
+        ])
+    return ["workload", "symmetry Gbps", "failover Gbps", "weighted Gbps",
+            "rebalance ms", "blackholed KB", "rtt p99 ms sym/fo/wt"], rows
+
+
+#: keyed workload -> its per-seed FailureTimelines (one continuous run
+#: each: the fault and the controller's reweight happen mid-simulation)
+FAILURE = Sweep(
+    name="failure",
+    description="Figs 17-18: symmetry -> failover -> weighted as one "
+                "continuous run per workload x seed (S1-L1 dies "
+                "mid-run); --with-probes adds Fig 18's RTT samples",
+    params=(
+        Param("workloads", FAILURE_WORKLOADS, "--workloads", "strs",
+              "comma-separated workload subset (default: "
+              f"{','.join(FAILURE_WORKLOADS)})",
+              coerce=each_in(FAILURE_WORKLOADS, "workload")),
+        seeds_param((1, 2)),
+        WARM,
+        MEASURE,
+        Param("with_probes", False, "--with-probes", "flag",
+              "add two RTT probes (Fig 18; needs >= 3 flows)"),
+        fidelity_param(),
+    ),
+    axes=("workloads",),
+    cell=_cell,
+    reduce=lambda cells, p: {workload: timelines
+                             for (workload,), timelines in cells},
+    table=_table,
+)

@@ -7,15 +7,20 @@ paper's secondary analysis) and the top-10 flowlet sizes per competing
 count reproduce the stacked histogram: with few competitors most of the
 transfer is ONE giant flowlet, so flowlet switching degenerates to
 per-flow placement.
+
+One bar is one :func:`run_flowlet_sizes` job; the figure is the
+:data:`FLOWLET_SIZES` sweep over 0..``max_competing`` competitors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.net.fabrics import TopologySpec
+from repro.runner import JobSpec
+from repro.runner.sweep import Param, Sweep
 from repro.units import MB, msec, usec
 
 
@@ -77,14 +82,42 @@ def run_flowlet_sizes(
     return FlowletSizeResult(competing, transfer_bytes, sizes)
 
 
-def run_figure1(
-    max_competing: int = 8,
-    transfer_bytes: int = 64 * MB,
-    gap_ns: int = usec(500),
-    duration_ns: int = msec(120),
-) -> Dict[int, FlowletSizeResult]:
-    """The full Fig 1 sweep: 0..max_competing background flows."""
-    return {
-        n: run_flowlet_sizes(n, transfer_bytes, gap_ns, duration_ns)
-        for n in range(max_competing + 1)
-    }
+def _cell(competing: int, p: Dict[str, Any]) -> JobSpec:
+    # every parameter but the axis bound is run_flowlet_sizes's keyword
+    kwargs = {name: value for name, value in p.items()
+              if name != "max_competing"}
+    return JobSpec.make(run_flowlet_sizes, competing=competing,
+                        label=f"flowlet_sizes/competing{competing}", **kwargs)
+
+
+def _table(results):
+    return (["competing", "head_frac", "top-10 flowlet sizes"],
+            [[n, f"{res.head_fraction():.2f}",
+              " ".join(f"{s / 1024:.0f}K" for s in res.top(10))]
+             for n, res in sorted(results.items())])
+
+
+#: keyed competing-flow count -> FlowletSizeResult
+FLOWLET_SIZES = Sweep(
+    name="flowlet_sizes",
+    description="Fig 1: flowlet sizes of one large transfer vs 0..N "
+                "competing flows to the same receiver",
+    params=(
+        Param("max_competing", 8, "--max-competing", "int",
+              "sweep 0..N competing flows (default: 8)"),
+        Param("transfer_bytes", 64 * MB, "--transfer-bytes", "int",
+              "size of the measured transfer (default: 64 MB; paper: "
+              "1 GB)"),
+        Param("gap_ns", usec(500), "--gap-ms", "ms",
+              "flowlet inactivity gap, ms (default: 0.5; the paper's "
+              "secondary analysis: 0.1)"),
+        Param("duration_ns", msec(120), "--duration-ms", "ms",
+              "simulated run length, ms (default: 120)"),
+        Param("seed", 0, "--seed", "int", "simulator seed (default: 0)"),
+    ),
+    axes=(lambda p: range(p["max_competing"] + 1),),
+    cell=_cell,
+    reduce=lambda cells, p: {n: res for (n,), (res,) in cells},
+    table=_table,
+)
+run_figure1 = FLOWLET_SIZES.run

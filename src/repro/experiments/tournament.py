@@ -397,9 +397,9 @@ TOURNAMENT = Sweep(
     reduce=_reduce,
     table=lambda result: (["rank", "scheme", "mean place", "wins", "cells"],
                           standings_rows(result)),
-    artifact=Artifact(
-        TOURNAMENT_PATH, tournament_json, render_markdown,
-        ok=lambda result: result.checks_ok, drift=_ranking_diff),
+    ok=lambda result: result.checks_ok,
+    artifact=Artifact(TOURNAMENT_PATH, tournament_json, render_markdown,
+                      drift=_ranking_diff),
 )
 tournament_specs = TOURNAMENT.specs
 run_tournament = TOURNAMENT.run

@@ -6,7 +6,7 @@ it: declare *when* links die, flap, degrade or come back
 react in simulated time (:mod:`repro.faults.controlplane`), measure how
 fast throughput converges (:mod:`repro.faults.metrics`), and soak the
 whole stack under random schedules with conservation-law checking
-(:mod:`repro.faults.soak`, ``python -m repro.faults soak``).
+(:mod:`repro.faults.soak`, ``python -m repro.runner run soak``).
 """
 
 from repro.faults.controlplane import ControlPlane, LinkChange, Reaction

@@ -6,7 +6,10 @@ case runs with hardware fast failover and the modeled control plane
 both live, then :func:`repro.validate.invariants.check_invariants`
 decides pass/fail.  Cases are plain frozen dataclasses, so they ride
 through :mod:`repro.runner` (content-hashed caching, process pool,
-resume) like any experiment job — ``python -m repro.faults soak``.
+resume) like any experiment job; the soak itself is the :data:`SOAK`
+sweep over case indices — ``python -m repro.runner run soak --cases 20
+--seed 0 --jobs 4`` exits 1 if any case violates an invariant, and a
+case whose job crashes shows as a ``JOB-FAILED`` row, not a traceback.
 
 Random switch outages draw from the aggregation layers only (spines on
 a 2-tier Clos; aggs and cores on a fat-tree): a dead leaf/edge switch
@@ -23,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.common import START_JITTER_NS
+from repro.experiments.common import START_JITTER_NS, topology_param
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.metrics import BlackholeAccountant
 from repro.faults.schedule import FaultSchedule, random_schedule
 from repro.net.fabrics import fabric_link_names
 from repro.runner.jobspec import JobSpec
-from repro.runner.sweep import SweepOptions
+from repro.runner.sweep import Param, Sweep
 from repro.sim.rand import RandomStreams
 from repro.units import KB, MB, msec
 from repro.validate.invariants import check_invariants
@@ -192,32 +195,52 @@ class SoakReport:
         return out
 
 
-def run_soak(
-    n_cases: int = 20,
-    base_seed: int = 0,
-    *,
-    fault_window_ns: int = DEFAULT_FAULT_WINDOW_NS,
-    deadline_ns: int = DEFAULT_DEADLINE_NS,
-    max_faults: int = 2,
-    topology: Optional[str] = None,
-    **execution: Any,
-) -> SoakReport:
-    """Sample ``n_cases`` random cases and run them through the runner
-    (``execution`` is any :class:`~repro.runner.sweep.SweepOptions`
-    field: ``jobs=4, store=...``)."""
-    cases = [
-        random_case(base_seed, i, fault_window_ns=fault_window_ns,
-                    deadline_ns=deadline_ns, max_faults=max_faults,
-                    topology=topology)
-        for i in range(n_cases)
-    ]
-    specs = [
-        JobSpec.make(run_soak_case, cfg=case,
-                     label=f"faults/soak/s{base_seed}/c{i}")
-        for i, case in enumerate(cases)
-    ]
-    outcomes = SweepOptions(**execution).outcomes(specs)
-    results = [o.result if o.ok else None for o in outcomes]
-    errors = [o.error if not o.ok else None for o in outcomes]
-    return SoakReport(base_seed=base_seed, cases=cases,
-                      results=results, errors=errors)
+def _cell(index: int, p: Dict[str, Any]) -> JobSpec:
+    case = random_case(
+        p["base_seed"], index, fault_window_ns=p["fault_window_ns"],
+        deadline_ns=p["deadline_ns"], max_faults=p["max_faults"],
+        topology=p["topology"])
+    return JobSpec.make(run_soak_case, cfg=case,
+                        label=f"faults/soak/s{p['base_seed']}/c{index}")
+
+
+def _reduce(cells, p: Dict[str, Any]) -> SoakReport:
+    outcomes = [outcome for _, (outcome,) in cells]
+    return SoakReport(
+        base_seed=p["base_seed"],
+        cases=[o.spec.cfg for o in outcomes],
+        results=[o.result if o.ok else None for o in outcomes],
+        errors=[None if o.ok else o.error for o in outcomes])
+
+
+#: one cell per case index; every per-case seed derives from ``base_seed``
+SOAK = Sweep(
+    name="soak",
+    description="chaos soak: random self-restoring fault schedules on "
+                "live traffic, whole-system invariants checked after "
+                "each case",
+    params=(
+        Param("n_cases", 20, "--cases", "int",
+              "number of random (schedule, seed) cases (default: 20)"),
+        Param("base_seed", 0, "--seed", "int",
+              "base seed all cases derive from (default: 0)"),
+        Param("fault_window_ns", DEFAULT_FAULT_WINDOW_NS, "--window-ms", "ms",
+              "fault window, all faults restored inside it (default: 40)"),
+        Param("deadline_ns", DEFAULT_DEADLINE_NS, "--deadline-ms", "ms",
+              "horizon by which flows + control plane must be done and "
+              "the sim quiesced (default: 500)"),
+        Param("max_faults", 2, "--max-faults", "int",
+              "max composite faults per schedule (default: 2)"),
+        topology_param("fabric under chaos, e.g. 'fat-tree:k=4' (default: "
+                       "the paper's 16-host Clos)"),
+    ),
+    axes=(lambda p: range(p["n_cases"]),),
+    cell=_cell,
+    reduce=_reduce,
+    contain_failures=True,
+    table=lambda report: (
+        ["case", "schedule", "verdict", "flows", "faults", "reactions",
+         "violations"], report.rows()),
+    ok=lambda report: report.ok,
+)
+run_soak = SOAK.run

@@ -13,8 +13,9 @@ fluid testbed speaks the repo's existing contracts: real
 schedules and the modeled control plane, and per-link utilization
 telemetry when armed.
 
-``python -m repro.fluid compare`` runs the same experiment grid at
-both fidelities and writes a per-metric divergence report.
+``python -m repro.runner run compare`` runs the same experiment grid
+at both fidelities and writes a per-metric divergence report
+(:mod:`repro.fluid.compare`).
 """
 
 from repro.fluid.allocator import max_min_allocation

@@ -1,12 +1,14 @@
 """Cross-fidelity divergence report: packet engine vs fluid engine.
 
-``python -m repro.fluid compare`` runs the same experiment cells at
-both fidelities — only ``cfg.fidelity`` differs — and reports, per
-cell and per metric, how far the fluid approximation strays from
-packet-level truth: mice FCT percentiles, per-link utilization over
-the measurement window, and aggregate goodput.  The report is fully
-deterministic (no wall-clock anywhere in the payload), so the tier-2
-cross-fidelity gate can diff it byte for byte.
+``python -m repro.runner run compare`` (the :data:`COMPARE` sweep) runs
+the same experiment cells at both fidelities — only ``cfg.fidelity``
+differs — and reports, per cell and per metric, how far the fluid
+approximation strays from packet-level truth: mice FCT percentiles,
+per-link utilization over the measurement window, and aggregate
+goodput.  The report is fully deterministic (no wall-clock anywhere in
+the payload); the committed ``FLUID_COMPARE.json`` is its artifact, so
+``--check`` diffs a re-run against it byte for byte and names the
+experiment, cell and metric that moved.
 
 Two experiment families, chosen because the paper's headline claims
 live there:
@@ -20,27 +22,32 @@ live there:
 from __future__ import annotations
 
 import json
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro.experiments.common import fct_percentiles
+from repro.experiments.common import (
+    SCALE,
+    each_in,
+    fct_percentiles,
+    scaled_ns,
+    schemes_param,
+)
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.scalability import scalability_config
 from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.collectors import ThroughputMeter
-from repro.units import KB, SEC, msec, usec
+from repro.runner import JobSpec
+from repro.runner.sweep import Artifact, Param, Sweep, seeds_param
+from repro.units import KB, SEC, msec
 
 SCHEMA = "repro.fluid.compare/1"
+COMPARE_PATH = "FLUID_COMPARE.json"
 
 EXPERIMENTS = ("scalability", "failover")
+FIDELITIES = ("packet", "flow")
 
 #: default schemes compared per cell (the paper's protagonist and its
 #: baseline; both must agree across fidelities for the oracles to hold)
 DEFAULT_SCHEMES = ("presto", "ecmp")
-
-
-def _scaled_ns(base_ns: int, scale: float) -> int:
-    return max(int(base_ns * scale), usec(100))
 
 
 def _utilization(delta: Dict[str, int], tb, window_ns: int) -> Dict[str, float]:
@@ -61,15 +68,15 @@ def _utilization(delta: Dict[str, int], tb, window_ns: int) -> Dict[str, float]:
 # --- cell runners ------------------------------------------------------------
 
 
-def _scalability_cell(cfg: TestbedConfig, warm_ns: int,
-                      measure_ns: int) -> Dict:
+def run_scalability_cell(cfg: TestbedConfig, warm_ns: int,
+                         measure_ns: int) -> Dict:
     """Stride elephants + a mice stream on the scalability topology;
     FCTs, utilization over the measure window, aggregate goodput."""
     n_paths = cfg.n_spines
     tb = Testbed(cfg)
     apps = [tb.add_elephant(i, n_paths + i) for i in range(n_paths)]
     mice = tb.add_mice(0, n_paths, size_bytes=50 * KB,
-                       interval_ns=_scaled_ns(msec(2), 1.0),
+                       interval_ns=msec(2),
                        stop_ns=warm_ns + measure_ns)
     meter = ThroughputMeter()
     for app in apps:
@@ -92,8 +99,8 @@ def _scalability_cell(cfg: TestbedConfig, warm_ns: int,
     }
 
 
-def _failover_cell(cfg: TestbedConfig, warm_ns: int,
-                   measure_ns: int) -> Dict:
+def run_failover_cell(cfg: TestbedConfig, warm_ns: int,
+                      measure_ns: int) -> Dict:
     """Fig 17 shape: 4 L1→L4 elephants, spine link L1--S1 dies after
     the symmetric phase; per-phase goodput and whole-run utilization."""
     tb = Testbed(cfg)
@@ -164,66 +171,52 @@ def _divergence(packet: Dict, flow: Dict) -> Dict:
     return out
 
 
-# --- driver ------------------------------------------------------------------
+# --- the sweep ---------------------------------------------------------------
+
+#: experiment family -> (cell function, (scheme, seed, fidelity) -> config)
+_FAMILIES = {
+    "scalability": (run_scalability_cell, lambda scheme, seed, fidelity:
+                    scalability_config(scheme, 4, seed, fidelity)),
+    "failover": (run_failover_cell, lambda scheme, seed, fidelity:
+                 TestbedConfig(scheme=scheme, seed=seed, fidelity=fidelity)),
+}
 
 
-def _cell_config(experiment: str, scheme: str, seed: int) -> TestbedConfig:
-    if experiment == "scalability":
-        return scalability_config(scheme, n_paths=4, seed=seed)
-    if experiment == "failover":
-        return TestbedConfig(scheme=scheme, seed=seed)
-    raise ValueError(
-        f"unknown experiment {experiment!r}; pick from {EXPERIMENTS}")
+def _cell(experiment: str, scheme: str, fidelity: str, seed: int,
+          p: Dict[str, Any]) -> JobSpec:
+    run_cell, config = _FAMILIES[experiment]
+    return JobSpec.make(
+        run_cell, cfg=config(scheme, seed, fidelity),
+        label=f"compare/{experiment}/{scheme}/{fidelity}/seed{seed}",
+        warm_ns=scaled_ns(msec(10), p["scale"]),
+        measure_ns=scaled_ns(msec(20), p["scale"]))
 
 
-def _run_cell(experiment: str, cfg: TestbedConfig, scale: float) -> Dict:
-    if experiment == "scalability":
-        return _scalability_cell(cfg, _scaled_ns(msec(10), scale),
-                                 _scaled_ns(msec(20), scale))
-    return _failover_cell(cfg, _scaled_ns(msec(10), scale),
-                          _scaled_ns(msec(20), scale))
-
-
-def compare_report(
-    experiments: Sequence[str] = EXPERIMENTS,
-    seeds: Sequence[int] = (1, 2, 3),
-    scale: float = 1.0,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    log=None,
-) -> Dict:
-    """Run every (experiment, scheme, seed) cell at both fidelities and
+def _reduce(cells, p: Dict[str, Any]) -> Dict:
+    """Pair every (experiment, scheme, seed) cell's two fidelities and
     fold per-metric divergence into one JSON-able report."""
-    for experiment in experiments:
-        if experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {experiment!r}; pick from "
-                f"{EXPERIMENTS}")
+    sides = dict(cells)
     report: Dict = {
         "schema": SCHEMA,
-        "scale": scale,
-        "seeds": list(seeds),
-        "schemes": list(schemes),
+        "scale": p["scale"],
+        "seeds": list(p["seeds"]),
+        "schemes": list(p["schemes"]),
         "experiments": {},
     }
-    for experiment in experiments:
-        cells: Dict[str, Dict] = {}
-        for scheme in schemes:
-            for seed in seeds:
-                label = f"{scheme}/seed{seed}"
-                if log:
-                    log(f"compare: {experiment}/{label}")
-                base = _cell_config(experiment, scheme, seed)
-                packet = _run_cell(experiment, base, scale)
-                flow = _run_cell(
-                    experiment, replace(base, fidelity="flow"), scale)
-                cells[label] = {
+    for experiment in p["experiments"]:
+        paired: Dict[str, Dict] = {}
+        for scheme in p["schemes"]:
+            for seed, packet, flow in zip(
+                    p["seeds"], *(sides[experiment, scheme, fidelity]
+                                  for fidelity in FIDELITIES)):
+                paired[f"{scheme}/seed{seed}"] = {
                     "packet": packet,
                     "flow": flow,
                     "divergence": _divergence(packet, flow),
                 }
         report["experiments"][experiment] = {
-            "cells": cells,
-            "summary": _summarize(cells),
+            "cells": paired,
+            "summary": _summarize(paired),
         }
     return report
 
@@ -241,7 +234,64 @@ def _summarize(cells: Dict[str, Dict]) -> Dict:
     return {key: worst[key] for key in sorted(worst)}
 
 
-def write_report(report: Dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _summary_rows(report: Dict) -> List[List[object]]:
+    return [[experiment, metric, worst]
+            for experiment, family in sorted(report["experiments"].items())
+            for metric, worst in family["summary"].items()]
+
+
+def render_markdown(report: Dict) -> str:
+    rows = [f"| {experiment} | {metric} | {worst:+.4f} |"
+            for experiment, metric, worst in _summary_rows(report)]
+    return "\n".join([
+        "# Packet vs flow fidelity: worst divergence per metric",
+        "",
+        "`*_rel` = (flow - packet) / packet; `link_util_*` = absolute "
+        "utilization gap.  Per-cell numbers are in the JSON report.",
+        "",
+        "| experiment | metric | worst divergence |",
+        "| --- | --- | ---: |",
+        *rows, ""])
+
+
+def _divergences(report: Dict) -> Dict[str, Optional[float]]:
+    return {f"{experiment}/{cell} {metric}": value
+            for experiment, family in report.get("experiments", {}).items()
+            for cell, record in family["cells"].items()
+            for metric, value in record["divergence"].items()}
+
+
+def _drift(old: Dict, new: Dict) -> List[str]:
+    """Every experiment/cell/metric whose divergence moved."""
+    was, now = _divergences(old), _divergences(new)
+    return [f"{key} drifted: committed {was.get(key)!r} != new "
+            f"{now.get(key)!r}"
+            for key in sorted(was.keys() | now.keys())
+            if was.get(key) != now.get(key)]
+
+
+#: grid order experiment > scheme > fidelity > seed; defaults reproduce
+#: the committed FLUID_COMPARE.json
+COMPARE = Sweep(
+    name="compare",
+    description="packet vs flow fidelity: the same cells on both "
+                "engines, per-metric divergence; defaults reproduce the "
+                "committed FLUID_COMPARE.json",
+    params=(
+        Param("experiments", EXPERIMENTS, "--experiments", "strs",
+              f"families to compare (default: {','.join(EXPERIMENTS)})",
+              coerce=each_in(EXPERIMENTS, "experiment")),
+        seeds_param((1, 2, 3)),
+        SCALE,
+        schemes_param(DEFAULT_SCHEMES),
+    ),
+    axes=("experiments", "schemes", lambda p: FIDELITIES),
+    cell=_cell,
+    reduce=_reduce,
+    table=lambda report: (["experiment", "metric", "worst divergence"],
+                          _summary_rows(report)),
+    artifact=Artifact(
+        COMPARE_PATH,
+        lambda report: json.dumps(report, indent=2, sort_keys=True) + "\n",
+        render_markdown, drift=_drift),
+)

@@ -29,7 +29,7 @@ Fidelity anchors (what stays *identical* to the packet engine):
   invariant that keeps mice-vs-elephant FCT ordering truthful.
 
 What is approximated away: queueing delay, slow start, retransmission
-and reordering.  ``python -m repro.fluid compare`` quantifies the
+and reordering.  ``python -m repro.runner run compare`` quantifies the
 resulting divergence per metric.
 """
 

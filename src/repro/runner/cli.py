@@ -19,11 +19,14 @@ and a machine-readable ``runner_<sweep>.json``; per-job results land in
 ``<results-dir>/store/<hash>.json``, which is what makes a re-run
 resume instead of re-simulate.
 
-This module also owns the flag plumbing the validate, faults and
-service CLIs reuse (:func:`add_execution_flags`,
-:func:`execution_options`, :func:`add_param_flags`,
-:func:`param_values`), so each flag and each rejection message is
-defined once.
+Exit status: 0, 1 when the sweep's own verdict fails (an oracle check,
+a soak invariant, a crashed cell of either) or ``--check`` finds drift,
+2 for a flag value the sweep cannot run with.
+
+This module also owns the flag plumbing ``service submit`` reuses
+(:func:`add_execution_flags`, :func:`execution_options`,
+:func:`add_param_flags`, :func:`param_values`), so each flag and each
+rejection message is defined once.
 """
 
 from __future__ import annotations
@@ -59,10 +62,9 @@ def add_retries_flag(parser: argparse.ArgumentParser) -> None:
              "'Running sweeps')")
 
 
-def add_execution_flags(parser: argparse.ArgumentParser,
-                        no_store: bool = False) -> None:
+def add_execution_flags(parser: argparse.ArgumentParser) -> None:
     """``--jobs/--force/--timeout/--retries/--service/--results-dir/
-    --quiet`` (and ``--no-store`` where a command has always had it)."""
+    --no-store/--quiet``."""
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes (default: os.cpu_count(); 1 = in-process "
@@ -84,10 +86,10 @@ def add_execution_flags(parser: argparse.ArgumentParser,
         "--results-dir", default=None, metavar="DIR",
         help=f"results root (default: ${RESULTS_DIR_ENV} or "
              f"{DEFAULT_RESULTS_DIR})")
-    if no_store:
-        parser.add_argument(
-            "--no-store", action="store_true",
-            help="skip the result store entirely")
+    parser.add_argument(
+        "--no-store", action="store_true",
+        help="skip the result store entirely: nothing cached, nothing "
+             "resumed")
     parser.add_argument(
         "--quiet", action="store_true",
         help="suppress per-job progress lines")
@@ -101,10 +103,9 @@ def execution_options(ns: argparse.Namespace) -> SweepOptions:
         raise UsageError(f"--timeout must be positive, got {ns.timeout}")
     if ns.retries < 0:
         raise UsageError(f"--retries must be >= 0, got {ns.retries}")
-    no_store = getattr(ns, "no_store", False)
     return SweepOptions(
         jobs=ns.jobs,
-        store=None if no_store else ResultStore(ns.results_dir),
+        store=None if ns.no_store else ResultStore(ns.results_dir),
         force=ns.force,
         timeout_s=ns.timeout,
         retries=ns.retries,
@@ -321,6 +322,24 @@ def sweep_params(sweep: Sweep, ns: argparse.Namespace) -> Dict[str, Any]:
     return params
 
 
+def save_table(stem: str, name: str, table: str,
+               data: Any = None) -> Tuple[str, str]:
+    """Write a rendered table as ``<stem>.txt`` and, machine-readable,
+    ``<stem>.json`` (``data`` encoded so ``from_jsonable`` restores the
+    original dataclasses) — the one writer behind ``runner run`` and
+    the ``benchmarks/bench_*`` modules."""
+    os.makedirs(os.path.dirname(stem) or ".", exist_ok=True)
+    with open(f"{stem}.txt", "w") as fh:
+        fh.write(table + "\n")
+    payload = {"name": name, "table": table}
+    if data is not None:
+        payload["data"] = to_jsonable(data)
+    with open(f"{stem}.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return f"{stem}.txt", f"{stem}.json"
+
+
 def _cmd_run(argv: List[str]) -> int:
     from repro.experiments.harness import format_table
     from repro.runner.sweeps import SWEEPS
@@ -346,62 +365,53 @@ def _cmd_run(argv: List[str]) -> int:
     table = format_table(*sweep.table(payload))
     print(table)
 
-    root = options.store.root
-    os.makedirs(root, exist_ok=True)
-    txt_path = os.path.join(root, f"runner_{name}.txt")
-    with open(txt_path, "w") as fh:
-        fh.write(table + "\n")
-    json_path = os.path.join(root, f"runner_{name}.json")
-    with open(json_path, "w") as fh:
-        json.dump(
-            {"name": name, "table": table, "data": to_jsonable(payload)},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    root = ResultStore(ns.results_dir).root
+    txt_path, json_path = save_table(
+        os.path.join(root, f"runner_{name}"), name, table, payload)
     print(f"saved {txt_path} and {json_path}", file=sys.stderr)
 
     if ns.metrics_out:
-        _write_metrics_out(options.store, name, ns.metrics_out)
+        _write_metrics_out(ResultStore(ns.results_dir), name, ns.metrics_out)
     if ns.trace:
         print(f"traces in {os.path.join(root, 'traces')} "
               "(load a .trace.json at https://ui.perfetto.dev)",
               file=sys.stderr)
+    ok = sweep.ok(payload)
+    if not ok:
+        print("the result's own checks FAILED (see the table)",
+              file=sys.stderr)
     if sweep.artifact is not None:
-        return _artifact_gate(sweep.artifact, payload, ns)
-    return 0
+        ok = _artifact_gate(sweep.artifact, payload, ns) and ok
+    return 0 if ok else 1
 
 
-def _artifact_gate(artifact, payload: Any, ns: argparse.Namespace) -> int:
+def _artifact_gate(artifact, payload: Any, ns: argparse.Namespace) -> bool:
     """Write the artifact, or with ``--check`` diff it against the
-    committed file.  Exit status 1 = drift or a failed verdict."""
+    committed file; False = drift."""
     if ns.markdown:
         with open(ns.markdown, "w") as fh:
             fh.write(artifact.to_markdown(payload))
         print(f"saved {ns.markdown}", file=sys.stderr)
-    ok = artifact.ok(payload)
-    if not ok:
-        print("the result's own checks FAILED (see the report)",
-              file=sys.stderr)
     new = artifact.to_json(payload)
     if not ns.check:
         with open(ns.out, "w") as fh:
             fh.write(new)
         print(f"saved {ns.out}", file=sys.stderr)
-        return 0 if ok else 1
+        return True
     try:
         with open(ns.out) as fh:
             committed = fh.read()
     except OSError as exc:
         print(f"--check: cannot read {ns.out}: {exc}", file=sys.stderr)
-        return 1
+        return False
     if committed == new:
         print(f"--check: {ns.out} reproduced byte-for-byte", file=sys.stderr)
-        return 0 if ok else 1
+        return True
     for line in artifact.drift(json.loads(committed), json.loads(new)):
         print(f"--check: {line}", file=sys.stderr)
     print(f"--check: {ns.out} drifted from this run (regenerate with the "
           f"same flags and review the diff)", file=sys.stderr)
-    return 1
+    return False
 
 
 def _write_metrics_out(store: ResultStore, sweep_name: str, path: str) -> None:

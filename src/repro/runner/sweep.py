@@ -12,6 +12,7 @@ results — written as a committed artifact with a drift gate.  A
   regroup -> reducer.  ``execution`` is any :class:`SweepOptions` field;
 * the ``runner run`` / ``service submit`` flags — one per
   :class:`Param` that names a ``flag`` (see :mod:`repro.runner.cli`);
+* ``runner run``'s exit status — from the sweep's ``ok`` verdict;
 * ``--out/--check/--markdown`` — from the sweep's :class:`Artifact`.
 
 An iterative search is not a static grid: it declares a ``driver``
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.runner.jobspec import JobSpec
 from repro.runner.pool import JobOutcome, collect_results, run_jobs
@@ -49,10 +51,6 @@ class SweepOptions:
     def outcomes(self, specs: Sequence[JobSpec]) -> List[JobOutcome]:
         """One outcome per spec, in order; failures are contained."""
         return run_jobs(specs, **vars(self))
-
-    def execute(self, specs: Sequence[JobSpec]) -> List[Any]:
-        """The specs' results in order; raises if any job failed."""
-        return collect_results(self.outcomes(specs))
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,6 @@ class Artifact:
     path: str
     to_json: Callable[[Any], str]
     to_markdown: Callable[[Any], str]
-    #: the result's own verdict (a drift-free run can still fail it)
-    ok: Callable[[Any], bool] = lambda payload: True
     #: names what moved between the committed and the new decoded
     #: JSON when ``--check`` finds the bytes differ
     drift: Callable[[Dict, Dict], List[str]] = lambda old, new: []
@@ -113,13 +109,22 @@ class Sweep:
     params: Tuple[Param, ...]
     #: payload -> (headers, rows) for the printed table
     table: Callable[[Any], Tuple[List[str], List[List[object]]]]
-    #: names of the parameters spanning the grid, outermost first; the
-    #: "seeds" parameter is always the innermost axis
-    axes: Tuple[str, ...] = ()
-    #: ``cell(*point, seed, params)`` -> that trial's JobSpec
+    #: the grid's axes, outermost first: the name of a parameter holding
+    #: the axis values, or ``params -> values`` for an axis derived from
+    #: one (case indices from a count) or fixed by the experiment.  A
+    #: "seeds" parameter, when declared, is the innermost axis
+    axes: Tuple[Union[str, Callable[[Dict[str, Any]], Iterable]], ...] = ()
+    #: ``cell(*point, seed, params)`` -> that trial's JobSpec (no
+    #: ``seed`` argument when the sweep declares no "seeds")
     cell: Optional[Callable[..., JobSpec]] = None
     #: ``reduce([(point, per-seed results), ...], params)`` -> payload
     reduce: Optional[Callable[[List[Tuple[tuple, List[Any]]], Dict], Any]] = None
+    #: for sweeps that exist to find failures: a crashed cell does not
+    #: raise out of ``run``; the reducer gets every cell's
+    #: :class:`JobOutcome` (result or error text) in place of its result
+    contain_failures: bool = False
+    #: the payload's own verdict; ``runner run`` exits 1 when it fails
+    ok: Callable[[Any], bool] = lambda payload: True
     #: ``driver(params, options)`` -> payload, for sweeps whose jobs
     #: depend on earlier results (no static grid, no ``specs()``)
     driver: Optional[Callable[[Dict[str, Any], SweepOptions], Any]] = None
@@ -149,11 +154,14 @@ class Sweep:
             raise ValueError(
                 f"sweep {self.name!r} has no static grid: its jobs depend "
                 f"on earlier results")
-        for point in itertools.product(*(p[axis] for axis in self.axes)):
-            yield point, [self._spec(point, seed, p) for seed in p["seeds"]]
+        trials = [(seed,) for seed in p["seeds"]] if "seeds" in p else [()]
+        for point in itertools.product(
+                *(axis(p) if callable(axis) else p[axis]
+                  for axis in self.axes)):
+            yield point, [self._spec(point + trial, p) for trial in trials]
 
-    def _spec(self, point: tuple, seed: int, p: Dict[str, Any]) -> JobSpec:
-        spec = self.cell(*point, seed, p)
+    def _spec(self, trial: tuple, p: Dict[str, Any]) -> JobSpec:
+        spec = self.cell(*trial, p)
         if p.get("telemetry") is not None:
             from repro.telemetry import per_cell_telemetry
 
@@ -177,8 +185,10 @@ class Sweep:
         if self.driver is not None:
             return self.driver(p, options)
         cells = list(self.grid(p))
-        results = iter(options.execute(
-            [spec for _, per_seed in cells for spec in per_seed]))
+        outcomes = options.outcomes(
+            [spec for _, per_seed in cells for spec in per_seed])
+        results = iter(outcomes if self.contain_failures
+                       else collect_results(outcomes))
         return self.reduce(
             [(point, [next(results) for _ in per_seed])
              for point, per_seed in cells], p)

@@ -1,6 +1,6 @@
 """repro.validate — paper-fidelity validation.
 
-Three layers, one promise: a regression in the reproduced physics
+Two layers, one promise: a regression in the reproduced physics
 cannot pass silently.
 
 * **Always-on invariants** (:mod:`repro.validate.invariants`) —
@@ -9,10 +9,10 @@ cannot pass silently.
   schedule consistency, flowcell-ID monotonicity, GRO no-data-loss.
 * **Figure oracles** (:mod:`repro.validate.oracles`) — seed-robust
   qualitative assertions per headline paper result (FCT ordering, GRO
-  reordering bounds, failover/rebalance convergence), fanned out
-  through :mod:`repro.runner`.
-* **CLI** — ``python -m repro.validate`` runs the oracle suite and
-  writes machine-readable ``VALIDATION.json``.
+  reordering bounds, failover/rebalance convergence).  Each is a sweep
+  whose reducer returns a verdict: ``python -m repro.runner run
+  fct_ordering`` prints the checks, writes ``runner_fct_ordering.json``
+  and exits 1 when one fails.
 
 This package's top level stays import-light (invariants + report
 shapes only): the experiment-heavy oracle modules load lazily so
@@ -27,12 +27,7 @@ from repro.validate.invariants import (
     check_invariants,
     runtime_check,
 )
-from repro.validate.report import (
-    OracleCheck,
-    OracleReport,
-    validation_payload,
-    write_validation_json,
-)
+from repro.validate.report import OracleCheck, OracleReport
 
 __all__ = [
     "InvariantReport",
@@ -43,6 +38,4 @@ __all__ = [
     "runtime_check",
     "OracleCheck",
     "OracleReport",
-    "validation_payload",
-    "write_validation_json",
 ]

@@ -1,11 +1,16 @@
 """Figure oracles: machine-checked, seed-robust claims per headline
 paper result.
 
-Each oracle runs a scaled-down configuration of the existing
-experiment code (the same ``Testbed`` path the figures use) across a
-seed sweep via :mod:`repro.runner`, then asserts the paper's
-*qualitative* claim — orderings and bounds, never exact numbers, so
-the verdicts survive re-seeding and scale changes:
+Each oracle is a :class:`~repro.runner.sweep.Sweep` (``python -m
+repro.runner run fct_ordering --seeds 1,2,3 --jobs 4``) over a
+scaled-down configuration of the existing experiment code (the same
+``Testbed`` path the figures use) whose reducer is a verdict: it
+asserts the paper's *qualitative* claim — orderings and bounds, never
+exact numbers, so the verdicts survive re-seeding and scale changes —
+and returns an :class:`~repro.validate.report.OracleReport`.  A failed
+check makes ``runner run`` exit 1; a cell that crashes does not kill
+the run, it surfaces as a failed ``jobs_completed`` check carrying the
+error text:
 
 ``fct_ordering`` (Figs 9/16)
     Under a fabric-saturating stride workload with concurrent mice,
@@ -31,25 +36,34 @@ the verdicts survive re-seeding and scale changes:
     reaction; the post-reweight phase recovers at least a floor
     fraction of pre-fault per-flow throughput.
 
-Thresholds are deliberately loose (documented constants below): a
-violated oracle means a *regression in the reproduced physics*, not a
-tolerance misjudged by a few percent.
+An oracle that cannot run at flow fidelity, or on a fabric other than
+its own, says so by what its ``fidelity``/``topology`` parameter
+accepts.  Thresholds are deliberately loose (documented constants
+below): a violated oracle means a *regression in the reproduced
+physics*, not a tolerance misjudged by a few percent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.experiments.failure import run_failure_timeline
+from repro.experiments.common import (
+    SCALE,
+    fidelity_param,
+    scaled_ns,
+    topology_param,
+)
+from repro.experiments.fabric_sweep import fabric_config, run_fabric_cell
+from repro.experiments.failure import failure_spec
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.synthetic import run_synthetic_seed
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.stats import mean
-from repro.runner import JobSpec, ref_of
-from repro.runner.sweep import SweepOptions
-from repro.units import msec, usec
-from repro.validate.report import OracleReport
+from repro.runner import JobSpec
+from repro.runner.sweep import Param, Sweep, seeds_param
+from repro.units import msec
+from repro.validate.report import OracleReport, report_table
 
 # --- thresholds (the qualitative claims, as numbers) -------------------------
 
@@ -92,45 +106,100 @@ TOURNAMENT_DRAIN_NS = msec(5)
 TOURNAMENT_LOAD_SCALE = 2.0
 
 
-def _scaled_ns(base_ns: int, scale: float) -> int:
-    """Scale a window, floored so a tiny test scale still simulates."""
-    return max(int(base_ns * scale), usec(100))
+# --- an oracle is a sweep whose reducer is a verdict -------------------------
+
+
+def _packet_only(oracle: str, why: str) -> Param:
+    """``fidelity`` for an oracle that taps packet-level machinery."""
+    def coerce(fidelity: Optional[str]) -> Optional[str]:
+        if fidelity == "flow":
+            raise ValueError(f"{oracle} is packet-only: {why}")
+        return fidelity
+
+    return replace(fidelity_param(), coerce=coerce)
+
+
+def _pinned(oracle: str, fabric: str) -> Param:
+    """``topology`` for an oracle that replays one paper fabric."""
+    def coerce(topology: Optional[str]) -> None:
+        if topology is not None:
+            raise ValueError(f"{oracle} is pinned to {fabric}; --topology "
+                             f"does not apply")
+
+    return Param("topology", None, "--topology",
+                 help=f"rejected: this oracle is pinned to {fabric}",
+                 coerce=coerce)
+
+
+def oracle_sweep(
+    name: str,
+    figure: str,
+    claim: str,
+    schemes: Sequence[str],
+    cell: Callable[[str, int, Dict[str, Any]], JobSpec],
+    evaluate: Callable[[OracleReport, Dict[str, List[Any]], Dict[str, Any]],
+                       None],
+    fidelity: Param = fidelity_param(),
+    topology: Param = topology_param(
+        "fabric to rerun the claim on, e.g. 'fat-tree:k=4' (default: the "
+        "oracle's own)"),
+) -> Sweep:
+    """One figure oracle: scheme x seed cells, and ``evaluate`` adding
+    its checks to the report given ``{scheme: per-seed results}``."""
+
+    def reduce(cells, p: Dict[str, Any]) -> OracleReport:
+        report = OracleReport(oracle=name, figure=figure, seeds=p["seeds"])
+        outcomes = [o for _, per_seed in cells for o in per_seed]
+        failed = [o for o in outcomes if not o.ok]
+        if failed:
+            report.require(
+                "jobs_completed", False,
+                detail="; ".join(
+                    f"{o.spec.display}: {o.error}" for o in failed),
+                n_failed=len(failed), n_jobs=len(outcomes),
+            )
+        else:
+            evaluate(report, {scheme: [o.result for o in per_seed]
+                              for (scheme,), per_seed in cells}, p)
+        return report
+
+    return Sweep(
+        name=name,
+        description=f"oracle, {figure}: {claim}",
+        params=(seeds_param((1, 2, 3)), SCALE, fidelity, topology),
+        axes=(lambda p: schemes,),
+        cell=cell,
+        reduce=reduce,
+        contain_failures=True,
+        table=report_table,
+        ok=lambda report: report.passed,
+    )
 
 
 # --- fct_ordering ------------------------------------------------------------
 
 
-def _fct_specs(seeds: Sequence[int], scale: float,
-               fidelity: Optional[str] = None,
-               topology: Optional[str] = None) -> List[JobSpec]:
+def _fct_cell(scheme: str, seed: int, p: Dict[str, Any]) -> JobSpec:
     # topology rides inside each cell's config, where the default (and
     # any 2-tier clos spec) normalizes to the hash-preserving None —
     # historic stride cells keep their cache keys.
-    return [
-        JobSpec.make(
-            run_synthetic_seed,
-            cfg=TestbedConfig(scheme=scheme, seed=seed, fidelity=fidelity,
-                              topology=topology),
-            label=f"validate/fct/{scheme}/seed{seed}",
-            workload="stride",
-            warm_ns=_scaled_ns(FCT_WARM_NS, scale),
-            measure_ns=_scaled_ns(FCT_MEASURE_NS, scale),
-            with_mice=True,
-            mice_interval_ns=_scaled_ns(FCT_MICE_INTERVAL_NS, scale),
-        )
-        for scheme in FCT_SCHEMES
-        for seed in seeds
-    ]
+    return JobSpec.make(
+        run_synthetic_seed,
+        cfg=TestbedConfig(scheme=scheme, seed=seed, fidelity=p["fidelity"],
+                          topology=p["topology"]),
+        label=f"validate/fct/{scheme}/seed{seed}",
+        workload="stride",
+        warm_ns=scaled_ns(FCT_WARM_NS, p["scale"]),
+        measure_ns=scaled_ns(FCT_MEASURE_NS, p["scale"]),
+        with_mice=True,
+        mice_interval_ns=scaled_ns(FCT_MICE_INTERVAL_NS, p["scale"]),
+    )
 
 
-def _fct_evaluate(seeds: Tuple[int, ...], scale: float,
-                  results: List[Any]) -> OracleReport:
-    report = OracleReport(oracle="fct_ordering", figure="Fig 9/16",
-                          seeds=seeds)
-    samples: Dict[str, List[int]] = {}
-    it = iter(results)
-    for scheme in FCT_SCHEMES:
-        samples[scheme] = [f for _ in seeds for f in next(it).mice_fcts_ns]
+def _fct_evaluate(report: OracleReport, runs: Dict[str, List[Any]],
+                  p: Dict[str, Any]) -> None:
+    samples = {scheme: [f for run in runs[scheme] for f in run.mice_fcts_ns]
+               for scheme in FCT_SCHEMES}
     report.require(
         "mice_samples",
         all(samples[s] for s in FCT_SCHEMES),
@@ -154,55 +223,42 @@ def _fct_evaluate(seeds: Tuple[int, ...], scale: float,
         presto_ms=means_ms["presto"], optimal_ms=means_ms["optimal"],
         tolerance=FCT_OPTIMAL_TOLERANCE,
     )
-    return report
+
+
+FCT_ORDERING = oracle_sweep(
+    "fct_ordering", "Fig 9/16",
+    f"Presto mean mice FCT < ECMP and within {FCT_OPTIMAL_TOLERANCE}x of "
+    "Optimal under a saturating stride workload",
+    FCT_SCHEMES, _fct_cell, _fct_evaluate,
+)
 
 
 # --- tournament_ordering -----------------------------------------------------
 
 
-def _tournament_specs(seeds: Sequence[int], scale: float,
-                      fidelity: Optional[str] = None,
-                      topology: Optional[str] = None) -> List[JobSpec]:
-    # Packet fidelity is the point: RepFlow's hedge pays off against
-    # hash-collision queueing, which the fluid engine's smooth rate
-    # sharing never produces (there, the duplicate's access-link cost
-    # is all that remains and the claim inverts).
-    if fidelity == "flow":
-        raise ValueError(
-            "tournament_ordering is packet-only: RepFlow's first-"
-            "finisher gain comes from collision queueing the fluid "
-            "engine does not model")
-    from repro.experiments.fabric_sweep import fabric_config, run_fabric_cell
-
-    return [
-        JobSpec.make(
-            run_fabric_cell,
-            cfg=fabric_config(topology or TOURNAMENT_TOPOLOGY, scheme,
-                              seed, fidelity),
-            label=f"validate/tournament/{scheme}/seed{seed}",
-            workload=TOURNAMENT_WORKLOAD,
-            duration_ns=_scaled_ns(TOURNAMENT_DURATION_NS, scale),
-            load_scale=TOURNAMENT_LOAD_SCALE,
-            drain_ns=_scaled_ns(TOURNAMENT_DRAIN_NS, scale),
-        )
-        for scheme in TOURNAMENT_SCHEMES
-        for seed in seeds
-    ]
+def _tournament_cell(scheme: str, seed: int, p: Dict[str, Any]) -> JobSpec:
+    return JobSpec.make(
+        run_fabric_cell,
+        cfg=fabric_config(p["topology"] or TOURNAMENT_TOPOLOGY, scheme,
+                          seed, p["fidelity"]),
+        label=f"validate/tournament/{scheme}/seed{seed}",
+        workload=TOURNAMENT_WORKLOAD,
+        duration_ns=scaled_ns(TOURNAMENT_DURATION_NS, p["scale"]),
+        load_scale=TOURNAMENT_LOAD_SCALE,
+        drain_ns=scaled_ns(TOURNAMENT_DRAIN_NS, p["scale"]),
+    )
 
 
-def _tournament_evaluate(seeds: Tuple[int, ...], scale: float,
-                         results: List[Any]) -> OracleReport:
-    report = OracleReport(oracle="tournament_ordering", figure="Tournament",
-                          seeds=seeds)
+def _tournament_evaluate(report: OracleReport, runs: Dict[str, List[Any]],
+                         p: Dict[str, Any]) -> None:
     # count-weighted mean over seeds: cells carry P^2 summaries, not
     # raw FCT populations
     means_ms: Dict[str, float] = {}
     counts: Dict[str, int] = {}
-    it = iter(results)
     for scheme in TOURNAMENT_SCHEMES:
         total, n = 0.0, 0
-        for _ in seeds:
-            summary = next(it).fct_summary
+        for run in runs[scheme]:
+            summary = run.fct_summary
             count = summary.get("count") or 0
             if count and summary.get("mean") is not None:
                 total += summary["mean"] * count
@@ -228,7 +284,19 @@ def _tournament_evaluate(seeds: Tuple[int, ...], scale: float,
                "queueing despite doubling their own access-link load",
         repflow_ms=means_ms["repflow"], ecmp_ms=means_ms["ecmp"],
     )
-    return report
+
+
+TOURNAMENT_ORDERING = oracle_sweep(
+    "tournament_ordering", "Tournament",
+    "Presto and RepFlow mean mice FCT below ECMP on a doubled-load "
+    "websearch tournament cell",
+    TOURNAMENT_SCHEMES, _tournament_cell, _tournament_evaluate,
+    fidelity=_packet_only(
+        "tournament_ordering",
+        "RepFlow's first-finisher gain comes from collision queueing the "
+        "fluid engine does not model (there, the duplicate's access-link "
+        "cost is all that remains and the claim inverts)"),
+)
 
 
 # --- gro_reordering ----------------------------------------------------------
@@ -247,13 +315,6 @@ class ReorderCell:
     #: segments delivered to TCP behind the highest sequence already
     #: delivered for their flow — scheme-agnostic TCP-visible disorder
     ooo_segments: int = 0
-
-    @property
-    def frac_zero_ooo(self) -> float:
-        if not self.ooo_counts:
-            return 0.0
-        return (sum(1 for c in self.ooo_counts if c == 0)
-                / len(self.ooo_counts))
 
 
 class _SeqOrderTap:
@@ -309,39 +370,21 @@ def run_reorder_cell(cfg: TestbedConfig,
     )
 
 
-def _reorder_specs(seeds: Sequence[int], scale: float,
-                   fidelity: Optional[str] = None,
-                   topology: Optional[str] = None) -> List[JobSpec]:
-    if fidelity == "flow":
-        raise ValueError(
-            "gro_reordering is packet-only: it taps per-segment GRO "
-            "delivery, which the fluid engine does not model")
-    if topology is not None:
-        raise ValueError(
-            "gro_reordering pins the Fig 4b two-path fabric; "
-            "--topology does not apply")
-    return [
-        JobSpec.make(
-            run_reorder_cell,
-            cfg=reorder_config(scheme, seed),
-            label=f"validate/reorder/{scheme}/seed{seed}",
-            duration_ns=_scaled_ns(REORDER_DURATION_NS, scale),
-        )
-        for scheme in REORDER_SCHEMES
-        for seed in seeds
-    ]
+def _reorder_cell(scheme: str, seed: int, p: Dict[str, Any]) -> JobSpec:
+    return JobSpec.make(
+        run_reorder_cell,
+        cfg=reorder_config(scheme, seed),
+        label=f"validate/reorder/{scheme}/seed{seed}",
+        duration_ns=scaled_ns(REORDER_DURATION_NS, p["scale"]),
+    )
 
 
-def _reorder_evaluate(seeds: Tuple[int, ...], scale: float,
-                      results: List[Any]) -> OracleReport:
-    report = OracleReport(oracle="gro_reordering", figure="Fig 5/11",
-                          seeds=seeds)
+def _reorder_evaluate(report: OracleReport, runs: Dict[str, List[Any]],
+                      p: Dict[str, Any]) -> None:
     counts: Dict[str, List[int]] = {}
     pushed: Dict[str, int] = {}
     ooo: Dict[str, int] = {}
-    it = iter(results)
-    for scheme in REORDER_SCHEMES:
-        cells = [next(it) for _ in seeds]
+    for scheme, cells in runs.items():
         counts[scheme] = [c for cell in cells for c in cell.ooo_counts]
         pushed[scheme] = sum(cell.pushed_segments for cell in cells)
         ooo[scheme] = sum(cell.ooo_segments for cell in cells)
@@ -383,48 +426,36 @@ def _reorder_evaluate(seeds: Tuple[int, ...], scale: float,
         frac_ooo_presto=frac_ooo["presto"],
         frac_ooo_perpacket=frac_ooo["perpacket"],
     )
-    return report
+
+
+GRO_REORDERING = oracle_sweep(
+    "gro_reordering", "Fig 5/11",
+    f"fraction of zero-out-of-order flowcells >= {PRESTO_ZERO_OOO_MIN} for "
+    "Presto+GRO and strictly above per-packet spraying",
+    REORDER_SCHEMES, _reorder_cell, _reorder_evaluate,
+    fidelity=_packet_only(
+        "gro_reordering",
+        "it taps per-segment GRO delivery, which the fluid engine does "
+        "not model"),
+    topology=_pinned("gro_reordering", "the Fig 4b two-path fabric"),
+)
 
 
 # --- failover ----------------------------------------------------------------
 
 
-def _failover_specs(seeds: Sequence[int], scale: float,
-                    fidelity: Optional[str] = None,
-                    topology: Optional[str] = None) -> List[JobSpec]:
-    if topology is not None:
-        raise ValueError(
-            "failover replays the paper's L1->L4 timeline on the "
-            "16-host Clos; --topology does not apply")
-    specs = []
-    for seed in seeds:
-        kwargs = dict(
-            workload=FAILOVER_WORKLOAD,
-            seed=seed,
-            warm_ns=_scaled_ns(FAILOVER_WARM_NS, scale),
-            measure_ns=_scaled_ns(FAILOVER_MEASURE_NS, scale),
-        )
-        # The explicit cfg joins the kwargs only when fidelity is set,
-        # so default runs keep their historical content hashes (cache
-        # keys in the ResultStore stay warm).  It rides in kwargs —
-        # never the JobSpec ``cfg`` slot, whose value is passed as the
-        # first positional argument (``workload`` here).
-        if fidelity is not None:
-            kwargs["cfg"] = TestbedConfig(
-                scheme="presto", seed=seed, fidelity=fidelity)
-        specs.append(JobSpec(
-            fn=ref_of(run_failure_timeline),
-            kwargs=kwargs,
-            label=f"validate/failover/seed{seed}",
-        ))
-    return specs
+def _failover_cell(scheme: str, seed: int, p: Dict[str, Any]) -> JobSpec:
+    return failure_spec(
+        FAILOVER_WORKLOAD, seed,
+        scaled_ns(FAILOVER_WARM_NS, p["scale"]),
+        scaled_ns(FAILOVER_MEASURE_NS, p["scale"]),
+        p["fidelity"], label=f"validate/failover/seed{seed}")
 
 
-def _failover_evaluate(seeds: Tuple[int, ...], scale: float,
-                       results: List[Any]) -> OracleReport:
-    report = OracleReport(oracle="failover", figure="Fig 17/18",
-                          seeds=seeds)
-    measure_ns = _scaled_ns(FAILOVER_MEASURE_NS, scale)
+def _failover_evaluate(report: OracleReport, runs: Dict[str, List[Any]],
+                       p: Dict[str, Any]) -> None:
+    results = runs["presto"]
+    measure_ns = scaled_ns(FAILOVER_MEASURE_NS, p["scale"])
     # Hardware failover engages failover_latency after the fault; the
     # timeline samples in measure/6 windows, so allow the latency plus
     # half a phase for TCP to ramp back through the detection grid.
@@ -470,145 +501,14 @@ def _failover_evaluate(seeds: Tuple[int, ...], scale: float,
         worst_fraction=min(ratios, default=0.0),
         threshold=REBALANCE_MIN_FRACTION,
     )
-    return report
 
 
-# --- registry ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleDef:
-    """One figure oracle: a spec builder plus its verdict function."""
-
-    name: str
-    figure: str
-    description: str
-    build_specs: Callable[..., List[JobSpec]]
-    evaluate: Callable[[Tuple[int, ...], float, List[Any]], OracleReport]
-    #: oracles that tap packet-level machinery (GRO, segment order)
-    #: cannot run at fidelity="flow"
-    packet_only: bool = False
-    #: oracles pinned to a specific paper fabric ignore --topology;
-    #: with --all + --topology they are skipped, named explicitly they
-    #: raise
-    fixed_topology: bool = False
-
-
-ORACLES: Dict[str, OracleDef] = {
-    od.name: od
-    for od in (
-        OracleDef(
-            name="fct_ordering",
-            figure="Fig 9/16",
-            description="Presto mean mice FCT < ECMP and within "
-                        f"{FCT_OPTIMAL_TOLERANCE}x of Optimal under a "
-                        "saturating stride workload",
-            build_specs=_fct_specs,
-            evaluate=_fct_evaluate,
-        ),
-        OracleDef(
-            name="tournament_ordering",
-            figure="Tournament",
-            description="Presto and RepFlow mean mice FCT below ECMP "
-                        "on a doubled-load websearch tournament cell",
-            build_specs=_tournament_specs,
-            evaluate=_tournament_evaluate,
-            packet_only=True,
-        ),
-        OracleDef(
-            name="gro_reordering",
-            figure="Fig 5/11",
-            description="fraction of zero-out-of-order flowcells "
-                        f">= {PRESTO_ZERO_OOO_MIN} for Presto+GRO and "
-                        "strictly above per-packet spraying",
-            build_specs=_reorder_specs,
-            evaluate=_reorder_evaluate,
-            packet_only=True,
-            fixed_topology=True,
-        ),
-        OracleDef(
-            name="failover",
-            figure="Fig 17/18",
-            description="failover restores throughput before the "
-                        "controller reacts; post-reweight throughput "
-                        f">= {REBALANCE_MIN_FRACTION}x pre-fault",
-            build_specs=_failover_specs,
-            evaluate=_failover_evaluate,
-            fixed_topology=True,
-        ),
-    )
-}
-
-
-def oracle_names() -> Tuple[str, ...]:
-    return tuple(ORACLES)
-
-
-def get_oracle(name: str) -> OracleDef:
-    oracle = ORACLES.get(name)
-    if oracle is None:
-        raise ValueError(
-            f"unknown oracle {name!r}; pick from {', '.join(ORACLES)}")
-    return oracle
-
-
-def run_oracles(
-    names: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = (1, 2, 3),
-    scale: float = 1.0,
-    *,
-    fidelity: Optional[str] = None,
-    topology: Optional[str] = None,
-    **execution: Any,
-) -> List[OracleReport]:
-    """Run the named oracles (default: all) across ``seeds``.
-
-    Every (oracle, scheme, seed) cell is one runner job, so the whole
-    suite fans out over ``jobs`` workers and resumes from ``store``
-    (``execution`` is any :class:`~repro.runner.sweep.SweepOptions`
-    field).
-    A cell that errors does not kill the suite: its oracle reports a
-    failed ``jobs_completed`` check carrying the error text.
-
-    ``fidelity="flow"`` runs the oracles on the fluid engine.  With the
-    default oracle set, packet-only oracles (``gro_reordering``) are
-    skipped; naming one explicitly at that fidelity raises.
-
-    ``topology`` reruns the topology-agnostic oracles (``fct_ordering``)
-    on another fabric, e.g. ``"fat-tree:k=4"``.  Oracles pinned to a
-    paper fabric are skipped under the default set and raise when named
-    explicitly.
-    """
-    if not seeds:
-        raise ValueError("seeds must name at least one seed")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    defs = [get_oracle(n) for n in (names or oracle_names())]
-    if names is None and fidelity == "flow":
-        defs = [od for od in defs if not od.packet_only]
-    if names is None and topology is not None:
-        defs = [od for od in defs if not od.fixed_topology]
-    seeds = tuple(seeds)
-    batches = [(od, od.build_specs(seeds, scale, fidelity, topology))
-               for od in defs]
-    outcomes = SweepOptions(**execution).outcomes(
-        [spec for _, specs in batches for spec in specs])
-    reports: List[OracleReport] = []
-    cursor = 0
-    for od, specs in batches:
-        batch = outcomes[cursor:cursor + len(specs)]
-        cursor += len(specs)
-        failed = [o for o in batch if not o.ok]
-        if failed:
-            report = OracleReport(oracle=od.name, figure=od.figure,
-                                  seeds=seeds)
-            report.require(
-                "jobs_completed", False,
-                detail="; ".join(
-                    f"{o.spec.display}: {o.error}" for o in failed),
-                n_failed=len(failed), n_jobs=len(specs),
-            )
-            reports.append(report)
-            continue
-        reports.append(od.evaluate(seeds, scale, [o.result for o in batch]))
-    return reports
+FAILOVER = oracle_sweep(
+    "failover", "Fig 17/18",
+    "failover restores throughput before the controller reacts; "
+    f"post-reweight throughput >= {REBALANCE_MIN_FRACTION}x pre-fault",
+    # the failure timeline is Presto's (see failure_spec)
+    ("presto",), _failover_cell, _failover_evaluate,
+    topology=_pinned("failover", "the 16-host Clos (it replays the "
+                     "paper's L1->L4 timeline)"),
+)

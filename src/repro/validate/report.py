@@ -1,26 +1,18 @@
-"""Structured results of the figure oracles, and the VALIDATION.json
-they roll up into.
+"""Structured results of the figure oracles.
 
 An :class:`OracleReport` is the machine-checkable verdict for one
 headline paper result across a seed sweep: a list of named
 :class:`OracleCheck` assertions, each carrying the observed numbers so
-a failing nightly run is diagnosable from the JSON alone.  Reports are
-plain dataclasses of stdlib values, so they ride the runner's exact
-JSON round-trip (``to_jsonable``/``from_jsonable``) and byte-identical
-determinism guarantees for free.
+a failing nightly run is diagnosable from ``runner_<oracle>.json``
+alone.  Reports are plain dataclasses of stdlib values, so they ride
+the runner's exact JSON round-trip (``to_jsonable``/``from_jsonable``)
+and byte-identical determinism guarantees for free.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Tuple
-
-from repro.runner.serialize import to_jsonable
-
-#: bump when the VALIDATION.json layout changes incompatibly
-SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -60,30 +52,10 @@ class OracleReport:
         return [c for c in self.checks if not c.passed]
 
 
-def validation_payload(reports: List[OracleReport]) -> dict:
-    """The VALIDATION.json document (JSON-ready, deterministic order)."""
-    ordered = sorted(reports, key=lambda r: r.oracle)
-    return {
-        "schema": SCHEMA_VERSION,
-        "passed": all(r.passed for r in ordered),
-        "oracles": [
-            {
-                "oracle": r.oracle,
-                "figure": r.figure,
-                "seeds": list(r.seeds),
-                "passed": r.passed,
-                "checks": [to_jsonable(c) for c in r.checks],
-            }
-            for r in ordered
-        ],
-    }
-
-
-def write_validation_json(reports: List[OracleReport], path) -> Path:
-    """Write VALIDATION.json; deterministic bytes for identical reports."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(validation_payload(reports),
-                      indent=2, sort_keys=True) + "\n"
-    path.write_text(text)
-    return path
+def report_table(report: OracleReport) -> Tuple[List[str], List[List[object]]]:
+    """One row per check, its verdict and the numbers it compared."""
+    return ["oracle", "check", "verdict", "observed"], [
+        [report.oracle, check.name, "PASS" if check.passed else "FAIL",
+         " ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
+                  for k, v in sorted(check.observed.items()))]
+        for check in report.checks]

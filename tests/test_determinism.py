@@ -46,8 +46,9 @@ def test_parallel_matches_serial():
 
 
 def test_every_scheme_has_a_golden_fixture():
-    # sweep_specs.json is the one non-run fixture (tests/test_sweeps.py)
-    assert ({p.stem for p in GOLDEN_DIR.glob("*.json")} - {"sweep_specs"}
+    # sweep_specs.json and figures.json are tests/test_sweeps.py's
+    assert ({p.stem for p in GOLDEN_DIR.glob("*.json")}
+            - {"sweep_specs", "figures"}
             == set(SCHEMES) | set(FLOW_GOLDENS))
 
 
@@ -65,17 +66,19 @@ def test_oracle_reports_byte_identical_across_runs_and_serial_vs_parallel():
     """Every figure oracle's OracleReport JSON is byte-identical across
     two runs and between serial and pooled execution (store disabled so
     nothing is cached away)."""
-    from repro.validate.oracles import run_oracles
-    from repro.validate.report import validation_payload
+    from repro.runner.serialize import canonical_json
+    from repro.validate import oracles
 
     kw = dict(seeds=(1, 2), scale=0.1, store=None)
 
-    def payload_bytes(reports):
-        return json.dumps(validation_payload(reports),
-                          indent=2, sort_keys=True)
+    def payload_bytes(jobs):
+        return canonical_json([
+            oracle.run(jobs=jobs, **kw) for oracle in (
+                oracles.FCT_ORDERING, oracles.TOURNAMENT_ORDERING,
+                oracles.GRO_REORDERING, oracles.FAILOVER)])
 
-    first = payload_bytes(run_oracles(jobs=1, **kw))
-    second = payload_bytes(run_oracles(jobs=1, **kw))
-    pooled = payload_bytes(run_oracles(jobs=2, **kw))
+    first = payload_bytes(jobs=1)
+    second = payload_bytes(jobs=1)
+    pooled = payload_bytes(jobs=2)
     assert first == second
     assert first == pooled

@@ -9,15 +9,14 @@ benchmarks assert the paper shapes at proper scale.
 import pytest
 
 from repro.experiments.failure import STAGES, run_failure_timeline
-from repro.experiments.flowlet_cmp import run_flowlet_cmp
+from repro.experiments.flowlet_cmp import run_flowlet_cmp, run_perhop_cmp
 from repro.experiments.flowlet_sizes import run_flowlet_sizes, slice_flowlets
 from repro.experiments.gro_micro import run_fig5, run_figure6
-from repro.experiments.northsouth import run_northsouth
+from repro.experiments.northsouth import run_table2
 from repro.experiments.oversub import run_oversub
-from repro.experiments.perhop_cmp import run_perhop_cmp
 from repro.experiments.scalability import run_scalability
 from repro.experiments.synthetic import run_figure15_16
-from repro.experiments.trace import run_trace
+from repro.experiments.trace import run_table1
 from repro.units import MB, msec, usec
 
 FAST = dict(seeds=(1,), warm_ns=msec(4), measure_ns=msec(6))
@@ -97,14 +96,14 @@ def test_synthetic_rejects_unknown_workload():
 
 
 def test_trace_runner():
-    res = run_trace("presto", seeds=(1,), duration_ns=msec(15))
+    res = run_table1(("presto",), (1,), duration_ns=msec(15))["presto"]
     assert res.flows > 0
     # structure only; tails need longer runs
     assert isinstance(res.mice_fcts_ns, list)
 
 
 def test_northsouth_runner():
-    res = run_northsouth("presto", **FAST)
+    res = run_table2(("presto",), **FAST)["presto"]
     assert res.mean_elephant_tput_bps > 0
     assert 0 <= res.mice_timeout_fraction <= 1
 

@@ -206,12 +206,10 @@ def test_cross_fidelity_mice_ordering_agreement():
 
 @pytest.mark.tier2
 def test_fct_ordering_oracle_passes_at_flow_fidelity():
-    from repro.validate.oracles import run_oracles
+    from repro.validate.oracles import FCT_ORDERING
 
-    reports = run_oracles(["fct_ordering"], seeds=(1, 2, 3), scale=0.3,
-                          fidelity="flow")
-    assert len(reports) == 1
-    assert reports[0].passed, [c for c in reports[0].checks if not c.passed]
+    report = FCT_ORDERING.run(seeds=(1, 2, 3), scale=0.3, fidelity="flow")
+    assert report.passed, report.failures()
 
 
 @pytest.mark.tier2

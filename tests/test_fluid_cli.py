@@ -1,22 +1,18 @@
 """CLI surfaces of the fidelity knob and the cross-fidelity compare
-tool.
+sweep.
 
-Every entry point that grew ``--fidelity`` must reject an unknown
-value as an argparse error (SystemExit 2) rather than deep inside a
-worker process, and the packet-only gro_reordering oracle must refuse
-``--fidelity flow`` when named explicitly.  ``python -m repro.fluid
-compare`` validates its inputs the same way and writes a
-byte-deterministic report.
+Every sweep that takes ``--fidelity`` must reject an unknown value as
+an argparse error (SystemExit 2) rather than deep inside a worker
+process, and the packet-only gro_reordering oracle must refuse
+``--fidelity flow``.  ``runner run compare`` validates its inputs the
+same way and writes a byte-deterministic report.
 """
 
 import json
 
 import pytest
 
-from repro.faults.cli import main as faults_main
-from repro.fluid.cli import main as fluid_main
 from repro.runner.cli import main as runner_main
-from repro.validate.cli import main as validate_main
 
 
 # --- satellite 6: unknown fidelity is an argparse error ----------------------
@@ -34,68 +30,64 @@ def test_runner_cli_rejects_unknown_fidelity(argv):
 
 def test_validate_cli_rejects_unknown_fidelity():
     with pytest.raises(SystemExit) as exc:
-        validate_main(["run", "--all", "--fidelity", "quantum"])
+        runner_main(["run", "fct_ordering", "--fidelity", "quantum"])
     assert exc.value.code == 2
 
 
 def test_faults_cli_rejects_unknown_fidelity():
     with pytest.raises(SystemExit) as exc:
-        faults_main(["fig17", "--fidelity", "quantum"])
+        runner_main(["run", "failure", "--fidelity", "quantum"])
     assert exc.value.code == 2
 
 
 def test_validate_cli_refuses_packet_only_oracle_at_flow(capsys):
-    code = validate_main(["run", "gro_reordering", "--fidelity", "flow",
-                          "--no-store"])
+    code = runner_main(["run", "gro_reordering", "--fidelity", "flow",
+                        "--no-store"])
     assert code == 2
     assert "packet-only" in capsys.readouterr().err
 
 
 def test_reorder_specs_refuse_flow_fidelity():
-    from repro.validate.oracles import _reorder_specs
+    from repro.validate.oracles import GRO_REORDERING
 
     with pytest.raises(ValueError, match="packet-only"):
-        _reorder_specs([1], 1.0, "flow")
+        GRO_REORDERING.specs([1], 1.0, "flow")
 
 
 def test_run_oracles_default_set_skips_packet_only_at_flow():
-    from repro.validate.oracles import ORACLES, run_oracles
+    from repro.validate.oracles import FAILOVER, FCT_ORDERING, GRO_REORDERING
 
-    # spec-building only (scale stays tiny and seeds empty would raise,
-    # so probe via the oracle registry instead of a full run)
-    assert ORACLES["gro_reordering"].packet_only
-    assert not ORACLES["fct_ordering"].packet_only
-    assert not ORACLES["failover"].packet_only
+    # there is no default set any more: an oracle is packet-only by
+    # what its fidelity parameter accepts (spec-building only)
+    assert FCT_ORDERING.specs(fidelity="flow")
+    assert FAILOVER.specs(fidelity="flow")
     with pytest.raises(ValueError):
-        run_oracles(["gro_reordering"], seeds=(1,), scale=0.1,
-                    fidelity="flow")
+        GRO_REORDERING.run(seeds=(1,), scale=0.1, fidelity="flow")
 
 
-# --- repro.fluid compare -----------------------------------------------------
+# --- runner run compare ------------------------------------------------------
 
 
-def test_compare_cli_rejects_unknown_experiment():
-    with pytest.raises(SystemExit) as exc:
-        fluid_main(["compare", "--experiments", "warp"])
-    assert exc.value.code == 2
+def test_compare_cli_rejects_unknown_experiment(capsys):
+    assert runner_main(["run", "compare", "--experiments", "warp"]) == 2
+    assert "unknown experiment(s) warp" in capsys.readouterr().err
 
 
-def test_compare_cli_rejects_bad_seeds():
-    with pytest.raises(SystemExit) as exc:
-        fluid_main(["compare", "--seeds", "one,two"])
-    assert exc.value.code == 2
+def test_compare_cli_rejects_bad_seeds(capsys):
+    assert runner_main(["run", "compare", "--seeds", "one,two"]) == 2
+    assert "bad --seeds" in capsys.readouterr().err
 
 
 def test_compare_report_deterministic(tmp_path):
     """Two identical compare runs write byte-identical JSON: the
     divergence report carries no wall-clock, no dict-order noise."""
-    from repro.fluid.compare import compare_report, write_report
-
-    kwargs = dict(experiments=("scalability",), seeds=(1,), scale=0.1,
-                  schemes=("presto",))
-    a, b = compare_report(**kwargs), compare_report(**kwargs)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    write_report(a, str(pa)), write_report(b, str(pb))
+    for out in (pa, pb):
+        assert runner_main([
+            "run", "compare", "--experiments", "scalability", "--seeds", "1",
+            "--scale", "0.1", "--schemes", "presto", "--jobs", "1",
+            "--no-store", "--quiet", "--results-dir", str(tmp_path),
+            "--out", str(out)]) == 0
     assert pa.read_bytes() == pb.read_bytes()
 
     payload = json.loads(pa.read_text())

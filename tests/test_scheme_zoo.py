@@ -455,16 +455,15 @@ def test_cross_fidelity_fct_parity(scheme):
 
 @pytest.mark.tier2
 def test_tournament_ordering_oracle_passes():
-    from repro.validate.oracles import run_oracles
+    from repro.validate.oracles import TOURNAMENT_ORDERING
 
-    reports = run_oracles(["tournament_ordering"], seeds=(1, 2, 3))
-    assert len(reports) == 1
-    assert reports[0].passed, reports[0].failures()
+    report = TOURNAMENT_ORDERING.run(seeds=(1, 2, 3))
+    assert report.passed, report.failures()
 
 
 @pytest.mark.tier2
 def test_tournament_ordering_oracle_rejects_flow_fidelity():
-    from repro.validate.oracles import run_oracles
+    from repro.validate.oracles import TOURNAMENT_ORDERING
 
     with pytest.raises(ValueError, match="packet-only"):
-        run_oracles(["tournament_ordering"], seeds=(1,), fidelity="flow")
+        TOURNAMENT_ORDERING.run(seeds=(1,), fidelity="flow")

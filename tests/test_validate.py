@@ -2,8 +2,10 @@
 
 Tier 1: invariant/probe units against fabricated evidence, the
 ``TestbedConfig(validate=True)`` opt-in on a plain (non-soak) run, the
-report shapes, and CLI argument validation.  Tier 2 (nightly): a real
-oracle subset end-to-end through the CLI, VALIDATION.json and back.
+report shape, and the oracles' argument validation through ``runner
+run``.  Tier 2 (nightly): a real oracle subset end-to-end through the
+CLI, ``runner_<oracle>.json`` and back.  (Verdict -> exit status and
+contained cell crashes are pinned in ``tests/test_sweeps.py``.)
 """
 
 import json
@@ -11,8 +13,9 @@ import json
 import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
+from repro.runner.cli import main as runner_main
+from repro.runner.serialize import from_jsonable
 from repro.units import msec
-from repro.validate.cli import main as validate_main
 from repro.validate.invariants import (
     InvariantReport,
     InvariantViolation,
@@ -20,11 +23,9 @@ from repro.validate.invariants import (
     bounded_transfers,
     byte_ledger,
 )
-from repro.validate.report import (
-    OracleReport,
-    validation_payload,
-    write_validation_json,
-)
+from repro.validate.report import OracleReport
+
+ORACLES = ("fct_ordering", "tournament_ordering", "gro_reordering", "failover")
 
 
 # --- fabricated-evidence fixtures for the online probe ----------------------
@@ -232,99 +233,60 @@ def test_oracle_report_require_and_failures():
     assert report.checks[0].observed == {"x": 1.5}
 
 
-def test_validation_payload_deterministic_and_sorted():
-    a = OracleReport(oracle="zeta", figure="f1", seeds=(1,))
-    a.require("ok", True)
-    b = OracleReport(oracle="alpha", figure="f2", seeds=(1,))
-    b.require("ok", True)
-    payload = validation_payload([a, b])
-    assert [o["oracle"] for o in payload["oracles"]] == ["alpha", "zeta"]
-    assert payload["passed"] is True
-    assert (json.dumps(validation_payload([a, b]), sort_keys=True)
-            == json.dumps(validation_payload([b, a]), sort_keys=True))
-
-
-def test_write_validation_json_and_report_command(tmp_path, capsys):
-    good = OracleReport(oracle="demo", figure="fig9", seeds=(1,))
-    good.require("threshold", True, presto_ms=1.0, ecmp_ms=2.0)
-    path = write_validation_json([good], tmp_path / "VALIDATION.json")
-    assert validate_main(["report", "--in", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "demo" in out and "PASS" in out
-
-    bad = OracleReport(oracle="demo", figure="fig9", seeds=(1,))
-    bad.require("threshold", False, presto_ms=3.0)
-    write_validation_json([bad], path)
-    assert validate_main(["report", "--in", str(path)]) == 1
-
-
-def test_report_command_rejects_missing_or_garbage_file(tmp_path):
-    assert validate_main(["report", "--in", str(tmp_path / "nope.json")]) == 2
-    garbage = tmp_path / "bad.json"
-    garbage.write_text("{not json")
-    assert validate_main(["report", "--in", str(garbage)]) == 2
-
-
 # --- CLI argument validation --------------------------------------------------
 
 def test_cli_list_names_all_oracles(capsys):
-    from repro.validate.oracles import oracle_names
-
-    assert validate_main(["list"]) == 0
+    assert runner_main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in oracle_names():
+    for name in ORACLES:
         assert name in out
 
 
 @pytest.mark.parametrize("argv, fragment", [
-    (["run"], "no oracles selected"),
-    (["run", "failover", "--all"], "not both"),
-    (["run", "bogus_oracle"], "unknown oracle"),
-    (["run", "--all", "--jobs", "0"], "--jobs"),
-    (["run", "--all", "--jobs", "-2"], "--jobs"),
-    (["run", "--all", "--timeout", "0"], "--timeout"),
-    (["run", "--all", "--timeout", "-1"], "--timeout"),
-    (["run", "--all", "--scale", "0"], "--scale"),
-    (["run", "--all", "--scale", "-0.5"], "--scale"),
-    (["run", "--all", "--seeds", ""], "at least one seed"),
-    (["run", "--all", "--seeds", "1,x"], "integers"),
+    (["run"], "a sweep name is required"),
+    (["run", "failover", "--scale", "x"], "bad --scale"),
+    (["run", "bogus_oracle"], "unknown sweep"),
+    (["run", "failover", "--jobs", "0"], "--jobs"),
+    (["run", "failover", "--jobs", "-2"], "--jobs"),
+    (["run", "failover", "--timeout", "0"], "--timeout"),
+    (["run", "failover", "--timeout", "-1"], "--timeout"),
+    (["run", "failover", "--scale", "0"], "--scale"),
+    (["run", "failover", "--scale", "-0.5"], "--scale"),
+    (["run", "failover", "--seeds", ""], "at least one seed"),
+    (["run", "failover", "--seeds", "1,x"], "integers"),
 ])
 def test_cli_run_rejects_bad_arguments(argv, fragment, capsys):
-    assert validate_main(argv) == 2
+    assert runner_main(argv) == 2
     assert fragment in capsys.readouterr().err
 
 
 def test_run_oracles_validates_inputs():
-    from repro.validate.oracles import get_oracle, run_oracles
+    from repro.validate.oracles import FAILOVER
 
     with pytest.raises(ValueError, match="seed"):
-        run_oracles(("failover",), seeds=())
+        FAILOVER.run(seeds=())
     with pytest.raises(ValueError, match="scale"):
-        run_oracles(("failover",), seeds=(1,), scale=0)
-    with pytest.raises(ValueError):
-        get_oracle("not_an_oracle")
+        FAILOVER.run(seeds=(1,), scale=0)
+    with pytest.raises(TypeError, match="names"):
+        FAILOVER.run(names=("failover",))
 
 
 # --- tier 2: real oracles end-to-end -----------------------------------------
 
 @pytest.mark.tier2
 def test_cli_run_end_to_end_writes_validation_json(tmp_path):
-    out = tmp_path / "VALIDATION.json"
-    rc = validate_main([
-        "run", "gro_reordering", "failover",
-        "--seeds", "1,2", "--scale", "0.3", "--jobs", "2",
-        "--results-dir", str(tmp_path / "results"),
-        "--out", str(out), "--quiet",
-    ])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["passed"] is True
-    assert ({o["oracle"] for o in payload["oracles"]}
-            == {"gro_reordering", "failover"})
-    for oracle in payload["oracles"]:
-        assert oracle["seeds"] == [1, 2]
-        assert oracle["checks"]
-    assert validate_main(["report", "--in", str(out)]) == 0
+    for oracle in ("gro_reordering", "failover"):
+        rc = runner_main([
+            "run", oracle,
+            "--seeds", "1,2", "--scale", "0.3", "--jobs", "2",
+            "--results-dir", str(tmp_path), "--quiet",
+        ])
+        assert rc == 0
+        report = from_jsonable(json.loads(
+            (tmp_path / f"runner_{oracle}.json").read_text())["data"])
+        assert report.oracle == oracle and report.passed
+        assert report.seeds == (1, 2)
+        assert report.checks
 
 
 @pytest.mark.tier2
@@ -332,11 +294,10 @@ def test_oracle_rerun_resumes_from_store(tmp_path, capsys):
     argv = [
         "run", "failover", "--seeds", "1", "--scale", "0.2", "--jobs", "1",
         "--results-dir", str(tmp_path),
-        "--out", str(tmp_path / "VALIDATION.json"),
     ]
-    assert validate_main(argv) == 0
+    assert runner_main(argv) == 0
     first = capsys.readouterr().err
     assert "ok " in first
-    assert validate_main(argv) == 0
+    assert runner_main(argv) == 0
     second = capsys.readouterr().err
     assert "cached" in second
