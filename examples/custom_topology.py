@@ -3,8 +3,9 @@
 custom spanning trees, and a from-scratch Presto deployment.
 
 This is the "library user" path rather than the "reproduce the paper"
-path: build any 2-tier Clos, let the controller carve spanning trees
-and push label schedules, then attach your own traffic.
+path: write any fabric down as tiers of switches plus the links between
+them, let the controller carve spanning trees and push label schedules,
+then attach your own traffic.
 
 Run:  python examples/custom_topology.py
 """
@@ -18,7 +19,8 @@ from repro.host.app import BulkApp, FlowIdAllocator
 from repro.host.gro import PrestoGro
 from repro.host.host import Host
 from repro.host.tcp import TcpConfig
-from repro.net.topology import build_clos
+from repro.net.fabrics import Wiring, build_fabric
+from repro.net.routing import tree_root
 from repro.presto.controller import PrestoController
 from repro.presto.vswitch import PrestoLb
 from repro.sim.engine import Simulator
@@ -29,8 +31,14 @@ def main() -> None:
     print(__doc__)
     sim = Simulator()
 
-    # An asymmetric-ish fabric: 3 spines, 2 leaves, 25 Gbps links.
-    topo = build_clos(sim, n_spines=3, n_leaves=2, rate_bps=gbps(25))
+    # The wiring plan: 2 leaves under 3 spines, every leaf linked to
+    # every spine, 25 Gbps links.  ("clos:spines=3,leaves=2" builds the
+    # same fabric; any stack of tiers works — see tests/test_fabrics.py.)
+    leaves, spines = ("L1", "L2"), ("S1", "S2", "S3")
+    plan = Wiring(tiers=(leaves, spines),
+                  links=tuple((leaf, spine)
+                              for leaf in leaves for spine in spines))
+    topo = build_fabric(sim, plan, rate_bps=gbps(25))
 
     tcp = TcpConfig(min_rto_ns=msec(20), initial_rto_ns=msec(20))
     hosts = []
@@ -41,7 +49,7 @@ def main() -> None:
             gro=PrestoGro(),
             tcp_cfg=tcp,
         )
-        leaf = topo.leaves[host_id // 3]
+        leaf = topo.tiers[0][host_id // 3]
         topo.attach_host(host, leaf, rate_bps=gbps(25))
         hosts.append(host)
 
@@ -52,7 +60,8 @@ def main() -> None:
         controller.register_vswitch(host.lb)
     topo.install_underlay()
 
-    print(f"spanning trees: {[t.spine.name for t in controller.trees]}")
+    print("spanning trees (up-port index per tier -> root): "
+          f"{[(t.up, tree_root(topo, t).name) for t in controller.trees]}")
     print(f"host 0 -> host 3 schedule: "
           f"{[hex(l) for l in hosts[0].lb.labels_for(3)]}\n")
 

@@ -38,11 +38,8 @@ from repro.host.host import Host
 from repro.host.tcp import TcpConfig
 from repro.lb.base import LoadBalancer
 from repro.mptcp.mptcp import MptcpConnection
-from repro.net.fabrics import TopologySpec, build_fabric
-from repro.net.topology import (
-    Topology,
-    build_single_switch,
-)
+from repro.net.fabrics import SINGLE_SWITCH, TopologySpec, build_fabric
+from repro.net.topology import Topology
 from repro.presto.controller import PrestoController
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
@@ -367,18 +364,10 @@ class Testbed:
 
     def _build_topology(self) -> Topology:
         cfg = self.cfg
-        if self.scheme_def.single_switch:
-            topo = build_single_switch(self.sim)
-            topo.pool_bytes = cfg.switch_pool_bytes
-            topo.pool_alpha = cfg.pool_alpha
-            # rebuild the lone switch's pool with the configured size
-            sw = topo.leaves[0]
-            sw.shared_buffer.total_bytes = cfg.switch_pool_bytes
-            sw.shared_buffer.alpha = cfg.pool_alpha
-            return topo
         return build_fabric(
             self.sim,
-            cfg.topology_spec(),
+            (SINGLE_SWITCH if self.scheme_def.single_switch
+             else cfg.topology_spec()),
             rate_bps=cfg.link_rate_bps,
             prop_delay_ns=cfg.prop_delay_ns,
             buffer_bytes=cfg.switch_buffer_bytes,
@@ -389,15 +378,14 @@ class Testbed:
     def _build_hosts(self) -> None:
         cfg = self.cfg
         spec = cfg.topology_spec()
+        edges = self.topo.tiers[0]
         for host_id in range(spec.n_hosts()):
             rng = self.streams.stream(f"lb{host_id}")
             host = self.plane.make_host(
                 host_id,
                 self.scheme_def.make_lb(cfg, host_id, rng, self.sim))
-            if self.scheme_def.single_switch:
-                leaf = self.topo.leaves[0]
-            else:
-                leaf = self.topo.leaves[spec.edge_of(host_id)]
+            leaf = edges[0 if self.scheme_def.single_switch
+                         else spec.edge_of(host_id)]
             self.topo.attach_host(
                 host,
                 leaf,

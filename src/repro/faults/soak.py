@@ -30,7 +30,7 @@ from repro.experiments.common import START_JITTER_NS, topology_param
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.metrics import BlackholeAccountant
 from repro.faults.schedule import FaultSchedule, random_schedule
-from repro.net.fabrics import fabric_link_names
+from repro.net.fabrics import fabric_link_names, wiring
 from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Param, Sweep
 from repro.sim.rand import RandomStreams
@@ -73,14 +73,14 @@ class SoakResult:
 
 def _fabric_names(cfg: TestbedConfig):
     """Fabric link names + killable-switch->links map for ``cfg``'s
-    fabric, without building it.  Leaf/edge switches (``L*``/``E*``)
-    are excluded from outage targets: a dead edge switch partitions its
+    fabric, without building it.  The edge switches (tier 0) are
+    excluded from outage targets: a dead edge switch partitions its
     own hosts outright."""
-    links, by_switch = fabric_link_names(cfg.topology_spec())
-    switch_links = {
-        name: sw_links for name, sw_links in by_switch.items()
-        if not name.startswith(("L", "E"))
-    }
+    spec = cfg.topology_spec()
+    links, by_switch = fabric_link_names(spec)
+    edges = set(wiring(spec).tiers[0])
+    switch_links = {name: sw_links for name, sw_links in by_switch.items()
+                    if name not in edges}
     return links, switch_links
 
 

@@ -14,26 +14,22 @@ from repro.net.queues import DropTailQueue
 from repro.net.link import Link
 from repro.net.port import Port
 from repro.net.switch import EcmpGroup, FailoverGroup, Switch
-from repro.net.topology import (
-    Topology,
-    build_clos,
-    build_single_switch,
-)
+from repro.net.topology import Topology
 from repro.net.fabrics import (
+    SINGLE_SWITCH,
     TopologySpec,
+    Wiring,
     build_fabric,
-    build_fat_tree,
-    build_leaf_spine,
     fabric_link_names,
+    wiring,
 )
 from repro.net.routing import (
     SpanningTree,
-    TopologyShapeError,
     TreeValidationError,
     allocate_spanning_trees,
-    enumerate_paths,
     install_tree_routes,
     tree_legs,
+    tree_root,
     validate_trees,
 )
 
@@ -54,19 +50,17 @@ __all__ = [
     "EcmpGroup",
     "FailoverGroup",
     "Topology",
-    "build_clos",
-    "build_single_switch",
+    "SINGLE_SWITCH",
     "TopologySpec",
+    "Wiring",
     "build_fabric",
-    "build_fat_tree",
-    "build_leaf_spine",
     "fabric_link_names",
+    "wiring",
     "SpanningTree",
-    "TopologyShapeError",
     "TreeValidationError",
     "allocate_spanning_trees",
-    "enumerate_paths",
     "install_tree_routes",
     "tree_legs",
+    "tree_root",
     "validate_trees",
 ]

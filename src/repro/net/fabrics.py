@@ -1,16 +1,18 @@
-"""First-class topology specification and datacenter-scale fabric
-builders (ROADMAP item 1).
+"""Fabric shapes as data: the serializable :class:`TopologySpec`, the
+:class:`Wiring` plan it expands to, and the one builder.
 
 :class:`TopologySpec` is the single serializable, hashable description
 of an experiment's fabric shape.  ``TestbedConfig`` carries one (the
 legacy ``n_spines/n_leaves/hosts_per_leaf`` trio is a deprecated alias
-that normalizes onto it), the CLIs parse one from strings like
-``fat-tree:k=8``, and :func:`build_fabric` turns one into a wired
-:class:`~repro.net.topology.Topology`:
+that normalizes onto it) and the CLIs parse one from strings like
+``fat-tree:k=8``.  :func:`wiring` expands a spec into a :class:`Wiring`
+— tiers of switch names plus the ordered links between them — and
+:func:`build_fabric` loops over that plan (or one written by hand) to
+produce a wired :class:`~repro.net.topology.Topology`.  Two kinds:
 
-* ``clos`` — the paper's 2-tier Clos testbed (Fig 3); what a
-  ``leaf-spine`` spec canonicalizes to, so equivalent shapes hash (and
-  hit the result store) identically;
+* ``clos`` — the paper's 2-tier Clos testbed (Fig 3): every leaf links
+  to every spine.  What a ``leaf-spine`` spec canonicalizes to, so
+  equivalent shapes hash (and hit the result store) identically;
 * ``fat-tree`` — the k-ary 3-tier fat tree the shadow-MAC spanning
   trees must generalize to (paper S3.1): k pods of k/2 edge + k/2 agg
   switches, (k/2)^2 cores, k^3/4 hosts.
@@ -34,10 +36,11 @@ edge in pod-major order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.net.topology import Topology, build_clos
+from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.units import gbps, usec
 
@@ -162,16 +165,20 @@ class TopologySpec:
         if tail:
             for item in tail.split(","):
                 key, sep, value = item.partition("=")
-                if not sep or not key.strip() or not value.strip():
+                key = key.strip().lower()
+                if not sep or not key or not value.strip():
                     raise ValueError(
                         f"bad topology parameter {item!r} in {text!r} "
                         f"(want key=value)")
                 try:
-                    params[key.strip().lower()] = float(value)
+                    params[key] = float(value)
                 except ValueError:
                     raise ValueError(
                         f"non-numeric topology parameter {item!r} in "
                         f"{text!r}") from None
+                if not math.isfinite(params[key]):
+                    # int(inf) / int(nan) would otherwise blow up below
+                    raise ValueError(f"{key} must be finite in {text!r}")
 
         def pop_int(key: str, default: Optional[int] = None) -> Optional[int]:
             value = params.pop(key, None)
@@ -267,78 +274,53 @@ def as_spec(spec: SpecLike) -> TopologySpec:
     return spec
 
 
-def build_fat_tree(
-    sim: Simulator,
-    k: int = 4,
-    rate_bps: float = gbps(10),
-    prop_delay_ns: int = usec(1),
-    buffer_bytes: Optional[int] = None,
-    pool_bytes: int = Topology.DEFAULT_POOL_BYTES,
-    pool_alpha: float = Topology.DEFAULT_POOL_ALPHA,
-) -> Topology:
-    """k-ary 3-tier fat tree (see the module docstring for the wiring).
+@dataclass(frozen=True)
+class Wiring:
+    """A fabric as data: what to build, in the order to build it."""
 
-    ``topo.leaves`` holds the edge switches and ``topo.spines`` the
-    aggs (both pod-major), so every 2-tier consumer of those lists —
-    ``uplinks()``, the ECMP underlay, leaf failover groups — keeps
-    working; the third tier lives in ``topo.cores`` plus the pod
-    metadata (``pod_edges``/``pod_aggs``/``switch_pod``).
-    """
-    TopologySpec.fat_tree(k)  # validates k
-    half = k // 2
-    topo = Topology(sim, f"fat-tree-k{k}", pool_bytes, pool_alpha)
-    # creation order fixes switch salts: cores, then per pod aggs+edges
-    topo.cores = [
-        topo.add_switch(f"C{j + 1}.{m + 1}")
-        for j in range(half) for m in range(half)
-    ]
-    for p in range(k):
-        aggs = [topo.add_switch(f"A{p + 1}.{j + 1}") for j in range(half)]
-        edges = [topo.add_switch(f"E{p + 1}.{i + 1}") for i in range(half)]
-        topo.pod_aggs.append(aggs)
-        topo.pod_edges.append(edges)
-        for sw in aggs + edges:
-            topo.switch_pod[sw.name] = p
-        topo.spines.extend(aggs)
-        topo.leaves.extend(edges)
-        for edge in edges:
-            for agg in aggs:
-                topo.connect(edge, agg, rate_bps, prop_delay_ns, buffer_bytes)
-        for j, agg in enumerate(aggs):
-            for m in range(half):
-                topo.connect(agg, topo.cores[j * half + m],
-                             rate_bps, prop_delay_ns, buffer_bytes)
-    return topo
+    #: switch names by tier: ``tiers[0]`` the edge switches hosts attach
+    #: to ... ``tiers[-1]`` the spanning-tree roots
+    tiers: Tuple[Tuple[str, ...], ...]
+    #: ``(lower, upper)`` switch pairs, each climbing one tier, in
+    #: wiring order (it fixes every switch's port order)
+    links: Tuple[Tuple[str, str], ...] = ()
+    #: switch creation order (it fixes the ECMP hash salts), each tier's
+    #: switches in tier order; None = top tier first, the way the 2-tier
+    #: testbed was always built
+    creation: Optional[Tuple[str, ...]] = None
 
 
-def build_leaf_spine(
-    sim: Simulator,
-    pods: int = 4,
-    radix: Optional[int] = None,
-    oversub: float = 1.0,
-    n_spines: Optional[int] = None,
-    hosts_per_leaf: Optional[int] = None,
-    rate_bps: float = gbps(10),
-    prop_delay_ns: int = usec(1),
-    buffer_bytes: Optional[int] = None,
-    pool_bytes: int = Topology.DEFAULT_POOL_BYTES,
-    pool_alpha: float = Topology.DEFAULT_POOL_ALPHA,
-) -> Topology:
-    """Leaf-spine generator in operator vocabulary (radix/oversub/pods);
-    structurally a 2-tier Clos — see :meth:`TopologySpec.leaf_spine`."""
-    spec = TopologySpec.leaf_spine(
-        pods=pods, radix=radix, oversub=oversub,
-        n_spines=n_spines, hosts_per_leaf=hosts_per_leaf)
-    return build_clos(
-        sim, n_spines=spec.n_spines, n_leaves=spec.n_leaves,
-        rate_bps=rate_bps, prop_delay_ns=prop_delay_ns,
-        buffer_bytes=buffer_bytes, pool_bytes=pool_bytes,
-        pool_alpha=pool_alpha)
+#: the paper's "Optimal" baseline: every host on one non-blocking switch
+SINGLE_SWITCH = Wiring(tiers=(("SW",),))
+
+
+def wiring(spec: SpecLike) -> Wiring:
+    """The wiring plan of a spec — the only place a kind becomes a shape."""
+    spec = as_spec(spec)
+    if spec.kind == "fat-tree":
+        idx = range(1, spec.k // 2 + 1)
+        pods = range(1, spec.k + 1)
+        cores = [f"C{j}.{m}" for j in idx for m in idx]
+        aggs = [[f"A{p}.{j}" for j in idx] for p in pods]
+        edges = [[f"E{p}.{i}" for i in idx] for p in pods]
+        links, creation = [], list(cores)
+        for p_aggs, p_edges in zip(aggs, edges):  # pod by pod
+            creation += p_aggs + p_edges
+            links += [(edge, agg) for edge in p_edges for agg in p_aggs]
+            # agg j of every pod joins the cores of uplink class j
+            links += [(agg, f"C{j}.{m}")
+                      for j, agg in zip(idx, p_aggs) for m in idx]
+        return Wiring((tuple(sum(edges, [])), tuple(sum(aggs, [])),
+                       tuple(cores)), tuple(links), tuple(creation))
+    spines = tuple(f"S{i + 1}" for i in range(spec.n_spines))
+    leaves = tuple(f"L{i + 1}" for i in range(spec.n_leaves))
+    return Wiring((leaves, spines),
+                  tuple((leaf, spine) for leaf in leaves for spine in spines))
 
 
 def build_fabric(
     sim: Simulator,
-    spec: SpecLike,
+    spec: Union[SpecLike, Wiring],
     *,
     rate_bps: float = gbps(10),
     prop_delay_ns: int = usec(1),
@@ -346,51 +328,33 @@ def build_fabric(
     pool_bytes: int = Topology.DEFAULT_POOL_BYTES,
     pool_alpha: float = Topology.DEFAULT_POOL_ALPHA,
 ) -> Topology:
-    """The one topology-construction entry point: spec -> wired fabric.
-    Hosts are attached afterwards (``spec.hosts_per_edge()`` per edge,
-    pod-major), exactly as the 2-tier builders always worked."""
-    spec = as_spec(spec)
-    if spec.kind == "fat-tree":
-        return build_fat_tree(
-            sim, spec.k, rate_bps=rate_bps, prop_delay_ns=prop_delay_ns,
-            buffer_bytes=buffer_bytes, pool_bytes=pool_bytes,
-            pool_alpha=pool_alpha)
-    return build_clos(
-        sim, n_spines=spec.n_spines, n_leaves=spec.n_leaves,
-        rate_bps=rate_bps, prop_delay_ns=prop_delay_ns,
-        buffer_bytes=buffer_bytes, pool_bytes=pool_bytes,
-        pool_alpha=pool_alpha)
+    """The one topology builder: a spec (or a hand-written
+    :class:`Wiring`) -> wired fabric.  Hosts are attached afterwards
+    (``spec.hosts_per_edge()`` per ``topo.tiers[0]`` switch, in order)."""
+    plan = spec if isinstance(spec, Wiring) else wiring(spec)
+    tier_of = {name: t for t, tier in enumerate(plan.tiers) for name in tier}
+    topo = Topology(sim, pool_bytes, pool_alpha)
+    for name in plan.creation or [
+            name for tier in reversed(plan.tiers) for name in tier]:
+        topo.add_switch(name, tier_of[name])
+    for a, b in plan.links:
+        topo.connect(topo.switches[a], topo.switches[b],
+                     rate_bps, prop_delay_ns, buffer_bytes)
+    return topo
 
 
 def fabric_link_names(
     spec: SpecLike,
 ) -> Tuple[List[str], Dict[str, List[str]]]:
     """``(fabric link names, switch name -> its fabric link names)``
-    reconstructed from the builders' naming conventions *without*
-    building a topology — the faults subsystem draws fault targets from
-    these before any testbed exists.  Host access links are excluded
-    (killing one isolates a host rather than exercising rerouting)."""
-    spec = as_spec(spec)
+    read off the wiring plan *without* building a topology — the faults
+    subsystem draws fault targets from these before any testbed exists.
+    Host access links are excluded (killing one isolates a host rather
+    than exercising rerouting)."""
     links: List[str] = []
     by_switch: Dict[str, List[str]] = {}
-
-    def add(a: str, b: str) -> None:
-        name = f"{a}--{b}"
-        links.append(name)
-        by_switch.setdefault(a, []).append(name)
-        by_switch.setdefault(b, []).append(name)
-
-    if spec.kind == "fat-tree":
-        half = spec.k // 2
-        for p in range(spec.k):
-            for i in range(half):
-                for j in range(half):
-                    add(f"E{p + 1}.{i + 1}", f"A{p + 1}.{j + 1}")
-            for j in range(half):
-                for m in range(half):
-                    add(f"A{p + 1}.{j + 1}", f"C{j + 1}.{m + 1}")
-    else:
-        for li in range(spec.n_leaves):
-            for si in range(spec.n_spines):
-                add(f"L{li + 1}", f"S{si + 1}")
+    for a, b in wiring(spec).links:
+        links.append(f"{a}--{b}")
+        by_switch.setdefault(a, []).append(links[-1])
+        by_switch.setdefault(b, []).append(links[-1])
     return links, by_switch

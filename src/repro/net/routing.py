@@ -1,23 +1,30 @@
-"""Path enumeration and disjoint spanning-tree allocation, multi-tier.
+"""Disjoint spanning-tree allocation and shadow-MAC label routing, for
+a fabric of any depth.
 
-2-tier Clos (paper S3.1 / Fig 3): with ``v`` spines and one link per
-(leaf, spine) pair, the controller allocates ``v`` disjoint spanning
-trees, one routed through each spine.
+A spanning tree is one up-port index per tier: ``tree.up[t]`` is which
+of its up ports a tier-``t`` switch forwards the tree's labels out of
+while the destination host is *not* below it; once the host is below,
+the path down is forced.  The trees of a fabric are every combination
+of indices (the product of the per-tier up fanouts, in product order).
+The way down to a host retraces the tree's climb from the host's own
+edge switch (:func:`tree_climb`), so the legs between two edge
+switches are their two climbs up to the switch where they meet
+(:func:`tree_legs`).
 
-3-tier k-ary fat tree: one tree per **core** switch.  A core sits in
-uplink class ``j`` (it connects to agg ``Ap.{j}`` in every pod ``p``)
-at offset ``m`` within that class, so tree ``(j, m)``:
+2-tier Clos (paper S3.1 / Fig 3): ``v`` spines give each leaf ``v`` up
+ports, so ``v`` trees, tree ``(i,)`` rooted at spine ``i``.
 
-* edge -> the class-``j`` agg of its own pod,
-* agg ``Ap.j`` -> core ``Cj.m`` (its ``m``-th core uplink),
-* core -> the destination pod's class-``j`` agg -> destination edge.
+3-tier k-ary fat tree: ``(k/2)^2`` trees, one per core.  Tree ``(j, m)``
+climbs from an edge to the class-``j`` agg of its pod, from there to
+that agg's ``m``-th core ``Cj.m``, and descends through the destination
+pod's class-``j`` agg.
 
-Trees in different classes share **no** links; trees within a class
-share only the edge<->agg access links and own their agg<->core trunk
-links exclusively — the natural fat-tree generalization of "one
-disjoint tree per spine".  :func:`validate_trees` checks exactly this,
-plus full (tree x host) shadow-MAC reachability, by walking the real
-L2 tables.
+Two trees share a link between tiers ``t`` and ``t+1`` only if they
+agree on ``up[0..t]``: every tree owns its top-tier links exclusively
+(the generalization of "one disjoint tree per spine") and fat-tree
+trees share edge<->agg links only within an uplink class.
+:func:`validate_trees` checks exactly this, plus full (tree x host)
+shadow-MAC reachability, by walking the real L2 tables.
 
 Each tree gets a shadow-MAC label per destination host;
 :func:`install_tree_routes` programs the L2 tables so labelled packets
@@ -27,7 +34,8 @@ ride exactly that tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import product, zip_longest
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.addresses import shadow_mac
 from repro.net.port import Port
@@ -35,160 +43,75 @@ from repro.net.switch import Switch
 from repro.net.topology import Topology
 
 
-class TopologyShapeError(ValueError):
-    """The fabric's shape is outside what a helper supports — raised
-    instead of silently returning a 2-tier-shaped wrong answer."""
-
-
 class TreeValidationError(ValueError):
     """Spanning-tree invariants (disjointness / reachability) violated."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpanningTree:
-    """One spanning tree of the fabric, identified by its root switch
-    (a spine in 2-tier fabrics, a core in 3-tier ones)."""
+    """One spanning tree of the fabric: its label id and, per tier below
+    the top, the index of the up port its labels climb through."""
 
     tree_id: int
-    spine: Switch
-    #: parallel-link index for topologies with gamma > 1 links per
-    #: (leaf, spine); 0 in all paper topologies.
-    link_index: int = 0
-    #: 3-tier only: which agg (by in-pod index) edges use for this tree
-    uplink_class: int = 0
-    #: 3-tier only: the root core's offset within its uplink class
-    core_offset: int = 0
-
-    @property
-    def root(self) -> Switch:
-        return self.spine
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SpanningTree {self.tree_id} via {self.spine.name}>"
+    up: Tuple[int, ...]
 
 
 def allocate_spanning_trees(topo: Topology) -> List[SpanningTree]:
-    """Disjoint trees: one per (spine, parallel-link) in a 2-tier Clos,
-    one per core in a 3-tier fat tree (class-major, matching the cores'
-    creation order).
-
-    For the single-switch topology (no spines) there is one degenerate
-    tree: all traffic crosses the one switch.
-    """
-    if not topo.spines:
-        return [SpanningTree(0, topo.leaves[0])]
-    if topo.cores:
-        _require_pod_metadata(topo)
-        half = len(topo.pod_aggs[0])
-        return [
-            SpanningTree(c, core, uplink_class=c // half,
-                         core_offset=c % half)
-            for c, core in enumerate(topo.cores)
-        ]
-    trees: List[SpanningTree] = []
-    tree_id = 0
-    gamma = _parallel_link_count(topo)
-    for link_index in range(gamma):
-        for spine in topo.spines:
-            trees.append(SpanningTree(tree_id, spine, link_index))
-            tree_id += 1
-    return trees
+    """Every combination of one up port per tier, numbered in product
+    order: one tree per spine in a 2-tier Clos, one per core
+    (class-major) in a fat tree, and the single empty combination —
+    all traffic crosses the one switch — for a one-tier fabric."""
+    fanouts = []
+    for tier in topo.tiers[:-1]:
+        fanout = {len(topo.up[sw]) for sw in tier}
+        if len(fanout) != 1:
+            raise ValueError(
+                f"switches of tier {len(fanouts)} have differing up-port "
+                f"counts {sorted(fanout)}; a tree needs one index per tier")
+        fanouts.append(range(fanout.pop()))
+    return [SpanningTree(tree_id, up)
+            for tree_id, up in enumerate(product(*fanouts))]
 
 
-def _parallel_link_count(topo: Topology) -> int:
-    """gamma: parallel links between each leaf and spine (assumed uniform)."""
-    if not topo.leaves or not topo.spines:
-        return 1
-    return max(1, len(topo.ports_between(topo.leaves[0], topo.spines[0])))
+def tree_climb(topo: Topology, tree: SpanningTree, edge: Switch) -> List[Port]:
+    """The up ports ``tree``'s labels leave through on their way from
+    ``edge`` to the tree's root, one per tier."""
+    ports: List[Port] = []
+    for index in tree.up:
+        ports.append(topo.up[edge][index])
+        edge = ports[-1].peer
+    return ports
 
 
-def _require_pod_metadata(topo: Topology) -> None:
-    if not topo.pod_aggs or not topo.switch_pod:
-        raise TopologyShapeError(
-            f"topology {topo.name!r} has core switches but no pod "
-            f"metadata; 3-tier fabrics must be built via "
-            f"repro.net.fabrics.build_fat_tree")
+def tree_root(topo: Topology, tree: SpanningTree) -> Switch:
+    """The top-tier switch ``tree`` climbs to (from any edge switch)."""
+    edge = topo.tiers[0][0]
+    return tree_climb(topo, tree, edge)[-1].peer if tree.up else edge
 
 
 def install_tree_routes(topo: Topology, trees: List[SpanningTree]) -> None:
-    """Program shadow-MAC forwarding for every (tree, destination host).
+    """Program shadow-MAC forwarding for every (tree, destination host):
+    a tier-``t`` switch sends the label down toward the host when the
+    host is below it, and out of up port ``tree.up[t]`` otherwise.
 
-    2-tier Clos:
-
-    Source leaf: label -> uplink to the tree's spine (the spine choice IS
-                 the path in a 2-tier Clos).
-    Every spine: label -> downlink to the destination's leaf.  Installing
-                 the downlink entry on all spines (not just the tree's)
-                 is what lets hardware fast failover redirect a labelled
-                 packet through a backup spine without controller help.
-    Dest leaf:   label -> host port (the host vSwitch rewrites the real
-                 MAC back, paper S3.2).
-
-    3-tier fat tree (tree = class ``j``, core offset ``m``): edges send
-    the label up to their pod's class-``j`` agg; aggs outside the
-    destination pod send it to their own class's offset-``m`` core;
-    **all** cores and **all** of the destination pod's aggs carry the
-    down routes (the fast-failover analogue of programming every
-    spine), and the destination edge delivers to the host port.
+    The down entry goes on *every* switch above the host, not just the
+    ones on the tree: that is what lets hardware fast failover detour a
+    labelled packet through a sibling switch without controller help.
+    At the destination's edge switch "down" is the host port (the host
+    vSwitch rewrites the real MAC back, paper S3.2).
     """
-    if topo.cores:
-        _require_pod_metadata(topo)
-        _install_fat_tree_trees(topo, trees)
-        return
     for tree in trees:
-        for host_id, leaf in topo.host_leaf.items():
-            label = shadow_mac(tree.tree_id, host_id)
-            host_port = topo.host_port[host_id]
-            leaf.install_route(label, host_port)
-            if not topo.spines:
-                continue
-            for spine in topo.spines:
-                downs = topo.ports_between(spine, leaf)
-                if downs:
-                    spine.install_route(
-                        label, downs[min(tree.link_index, len(downs) - 1)]
-                    )
-            for other_leaf in topo.leaves:
-                if other_leaf is leaf:
-                    continue
-                ups = topo.ports_between(other_leaf, tree.spine)
-                if ups:
-                    other_leaf.install_route(
-                        label, ups[min(tree.link_index, len(ups) - 1)]
-                    )
-
-
-def _install_fat_tree_trees(topo: Topology, trees: List[SpanningTree]) -> None:
-    half = len(topo.pod_aggs[0])
-    for tree in trees:
-        j, m = tree.uplink_class, tree.core_offset
-        for host_id, dst_edge in topo.host_leaf.items():
-            label = shadow_mac(tree.tree_id, host_id)
-            dst_pod = topo.switch_pod[dst_edge.name]
-            dst_edge.install_route(label, topo.host_port[host_id])
-            for pod, aggs in enumerate(topo.pod_aggs):
-                for ja, agg in enumerate(aggs):
-                    if pod == dst_pod:
-                        down = topo.port_between(agg, dst_edge)
-                    else:
-                        # up to the agg's own class's offset-m core, so
-                        # a detoured (failover) packet still resolves
-                        down = topo.port_between(
-                            agg, topo.cores[ja * half + m])
-                    if down is not None:
-                        agg.install_route(label, down)
-            for c, core in enumerate(topo.cores):
-                down = topo.port_between(
-                    core, topo.pod_aggs[dst_pod][c // half])
-                if down is not None:
-                    core.install_route(label, down)
-            for pod, edges in enumerate(topo.pod_edges):
-                for edge in edges:
-                    if edge is dst_edge:
-                        continue
-                    up = topo.port_between(edge, topo.pod_aggs[pod][j])
-                    if up is not None:
-                        edge.install_route(label, up)
+        labels = [(host_id, shadow_mac(tree.tree_id, host_id))
+                  for host_id in topo.host_port]
+        for tier, index in zip_longest(topo.tiers, tree.up):
+            for sw in tier:
+                below = topo.below[sw]
+                # the top tier has no index: nowhere further to climb
+                climb = topo.up[sw][index] if index is not None else None
+                for host_id, label in labels:
+                    out = below.get(host_id, climb)
+                    if out is not None:
+                        sw.install_route(label, out)
 
 
 def tree_legs(
@@ -198,38 +121,21 @@ def tree_legs(
     dst_leaf: Switch,
 ) -> Optional[List[Port]]:
     """The ordered fabric ports a labelled flowcell crosses from
-    ``src_leaf`` to ``dst_leaf`` along ``tree``: ``[]`` when both hosts
-    share an edge, 2 legs through a spine (2-tier) or an intra-pod agg,
-    4 legs through the tree's core inter-pod, or ``None`` when a leg's
-    link does not exist.  The controller weighs trees by these legs."""
+    ``src_leaf`` to ``dst_leaf`` along ``tree``: up ``src_leaf``'s climb
+    to the switch where ``dst_leaf``'s climb joins it, then down that
+    one.  ``[]`` when both hosts share an edge switch, ``2n`` legs when
+    the climbs meet ``n`` tiers up, ``None`` when they never do."""
     if src_leaf is dst_leaf:
         return []
-    if not topo.cores:
-        ups = topo.ports_between(src_leaf, tree.spine)
-        downs = topo.ports_between(tree.spine, dst_leaf)
-        if not ups or not downs:
-            return None
-        return [ups[min(tree.link_index, len(ups) - 1)],
-                downs[min(tree.link_index, len(downs) - 1)]]
-    _require_pod_metadata(topo)
-    j = tree.uplink_class
-    src_pod = topo.switch_pod[src_leaf.name]
-    dst_pod = topo.switch_pod[dst_leaf.name]
-    src_agg = topo.pod_aggs[src_pod][j]
-    legs = [topo.port_between(src_leaf, src_agg)]
-    if src_pod == dst_pod:
-        legs.append(topo.port_between(src_agg, dst_leaf))
-    else:
-        dst_agg = topo.pod_aggs[dst_pod][j]
-        core = tree.spine
-        legs.extend([
-            topo.port_between(src_agg, core),
-            topo.port_between(core, dst_agg),
-            topo.port_between(dst_agg, dst_leaf),
-        ])
-    if any(p is None for p in legs):
-        return None
-    return legs
+    ups: List[Port] = []
+    downs: List[Port] = []
+    for up, other in zip(tree_climb(topo, tree, src_leaf),
+                         tree_climb(topo, tree, dst_leaf)):
+        ups.append(up)
+        downs.append(other.peer_port)
+        if up.peer is other.peer:
+            return ups + downs[::-1]
+    return None
 
 
 def validate_trees(topo: Topology, trees: List[SpanningTree]) -> None:
@@ -239,21 +145,21 @@ def validate_trees(topo: Topology, trees: List[SpanningTree]) -> None:
     * **reachability** — for every (tree, destination host), the shadow
       MAC walks the installed L2 tables from every edge switch to the
       destination's host port without looping;
-    * **disjointness** — trunk links (leaf<->spine in 2-tier,
-      agg<->core in 3-tier) are used by exactly one tree; 3-tier
-      edge<->agg access links are shared only among trees of the same
-      uplink class.
+    * **disjointness** — two trees cross the same link between tiers
+      ``t`` and ``t+1`` only if they agree on ``up[0..t]`` (trunk links
+      into the top tier belong to exactly one tree).
     """
-    if not topo.spines:
-        return  # single switch: one degenerate tree, nothing to check
     problems: List[str] = []
-    max_hops = 2 * topo.n_tiers + 1
-    for tree in trees:
-        for host_id in topo.host_leaf:
+    #: link name -> the first tree that crossed it
+    owner: Dict[str, SpanningTree] = {}
+    clashes = set()
+    max_hops = 2 * len(topo.tiers) + 1
+    for tree, dst in product(trees, topo.tiers[0]):
+        # below an edge switch are its own hosts, behind their host ports
+        for nth, (host_id, target) in enumerate(topo.below[dst].items()):
             label = shadow_mac(tree.tree_id, host_id)
-            target = topo.host_port[host_id]
-            for start in topo.leaves:
-                node, hops = start, 0
+            for start in topo.tiers[0]:
+                node, path = start, []
                 while True:
                     out = node.l2_table.get(label)
                     if out is None:
@@ -263,14 +169,14 @@ def validate_trees(topo: Topology, trees: List[SpanningTree]) -> None:
                         break
                     if out is target:
                         break
-                    peer = out.peer
-                    if not isinstance(peer, Switch):
+                    if not isinstance(out.peer, Switch):
                         problems.append(
                             f"tree {tree.tree_id}: host {host_id}'s label "
                             f"delivered to the wrong host via {out.name}")
                         break
-                    node, hops = peer, hops + 1
-                    if hops > max_hops:
+                    path.append(out)
+                    node = out.peer
+                    if len(path) > max_hops:
                         problems.append(
                             f"tree {tree.tree_id}: forwarding loop for "
                             f"host {host_id}'s label starting at "
@@ -279,92 +185,17 @@ def validate_trees(topo: Topology, trees: List[SpanningTree]) -> None:
                 if len(problems) > 20:
                     raise TreeValidationError(
                         "; ".join(problems[:20]) + "; ...")
-    trunks = {}
-    access = {}
-    for tree in trees:
-        trunk_links, access_links = set(), set()
-        for src_leaf in topo.leaves:
-            for dst_leaf in topo.leaves:
-                if src_leaf is dst_leaf:
-                    continue
-                legs = tree_legs(topo, tree, src_leaf, dst_leaf)
-                if legs is None:
-                    problems.append(
-                        f"tree {tree.tree_id}: missing leg between "
-                        f"{src_leaf.name} and {dst_leaf.name}")
-                    continue
-                for i, port in enumerate(legs):
-                    if topo.cores and not (len(legs) == 4 and i in (1, 2)):
-                        access_links.add(port.link.name)
-                    else:
-                        trunk_links.add(port.link.name)
-        trunks[tree.tree_id] = trunk_links
-        access[tree.tree_id] = access_links
-    by_class = {t.tree_id: t.uplink_class for t in trees}
-    ids = sorted(trunks)
-    for a_i, a in enumerate(ids):
-        for b in ids[a_i + 1:]:
-            shared = trunks[a] & trunks[b]
-            if shared:
-                problems.append(
-                    f"trees {a} and {b} share trunk link(s) "
-                    f"{sorted(shared)[:3]}")
-            if topo.cores and by_class[a] != by_class[b]:
-                shared_access = access[a] & access[b]
-                if shared_access:
-                    problems.append(
-                        f"trees {a} and {b} (different uplink classes) "
-                        f"share access link(s) {sorted(shared_access)[:3]}")
+                if nth or out is not target:
+                    continue  # an edge's hosts share their fabric path
+                # the path climbed len/2 tiers and came back down, so
+                # its k-th link joins tiers level-1 and level
+                for k, port in enumerate(path):
+                    level = min(k, len(path) - 1 - k) + 1
+                    first = owner.setdefault(port.link.name, tree)
+                    if first.up[:level] != tree.up[:level]:
+                        clashes.add(
+                            (first.tree_id, tree.tree_id, port.link.name))
+    problems += [f"trees {a} and {b} share link {link}"
+                 for a, b, link in sorted(clashes)]
     if problems:
         raise TreeValidationError("; ".join(problems[:20]))
-
-
-def enumerate_paths(topo: Topology, src_host: int, dst_host: int) -> List[List[str]]:
-    """All end-to-end switch paths between two hosts (by switch name).
-
-    Used by the ECMP baseline, which the paper implements by enumerating
-    end-to-end paths and picking one per flow at random.  Tier-agnostic:
-    2-tier paths are ``[leaf, spine, leaf]``; 3-tier paths are
-    ``[edge, agg, edge]`` intra-pod and ``[edge, agg, core, agg, edge]``
-    across pods.  Unsupported shapes raise :class:`TopologyShapeError`
-    rather than returning a wrong answer.
-    """
-    src_leaf = topo.host_leaf[src_host]
-    dst_leaf = topo.host_leaf[dst_host]
-    if src_leaf is dst_leaf:
-        return [[src_leaf.name]]
-    paths: List[List[str]] = []
-    if topo.cores:
-        _require_pod_metadata(topo)
-        core_set = set(topo.cores)
-        src_pod = topo.switch_pod[src_leaf.name]
-        dst_pod = topo.switch_pod[dst_leaf.name]
-        if src_pod == dst_pod:
-            for agg in topo.pod_aggs[src_pod]:
-                if topo.port_between(src_leaf, agg) and \
-                        topo.port_between(agg, dst_leaf):
-                    paths.append([src_leaf.name, agg.name, dst_leaf.name])
-        else:
-            for a1 in topo.pod_aggs[src_pod]:
-                if not topo.port_between(src_leaf, a1):
-                    continue
-                for port in a1.ports:
-                    core = port.peer
-                    if core not in core_set:
-                        continue
-                    for a2 in topo.pod_aggs[dst_pod]:
-                        if topo.port_between(core, a2) and \
-                                topo.port_between(a2, dst_leaf):
-                            paths.append([src_leaf.name, a1.name, core.name,
-                                          a2.name, dst_leaf.name])
-    else:
-        for spine in topo.spines:
-            if topo.port_between(src_leaf, spine) and topo.port_between(spine, dst_leaf):
-                paths.append([src_leaf.name, spine.name, dst_leaf.name])
-    if not paths:
-        raise TopologyShapeError(
-            f"no fabric path between hosts {src_host} and {dst_host} on "
-            f"{topo.name!r}: the hosts sit on different switches but the "
-            f"topology has no interconnecting tier this helper "
-            f"understands")
-    return paths

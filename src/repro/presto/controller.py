@@ -2,21 +2,22 @@
 
 Responsibilities (paper S3.1 and S3.3):
 
-* partition the Clos fabric into disjoint spanning trees (one per spine
-  x parallel link) and install shadow-MAC forwarding rules;
+* partition the fabric into disjoint spanning trees (one up-port index
+  per tier: one tree per spine, or per fat-tree core) and install
+  shadow-MAC forwarding rules;
 * push, to every vSwitch, the per-destination label schedule (the list
   of shadow MACs iterated round-robin by Algorithm 1);
 * on failure, recompute *weighted* schedules — WCMP-style weights are
   realized by duplicating labels in the schedule — and push the update
   to the edge (no switch firmware involvement);
-* optionally configure hardware fast failover backups at the leaves so
-  the datapath survives the controller's reaction time.
+* optionally configure hardware fast failover backups in the switches
+  so the datapath survives the controller's reaction time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.addresses import (
     host_mac,
@@ -28,8 +29,11 @@ from repro.net.routing import (
     SpanningTree,
     allocate_spanning_trees,
     install_tree_routes,
+    tree_climb,
     tree_legs,
+    tree_root,
 )
+from repro.net.port import Port
 from repro.net.switch import Switch
 from repro.net.topology import Topology
 
@@ -42,21 +46,31 @@ class PrestoController:
         self.trees = trees if trees is not None else allocate_spanning_trees(topo)
         install_tree_routes(topo, self.trees)
         self._vswitches: List = []  # LoadBalancer instances we push updates to
+        # Walked once: links fail and recover, but where a tree climbs
+        # from an edge switch and how high two edge switches' climbs
+        # meet never change — and every schedule recomputation weighs
+        # every tree for every host pair.
+        edges = topo.tiers[0]
+        self._climb: Dict[Tuple[int, Switch], List[Port]] = {
+            (tree.tree_id, edge): tree_climb(topo, tree, edge)
+            for tree in self.trees for edge in edges}
+        self._meet: Dict[Tuple[Switch, Switch], int] = {
+            (src, dst): len(legs) // 2 for src in edges for dst in edges
+            if (legs := tree_legs(topo, self.trees[0], src, dst)) is not None}
 
     # --- schedule computation -------------------------------------------------
-
-    def tree_usable(self, tree: SpanningTree, src_leaf: Switch, dst_leaf: Switch) -> bool:
-        """A tree works for a leaf pair iff every leg of its path —
-        2 through a spine (or intra-pod agg), 4 through a fat-tree
-        core — is up."""
-        legs = tree_legs(self.topo, tree, src_leaf, dst_leaf)
-        return legs is not None and all(leg.up for leg in legs)
 
     def tree_weight(self, tree: SpanningTree, src_leaf: Switch, dst_leaf: Switch) -> float:
         """Usable capacity of a tree for a leaf pair: the min of its leg
         rates (0 when any leg is down) — the WCMP weighting input."""
-        legs = tree_legs(self.topo, tree, src_leaf, dst_leaf)
-        if legs is None or not all(leg.up for leg in legs):
+        height = self._meet.get((src_leaf, dst_leaf))
+        if height is None:  # no tree joins them
+            return 0.0
+        # both climbs up to where they meet: a link is up, and as fast,
+        # in both directions, so the far climb stands in for the descent
+        legs = (self._climb[tree.tree_id, src_leaf][:height]
+                + self._climb[tree.tree_id, dst_leaf][:height])
+        if not all(leg.up for leg in legs):
             return 0.0
         if not legs:  # same edge switch
             return 1.0
@@ -67,7 +81,7 @@ class PrestoController:
         ``dst_host``, with duplicates expressing weights."""
         src_leaf = self.topo.host_leaf[src_host]
         dst_leaf = self.topo.host_leaf[dst_host]
-        if src_leaf is dst_leaf or not self.topo.spines:
+        if src_leaf is dst_leaf:
             return [host_mac(dst_host)]
         weights = [(t, self.tree_weight(t, src_leaf, dst_leaf)) for t in self.trees]
         usable = [(t, w) for t, w in weights if w > 0]
@@ -106,55 +120,47 @@ class PrestoController:
     def enable_fast_failover(self, latency_ns: int = 0) -> None:
         """Configure hardware fast-failover groups.
 
-        * Leaves: each uplink's backup is the next spine's uplink
-          (cyclic) — labels route at any spine, so no rewrite is needed.
-        * Spines: a dead downlink to leaf X cannot be detoured locally
-          (2-tier Clos), so the backup bucket *relabels* the packet onto
-          the next spine's tree and bounces it through a neighbouring
-          leaf, which forwards it up the healthy spine (OpenFlow
-          fast-failover bucket with a set-field action).
-        * Fat-tree aggs: each core uplink's backup is the next core
-          uplink (cyclic).  No rewrite is needed — every core carries
-          down routes for every label — so a labelled packet detours
-          through a sibling core inside the same uplink class.  Dead
-          *downlinks* (agg->edge, core->agg) are left to the
-          controller's weighted reschedule: the affected class's trees
-          lose the destination, and other classes take the weight.
+        Every switch below the top tier with two or more up ports backs
+        each with the next (cyclic).  No rewrite is needed: the switch
+        the backup reaches is a sibling of the dead port's, and every
+        switch above a host carries the down routes for all its labels
+        (see :func:`~repro.net.routing.install_tree_routes`).
+
+        Dead *down* ports are left to the controller's weighted
+        reschedule — the trees through them lose the destination and
+        the others take the weight — except at a 2-tier root.
         """
-        for leaf in self.topo.leaves:
-            ups = self.topo.uplinks(leaf)
-            if len(ups) < 2:
-                continue
-            group = leaf.enable_failover(latency_ns)
-            for i, port in enumerate(ups):
-                group.set_backup(port, ups[(i + 1) % len(ups)])
-        if self.topo.cores:
-            core_set = set(self.topo.cores)
-            for agg in self.topo.spines:
-                ups = [p for p in agg.ports if p.peer in core_set]
-                if len(ups) < 2:
-                    continue
-                group = agg.enable_failover(latency_ns)
-                for i, port in enumerate(ups):
-                    group.set_backup(port, ups[(i + 1) % len(ups)])
-            return
-        if len(self.topo.spines) < 2 or len(self.topo.leaves) < 2:
-            return
-        next_tree = {
-            t.spine.name: self.trees[(i + 1) % len(self.trees)].tree_id
-            for i, t in enumerate(self.trees)
-        }
-        for spine in self.topo.spines:
-            downs = [p for p in spine.ports if p.peer in set(self.topo.leaves)]
-            if len(downs) < 2:
-                continue
-            group = spine.enable_failover(latency_ns)
-            relabel_tree = next_tree[spine.name]
-            for i, port in enumerate(downs):
-                backup = downs[(i + 1) % len(downs)]
-                group.set_backup(
-                    port, backup, rewrite=_relabel_to_tree(relabel_tree)
-                )
+        topo = self.topo
+        for tier in topo.tiers[:-1]:
+            for sw in tier:
+                _back_up_cyclically(sw, latency_ns, topo.up[sw])
+        # The one rule that depends on depth.  A 2-tier root is the
+        # only switch between two leaves, so nothing upstream can steer
+        # around its dead down port: its backup bucket relabels the
+        # packet onto the next tree and bounces it through a
+        # neighbouring leaf, which forwards it up that tree's healthy
+        # root (an OpenFlow fast-failover bucket with a set-field
+        # action).  "The next tree" is a different root only because a
+        # 2-tier tree is a single index; in a deeper fabric it usually
+        # climbs back through the same lower-tier switch, so there dead
+        # down ports wait for the reschedule.
+        if len(topo.tiers) == 2:
+            for i, tree in enumerate(self.trees):
+                root = tree_root(topo, tree)
+                onto = self.trees[(i + 1) % len(self.trees)].tree_id
+                if onto != tree.tree_id:
+                    _back_up_cyclically(root, latency_ns, topo.down[root],
+                                        _relabel_to_tree(onto))
+
+
+def _back_up_cyclically(sw: Switch, latency_ns: int, ports: List[Port],
+                        rewrite=None) -> None:
+    """Back each of ``sw``'s ``ports`` with the next one, if it has two."""
+    if len(ports) < 2:
+        return
+    group = sw.enable_failover(latency_ns)
+    for i, port in enumerate(ports):
+        group.set_backup(port, ports[(i + 1) % len(ports)], rewrite=rewrite)
 
 
 def _relabel_to_tree(tree_id: int):

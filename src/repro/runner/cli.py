@@ -200,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one sweep through the job pool",
         usage="python -m repro.runner run SWEEP [flags]",
         description="SWEEP is a name from `list`; `run SWEEP --help` "
-                    "shows that sweep's own flags.  The name may be "
-                    "omitted when --topology is given (implies 'fabric').")
+                    "shows that sweep's own flags.")
 
     summary = sub.add_parser(
         "summary", help="show what the result store already holds"
@@ -344,19 +343,15 @@ def _cmd_run(argv: List[str]) -> int:
     from repro.experiments.harness import format_table
     from repro.runner.sweeps import SWEEPS
 
-    name = argv[0] if argv and not argv[0].startswith("-") else None
-    rest = argv[1:] if name else argv
-    if name is None and any(a.startswith("--topology") for a in rest):
-        name = "fabric"
-    if name is None:
+    if not argv or argv[0].startswith("-"):
         raise UsageError(
-            "a sweep name is required (or pass --topology to imply "
-            f"'fabric'); available: {', '.join(SWEEPS)}")
+            f"a sweep name is required; available: {', '.join(SWEEPS)}")
+    name = argv[0]
     sweep = SWEEPS.get(name)
     if sweep is None:
         raise UsageError(
             f"unknown sweep {name!r}; available: {', '.join(SWEEPS)}")
-    ns = run_parser(sweep).parse_args(rest)
+    ns = run_parser(sweep).parse_args(argv[1:])
     options = execution_options(ns)
     try:
         payload = sweep.run(**sweep_params(sweep, ns), **vars(options))

@@ -50,7 +50,7 @@ class NorthSouthWorkload:
         self.remote_users: List[Host] = []
         self.flows_started = 0
         next_id = len(testbed.hosts)
-        for spine in testbed.topo.spines:
+        for spine in testbed.topo.tiers[1]:
             user = Host(
                 testbed.sim,
                 next_id,

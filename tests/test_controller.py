@@ -5,7 +5,7 @@ from collections import Counter
 from repro.host.gro import PrestoGro
 from repro.host.host import Host
 from repro.net.addresses import host_mac, shadow_mac, shadow_mac_tree
-from repro.net.topology import build_clos, build_single_switch
+from repro.net.fabrics import SINGLE_SWITCH, TopologySpec, build_fabric
 from repro.presto.controller import PrestoController, _interleave_schedule
 from repro.presto.vswitch import PrestoLb
 from repro.sim.engine import Simulator
@@ -13,11 +13,11 @@ from repro.sim.engine import Simulator
 
 def build(n_spines=4, n_leaves=2, hosts_per_leaf=2):
     sim = Simulator()
-    topo = build_clos(sim, n_spines, n_leaves)
+    topo = build_fabric(sim, TopologySpec.clos(n_spines, n_leaves))
     hosts = []
     for i in range(n_leaves * hosts_per_leaf):
         host = Host(sim, i, lb=PrestoLb(i), gro=PrestoGro(), model_cpu=False)
-        topo.attach_host(host, topo.leaves[i // hosts_per_leaf])
+        topo.attach_host(host, topo.tiers[0][i // hosts_per_leaf])
         hosts.append(host)
     controller = PrestoController(topo)
     for host in hosts:
@@ -40,11 +40,11 @@ def test_same_leaf_pair_uses_direct_mac():
 
 def test_single_switch_schedules_direct():
     sim = Simulator()
-    topo = build_single_switch(sim)
+    topo = build_fabric(sim, SINGLE_SWITCH)
     host0 = Host(sim, 0, lb=PrestoLb(0), model_cpu=False)
     host1 = Host(sim, 1, lb=PrestoLb(1), model_cpu=False)
-    topo.attach_host(host0, topo.leaves[0])
-    topo.attach_host(host1, topo.leaves[0])
+    topo.attach_host(host0, topo.tiers[0][0])
+    topo.attach_host(host1, topo.tiers[0][0])
     controller = PrestoController(topo)
     assert controller.schedule_for(0, 1) == [host_mac(1)]
 
@@ -83,7 +83,7 @@ def test_push_all_updates_registered_vswitches():
 def test_weighted_schedule_duplicates_labels():
     """Halving one leg's rate should weight other trees 2x."""
     _, topo, controller, hosts = build()
-    port = topo.port_between(topo.leaves[0], topo.spines[0])
+    port = topo.port_between(topo.tiers[0][0], topo.tiers[1][0])
     port.link.rate_bps = port.link.rate_bps / 2
     schedule = controller.schedule_for(0, 2)
     counts = Counter(shadow_mac_tree(m) for m in schedule)
@@ -102,9 +102,9 @@ def test_interleave_spreads_duplicates():
 def test_fast_failover_configures_leaves_and_spines():
     _, topo, controller, hosts = build()
     controller.enable_fast_failover(latency_ns=0)
-    for leaf in topo.leaves:
+    for leaf in topo.tiers[0]:
         assert leaf.failover is not None
-    for spine in topo.spines:
+    for spine in topo.tiers[1]:
         assert spine.failover is not None
 
 
@@ -119,7 +119,7 @@ def test_spine_failover_rewrite_moves_tree():
 
     pkt = Packet(flow_id=1, src_host=2, dst_host=0, dst_mac=shadow_mac(0, 0),
                  kind="data", seq=0, payload_len=100, flowcell_id=1)
-    topo.leaves[1].receive(pkt, None)  # send from L2 up tree 0
+    topo.tiers[0][1].receive(pkt, None)  # send from L2 up tree 0
     sim.run()
     assert hosts[0].nic.rx_pkts == 1
 

@@ -11,11 +11,19 @@ Covers the PR's acceptance surface:
   host-to-host reachability, one tree per core, pairwise trunk
   disjointness, and every (tree, host) shadow-MAC label resolving to
   the destination's access port;
-* tier-agnostic helpers raising :class:`TopologyShapeError` instead of
-  returning wrong answers on unsupported shapes;
+* wiring that is not a stack of tiers rejected at construction instead
+  of producing wrong trees;
+* the programmed state of six fabrics against the parent-generated
+  ``tests/golden/fabric_tables.json``;
+* a fabric no builder knows (a wiring literal) carrying Presto traffic
+  over every tree, before and after a link failure;
 * the bounded-memory streaming collectors behind the fabric sweep;
 * an end-to-end 128-host fat-tree sweep through the runner (tier 2).
 """
+
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,24 +40,32 @@ from repro.metrics.streaming import P2Quantile, StreamingQuantiles, TopK
 from repro.net.addresses import shadow_mac
 from repro.net.fabrics import (
     TopologySpec,
-    as_spec,
+    Wiring,
     build_fabric,
     fabric_link_names,
+    wiring,
 )
 from repro.net.routing import (
-    TopologyShapeError,
     TreeValidationError,
     allocate_spanning_trees,
-    enumerate_paths,
     install_tree_routes,
+    tree_legs,
+    tree_root,
     validate_trees,
 )
-from repro.net.topology import Topology
 from repro.runner.serialize import content_hash, from_jsonable, to_jsonable
 from repro.sim.engine import Simulator
 from repro.units import msec
 
 SEED_DEFAULT_CONFIG_HASH = "bc4b591b401b0e68"
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "gen_golden", ROOT / "tools" / "gen_golden.py")
+gen_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen_golden)
+FABRIC_TABLES = json.loads(
+    (ROOT / "tests" / "golden" / "fabric_tables.json").read_text())
 
 
 # --- TopologySpec API --------------------------------------------------------
@@ -75,6 +91,11 @@ def test_spec_parse_rejects_garbage():
                 "clos:spines=0", "hypercube:d=4", "fat-tree:q=8",
                 "clos:spines=2,leaves=2,hosts=2,extra=1"):
         with pytest.raises(ValueError):
+            TopologySpec.parse(bad)
+    # non-finite numbers name the key instead of overflowing in int()
+    for bad, key in (("fat-tree:k=inf", "k"), ("fat-tree:k=nan", "k"),
+                     ("leaf-spine:radix=8,oversub=nan", "oversub")):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
             TopologySpec.parse(bad)
 
 
@@ -158,14 +179,19 @@ def _fat_tree_testbed(k: int, scheme: str = "presto") -> Testbed:
 def test_fat_tree_shape_k4():
     tb = _fat_tree_testbed(4)
     topo = tb.topo
-    assert len(topo.cores) == 4
-    assert len(topo.leaves) == 8       # edges play the leaf role
-    assert len(topo.spines) == 8       # aggs play the spine role
-    assert len(topo.pod_edges) == 4 and len(topo.pod_aggs) == 4
+    assert [len(tier) for tier in topo.tiers] == [8, 8, 4]  # edge, agg, core
     assert len(tb.hosts) == 16
-    assert topo.n_tiers == 3
+    for edge, agg in zip(topo.tiers[0], topo.tiers[1]):
+        assert len(topo.up[edge]) == 2 and not topo.down[edge]
+        assert len(topo.up[agg]) == 2 and len(topo.down[agg]) == 2
+        assert len(topo.below[edge]) == 2      # its own hosts
+        assert len(topo.below[agg]) == 4       # its pod's hosts
+    for core in topo.tiers[2]:
+        assert len(topo.down[core]) == 4 and len(topo.below[core]) == 16
     trees = tb.controller.trees
-    assert len(trees) == 4             # one per core
+    # one per core, class-major: up = (agg class, core offset)
+    assert [t.up for t in trees] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [tree_root(topo, t) for t in trees] == topo.tiers[2]
     validate_trees(topo, trees)
 
 
@@ -173,9 +199,10 @@ def test_fat_tree_shape_k4():
 @given(k=st.sampled_from([2, 4, 6]),
        seed=st.integers(min_value=0, max_value=2**16))
 def test_fat_tree_paths_and_trees_properties(k, seed):
-    """For every even k: every host pair has at least one path, trees
-    number (k/2)^2 (one per core), and the validator's reachability +
-    disjointness invariants hold."""
+    """For every even k: trees number (k/2)^2 (one per core), the
+    validator's reachability + disjointness invariants hold, and the
+    trees give every host pair one path per core across pods, one per
+    agg inside a pod."""
     import random
 
     sim = Simulator()
@@ -192,7 +219,7 @@ def test_fat_tree_paths_and_trees_properties(k, seed):
 
     spec = TopologySpec.fat_tree(k)
     for h in range(n_hosts):
-        topo.attach_host(_H(h), topo.leaves[spec.edge_of(h)])
+        topo.attach_host(_H(h), topo.tiers[0][spec.edge_of(h)])
     trees = allocate_spanning_trees(topo)
     assert len(trees) == (k // 2) ** 2
     install_tree_routes(topo, trees)
@@ -201,13 +228,15 @@ def test_fat_tree_paths_and_trees_properties(k, seed):
     rng = random.Random(seed)
     for _ in range(4):
         a, b = rng.randrange(n_hosts), rng.randrange(n_hosts)
-        paths = enumerate_paths(topo, a, b)
-        assert paths, f"no path {a}->{b} on k={k}"
-        if spec.edge_of(a) != spec.edge_of(b):
-            # inter-pod pairs see one path per core, intra-pod one per agg
+        paths = {tuple(tree_legs(topo, tree, topo.host_leaf[a],
+                                 topo.host_leaf[b])) for tree in trees}
+        if spec.edge_of(a) == spec.edge_of(b):
+            assert paths == {()}
+        else:
             same_pod = (spec.edge_of(a) // (k // 2)
                         == spec.edge_of(b) // (k // 2))
             assert len(paths) == (k // 2 if same_pod else (k // 2) ** 2)
+            assert {len(p) for p in paths} == {2 if same_pod else 4}
 
 
 @settings(max_examples=8, deadline=None)
@@ -228,15 +257,15 @@ def test_every_tree_host_label_resolves(k):
             pass
 
     for h in range(spec.n_hosts()):
-        topo.attach_host(_H(h), topo.leaves[spec.edge_of(h)])
+        topo.attach_host(_H(h), topo.tiers[0][spec.edge_of(h)])
     trees = allocate_spanning_trees(topo)
     install_tree_routes(topo, trees)
     for tree in trees:
         for host_id in range(spec.n_hosts()):
             label = shadow_mac(tree.tree_id, host_id)
-            for start in topo.leaves:
+            for start in topo.tiers[0]:
                 node, hops = start, 0
-                while hops <= 2 * topo.n_tiers + 1:
+                while hops <= 2 * len(topo.tiers) + 1:
                     out = node.l2_table.get(label)
                     assert out is not None, (
                         f"tree {tree.tree_id} label for host {host_id} "
@@ -255,14 +284,12 @@ def test_tree_trunks_pairwise_disjoint_k4():
     edge<->agg access link is only legal within an uplink class."""
     tb = _fat_tree_testbed(4)
     trunk_links = {}
-    from repro.net.routing import tree_legs
-
     spec = TopologySpec.fat_tree(4)
     for tree in tb.controller.trees:
         for src in range(0, 16, 2):
             for dst in range(0, 16, 2):
-                src_leaf = tb.topo.leaves[spec.edge_of(src)]
-                dst_leaf = tb.topo.leaves[spec.edge_of(dst)]
+                src_leaf = tb.topo.tiers[0][spec.edge_of(src)]
+                dst_leaf = tb.topo.tiers[0][spec.edge_of(dst)]
                 legs = tree_legs(tb.topo, tree, src_leaf, dst_leaf)
                 if not legs or len(legs) != 4:
                     continue
@@ -278,7 +305,7 @@ def test_validator_catches_broken_tree():
     tb = _fat_tree_testbed(4)
     # corrupt one edge's route for tree 0 toward host 15
     label = shadow_mac(0, 15)
-    victim = tb.topo.leaves[0]
+    victim = tb.topo.tiers[0][0]
     del victim.l2_table[label]
     with pytest.raises(TreeValidationError, match="no route|dead-ends"):
         validate_trees(tb.topo, tb.controller.trees)
@@ -295,35 +322,141 @@ def test_fabric_link_names_match_built_topology():
             assert set(links) <= built
 
 
-# --- tier-agnostic error behavior --------------------------------------------
+def test_fabric_tables_golden_covers_every_shape():
+    assert list(FABRIC_TABLES) == list(gen_golden.FABRIC_SHAPES)
 
 
-def test_enumerate_paths_raises_on_unsupported_shape():
+@pytest.mark.parametrize("shape", gen_golden.FABRIC_SHAPES)
+def test_programmed_state_matches_parent_commit_golden(shape):
+    """Every L2 entry, ECMP group, failover bucket and schedule the
+    tier walk programs equals what the per-kind code it replaced
+    programmed (the golden was generated by that code)."""
+    assert gen_golden.fabric_tables_digest(shape) == FABRIC_TABLES[shape]
+
+
+# --- wiring plans ------------------------------------------------------------
+
+
+def test_wiring_is_what_gets_built():
+    """Switch creation order (salts), port order and link order all come
+    from the plan — they are behaviour."""
+    for spec in (TopologySpec.fat_tree(4), TopologySpec.clos(3, 2, 2)):
+        plan = wiring(spec)
+        topo = build_fabric(Simulator(), spec)
+        assert [[sw.name for sw in tier] for tier in topo.tiers] \
+            == [list(tier) for tier in plan.tiers]
+        assert [link.name for link in topo.links] \
+            == [f"{a}--{b}" for a, b in plan.links]
+        assert list(topo.switches) == list(
+            plan.creation or sum(reversed(plan.tiers), ()))
+        for name, sw in topo.switches.items():
+            assert [p.peer.name for p in topo.up[sw]] \
+                == [b for a, b in plan.links if a == name]
+
+
+def test_links_must_climb_exactly_one_tier():
+    with pytest.raises(ValueError, match="one tier"):
+        build_fabric(Simulator(), Wiring((("E1", "E2"),), (("E1", "E2"),)))
+    with pytest.raises(ValueError, match="one tier"):
+        build_fabric(Simulator(),
+                     Wiring((("E1",), ("A1",), ("C1",)), (("E1", "C1"),)))
+
+
+def test_uneven_up_fanout_has_no_trees():
+    topo = build_fabric(Simulator(), Wiring(
+        (("E1", "E2"), ("S1", "S2")),
+        (("E1", "S1"), ("E1", "S2"), ("E2", "S1"))))
+    with pytest.raises(ValueError, match="up-port counts"):
+        allocate_spanning_trees(topo)
+
+
+# --- the seam: fabrics no builder knows ----------------------------------------
+
+_W, _PODS = (1, 2), (1, 2, 3)
+
+SEAM_FABRICS = {
+    # 3 pods x (2 edges + 3 aggs), 2 roots per agg class: 3 x 2 trees
+    "wide-pods": Wiring(
+        tiers=(tuple(f"E{p}.{i}" for p in _PODS for i in _W),
+               tuple(f"A{p}.{j}" for p in _PODS for j in _PODS),
+               tuple(f"R{j}.{m}" for j in _PODS for m in _W)),
+        links=tuple((f"E{p}.{i}", f"A{p}.{j}")
+                    for p in _PODS for i in _W for j in _PODS)
+        + tuple((f"A{p}.{j}", f"R{j}.{m}")
+                for p in _PODS for j in _PODS for m in _W)),
+    # 4 tiers: 2 groups x 2 pods x 2 edges, every tier 2 up ports: 8 trees
+    "four-tier": Wiring(
+        tiers=(tuple(f"E{g}.{p}.{i}" for g in _W for p in _W for i in _W),
+               tuple(f"A{g}.{p}.{j}" for g in _W for p in _W for j in _W),
+               tuple(f"C{g}.{j}.{m}" for g in _W for j in _W for m in _W),
+               tuple(f"R{j}.{m}.{n}" for j in _W for m in _W for n in _W)),
+        links=tuple((f"E{g}.{p}.{i}", f"A{g}.{p}.{j}")
+                    for g in _W for p in _W for i in _W for j in _W)
+        + tuple((f"A{g}.{p}.{j}", f"C{g}.{j}.{m}")
+                for g in _W for p in _W for j in _W for m in _W)
+        + tuple((f"C{g}.{j}.{m}", f"R{j}.{m}.{n}")
+                for g in _W for j in _W for m in _W for n in _W)),
+}
+
+
+@pytest.mark.parametrize("name", SEAM_FABRICS)
+def test_unknown_fabric_carries_presto_over_every_tree(name):
+    """Hand-wired the way examples/custom_topology.py does it (plan ->
+    Topology, hosts, PrestoController): the trees validate, every label
+    resolves, and elephants ride every tree, then survive a link-down
+    on hardware failover alone."""
+    from repro.fluid.engine import FluidEngine
+    from repro.host.app import BulkApp, FlowIdAllocator
+    from repro.host.gro import PrestoGro
+    from repro.host.host import Host
+    from repro.host.tcp import TcpConfig
+    from repro.presto.controller import PrestoController
+    from repro.presto.vswitch import PrestoLb
+    from repro.units import KB
+
+    plan = SEAM_FABRICS[name]
     sim = Simulator()
-    topo = Topology(sim)
-    s1 = topo.add_switch("X1")
-    s2 = topo.add_switch("X2")
-    topo.connect(s1, s2)
+    topo = build_fabric(sim, plan)
+    tcp = TcpConfig(min_rto_ns=msec(20), initial_rto_ns=msec(20))
+    hosts = []
+    for host_id in range(2 * len(plan.tiers[0])):
+        hosts.append(Host(sim, host_id, lb=PrestoLb(host_id), gro=PrestoGro(),
+                          tcp_cfg=tcp, model_cpu=False))
+        topo.attach_host(hosts[-1], topo.tiers[0][host_id // 2])
+    controller = PrestoController(topo)
+    for host in hosts:
+        controller.register_vswitch(host.lb)
+    topo.install_underlay()
+    controller.enable_fast_failover(latency_ns=0)
 
-    class _H:
-        def __init__(self, host_id):
-            self.host_id = host_id
-            self.receivers = {}
+    trees = controller.trees
+    assert len(trees) == {"wide-pods": 6, "four-tier": 8}[name]
+    assert sorted(tree_root(topo, t).name for t in trees) \
+        == sorted(plan.tiers[-1])            # one tree per root
+    validate_trees(topo, trees)
 
-        def attach(self, port, topo):
-            pass
+    engine = FluidEngine(sim, topo, flowcell_bytes=64 * KB)
+    for tree in trees:
+        for dst in range(len(hosts)):
+            for src in range(len(hosts)):
+                if src != dst:
+                    path = engine.resolve_path(
+                        src, dst, 1, shadow_mac(tree.tree_id, dst), 0, 0)
+                    assert path and path[-1] == topo.host_port[dst].name
 
-    topo.attach_host(_H(0), s1)
-    topo.attach_host(_H(1), s2)
-    with pytest.raises(TopologyShapeError):
-        enumerate_paths(topo, 0, 1)
+    # one elephant per host, to the same slot half the fabric away
+    flow_ids = FlowIdAllocator()
+    apps = [BulkApp(sim, hosts[h], hosts[(h + len(hosts) // 2) % len(hosts)],
+                    flow_ids.next()) for h in range(len(hosts))]
+    sim.run(until=msec(1))
+    assert all(app.delivered_bytes() > 0 for app in apps)
+    for root in topo.tiers[-1]:
+        assert root.rx_pkts > 0, f"no traffic over the tree through {root.name}"
 
-
-def test_pod_of_switch_raises_without_metadata():
-    sim = Simulator()
-    topo = build_fabric(sim, TopologySpec.clos(2, 2, 2))
-    with pytest.raises(ValueError, match="pod"):
-        topo.pod_of_switch(topo.leaves[0])
+    before = [app.delivered_bytes() for app in apps]
+    topo.links[0].set_down()  # controller never told: failover only
+    sim.run(until=msec(2))
+    assert all(app.delivered_bytes() > b for app, b in zip(apps, before))
 
 
 # --- streaming collectors ----------------------------------------------------
@@ -442,8 +575,12 @@ def test_runner_cli_rejects_topology_for_non_fabric_sweeps(capsys):
         main(["run", "scalability", "--topology", "fat-tree:k=4"])
     assert exc.value.code == 2
     assert "--topology" in capsys.readouterr().err
-    assert main(["run", "--topology", "fat-tree:k=5"]) == 2
-    assert "bad --topology" in capsys.readouterr().err
+    for bad in ("fat-tree:k=5", "fat-tree:k=inf"):
+        assert main(["run", "fabric", "--topology", bad]) == 2
+        assert "bad --topology" in capsys.readouterr().err
+    # no sweep name is a usage error, whatever flags follow
+    assert main(["run", "--topology", "fat-tree:k=4"]) == 2
+    assert "sweep name is required" in capsys.readouterr().err
 
 
 # --- tier 2: datacenter-scale end-to-end -------------------------------------
@@ -457,7 +594,7 @@ def test_k8_flow_fidelity_sweep_through_runner(tmp_path):
     from repro.runner.cli import main
 
     rc = main([
-        "run", "--topology", "fat-tree:k=8", "--fidelity", "flow",
+        "run", "fabric", "--topology", "fat-tree:k=8", "--fidelity", "flow",
         "--seeds", "1", "--duration-ms", "3", "--validate",
         "--results-dir", str(tmp_path), "--quiet",
     ])

@@ -74,10 +74,10 @@ def test_optimal_is_single_switch():
 def test_presto_ecmp_underlay_hash_mode():
     tb = Testbed(TestbedConfig(scheme="presto_ecmp", n_spines=2, n_leaves=2,
                                hosts_per_leaf=1))
-    assert tb.topo.leaves[0].ecmp_default.mode == HASH_FLOWCELL
+    assert tb.topo.tiers[0][0].ecmp_default.mode == HASH_FLOWCELL
     tb2 = Testbed(TestbedConfig(scheme="ecmp", n_spines=2, n_leaves=2,
                                 hosts_per_leaf=1))
-    assert tb2.topo.leaves[0].ecmp_default.mode == HASH_FLOW
+    assert tb2.topo.tiers[0][0].ecmp_default.mode == HASH_FLOW
 
 
 def test_presto_schedules_pushed():

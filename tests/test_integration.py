@@ -42,7 +42,7 @@ def test_presto_spreads_flowcells_over_all_spines():
     # measure the data direction only (spine -> L2); the reverse ACK
     # stream pins one spine and would skew rx counts
     l2 = tb.topo.switches["L2"]
-    down_bytes = [tb.topo.port_between(s, l2).tx_bytes for s in tb.topo.spines]
+    down_bytes = [tb.topo.port_between(s, l2).tx_bytes for s in tb.topo.tiers[1]]
     assert min(down_bytes) > 0
     # round robin: spine loads within a few percent of each other
     assert max(down_bytes) < 1.1 * min(down_bytes)
@@ -56,7 +56,7 @@ def test_ecmp_flow_stays_on_one_spine():
     # only the hashed spine carries data toward the receiver's leaf
     l2 = tb.topo.switches["L2"]
     active = [
-        s for s in tb.topo.spines
+        s for s in tb.topo.tiers[1]
         if tb.topo.port_between(s, l2).tx_bytes > 100_000
     ]
     assert len(active) == 1

@@ -3,21 +3,21 @@
 from repro.host.gro import OfficialGro
 from repro.host.host import Host
 from repro.net.addresses import shadow_mac
+from repro.net.fabrics import SINGLE_SWITCH, TopologySpec, build_fabric
 from repro.net.routing import (
     allocate_spanning_trees,
-    enumerate_paths,
     install_tree_routes,
+    tree_root,
 )
-from repro.net.topology import build_clos, build_single_switch
 from repro.sim.engine import Simulator
 
 
 def build(n_spines=4, n_leaves=2, hosts_per_leaf=2):
     sim = Simulator()
-    topo = build_clos(sim, n_spines, n_leaves)
+    topo = build_fabric(sim, TopologySpec.clos(n_spines, n_leaves))
     for i in range(n_leaves * hosts_per_leaf):
         host = Host(sim, i, gro=OfficialGro(), model_cpu=False)
-        topo.attach_host(host, topo.leaves[i // hosts_per_leaf])
+        topo.attach_host(host, topo.tiers[0][i // hosts_per_leaf])
     return sim, topo
 
 
@@ -25,15 +25,17 @@ def test_one_tree_per_spine():
     _, topo = build(n_spines=4)
     trees = allocate_spanning_trees(topo)
     assert len(trees) == 4
-    assert {t.spine.name for t in trees} == {"S1", "S2", "S3", "S4"}
+    assert [tree_root(topo, t).name for t in trees] == ["S1", "S2", "S3", "S4"]
     assert [t.tree_id for t in trees] == [0, 1, 2, 3]
+    assert [t.up for t in trees] == [(0,), (1,), (2,), (3,)]
 
 
 def test_single_switch_degenerate_tree():
     sim = Simulator()
-    topo = build_single_switch(sim)
+    topo = build_fabric(sim, SINGLE_SWITCH)
     trees = allocate_spanning_trees(topo)
     assert len(trees) == 1
+    assert trees[0].up == () and tree_root(topo, trees[0]).name == "SW"
 
 
 def test_install_tree_routes_complete():
@@ -46,14 +48,14 @@ def test_install_tree_routes_complete():
             # destination leaf delivers to the host port
             assert leaf.l2_table[label] is topo.host_port[host_id]
             # every spine can route the label down (failover support)
-            for spine in topo.spines:
+            for spine in topo.tiers[1]:
                 assert label in spine.l2_table
             # other leaves route up to the tree's spine
-            for other in topo.leaves:
+            for other in topo.tiers[0]:
                 if other is leaf:
                     continue
                 up = other.l2_table[label]
-                assert up.peer is tree.spine
+                assert up.peer is tree_root(topo, tree)
 
 
 def test_label_path_uses_only_its_tree_spine():
@@ -67,21 +69,11 @@ def test_label_path_uses_only_its_tree_spine():
         label = shadow_mac(tree.tree_id, 1)  # host 1 on leaf 2
         pkt = Packet(flow_id=1, src_host=0, dst_host=1, dst_mac=label,
                      kind="data", seq=0, payload_len=100, flowcell_id=1)
-        before = {s.name: s.rx_pkts for s in topo.spines}
-        topo.leaves[0].receive(pkt, None)
+        before = {s.name: s.rx_pkts for s in topo.tiers[1]}
+        topo.tiers[0][0].receive(pkt, None)
         sim.run()
-        for spine in topo.spines:
-            expected = 1 if spine is tree.spine else 0
+        for spine in topo.tiers[1]:
+            expected = 1 if spine is tree_root(topo, tree) else 0
             assert spine.rx_pkts - before[spine.name] == expected
         # and the host got it
         assert topo.hosts[1].nic.rx_pkts >= 1
-
-
-def test_enumerate_paths():
-    _, topo = build(n_spines=4, n_leaves=2, hosts_per_leaf=2)
-    paths = enumerate_paths(topo, 0, 2)
-    assert len(paths) == 4
-    for path in paths:
-        assert path[0] == "L1" and path[-1] == "L2"
-    # same-leaf pair: single local path
-    assert enumerate_paths(topo, 0, 1) == [["L1"]]

@@ -243,8 +243,8 @@ def test_elephant_iso_disjoint_trees_on_fat_tree_k4():
     links = {}
     for tree in trees:
         used = set()
-        for src_leaf in topo.leaves:
-            for dst_leaf in topo.leaves:
+        for src_leaf in topo.tiers[0]:
+            for dst_leaf in topo.tiers[0]:
                 if src_leaf is not dst_leaf:
                     for port in tree_legs(topo, tree, src_leaf, dst_leaf):
                         used.add(port.link.name)
