@@ -11,12 +11,21 @@ what flow-level simulators (RepFlow, psim) use in place of packet
 queues.
 
 The function is pure and deterministic, and — deliberately — exactly
-permutation invariant: every floating-point reduction over a set of
-flows or links is performed in a sorted order, so reordering the input
-``flows`` list permutes the output rates without changing a single
-bit.  The property tests in ``tests/test_fluid_allocator.py`` pin
-capacity respect, work conservation, bottleneck fairness and that
-permutation invariance.
+permutation invariant: every sum over a set of flows is taken in
+sorted order and everything else is a ``min`` or a set of frozen
+flows, so reordering the input ``flows`` list permutes the output
+rates without changing a single bit.  The property tests in
+``tests/test_fluid_allocator.py`` pin capacity respect, work
+conservation, bottleneck fairness and that permutation invariance.
+
+The fluid engine calls it once per reallocation over every pipe in
+the fabric, so a round costs what is still unfrozen (active flows and
+the links they cross are compacted as flows freeze, demand scans
+visit demand-capped flows only) plus the links that just lost a flow.
+What it may *not* do is reassociate a single float operation: FCTs are
+``ceil(remaining / rate)`` nanoseconds, a last-bit change in a rate
+moves committed digests, and ``tests/reference_allocator.py`` — the
+plain every-link-every-round version — must agree bitwise.
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ def max_min_allocation(
     if n == 0:
         return rates
 
-    link_flows: Dict[Hashable, List[int]] = {}
+    #: link -> the still-unfrozen flows crossing it
+    members: Dict[Hashable, List[int]] = {}
     demands: List[Optional[float]] = []
     weights: List[float] = []
     for i, (links, weight, demand) in enumerate(flows):
@@ -61,120 +71,123 @@ def max_min_allocation(
             raise ValueError(f"flow {i}: demand must be >= 0, got {demand}")
         weights.append(float(weight))
         demands.append(None if demand is None else float(demand))
-        for link in set(links):
-            if link not in capacity:
-                raise ValueError(f"flow {i}: unknown link {link!r}")
-            link_flows.setdefault(link, []).append(i)
+        for link in links:
+            on_link = members.get(link)
+            if on_link is None:
+                if link not in capacity:
+                    raise ValueError(f"flow {i}: unknown link {link!r}")
+                members[link] = [i]
+            elif on_link[-1] != i:  # a path may repeat a link: count it once
+                on_link.append(i)
 
     remaining: Dict[Hashable, float] = {}
-    for link in link_flows:
+    #: headroom under which a link counts as saturated
+    slack: Dict[Hashable, float] = {}
+    #: sum of the unfrozen weights on a link.  Addition is not
+    #: associative in floats, so the sum is always taken over the
+    #: weights in ascending order — which is what keeps the whole
+    #: allocation independent of the order of ``flows``.  Each member
+    #: list is sorted by weight once; dropping frozen flows keeps it
+    #: sorted, and a link's sum is retaken only when one of its flows
+    #: froze.
+    wsum: Dict[Hashable, float] = {}
+    for link, on_link in members.items():
         cap = float(capacity[link])
         if cap < 0:
             raise ValueError(f"link {link!r}: capacity must be >= 0, got {cap}")
         remaining[link] = cap
+        slack[link] = cap * _REL_EPS
+        on_link.sort(key=weights.__getitem__)
+        total = 0.0
+        for i in on_link:
+            total += weights[i]
+        wsum[link] = total
 
-    # Links iterated in a stable sorted order so every reduction below
-    # is independent of dict insertion order (permutation invariance).
-    ordered_links = sorted(link_flows, key=repr)
-
-    active = [True] * n
-    n_active = n
-    while n_active:
+    unfrozen = [True] * n
+    active = list(range(n))       # unfrozen flows, ascending
+    capped = [i for i in active if demands[i] is not None]
+    live = list(members)          # links an unfrozen flow still crosses
+    while active:
         # Largest uniform time step `dt` such that raising every active
         # flow by weight*dt neither oversubscribes a link nor overshoots
-        # a demand.  Weight sums are computed over *sorted* weight
-        # values: addition is not associative in floats, and this keeps
-        # the sum — hence the whole allocation — order independent.
+        # a demand.
         dt = None
-        for link in ordered_links:
-            wsum = _active_weight(link_flows[link], active, weights)
-            if wsum <= 0.0:
-                continue
-            step = remaining[link] / wsum
+        for link in live:
+            step = remaining[link] / wsum[link]
             if dt is None or step < dt:
                 dt = step
-        for i in range(n):
-            if not active[i] or demands[i] is None:
-                continue
+        for i in capped:
             step = (demands[i] - rates[i]) / weights[i]
             if dt is None or step < dt:
                 dt = step
         if dt is None:
             # Only unbounded flows crossing no links remain: nothing
             # constrains them.  Freeze at infinity.
-            for i in range(n):
-                if active[i]:
-                    rates[i] = float("inf")
-                    active[i] = False
+            for i in active:
+                rates[i] = float("inf")
             break
         dt = max(dt, 0.0)
 
         if dt > 0.0:
-            for i in range(n):
-                if active[i]:
-                    rates[i] += weights[i] * dt
-            for link in ordered_links:
-                wsum = _active_weight(link_flows[link], active, weights)
-                if wsum > 0.0:
-                    remaining[link] -= wsum * dt
+            for i in active:
+                rates[i] += weights[i] * dt
+            for link in live:
+                remaining[link] -= wsum[link] * dt
 
         # Freeze: first flows that met their demand, then flows crossing
         # a saturated link.  At least one flow freezes per round (the
         # minimizing constraint is met with equality), so the loop
         # terminates after at most n rounds.
-        froze = False
-        for i in range(n):
-            if (active[i] and demands[i] is not None
-                    and rates[i] >= demands[i] - abs(demands[i]) * _REL_EPS):
+        frozen: List[int] = []
+        for i in capped:
+            if rates[i] >= demands[i] - abs(demands[i]) * _REL_EPS:
                 rates[i] = demands[i]
-                active[i] = False
-                froze = True
-        for link in ordered_links:
-            cap = float(capacity[link])
-            if remaining[link] <= cap * _REL_EPS:
-                remaining[link] = max(remaining[link], 0.0)
-                for i in link_flows[link]:
-                    if active[i]:
-                        active[i] = False
-                        froze = True
-        if not froze:
+                unfrozen[i] = False
+                frozen.append(i)
+        for link in live:
+            if remaining[link] <= slack[link]:
+                for i in members[link]:
+                    if unfrozen[i]:
+                        unfrozen[i] = False
+                        frozen.append(i)
+        if not frozen:
             # Numerical corner: dt rounded to zero without meeting any
             # constraint exactly (e.g. a denormal demand gap whose step
             # underflows).  Freeze the tightest constraint outright —
-            # a demand-capped flow whose gap underflowed, else the
-            # tightest link.
+            # a demand-capped flow whose gap underflowed (the earliest
+            # in input order among equals), else the tightest link
+            # (by name among equals).
             demand_gap, demand_idx = None, None
-            for i in range(n):
-                if not active[i] or demands[i] is None:
-                    continue
+            for i in capped:
                 gap = (demands[i] - rates[i]) / weights[i]
                 if demand_gap is None or gap < demand_gap:
                     demand_gap, demand_idx = gap, i
             tightest = min(
-                (link for link in ordered_links
-                 if _active_weight(link_flows[link], active, weights) > 0.0),
-                key=lambda link: (remaining[link], repr(link)),
-                default=None,
-            )
+                live, key=lambda link: (remaining[link], repr(link)),
+                default=None)
             if demand_idx is not None and (
                     tightest is None or demand_gap <= remaining[tightest]):
                 rates[demand_idx] = demands[demand_idx]
-                active[demand_idx] = False
+                frozen.append(demand_idx)
             elif tightest is not None:
-                for i in link_flows[tightest]:
-                    active[i] = False
+                frozen.extend(members[tightest])
             else:
                 break
-        n_active = sum(active)
+            for i in frozen:
+                unfrozen[i] = False
+
+        if len(frozen) == len(active):
+            break
+        stale = set()   # links that lost a flow this round
+        for i in frozen:
+            stale.update(flows[i][0])
+        for link in stale:
+            members[link] = on_link = [i for i in members[link] if unfrozen[i]]
+            total = 0.0
+            for i in on_link:
+                total += weights[i]
+            wsum[link] = total
+        live = [link for link in live if members[link]]
+        active = [i for i in active if unfrozen[i]]
+        capped = [i for i in capped if unfrozen[i]]
     return rates
-
-
-def _active_weight(indices: List[int], active: List[bool],
-                   weights: List[float]) -> float:
-    """Sum of active weights on a link, reduced in sorted value order so
-    the float result does not depend on flow insertion order."""
-    values = sorted(weights[i] for i in indices if active[i])
-    total = 0.0
-    for value in values:
-        total += value
-    return total

@@ -22,7 +22,11 @@ Fidelity anchors (what stays *identical* to the packet engine):
   switch state — ``l2_table``, ECMP groups (including per-(flow, cell)
   leaf hashing) and ``FailoverGroup.reroute`` with its hardware
   latency — so shadow-MAC trees, backup paths and blackhole windows
-  behave exactly as a packet would see them.
+  behave exactly as a packet would see them.  A walk is kept until the
+  forwarding state can have changed under it: after set-up that
+  happens only through ``Link.set_down/set_up/set_rate`` observers,
+  the close of a failover detection window, or a schedule push (which
+  re-slices) — see ``FluidEngine._fwd_epoch``.
 * **Fairness.**  Pipe weights are byte *fractions* of their transfer
   (they sum to 1 per transfer), so a Presto elephant sprayed over four
   trees competes at a shared access link as one flow, not four — the
@@ -36,11 +40,12 @@ resulting divergence per metric.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.fluid.allocator import max_min_allocation
 from repro.net.packet import DATA
-from repro.net.switch import Switch
+from repro.net.switch import HASH_FLOWCELL, Switch
 from repro.units import SEC
 
 #: residual bytes under which a bounded transfer counts as finished
@@ -55,6 +60,9 @@ MAX_SLICE_CELLS = 512
 
 #: probe cells per label for unbounded (run-length) transfers
 UNBOUNDED_CELLS_PER_LABEL = 8
+
+#: "no walk kept" in a slice's memo (``None`` is a result: blackholed)
+_UNWALKED = object()
 
 
 class _Probe:
@@ -85,15 +93,16 @@ class _Pipe:
     """One (wire flow, label, path) strand of a transfer's fluid."""
 
     __slots__ = ("flow_id", "dst_mac", "flowcell_id", "frac", "path",
-                 "rate", "delivered")
+                 "epoch", "rate", "delivered")
 
     def __init__(self, flow_id: int, dst_mac: int, flowcell_id: int,
-                 frac: float):
+                 path: Optional[Tuple[str, ...]], epoch: int):
         self.flow_id = flow_id
         self.dst_mac = dst_mac          # label as originally selected
         self.flowcell_id = flowcell_id  # representative cell (ECMP hash)
-        self.frac = frac                # byte fraction of the transfer
-        self.path: Optional[Tuple[str, ...]] = None  # port names, or None
+        self.frac = 0.0                 # byte fraction of the transfer
+        self.path = path                # port names, or None (blackholed)
+        self.epoch = epoch              # forwarding epoch `path` was walked in
         self.rate = 0.0                 # bytes/ns, set by realloc
         self.delivered = 0.0            # bytes carried by this pipe
 
@@ -123,7 +132,6 @@ class FluidTransfer:
         self.done = False
         self.fct_ns: Optional[int] = None
         self._final_by_flow: Optional[Dict[int, int]] = None
-        self._completion_event = None
 
     # --- Transfer protocol ------------------------------------------------
 
@@ -201,10 +209,28 @@ class FluidEngine:
         self._active: List[FluidTransfer] = []
         self._last_ns = 0
         self._ports: Dict[str, object] = {}  # port name -> Port
+        #: bytes/ns of every port in ``_ports``: the allocator's capacities
+        self._capacity: Dict[str, float] = {}
         self._leg_bytes: Dict[str, float] = {}
         self._realloc_times: set = set()
         self._reslice_pending = False
         self._watching = False
+        #: Generation of the fabric's forwarding state.  What a walk of
+        #: the switch tables returns can change only when a link changes
+        #: state (``Link.on_state_change``) or a failover detection
+        #: window closes, so both bump it and a pipe's path is walked
+        #: again only if it dates from an older epoch.  (Schedule pushes
+        #: re-slice, which walks everything afresh.)
+        self._fwd_epoch = 0
+        #: times at which a detection window opened by a link change
+        #: closes and :class:`FailoverGroup` backups engage, ascending
+        self._window_closes: Deque[int] = deque()
+        #: whether the last :meth:`resolve_path` walk consulted a
+        #: per-flowcell ECMP group (its result holds for that cell only)
+        self._cell_hashed = False
+        #: the one pending completion: every reallocation re-predicts
+        #: every transfer, so only the earliest prediction can ever fire
+        self._completion_event = None
         #: counters surfaced via telemetry and the compare report
         self.reallocs = 0
         self.slices = 0
@@ -224,8 +250,13 @@ class FluidEngine:
             link.on_state_change.append(self._on_link_change)
 
     def _on_link_change(self, link) -> None:
+        self._fwd_epoch += 1
+        for port in link.ports:
+            if port.name in self._capacity:
+                self._capacity[port.name] = link.rate_bps / (8.0 * SEC)
         self.request_realloc(0)
         if self.failover_latency_ns > 0:
+            self._window_closes.append(self.sim.now + self.failover_latency_ns)
             self.request_realloc(self.failover_latency_ns)
 
     def schedules_changed(self) -> None:
@@ -292,20 +323,27 @@ class FluidEngine:
         if grand <= 0.0:
             return
         now = self.sim.now
+        epoch = self._fwd_epoch
+        #: this slice's walks: (flow, label, None) -> path where the walk
+        #: never hashed on the cell, (flow, label, cell) -> path where it did
+        walked: Dict[Tuple[int, int, Optional[int]], object] = {}
         pipes: Dict[Tuple[int, int, Optional[Tuple[str, ...]]], _Pipe] = {}
-        order: List[Tuple[int, int, Optional[Tuple[str, ...]]]] = []
         for flow_id, dst_mac, cell_id, nbytes in cells:
-            path = self.resolve_path(transfer.src, transfer.dst,
-                                     flow_id, dst_mac, cell_id, now)
+            path = walked.get((flow_id, dst_mac, None), _UNWALKED)
+            if path is _UNWALKED:
+                path = walked.get((flow_id, dst_mac, cell_id), _UNWALKED)
+            if path is _UNWALKED:
+                path = self.resolve_path(transfer.src, transfer.dst,
+                                         flow_id, dst_mac, cell_id, now)
+                walked[flow_id, dst_mac,
+                       cell_id if self._cell_hashed else None] = path
             key = (flow_id, dst_mac, path)
             pipe = pipes.get(key)
             if pipe is None:
-                pipe = _Pipe(flow_id, dst_mac, cell_id, 0.0)
-                pipe.path = path
-                pipes[key] = pipe
-                order.append(key)
+                pipes[key] = pipe = _Pipe(flow_id, dst_mac, cell_id, path,
+                                          epoch)
             pipe.frac += nbytes / grand
-        transfer.pipes = [pipes[k] for k in order]
+        transfer.pipes = list(pipes.values())
 
     def _slice_flow(self, lb, flow_id: int, src: int, dst: int,
                     budget: Optional[float]):
@@ -347,7 +385,12 @@ class FluidEngine:
         forward a packet carrying this label.  Returns the directional
         port-name path host→…→host, or None if the packet would
         blackhole (down link with no engaged backup, no route, or a
-        forwarding loop)."""
+        forwarding loop).
+
+        Between two bumps of ``_fwd_epoch`` the result depends on the
+        arguments alone — on ``flowcell_id`` only if ``_cell_hashed``
+        comes back set — which is what lets callers keep it."""
+        self._cell_hashed = False
         leaf_port = self.topo.host_port.get(src)
         if leaf_port is None:
             return None
@@ -368,6 +411,8 @@ class FluidEngine:
                     group = node.ecmp_default
                 if group is not None:
                     out = group.select(probe)
+                    if group.mode == HASH_FLOWCELL:
+                        self._cell_hashed = True
             if out is not None and not out.link.up and node.failover is not None:
                 # reroute() applies the backup's label rewrite in place,
                 # so the next hop resolves the relabeled probe
@@ -375,18 +420,23 @@ class FluidEngine:
             if out is None or not out.link.up:
                 return None
             legs.append(out.name)
-            self._ports.setdefault(out.name, out)
+            self._see_port(out)
             peer = out.peer
             if not isinstance(peer, Switch):
                 if getattr(peer, "host_id", None) != dst:
                     return None  # mislabeled: a packet would be ignored
-                self._ports.setdefault(egress.name, egress)
+                self._see_port(egress)
                 return tuple(legs)
             node = peer
             hops += 1
             if hops > Switch.MAX_HOPS:
                 return None
         return None
+
+    def _see_port(self, port) -> None:
+        if port.name not in self._ports:
+            self._ports[port.name] = port
+            self._capacity[port.name] = port.link.rate_bps / (8.0 * SEC)
 
     # --- advancement ------------------------------------------------------
 
@@ -427,40 +477,49 @@ class FluidEngine:
         self._realloc_times.discard(at)
         self._realloc()
 
+    def _completion_due(self) -> None:
+        self._completion_event = None
+        self._realloc()
+
     def _realloc(self) -> None:
         now = self.sim.now
         self._advance(now)
         self._complete_drained(now)
+        # Decided by the clock, not by which event got here first: an
+        # arrival at the very timestamp a window closes already walks
+        # the engaged backups.
+        closes = self._window_closes
+        if closes and closes[0] <= now:
+            while closes and closes[0] <= now:
+                closes.popleft()
+            self._fwd_epoch += 1
+        epoch = self._fwd_epoch
         if self._reslice_pending:
             self._reslice_pending = False
             for transfer in self._active:
                 self._slice_transfer(transfer)
-        else:
-            for transfer in self._active:
-                for pipe in transfer.pipes:
-                    pipe.path = self.resolve_path(
-                        transfer.src, transfer.dst, pipe.flow_id,
-                        pipe.dst_mac, pipe.flowcell_id, now)
 
         entries = []   # allocator input
         routed = []    # pipes aligned with entries
         for transfer in self._active:
             for pipe in transfer.pipes:
+                if pipe.epoch != epoch:
+                    pipe.path = self.resolve_path(
+                        transfer.src, transfer.dst, pipe.flow_id,
+                        pipe.dst_mac, pipe.flowcell_id, now)
+                    pipe.epoch = epoch
                 pipe.rate = 0.0
                 if pipe.path is not None and pipe.frac > 0.0:
                     entries.append((pipe.path, pipe.frac, None))
                     routed.append(pipe)
         if entries:
-            capacity = {name: self._ports[name].link.rate_bps / (8.0 * SEC)
-                        for name in self._ports}
-            rates = max_min_allocation(entries, capacity)
+            rates = max_min_allocation(entries, self._capacity)
             for pipe, rate in zip(routed, rates):
                 pipe.rate = rate
             if self.validate:
-                self._check_allocation(entries, rates, capacity)
+                self._check_allocation(entries, rates, self._capacity)
 
-        for transfer in self._active:
-            self._schedule_completion(transfer, now)
+        self._schedule_completion()
         self.reallocs += 1
 
     def _check_allocation(self, entries, rates, capacity) -> None:
@@ -475,18 +534,25 @@ class FluidEngine:
                     f"t={self.sim.now}: allocation exceeds capacity on "
                     f"{leg}: {used[leg]:.6g} > {cap:.6g} bytes/ns")
 
-    def _schedule_completion(self, transfer: FluidTransfer, now: int) -> None:
-        if transfer._completion_event is not None:
-            transfer._completion_event.cancel()
-            transfer._completion_event = None
-        if transfer.remaining is None:
-            return
-        total = transfer._total_rate()
-        if total <= 0.0:
-            return  # stalled (e.g. blackholed); a later realloc revives it
-        delay = int(math.ceil(transfer.remaining / total))
-        transfer._completion_event = self.sim.schedule(
-            max(1, delay), self._run_realloc, None)
+    def _schedule_completion(self) -> None:
+        """Re-arm the completion timer for the transfer that, at the
+        rates just set, drains first."""
+        if self._completion_event is not None:
+            self._completion_event.cancel()
+            self._completion_event = None
+        soonest = None
+        for transfer in self._active:
+            if transfer.remaining is None:
+                continue
+            total = transfer._total_rate()
+            if total <= 0.0:
+                continue  # stalled (e.g. blackholed); a later realloc revives it
+            delay = int(math.ceil(transfer.remaining / total))
+            if soonest is None or delay < soonest:
+                soonest = delay
+        if soonest is not None:
+            self._completion_event = self.sim.schedule(
+                max(1, soonest), self._completion_due)
 
     def _complete_drained(self, now: int) -> None:
         drained = [t for t in self._active
@@ -496,9 +562,6 @@ class FluidEngine:
             transfer.done = True
             transfer.remaining = 0.0
             transfer.fct_ns = now - transfer.start_ns
-            if transfer._completion_event is not None:
-                transfer._completion_event.cancel()
-                transfer._completion_event = None
             transfer._finalize()
             if transfer.on_complete is not None:
                 transfer.on_complete(transfer)

@@ -71,7 +71,11 @@ class Link:
         """Change the link rate in place (degraded optics / FEC fallback).
 
         Packets already serializing finish at the old rate; observers are
-        notified so the control plane can reweight schedules.
+        notified so the control plane can reweight schedules.  This is
+        the only supported way to change a rate: the serialization
+        cache, the controller's schedule plans and the fluid engine's
+        capacities and kept paths all follow ``on_state_change``, which
+        assigning ``rate_bps`` directly bypasses.
         """
         if rate_bps <= 0:
             raise ValueError(f"link rate must be positive: {rate_bps}")

@@ -155,7 +155,13 @@ class Switch:
         port.link.on_state_change.append(on_change)
 
     def install_route(self, mac: int, port: Port) -> None:
-        """Exact-match L2 entry: ``mac`` forwards out ``port``."""
+        """Exact-match L2 entry: ``mac`` forwards out ``port``.
+
+        Part of set-up.  Once traffic runs, forwarding changes only
+        through ``Link.set_down/set_up/set_rate``, vSwitch schedule
+        pushes and the failover detection window — the fluid engine
+        keeps walked paths between those (a route installed mid-run is
+        seen by packets, not by fluids already flowing)."""
         self.l2_table[mac] = port
 
     def remove_route(self, mac: int) -> None:

@@ -57,6 +57,13 @@ class PrestoController:
         self._meet: Dict[Tuple[Switch, Switch], int] = {
             (src, dst): len(legs) // 2 for src in edges for dst in edges
             if (legs := tree_legs(topo, self.trees[0], src, dst)) is not None}
+        # Weights read nothing but the state of the links trees climb
+        # through, and depend on the hosts only through their edge
+        # switches: one plan per edge pair, dropped when a link changes.
+        self._plans: Dict[Tuple[Switch, Switch], List[int]] = {}
+        for link in {leg.link for climb in self._climb.values()
+                     for leg in climb}:
+            link.on_state_change.append(self._forget_plans)
 
     # --- schedule computation -------------------------------------------------
 
@@ -83,6 +90,15 @@ class PrestoController:
         dst_leaf = self.topo.host_leaf[dst_host]
         if src_leaf is dst_leaf:
             return [host_mac(dst_host)]
+        plan = self._plans.get((src_leaf, dst_leaf))
+        if plan is None:
+            plan = self._plans[src_leaf, dst_leaf] = self._tree_plan(
+                src_leaf, dst_leaf)
+        return [shadow_mac(tree_id, dst_host) for tree_id in plan]
+
+    def _tree_plan(self, src_leaf: Switch, dst_leaf: Switch) -> List[int]:
+        """The tree ids hosts below ``src_leaf`` round-robin toward hosts
+        below ``dst_leaf``, a tree repeated once per unit of weight."""
         weights = [(t, self.tree_weight(t, src_leaf, dst_leaf)) for t in self.trees]
         usable = [(t, w) for t, w in weights if w > 0]
         if not usable:
@@ -90,11 +106,16 @@ class PrestoController:
             # in the fabric, which is what a real blackhole looks like.
             usable = [(t, 1.0) for t in self.trees]
         min_w = min(w for _, w in usable)
-        schedule: List[int] = []
+        plan: List[int] = []
         for tree, w in usable:
             copies = max(1, int(round(w / min_w)))
-            schedule.extend([shadow_mac(tree.tree_id, dst_host)] * copies)
-        return _interleave_schedule(schedule)
+            plan.extend([tree.tree_id] * copies)
+        # interleaved by tree id, which is by label: for one host a
+        # shadow MAC grows with its tree id
+        return _interleave_schedule(plan)
+
+    def _forget_plans(self, link) -> None:
+        self._plans.clear()
 
     # --- vSwitch management ------------------------------------------------------
 

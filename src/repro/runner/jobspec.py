@@ -11,6 +11,7 @@ start method and makes the hash independent of the interpreter run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, Optional
 
 from repro.runner.serialize import content_hash, ref_of, resolve_ref
@@ -40,9 +41,11 @@ class JobSpec:
         ref = fn if isinstance(fn, str) else ref_of(fn)
         return cls(fn=ref, cfg=cfg, kwargs=kwargs, label=label)
 
-    @property
+    @cached_property
     def hash(self) -> str:
-        """Stable content hash over (fn, cfg, kwargs) — the cache key."""
+        """Stable content hash over (fn, cfg, kwargs) — the cache key.
+        Computed once per spec: the dataclass is frozen and nothing
+        mutates ``kwargs`` in place."""
         return content_hash({"fn": self.fn, "cfg": self.cfg, "kwargs": self.kwargs})
 
     @property

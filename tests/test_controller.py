@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+import pytest
+
 from repro.host.gro import PrestoGro
 from repro.host.host import Host
 from repro.net.addresses import host_mac, shadow_mac, shadow_mac_tree
@@ -84,11 +86,40 @@ def test_weighted_schedule_duplicates_labels():
     """Halving one leg's rate should weight other trees 2x."""
     _, topo, controller, hosts = build()
     port = topo.port_between(topo.tiers[0][0], topo.tiers[1][0])
-    port.link.rate_bps = port.link.rate_bps / 2
+    port.link.set_rate(port.link.rate_bps / 2)
     schedule = controller.schedule_for(0, 2)
     counts = Counter(shadow_mac_tree(m) for m in schedule)
     assert counts[0] == 1
     assert counts[1] == counts[2] == counts[3] == 2
+
+
+@pytest.mark.parametrize("change, expected", [
+    ("set_down", {1: 1, 2: 1, 3: 1}),
+    ("set_up", {0: 1, 1: 1, 2: 1, 3: 1}),
+    ("set_rate", {0: 1, 1: 2, 2: 2, 3: 2}),
+])
+def test_schedule_follows_link_change_without_a_push(change, expected):
+    """``schedule_for`` answers from a per-edge-pair plan; every way a
+    link can change must drop it, so the next call reflects the new
+    state with no ``push_all`` in between."""
+    _, topo, controller, hosts = build()
+    link = next(l for l in topo.links if l.name == "L1--S1")
+
+    def trees(src=0, dst=2):
+        return Counter(shadow_mac_tree(m)
+                       for m in controller.schedule_for(src, dst))
+
+    if change == "set_up":
+        link.set_down()
+    before = trees()  # the plan now holds the old state
+    if change == "set_rate":
+        link.set_rate(link.rate_bps / 2)
+    else:
+        getattr(link, change)()
+    assert trees() == expected != before
+    # one plan per edge pair, labels per destination host
+    assert trees(1, 3) == expected
+    assert controller.schedule_for(1, 3) != controller.schedule_for(0, 2)
 
 
 def test_interleave_spreads_duplicates():

@@ -13,6 +13,7 @@ agreement gate and the >=20x speedup floor.
 
 import json
 import math
+import random
 import time
 
 import pytest
@@ -23,10 +24,12 @@ from repro.experiments.scalability import (
     scalability_specs,
 )
 from repro.experiments.synthetic import run_synthetic_seed
+from repro.faults.schedule import FaultSchedule, LinkDown, random_schedule
+from repro.faults.soak import _fabric_names
 from repro.fluid.engine import FluidTransfer
 from repro.runner import collect_results, run_jobs, to_jsonable
 from repro.runner.serialize import content_hash
-from repro.units import KB, msec
+from repro.units import KB, MB, msec, usec
 
 # --- satellite 1: omit-if-default serialization ------------------------------
 
@@ -228,3 +231,129 @@ def test_fluid_at_least_20x_faster_on_scalability_grid():
         assert all(o.ok for o in outcomes)
     speedup = walls[None] / walls["flow"]
     assert speedup >= 20.0, f"fluid only {speedup:.1f}x faster"
+
+
+# --- reallocation cost: path reuse, one completion timer ---------------------
+
+FAST_CONTROL = dict(ctrl_detection_delay_ns=usec(300),
+                    ctrl_reaction_delay_ns=usec(200))
+
+
+def _assert_cached_paths_are_fresh(tb):
+    """Wrap ``FluidEngine._realloc``: after every reallocation, every
+    active pipe's kept ``path`` must be what a fresh walk of the switch
+    tables returns right now.  Returns the running count of comparisons."""
+    engine = tb.engine
+    realloc = engine._realloc
+    compared = [0]
+
+    def checked():
+        realloc()
+        now = tb.sim.now
+        for transfer in engine._active:
+            for pipe in transfer.pipes:
+                assert pipe.path == engine.resolve_path(
+                    transfer.src, transfer.dst, pipe.flow_id, pipe.dst_mac,
+                    pipe.flowcell_id, now), (
+                    f"t={now}: stale path on flow {pipe.flow_id}")
+                compared[0] += 1
+
+    engine._realloc = checked
+    return compared
+
+
+def _chaos_testbed(scheme, topology, failover_latency_ns, control, seed):
+    cfg = TestbedConfig(scheme=scheme, seed=seed, fidelity="flow",
+                        topology=topology, validate=True,
+                        failover_latency_ns=failover_latency_ns,
+                        **FAST_CONTROL)
+    tb = Testbed(cfg)
+    tb.controller.enable_fast_failover(failover_latency_ns)
+    if control:
+        tb.enable_control_plane()
+    return tb
+
+
+@pytest.mark.parametrize("topology", [None, "fat-tree:k=4"])
+@pytest.mark.parametrize("scheme", ["presto", "ecmp", "presto_ecmp", "mptcp"])
+def test_reused_paths_equal_fresh_walks_under_random_faults(scheme, topology):
+    """A pipe's path is walked again only when the forwarding epoch
+    moved.  Under random link deaths, flaps, degradations and switch
+    outages — with backups engaging 0 / 50 us / 2 ms after a failure and
+    the control plane reweighting or not — what the engine kept must
+    equal a fresh walk after every single reallocation."""
+    compared = 0
+    for failover_latency_ns in (0, usec(50), msec(2)):
+        for control in (False, True):
+            for seed in (1, 2, 3):
+                tb = _chaos_testbed(scheme, topology, failover_latency_ns,
+                                    control, seed)
+                links, killable = _fabric_names(tb.cfg)
+                rng = random.Random(seed)
+                random_schedule(rng, links, window_ns=msec(4), max_faults=2,
+                                switches=killable).arm(tb.sim, tb.topo)
+                n_hosts = len(tb.hosts)
+                for i in range(4):
+                    tb.add_elephant(i, n_hosts - 1 - i,
+                                    size_bytes=rng.choice((None, 3 * MB)),
+                                    start_ns=rng.randrange(usec(100)))
+                tb.add_mice(1, n_hosts - 2, size_bytes=100 * KB,
+                            interval_ns=usec(150), stop_ns=msec(5))
+                counter = _assert_cached_paths_are_fresh(tb)
+                tb.run(msec(6))
+                compared += counter[0]
+    assert compared > 1_000  # the wrapper really ran
+
+
+@pytest.mark.parametrize("scheme", ["presto", "presto_ecmp"])
+def test_arrival_on_the_timestamp_a_failover_window_closes(scheme):
+    """The transfer's start event is older than the delayed realloc the
+    link change requested, so at the closing timestamp it is sliced
+    first: its walk must already see the engaged backup, and whatever
+    was walked inside the window must be walked again."""
+    latency = usec(50)
+    tb = _chaos_testbed(scheme, None, latency, control=False, seed=1)
+    down_at = usec(400)
+    tb.add_elephant(0, 15)
+    inside = tb.add_elephant(2, 13, size_bytes=2 * MB,
+                             start_ns=down_at + latency // 2)
+    late = tb.add_elephant(1, 14, size_bytes=2 * MB,
+                           start_ns=down_at + latency)
+    FaultSchedule.of(LinkDown(down_at, "L1--S1")).arm(tb.sim, tb.topo)
+    counter = _assert_cached_paths_are_fresh(tb)
+
+    tb.sim.run(until=down_at + latency - 1)
+    assert any(pipe.path is None for pipe in inside.pipes)  # blackholed
+    tb.sim.run(until=down_at + latency)
+    for transfer in (inside, late):
+        assert transfer.pipes
+        for pipe in transfer.pipes:
+            assert pipe.path is not None and "L1->S1" not in pipe.path
+    tb.run(msec(6))
+    assert counter[0] and late.done and inside.done
+
+
+def test_heap_holds_one_completion_timer_not_one_per_transfer():
+    """Every reallocation re-predicts every completion, so only the
+    earliest prediction can ever fire.  The engine keeps that one timer:
+    what lives in the heap is the not-yet-started transfers, the pending
+    reallocations and it — and the simulator never lets dead entries
+    outnumber live ones by more than its compaction floor.  (One timer
+    per active transfer, cancelled and re-armed per reallocation, blew
+    through this with ~190 transfers in flight.)"""
+    from repro.sim.engine import _COMPACT_MIN
+
+    tb = Testbed(TestbedConfig(scheme="presto", seed=1, fidelity="flow"))
+    engine, sim = tb.engine, tb.sim
+    rng = random.Random(5)
+    for i in range(200):
+        src = rng.randrange(16)
+        tb.add_elephant(src, (src + rng.randrange(4, 12)) % 16,
+                        size_bytes=400 * KB, start_ns=i * usec(8))
+    in_flight = 0
+    while sim.step():
+        started = sum(1 for t in engine.transfers if t.pipes or t.done)
+        live = 200 - started + len(engine._realloc_times) + 1
+        assert sim.pending_count() <= live + max(_COMPACT_MIN, live) + 1
+        in_flight = max(in_flight, len(engine._active))
+    assert in_flight > 150 and all(t.done for t in engine.transfers)

@@ -13,6 +13,10 @@ The invariants the fluid engine's correctness rests on:
    the output rates *bit-for-bit* (every float reduction inside runs
    in sorted order), which is what makes serial and parallel sweeps
    byte-identical.
+5. **Arithmetic contract** — the rates are *bitwise* those of
+   ``tests/reference_allocator.py`` (the allocator as it stood before
+   it was made incremental): FCTs are ``ceil(remaining / rate)`` ns, so
+   a last-bit change moves every pinned digest.
 """
 
 import math
@@ -22,8 +26,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fluid.allocator import max_min_allocation
+from tests.reference_allocator import (
+    max_min_allocation as reference_allocation,
+)
 
-LINKS = [f"L{i}" for i in range(6)]
+LINKS = [f"L{i}" for i in range(12)]
 
 #: float slack for capacity / conservation checks (the allocator works
 #: in absolute rates around ~1e0-1e2 here)
@@ -31,24 +38,27 @@ EPS = 1e-9
 
 
 @st.composite
-def allocation_case(draw):
+def allocation_case(draw, max_links=6, max_flows=8, hostile=False):
     """(flows, capacity): up to 8 flows over up to 6 links, some flows
-    demand-capped, weights in [0.1, 8]."""
-    n_links = draw(st.integers(1, len(LINKS)))
+    demand-capped, weights in [0.1, 8].  ``hostile`` adds what the
+    fluid engine never sends but the function accepts: zero-capacity
+    links, a link repeated inside one path, zero and denormal demands."""
+    n_links = draw(st.integers(1, max_links))
     links = LINKS[:n_links]
-    capacity = {
-        link: draw(st.floats(0.125, 100.0, allow_nan=False))
-        for link in links
-    }
-    n_flows = draw(st.integers(1, 8))
+    rate = st.floats(0.125, 100.0, allow_nan=False)
+    demand = st.floats(0.0, 50.0, allow_nan=False)
+    if hostile:
+        rate = st.one_of(rate, st.just(0.0))
+        demand = st.one_of(demand, st.sampled_from([0.0, 5e-324]))
+    capacity = {link: draw(rate) for link in links}
+    n_flows = draw(st.integers(1, max_flows))
     flows = []
     for _ in range(n_flows):
         path = draw(st.lists(st.sampled_from(links), min_size=1,
-                             max_size=n_links, unique=True))
+                             max_size=n_links, unique=not hostile))
         weight = draw(st.floats(0.1, 8.0, allow_nan=False))
-        demand = draw(st.one_of(
-            st.none(), st.floats(0.0, 50.0, allow_nan=False)))
-        flows.append((tuple(path), weight, demand))
+        flows.append((tuple(path), weight,
+                      draw(st.one_of(st.none(), demand))))
     return flows, capacity
 
 
@@ -108,6 +118,19 @@ def test_permutation_invariance_exact(case):
             assert shuffled[pos] == base[i]  # bitwise, not approx
 
 
+@settings(max_examples=300, deadline=None)
+@given(allocation_case(max_links=12, max_flows=30, hostile=True))
+def test_bitwise_equal_to_reference_allocator(case):
+    """Same floats, operation for operation: ``==`` on every rate, and
+    the sign of a zero too."""
+    flows, capacity = case
+    rates = max_min_allocation(flows, capacity)
+    expected = reference_allocation(flows, capacity)
+    assert rates == expected
+    assert ([math.copysign(1.0, r) for r in rates]
+            == [math.copysign(1.0, r) for r in expected])
+
+
 def test_bottleneck_fairness_equal_weights():
     flows = [(("A",), 1.0, None) for _ in range(4)]
     rates = max_min_allocation(flows, {"A": 10.0})
@@ -158,12 +181,16 @@ def test_zero_capacity_blackhole():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        max_min_allocation([(("A",), 0.0, None)], {"A": 1.0})
-    with pytest.raises(ValueError):
-        max_min_allocation([(("A",), 1.0, -1.0)], {"A": 1.0})
-    with pytest.raises(ValueError):
-        max_min_allocation([(("missing",), 1.0, None)], {"A": 1.0})
-    with pytest.raises(ValueError):
-        max_min_allocation([(("A",), 1.0, None)], {"A": -1.0})
+    """Bad input is refused, in the reference allocator's words."""
+    for flows, capacity in [
+        ([(("A",), 0.0, None)], {"A": 1.0}),
+        ([(("A",), 1.0, -1.0)], {"A": 1.0}),
+        ([(("A",), 1.0, None), (("A", "missing"), 1.0, None)], {"A": 1.0}),
+        ([(("A",), 1.0, None)], {"A": -1.0}),
+    ]:
+        with pytest.raises(ValueError) as expected:
+            reference_allocation(flows, capacity)
+        with pytest.raises(ValueError) as raised:
+            max_min_allocation(flows, capacity)
+        assert str(raised.value) == str(expected.value)
     assert max_min_allocation([], {"A": 1.0}) == []

@@ -7,8 +7,10 @@ reported failed without killing the sweep; timeouts killing hung jobs;
 plus serialization round-trips, spec hashing and the CLI.
 """
 
+import dataclasses
 import json
 import os
+import pickle
 import time
 
 import pytest
@@ -87,6 +89,24 @@ def test_jobspec_hash_stable_and_sensitive():
     assert spec.hash != other_kwargs.hash
     assert spec.hash != other_cfg.hash
     assert len(spec.hash) == 16
+
+
+def test_jobspec_hash_is_cached_per_instance_only():
+    """``hash`` is computed once per (frozen) spec: a ``replace``d spec
+    gets a fresh one, the cache is no part of equality, of the
+    serialized form or of what a pickled spec hashes to."""
+    spec = JobSpec.make(job_ok, cfg=TestbedConfig(seed=1), value=2)
+    cold = JobSpec.make(job_ok, cfg=TestbedConfig(seed=1), value=2)
+    first = spec.hash
+    assert spec == cold and cold == spec  # one side hashed, one not
+    assert to_jsonable(spec) == to_jsonable(cold)
+    assert cold.hash == first and spec == cold
+    other = dataclasses.replace(spec, kwargs={"value": 3})
+    assert other.hash != first
+    assert other.hash == JobSpec.make(
+        job_ok, cfg=TestbedConfig(seed=1), value=3).hash
+    assert dataclasses.replace(spec, label="renamed").hash == first
+    assert pickle.loads(pickle.dumps(spec)).hash == first
 
 
 def test_jobspec_executes_resolved_function():
