@@ -19,10 +19,11 @@ from repro.host.app import BulkApp, FlowIdAllocator
 from repro.host.gro import PrestoGro
 from repro.host.host import Host
 from repro.host.tcp import TcpConfig
+from repro.lb.base import VSwitch
 from repro.net.fabrics import Wiring, build_fabric
 from repro.net.routing import tree_root
 from repro.presto.controller import PrestoController
-from repro.presto.vswitch import PrestoLb
+from repro.presto.flowcell import Presto
 from repro.sim.engine import Simulator
 from repro.units import gbps, msec, usec
 
@@ -45,7 +46,7 @@ def main() -> None:
     for host_id in range(6):
         host = Host(
             sim, host_id,
-            lb=PrestoLb(host_id),
+            lb=VSwitch(host_id, Presto()),  # the vSwitch + what it decides
             gro=PrestoGro(),
             tcp_cfg=tcp,
         )

@@ -19,9 +19,9 @@ paper-versus-measured results of every table and figure.
 from repro.experiments.harness import SCHEMES, Testbed, TestbedConfig, format_table
 from repro.host.gro import OfficialGro, PrestoGro
 from repro.host.tcp import TcpConfig
+from repro.lb.base import VSwitch
 from repro.presto.controller import PrestoController
-from repro.presto.flowcell import FLOWCELL_BYTES, FlowcellTagger
-from repro.presto.vswitch import PrestoLb
+from repro.presto.flowcell import FLOWCELL_BYTES, Presto
 from repro.sim.engine import Simulator
 
 __version__ = "1.0.0"
@@ -36,8 +36,8 @@ __all__ = [
     "OfficialGro",
     "PrestoGro",
     "PrestoController",
-    "PrestoLb",
-    "FlowcellTagger",
+    "VSwitch",
+    "Presto",
     "FLOWCELL_BYTES",
     "__version__",
 ]

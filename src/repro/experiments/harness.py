@@ -36,7 +36,7 @@ from repro.host.cpu import CpuCosts
 from repro.host.gro import OfficialGro, PrestoGro
 from repro.host.host import Host
 from repro.host.tcp import TcpConfig
-from repro.lb.base import LoadBalancer
+from repro.lb.base import VSwitch
 from repro.mptcp.mptcp import MptcpConnection
 from repro.net.fabrics import SINGLE_SWITCH, TopologySpec, build_fabric
 from repro.net.topology import Topology
@@ -243,7 +243,7 @@ class PacketPlane:
     def __init__(self, tb: "Testbed"):
         self.tb = tb
 
-    def make_host(self, host_id: int, lb: LoadBalancer) -> Host:
+    def make_host(self, host_id: int, lb: VSwitch) -> Host:
         cfg = self.tb.cfg
         return Host(self.tb.sim, host_id, lb=lb, gro=self._make_gro(),
                     cpu_costs=cfg.cpu_costs, tcp_cfg=cfg.tcp,
@@ -382,8 +382,7 @@ class Testbed:
         for host_id in range(spec.n_hosts()):
             rng = self.streams.stream(f"lb{host_id}")
             host = self.plane.make_host(
-                host_id,
-                self.scheme_def.make_lb(cfg, host_id, rng, self.sim))
+                host_id, VSwitch(host_id, self.scheme_def.policy(cfg), rng))
             leaf = edges[0 if self.scheme_def.single_switch
                          else spec.edge_of(host_id)]
             self.topo.attach_host(

@@ -1,7 +1,9 @@
 """Declarative scheme registry.
 
 A *scheme* bundles everything the paper varies between compared
-systems: how the edge picks paths (the load balancer factory), which
+systems: how the edge picks paths (a factory of one
+:class:`~repro.lb.base.Policy` per host from the config; the host's
+:class:`~repro.lb.base.VSwitch` supplies everything else), which
 receiver GRO runs, the transport (a row of :data:`TRANSPORTS`), whether
 the topology is the "Optimal" single switch, and how leaf ECMP groups
 hash.
@@ -9,17 +11,19 @@ hash.
 Adding a scheme does not touch the harness::
 
     from repro.experiments.schemes import Scheme, register
+    from repro.lb.flowlet import Flowlet
 
     register(Scheme(
         name="flowlet50us",
         description="flowlet switching, 50 us gap",
-        make_lb=lambda cfg, host_id, rng, sim: FlowletLb(
-            host_id, sim, gap_ns=usec(50), rng=rng),
+        policy=lambda cfg: Flowlet(gap_ns=usec(50)),
     ))
 
 and it is immediately runnable everywhere (``Testbed``, the sweep
 CLI's ``--schemes``, plotting scripts) because ``SCHEMES`` in
-:mod:`repro.experiments.harness` is a live view of this registry.
+:mod:`repro.experiments.harness` is a live view of this registry.  A
+new *decision* is a few lines over the flow's state record (contract:
+:mod:`repro.lb.base`) that run unchanged at packet and flow fidelity.
 
 Nor does adding a *transport*: it is one :data:`TRANSPORTS` row — a
 function that opens one transfer on a testbed — and both
@@ -31,7 +35,8 @@ packet and flow fidelity alike::
 
     TRANSPORTS["race3"] = lambda tb, src, dst, size, start_ns, done: (
         RaceApp(tb, src, dst, size, start_ns, done, copies=3))
-    register(Scheme(name="repflow3", transport="race3", make_lb=...))
+    register(Scheme(name="repflow3", transport="race3",
+                    policy=lambda cfg: RepFlow()))
 """
 
 from __future__ import annotations
@@ -41,20 +46,17 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.host.app import RaceApp
-from repro.lb.base import LoadBalancer
-from repro.lb.diffflow import DiffFlowLb
-from repro.lb.ecmp import EcmpLb
-from repro.lb.elephant_iso import ElephantIsoLb
-from repro.lb.flowlet import FlowletLb
-from repro.lb.perpacket import PerPacketLb
-from repro.lb.presto_ecmp import PrestoEcmpLb
-from repro.lb.repflow import REPFLOW_MICE_BYTES, RepFlowLb
+from repro.lb.base import Policy
+from repro.lb.diffflow import DiffFlow
+from repro.lb.ecmp import Ecmp
+from repro.lb.elephant_iso import ElephantIso
+from repro.lb.flowlet import Flowlet
+from repro.lb.perpacket import PerPacket
+from repro.lb.presto_ecmp import PrestoEcmp
+from repro.lb.repflow import REPFLOW_MICE_BYTES, RepFlow
 from repro.net.switch import HASH_FLOW, HASH_FLOWCELL
-from repro.presto.vswitch import PrestoLb
+from repro.presto.flowcell import Presto
 from repro.units import usec
-
-#: LB factory signature: (cfg, host_id, rng, sim) -> LoadBalancer
-LbFactory = Callable[..., LoadBalancer]
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class Scheme:
     """One comparable system, declaratively."""
 
     name: str
-    #: builds each host's edge load balancer
-    make_lb: LbFactory
+    #: ``cfg -> Policy``, called once per host: what its vSwitch decides
+    policy: Callable[..., Policy]
     description: str = ""
     #: receiver GRO this scheme runs by default: "official" | "presto"
     gro: str = "official"
@@ -160,56 +162,52 @@ def is_registered(name: str) -> bool:
 register(Scheme(
     name="ecmp",
     description="per-flow ECMP hashing at the leaves (the baseline)",
-    make_lb=lambda cfg, host_id, rng, sim: EcmpLb(host_id, rng),
+    policy=lambda cfg: Ecmp(),
 ))
 
 register(Scheme(
     name="presto",
     description="64 KB flowcells sprayed over shadow-MAC spanning trees",
-    make_lb=lambda cfg, host_id, rng, sim: PrestoLb(
-        host_id, rng, threshold=cfg.flowcell_bytes, mode=cfg.presto_mode),
+    policy=lambda cfg: Presto(cfg.flowcell_bytes, cfg.presto_mode),
     gro="presto",
 ))
 
 register(Scheme(
     name="mptcp",
     description="MPTCP with per-subflow ECMP paths (8 subflows)",
-    make_lb=lambda cfg, host_id, rng, sim: EcmpLb(host_id, rng),
+    policy=lambda cfg: Ecmp(),
     transport="mptcp",
 ))
 
 register(Scheme(
     name="optimal",
     description="all hosts on one non-blocking switch (upper bound)",
-    make_lb=lambda cfg, host_id, rng, sim: LoadBalancer(host_id, rng),
+    policy=lambda cfg: Policy(),
     single_switch=True,
 ))
 
 register(Scheme(
     name="flowlet100us",
     description="flowlet switching with a 100 us idle gap",
-    make_lb=lambda cfg, host_id, rng, sim: FlowletLb(
-        host_id, sim, gap_ns=usec(100), rng=rng),
+    policy=lambda cfg: Flowlet(usec(100)),
 ))
 
 register(Scheme(
     name="flowlet500us",
     description="flowlet switching with a 500 us idle gap",
-    make_lb=lambda cfg, host_id, rng, sim: FlowletLb(
-        host_id, sim, gap_ns=usec(500), rng=rng),
+    policy=lambda cfg: Flowlet(usec(500)),
 ))
 
 register(Scheme(
     name="perpacket",
     description="per-packet random spraying (maximal reordering)",
-    make_lb=lambda cfg, host_id, rng, sim: PerPacketLb(host_id, rng),
+    policy=lambda cfg: PerPacket(),
 ))
 
 register(Scheme(
     name="presto_ecmp",
     description="Presto flowcells with per-hop (flow, cell) ECMP hashing",
-    make_lb=lambda cfg, host_id, rng, sim: PrestoEcmpLb(
-        host_id, rng, threshold=cfg.flowcell_bytes),
+    policy=lambda cfg: PrestoEcmp(cfg.flowcell_bytes),
     gro="presto",
     leaf_hash_mode=HASH_FLOWCELL,
 ))
@@ -221,17 +219,14 @@ register(Scheme(
     name="diffflow",
     description="DiffFlow: mice sprayed per-packet, elephants pinned "
                 "via ECMP past a 100 KB cutoff",
-    make_lb=lambda cfg, host_id, rng, sim: DiffFlowLb(
-        host_id, rng,
-        **({} if cfg.zoo_threshold_bytes is None
-           else {"threshold": cfg.zoo_threshold_bytes})),
+    policy=lambda cfg: DiffFlow(cfg.zoo_threshold_bytes),
 ))
 
 register(Scheme(
     name="repflow",
     description="RepFlow: mice duplicated onto a disjoint second tree, "
                 "first finisher wins",
-    make_lb=lambda cfg, host_id, rng, sim: RepFlowLb(host_id, rng),
+    policy=lambda cfg: RepFlow(),
     transport="repflow",
 ))
 
@@ -239,9 +234,6 @@ register(Scheme(
     name="elephant_iso",
     description="RDNA-style isolation: detected elephants moved to "
                 "dedicated source-routed trees, mice share the rest",
-    make_lb=lambda cfg, host_id, rng, sim: ElephantIsoLb(
-        host_id, rng,
-        **({} if cfg.zoo_threshold_bytes is None
-           else {"threshold": cfg.zoo_threshold_bytes})),
+    policy=lambda cfg: ElephantIso(cfg.zoo_threshold_bytes),
     gro="presto",
 ))

@@ -13,14 +13,16 @@ event per transition instead of one per packet.
 Fidelity anchors (what stays *identical* to the packet engine):
 
 * **Path selection.**  Flows are sliced into the same 64 KB flowcells
-  and pushed through the real ``repro.lb`` scheme objects
-  (``select()`` / ``packet_labeler()``), so Presto's Algorithm-1
-  rotation, ECMP's per-flow hash memo, flowlet gaps and per-packet
-  spraying all draw from the same RNG streams and produce the same
-  label sequences.
-* **Forwarding.**  Each pipe's path is found by walking the real
-  switch state — ``l2_table``, ECMP groups (including per-(flow, cell)
-  leaf hashing) and ``FailoverGroup.reroute`` with its hardware
+  and each cell is labelled by the source host's own
+  :class:`~repro.lb.base.VSwitch` — the same object, policy and call
+  (``label``: plain values in, a label out, no stand-in packet) a
+  packet host makes per segment — so Presto's Algorithm-1 rotation,
+  ECMP's per-flow pick, flowlet gaps and per-packet spraying all draw
+  from the same RNG streams and produce the same label sequences.
+* **Forwarding.**  Each pipe's path is found by asking every switch on
+  the way for its ``next_hop`` — the one statement of the pipeline
+  ``Switch.receive`` runs: exact match, ECMP groups (including
+  per-(flow, cell) leaf hashing) and fast failover with its hardware
   latency — so shadow-MAC trees, backup paths and blackhole windows
   behave exactly as a packet would see them.  A walk is kept until the
   forwarding state can have changed under it: after set-up that
@@ -44,8 +46,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.fluid.allocator import max_min_allocation
-from repro.net.packet import DATA
-from repro.net.switch import HASH_FLOWCELL, Switch
+from repro.net.switch import Switch
 from repro.units import SEC
 
 #: residual bytes under which a bounded transfer counts as finished
@@ -63,30 +64,6 @@ UNBOUNDED_CELLS_PER_LABEL = 8
 
 #: "no walk kept" in a slice's memo (``None`` is a result: blackholed)
 _UNWALKED = object()
-
-
-class _Probe:
-    """Stand-in packet/segment fed to LB ``select()`` / packet labelers
-    and to switch ECMP groups during path walks.  Carries exactly the
-    attributes those code paths read or write."""
-
-    __slots__ = ("flow_id", "flowcell_id", "dst_mac", "src_host",
-                 "dst_host", "payload_len", "kind", "seq", "end_seq",
-                 "hops", "wire_size")
-
-    def __init__(self, flow_id: int, src_host: int, dst_host: int,
-                 payload_len: int):
-        self.flow_id = flow_id
-        self.flowcell_id = 0
-        self.dst_mac = 0
-        self.src_host = src_host
-        self.dst_host = dst_host
-        self.payload_len = payload_len
-        self.kind = DATA
-        self.seq = 0
-        self.end_seq = payload_len
-        self.hops = 0
-        self.wire_size = payload_len
 
 
 class _Pipe:
@@ -302,7 +279,7 @@ class FluidEngine:
 
     def _slice_transfer(self, transfer: FluidTransfer) -> None:
         """Cut the transfer's (remaining) bytes into flowcells, push each
-        through the source host's real LB, resolve each cell's path, and
+        through the source host's vSwitch, resolve each cell's path, and
         group cells into pipes by (wire flow, label, path)."""
         self.slices += 1
         transfer._retire_pipes()
@@ -315,7 +292,7 @@ class FluidEngine:
         cells: List[Tuple[int, int, int, float]] = []  # flow,mac,cell,bytes
         for flow_id, budget in per_flow:
             cells.extend(self._slice_flow(
-                transfer.lb, flow_id, transfer.src, transfer.dst, budget))
+                transfer.lb, flow_id, transfer.dst, budget))
 
         grand = 0.0
         for value in sorted(c[3] for c in cells):
@@ -345,10 +322,12 @@ class FluidEngine:
             pipe.frac += nbytes / grand
         transfer.pipes = list(pipes.values())
 
-    def _slice_flow(self, lb, flow_id: int, src: int, dst: int,
+    def _slice_flow(self, lb, flow_id: int, dst: int,
                     budget: Optional[float]):
-        """Yield (flow_id, dst_mac, flowcell_id, bytes) cells for one
-        wire flow, drawing labels from the real LB object."""
+        """(flow_id, dst_mac, flowcell_id, bytes) cells for one wire
+        flow, labelled by the source host's vSwitch.  The whole slice is
+        cut at one ``now``, so a policy that reads the clock (flowlet
+        gaps) sees no time pass between its cells."""
         cell = self.flowcell_bytes
         if budget is None:
             n_labels = max(1, len(lb.labels_for(dst)))
@@ -362,18 +341,16 @@ class FluidEngine:
             else:
                 sizes = [float(cell)] * (n_cells - 1)
                 sizes.append(budget - cell * (n_cells - 1))
-        labeler = lb.packet_labeler()
-        probe = _Probe(flow_id, src, dst, cell)
+        now = self.sim.now
         out = []
+        seq = 0
         for nbytes in sizes:
-            probe.payload_len = int(nbytes) or 1
-            probe.end_seq = probe.seq + probe.payload_len
-            lb.select(probe)
-            if labeler is not None:
-                labeler(probe)
-            out.append((flow_id, probe.dst_mac, probe.flowcell_id,
-                        float(nbytes)))
-            probe.seq = probe.end_seq
+            payload = int(nbytes) or 1
+            seq += payload
+            dst_mac, cell_id = lb.label(flow_id, dst, payload, seq, now)
+            if not cell_id:  # SPRAY: no packets here, one step per cell
+                dst_mac, cell_id = lb.spray(flow_id, dst)
+            out.append((flow_id, dst_mac, cell_id, float(nbytes)))
         return out
 
     # --- forwarding (real switch state) -----------------------------------
@@ -397,26 +374,15 @@ class FluidEngine:
         egress = leaf_port.peer_port  # host -> leaf
         if egress is None or not egress.link.up:
             return None
-        probe = _Probe(flow_id, src, dst, self.flowcell_bytes)
-        probe.dst_mac = dst_mac
-        probe.flowcell_id = flowcell_id
         legs = [egress.name]
         node = self.topo.host_leaf.get(src)
         hops = 0
         while node is not None:
-            out = node.l2_table.get(probe.dst_mac)
-            if out is None:
-                group = node.ecmp_by_mac.get(probe.dst_mac)
-                if group is None:
-                    group = node.ecmp_default
-                if group is not None:
-                    out = group.select(probe)
-                    if group.mode == HASH_FLOWCELL:
-                        self._cell_hashed = True
-            if out is not None and not out.link.up and node.failover is not None:
-                # reroute() applies the backup's label rewrite in place,
-                # so the next hop resolves the relabeled probe
-                out = node.failover.reroute(out, now, probe)
+            # (a failover bucket may relabel: dst_mac is handed on)
+            out, dst_mac, by_cell = node.next_hop(
+                flow_id, dst_mac, flowcell_id, now)
+            if by_cell:
+                self._cell_hashed = True
             if out is None or not out.link.up:
                 return None
             legs.append(out.name)

@@ -1,7 +1,7 @@
 """Fluid data plane: what :class:`~repro.experiments.harness.Testbed`
 plugs in at ``cfg.fidelity == "flow"``.
 
-The testbed — real topology, real LB objects registered with the real
+The testbed — real topology, real vSwitches registered with the real
 :class:`PrestoController`, the modeled control plane, fault schedules,
 the whole traffic layer (transports, races, mice) — is the same object
 at both fidelities; only the data plane underneath differs.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.fluid.engine import FluidEngine, FluidTransfer, _Probe
+from repro.fluid.engine import FluidEngine, FluidTransfer
 from repro.units import msec
 
 
@@ -93,14 +93,13 @@ class FluidProbeApp:
         if self.stop_ns is not None and sim.now >= self.stop_ns:
             return
         lb = self.tb.hosts[self.src].lb
-        probe = _Probe(self.flow_id, self.src, self.dst, self.PROBE_BYTES)
-        lb.select(probe)
-        labeler = lb.packet_labeler()
-        if labeler is not None:
-            labeler(probe)
+        dst_mac, cell_id = lb.label(
+            self.flow_id, self.dst, self.PROBE_BYTES, self.PROBE_BYTES,
+            sim.now)
+        if not cell_id:  # SPRAY: the probe is one unit
+            dst_mac, cell_id = lb.spray(self.flow_id, self.dst)
         path = self.tb.engine.resolve_path(
-            self.src, self.dst, self.flow_id, probe.dst_mac,
-            probe.flowcell_id, sim.now)
+            self.src, self.dst, self.flow_id, dst_mac, cell_id, sim.now)
         if path is not None:
             one_way = self.tb.engine.path_latency_ns(path, self.PROBE_BYTES)
             self.rtts_ns.append(2 * one_way)
@@ -139,19 +138,13 @@ class FluidPlane:
         return FluidHost(host_id, lb)
 
     def attach(self) -> None:
-        """After the controller installed the underlay: intercept every
-        LB's ``set_schedule`` so later controller pushes (control-plane
-        reweights) re-slice active fluids over the new labels, follow
-        link state, and surface the engine's counters."""
+        """After the controller installed the underlay: observe every
+        vSwitch's schedule installs so later controller pushes
+        (control-plane reweights) re-slice active fluids over the new
+        labels, follow link state, and surface the engine's counters."""
         tb, engine = self.tb, self.engine
         for host in tb.hosts:
-            original = host.lb.set_schedule
-
-            def wrapped(dst_host, labels, _orig=original):
-                _orig(dst_host, labels)
-                engine.schedules_changed()
-
-            host.lb.set_schedule = wrapped
+            host.lb.on_schedule_change.append(engine.schedules_changed)
         engine.watch_links()
         if tb.telemetry.enabled:
             tb.telemetry.add_sampler(self._sampler)

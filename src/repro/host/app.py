@@ -102,7 +102,7 @@ class BulkApp:
 
 class RaceApp:
     """One payload raced as ``copies`` full-size transfers over distinct
-    paths (RepFlow, Xu & Li: see :class:`repro.lb.repflow.RepFlowLb`).
+    paths (RepFlow, Xu & Li: see :class:`repro.lb.repflow.RepFlow`).
 
     Each copy is an ordinary single-flow transfer opened through the
     testbed's data plane, so this runs at either fidelity.  The first
@@ -130,11 +130,9 @@ class RaceApp:
             tb.plane.open(src, dst, size_bytes, start_ns or 0,
                           self._copy_done)
             for _ in range(copies))
-        pair = getattr(tb.hosts[src].lb, "pair", None)
-        if pair is not None:
-            primary, *replicas = (c.flow_ids()[0] for c in self.copies)
-            for replica in replicas:
-                pair(primary, replica)
+        primary, *replicas = (c.flow_ids()[0] for c in self.copies)
+        for replica in replicas:
+            tb.hosts[src].lb.pair(primary, replica)
 
     def _copy_done(self, copy) -> None:
         if self.winner is None:

@@ -9,7 +9,7 @@ from repro.host.cpu import CpuCosts, ReceiverCpu
 from repro.host.gro import GroBase, OfficialGro
 from repro.host.nic import Nic
 from repro.host.tcp import TcpConfig, TcpReceiver, TcpSender
-from repro.lb.base import LoadBalancer
+from repro.lb.base import VSwitch
 from repro.net.packet import ACK, DATA, Packet, Segment
 from repro.sim.engine import Simulator
 
@@ -24,7 +24,7 @@ class Host:
         self,
         sim: Simulator,
         host_id: int,
-        lb: Optional[LoadBalancer] = None,
+        lb: Optional[VSwitch] = None,
         gro: Optional[GroBase] = None,
         cpu_costs: Optional[CpuCosts] = None,
         tcp_cfg: Optional[TcpConfig] = None,
@@ -33,7 +33,7 @@ class Host:
     ):
         self.sim = sim
         self.host_id = host_id
-        self.lb = lb if lb is not None else LoadBalancer(host_id)
+        self.lb = lb if lb is not None else VSwitch(host_id)
         self.gro = gro if gro is not None else OfficialGro()
         self.cpu = ReceiverCpu(sim, cpu_costs)
         if not model_cpu:
@@ -46,9 +46,8 @@ class Host:
         self.nic.on_ack_packet = self._on_ack_packet
         self.nic.on_tx_space = self._wake_blocked_sender
         self._tsq_blocked: Dict[int, object] = {}
-        labeler = self.lb.packet_labeler()
-        if labeler is not None:
-            self.nic.packet_labeler = labeler
+        if self.lb.policy.sprays:
+            self.nic.packet_label = self.lb.spray
 
         self.senders: Dict[int, TcpSender] = {}
         self.receivers: Dict[int, TcpReceiver] = {}
@@ -91,7 +90,9 @@ class Host:
 
     def send_segment(self, seg: Segment) -> None:
         """vSwitch datapath: label the segment, then hand it to TSO."""
-        self.lb.select(seg)
+        seg.dst_mac, seg.flowcell_id = self.lb.label(
+            seg.flow_id, seg.dst_host, seg.payload_len, seg.end_seq,
+            self.sim.now)
         if self.tx_tap is not None:
             self.tx_tap(seg)
             self.nic.tx_segment(seg)
@@ -178,4 +179,4 @@ class Host:
         pkt.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Host {self.host_id} lb={self.lb.name}>"
+        return f"<Host {self.host_id} lb={type(self.lb.policy).__name__}>"

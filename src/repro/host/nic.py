@@ -68,8 +68,9 @@ class Nic:
         #: fired with a flow_id as that flow's packets leave the egress
         #: queue; Host uses it to wake TSQ-blocked TCP senders
         self.on_tx_space: Callable[[int], None] = lambda flow_id: None
-        #: per-derived-packet labeler for per-packet spraying schemes
-        self.packet_labeler: Optional[Callable[[Packet], None]] = None
+        #: per-derived-packet hook for spraying schemes: ``(flow_id,
+        #: dst_host) -> (dst_mac, flowcell_id)``, or None (keep TSO's)
+        self.packet_label: Optional[Callable] = None
         #: upcalls, wired by Host
         self.on_segment: Callable[[Segment], None] = lambda seg: None
         self.on_ack_packet: Callable[[Packet], None] = lambda pkt: None
@@ -154,8 +155,10 @@ class Nic:
             offset += payload
 
     def _tx_packet(self, pkt: Packet) -> None:
-        if self.packet_labeler is not None:
-            self.packet_labeler(pkt)
+        if self.packet_label is not None:
+            label = self.packet_label(pkt.flow_id, pkt.dst_host)
+            if label is not None:
+                pkt.dst_mac, pkt.flowcell_id = label
         self.tx_pkts += 1
         self.tx_bytes += pkt.wire_size
         self.port.send(pkt)

@@ -1,15 +1,12 @@
-"""Edge load-balancing schemes (the vSwitch datapath of each host).
+"""Edge load balancing: the host vSwitch and one policy per scheme.
 
-Every scheme implements :class:`repro.lb.base.LoadBalancer`: given an
-outgoing segment, pick the destination MAC (a shadow-MAC path label or
-the real MAC) and stamp the flowcell ID.  The Presto scheme itself
-lives in :mod:`repro.presto.vswitch`.
+:class:`repro.lb.base.VSwitch` is the datapath of every host; a scheme
+is a :class:`repro.lb.base.Policy` — given a flow's state record and
+the values of an outgoing segment, pick a label index and a flowcell
+ID.  Presto's own policy (Algorithm 1) lives in
+:mod:`repro.presto.flowcell`.
 """
 
-from repro.lb.base import LoadBalancer
-from repro.lb.ecmp import EcmpLb
-from repro.lb.flowlet import FlowletLb
-from repro.lb.perpacket import PerPacketLb
-from repro.lb.presto_ecmp import PrestoEcmpLb
+from repro.lb.base import DIRECT, SPRAY, FlowState, Policy, VSwitch
 
-__all__ = ["LoadBalancer", "EcmpLb", "FlowletLb", "PerPacketLb", "PrestoEcmpLb"]
+__all__ = ["VSwitch", "Policy", "FlowState", "SPRAY", "DIRECT"]

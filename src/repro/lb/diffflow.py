@@ -17,10 +17,9 @@ of exactly ``threshold`` bytes therefore lives and dies a mouse.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Optional
 
-from repro.lb.base import LoadBalancer
-from repro.net.packet import Packet, Segment
+from repro.lb.base import SPRAY, Policy, past
 from repro.units import KB
 
 #: mice/elephant cutoff on cumulative sent bytes (matches the trace
@@ -28,68 +27,17 @@ from repro.units import KB
 DIFFFLOW_THRESHOLD = 100 * KB
 
 
-class _SprayState:
-    __slots__ = ("idx", "cell")
+class DiffFlow(Policy):
+    sprays = True
 
-    def __init__(self, idx: int):
-        self.idx = idx
-        self.cell = 1
-
-
-class DiffFlowLb(LoadBalancer):
-    name = "diffflow"
-
-    def __init__(self, host_id: int, rng=None,
-                 threshold: int = DIFFFLOW_THRESHOLD):
-        if threshold <= 0:
+    def __init__(self, threshold: Optional[int] = None):
+        self.threshold = DIFFFLOW_THRESHOLD if threshold is None else threshold
+        if self.threshold <= 0:
             raise ValueError(f"threshold must be positive: {threshold}")
-        super().__init__(host_id, rng)
-        self.threshold = threshold
-        #: flows promoted to elephant (latched; never removed)
-        self._elephants: Dict[int, int] = {}  # flow_id -> pinned label idx
-        #: per-flow high-water mark of sent bytes (end_seq)
-        self._sent: Dict[int, int] = {}
-        self._spray: Dict[int, _SprayState] = {}
 
-    def is_elephant(self, flow_id: int) -> bool:
-        return flow_id in self._elephants
-
-    def _note_sent(self, flow_id: int, end_seq: int) -> bool:
-        """Advance the flow's byte high-water mark; returns True when the
-        flow is (now) an elephant.  Promotion is strict-greater-than, so
-        a flow of exactly ``threshold`` bytes stays a mouse."""
-        if flow_id in self._elephants:
-            return True
-        hi = self._sent.get(flow_id, 0)
-        if end_seq > hi:
-            self._sent[flow_id] = hi = end_seq
-        if hi > self.threshold:
-            self._elephants[flow_id] = self.rng.randrange(1 << 16)
-            return True
-        return False
-
-    def select(self, seg: Segment) -> None:
-        labels = self.labels_for(seg.dst_host)
-        if self._note_sent(seg.flow_id, seg.end_seq):
-            seg.dst_mac = labels[self._elephants[seg.flow_id] % len(labels)]
-            seg.flowcell_id = 1
-        else:
-            # mice: real spraying happens per packet in the labeler
-            seg.dst_mac = labels[0]
-
-    def packet_labeler(self) -> Optional[Callable[[Packet], None]]:
-        def label(pkt: Packet) -> None:
-            flow_id = pkt.flow_id
-            if flow_id in self._elephants:
-                return  # pinned: keep the segment's ECMP label
-            labels = self.labels_for(pkt.dst_host)
-            st = self._spray.get(flow_id)
-            if st is None:
-                st = _SprayState(self.rng.randrange(len(labels)))
-                self._spray[flow_id] = st
-            st.idx = (st.idx + 1) % len(labels)
-            st.cell += 1
-            pkt.dst_mac = labels[st.idx]
-            pkt.flowcell_id = st.cell
-
-        return label
+    def __call__(self, st, n, nbytes, end_seq, now, rng):
+        if st.pin < 0:
+            if not past(st, end_seq, self.threshold):
+                return SPRAY  # mice: the real decision is per packet
+            st.pin = rng.randrange(1 << 16)  # promoted: latch an ECMP path
+        return st.pin % n, 1

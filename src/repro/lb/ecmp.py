@@ -9,24 +9,11 @@ ECMP hurt elephants.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.lb.base import LoadBalancer
-from repro.net.packet import Segment
+from repro.lb.base import Policy, first_touch
 
 
-class EcmpLb(LoadBalancer):
-    name = "ecmp"
-
-    def __init__(self, host_id: int, rng=None):
-        super().__init__(host_id, rng)
-        self._choice: Dict[int, int] = {}
-
-    def select(self, seg: Segment) -> None:
-        labels = self.labels_for(seg.dst_host)
-        idx = self._choice.get(seg.flow_id)
-        if idx is None:
-            idx = self.rng.randrange(len(labels))
-            self._choice[seg.flow_id] = idx
-        seg.dst_mac = labels[idx % len(labels)]
-        seg.flowcell_id = 1
+class Ecmp(Policy):
+    def __call__(self, st, n, nbytes, end_seq, now, rng):
+        if st.idx < 0:
+            first_touch(st, rng, n)
+        return st.idx % n, 1

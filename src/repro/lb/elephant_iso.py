@@ -21,11 +21,10 @@ isolation is best-effort under degraded fabrics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Optional
 
-from repro.lb.base import LoadBalancer
-from repro.net.packet import Segment
-from repro.presto.flowcell import FLOWCELL_BYTES, FlowcellTagger
+from repro.lb.base import Policy, past
+from repro.presto.flowcell import FLOWCELL_BYTES, flowcell
 from repro.units import MB
 
 #: cumulative-byte threshold past which a flow is a detected elephant
@@ -33,66 +32,40 @@ from repro.units import MB
 ELEPHANT_THRESHOLD = 1 * MB
 
 
-def split_labels(labels: List[int]) -> Tuple[List[int], List[int]]:
-    """Partition a schedule into (shared mice labels, dedicated
-    elephant labels).  Duplicates (WCMP weights) are collapsed first so
-    the split is over distinct trees; with fewer than two distinct
-    labels both classes share everything."""
-    distinct = list(dict.fromkeys(labels))
-    if len(distinct) < 2:
-        return distinct, distinct
-    n_shared = (len(distinct) + 1) // 2
-    return distinct[:n_shared], distinct[n_shared:]
+def _n_shared(n: int) -> int:
+    """The positional split, stated once: of ``n`` distinct labels the
+    mice share the first ``ceil(n/2)`` and the elephants get the rest;
+    a lone label is everybody's."""
+    return (n + 1) // 2 if n > 1 else n
 
 
-class ElephantIsoLb(LoadBalancer):
-    name = "elephant_iso"
-
-    def __init__(self, host_id: int, rng=None,
-                 threshold: int = ELEPHANT_THRESHOLD,
+class ElephantIso(Policy):
+    def __init__(self, threshold: Optional[int] = None,
                  flowcell_bytes: int = FLOWCELL_BYTES):
-        if threshold <= 0:
+        self.threshold = ELEPHANT_THRESHOLD if threshold is None else threshold
+        if self.threshold <= 0:
             raise ValueError(f"threshold must be positive: {threshold}")
-        super().__init__(host_id, rng)
-        self.threshold = threshold
-        self.tagger = FlowcellTagger(flowcell_bytes)
-        self.tagger.set_initial_index_fn(
-            lambda flow_id: self.rng.randrange(1 << 16))
-        #: detected elephants (latched): flow_id -> dedicated-label slot
-        self._elephants: Dict[int, int] = {}
-        #: per-flow high-water mark of sent bytes
-        self._sent: Dict[int, int] = {}
-        #: round-robin cursor over the dedicated labels
+        self.flowcell_bytes = flowcell_bytes
+        #: round-robin cursor over the dedicated labels, host-wide
         self._next_slot = 0
 
-    def is_elephant(self, flow_id: int) -> bool:
-        return flow_id in self._elephants
+    def view(self, labels):
+        """The distinct labels in schedule order (duplicates — WCMP
+        weights — collapsed, so the split is over trees): shared then
+        dedicated, the split point :func:`_n_shared` of the count."""
+        return list(dict.fromkeys(labels))
 
-    def _detect(self, flow_id: int, end_seq: int) -> bool:
-        if flow_id in self._elephants:
-            return True
-        hi = self._sent.get(flow_id, 0)
-        if end_seq > hi:
-            self._sent[flow_id] = hi = end_seq
-        if hi > self.threshold:
+    def __call__(self, st, n, nbytes, end_seq, now, rng):
+        if st.pin < 0 and past(st, end_seq, self.threshold):
             # assign dedicated paths round-robin so concurrent
             # elephants land on different reserved trees
-            self._elephants[flow_id] = self._next_slot
+            st.pin = self._next_slot
             self._next_slot += 1
-            return True
-        return False
-
-    def select(self, seg: Segment) -> None:
-        shared, dedicated = split_labels(self.labels_for(seg.dst_host))
         # Algorithm-1 cell tagging either way: flowcell IDs must stay
         # monotone per flow across the mouse->elephant transition
-        if self._detect(seg.flow_id, seg.end_seq):
-            _, cell = self.tagger.tag(
-                seg.flow_id, seg.payload_len, len(dedicated))
-            slot = self._elephants[seg.flow_id]
-            seg.dst_mac = dedicated[slot % len(dedicated)]
-        else:
-            idx, cell = self.tagger.tag(
-                seg.flow_id, seg.payload_len, len(shared))
-            seg.dst_mac = shared[idx % len(shared)]
-        seg.flowcell_id = cell
+        if st.pin >= 0:
+            dedicated = n - _n_shared(n) or n
+            flowcell(st, nbytes, dedicated, self.flowcell_bytes, rng)
+            return n - dedicated + st.pin % dedicated, st.cell
+        idx = flowcell(st, nbytes, _n_shared(n), self.flowcell_bytes, rng)
+        return idx, st.cell

@@ -11,43 +11,21 @@ what the vSwitch sees).
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.lb.base import LoadBalancer
-from repro.net.packet import Segment
+from repro.lb.base import Policy, first_touch
 from repro.units import usec
 
 
-class _FlowletState:
-    __slots__ = ("last_ns", "idx", "flowlet_id")
-
-    def __init__(self, idx: int):
-        self.last_ns = -1
-        self.idx = idx
-        self.flowlet_id = 1
-
-
-class FlowletLb(LoadBalancer):
-    name = "flowlet"
-
-    def __init__(self, host_id: int, sim, gap_ns: int = usec(500), rng=None):
-        super().__init__(host_id, rng)
+class Flowlet(Policy):
+    def __init__(self, gap_ns: int = usec(500)):
         if gap_ns <= 0:
             raise ValueError(f"inactivity gap must be positive: {gap_ns}")
-        self.sim = sim
         self.gap_ns = gap_ns
-        self._flows: Dict[int, _FlowletState] = {}
 
-    def select(self, seg: Segment) -> None:
-        labels = self.labels_for(seg.dst_host)
-        st = self._flows.get(seg.flow_id)
-        if st is None:
-            st = _FlowletState(self.rng.randrange(len(labels)))
-            self._flows[seg.flow_id] = st
-        now = self.sim.now
+    def __call__(self, st, n, nbytes, end_seq, now, rng):
+        if st.idx < 0:
+            first_touch(st, rng, n)
         if st.last_ns >= 0 and now - st.last_ns > self.gap_ns:
-            st.idx = (st.idx + 1) % len(labels)
-            st.flowlet_id += 1
+            st.idx = (st.idx + 1) % n
+            st.cell += 1
         st.last_ns = now
-        seg.dst_mac = labels[st.idx % len(labels)]
-        seg.flowcell_id = st.flowlet_id
+        return st.idx % n, st.cell

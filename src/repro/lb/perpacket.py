@@ -1,50 +1,19 @@
 """Per-packet spraying (RPS / DRB style).
 
 Every MTU packet takes the next path round-robin.  The paper argues
-this cannot work at 10+ Gbps on hosts because it defeats TSO/GRO; we
-implement it via the NIC's per-derived-packet labeler so the ablation
-can be measured (massive reordering + small segment flooding at the
-receiver).
+this cannot work at 10+ Gbps on hosts because it defeats TSO/GRO; the
+policy always answers SPRAY, so the vSwitch's round-robin step runs per
+derived packet from the NIC's hook and the ablation can be measured
+(massive reordering + small segment flooding at the receiver).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-from repro.lb.base import LoadBalancer
-from repro.net.packet import Packet, Segment
+from repro.lb.base import SPRAY, Policy
 
 
-class _SprayState:
-    __slots__ = ("idx", "cell")
+class PerPacket(Policy):
+    sprays = True
 
-    def __init__(self, idx: int):
-        self.idx = idx
-        self.cell = 1
-
-
-class PerPacketLb(LoadBalancer):
-    name = "perpacket"
-
-    def __init__(self, host_id: int, rng=None):
-        super().__init__(host_id, rng)
-        self._flows: Dict[int, _SprayState] = {}
-
-    def select(self, seg: Segment) -> None:
-        # The real decision happens per packet in the labeler; give the
-        # segment a placeholder so non-TSO paths still route.
-        seg.dst_mac = self.labels_for(seg.dst_host)[0]
-
-    def packet_labeler(self) -> Optional[Callable[[Packet], None]]:
-        def label(pkt: Packet) -> None:
-            labels = self.labels_for(pkt.dst_host)
-            st = self._flows.get(pkt.flow_id)
-            if st is None:
-                st = _SprayState(self.rng.randrange(len(labels)))
-                self._flows[pkt.flow_id] = st
-            st.idx = (st.idx + 1) % len(labels)
-            st.cell += 1
-            pkt.dst_mac = labels[st.idx]
-            pkt.flowcell_id = st.cell
-
-        return label
+    def __call__(self, st, n, nbytes, end_seq, now, rng):
+        return SPRAY

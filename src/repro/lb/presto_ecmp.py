@@ -9,26 +9,13 @@ installed with ``HASH_FLOWCELL`` mode.
 
 from __future__ import annotations
 
-from repro.lb.base import LoadBalancer
-from repro.net.addresses import host_mac
-from repro.net.packet import Segment
-from repro.presto.flowcell import FLOWCELL_BYTES, FlowcellTagger
+from repro.lb.base import DIRECT
+from repro.presto.flowcell import Presto, flowcell
 
 
-class PrestoEcmpLb(LoadBalancer):
-    name = "presto_ecmp"
-
-    def __init__(self, host_id: int, rng=None, threshold: int = FLOWCELL_BYTES):
-        super().__init__(host_id, rng)
-        self.tagger = FlowcellTagger(threshold)
-        self.tagger.set_initial_index_fn(lambda flow_id: self.rng.randrange(1 << 16))
-
-    def select(self, seg: Segment) -> None:
-        # One "label" slot per available path so the tagger's round robin
-        # advances the flowcell ID at the same cadence as Presto.
-        n_paths = max(1, len(self.labels_for(seg.dst_host)))
-        _, cell = self.tagger.tag(seg.flow_id, seg.payload_len, n_paths)
-        seg.dst_mac = host_mac(seg.dst_host)
-        seg.flowcell_id = cell
-        if self.probe is not None:
-            self.probe.on_flowcell(seg, -1, cell)
+class PrestoEcmp(Presto):
+    def __call__(self, st, n, nbytes, end_seq, now, rng):
+        # One "label" slot per available path so Algorithm 1's round
+        # robin advances the flowcell ID at the same cadence as Presto.
+        flowcell(st, nbytes, n, self.threshold, rng)
+        return DIRECT, st.cell

@@ -14,24 +14,11 @@ Forwarding pipeline (matches how the paper's testbed is programmed):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.net.addresses import is_shadow_mac, shadow_mac, shadow_mac_host
 from repro.net.packet import Packet
 from repro.net.port import Port
-
-
-def _mix(key: int, salt: int) -> int:
-    """Cheap deterministic integer hash (Knuth multiplicative + xor-shift).
-
-    CPython's ``hash(int)`` is the identity, which would make "random"
-    ECMP placement suspiciously uniform; this mixes properly and is
-    stable across runs and interpreters.
-    """
-    x = (key * 0x9E3779B97F4A7C15 + salt) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 29
-    x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 32
-    return x
 
 
 HASH_FLOW = "flow"
@@ -50,13 +37,16 @@ class EcmpGroup:
         self.salt = salt
         self.mode = mode
 
-    def select(self, pkt: Packet) -> Port:
+    def select(self, flow_id: int, flowcell_id: int) -> Port:
         if self.mode == HASH_FLOW:
-            key = pkt.flow_id
+            key = flow_id
         else:
-            key = pkt.flow_id * 1_000_003 + pkt.flowcell_id
-        # _mix inlined (identical arithmetic): select runs once per
-        # packet per ECMP hop
+            key = flow_id * 1_000_003 + flowcell_id
+        # Cheap deterministic integer hash (Knuth multiplicative +
+        # xor-shift), inline: this runs once per packet per ECMP hop.
+        # CPython's ``hash(int)`` is the identity, which would make
+        # "random" placement suspiciously uniform; this mixes properly
+        # and is stable across runs and interpreters.
         x = (key * 0x9E3779B97F4A7C15 + self.salt) & 0xFFFFFFFFFFFFFFFF
         x ^= x >> 29
         x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
@@ -70,20 +60,21 @@ class FailoverGroup:
     Models hardware fast failover (BGP external failover / OpenFlow
     fast-failover groups): redirect happens in the datapath with no
     controller involvement, ``latency_ns`` after the failure is detected.
-    OpenFlow failover buckets may carry header-rewrite actions, which is
+    OpenFlow failover buckets may carry a set-field action, which is
     how a spine detours around a dead leaf link: relabel the packet onto
     another spanning tree and bounce it through a neighbouring leaf.
     """
 
     def __init__(self, latency_ns: int = 0):
-        self._backup: Dict[Port, tuple] = {}  # primary -> (backup, rewrite?)
+        self._backup: Dict[Port, tuple] = {}  # primary -> (backup, onto?)
         self.latency_ns = latency_ns
         self._failed_at: Dict[Port, int] = {}
 
-    def set_backup(self, primary: Port, backup: Port, rewrite=None) -> None:
-        """``rewrite`` is an optional callable(pkt) applied on redirect
-        (an OpenFlow set-field action in the failover bucket)."""
-        self._backup[primary] = (backup, rewrite)
+    def set_backup(self, primary: Port, backup: Port,
+                   onto: Optional[int] = None) -> None:
+        """``onto`` is the bucket's optional set-field action: the tree
+        id a redirected shadow-MAC label is moved onto."""
+        self._backup[primary] = (backup, onto)
 
     def note_failure(self, port: Port, now: int) -> None:
         self._failed_at.setdefault(port, now)
@@ -94,22 +85,23 @@ class FailoverGroup:
         again (rather than reusing the stale first-failure timestamp)."""
         self._failed_at.pop(port, None)
 
-    def reroute(self, port: Port, now: int, pkt: Packet) -> Optional[Port]:
-        """Backup port for ``port`` if configured and detection latency has
-        elapsed; None otherwise (packet is dropped, as in hardware).
-        Applies the bucket's rewrite action to ``pkt``."""
+    def reroute(self, port: Port, now: int, dst_mac: int
+                ) -> Optional[Tuple[Port, int]]:
+        """``(backup port, dst_mac after the bucket's action)`` for
+        ``port`` if configured and detection latency has elapsed; None
+        otherwise (packet is dropped, as in hardware)."""
         entry = self._backup.get(port)
         if entry is None:
             return None
-        backup, rewrite = entry
+        backup, onto = entry
         if not backup.up:
             return None
         failed_at = self._failed_at.get(port)
         if failed_at is not None and now - failed_at < self.latency_ns:
             return None
-        if rewrite is not None:
-            rewrite(pkt)
-        return backup
+        if onto is not None and is_shadow_mac(dst_mac):
+            dst_mac = shadow_mac(onto, shadow_mac_host(dst_mac))
+        return backup, dst_mac
 
 
 class Switch:
@@ -149,7 +141,7 @@ class Switch:
             if self.failover is None:
                 return
             if not link.up:
-                self.failover.note_failure(port, _now_of(port))
+                self.failover.note_failure(port, port.sim.now)
             else:
                 self.failover.note_recovery(port)
         port.link.on_state_change.append(on_change)
@@ -167,17 +159,40 @@ class Switch:
     def remove_route(self, mac: int) -> None:
         self.l2_table.pop(mac, None)
 
-    def lookup(self, pkt: Packet) -> Optional[Port]:
-        port = self.l2_table.get(pkt.dst_mac)
-        if port is None:
-            group = self.ecmp_by_mac.get(pkt.dst_mac) or self.ecmp_default
-            if group is not None:
-                port = group.select(pkt)
-        return port
-
     #: hop budget: a forwarding loop (e.g. mis-configured failover
     #: bounces) kills the packet instead of the simulator
     MAX_HOPS = 32
+
+    def next_hop(self, flow_id: int, dst_mac: int, flowcell_id: int,
+                 now: Optional[int] = None
+                 ) -> Tuple[Optional[Port], int, bool]:
+        """The forwarding pipeline, stated once, over values: exact
+        match, else an ECMP group, then fast failover if the chosen
+        egress is down at ``now`` (default: that port's clock).
+        Returns ``(egress port, dst_mac the packet leaves with, whether
+        the choice hashed on the flowcell)``; the port is None where
+        the packet is dropped (no route, or a dead egress whose bucket
+        is not engaged) — the flag still says what that verdict read.
+
+        Hardware semantics: a failover bucket applies its set-field
+        action and forwards out its explicit backup port — no second
+        lookup here; the next hop resolves the (possibly new) label.
+        With no failover the egress may be down: its port drops."""
+        out = self.l2_table.get(dst_mac)
+        by_cell = False
+        if out is None:
+            group = self.ecmp_by_mac.get(dst_mac) or self.ecmp_default
+            if group is None:
+                return None, dst_mac, False
+            out = group.select(flow_id, flowcell_id)
+            by_cell = group.mode == HASH_FLOWCELL
+        if not out.link._up and self.failover is not None:
+            hop = self.failover.reroute(
+                out, out.sim.now if now is None else now, dst_mac)
+            if hop is None:
+                return None, dst_mac, by_cell
+            out, dst_mac = hop
+        return out, dst_mac, by_cell
 
     def receive(self, pkt: Packet, in_port: Optional[Port]) -> None:
         self.rx_pkts += 1
@@ -185,21 +200,16 @@ class Switch:
             self.ttl_drops += 1
             self.ttl_drop_bytes += pkt.wire_size
             return
-        # lookup() inlined: the exact-match hit is the per-packet path
+        # next_hop()'s exact-match hit inlined: the per-packet path
         out = self.l2_table.get(pkt.dst_mac)
-        if out is None:
-            group = self.ecmp_by_mac.get(pkt.dst_mac) or self.ecmp_default
-            if group is not None:
-                out = group.select(pkt)
-        if out is not None and not out.link._up and self.failover is not None:
-            # Hardware semantics: the bucket applies its rewrite and
-            # forwards out its explicit backup port — no second lookup
-            # here; the next hop resolves the (possibly new) label.
-            out = self.failover.reroute(out, _now_of(out), pkt)
-        if out is None:
-            self.no_route_drops += 1
-            self.no_route_drop_bytes += pkt.wire_size
-            return
+        if out is None or not out.link._up:
+            out, dst_mac, _ = self.next_hop(
+                pkt.flow_id, pkt.dst_mac, pkt.flowcell_id)
+            if out is None:
+                self.no_route_drops += 1
+                self.no_route_drop_bytes += pkt.wire_size
+                return
+            pkt.dst_mac = dst_mac
         out.send(pkt)
 
     # --- counters -----------------------------------------------------------
@@ -214,7 +224,3 @@ class Switch:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Switch {self.name} ports={len(self.ports)}>"
-
-
-def _now_of(port: Port) -> int:
-    return port.sim.now

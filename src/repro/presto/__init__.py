@@ -1,9 +1,8 @@
-"""Presto: flowcell creation (Algorithm 1), the vSwitch datapath, and
-the centralized controller (spanning trees, shadow MACs, failure
+"""Presto: flowcell creation (Algorithm 1) and the policy built on it,
+and the centralized controller (spanning trees, shadow MACs, failure
 handling and weighted multipathing)."""
 
-from repro.presto.flowcell import FLOWCELL_BYTES, FlowcellTagger
-from repro.presto.vswitch import PrestoLb
+from repro.presto.flowcell import FLOWCELL_BYTES, Presto, flowcell
 from repro.presto.controller import PrestoController
 
-__all__ = ["FLOWCELL_BYTES", "FlowcellTagger", "PrestoLb", "PrestoController"]
+__all__ = ["FLOWCELL_BYTES", "Presto", "flowcell", "PrestoController"]

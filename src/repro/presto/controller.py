@@ -19,12 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.addresses import (
-    host_mac,
-    is_shadow_mac,
-    shadow_mac,
-    shadow_mac_host,
-)
+from repro.net.addresses import host_mac, shadow_mac
 from repro.net.routing import (
     SpanningTree,
     allocate_spanning_trees,
@@ -45,7 +40,7 @@ class PrestoController:
         self.topo = topo
         self.trees = trees if trees is not None else allocate_spanning_trees(topo)
         install_tree_routes(topo, self.trees)
-        self._vswitches: List = []  # LoadBalancer instances we push updates to
+        self._vswitches: List = []  # VSwitch instances we push updates to
         # Walked once: links fail and recover, but where a tree climbs
         # from an edge switch and how high two edge switches' climbs
         # meet never change — and every schedule recomputation weighs
@@ -120,7 +115,7 @@ class PrestoController:
     # --- vSwitch management ------------------------------------------------------
 
     def register_vswitch(self, lb) -> None:
-        """Track a host's LoadBalancer and push current schedules to it."""
+        """Track a host's VSwitch and push current schedules to it."""
         self._vswitches.append(lb)
         self.push_schedules(lb)
 
@@ -171,27 +166,18 @@ class PrestoController:
                 onto = self.trees[(i + 1) % len(self.trees)].tree_id
                 if onto != tree.tree_id:
                     _back_up_cyclically(root, latency_ns, topo.down[root],
-                                        _relabel_to_tree(onto))
+                                        onto)
 
 
 def _back_up_cyclically(sw: Switch, latency_ns: int, ports: List[Port],
-                        rewrite=None) -> None:
-    """Back each of ``sw``'s ``ports`` with the next one, if it has two."""
+                        onto: Optional[int] = None) -> None:
+    """Back each of ``sw``'s ``ports`` with the next one, if it has two;
+    ``onto`` is the buckets' set-field action (a tree id)."""
     if len(ports) < 2:
         return
     group = sw.enable_failover(latency_ns)
     for i, port in enumerate(ports):
-        group.set_backup(port, ports[(i + 1) % len(ports)], rewrite=rewrite)
-
-
-def _relabel_to_tree(tree_id: int):
-    """Failover-bucket set-field action: move the packet onto ``tree_id``."""
-
-    def rewrite(pkt) -> None:
-        if is_shadow_mac(pkt.dst_mac):
-            pkt.dst_mac = shadow_mac(tree_id, shadow_mac_host(pkt.dst_mac))
-
-    return rewrite
+        group.set_backup(port, ports[(i + 1) % len(ports)], onto)
 
 
 def _interleave_schedule(labels: List[int]) -> List[int]:

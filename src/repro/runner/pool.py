@@ -15,7 +15,12 @@ Failure handling: a job whose worker raises is retried up to
 *hangs* past ``timeout_s`` poisons the whole executor, so the pool is
 torn down (hung workers are killed), surviving in-flight jobs are
 requeued without charging their retry budget, and a fresh executor is
-spawned after an exponential backoff.  A job that exhausts its budget
+spawned after an exponential backoff.  A hang is charged to the job
+that timed out.  A death breaks every in-flight future alike — the
+executor cannot say whose process it was — so it is charged only to a
+job that was *alone* in flight: when several were, all are requeued
+uncharged and run one at a time until each has finished or died on its
+own; then ``jobs``-wide dispatch resumes.  A job that exhausts its budget
 is reported as failed in its outcome — it never kills the sweep.  The
 queue/budget bookkeeping lives in :class:`repro.runner.lease.LeaseQueue`,
 shared with the distributed coordinator (:mod:`repro.service`); the
@@ -270,6 +275,9 @@ def _run_pool(
     executor = new_executor()
     in_flight: Dict[Any, Lease] = {}  # future -> lease
     restarts = 0
+    #: jobs that were in flight together when a worker died and have
+    #: not run alone since; while there are any, one job runs at a time
+    suspects: set = set()
 
     def finish_failed(lease: Lease, err: str) -> None:
         finish(lease.index, JobOutcome(
@@ -279,6 +287,7 @@ def _run_pool(
         ))
 
     def fail_or_retry(lease: Lease, err: str) -> None:
+        suspects.discard(lease.index)  # charged: it ran alone, or raised
         status, _ = queue.fail(lease.lease_id)
         if status == "retry":
             log(f"retrying {lease.spec.display} "
@@ -288,7 +297,9 @@ def _run_pool(
 
     try:
         while not queue.idle:
-            while queue.pending and len(in_flight) < jobs:
+            # (released suspects sit at the front of the queue)
+            width = 1 if suspects else jobs
+            while queue.pending and len(in_flight) < width:
                 lease = queue.claim(ttl_s=timeout_s)
                 future = executor.submit(
                     _execute_payload, to_jsonable(lease.spec))
@@ -302,18 +313,21 @@ def _run_pool(
             done, _ = wait(set(in_flight), timeout=poll,
                            return_when=FIRST_COMPLETED)
 
-            broken = False
+            broken = died = False
+            alone = len(in_flight) == 1
             for future in done:
                 lease = in_flight.pop(future)
                 try:
                     payload = future.result()
                 except BrokenProcessPool:
-                    broken = True
-                    fail_or_retry(lease, "worker process died")
-                    continue
+                    broken = died = True
+                    if alone:  # nobody else's process it could have been
+                        fail_or_retry(lease, "worker process died")
+                    continue   # else: released below, with the others
                 except Exception as exc:  # noqa: BLE001 — contained per job
                     fail_or_retry(lease, f"{type(exc).__name__}: {exc}")
                     continue
+                suspects.discard(lease.index)
                 queue.complete(lease.lease_id)
                 elapsed = time.monotonic() - lease.started
                 if store is not None:
@@ -343,10 +357,13 @@ def _run_pool(
                 # (reseeded) workers after a backoff.
                 for status, lease in queue.release_all():
                     if status == "failed":
+                        suspects.discard(lease.index)
                         finish_failed(
                             lease,
                             f"requeued {queue.max_releases} times by pool "
                             "restarts without completing")
+                    elif died:
+                        suspects.add(lease.index)
                 in_flight.clear()
                 _kill_executor(executor)
                 delay = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2 ** restarts))

@@ -207,16 +207,16 @@ class FlowcellProbe:
         self.track = f"host:h{host_id}:vswitch"
         self._last = None
 
-    def on_flowcell(self, seg, path_index: int, cell: int) -> None:
+    def on_flowcell(self, flow_id: int, path_index: int, cell: int) -> None:
         # count each flowcell once, on its first segment
-        key = (seg.flow_id, cell)
+        key = (flow_id, cell)
         if key != self._last:
             self._last = key
             self.assigned.inc()
             if self.tracer is not None:
                 self.tracer.instant(
                     "presto", "flowcell", self.track,
-                    {"flow": seg.flow_id, "cell": cell, "path": path_index},
+                    {"flow": flow_id, "cell": cell, "path": path_index},
                 )
 
 

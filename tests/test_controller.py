@@ -6,10 +6,11 @@ import pytest
 
 from repro.host.gro import PrestoGro
 from repro.host.host import Host
+from repro.lb.base import VSwitch
 from repro.net.addresses import host_mac, shadow_mac, shadow_mac_tree
 from repro.net.fabrics import SINGLE_SWITCH, TopologySpec, build_fabric
 from repro.presto.controller import PrestoController, _interleave_schedule
-from repro.presto.vswitch import PrestoLb
+from repro.presto.flowcell import Presto
 from repro.sim.engine import Simulator
 
 
@@ -18,7 +19,7 @@ def build(n_spines=4, n_leaves=2, hosts_per_leaf=2):
     topo = build_fabric(sim, TopologySpec.clos(n_spines, n_leaves))
     hosts = []
     for i in range(n_leaves * hosts_per_leaf):
-        host = Host(sim, i, lb=PrestoLb(i), gro=PrestoGro(), model_cpu=False)
+        host = Host(sim, i, lb=VSwitch(i, Presto()), gro=PrestoGro(), model_cpu=False)
         topo.attach_host(host, topo.tiers[0][i // hosts_per_leaf])
         hosts.append(host)
     controller = PrestoController(topo)
@@ -43,8 +44,8 @@ def test_same_leaf_pair_uses_direct_mac():
 def test_single_switch_schedules_direct():
     sim = Simulator()
     topo = build_fabric(sim, SINGLE_SWITCH)
-    host0 = Host(sim, 0, lb=PrestoLb(0), model_cpu=False)
-    host1 = Host(sim, 1, lb=PrestoLb(1), model_cpu=False)
+    host0 = Host(sim, 0, lb=VSwitch(0, Presto()), model_cpu=False)
+    host1 = Host(sim, 1, lb=VSwitch(1, Presto()), model_cpu=False)
     topo.attach_host(host0, topo.tiers[0][0])
     topo.attach_host(host1, topo.tiers[0][0])
     controller = PrestoController(topo)

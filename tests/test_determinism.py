@@ -47,9 +47,10 @@ def test_parallel_matches_serial():
 
 def test_every_scheme_has_a_golden_fixture():
     # sweep_specs.json and figures.json are tests/test_sweeps.py's,
-    # fabric_tables.json is tests/test_fabrics.py's
+    # fabric_tables.json is tests/test_fabrics.py's, lb_sequences.json
+    # is tests/test_lb.py's
     assert ({p.stem for p in GOLDEN_DIR.glob("*.json")}
-            - {"sweep_specs", "figures", "fabric_tables"}
+            - {"sweep_specs", "figures", "fabric_tables", "lb_sequences"}
             == set(SCHEMES) | set(FLOW_GOLDENS))
 
 

@@ -411,7 +411,8 @@ def test_unknown_fabric_carries_presto_over_every_tree(name):
     from repro.host.host import Host
     from repro.host.tcp import TcpConfig
     from repro.presto.controller import PrestoController
-    from repro.presto.vswitch import PrestoLb
+    from repro.lb.base import VSwitch
+    from repro.presto.flowcell import Presto
     from repro.units import KB
 
     plan = SEAM_FABRICS[name]
@@ -420,7 +421,8 @@ def test_unknown_fabric_carries_presto_over_every_tree(name):
     tcp = TcpConfig(min_rto_ns=msec(20), initial_rto_ns=msec(20))
     hosts = []
     for host_id in range(2 * len(plan.tiers[0])):
-        hosts.append(Host(sim, host_id, lb=PrestoLb(host_id), gro=PrestoGro(),
+        hosts.append(Host(sim, host_id, lb=VSwitch(host_id, Presto()),
+                          gro=PrestoGro(),
                           tcp_cfg=tcp, model_cpu=False))
         topo.attach_host(hosts[-1], topo.tiers[0][host_id // 2])
     controller = PrestoController(topo)

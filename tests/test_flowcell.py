@@ -1,12 +1,32 @@
 """Unit + property tests for flowcell creation (paper Algorithm 1)."""
 
+from collections import defaultdict
+from types import SimpleNamespace
+
 from hypothesis import given, strategies as st
 
 import pytest
 
-from repro.presto.flowcell import FLOWCELL_BYTES, FlowcellTagger
-from repro.presto.vswitch import PrestoLb
-from repro.net.packet import Segment
+from repro.lb.base import FlowState, VSwitch
+from repro.presto.flowcell import FLOWCELL_BYTES, Presto, flowcell
+
+
+def first_draw(value):
+    """An rng whose every draw is ``value`` (a flow's starting label)."""
+    return SimpleNamespace(randrange=lambda span: value)
+
+
+def FlowcellTagger(threshold=FLOWCELL_BYTES, rng=first_draw(0)):
+    """Algorithm 1 over one state record per flow: returns
+    ``tag(flow_id, seg_len, n_labels) -> (label index, flowcell id)``."""
+    flows = defaultdict(FlowState)
+
+    def tag(flow_id, seg_len, n_labels):
+        state = flows[flow_id]
+        return (flowcell(state, seg_len, n_labels, threshold, rng),
+                state.cell)
+
+    return SimpleNamespace(tag=tag)
 
 
 def test_first_segment_starts_cell_one():
@@ -51,18 +71,20 @@ def test_default_threshold_is_64kb():
 
 
 def test_zero_labels_rejected():
+    """Algorithm 1 is never handed an empty label set: the vSwitch, its
+    only caller, refuses to install one."""
     with pytest.raises(ValueError):
-        FlowcellTagger().tag(1, 10, 0)
+        VSwitch(0, Presto()).set_schedule(3, [])
 
 
 def test_bad_threshold_rejected():
     with pytest.raises(ValueError):
-        FlowcellTagger(threshold=0)
+        Presto(threshold=0)
 
 
 def test_initial_index_fn():
-    tagger = FlowcellTagger(threshold=100)
-    tagger.set_initial_index_fn(lambda flow_id: flow_id * 7)
+    """A flow's starting label is whatever the rng draws first."""
+    tagger = FlowcellTagger(threshold=100, rng=first_draw(2 * 7))
     idx, _ = tagger.tag(2, 10, 4)
     assert idx == (2 * 7) % 4
 
@@ -103,34 +125,25 @@ def test_bytes_partition_preserved(lens):
     assert sum(per_cell.values()) == total_in
 
 
-def _segment(flow_id, seq, size, dst=3):
-    return Segment(flow_id=flow_id, src_host=0, dst_host=dst,
-                   seq=seq, end_seq=seq + size)
+def _label(lb, flow_id, seq, size, dst=3):
+    return lb.label(flow_id, dst, size, seq + size, 0)
 
 
 def test_presto_lb_assigns_labels_and_cells():
-    lb = PrestoLb(0)
+    lb = VSwitch(0, Presto())
     lb.set_schedule(3, [101, 102, 103, 104])
-    seg = _segment(1, 0, 64 * 1024)
-    lb.select(seg)
-    first_mac, first_cell = seg.dst_mac, seg.flowcell_id
+    first_mac, first_cell = _label(lb, 1, 0, 64 * 1024)
     assert first_mac in (101, 102, 103, 104)
     assert first_cell == 1
-    seg2 = _segment(1, 64 * 1024, 64 * 1024)
-    lb.select(seg2)
-    assert seg2.flowcell_id == 2
-    assert seg2.dst_mac != first_mac
+    second_mac, second_cell = _label(lb, 1, 64 * 1024, 64 * 1024)
+    assert second_cell == 2
+    assert second_mac != first_mac
 
 
 def test_presto_lb_acks_stay_on_one_label():
-    lb = PrestoLb(0)
+    lb = VSwitch(0, Presto())
     lb.set_schedule(3, [101, 102])
-    macs = set()
-    for _ in range(10):
-        ack = _segment(7, 0, 0)
-        lb.select(ack)
-        macs.add(ack.dst_mac)
-    assert len(macs) == 1
+    assert len({_label(lb, 7, 0, 0)[0] for _ in range(10)}) == 1
 
 
 # --- boundary edges: exact 64 KB landings and TSO-disabled streams ----------

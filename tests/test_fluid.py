@@ -333,6 +333,159 @@ def test_arrival_on_the_timestamp_a_failover_window_closes(scheme):
     assert counter[0] and late.done and inside.done
 
 
+def test_cell_hashed_drop_does_not_blackhole_the_flows_other_cells():
+    """Inside a failover detection window a ``HASH_FLOWCELL`` leaf drops
+    the cells that hash onto the dead uplink — and only those.  The
+    walk's ``_cell_hashed`` report has to survive the drop, or the
+    slice memo keys the None on (flow, real MAC) alone and every later
+    cell of the flow inherits it."""
+    latency, down_at = msec(2), usec(400)
+    tb = _chaos_testbed("presto_ecmp", None, latency, control=False, seed=1)
+    FaultSchedule.of(LinkDown(down_at, "L1--S1")).arm(tb.sim, tb.topo)
+    inside = tb.add_elephant(2, 13, size_bytes=4 * MB,
+                             start_ns=down_at + usec(50))
+    counter = _assert_cached_paths_are_fresh(tb)
+    tb.sim.run(until=down_at + usec(100))
+
+    group = tb.topo.host_leaf[2].ecmp_default
+    flow_id, mac = inside.pipes[0].flow_id, inside.pipes[0].dst_mac
+    cells = range(1, 65)                       # 4 MB of 64 KB flowcells
+    dead = [c for c in cells if group.select(flow_id, c).name == "L1->S1"]
+    assert 4 < len(dead) < 28
+    for cell in (dead[0], next(c for c in cells if c not in dead)):
+        path = tb.engine.resolve_path(2, 13, flow_id, mac, cell, tb.sim.now)
+        assert tb.engine._cell_hashed
+        assert (path is None) == (cell in dead)
+
+    lost = sum(p.frac for p in inside.pipes if p.path is None)
+    assert lost == pytest.approx(len(dead) / 64)
+    assert {p.path[1] for p in inside.pipes if p.path} == {
+        "L1->S2", "L1->S3", "L1->S4"}
+    assert counter[0]
+
+
+# --- one pipeline: the fluid walk is the path a packet takes -----------------
+
+
+def _walk_fabric(fabric, leaf_hash_mode, failover_latency_ns):
+    """A hand-built flow-fidelity fabric (``failover_latency_ns=None``:
+    no fast failover).  Returns (sim, topo, engine, trees, traces,
+    arrived): every port appends its name to ``traces[flow_id]`` as a
+    packet leaves through it, every host records what reaches it."""
+    from repro.fluid.engine import FluidEngine
+    from repro.fluid.testbed import FluidHost
+    from repro.lb.base import VSwitch
+    from repro.net.fabrics import TopologySpec, build_fabric
+    from repro.presto.controller import PrestoController
+    from repro.sim.engine import Simulator
+    from tests.test_fabrics import SEAM_FABRICS
+
+    sim = Simulator()
+    if fabric == "four-tier":
+        plan = SEAM_FABRICS[fabric]
+        topo = build_fabric(sim, plan)
+        edge_of = lambda host_id: host_id // 2        # noqa: E731
+        n_hosts = 2 * len(plan.tiers[0])
+    else:
+        spec = TopologySpec.parse(fabric)
+        topo = build_fabric(sim, spec)
+        edge_of, n_hosts = spec.edge_of, spec.n_hosts()
+    traces, arrived = {}, {}
+    for host_id in range(n_hosts):
+        host = FluidHost(host_id, VSwitch(host_id))
+        host.receive = (lambda pkt, in_port=None, host_id=host_id:
+                        arrived.__setitem__(pkt.flow_id, host_id))
+        topo.attach_host(host, topo.tiers[0][edge_of(host_id)])
+    controller = PrestoController(topo)
+    topo.install_underlay(leaf_hash_mode=leaf_hash_mode)
+    if failover_latency_ns is not None:
+        controller.enable_fast_failover(failover_latency_ns)
+    for link in topo.links:
+        for port in link.ports:
+            port.on_dequeue = (lambda pkt, name=port.name:
+                               traces.setdefault(pkt.flow_id, []).append(name))
+    engine = FluidEngine(sim, topo, flowcell_bytes=64 * KB,
+                         failover_latency_ns=failover_latency_ns or 0)
+    return sim, topo, engine, controller.trees, traces, arrived
+
+
+@pytest.mark.parametrize("failover_latency_ns", [None, 0, usec(50)])
+@pytest.mark.parametrize("leaf_hash_mode", ["flow", "flowcell"])
+@pytest.mark.parametrize("fabric", ["clos:spines=4,leaves=4,hosts=2",
+                                    "fat-tree:k=4", "four-tier"])
+def test_fluid_walk_is_the_path_a_packet_takes(fabric, leaf_hash_mode,
+                                               failover_latency_ns):
+    """``resolve_path`` and ``Switch.receive`` share one statement of
+    the pipeline (``Switch.next_hop``), and receive keeps an inlined
+    exact-match hit: so a real packet injected at the source edge must
+    leave through exactly the ports the walk names, hop for hop, and
+    die (blackhole, detection window, mislabel, the 2-tier root's
+    relabel-and-bounce running out of hop budget) exactly where the
+    walk says None — on a healthy fabric, inside a failover detection
+    window and after it closes, under seeded random link-down sets,
+    for shadow-MAC labels and real MACs."""
+    from repro.net.addresses import host_mac, shadow_mac
+    from repro.net.packet import Packet
+
+    flow_ids = iter(range(1, 1 << 30))
+    delivered = blackholed = ttl_drops = 0
+    for seed in range(5):
+        rng = random.Random(seed)
+        sim, topo, engine, trees, traces, arrived = _walk_fabric(
+            fabric, leaf_hash_mode, failover_latency_ns)
+        n_hosts = len(topo.hosts)
+
+        def inject_and_compare(count):
+            at = sim.now
+            sent = []
+            for _ in range(count):
+                src, dst = rng.sample(range(n_hosts), 2)
+                tree = rng.choice([None, *trees])
+                mac = (host_mac(dst) if tree is None
+                       else shadow_mac(tree.tree_id, dst))
+                flow, cell = next(flow_ids), rng.randrange(1, 4)
+                sent.append((src, dst, flow, mac, cell))
+                topo.host_port[src].peer_port.send(Packet(
+                    flow_id=flow, src_host=src, dst_host=dst, dst_mac=mac,
+                    kind="data", seq=0, payload_len=100, flowcell_id=cell))
+            sim.run()  # nothing else is scheduled: drains the packets
+            for src, dst, flow, mac, cell in sent:
+                walked = engine.resolve_path(src, dst, flow, mac, cell, at)
+                hashed = engine._cell_hashed
+                taken = (tuple(traces[flow]) if arrived.get(flow) == dst
+                         else None)
+                assert walked == taken, (seed, at, src, dst, mac, cell,
+                                         traces.get(flow))
+                # the memo contract: a walk that says it never hashed on
+                # the cell — delivered or dropped — is every cell's walk
+                if not hashed:
+                    assert walked == engine.resolve_path(
+                        src, dst, flow, mac, cell + 7, at)
+            return sum(arrived.get(s[2]) == s[1] for s in sent)
+
+        assert inject_and_compare(20) == 20            # healthy: all arrive
+        sim.run(until=usec(200))
+        links = list(topo.links)
+        if seed == 0 and len(topo.tiers) == 2:
+            # every root loses its way down to leaf 1: each relabels
+            # onto the next tree and bounces, until the hop budget ends
+            down = [l for l in links if l.name.startswith("L1--S")]
+        else:
+            down = rng.sample(links, rng.randrange(1, 5))
+        for link in down:
+            link.set_down()
+        got = inject_and_compare(40)                   # window still open
+        assert sim.now < usec(200) + (failover_latency_ns or usec(50))
+        sim.run(until=usec(300))
+        got += inject_and_compare(40)                  # window closed
+        delivered += got
+        blackholed += 80 - got
+        ttl_drops += sum(sw.ttl_drops for sw in topo.switches.values())
+    assert delivered > 100 and blackholed > 10
+    if failover_latency_ns is not None and len(topo.tiers) == 2:
+        assert ttl_drops > 0  # the loop kill was among the cases
+
+
 def test_heap_holds_one_completion_timer_not_one_per_transfer():
     """Every reallocation re-predicts every completion, so only the
     earliest prediction can ever fire.  The engine keeps that one timer:

@@ -4,12 +4,13 @@ import pytest
 
 from repro.experiments.harness import SCHEMES, Testbed, TestbedConfig, format_table
 from repro.host.gro import OfficialGro, PrestoGro
-from repro.lb.ecmp import EcmpLb
-from repro.lb.flowlet import FlowletLb
-from repro.lb.perpacket import PerPacketLb
-from repro.lb.presto_ecmp import PrestoEcmpLb
+from repro.lb.base import VSwitch
+from repro.lb.ecmp import Ecmp
+from repro.lb.flowlet import Flowlet
+from repro.lb.perpacket import PerPacket
+from repro.lb.presto_ecmp import PrestoEcmp
 from repro.net.switch import HASH_FLOW, HASH_FLOWCELL
-from repro.presto.vswitch import PrestoLb
+from repro.presto.flowcell import Presto
 from repro.units import KB, msec, usec
 
 
@@ -27,18 +28,19 @@ def test_all_schemes_construct():
 
 def test_scheme_lb_types():
     expected = {
-        "presto": PrestoLb,
-        "presto_ecmp": PrestoEcmpLb,
-        "ecmp": EcmpLb,
-        "mptcp": EcmpLb,
-        "flowlet100us": FlowletLb,
-        "flowlet500us": FlowletLb,
-        "perpacket": PerPacketLb,
+        "presto": Presto,
+        "presto_ecmp": PrestoEcmp,
+        "ecmp": Ecmp,
+        "mptcp": Ecmp,
+        "flowlet100us": Flowlet,
+        "flowlet500us": Flowlet,
+        "perpacket": PerPacket,
     }
-    for scheme, lb_type in expected.items():
+    for scheme, policy_type in expected.items():
         tb = Testbed(TestbedConfig(scheme=scheme, n_spines=2, n_leaves=2,
                                    hosts_per_leaf=1))
-        assert type(tb.hosts[0].lb) is lb_type
+        assert type(tb.hosts[0].lb) is VSwitch  # one class, every scheme
+        assert type(tb.hosts[0].lb.policy) is policy_type
 
 
 def test_scheme_default_gro():
@@ -61,8 +63,8 @@ def test_flowlet_gap_configured():
                                   n_leaves=2, hosts_per_leaf=1))
     tb500 = Testbed(TestbedConfig(scheme="flowlet500us", n_spines=2,
                                   n_leaves=2, hosts_per_leaf=1))
-    assert tb100.hosts[0].lb.gap_ns == usec(100)
-    assert tb500.hosts[0].lb.gap_ns == usec(500)
+    assert tb100.hosts[0].lb.policy.gap_ns == usec(100)
+    assert tb500.hosts[0].lb.policy.gap_ns == usec(500)
 
 
 def test_optimal_is_single_switch():
@@ -91,8 +93,8 @@ def test_ablation_knobs_propagate():
     tb = Testbed(TestbedConfig(scheme="presto", flowcell_bytes=16 * KB,
                                presto_mode="random", gro_adaptive=False,
                                n_spines=2, n_leaves=2, hosts_per_leaf=1))
-    assert tb.hosts[0].lb.tagger.threshold == 16 * KB
-    assert tb.hosts[0].lb.mode == "random"
+    assert tb.hosts[0].lb.policy.threshold == 16 * KB
+    assert tb.hosts[0].lb.policy.mode == "random"
     assert tb.hosts[0].gro.adaptive is False
 
 
@@ -128,7 +130,7 @@ def test_different_seed_different_hash_choices():
         tb.run(msec(1))
         seg_macs = set()
         sender = tb.hosts[0].senders[app.flow_id]
-        return tb.hosts[0].lb._choice.get(app.flow_id)
+        return tb.hosts[0].lb.flow(app.flow_id).idx
 
     picks = {labels(s) for s in range(8)}
     assert len(picks) > 1
@@ -175,10 +177,10 @@ class TestConfigValidation:
     def test_zoo_threshold_reaches_the_zoo_lbs(self):
         tb = Testbed(TestbedConfig(scheme="diffflow",
                                    zoo_threshold_bytes=200 * KB))
-        assert tb.hosts[0].lb.threshold == 200 * KB
+        assert tb.hosts[0].lb.policy.threshold == 200 * KB
         tb = Testbed(TestbedConfig(scheme="elephant_iso",
                                    zoo_threshold_bytes=512 * KB))
-        assert tb.hosts[0].lb.threshold == 512 * KB
+        assert tb.hosts[0].lb.policy.threshold == 512 * KB
 
     def test_validation_does_not_perturb_store_hashes(self):
         # the new tri-state knobs serialize as *omitted* when unset, so

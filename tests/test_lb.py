@@ -1,159 +1,162 @@
-"""Unit tests for the edge load-balancer schemes."""
+"""Unit tests for the vSwitch and the per-scheme policies."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.lb.base import LoadBalancer
-from repro.lb.ecmp import EcmpLb
-from repro.lb.flowlet import FlowletLb
-from repro.lb.perpacket import PerPacketLb
-from repro.lb.presto_ecmp import PrestoEcmpLb
+from repro.lb.base import VSwitch
+from repro.lb.ecmp import Ecmp
+from repro.lb.flowlet import Flowlet
+from repro.lb.perpacket import PerPacket
+from repro.lb.presto_ecmp import PrestoEcmp
 from repro.net.addresses import host_mac
-from repro.net.packet import Packet, Segment
-from repro.presto.vswitch import PrestoLb
-from repro.sim.engine import Simulator
+from repro.presto.flowcell import Presto
 from repro.units import KB, usec
 
 LABELS = [1001, 1002, 1003, 1004]
 
 
-def seg(flow=1, size=10 * KB, dst=3):
-    return Segment(flow_id=flow, src_host=0, dst_host=dst,
-                   seq=0, end_seq=size)
+def vswitch(policy=None, seed=1):
+    vs = VSwitch(0, policy, random.Random(seed))
+    vs.set_schedule(3, LABELS)
+    return vs
+
+
+def label(vs, flow=1, size=10 * KB, dst=3, now=0):
+    """One fresh segment of ``size`` bytes: (dst_mac, flowcell_id)."""
+    return vs.label(flow, dst, size, size, now)
 
 
 def test_base_defaults_to_real_mac():
-    lb = LoadBalancer(0)
-    s = seg(dst=5)
-    lb.select(s)
-    assert s.dst_mac == host_mac(5)
+    vs = VSwitch(0)
+    assert label(vs, dst=5) == (host_mac(5), 1)
 
 
 def test_base_schedule_validation():
-    lb = LoadBalancer(0)
+    vs = VSwitch(0)
     with pytest.raises(ValueError):
-        lb.set_schedule(3, [])
+        vs.set_schedule(3, [])
+
+
+def test_schedule_observers_fire_after_every_install():
+    vs = VSwitch(0)
+    seen = []
+    vs.on_schedule_change.append(lambda: seen.append(vs.labels_for(3)))
+    vs.set_schedule(3, LABELS)
+    vs.set_schedule(3, LABELS[:2])
+    assert seen == [LABELS, LABELS[:2]]  # called with the new one in place
 
 
 class TestEcmp:
     def test_sticky_per_flow(self):
-        lb = EcmpLb(0, random.Random(1))
-        lb.set_schedule(3, LABELS)
-        macs = set()
-        for _ in range(20):
-            s = seg(flow=7)
-            lb.select(s)
-            macs.add(s.dst_mac)
-        assert len(macs) == 1
+        vs = vswitch(Ecmp())
+        assert len({label(vs, flow=7)[0] for _ in range(20)}) == 1
 
     def test_different_flows_spread(self):
-        lb = EcmpLb(0, random.Random(1))
-        lb.set_schedule(3, LABELS)
-        macs = set()
-        for flow in range(100):
-            s = seg(flow=flow)
-            lb.select(s)
-            macs.add(s.dst_mac)
-        assert macs == set(LABELS)
+        vs = vswitch(Ecmp())
+        assert {label(vs, flow=f)[0] for f in range(100)} == set(LABELS)
 
 
 class TestFlowlet:
     def test_no_gap_no_switch(self):
-        sim = Simulator()
-        lb = FlowletLb(0, sim, gap_ns=usec(500), rng=random.Random(1))
-        lb.set_schedule(3, LABELS)
-        macs = set()
-        for _ in range(10):
-            s = seg()
-            lb.select(s)
-            macs.add(s.dst_mac)
-        assert len(macs) == 1
+        vs = vswitch(Flowlet(gap_ns=usec(500)))
+        assert len({label(vs, now=usec(i))[0] for i in range(10)}) == 1
 
     def test_gap_switches_path_and_bumps_id(self):
-        sim = Simulator()
-        lb = FlowletLb(0, sim, gap_ns=usec(500), rng=random.Random(1))
-        lb.set_schedule(3, LABELS)
-        s1 = seg()
-        lb.select(s1)
-        sim.schedule(usec(600), lambda: None)
-        sim.run()
-        s2 = seg()
-        lb.select(s2)
-        assert s2.dst_mac != s1.dst_mac
-        assert s2.flowcell_id == s1.flowcell_id + 1
+        vs = vswitch(Flowlet(gap_ns=usec(500)))
+        mac1, cell1 = label(vs, now=0)
+        mac2, cell2 = label(vs, now=usec(600))
+        assert mac2 != mac1
+        assert cell2 == cell1 + 1
 
     def test_bad_gap_rejected(self):
         with pytest.raises(ValueError):
-            FlowletLb(0, Simulator(), gap_ns=0)
+            Flowlet(gap_ns=0)
 
 
 class TestPerPacket:
     def test_labeler_rotates_every_packet(self):
-        lb = PerPacketLb(0, random.Random(1))
-        lb.set_schedule(3, LABELS)
-        label = lb.packet_labeler()
-        macs = []
-        for i in range(8):
-            p = Packet(flow_id=1, src_host=0, dst_host=3, dst_mac=0,
-                       kind="data", seq=i * 1448, payload_len=1448,
-                       flowcell_id=0)
-            label(p)
-            macs.append(p.dst_mac)
+        vs = vswitch(PerPacket())
+        assert label(vs) == (LABELS[0], 0)  # SPRAY: a placeholder, cell 0
+        macs = [vs.spray(1, 3)[0] for _ in range(8)]
         # consecutive packets never repeat a path
         assert all(a != b for a, b in zip(macs, macs[1:]))
+
+    def test_only_spraying_policies_arm_the_nic_hook(self):
+        from repro.host.host import Host
+        from repro.sim.engine import Simulator
+
+        sim = Simulator()
+        sprayer = Host(sim, 0, lb=vswitch(PerPacket()), model_cpu=False)
+        assert sprayer.nic.packet_label == sprayer.lb.spray
+        assert Host(sim, 1, lb=vswitch(Ecmp())).nic.packet_label is None
 
 
 class TestPrestoEcmp:
     def test_keeps_real_mac_but_stamps_cells(self):
-        lb = PrestoEcmpLb(0, random.Random(1))
-        lb.set_schedule(3, LABELS)
-        s1 = seg(size=64 * KB)
-        lb.select(s1)
-        s2 = seg(size=64 * KB)
-        lb.select(s2)
-        assert s1.dst_mac == host_mac(3)
-        assert s2.flowcell_id == s1.flowcell_id + 1
+        vs = vswitch(PrestoEcmp())
+        mac1, cell1 = label(vs, size=64 * KB)
+        mac2, cell2 = label(vs, size=64 * KB)
+        assert mac1 == mac2 == host_mac(3)
+        assert cell2 == cell1 + 1
 
 
 class TestPrestoModes:
     def test_rr_walks_schedule_in_order(self):
-        lb = PrestoLb(0, random.Random(1))
-        lb.set_schedule(3, LABELS)
-        macs = []
-        for _ in range(8):
-            s = seg(size=64 * KB)
-            lb.select(s)
-            macs.append(s.dst_mac)
+        vs = vswitch(Presto())
+        macs = [label(vs, size=64 * KB)[0] for _ in range(8)]
         # strict rotation: every window of 4 covers all labels
         assert set(macs[:4]) == set(LABELS)
         assert macs[:4] == macs[4:8]
 
     def test_random_mode_stable_within_cell(self):
-        lb = PrestoLb(0, random.Random(1), mode="random")
-        lb.set_schedule(3, LABELS)
-        s1 = seg(size=10 * KB)
-        s2 = seg(size=10 * KB)
-        lb.select(s1)
-        lb.select(s2)
-        assert s1.flowcell_id == s2.flowcell_id
-        assert s1.dst_mac == s2.dst_mac  # same cell -> same label
+        vs = vswitch(Presto(mode="random"))
+        first, second = label(vs), label(vs)
+        assert first[1] == second[1]
+        assert first[0] == second[0]  # same cell -> same label
+
+    def test_random_mode_stable_within_cell_whatever_other_flows_do(self):
+        """The draw for a flow's current cell lives on that flow's
+        state record.  (It used to sit in a shared (flow, cell) memo
+        that was *cleared* past 65 536 entries, re-drawing every other
+        flow's current cell mid-cell; this drives past that bound.)"""
+        vs = vswitch(Presto(threshold=100, mode="random"), seed=3)
+        first = vs.label(1, 3, 10, 10, 0)
+        for i in range(1, 65_600):  # flow 2: one 100-byte cell per call
+            vs.label(2, 3, 100, 100 * i, 0)
+        assert vs.flow(2).cell >= 65_599
+        for seq in range(20, 101, 10):  # the rest of flow 1's first cell
+            assert vs.label(1, 3, 10, seq, 0) == first
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            PrestoLb(0, mode="zigzag")
+            Presto(mode="zigzag")
 
     def test_weighted_schedule_respected(self):
         """Duplicated labels get proportionally more flowcells."""
-        lb = PrestoLb(0, random.Random(1))
-        lb.set_schedule(3, [1001, 1002, 1001, 1003])  # 1001 weighted 2x
         from collections import Counter
-        counts = Counter()
-        for _ in range(40):
-            s = seg(size=64 * KB)
-            lb.select(s)
-            counts[s.dst_mac] += 1
+
+        vs = VSwitch(0, Presto(), random.Random(1))
+        vs.set_schedule(3, [1001, 1002, 1001, 1003])  # 1001 weighted 2x
+        counts = Counter(label(vs, size=64 * KB)[0] for _ in range(40))
         assert counts[1001] == 2 * counts[1002] == 2 * counts[1003]
+
+
+def test_label_sequences_match_the_parent_generated_golden():
+    """tests/golden/lb_sequences.json was written by the nine
+    ``select(seg)`` classes this seam replaced; every scheme's vSwitch
+    must label the scripted stream identically, through a real
+    ``Host.send_segment`` + TSO and through the fluid slicer's call."""
+    import importlib.util
+
+    root = Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "gen_golden", root / "tools" / "gen_golden.py")
+    gen_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_golden)
+    golden = (root / "tests" / "golden" / "lb_sequences.json").read_text()
+    assert gen_golden.lb_sequences_text() == golden
 
 
 class TestSchemeRegistry:
@@ -163,7 +166,7 @@ class TestSchemeRegistry:
         from repro.experiments.schemes import Scheme, register
 
         with pytest.raises(ValueError) as exc:
-            register(Scheme(name="diffflow", make_lb=lambda *a: None))
+            register(Scheme(name="diffflow", policy=lambda cfg: None))
         msg = str(exc.value)
         assert "diffflow" in msg
         assert "repro.experiments.schemes" in msg
@@ -180,5 +183,5 @@ class TestSchemeRegistry:
         from repro.experiments.schemes import Scheme, register
 
         with pytest.raises(ValueError, match="transport"):
-            register(Scheme(name="zoo-test-bogus", make_lb=lambda *a: None,
+            register(Scheme(name="zoo-test-bogus", policy=lambda cfg: None,
                             transport="udp"))

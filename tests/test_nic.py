@@ -103,11 +103,23 @@ class TestTso:
         sim = Simulator()
         nic, _ = make_nic(sim)
         tx = attach_tx(sim, nic)
-        macs = iter(range(1000, 2000))
-        nic.packet_labeler = lambda p: setattr(p, "dst_mac", next(macs))
+        labels = iter(zip(range(1000, 2000), range(50, 1050)))
+        nic.packet_label = lambda flow_id, dst_host: next(labels)
         nic.tx_segment(data_segment(10 * KB))
         sim.run()
-        assert len({p.dst_mac for p in tx.pkts}) == len(tx.pkts)
+        assert [(p.dst_mac, p.flowcell_id) for p in tx.pkts] == [
+            (1000 + i, 50 + i) for i in range(len(tx.pkts))]
+
+    def test_packet_labeler_hook_may_decline(self):
+        """None from the hook keeps what TSO replicated (a pinned flow
+        under a spraying scheme)."""
+        sim = Simulator()
+        nic, _ = make_nic(sim)
+        tx = attach_tx(sim, nic)
+        nic.packet_label = lambda flow_id, dst_host: None
+        nic.tx_segment(data_segment(10 * KB, cell=9, mac=1234))
+        sim.run()
+        assert all(p.dst_mac == 1234 and p.flowcell_id == 9 for p in tx.pkts)
 
 
 def rx_pkt(seq, flow=1, cell=1, kind=DATA, size=1448):

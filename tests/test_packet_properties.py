@@ -16,9 +16,19 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.lb.base import VSwitch
 from repro.net.packet import ACK, DATA, Packet, Segment, _POOL_MAX
-from repro.presto.flowcell import FLOWCELL_BYTES
-from repro.presto.vswitch import PrestoLb
+from repro.presto.flowcell import FLOWCELL_BYTES, Presto
+
+
+def PrestoLb(host_id, rng):
+    return VSwitch(host_id, Presto(), rng)
+
+
+def stamp(lb, seg):
+    """What ``Host.send_segment`` does with the vSwitch's answer."""
+    seg.dst_mac, seg.flowcell_id = lb.label(
+        seg.flow_id, seg.dst_host, seg.payload_len, seg.end_seq, 0)
 
 sack_blocks = st.lists(
     st.tuples(st.integers(0, 1 << 20), st.integers(0, 1 << 20)), max_size=3
@@ -113,7 +123,7 @@ def test_pool_is_capped():
 @settings(max_examples=60, deadline=None)
 def test_flowcell_ids_monotone_per_flow_with_recycled_segments(sizes):
     """Interleaved flows through the Presto vSwitch, every segment
-    recycled between selects: per flow the stamped flowcell ID never
+    recycled between decisions: per flow the stamped flowcell ID never
     decreases and never skips."""
     Segment._pool.clear()
     lb = PrestoLb(0, rng=random.Random(42))
@@ -122,7 +132,7 @@ def test_flowcell_ids_monotone_per_flow_with_recycled_segments(sizes):
     for flow, size in sizes:
         seg = Segment.alloc(flow_id=flow, src_host=0, dst_host=1,
                             seq=0, end_seq=size)
-        lb.select(seg)
+        stamp(lb, seg)
         prev = last.get(flow, 0)
         assert seg.flowcell_id >= prev, "flowcell ID went backwards"
         assert seg.flowcell_id - prev <= 1, "flowcell ID skipped"
@@ -144,7 +154,7 @@ def test_exact_boundary_segments_round_robin_with_recycled_segments():
         seg = Segment.alloc(flow_id=3, src_host=0, dst_host=1,
                             seq=i * FLOWCELL_BYTES,
                             end_seq=(i + 1) * FLOWCELL_BYTES)
-        lb.select(seg)
+        stamp(lb, seg)
         macs.append(seg.dst_mac)
         cells.append(seg.flowcell_id)
         seg.release()
@@ -168,7 +178,7 @@ def test_tso_disabled_stream_preserves_label_rotation(n):
     for i in range(n):
         seg = Segment.alloc(flow_id=5, src_host=0, dst_host=1,
                             seq=i * mss, end_seq=(i + 1) * mss)
-        lb.select(seg)
+        stamp(lb, seg)
         seen.append((seg.flowcell_id, seg.dst_mac))
         seg.release()
     cells = [c for c, _ in seen]

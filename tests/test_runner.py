@@ -56,6 +56,27 @@ def job_hang():
     time.sleep(60)
 
 
+def _wait_for(path):
+    deadline = time.monotonic() + 30
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def job_exit_beside(started, crashing):
+    """Die — but only once the bystander is running beside us."""
+    _wait_for(started)
+    open(crashing, "w").close()
+    os._exit(7)
+
+
+def job_slow_bystander(started, crashing):
+    """Still in flight when the crasher goes: outlive it by a margin."""
+    open(started, "w").close()
+    _wait_for(crashing)
+    time.sleep(0.5)
+    return "survived"
+
+
 # --- serialization ----------------------------------------------------------
 
 def test_serialize_roundtrip_structures():
@@ -180,6 +201,28 @@ def test_worker_crash_retried_then_failed_without_killing_sweep():
     assert "died" in out[1].error
     with pytest.raises(RuntimeError, match="crasher"):
         collect_results(out)
+
+
+def test_worker_death_is_charged_only_to_a_job_alone_in_flight(tmp_path):
+    """A worker death breaks every in-flight future alike.  With no
+    retry to spare, a bystander guaranteed to be in flight beside the
+    crasher must not pay for it: both are requeued uncharged and re-run
+    one at a time, where the crasher dies alone and is the one charged."""
+    started, crashing = (str(tmp_path / n) for n in ("started", "crashing"))
+    logs = []
+    out = run_jobs(
+        [JobSpec.make(job_slow_bystander, started=started,
+                      crashing=crashing, label="bystander"),
+         JobSpec.make(job_exit_beside, started=started, crashing=crashing,
+                      label="crasher"),
+         JobSpec.make(job_ok, value=9, label="later")],
+        jobs=2, retries=0, log=logs.append)
+    assert out[0].status == "ok" and out[0].result == "survived"
+    assert out[0].attempts == 1  # the broken attempt never counted
+    assert out[1].status == "failed" and out[1].attempts == 1
+    assert "died" in out[1].error
+    assert out[2].ok
+    assert sum("pool restarted" in line for line in logs) == 2
 
 
 def test_exception_retried_then_failed_serial():

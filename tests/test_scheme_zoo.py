@@ -24,25 +24,31 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.host.transfer import delivered_for
-from repro.lb.diffflow import DIFFFLOW_THRESHOLD, DiffFlowLb
-from repro.lb.elephant_iso import ElephantIsoLb, split_labels
-from repro.lb.repflow import RepFlowLb
+from repro.lb.base import Policy, VSwitch
+from repro.lb.diffflow import DIFFFLOW_THRESHOLD, DiffFlow
+from repro.lb.elephant_iso import ElephantIso
+from repro.lb.repflow import RepFlow
 from repro.net.addresses import shadow_mac_tree
-from repro.net.packet import Packet, Segment
+from repro.presto.flowcell import flowcell
 from repro.units import KB, msec
 
 LABELS = [1001, 1002, 1003, 1004]
 
 
-def seg(flow=1, seq=0, end=10 * KB, dst=3):
-    return Segment(flow_id=flow, src_host=0, dst_host=dst,
-                   seq=seq, end_seq=end)
+def seg(lb, flow=1, seq=0, end=10 * KB, dst=3):
+    """Label one segment [seq, end) of ``flow``; returns its dst_mac."""
+    return lb.label(flow, dst, end - seq, end, 0)[0]
 
 
 def make_lb(cls, seed=1, **kwargs):
-    lb = cls(0, random.Random(seed), **kwargs)
+    lb = VSwitch(0, cls(**kwargs), random.Random(seed))
     lb.set_schedule(3, LABELS)
     return lb
+
+
+def is_elephant(lb, flow_id):
+    """Promotion is the latched pin on the flow's state record."""
+    return lb.flow(flow_id).pin >= 0
 
 
 # --- DiffFlow: the threshold boundary ----------------------------------------
@@ -63,57 +69,45 @@ class TestDiffFlowBoundary:
     @given(chunks=chunked_exact_threshold(), seed=st.integers(0, 2**16))
     def test_flow_of_exactly_threshold_bytes_stays_a_mouse(self, chunks,
                                                            seed):
-        lb = make_lb(DiffFlowLb, seed=seed)
+        lb = make_lb(DiffFlow, seed=seed)
         offset = 0
         for length in chunks:
-            s = seg(seq=offset, end=offset + length)
-            lb.select(s)
+            seg(lb, seq=offset, end=offset + length)
             offset += length
-            assert not lb.is_elephant(1)
+            assert not is_elephant(lb, 1)
         assert offset == DIFFFLOW_THRESHOLD
 
     @settings(max_examples=50, deadline=None)
     @given(extra=st.integers(min_value=1, max_value=10 * KB),
            seed=st.integers(0, 2**16))
     def test_crossing_threshold_promotes_once_and_latches(self, extra, seed):
-        lb = make_lb(DiffFlowLb, seed=seed)
-        s = seg(end=DIFFFLOW_THRESHOLD + extra)
-        lb.select(s)
-        assert lb.is_elephant(1)
-        pinned = s.dst_mac
+        lb = make_lb(DiffFlow, seed=seed)
+        pinned = seg(lb, end=DIFFFLOW_THRESHOLD + extra)
+        assert is_elephant(lb, 1)
         assert pinned in LABELS
         # latched: later segments — including retransmits *below* the
         # threshold — keep the same classification and the same path
         for seq in (0, DIFFFLOW_THRESHOLD - 1, DIFFFLOW_THRESHOLD + extra):
-            s2 = seg(seq=seq, end=seq + 1)
-            lb.select(s2)
-            assert lb.is_elephant(1)
-            assert s2.dst_mac == pinned
+            assert seg(lb, seq=seq, end=seq + 1) == pinned
+            assert is_elephant(lb, 1)
 
     def test_mice_spray_per_packet_elephants_keep_their_pin(self):
-        lb = make_lb(DiffFlowLb)
-        label = lb.packet_labeler()
-        # mouse: consecutive packets rotate across the schedule
-        macs = []
-        for i in range(8):
-            p = Packet(flow_id=1, src_host=0, dst_host=3, dst_mac=0,
-                       kind="data", seq=i * 1448, payload_len=1448,
-                       flowcell_id=0)
-            label(p)
-            macs.append(p.dst_mac)
+        lb = make_lb(DiffFlow)
+        # mouse: the segment answer is SPRAY (cell 0), and consecutive
+        # packets rotate across the schedule
+        assert lb.label(1, 3, 8 * 1448, 8 * 1448, 0)[1] == 0
+        macs = [lb.spray(1, 3)[0] for _ in range(8)]
         assert set(macs) == set(LABELS)
         assert all(a != b for a, b in zip(macs, macs[1:]))
-        # elephant: the labeler must not touch the pinned segment label
-        s = seg(flow=2, end=DIFFFLOW_THRESHOLD + 1)
-        lb.select(s)
-        p = Packet(flow_id=2, src_host=0, dst_host=3, dst_mac=s.dst_mac,
-                   kind="data", seq=0, payload_len=1448, flowcell_id=1)
-        label(p)
-        assert p.dst_mac == s.dst_mac
+        # elephant: the per-packet step declines, so every wire packet
+        # keeps the pinned label TSO replicated from the segment
+        pinned, cell = lb.label(2, 3, 1448, DIFFFLOW_THRESHOLD + 1, 0)
+        assert pinned in LABELS and cell == 1
+        assert lb.spray(2, 3) is None
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValueError):
-            DiffFlowLb(0, random.Random(1), threshold=0)
+            DiffFlow(threshold=0)
 
 
 # --- RepFlow: disjoint copies and the byte ledger ----------------------------
@@ -124,17 +118,13 @@ class TestRepFlowPaths:
     @given(n_labels=st.integers(min_value=2, max_value=8),
            seed=st.integers(0, 2**16))
     def test_replica_rides_a_different_tree(self, n_labels, seed):
-        lb = RepFlowLb(0, random.Random(seed))
+        lb = VSwitch(0, RepFlow(), random.Random(seed))
         lb.set_schedule(3, list(range(2001, 2001 + n_labels)))
         lb.pair(10, 11)
-        primary, replica = seg(flow=10), seg(flow=11)
-        lb.select(primary)
-        lb.select(replica)
-        assert primary.dst_mac != replica.dst_mac
+        primary, replica = seg(lb, flow=10), seg(lb, flow=11)
+        assert primary != replica
         # sticky: both copies keep their pick for every later segment
-        again = seg(flow=11, seq=1448, end=2 * 1448)
-        lb.select(again)
-        assert again.dst_mac == replica.dst_mac
+        assert seg(lb, flow=11, seq=1448, end=2 * 1448) == replica
 
 
 @settings(max_examples=6, deadline=None)
@@ -183,7 +173,7 @@ def repflow3():
         RaceApp(tb, src, dst, size, start, done, copies=3))
     schemes.register(schemes.Scheme(
         name="repflow3", transport="race3",
-        make_lb=lambda cfg, host_id, rng, sim: RepFlowLb(host_id, rng)))
+        policy=lambda cfg: RepFlow()))
     yield "repflow3"
     del schemes._REGISTRY["repflow3"], schemes.TRANSPORTS["race3"]
     del schemes._REGISTERED_BY["repflow3"]
@@ -213,13 +203,92 @@ def test_new_transport_is_one_table_row_at_both_fidelities(repflow3,
     assert mice.dup_suppressed_bytes > 0
 
 
+# --- the policy seam: a scheme the old interface made awkward ------------------
+
+
+class HostHashedRoutes(Policy):
+    """Host-stamped source routing (Nakamura et al.'s host-driven path
+    choice): the *sender* cuts Algorithm-1 flowcells and hashes (flow
+    key, cell) onto a tree — ``presto_ecmp``'s per-cell decision moved
+    from the leaf to the edge, so the label fixes the whole route."""
+
+    def __init__(self, cell_bytes):
+        self.cell_bytes = cell_bytes
+
+    def __call__(self, st, n, nbytes, end_seq, now, rng):
+        if st.pin < 0:
+            st.pin = rng.randrange(1 << 32)  # this flow's hash key
+        flowcell(st, nbytes, n, self.cell_bytes, rng)
+        return hash((st.pin, st.cell)) % n, st.cell  # ints: no hash salt
+
+
+@pytest.fixture
+def host_hashed():
+    """Registered here and only here: the seam ROADMAP item 2 asks for
+    is one ``register(Scheme(...))`` — no engine, NIC or harness edit."""
+    from repro.experiments import schemes
+
+    name = "host_hashed_routes"
+    schemes.register(schemes.Scheme(
+        name=name, gro="presto",
+        policy=lambda cfg: HostHashedRoutes(cfg.flowcell_bytes)))
+    yield name
+    del schemes._REGISTRY[name], schemes._REGISTERED_BY[name]
+
+
+def test_a_new_policy_runs_at_both_fidelities_with_no_src_edit(host_hashed):
+    size = 4 * 1024 * KB
+    shares = {}
+    for fidelity in ("packet", "flow"):
+        tb = Testbed(TestbedConfig(scheme=host_hashed, n_spines=2, n_leaves=2,
+                                   hosts_per_leaf=2, seed=3, validate=True,
+                                   fidelity=fidelity))
+        # one elephant out of each leaf, so each has its uplinks to
+        # itself and bytes per uplink are bytes per label
+        apps = [tb.add_elephant(0, 2, size_bytes=size),
+                tb.add_elephant(3, 1, size_bytes=size)]
+        tb.run(msec(40))
+        assert tb.last_invariant_report.ok
+        # byte conservation: every transfer delivered exactly its size
+        assert [a.delivered_bytes() for a in apps] == [size, size]
+        carried = tb.link_bytes()
+        shares[fidelity] = [
+            carried[f"{leaf}->S1"]
+            / (carried[f"{leaf}->S1"] + carried[f"{leaf}->S2"])
+            for leaf in ("L1", "L2")]
+    # The same per-flow keys and cell ids hash onto the same trees at
+    # either fidelity: 31 of 64 cells on tree 0 from L1, 30 of 64 from
+    # L2 (round robin would say 32 and 32).  What differs is headers,
+    # slow-start-sized first segments shifting the cell cuts, and the
+    # other elephant's ACKs: per-label byte shares within 3 points.
+    assert shares["flow"] == [31 / 64, 30 / 64]
+    for packet, flow in zip(shares["packet"], shares["flow"]):
+        assert abs(packet - flow) < 0.03, shares
+    # ...and nothing under src/ has heard of it (what `git grep` says)
+    for path in (Path(__file__).parent.parent / "src").rglob("*.py"):
+        text = path.read_text().lower()
+        assert host_hashed not in text and "hosthashedroutes" not in text
+
+
 # --- elephant isolation: the label partition ---------------------------------
+
+
+def split_labels(labels):
+    """The reference partition the policy's index arithmetic is held to:
+    (shared mice labels, dedicated elephant labels) over the schedule's
+    distinct labels — the first ``ceil(n/2)`` shared, the rest
+    dedicated; with fewer than two distinct labels both share it."""
+    distinct = list(dict.fromkeys(labels))
+    k = (len(distinct) + 1) // 2
+    return distinct[:k], distinct[k:] or distinct
 
 
 class TestSplitLabels:
     @settings(max_examples=100, deadline=None)
     @given(labels=st.lists(st.integers(0, 9), min_size=1, max_size=12))
     def test_partitions_distinct_labels(self, labels):
+        """Mice cycle every shared label and nothing else; two promoted
+        elephants take the first dedicated labels round-robin."""
         shared, dedicated = split_labels(labels)
         distinct = list(dict.fromkeys(labels))
         if len(distinct) < 2:
@@ -227,8 +296,23 @@ class TestSplitLabels:
             assert shared == distinct and dedicated == distinct
         else:
             assert shared + dedicated == distinct
-            assert not set(shared) & set(dedicated)
             assert shared and dedicated
+        lb = VSwitch(0, ElephantIso(threshold=1 * KB, flowcell_bytes=1 * KB),
+                     random.Random(1))
+        lb.set_schedule(3, labels)
+        mice = {seg(lb, flow=9 + i, seq=0, end=1 * KB)
+                for i in range(40)}            # random first-touch cursors
+        assert mice <= set(shared)
+        walked = {seg(lb, flow=7, seq=i * 100, end=(i + 1) * 100)
+                  for i in range(10)}          # one mouse, 1 KB: one cell
+        assert len(walked) == 1 and walked <= set(shared)
+        for slot, flow in enumerate((1, 2, 3)):
+            seg(lb, flow=flow, seq=0, end=1 * KB)
+            assert not is_elephant(lb, flow)
+            macs = {seg(lb, flow=flow, seq=KB + i * KB, end=2 * KB + i * KB)
+                    for i in range(6)}
+            assert is_elephant(lb, flow)
+            assert macs == {dedicated[slot % len(dedicated)]}
 
 
 def test_elephant_iso_disjoint_trees_on_fat_tree_k4():
@@ -263,34 +347,29 @@ def test_elephant_iso_disjoint_trees_on_fat_tree_k4():
 
 
 def test_elephant_iso_moves_detected_elephants_off_shared_trees():
-    lb = make_lb(ElephantIsoLb)
+    lb = make_lb(ElephantIso)
     shared, dedicated = split_labels(LABELS)
     offset, macs_before = 0, set()
-    while offset <= lb.threshold:
-        s = seg(seq=offset, end=offset + 64 * KB)
-        lb.select(s)
-        if not lb.is_elephant(1):
-            macs_before.add(s.dst_mac)
+    while offset <= lb.policy.threshold:
+        mac = seg(lb, seq=offset, end=offset + 64 * KB)
+        if not is_elephant(lb, 1):
+            macs_before.add(mac)
         offset += 64 * KB
-    assert lb.is_elephant(1)
+    assert is_elephant(lb, 1)
     assert macs_before <= set(shared)
-    s = seg(seq=offset, end=offset + 64 * KB)
-    lb.select(s)
-    assert s.dst_mac in dedicated
+    assert seg(lb, seq=offset, end=offset + 64 * KB) in dedicated
 
 
 def test_elephant_iso_flowcells_stay_monotone_across_promotion():
-    """One tagger spans the mouse->elephant transition, so the
-    segment-level flowcell sequence never decreases or skips (the
-    ValidationProbe invariant)."""
-    lb = make_lb(ElephantIsoLb)
+    """One Algorithm-1 counter spans the mouse->elephant transition,
+    so the segment-level flowcell sequence never decreases or skips
+    (the ValidationProbe invariant)."""
+    lb = make_lb(ElephantIso)
     cells, offset = [], 0
     for _ in range(40):
-        s = seg(seq=offset, end=offset + 48 * KB)
-        lb.select(s)
-        cells.append(s.flowcell_id)
+        cells.append(lb.label(1, 3, 48 * KB, offset + 48 * KB, 0)[1])
         offset += 48 * KB
-    assert lb.is_elephant(1)
+    assert is_elephant(lb, 1)
     assert all(0 <= b - a <= 1 for a, b in zip(cells, cells[1:]))
 
 

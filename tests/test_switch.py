@@ -68,7 +68,7 @@ def test_ecmp_flow_hash_is_sticky_per_flow():
     sw = Switch("S")
     ports = [wire(sim, sw, f"p{i}")[0] for i in range(4)]
     group = EcmpGroup(ports, salt=7, mode=HASH_FLOW)
-    chosen = {group.select(pkt(0, flow=5, cell=c)).name for c in range(10)}
+    chosen = {group.select(5, c).name for c in range(10)}
     assert len(chosen) == 1  # same flow, any flowcell -> same port
 
 
@@ -77,7 +77,7 @@ def test_ecmp_flowcell_hash_spreads_cells():
     sw = Switch("S")
     ports = [wire(sim, sw, f"p{i}")[0] for i in range(4)]
     group = EcmpGroup(ports, salt=7, mode=HASH_FLOWCELL)
-    chosen = {group.select(pkt(0, flow=5, cell=c)).name for c in range(64)}
+    chosen = {group.select(5, c).name for c in range(64)}
     assert len(chosen) == 4  # flowcells spread across all ports
 
 
@@ -88,7 +88,7 @@ def test_ecmp_distribution_roughly_uniform():
     group = EcmpGroup(ports, salt=3, mode=HASH_FLOW)
     counts = {p.name: 0 for p in ports}
     for flow in range(4000):
-        counts[group.select(pkt(0, flow=flow)).name] += 1
+        counts[group.select(flow, 1).name] += 1
     for c in counts.values():
         assert 800 < c < 1200  # ~1000 each
 
@@ -127,17 +127,59 @@ def test_failover_rewrite_applied():
     p1, _ = wire(sim, sw, "p1")
     p2, sink2 = wire(sim, sw, "p2")
     group = sw.enable_failover(latency_ns=0)
-
-    def relabel(p):
-        p.dst_mac = shadow_mac(2, 7)
-
-    group.set_backup(p1, p2, rewrite=relabel)
+    group.set_backup(p1, p2, onto=2)  # set-field: move onto tree 2
     sw.install_route(shadow_mac(1, 7), p1)
     p1.link.set_down()
     sw.receive(pkt(shadow_mac(1, 7)), None)
     sim.run()
     assert len(sink2.received) == 1
     assert shadow_mac_tree(sink2.received[0].dst_mac) == 2
+
+
+def test_failover_rewrite_leaves_real_macs_alone():
+    sim = Simulator()
+    sw = Switch("S")
+    p1, _ = wire(sim, sw, "p1")
+    p2, sink2 = wire(sim, sw, "p2")
+    sw.enable_failover(latency_ns=0).set_backup(p1, p2, onto=2)
+    sw.install_route(7, p1)
+    p1.link.set_down()
+    assert sw.next_hop(1, 7, 1) == (p2, 7, False)
+
+
+def test_next_hop_is_what_receive_does():
+    """The pipeline over values: exact match, then the group (saying
+    whether the flowcell was hashed), then failover at an explicit
+    ``now`` — and no port where receive would count a no-route drop
+    (the hashed-on-cell flag survives the drop: the fluid walk memo
+    keys on it)."""
+    sim = Simulator()
+    sw = Switch("S")
+    ports = [wire(sim, sw, f"p{i}")[0] for i in range(4)]
+    sw.install_route(42, ports[0])
+    assert sw.next_hop(5, 42, 1) == (ports[0], 42, False)
+    assert sw.next_hop(5, 99, 1) == (None, 99, False)
+    sw.ecmp_default = EcmpGroup(ports[1:], salt=7, mode=HASH_FLOWCELL)
+    out, mac, by_cell = sw.next_hop(5, 99, 3)
+    assert out is sw.ecmp_default.select(5, 3) and mac == 99 and by_cell
+    sw.ecmp_by_mac[99] = EcmpGroup(ports[:1], mode=HASH_FLOW)
+    assert sw.next_hop(5, 99, 3) == (ports[0], 99, False)
+    # a dead egress with no failover is still the answer: the port drops
+    ports[0].link.set_down()
+    assert sw.next_hop(5, 42, 1) == (ports[0], 42, False)
+    group = sw.enable_failover(latency_ns=usec(10))
+    group.set_backup(ports[0], ports[1])
+    ports[0].link.set_up()
+    sim.run(until=usec(5))
+    ports[0].link.set_down()                       # detected at t=5us
+    assert sw.next_hop(5, 42, 1, now=usec(14)) == (None, 42, False)
+    assert sw.next_hop(5, 42, 1, now=usec(15)) == (ports[1], 42, False)
+    assert sw.next_hop(5, 42, 1) == (None, 42, False)  # the port's clock
+    # a cell-hashed pick of a dead, not-yet-rerouted egress says so
+    dead = next(c for c in range(1, 99)
+                if sw.ecmp_default.select(6, c) is ports[1])
+    ports[1].link.set_down()
+    assert sw.next_hop(6, 77, dead, now=usec(5)) == (None, 77, True)
 
 
 def test_ttl_guard_kills_looping_packet():
