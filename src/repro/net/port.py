@@ -92,17 +92,6 @@ class Port:
         self.on_dequeue = None
         link.ports.append(self)
 
-    def _jitter(self) -> int:
-        if not self.tx_jitter_ns:
-            return 0
-        # xorshift32: cheap, deterministic per port
-        x = self._jstate
-        x ^= (x << 13) & 0xFFFFFFFF
-        x ^= x >> 17
-        x ^= (x << 5) & 0xFFFFFFFF
-        self._jstate = x
-        return x % (self.tx_jitter_ns + 1)
-
     @property
     def up(self) -> bool:
         return self.link.up

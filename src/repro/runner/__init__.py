@@ -9,10 +9,10 @@ parallel and cacheable.  This package provides the three layers:
     kwargs) triple with a stable content hash.
 
 ``run_jobs`` (:mod:`repro.runner.pool`)
-    A ``concurrent.futures`` process-pool executor with per-job
-    wall-clock timeouts, bounded retry with reseeded-worker backoff on
-    crashed/hung workers, and graceful degradation to in-process serial
-    execution when ``jobs=1`` or fork is unavailable.
+    One lease loop over the forked worker processes it owns, with
+    per-job wall-clock timeouts and bounded retry: a crashed or hung
+    worker is charged to the one job it held.  ``jobs=1`` (or no fork)
+    is the same loop running each lease in-process.
 
 ``ResultStore``
     Persists each job's structured result as JSON under

@@ -23,8 +23,8 @@ Exit status: 0, 1 when the sweep's own verdict fails (an oracle check,
 a soak invariant, a crashed cell of either) or ``--check`` finds drift,
 2 for a flag value the sweep cannot run with.
 
-This module also owns the flag plumbing ``service submit`` reuses
-(:func:`add_execution_flags`, :func:`execution_options`,
+This module also owns the flag plumbing :mod:`repro.service.cli`
+reuses (:func:`add_force_flag`, :func:`add_retries_flag`,
 :func:`add_param_flags`, :func:`param_values`), so each flag and each
 rejection message is defined once.
 """
@@ -62,6 +62,14 @@ def add_retries_flag(parser: argparse.ArgumentParser) -> None:
              "'Running sweeps')")
 
 
+def add_force_flag(parser: argparse.ArgumentParser) -> None:
+    """``--force`` alone: all of a run's execution that ``service
+    submit`` can pass on — the rest is the coordinator's business."""
+    parser.add_argument(
+        "--force", action="store_true",
+        help="invalidate cached results for these jobs and re-run")
+
+
 def add_execution_flags(parser: argparse.ArgumentParser) -> None:
     """``--jobs/--force/--timeout/--retries/--service/--results-dir/
     --no-store/--quiet``."""
@@ -69,9 +77,7 @@ def add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes (default: os.cpu_count(); 1 = in-process "
              "serial)")
-    parser.add_argument(
-        "--force", action="store_true",
-        help="invalidate cached results for these jobs and re-run")
+    add_force_flag(parser)
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-job wall-clock timeout; a hung job is killed, retried, "

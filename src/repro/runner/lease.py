@@ -1,20 +1,19 @@
 """Lease-based job accounting shared by the pool and the sweep service.
 
-Both executors — the in-process :mod:`repro.runner.pool` and the HTTP
+Both executors — the local :mod:`repro.runner.pool` and the HTTP
 coordinator in :mod:`repro.service` — face the same bookkeeping
 problem: a queue of jobs, each "checked out" by some worker for a
 while, where workers can crash, hang or vanish.  :class:`LeaseQueue`
-is that bookkeeping, with the retry-budget rules the pool pioneered:
+is that bookkeeping, with two ways for a lease to end badly:
 
-* ``fail`` (the job itself raised, or timed out under a per-job
-  deadline) **charges** the retry budget; the job requeues at the back
-  until the budget is spent, then reports failed.
-* ``release`` (the *executor* failed — worker process died under the
-  pool, a service lease expired because its worker was SIGKILLed or
-  partitioned) requeues at the *front* **without charging** the
-  budget: the job did nothing wrong.  A per-job expiry cap
-  (``max_releases``) stops a job that somehow kills every worker it
-  touches from cycling forever.
+* ``fail`` — the job raised, or the process running it died or was
+  killed at its deadline — **charges** the retry budget; the job
+  requeues at the back until the budget is spent, then reports failed.
+* ``release`` — nobody can say what became of the attempt: a service
+  lease expired because its worker was SIGKILLed or partitioned away —
+  requeues at the *front* **without charging** the budget.  A per-job
+  cap (``max_releases``) stops a job that somehow takes down every
+  worker it touches from cycling forever.
 
 The queue is deliberately synchronous and lock-free; callers that need
 thread safety (the HTTP coordinator) hold their own lock around it.
@@ -38,8 +37,8 @@ class Lease:
 
     lease_id: str
     index: int
-    #: opaque job payload — a JobSpec in the pool, a JSON dict in the
-    #: service; the queue never looks inside it
+    #: opaque job payload — a JobSpec in both executors; the queue never
+    #: looks inside it
     spec: Any
     #: attempts including this one (1 on the first claim)
     attempts: int
@@ -102,9 +101,6 @@ class LeaseQueue:
     def idle(self) -> bool:
         return not self._pending and not self._leases
 
-    def leases(self) -> List[Lease]:
-        return list(self._leases.values())
-
     def get(self, lease_id: str) -> Optional[Lease]:
         return self._leases.get(lease_id)
 
@@ -120,7 +116,7 @@ class LeaseQueue:
         """Check out the next pending job, charging one attempt.
 
         Returns None when nothing is pending.  ``ttl_s`` sets the lease
-        deadline; expired leases surface via :meth:`expire`.
+        deadline; expired leases surface via :meth:`expired`.
         """
         if not self._pending:
             return None
@@ -155,7 +151,7 @@ class LeaseQueue:
         return lease
 
     def fail(self, lease_id: str) -> Tuple[str, Optional[Lease]]:
-        """The job itself failed: charge the budget, retry or give up.
+        """The attempt failed: charge the budget, retry or give up.
 
         Returns ``("retry", lease)`` when the job requeued (at the
         back), ``("failed", lease)`` when its budget is spent, or
@@ -171,7 +167,7 @@ class LeaseQueue:
         return ("failed", lease)
 
     def release(self, lease_id: str) -> Tuple[str, Optional[Lease]]:
-        """The *executor* failed: requeue at the front, budget uncharged.
+        """The attempt was lost: requeue at the front, budget uncharged.
 
         Returns ``("requeued", lease)`` normally, ``("failed", lease)``
         once the job has been released ``max_releases`` times (a job
@@ -189,21 +185,6 @@ class LeaseQueue:
             return ("failed", lease)
         self._pending.appendleft(entry)
         return ("requeued", lease)
-
-    def release_all(self) -> List[Tuple[str, Lease]]:
-        """Release every in-flight lease (pool restart): front-queued,
-        uncharged, earliest claim ending up first.  Returns each lease
-        with its :meth:`release` status (``"failed"`` once a job hits
-        the release cap)."""
-        out = []
-        for lease_id in sorted(
-            self._leases, key=lambda lid: self._leases[lid].started,
-            reverse=True,
-        ):
-            status, lease = self.release(lease_id)
-            if lease is not None:
-                out.append((status, lease))
-        return out
 
     def expired(self, now: Optional[float] = None) -> List[Lease]:
         """In-flight leases past their deadline (not yet released)."""

@@ -1,41 +1,34 @@
-"""Process-pool job execution with timeouts, retries and resume.
+"""Job execution with timeouts, retries and resume.
 
-``run_jobs`` is the single entry point every sweep goes through:
+``run_jobs`` is the single entry point every sweep goes through, and
+one claim → run → settle loop over a :class:`~repro.runner.lease.LeaseQueue`
+is all of it:
 
-* ``jobs > 1`` (and fork available): a ``concurrent.futures``
-  ``ProcessPoolExecutor`` with a sliding submission window of at most
-  ``jobs`` in-flight futures, so each job's submit time is its start
-  time and per-job wall-clock timeouts are meaningful.
-* ``jobs = 1`` or no fork: the same semantics in-process (no pool, no
-  pickling overhead); per-job timeouts cannot be enforced without
-  preemption and are ignored with a log note.
+* ``jobs > 1`` (and fork available): the loop owns up to ``jobs`` forked
+  worker processes, each with one duplex pipe and at most one lease.
+  A lease is claimed when it is handed to a worker, so its claim time is
+  its start time and per-job wall-clock timeouts are meaningful.
+* ``jobs = 1``: the same loop with no workers — the lease runs
+  in-process — unless a ``timeout_s`` asks for a process that can be
+  killed, in which case there is one worker.  Without fork there are
+  never workers and timeouts are not enforced (a log note says so).
 
-Failure handling: a job whose worker raises is retried up to
-``retries`` times; a worker that *dies* (segfault, ``os._exit``) or
-*hangs* past ``timeout_s`` poisons the whole executor, so the pool is
-torn down (hung workers are killed), surviving in-flight jobs are
-requeued without charging their retry budget, and a fresh executor is
-spawned after an exponential backoff.  A hang is charged to the job
-that timed out.  A death breaks every in-flight future alike — the
-executor cannot say whose process it was — so it is charged only to a
-job that was *alone* in flight: when several were, all are requeued
-uncharged and run one at a time until each has finished or died on its
-own; then ``jobs``-wide dispatch resumes.  A job that exhausts its budget
-is reported as failed in its outcome — it never kills the sweep.  The
-queue/budget bookkeeping lives in :class:`repro.runner.lease.LeaseQueue`,
-shared with the distributed coordinator (:mod:`repro.service`); the
-full retry/restart/backoff contract is documented in EXPERIMENTS.md
-("Retries, restarts and backoff").
+Failure handling: a job that raises is retried up to ``retries`` times,
+then reported failed in its outcome — it never kills the sweep.  A
+worker that *dies* (segfault, ``os._exit``) is EOF on its own pipe and a
+worker that *hangs* past ``timeout_s`` is killed by pid, so either is
+charged to the one lease that worker held, exactly like a raise; the
+worker is replaced and every other in-flight job keeps running.  See
+EXPERIMENTS.md ("Retries and lease expiry").
 
-``run_jobs(..., service="http://host:port")`` hands the non-cached
-jobs to a sweep coordinator instead of a local pool: specs are
-submitted over HTTP, executed by remote workers through the same
-``_execute_payload`` path, and the outcomes (and local store records)
-are indistinguishable from a local run.
+``run_jobs(..., service="http://host:port")`` hands the non-cached jobs
+to a sweep coordinator (:mod:`repro.service`) instead: its workers call
+the same :func:`execute_leased`, and its results become outcomes (and
+local store records) through the same :func:`outcome_of`.
 
-Results always round-trip through the JSON encoding
-(:mod:`repro.runner.serialize`) — in the serial path too — so cached,
-serial and parallel runs of the same spec are byte-identical.
+Specs and results always cross :func:`execute_leased` in their JSON
+encoding (:mod:`repro.runner.serialize`) — in-process too — so cached,
+serial, parallel and remote runs of the same spec are byte-identical.
 """
 
 from __future__ import annotations
@@ -43,9 +36,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.jobspec import JobSpec
@@ -58,10 +50,8 @@ STATUS_OK = "ok"
 STATUS_CACHED = "cached"
 STATUS_FAILED = "failed"
 
-_BACKOFF_BASE_S = 0.25
-_BACKOFF_CAP_S = 5.0
-#: floor for the poll interval while watching in-flight futures
-_MIN_POLL_S = 0.05
+#: how long an idle worker gets to exit on the shutdown sentinel
+_JOIN_S = 2.0
 
 Logger = Optional[Callable[[str], None]]
 
@@ -82,18 +72,42 @@ class JobOutcome:
         return self.status in (STATUS_OK, STATUS_CACHED)
 
 
-def _execute_payload(payload: Dict[str, Any]) -> Any:
-    """Worker-side entry: decode the spec, run it, encode the result.
+def execute_leased(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The worker body: decode the spec, run it, encode the result.
 
-    Takes/returns plain JSON-able dicts so the pickle layer never sees
-    experiment objects and the transcript matches what the store holds.
+    Takes and returns plain JSON-able dicts — ``{"ok": True, "result",
+    "elapsed_s"}`` or ``{"ok": False, "error", "elapsed_s"}`` — so no
+    pipe or socket ever sees experiment objects and the transcript
+    matches what the store holds.  The in-process path, the forked
+    workers and :func:`repro.service.worker.run_worker` all call this.
     """
-    spec = from_jsonable(payload)
-    return to_jsonable(spec.execute())
+    t0 = time.monotonic()
+    try:
+        result = to_jsonable(from_jsonable(payload).execute())
+    except Exception as exc:  # noqa: BLE001 — the job failed, not its worker
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
+                "elapsed_s": time.monotonic() - t0}
+    return {"ok": True, "result": result, "elapsed_s": time.monotonic() - t0}
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
+def outcome_of(
+    spec: JobSpec,
+    reply: Dict[str, Any],
+    attempts: int,
+    store: Optional[ResultStore] = None,
+) -> JobOutcome:
+    """A final :func:`execute_leased` reply as a :class:`JobOutcome`; an
+    ok result is written to ``store`` first."""
+    elapsed = reply["elapsed_s"]
+    if not reply["ok"]:
+        return JobOutcome(spec=spec, status=STATUS_FAILED,
+                          error=reply["error"], attempts=attempts,
+                          elapsed_s=elapsed)
+    if store is not None:
+        store.save(spec, reply["result"], elapsed, attempts)
+    return JobOutcome(spec=spec, status=STATUS_OK,
+                      result=from_jsonable(reply["result"]),
+                      attempts=attempts, elapsed_s=elapsed)
 
 
 def run_jobs(
@@ -124,8 +138,8 @@ def run_jobs(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if timeout_s is not None and timeout_s <= 0:
-        # A non-positive timeout would mark every in-flight job timed
-        # out on the first poll and thrash pool restarts forever.
+        # A non-positive timeout would kill every worker on the first
+        # poll, whatever its job.
         raise ValueError(f"timeout_s must be positive, got {timeout_s}")
 
     def _log(msg: str) -> None:
@@ -170,19 +184,17 @@ def run_jobs(
                 store=store, finish=_finish, log=_log,
             )
             return [outcomes[i] for i in range(total)]
-        use_pool = jobs > 1 and _fork_available()
-        if jobs > 1 and not use_pool:
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        if jobs > 1 and not fork:
             _log("fork start method unavailable; degrading to serial execution")
-        if use_pool:
-            _run_pool(
-                todo, jobs=jobs, timeout_s=timeout_s, retries=retries,
-                store=store, finish=_finish, log=_log,
-            )
-        else:
-            _run_serial(
-                todo, timeout_s=timeout_s, retries=retries,
-                store=store, finish=_finish, log=_log,
-            )
+        if timeout_s is not None and not fork:
+            _log("note: per-job timeouts are not enforced without fork")
+        # a lease runs in-process unless it may need company or killing
+        in_process = not fork or (jobs == 1 and timeout_s is None)
+        _run_leases(
+            todo, workers=0 if in_process else jobs, timeout_s=timeout_s,
+            retries=retries, store=store, finish=_finish, log=_log,
+        )
 
     return [outcomes[i] for i in range(total)]
 
@@ -196,183 +208,133 @@ def collect_results(outcomes: Sequence[JobOutcome]) -> List[Any]:
     return [o.result for o in outcomes]
 
 
-# --- serial fallback ---------------------------------------------------------
+# --- the lease loop and its workers ------------------------------------------
 
 
-def _run_serial(
-    todo: Sequence[Tuple[int, JobSpec]],
-    *,
-    timeout_s: Optional[float],
-    retries: int,
-    store: Optional[ResultStore],
-    finish: Callable[[int, JobOutcome], None],
-    log: Callable[[str], None],
-) -> None:
-    if timeout_s is not None:
-        log("note: per-job timeouts are not enforced in serial mode")
-    for index, spec in todo:
-        attempts = 0
-        t0 = time.monotonic()
+@dataclass
+class _Worker:
+    """A forked process this loop owns, and the one lease it may hold."""
+
+    process: Any
+    conn: Connection
+    lease: Optional[Lease] = None
+
+
+def _worker_main(conn: Connection, parent_end: Connection) -> None:
+    """A forked worker: one payload in, one reply out, until ``None``."""
+    # our inherited copy of the parent's end would outlive the parent
+    # and keep recv() from ever seeing it gone
+    parent_end.close()
+    try:
         while True:
-            attempts += 1
-            try:
-                payload = to_jsonable(spec.execute())
-            except Exception as exc:  # noqa: BLE001 — job errors must not kill the sweep
-                err = f"{type(exc).__name__}: {exc}"
-                if attempts <= retries:
-                    log(f"retrying {spec.display} "
-                        f"(attempt {attempts + 1}/{retries + 1}): {err}")
-                    continue
-                finish(index, JobOutcome(
-                    spec=spec, status=STATUS_FAILED, error=err,
-                    attempts=attempts, elapsed_s=time.monotonic() - t0,
-                ))
-                break
-            elapsed = time.monotonic() - t0
-            if store is not None:
-                store.save(spec, payload, elapsed, attempts)
-            finish(index, JobOutcome(
-                spec=spec, status=STATUS_OK, result=from_jsonable(payload),
-                attempts=attempts, elapsed_s=elapsed,
-            ))
-            break
+            payload = conn.recv()
+            if payload is None:
+                return
+            conn.send(execute_leased(payload))
+    except (EOFError, OSError):
+        return  # the parent is gone
 
 
-# --- process pool ------------------------------------------------------------
+def _spawn(ctx: Any) -> _Worker:
+    parent_end, child_end = ctx.Pipe()
+    process = ctx.Process(
+        target=_worker_main, args=(child_end, parent_end), daemon=True)
+    process.start()
+    # the child's is now the only copy: its death is EOF on parent_end
+    child_end.close()
+    return _Worker(process, parent_end)
 
 
-def _kill_executor(executor: ProcessPoolExecutor) -> None:
-    """Tear an executor down even if its workers are hung."""
-    processes = list((getattr(executor, "_processes", None) or {}).values())
-    for proc in processes:
-        proc.terminate()
-    executor.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        proc.join(timeout=2.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=2.0)
+def _retire(worker: _Worker, kill: bool) -> None:
+    """Stop and reap one worker.  An idle one is *asked* (``None``): a
+    sibling forked after it inherited a copy of our end of its pipe, so
+    closing that end would never reach it as EOF."""
+    if kill:
+        worker.process.kill()
+    else:
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass  # already dead
+    worker.process.join(_JOIN_S)
+    if worker.process.is_alive():
+        worker.process.kill()
+        worker.process.join()
+    worker.conn.close()
 
 
-def _run_pool(
+def _run_leases(
     todo: Sequence[Tuple[int, JobSpec]],
     *,
-    jobs: int,
+    workers: int,
     timeout_s: Optional[float],
     retries: int,
     store: Optional[ResultStore],
     finish: Callable[[int, JobOutcome], None],
     log: Callable[[str], None],
 ) -> None:
-    ctx = multiprocessing.get_context("fork")
-
-    def new_executor() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
-
+    """Claim → run → settle until the queue is idle, on at most
+    ``workers`` owned processes (0: each lease runs in this one)."""
     queue = LeaseQueue(retries=retries)
     for index, spec in todo:
         queue.add(index, spec)
-    executor = new_executor()
-    in_flight: Dict[Any, Lease] = {}  # future -> lease
-    restarts = 0
-    #: jobs that were in flight together when a worker died and have
-    #: not run alone since; while there are any, one job runs at a time
-    suspects: set = set()
+    ctx = multiprocessing.get_context("fork") if workers else None
+    idle: List[_Worker] = []
+    busy: Dict[Connection, _Worker] = {}
 
-    def finish_failed(lease: Lease, err: str) -> None:
-        finish(lease.index, JobOutcome(
-            spec=lease.spec, status=STATUS_FAILED, error=err,
-            attempts=lease.attempts,
-            elapsed_s=time.monotonic() - lease.started,
-        ))
-
-    def fail_or_retry(lease: Lease, err: str) -> None:
-        suspects.discard(lease.index)  # charged: it ran alone, or raised
-        status, _ = queue.fail(lease.lease_id)
-        if status == "retry":
+    def settle(lease: Lease, reply: Dict[str, Any]) -> None:
+        """The one retry/charge rule: ok completes, anything else is
+        charged to this lease — retried while the budget lasts."""
+        if reply["ok"]:
+            queue.complete(lease.lease_id)
+        elif queue.fail(lease.lease_id)[0] == "retry":
             log(f"retrying {lease.spec.display} "
-                f"(attempt {lease.attempts + 1}/{retries + 1}): {err}")
-        elif status == "failed":
-            finish_failed(lease, err)
+                f"(attempt {lease.attempts + 1}/{retries + 1}): "
+                f"{reply['error']}")
+            return
+        finish(lease.index,
+               outcome_of(lease.spec, reply, lease.attempts, store))
+
+    def lost(worker: _Worker, why: str) -> None:
+        """``worker`` will never reply: replace it, charge its lease."""
+        _retire(worker, kill=True)
+        settle(worker.lease, {
+            "ok": False, "error": why,
+            "elapsed_s": time.monotonic() - worker.lease.started})
 
     try:
         while not queue.idle:
-            # (released suspects sit at the front of the queue)
-            width = 1 if suspects else jobs
-            while queue.pending and len(in_flight) < width:
-                lease = queue.claim(ttl_s=timeout_s)
-                future = executor.submit(
-                    _execute_payload, to_jsonable(lease.spec))
-                in_flight[future] = lease
-
-            now = time.monotonic()
-            poll: Optional[float] = None
-            if timeout_s is not None and in_flight:
-                nearest = min(l.deadline for l in in_flight.values())
-                poll = max(_MIN_POLL_S, nearest - now)
-            done, _ = wait(set(in_flight), timeout=poll,
-                           return_when=FIRST_COMPLETED)
-
-            broken = died = False
-            alone = len(in_flight) == 1
-            for future in done:
-                lease = in_flight.pop(future)
+            if not workers:
+                lease = queue.claim()
+                settle(lease, execute_leased(to_jsonable(lease.spec)))
+                continue
+            while queue.pending and len(busy) < workers:
+                worker = idle.pop() if idle else _spawn(ctx)
+                worker.lease = queue.claim(ttl_s=timeout_s)
                 try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    broken = died = True
-                    if alone:  # nobody else's process it could have been
-                        fail_or_retry(lease, "worker process died")
-                    continue   # else: released below, with the others
-                except Exception as exc:  # noqa: BLE001 — contained per job
-                    fail_or_retry(lease, f"{type(exc).__name__}: {exc}")
-                    continue
-                suspects.discard(lease.index)
-                queue.complete(lease.lease_id)
-                elapsed = time.monotonic() - lease.started
-                if store is not None:
-                    store.save(lease.spec, payload, elapsed, lease.attempts)
-                finish(lease.index, JobOutcome(
-                    spec=lease.spec, status=STATUS_OK,
-                    result=from_jsonable(payload),
-                    attempts=lease.attempts, elapsed_s=elapsed,
-                ))
-
+                    worker.conn.send(to_jsonable(worker.lease.spec))
+                except OSError:
+                    pass  # found dead: reads as EOF below
+                busy[worker.conn] = worker
+            patience = None
             if timeout_s is not None:
-                # a wedged worker holds its process hostage: only a
-                # pool restart can reclaim it, and the timed-out job
-                # itself is charged (it may be the reason it hangs)
-                expired = {l.lease_id for l in queue.expired()}
-                if expired:
-                    broken = True
-                    for future, lease in list(in_flight.items()):
-                        if lease.lease_id in expired:
-                            del in_flight[future]
-                            fail_or_retry(
-                                lease, f"timed out after {timeout_s:.1f}s")
-
-            if broken:
-                # Requeue the innocent bystanders at the front, without
-                # charging their retry budget, then restart on fresh
-                # (reseeded) workers after a backoff.
-                for status, lease in queue.release_all():
-                    if status == "failed":
-                        suspects.discard(lease.index)
-                        finish_failed(
-                            lease,
-                            f"requeued {queue.max_releases} times by pool "
-                            "restarts without completing")
-                    elif died:
-                        suspects.add(lease.index)
-                in_flight.clear()
-                _kill_executor(executor)
-                delay = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2 ** restarts))
-                restarts += 1
-                log(f"worker pool restarted (#{restarts}); "
-                    f"backing off {delay:.2f}s")
-                time.sleep(delay)
-                executor = new_executor()
-        executor.shutdown(wait=True)
-    except BaseException:
-        _kill_executor(executor)
-        raise
+                nearest = min(w.lease.deadline for w in busy.values())
+                patience = max(0.0, nearest - time.monotonic())
+            for conn in wait(list(busy), patience):
+                worker = busy.pop(conn)
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):
+                    lost(worker, "worker process died")
+                    continue
+                idle.append(worker)
+                settle(worker.lease, reply)
+            for conn, worker in list(busy.items()):
+                if worker.lease.expired():
+                    del busy[conn]
+                    lost(worker, f"timed out after {timeout_s:.1f}s")
+    finally:
+        for worker in idle:
+            _retire(worker, kill=False)
+        for worker in busy.values():  # only on the way out of an exception
+            _retire(worker, kill=True)

@@ -8,9 +8,9 @@ across machines with nothing but the standard library (``http.server``
 * **coordinator** — owns the :class:`~repro.runner.lease.LeaseQueue`
   (the exact class the pool uses), the
   :class:`~repro.runner.store.ResultStore` and the dashboard;
-* **workers** — poll ``/claim`` for leases, execute through the same
-  ``_execute_payload`` entry the pool forks, heartbeat while running,
-  and ``POST /complete`` their results;
+* **workers** — poll ``/claim`` for leases, run them through the same
+  :func:`~repro.runner.pool.execute_leased` the pool's workers call,
+  heartbeat while running, and ``POST /complete`` its reply;
 * **clients** — any ``run_jobs(..., service=URL)`` caller, including
   every sweep/validate/faults CLI via ``--service``.  The parameter
   search (``python -m repro.runner run search --service URL``) is the
@@ -20,10 +20,11 @@ across machines with nothing but the standard library (``http.server``
   workers) absorbs the halving ladder's structural re-submissions.
 
 A worker that dies mid-job simply stops heartbeating; its lease
-expires and the job requeues *without* charging its retry budget —
-the distributed twin of the pool's innocent-bystander rule.  Results
-land in the coordinator's store byte-identical (modulo timestamps) to
-a local ``run_jobs`` run of the same specs.
+expires and the job requeues *without* charging its retry budget: over
+a network a silent worker may be dead, hung or merely partitioned, and
+only the local pool — which owns its workers' processes — can tell.
+Results land in the coordinator's store byte-identical (modulo
+timestamps) to a local ``run_jobs`` run of the same specs.
 
 Start with ``python -m repro.service coordinator`` and see
 EXPERIMENTS.md "Sweep-as-a-service" for the full workflow.

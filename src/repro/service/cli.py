@@ -5,7 +5,7 @@ Subcommands::
     coordinator  --host --port --results-dir --retries --lease-ttl
                  --max-queue [--quiet]
     worker       URL [--name N] [--poll S] [--max-idle S] [--max-jobs N]
-    submit       URL SWEEP [sweep flags...]  # enqueue without waiting
+    submit       URL SWEEP [sweep flags...] [--force]  # enqueue, don't wait
     status       URL [--json] [--watch S]    # one-shot or polling status
 
 A typical two-machine sweep (see EXPERIMENTS.md "Sweep-as-a-service")::
@@ -81,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "(fire-and-forget; `status --watch` to follow)",
         usage="python -m repro.service submit URL SWEEP [flags]",
         description="SWEEP is a name from `python -m repro.runner list`; "
-                    "its flags are the ones `python -m repro.runner run "
-                    "SWEEP` takes (`submit URL SWEEP --help` lists them).")
+                    "its flags are that sweep's own parameters from "
+                    "`python -m repro.runner run SWEEP`, plus --force "
+                    "(`submit URL SWEEP --help` lists them).")
 
     status = sub.add_parser(
         "status", help="print the coordinator's progress snapshot")
@@ -139,9 +140,8 @@ def _cmd_worker(ns: argparse.Namespace) -> int:
 def _cmd_submit(argv: List[str]) -> int:
     from repro.runner.cli import (
         UsageError,
-        add_execution_flags,
+        add_force_flag,
         add_param_flags,
-        execution_options,
         param_values,
     )
     from repro.runner.serialize import to_jsonable
@@ -167,10 +167,9 @@ def _cmd_submit(argv: List[str]) -> int:
         prog=f"python -m repro.service submit URL {sweep.name}",
         description=sweep.description)
     add_param_flags(parser, sweep.params)
-    add_execution_flags(parser)
+    add_force_flag(parser)
     ns = parser.parse_args(flags)
     try:
-        options = execution_options(ns)
         specs = sweep.specs(**param_values(sweep.params, ns))
     except (UsageError, ValueError) as exc:
         print(f"bad sweep options: {exc}", file=sys.stderr)
@@ -179,7 +178,7 @@ def _cmd_submit(argv: List[str]) -> int:
     try:
         status, body = request_json(
             target.url, "/submit",
-            {"specs": payloads, "force": options.force})
+            {"specs": payloads, "force": ns.force})
     except ServiceError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -3,9 +3,11 @@
 :func:`run_via_service` is the branch :func:`repro.runner.pool.run_jobs`
 takes for the jobs its local store could not satisfy: submit the spec
 payloads (chunked, honoring 429 backpressure), poll ``/results`` until
-every id is terminal, and hand each :class:`JobOutcome` back through
-the same ``finish`` callback the local pool uses — so callers see no
-difference beyond where the CPUs were.
+every id is terminal, and turn each terminal answer into a
+:class:`JobOutcome` with the local pool's own
+:func:`~repro.runner.pool.outcome_of`, handed back through the same
+``finish`` callback — so callers see no difference beyond where the
+CPUs were.
 
 Retry budgets are enforced coordinator-side (it was started with
 ``--retries``); the client's ``retries`` argument exists for signature
@@ -24,9 +26,11 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.runner.jobspec import JobSpec
-from repro.runner.serialize import from_jsonable, to_jsonable
+from repro.runner.pool import JobOutcome, outcome_of
+from repro.runner.serialize import to_jsonable
 from repro.runner.store import ResultStore
 from repro.service.protocol import (
+    FAILED,
     Backpressure,
     ServiceError,
     TERMINAL,
@@ -48,18 +52,12 @@ def run_via_service(
     retries: int = 1,
     force: bool = False,
     store: Optional[ResultStore] = None,
-    finish: Callable[[int, object], None],
+    finish: Callable[[int, JobOutcome], None],
     log: Callable[[str], None],
     poll_s: float = DEFAULT_POLL_S,
 ) -> None:
     """Run ``todo`` on the coordinator at ``url``; calls
     ``finish(index, JobOutcome)`` exactly once per entry."""
-    from repro.runner.pool import (
-        STATUS_FAILED,
-        STATUS_OK,
-        JobOutcome,
-    )
-
     if not todo:
         return
     log(f"running {len(todo)} job(s) via coordinator at {url}")
@@ -92,27 +90,19 @@ def run_via_service(
             if job_id not in pending or status not in TERMINAL:
                 continue
             pending.discard(job_id)
+            # a terminal /results entry, in the worker's reply format
+            reply = {
+                "ok": status != FAILED,
+                "result": info.get("result"),
+                "error": info.get("error") or "failed on coordinator",
+                "elapsed_s": info.get("elapsed_s", 0.0),
+            }
             for index, spec in by_id[job_id]:
-                if status == "failed":
-                    outcome = JobOutcome(
-                        spec=spec, status=STATUS_FAILED,
-                        error=info.get("error") or "failed on coordinator",
-                        attempts=info.get("attempts", 0),
-                        elapsed_s=info.get("elapsed_s", 0.0),
-                    )
-                else:  # done or cached — both carry the result payload
-                    payload = info["result"]
-                    if store is not None and store.load_record(spec) is None:
-                        store.save(spec, payload,
-                                   info.get("elapsed_s", 0.0),
-                                   info.get("attempts", 1))
-                    outcome = JobOutcome(
-                        spec=spec, status=STATUS_OK,
-                        result=from_jsonable(payload),
-                        attempts=info.get("attempts", 1),
-                        elapsed_s=info.get("elapsed_s", 0.0),
-                    )
-                finish(index, outcome)
+                # the coordinator may share this store: keep its record
+                fresh = store is not None and store.load_record(spec) is None
+                finish(index, outcome_of(
+                    spec, reply, info.get("attempts", 1),
+                    store if fresh else None))
 
 
 def _submit(

@@ -4,14 +4,13 @@
 heartbeat, complete, expire — guarded by one lock so the threading
 HTTP server can hit it from many connections.  The queue/retry-budget
 bookkeeping is the same :class:`repro.runner.lease.LeaseQueue` the
-process pool uses:
+local pool uses:
 
 * a worker that reports a job *raised* charges that job's retry
   budget (it requeues until ``retries`` is spent, then fails);
 * a lease that *expires* — the worker was SIGKILLed, hung or
-  partitioned away — requeues the job at the front **without**
-  charging its budget, exactly like the pool's innocent-bystander
-  rule on a pool restart.
+  partitioned away, and from here nobody can tell which — requeues
+  the job at the front **without** charging its budget.
 
 Completed results are written to the coordinator's
 :class:`~repro.runner.store.ResultStore` through the same
@@ -332,9 +331,9 @@ class SweepCoordinator:
         info.last_seen_unix = time.time()
 
     def _expire_leases(self) -> None:
-        """Requeue jobs whose lease lapsed — uncharged, like the pool's
-        innocent-bystander rule.  Called under the lock from every
-        public entry point, so expiry needs no background thread."""
+        """Requeue jobs whose lease lapsed, uncharged.  Called under
+        the lock from every public entry point, so expiry needs no
+        background thread."""
         for lease in self._queue.expired():
             status, _ = self._queue.release(lease.lease_id)
             job = self._jobs.get(lease.index)

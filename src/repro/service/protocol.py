@@ -2,8 +2,9 @@
 
 Everything rides JSON over HTTP/1.1 (stdlib ``http.server`` +
 ``urllib``; no new dependencies).  Job payloads are the exact
-``to_jsonable(JobSpec)`` dicts the process pool pickles — the worker
-feeds them to the same ``_execute_payload`` entry, so a job's result
+``to_jsonable(JobSpec)`` dicts the local pool sends its workers, and a
+``/complete`` body is what :func:`repro.runner.pool.execute_leased`
+returned for one plus the lease and worker ids — so a job's result
 bytes do not depend on where it ran.
 
 Endpoints (all bodies JSON)::

@@ -2,10 +2,10 @@
 
 A worker is stateless — everything it knows about a job arrives in the
 ``/claim`` response, and everything it produces leaves via
-``/complete``.  Execution goes through the exact
-:func:`repro.runner.pool._execute_payload` entry the process pool
-forks, so a result's encoded bytes are identical whether the job ran
-locally or across the service.
+``/complete``.  Execution is :func:`repro.runner.pool.execute_leased`,
+the body the local pool's workers run, and its reply is the
+``/complete`` body — so a result's encoded bytes are identical whether
+the job ran locally or across the service.
 
 While a job runs, a daemon heartbeat thread renews its lease every
 ``ttl/3`` seconds.  If the heartbeat learns the lease went stale (the
@@ -23,9 +23,9 @@ import os
 import socket
 import threading
 import time
-import traceback
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Optional
 
+from repro.runner.pool import execute_leased
 from repro.service.protocol import ServiceError, request_json
 
 #: how long a fresh worker waits between empty /claim polls
@@ -56,22 +56,6 @@ def _heartbeat_loop(
         if lease_id in (body or {}).get("stale", ()):
             stale.set()
             return
-
-
-def _execute_leased(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one claimed payload; returns the /complete body (sans ids)."""
-    from repro.runner.pool import _execute_payload
-
-    t0 = time.monotonic()
-    try:
-        result = _execute_payload(payload)
-    except BaseException as exc:  # noqa: BLE001 — the job failed, not the worker
-        err = "".join(
-            traceback.format_exception_only(type(exc), exc)).strip()
-        return {"ok": False, "error": err,
-                "elapsed_s": time.monotonic() - t0}
-    return {"ok": True, "result": result,
-            "elapsed_s": time.monotonic() - t0}
 
 
 def run_worker(
@@ -132,7 +116,7 @@ def run_worker(
         )
         beat.start()
         try:
-            outcome = _execute_leased(job["payload"])
+            outcome = execute_leased(job["payload"])
         finally:
             done.set()
         executed += 1

@@ -56,8 +56,8 @@ class Event:
             self.cancelled = True
             sim = self._sim
             if sim is not None:
-                # _note_cancelled() inlined: cancel runs once per ACK
-                # (RTO re-arm) and the extra call was measurable
+                # done here, not in a Simulator method: cancel runs once
+                # per ACK (RTO re-arm) and the extra call was measurable
                 sim._cancelled = count = sim._cancelled + 1
                 if count > _COMPACT_MIN and count * 2 > len(sim._heap):
                     sim._compact()
@@ -114,11 +114,6 @@ class Simulator:
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute time ``time``."""
         return self.schedule(time - self._now, fn, *args)
-
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
-        if self._cancelled > _COMPACT_MIN and self._cancelled * 2 > len(self._heap):
-            self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify.  Entries keep their

@@ -9,6 +9,7 @@ plus serialization round-trips, spec hashing and the CLI.
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import time
@@ -69,12 +70,30 @@ def job_exit_beside(started, crashing):
     os._exit(7)
 
 
-def job_slow_bystander(started, crashing):
+def job_slow_bystander(started, crashing, runs):
     """Still in flight when the crasher goes: outlive it by a margin."""
+    with open(runs, "a") as fh:
+        fh.write("x")
     open(started, "w").close()
     _wait_for(crashing)
     time.sleep(0.5)
     return "survived"
+
+
+def job_nap(duration, runs=None):
+    if runs is not None:
+        with open(runs, "a") as fh:
+            fh.write("x")
+    time.sleep(duration)
+    return "rested"
+
+
+def job_big(n):
+    return "x" * n
+
+
+def job_pid():
+    return os.getpid()
 
 
 # --- serialization ----------------------------------------------------------
@@ -204,25 +223,47 @@ def test_worker_crash_retried_then_failed_without_killing_sweep():
 
 
 def test_worker_death_is_charged_only_to_a_job_alone_in_flight(tmp_path):
-    """A worker death breaks every in-flight future alike.  With no
-    retry to spare, a bystander guaranteed to be in flight beside the
-    crasher must not pay for it: both are requeued uncharged and re-run
-    one at a time, where the crasher dies alone and is the one charged."""
-    started, crashing = (str(tmp_path / n) for n in ("started", "crashing"))
-    logs = []
+    """A worker's death is EOF on that worker's own pipe, so it names
+    its job.  With no retry to spare, a bystander guaranteed to be in
+    flight beside the crasher neither pays for it nor notices: it keeps
+    running on its first attempt while the crasher alone is charged."""
+    started, crashing, runs = (
+        str(tmp_path / n) for n in ("started", "crashing", "runs"))
     out = run_jobs(
         [JobSpec.make(job_slow_bystander, started=started,
-                      crashing=crashing, label="bystander"),
+                      crashing=crashing, runs=runs, label="bystander"),
          JobSpec.make(job_exit_beside, started=started, crashing=crashing,
                       label="crasher"),
          JobSpec.make(job_ok, value=9, label="later")],
-        jobs=2, retries=0, log=logs.append)
+        jobs=2, retries=0)
     assert out[0].status == "ok" and out[0].result == "survived"
-    assert out[0].attempts == 1  # the broken attempt never counted
+    assert out[0].attempts == 1
     assert out[1].status == "failed" and out[1].attempts == 1
     assert "died" in out[1].error
     assert out[2].ok
-    assert sum("pool restarted" in line for line in logs) == 2
+    with open(runs) as fh:
+        assert fh.read() == "x"  # the bystander's body ran exactly once
+
+
+def test_hang_beside_a_bystander_kills_only_the_hanger(tmp_path):
+    """One shared deadline, staggered claims: the hanger and a
+    half-deadline sleeper go first, so the bystander is claimed half a
+    deadline later, is mid-run when the hanger is killed and is still
+    inside its own deadline.  Only the hanger's process is touched."""
+    runs = str(tmp_path / "runs")
+    deadline = 2.0
+    out = run_jobs(
+        [JobSpec.make(job_hang, label="hanger"),
+         JobSpec.make(job_nap, duration=deadline / 2, label="sleeper"),
+         JobSpec.make(job_nap, duration=deadline * 0.6, runs=runs,
+                      label="bystander")],
+        jobs=2, retries=0, timeout_s=deadline)
+    assert out[0].status == "failed" and out[0].attempts == 1
+    assert "timed out" in out[0].error
+    assert out[1].ok
+    assert out[2].status == "ok" and out[2].attempts == 1
+    with open(runs) as fh:
+        assert fh.read() == "x"  # never torn down, never re-run
 
 
 def test_exception_retried_then_failed_serial():
@@ -249,6 +290,56 @@ def test_timeout_kills_hung_job():
     assert out[0].status == "failed"
     assert "timed out" in out[0].error
     assert out[1].ok
+
+
+def test_timeout_is_enforced_with_one_job():
+    """``jobs=1`` with a timeout runs the lease in one owned worker, so
+    the deadline can be enforced instead of noted and ignored."""
+    logs = []
+    t0 = time.monotonic()
+    out = run_jobs(
+        [JobSpec.make(job_hang, label="hanger"),
+         JobSpec.make(job_pid, label="quick")],
+        jobs=1, retries=0, timeout_s=1.0, log=logs.append)
+    assert time.monotonic() - t0 < 30
+    assert out[0].status == "failed" and "timed out" in out[0].error
+    assert out[1].ok and out[1].result != os.getpid()
+    assert not any("not enforced" in line for line in logs)
+
+
+def test_without_fork_leases_run_in_process_and_say_so(monkeypatch):
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    logs = []
+    out = run_jobs([JobSpec.make(job_pid), JobSpec.make(job_raise)],
+                   jobs=2, retries=1, timeout_s=5.0, log=logs.append)
+    assert out[0].ok and out[0].result == os.getpid()
+    assert out[1].status == "failed" and out[1].attempts == 2
+    assert any("fork start method unavailable" in line for line in logs)
+    assert any("timeouts are not enforced" in line for line in logs)
+
+
+def test_idle_workers_shut_down_promptly():
+    """A worker forked later inherits the parent's ends of its older
+    siblings' pipes, so closing a pipe never reads as EOF in the child:
+    idle workers are told to exit.  Four of them gone in well under the
+    join timeout a single missed EOF would cost."""
+    specs = [JobSpec.make(job_pid, label=f"j{i}") for i in range(4)]
+    t0 = time.monotonic()
+    out = run_jobs(specs, jobs=4)
+    assert time.monotonic() - t0 < 1.0
+    assert len({o.result for o in out}) == 4  # four workers, all forked
+    assert multiprocessing.active_children() == []
+
+
+def test_large_reply_does_not_deadlock_the_loop():
+    """A reply bigger than the pipe buffer blocks the worker's send
+    until the parent reads; the loop must be reading, not joining."""
+    n = 1 << 20
+    out = run_jobs([JobSpec.make(job_big, n=n, label=f"big{i}")
+                    for i in range(3)], jobs=2, retries=0, timeout_s=30.0)
+    assert [o.status for o in out] == ["ok"] * 3
+    assert all(o.result == "x" * n for o in out)
 
 
 def test_run_jobs_rejects_bad_jobs_count():

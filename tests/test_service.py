@@ -185,6 +185,27 @@ def test_service_job_failure_charges_retry_budget(coordinator_factory):
     assert coordinator.counters["jobs_failed"].value == 1
 
 
+def test_serial_pool_and_service_outcomes_agree(coordinator_factory):
+    """All three executors run :func:`execute_leased` and settle its
+    reply through one rule: the same specs end with the same status,
+    attempt count, error text and result whichever ran them."""
+    start, start_workers = coordinator_factory
+    _, url = start(None, retries=1)
+    start_workers(url, 1)
+    specs = [JobSpec.make(job_raise, label="boom"),
+             JobSpec.make(job_ok, label="fine", value=3)]
+
+    def essence(outcomes):
+        return [(o.status, o.attempts, o.error, o.result) for o in outcomes]
+
+    serial = essence(run_jobs(specs, jobs=1, retries=1))
+    assert serial == [
+        ("failed", 2, "RuntimeError: injected failure", None),
+        ("ok", 1, None, job_ok(3))]
+    assert essence(run_jobs(specs, jobs=2, retries=1)) == serial
+    assert essence(run_jobs(specs, service=url)) == serial
+
+
 # --- lease expiry: executor death never charges the job ----------------------
 
 def test_lease_expiry_requeues_without_charging(tmp_path,
@@ -399,6 +420,18 @@ def test_cli_submit_and_status(tmp_path, capsys, coordinator_factory):
     assert service_main(["status", url, "--json"]) == 0
     progress = json.loads(capsys.readouterr().out)
     assert progress["queue"]["pending"] == 1
+    # --force is the one execution flag /submit carries; the others used
+    # to parse and be dropped, now they are usage errors
+    for dropped in (["--jobs", "2"], ["--timeout", "5"], ["--retries", "3"],
+                    ["--service", url], ["--results-dir", str(tmp_path)],
+                    ["--no-store"], ["--quiet"]):
+        with pytest.raises(SystemExit) as exc:
+            service_main(["submit", url, "scalability", *dropped])
+        assert exc.value.code == 2
+        assert dropped[0] in capsys.readouterr().err
+    assert service_main(["submit", url, "scalability", "--schemes", "presto",
+                         "--points", "2", "--seeds", "1", "--force"]) == 0
+    assert "submitted 1 spec(s)" in capsys.readouterr().out
 
 
 def test_cli_rejects_unknown_sweep_and_dead_coordinator(capsys):
