@@ -95,12 +95,7 @@ class Host:
             self.sim.now)
         if self.tx_tap is not None:
             self.tx_tap(seg)
-            self.nic.tx_segment(seg)
-        else:
-            # TSO replicated every header field onto the wire packets and
-            # no tap holds a reference: recycle the segment.
-            self.nic.tx_segment(seg)
-            seg.release()
+        self.nic.tx_segment(seg)
 
     def tx_ok(self, flow_id: int) -> bool:
         """Per-socket TSQ gate (head retransmissions and ACKs bypass it)."""
@@ -167,16 +162,11 @@ class Host:
             )
             self.receivers[seg.flow_id] = receiver
         receiver.on_segment(seg)
-        if self.segment_tap is None:
-            # TCP copied the byte ranges it needs; without an observation
-            # tap holding the segment, its life ends here.
-            seg.release()
 
     def _on_ack_packet(self, pkt: Packet) -> None:
         sender = self.senders.get(pkt.flow_id)
         if sender is not None:
             sender.on_ack_packet(pkt)
-        pkt.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Host {self.host_id} lb={type(self.lb.policy).__name__}>"

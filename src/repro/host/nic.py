@@ -112,7 +112,7 @@ class Nic:
             raise RuntimeError("NIC not attached to a port")
         self.tx_segments += 1
         if seg.kind == ACK or seg.payload_len == 0:
-            pkt = Packet.alloc(
+            pkt = Packet(
                 flow_id=seg.flow_id,
                 src_host=seg.src_host,
                 dst_host=seg.dst_host,
@@ -132,12 +132,11 @@ class Nic:
         offset = seg.seq
         end_seq = seg.end_seq
         mss = self.mss
-        alloc = Packet.alloc
         while offset < end_seq:
             payload = end_seq - offset
             if payload > mss:
                 payload = mss
-            pkt = alloc(
+            pkt = Packet(
                 seg.flow_id,
                 seg.src_host,
                 seg.dst_host,
@@ -215,9 +214,6 @@ class Nic:
                 cost += costs.per_ack_ns
             else:
                 merge(pkt, now)
-                # GRO copied every field it needs (Segment.from_packet /
-                # try_merge); the wire packet's life ends here.
-                pkt.release()
                 cost += costs.per_merge_pkt_ns
                 if presto:
                     cost += costs.presto_per_pkt_ns

@@ -165,7 +165,7 @@ class TcpSender:
         return max(0, resent_out) + max(0, above)
 
     def _emit(self, seq: int, size: int, is_retx: bool) -> None:
-        seg = Segment.alloc(
+        seg = Segment(
             flow_id=self.flow_id,
             src_host=self.host.host_id,
             dst_host=self.dst_host,

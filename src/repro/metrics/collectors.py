@@ -73,12 +73,6 @@ class ThroughputMeter:
             rates = self.flow_rates_bps()
         return sum(rates[f] for f in transfer.flow_ids())
 
-    def mean_rate_bps(self) -> float:
-        rates = self.flow_rates_bps()
-        if not rates:
-            return 0.0
-        return sum(rates.values()) / len(rates)
-
 
 class LossAccountant:
     """Switch-counter loss rate, as the paper measures (Figs 9a, 12a)."""

@@ -12,29 +12,16 @@ Two granularities, mirroring a real TSO/GRO stack:
 
 Byte sequence numbers are absolute offsets in the flow's byte stream,
 ``seq`` inclusive / ``end_seq`` exclusive.
-
-Both classes are pooled: a long run creates and drops millions of
-packets, and ``__init__`` + allocation is a measurable slice of the hot
-path.  ``alloc()`` hands out a recycled instance with *every* field
-reset (so reuse can never leak state between flows) and ``release()``
-returns one to the pool.  Releasing is an ownership statement — only
-the component that knows no one else holds the object may call it (the
-NIC after GRO copied a packet's fields, the host after TCP consumed a
-segment).  Code that constructs via ``Packet(...)``/``Segment(...)``
-directly, as tests do, simply bypasses the pool.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.units import HEADER_BYTES
 
 DATA = "data"
 ACK = "ack"
-
-#: cap on pooled instances; beyond this, released objects go to the GC
-_POOL_MAX = 8192
 
 
 class Packet:
@@ -64,8 +51,6 @@ class Packet:
         "end_seq",
         "wire_size",
     )
-
-    _pool: List["Packet"] = []
 
     def __init__(
         self,
@@ -99,56 +84,6 @@ class Packet:
         self.hops = 0
         self.end_seq = seq + payload_len
         self.wire_size = payload_len + HEADER_BYTES
-
-    @classmethod
-    def alloc(
-        cls,
-        flow_id: int,
-        src_host: int,
-        dst_host: int,
-        dst_mac: int,
-        kind: str,
-        seq: int,
-        payload_len: int,
-        flowcell_id: int,
-        is_retx: bool = False,
-        ack_seq: int = 0,
-        sack: Tuple[Tuple[int, int], ...] = (),
-        ts: int = 0,
-        ts_echo: int = 0,
-    ) -> "Packet":
-        """A packet from the pool (or a fresh one), every field set."""
-        pool = cls._pool
-        if pool:
-            pkt = pool.pop()
-            pkt.flow_id = flow_id
-            pkt.src_host = src_host
-            pkt.dst_host = dst_host
-            pkt.dst_mac = dst_mac
-            pkt.kind = kind
-            pkt.seq = seq
-            pkt.payload_len = payload_len
-            pkt.flowcell_id = flowcell_id
-            pkt.is_retx = is_retx
-            pkt.ack_seq = ack_seq
-            pkt.sack = sack
-            pkt.ts = ts
-            pkt.ts_echo = ts_echo
-            pkt.hops = 0
-            pkt.end_seq = seq + payload_len
-            pkt.wire_size = payload_len + HEADER_BYTES
-            return pkt
-        return cls(
-            flow_id, src_host, dst_host, dst_mac, kind, seq, payload_len,
-            flowcell_id, is_retx, ack_seq, sack, ts, ts_echo,
-        )
-
-    def release(self) -> None:
-        """Return this packet to the pool.  The caller must be the last
-        owner: after release the object may be recycled at any time."""
-        pool = Packet._pool
-        if len(pool) < _POOL_MAX:
-            pool.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -184,8 +119,6 @@ class Segment:
         "last_merge_at",
     )
 
-    _pool: List["Segment"] = []
-
     def __init__(
         self,
         flow_id: int,
@@ -220,56 +153,6 @@ class Segment:
         self.created_at = 0
         self.last_merge_at = 0
 
-    @classmethod
-    def alloc(
-        cls,
-        flow_id: int,
-        src_host: int,
-        dst_host: int,
-        kind: str = DATA,
-        seq: int = 0,
-        end_seq: int = 0,
-        pkt_count: int = 0,
-        flowcell_id: int = 0,
-        is_retx: bool = False,
-        ack_seq: int = 0,
-        sack: Tuple[Tuple[int, int], ...] = (),
-        ts: int = 0,
-        ts_echo: int = 0,
-        dst_mac: int = 0,
-    ) -> "Segment":
-        """A segment from the pool (or a fresh one), every field set."""
-        pool = cls._pool
-        if pool:
-            seg = pool.pop()
-            seg.flow_id = flow_id
-            seg.src_host = src_host
-            seg.dst_host = dst_host
-            seg.dst_mac = dst_mac
-            seg.kind = kind
-            seg.seq = seq
-            seg.end_seq = end_seq
-            seg.pkt_count = pkt_count
-            seg.flowcell_id = flowcell_id
-            seg.is_retx = is_retx
-            seg.ack_seq = ack_seq
-            seg.sack = sack
-            seg.ts = ts
-            seg.ts_echo = ts_echo
-            seg.created_at = 0
-            seg.last_merge_at = 0
-            return seg
-        return cls(
-            flow_id, src_host, dst_host, kind, seq, end_seq, pkt_count,
-            flowcell_id, is_retx, ack_seq, sack, ts, ts_echo, dst_mac,
-        )
-
-    def release(self) -> None:
-        """Return this segment to the pool (see :meth:`Packet.release`)."""
-        pool = Segment._pool
-        if len(pool) < _POOL_MAX:
-            pool.append(self)
-
     @property
     def payload_len(self) -> int:
         return self.end_seq - self.seq
@@ -277,7 +160,7 @@ class Segment:
     @classmethod
     def from_packet(cls, pkt: Packet) -> "Segment":
         """Start a new GRO segment from a single received packet."""
-        return cls.alloc(
+        return cls(
             flow_id=pkt.flow_id,
             src_host=pkt.src_host,
             dst_host=pkt.dst_host,
@@ -335,7 +218,7 @@ def make_ack(
     ts_echo: int = 0,
 ) -> Segment:
     """A pure-ACK segment (zero payload, one wire packet)."""
-    return Segment.alloc(
+    return Segment(
         flow_id=flow_id,
         src_host=src_host,
         dst_host=dst_host,

@@ -18,11 +18,9 @@ from repro.net.packet import Packet
 
 
 class SharedBuffer:
-    """A switch's packet-memory pool with dynamic thresholding.
-
-    A port may enqueue while its own occupancy stays below
-    ``alpha * (total - used)`` — the standard Broadcom DT rule.  With
-    alpha=2 a single congested port can take up to 2/3 of the pool.
+    """A switch's packet-memory pool with dynamic thresholding: the
+    pool's size, its ``alpha`` and the bytes in use.  The admission
+    rule itself is in :meth:`DropTailQueue.enqueue`.
     """
 
     __slots__ = ("total_bytes", "alpha", "used_bytes")
@@ -35,15 +33,6 @@ class SharedBuffer:
         self.total_bytes = total_bytes
         self.alpha = alpha
         self.used_bytes = 0
-
-    def admits(self, size: int, port_occupancy: int) -> bool:
-        if self.used_bytes + size > self.total_bytes:
-            return False
-        free = self.total_bytes - self.used_bytes
-        return port_occupancy + size <= self.alpha * free
-
-    def take(self, size: int) -> None:
-        self.used_bytes += size
 
     def release(self, size: int) -> None:
         self.used_bytes -= size
@@ -119,8 +108,10 @@ class DropTailQueue:
             return False
         shared = self.shared
         if shared is not None:
-            # admits() + take() inlined (same comparisons, same float
-            # expressions): two method calls per switch-queue enqueue
+            # the standard Broadcom dynamic-threshold rule: a port may
+            # enqueue while the pool has room and its own occupancy
+            # stays within alpha x the free pool (alpha=2: a lone
+            # congested port can take up to 2/3 of the pool)
             used = shared.used_bytes
             if used + size > shared.total_bytes or (
                 self.bytes_queued + size > shared.alpha * (shared.total_bytes - used)

@@ -1,27 +1,2 @@
-"""Performance benchmark suite (see PERFORMANCE.md).
-
-Fixed-seed micro benchmarks (event-loop churn, TSO fan-out, GRO merge)
-and macro benchmarks (an 8-host scalability point, a chaos-soak slice)
-that report wall time, events/sec and peak RSS, machine-readable as
-``BENCH_perf.json``.  Run them with ``python -m repro.runner perf`` or
-through pytest via ``benchmarks/perf/``.
-"""
-
-from repro.perf.report import (
-    load_baseline,
-    render_table,
-    results_payload,
-    write_bench_json,
-)
-from repro.perf.suite import BENCHES, BenchResult, run_bench, run_suite
-
-__all__ = [
-    "BENCHES",
-    "BenchResult",
-    "run_bench",
-    "run_suite",
-    "load_baseline",
-    "render_table",
-    "results_payload",
-    "write_bench_json",
-]
+"""What is left of the old perf suite: the four timed loops the perf
+ledger imports (see :mod:`repro.perf.suite`)."""

@@ -1,73 +1,39 @@
-"""The benchmark definitions: what each perf number actually measures.
+"""The four timed loops the perf ledger imports.
 
-Every bench is a plain function ``fn(scale) -> (wall_s, events)`` that
-builds its own fixture (excluded from timing), runs a fixed-seed
-workload through public APIs only, and reports the wall time of the hot
-section plus the natural work-unit count (simulator events for the
-event loop and macros, wire packets for TSO, merged packets for GRO).
-Fixed seeds make the *work* identical run to run, so events/sec is
-comparable across commits; ``scale`` shrinks the workload for CI smoke
-runs without changing its shape.
+``benchmarks/ledger/direct.py`` is the only caller; this file goes when
+the ledger owns its own copies (ROADMAP item 1b).  Each loop is a plain
+function ``fn(scale) -> (wall_s, units)`` that builds its own fixture
+(excluded from timing), runs a fixed-seed workload through public APIs
+only, and reports the wall time of the hot section plus the natural
+work-unit count.  Fixed seeds make the *work* identical run to run;
+``scale`` shrinks the workload without changing its shape.
 
-Micro benches isolate one hot path each; macro benches run a real
-experiment slice end to end:
-
-* ``event_churn``     — schedule/cancel churn à la TCP RTO re-arming,
-  the pattern that used to bloat the event heap with cancelled entries;
-* ``tso_fanout``      — 64 KB segments fanned into MTU packets through
-  the host egress port/queue/serializer cycle;
-* ``gro_merge``       — Presto GRO merge+flush over a deterministic
-  cross-flowcell reordered arrival stream;
-* ``scalability_8host`` — the Fig 7-9 presto cell at 4 paths (8 hosts),
-  warm + measure windows included;
-* ``fluid_scalability`` — the same cell on the fluid flow-level engine
-  (``fidelity="flow"``), pinning its speed advantage over the packet
-  engine;
-* ``soak_slice``      — one chaos-soak case (faults + failover + control
-  plane) end to end.
+* ``bench_event_churn``      — schedule/cancel churn à la TCP RTO
+  re-arming (units: reschedules + events fired);
+* ``bench_tso_fanout``       — 64 KB segments fanned into MTU packets
+  through the host egress port/queue/serializer cycle (units: wire
+  packets);
+* ``bench_gro_merge``        — Presto GRO merge+flush over a
+  deterministic cross-flowcell reordered arrival stream (units: packets
+  merged);
+* ``bench_scalability_8host`` — the Fig 7-9 presto cell at 4 paths
+  (8 hosts), warm + measure windows included (units: simulator events).
 """
 
 from __future__ import annotations
 
 import random
-import resource
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.units import gbps, msec, usec
-
-MICRO = "micro"
-MACRO = "macro"
-
-
-@dataclass
-class BenchResult:
-    """One bench's numbers: best-of-``rounds`` wall time and rate."""
-
-    name: str
-    kind: str  # "micro" | "macro"
-    wall_s: float
-    events: int
-    events_per_sec: float
-    peak_rss_bytes: int
-    rounds: int
-    scale: float
-
-
-def _peak_rss_bytes() -> int:
-    """Process high-water RSS.  ru_maxrss is KB on Linux, bytes on mac."""
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    import sys
-
-    return rss if sys.platform == "darwin" else rss * 1024
 
 
 def _noop() -> None:
     pass
 
 
-# --- micro: event loop churn -------------------------------------------------
+# --- event loop churn -------------------------------------------------
 
 
 def bench_event_churn(scale: float = 1.0) -> Tuple[float, int]:
@@ -97,7 +63,7 @@ def bench_event_churn(scale: float = 1.0) -> Tuple[float, int]:
     return wall, ops + fired
 
 
-# --- micro: TSO fan-out ------------------------------------------------------
+# --- TSO fan-out ------------------------------------------------------
 
 
 class _PacketSink:
@@ -149,7 +115,7 @@ def bench_tso_fanout(scale: float = 1.0) -> Tuple[float, int]:
     return wall, sink.rx_pkts
 
 
-# --- micro: GRO merge --------------------------------------------------------
+# --- GRO merge --------------------------------------------------------
 
 
 def _riffled_arrivals(
@@ -229,7 +195,7 @@ def bench_gro_merge(scale: float = 1.0) -> Tuple[float, int]:
     return wall, merged
 
 
-# --- macro: 8-host scalability point ----------------------------------------
+# --- 8-host scalability point ----------------------------------------
 
 
 def bench_scalability_8host(scale: float = 1.0) -> Tuple[float, int]:
@@ -252,125 +218,3 @@ def bench_scalability_8host(scale: float = 1.0) -> Tuple[float, int]:
     tb.run(warm_ns + measure_ns)
     wall = time.perf_counter() - t0
     return wall, tb.sim.events_executed
-
-
-# --- macro: fluid engine, same scalability cell ------------------------------
-
-
-def bench_fluid_scalability(scale: float = 1.0) -> Tuple[float, int]:
-    """The same Figs 7-9 presto cell as ``scalability_8host``, run on
-    the fluid flow-level engine (``fidelity="flow"``).  Work units are
-    simulator events fired — far fewer per simulated second than the
-    packet engine, which is the point: the committed baseline pins the
-    fluid engine's speed so a regression in its lazy advancement or
-    reallocation coalescing shows up as a wall-time jump."""
-    from repro.experiments.common import START_JITTER_NS
-    from repro.experiments.harness import Testbed
-    from repro.experiments.scalability import scalability_config
-
-    n_paths = 4
-    warm_ns = msec(5)
-    measure_ns = msec(max(1.0, 15.0 * scale))
-    tb = Testbed(scalability_config("presto", n_paths, seed=1,
-                                    fidelity="flow"))
-    rng = tb.streams.stream("starts")
-    for i in range(n_paths):
-        tb.add_elephant(i, n_paths + i, start_ns=rng.randrange(START_JITTER_NS))
-    tb.add_probe(0, n_paths, interval_ns=msec(1), start_ns=warm_ns // 2)
-    t0 = time.perf_counter()
-    tb.run(warm_ns + measure_ns)
-    wall = time.perf_counter() - t0
-    return wall, tb.sim.events_executed
-
-
-# --- macro: chaos-soak slice -------------------------------------------------
-
-
-def bench_soak_slice(scale: float = 1.0) -> Tuple[float, int]:
-    """One chaos-soak case end to end: random link/switch faults, fast
-    failover, the modeled control plane, bounded elephants, full
-    invariant horizon.  Work units are simulator events fired."""
-    from repro.experiments.common import START_JITTER_NS
-    from repro.experiments.harness import Testbed
-    from repro.faults.soak import random_case
-
-    cases = max(1, int(round(4 * scale)))
-    t0 = time.perf_counter()
-    events = 0
-    for index in range(cases):
-        case = random_case(1, index)
-        tb = Testbed(case.cfg)
-        tb.controller.enable_fast_failover(case.cfg.failover_latency_ns)
-        tb.enable_control_plane()
-        case.schedule.arm(tb.sim, tb.topo)
-        rng = tb.streams.stream("soak-starts")
-        for src, dst in case.pairs:
-            tb.add_elephant(
-                src, dst, size_bytes=case.size_bytes,
-                start_ns=rng.randrange(START_JITTER_NS))
-        tb.run(case.deadline_ns)
-        events += tb.sim.events_executed
-    wall = time.perf_counter() - t0
-    return wall, events
-
-
-# --- registry + driver -------------------------------------------------------
-
-BenchFn = Callable[[float], Tuple[float, int]]
-
-BENCHES: Dict[str, Tuple[str, BenchFn]] = {
-    "event_churn": (MICRO, bench_event_churn),
-    "tso_fanout": (MICRO, bench_tso_fanout),
-    "gro_merge": (MICRO, bench_gro_merge),
-    "scalability_8host": (MACRO, bench_scalability_8host),
-    "fluid_scalability": (MACRO, bench_fluid_scalability),
-    "soak_slice": (MACRO, bench_soak_slice),
-}
-
-MICRO_BENCHES = tuple(n for n, (k, _) in BENCHES.items() if k == MICRO)
-MACRO_BENCHES = tuple(n for n, (k, _) in BENCHES.items() if k == MACRO)
-
-
-def run_bench(name: str, rounds: int = 3, scale: float = 1.0) -> BenchResult:
-    """Run one bench ``rounds`` times and keep the fastest round (wall
-    time is noisy downward-only: the best round is the least-perturbed
-    measurement of the same fixed workload)."""
-    kind, fn = BENCHES[name]
-    best_wall = float("inf")
-    events = 0
-    for _ in range(max(1, rounds)):
-        wall, n = fn(scale)
-        if wall < best_wall:
-            best_wall = wall
-            events = n
-    return BenchResult(
-        name=name,
-        kind=kind,
-        wall_s=best_wall,
-        events=events,
-        events_per_sec=events / best_wall if best_wall > 0 else 0.0,
-        peak_rss_bytes=_peak_rss_bytes(),
-        rounds=max(1, rounds),
-        scale=scale,
-    )
-
-
-def run_suite(
-    names: Optional[Sequence[str]] = None,
-    rounds: int = 3,
-    scale: float = 1.0,
-    log: Optional[Callable[[str], None]] = None,
-) -> List[BenchResult]:
-    """Run the named benches (default: all) and return their results."""
-    selected = list(names) if names else list(BENCHES)
-    unknown = [n for n in selected if n not in BENCHES]
-    if unknown:
-        raise ValueError(
-            f"unknown bench(es) {', '.join(unknown)}; "
-            f"available: {', '.join(BENCHES)}")
-    results = []
-    for name in selected:
-        if log is not None:
-            log(f"perf: running {name} (rounds={rounds}, scale={scale:g})")
-        results.append(run_bench(name, rounds=rounds, scale=scale))
-    return results

@@ -222,48 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
              "and structurally-corrupt records",
     )
     store.add_argument("--results-dir", default=None, metavar="DIR")
-
-    perf = sub.add_parser(
-        "perf",
-        help="run the perf benchmark suite and write BENCH_perf.json",
-    )
-    perf.add_argument(
-        "--benches", default=None,
-        help="comma-separated bench subset (default: all; 'micro' and "
-             "'macro' select those groups)",
-    )
-    perf.add_argument(
-        "--rounds", type=int, default=3, metavar="N",
-        help="timing rounds per bench; the fastest round is kept",
-    )
-    perf.add_argument(
-        "--scale", type=float, default=1.0, metavar="F",
-        help="workload scale factor (CI smoke uses e.g. 0.25)",
-    )
-    perf.add_argument(
-        "--out", default="BENCH_perf.json", metavar="FILE",
-        help="machine-readable output path (default: ./BENCH_perf.json)",
-    )
-    perf.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline JSON to compare events/sec against (default: "
-             "benchmarks/perf/baseline.json when it exists)",
-    )
-    perf.add_argument(
-        "--update-baseline", action="store_true",
-        help="also overwrite the baseline file with this run's numbers",
-    )
-    perf.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero if any micro bench drops >20%% below baseline",
-    )
-    perf.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help="also copy BENCH_perf.json into this results root",
-    )
-    perf.add_argument(
-        "--quiet", action="store_true", help="suppress progress lines"
-    )
     return parser
 
 
@@ -331,8 +289,7 @@ def save_table(stem: str, name: str, table: str,
                data: Any = None) -> Tuple[str, str]:
     """Write a rendered table as ``<stem>.txt`` and, machine-readable,
     ``<stem>.json`` (``data`` encoded so ``from_jsonable`` restores the
-    original dataclasses) — the one writer behind ``runner run`` and
-    the ``benchmarks/bench_*`` modules."""
+    original dataclasses)."""
     os.makedirs(os.path.dirname(stem) or ".", exist_ok=True)
     with open(f"{stem}.txt", "w") as fh:
         fh.write(table + "\n")
@@ -437,69 +394,6 @@ def _write_metrics_out(store: ResultStore, sweep_name: str, path: str) -> None:
           file=sys.stderr)
 
 
-def _cmd_perf(ns: argparse.Namespace) -> int:
-    from repro.perf import (
-        load_baseline,
-        render_table,
-        results_payload,
-        run_suite,
-        write_bench_json,
-    )
-    from repro.perf.report import DEFAULT_BASELINE_RELPATH, check_regression
-    from repro.perf.suite import MACRO_BENCHES, MICRO_BENCHES
-
-    names = []
-    for token in KINDS["strs"](ns.benches or ""):
-        if token == "micro":
-            names.extend(MICRO_BENCHES)
-        elif token == "macro":
-            names.extend(MACRO_BENCHES)
-        else:
-            names.append(token)
-    if ns.rounds < 1:
-        print(f"--rounds must be >= 1, got {ns.rounds}", file=sys.stderr)
-        return 2
-    if ns.scale <= 0:
-        print(f"--scale must be positive, got {ns.scale}", file=sys.stderr)
-        return 2
-    log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
-    try:
-        results = run_suite(
-            names or None, rounds=ns.rounds, scale=ns.scale, log=log)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    baseline_path = ns.baseline or DEFAULT_BASELINE_RELPATH
-    baseline = load_baseline(baseline_path)
-    if ns.baseline and baseline is None:
-        print(f"baseline {ns.baseline!r} missing or invalid", file=sys.stderr)
-        return 2
-    payload = results_payload(results, baseline)
-    print(render_table(payload))
-    write_bench_json(payload, ns.out)
-    print(f"saved {ns.out}", file=sys.stderr)
-    if ns.results_dir:
-        os.makedirs(ns.results_dir, exist_ok=True)
-        copy = os.path.join(ns.results_dir, "BENCH_perf.json")
-        write_bench_json(payload, copy)
-        print(f"saved {copy}", file=sys.stderr)
-    if ns.update_baseline:
-        os.makedirs(os.path.dirname(baseline_path) or ".", exist_ok=True)
-        write_bench_json(results_payload(results), baseline_path)
-        print(f"updated baseline {baseline_path}", file=sys.stderr)
-    if ns.check:
-        failures = check_regression(payload)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        if baseline is None:
-            print("perf --check: no baseline to compare against",
-                  file=sys.stderr)
-    return 0
-
-
 def _cmd_store(ns: argparse.Namespace) -> int:
     store = ResultStore(ns.results_dir)
     stats = store.gc()
@@ -550,7 +444,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_summary(ns)
     if ns.command == "store":
         return _cmd_store(ns)
-    if ns.command == "perf":
-        return _cmd_perf(ns)
     parser.print_help()
     return 0

@@ -1,7 +1,7 @@
 """The sweeps ``runner run`` and ``service submit`` know by name —
-every experiment in the repo: the paper's figures and tables, the
-scale-out grids, the figure oracles, the chaos soak and the
-cross-fidelity compare.
+every experiment in the repo: the paper's figures, tables and
+ablations, the scale-out grids, the figure oracles, the chaos soak and
+the cross-fidelity compare.
 
 Each entry is the :class:`~repro.runner.sweep.Sweep` declared next to
 its cell function; a new experiment plugs in by declaring one and
@@ -9,6 +9,7 @@ listing it here (EXPERIMENTS.md "Adding a sweep").  Importing this
 module imports every experiment, so only the CLIs do.
 """
 
+from repro.experiments.ablations import ABLATIONS
 from repro.experiments.fabric_sweep import FABRIC
 from repro.experiments.failure import FAILURE
 from repro.experiments.flowlet_cmp import FLOWLET_CMP, PERHOP_CMP
@@ -35,4 +36,4 @@ SWEEPS = {sweep.name: sweep for sweep in (
     FLOWLET_SIZES, GRO_MICRO, CPU_OVERHEAD, FLOWLET_CMP, PERHOP_CMP,
     TRACE, NORTHSOUTH, FAILURE,
     FCT_ORDERING, TOURNAMENT_ORDERING, GRO_REORDERING, FAILOVER,
-    SOAK, COMPARE)}
+    SOAK, COMPARE, ABLATIONS)}

@@ -67,6 +67,11 @@ TIMELINE_WINDOW_S = 600.0
 TIMELINE_BUCKET_S = 10.0
 
 
+class BadSpec(ValueError):
+    """Raised by :meth:`SweepCoordinator.submit` for a payload that does
+    not decode to a :class:`JobSpec`."""
+
+
 class QueueFull(Exception):
     """Raised by :meth:`SweepCoordinator.submit` past ``max_queue``."""
 
@@ -142,7 +147,14 @@ class SweepCoordinator:
         payload, deduped by content hash.  Raises :class:`QueueFull`
         (atomically — none of the batch is taken) when admitting the
         batch would exceed ``max_queue`` outstanding jobs."""
-        specs = [from_jsonable(p) for p in payloads]
+        try:
+            specs = [from_jsonable(p) for p in payloads]
+        except (ValueError, TypeError, KeyError, AttributeError,
+                ImportError) as exc:
+            raise BadSpec(f"undecodable spec: {type(exc).__name__}: "
+                          f"{exc}") from exc
+        if not all(isinstance(spec, JobSpec) for spec in specs):
+            raise BadSpec("every spec must decode to a JobSpec")
         with self._lock:
             self._expire_leases()
             new = []
@@ -446,6 +458,9 @@ class SweepCoordinator:
 
 # --- HTTP layer --------------------------------------------------------------
 
+#: largest request body read; a full-grid submit is a few MiB
+MAX_BODY_BYTES = 64 << 20
+
 
 class CoordinatorHandler(BaseHTTPRequestHandler):
     """Routes HTTP verbs onto one shared :class:`SweepCoordinator`."""
@@ -470,11 +485,28 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length == 0:
-            return {}
-        return json.loads(self.rfile.read(length))
+    def _read_json(self) -> Optional[Dict[str, Any]]:
+        """The request's JSON object; None, with the 400/413 already
+        sent, for a body the peer must not be able to make us wait on,
+        buffer or index."""
+        raw = self.headers.get("Content-Length") or "0"
+        if not raw.isdecimal():  # "-1" would read until the peer hangs up
+            self._send_json(400, {"error": f"bad Content-Length {raw!r}"})
+            return None
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, {"error": f"body of {length} bytes exceeds "
+                                           f"{MAX_BODY_BYTES}"})
+            return None
+        try:
+            body = json.loads(self.rfile.read(length)) if length else {}
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            self._send_json(400, {"error": f"bad JSON body: {exc}"})
+            return None
+        if not isinstance(body, dict):
+            self._send_json(400, {"error": "body must be a JSON object"})
+            return None
+        return body
 
     # -- verbs --
 
@@ -494,10 +526,8 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"no such path {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        try:
-            body = self._read_json()
-        except (json.JSONDecodeError, ValueError) as exc:
-            self._send_json(400, {"error": f"bad JSON body: {exc}"})
+        body = self._read_json()
+        if body is None:
             return
         try:
             if self.path == "/submit":
@@ -530,6 +560,8 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
                                  daemon=True).start()
             else:
                 self._send_json(404, {"error": f"no such path {self.path!r}"})
+        except BadSpec as exc:
+            self._send_json(400, {"error": str(exc)})
         except QueueFull as exc:
             self._send_json(
                 429, {"error": "queue full",

@@ -96,8 +96,7 @@ class ValidationProbe:
     TSO) and ``on_segment`` (GRO-flushed segments entering TCP) with
     pass-through observers.  Observation draws no randomness, schedules
     no events and mutates no packet state, so an armed run's
-    packet-level behaviour is identical to an unarmed one — only the
-    segment pool sees slightly less recycling.
+    packet-level behaviour is identical to an unarmed one.
     """
 
     #: keep reports readable under a pathological datapath

@@ -135,44 +135,6 @@ def test_official_gro_conservation(stream, batch):
     assert expect == len(stream) * MSS
 
 
-@given(stream=reordered_stream(), batch=st.integers(1, 8))
-@settings(max_examples=40, deadline=None)
-def test_presto_gro_pooled_packets_match_fresh(stream, batch):
-    """Driving GRO with pool-recycled packets (alloc -> merge -> release,
-    exactly the NIC poll loop's lifecycle) pushes the same segments as
-    fresh construction: recycling is invisible to GRO."""
-
-    def drive(make_packet, release):
-        gro = PrestoGro(initial_ewma_ns=usec(50))
-        pushed = []
-        now = 0
-        for i in range(0, len(stream), batch):
-            for seq, cell in stream[i:i + batch]:
-                pkt = make_packet(seq, cell)
-                gro.merge(pkt, now)
-                if release:
-                    pkt.release()
-            pushed.extend(gro.flush(now))
-            now += usec(10)
-        for _ in range(200):
-            if gro.held_segment_count() == 0:
-                break
-            now += usec(100)
-            pushed.extend(gro.flush(now))
-        return [(s.seq, s.end_seq, s.flow_id, s.flowcell_id, s.pkt_count)
-                for s in pushed]
-
-    fresh = drive(to_packet, release=False)
-    Packet._pool.clear()
-    pooled = drive(
-        lambda seq, cell: Packet.alloc(
-            flow_id=1, src_host=0, dst_host=1, dst_mac=1, kind="data",
-            seq=seq, payload_len=MSS, flowcell_id=cell),
-        release=True,
-    )
-    assert pooled == fresh
-
-
 @given(
     drop=st.sets(st.integers(0, 19), max_size=6),
     stream=st.permutations(list(range(20))),

@@ -12,6 +12,7 @@ and the shared :class:`LeaseQueue` budget rules both executors ride.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -398,10 +399,46 @@ def test_bad_requests_do_not_kill_the_server(coordinator_factory):
     _, url = start(None)
     status, body = request_json(url, "/submit", {"specs": []})
     assert status == 400
-    status, _ = request_json(url, "/submit", {"specs": [{"bogus": 1}]})
-    assert status == 500  # undecodable spec reported, server alive
     _, health = request_json(url, "/healthz")
     assert health == {"ok": True}
+
+
+def _raw_post(url, path, body, content_length=None):
+    """POST ``body`` (bytes) over a bare socket, with whatever
+    ``Content-Length`` the case wants to lie about; the status code."""
+    host, port = url.rsplit("/", 1)[1].split(":")
+    if content_length is None:
+        content_length = str(len(body))
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode() + body)
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
+@pytest.mark.parametrize("path, body, content_length, expected", [
+    # rfile.read(-1) would park the handler until the peer hangs up
+    ("/claim", b"{}", "-1", 400),
+    ("/claim", b"{}", "two", 400),
+    # would raise MemoryError out of the handler, no reply
+    ("/claim", b"{}", "999999999999", 413),
+    ("/claim", b"[1, 2]", None, 400),
+    ("/claim", b"{not json", None, 400),
+    ("/submit", json.dumps({"specs": [{"bogus": 1}]}).encode(), None, 400),
+    ("/submit", json.dumps({"specs": [
+        {"__dataclass__": "no.such.module:Spec", "fields": {}}]}).encode(),
+     None, 400),
+], ids=["negative-length", "non-integer-length", "huge-length", "array-body",
+        "not-json", "spec-not-a-jobspec", "spec-undecodable"])
+def test_hostile_bodies_are_refused_and_the_server_still_serves(
+        coordinator_factory, path, body, content_length, expected):
+    start, _ = coordinator_factory
+    _, url = start(None)
+    assert _raw_post(url, path, body, content_length) == expected
+    status, reply = request_json(url, "/claim", {"worker": "w"})
+    assert (status, reply) == (200, {"job": None})
 
 
 # --- service CLI -------------------------------------------------------------

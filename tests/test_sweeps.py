@@ -198,6 +198,7 @@ TINY = {
     "soak": ["--cases", "1", "--seed", "1"],
     "compare": ["--experiments", "scalability", "--schemes", "presto",
                 "--seeds", "1", "--scale", "0.05"],
+    "ablations": ["--studies", "timeout", *_TINY_WINDOWS],
 }
 ARTIFACT_SWEEPS = [name for name, sweep in SWEEPS.items() if sweep.artifact]
 
