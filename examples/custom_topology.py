@@ -79,7 +79,9 @@ def main() -> None:
     for i, app in enumerate(apps):
         rate = app.delivered_bytes() * 8 / (duration / 1e9) / 1e9
         print(f"elephant h{i} -> h{3 + i}: {rate:5.2f} Gbps")
-    print(f"switch drops: {topo.total_switch_drops()}")
+    drops = sum(port.queue.dropped_pkts
+                for sw in topo.switches.values() for port in sw.ports)
+    print(f"switch queue drops: {drops}")
 
     # Fail a link and let the controller reweight, live.
     link = next(l for l in topo.links if l.name == "L1--S1")

@@ -15,7 +15,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import Testbed, TestbedConfig
-from repro.metrics.collectors import ThroughputMeter
+from repro.metrics.collectors import Window
 from repro.metrics.stats import jain_fairness
 from repro.units import msec, usec
 from repro.workloads.synthetic import stride_pairs
@@ -25,25 +25,20 @@ def run_scheme(scheme: str, warm_ms: int = 15, measure_ms: int = 25) -> None:
     tb = Testbed(TestbedConfig(scheme=scheme, seed=42))
     rng = tb.streams.stream("starts")
 
-    meter = ThroughputMeter()
-    apps = []
-    for src, dst in stride_pairs(n_hosts=16, stride=8):
-        app = tb.add_elephant(src, dst, start_ns=rng.randrange(usec(500)))
-        apps.append(app)
-        meter.track(app)
+    apps = [tb.add_elephant(src, dst, start_ns=rng.randrange(usec(500)))
+            for src, dst in stride_pairs(n_hosts=16, stride=8)]
 
     tb.run(msec(warm_ms))                  # let windows converge
-    meter.mark_start(tb.sim.now)
+    window = Window(tb, apps)
     tb.run(msec(warm_ms + measure_ms))     # measurement window
-    meter.mark_end(tb.sim.now)
+    window.close()
 
-    per_flow = meter.flow_rates_bps()
-    # transfer_rate_bps aggregates MPTCP subflows back per connection
-    rates = [meter.transfer_rate_bps(app, per_flow) / 1e9 for app in apps]
+    # rate_bps aggregates MPTCP subflows back per connection
+    rates = [window.rate_bps(app) / 1e9 for app in apps]
     print(
         f"{scheme:>8}: mean {sum(rates) / len(rates):5.2f} Gbps/flow   "
         f"Jain fairness {jain_fairness(rates):.3f}   "
-        f"switch drops {tb.topo.total_switch_drops()}"
+        f"loss {window.loss_rate():.4%}"
     )
 
 

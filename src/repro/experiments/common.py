@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.schemes import scheme_names
-from repro.metrics.collectors import LossAccountant, ThroughputMeter
+from repro.metrics.collectors import Window
 from repro.metrics.stats import jain_fairness, mean, percentile
 from repro.net.fabrics import as_spec
 from repro.runner import JobSpec
@@ -78,12 +78,10 @@ def run_elephant_workload(
     if setup is not None:
         setup(tb)
     rng = tb.streams.stream("starts")
-    apps = []
-    meter = ThroughputMeter()
-    for src, dst in pairs:
-        app = tb.add_elephant(src, dst, start_ns=rng.randrange(START_JITTER_NS))
-        apps.append(app)
-        meter.track(app)
+    apps = [
+        tb.add_elephant(src, dst, start_ns=rng.randrange(START_JITTER_NS))
+        for src, dst in pairs
+    ]
     probes = [
         tb.add_probe(src, dst, interval_ns=probe_interval_ns, start_ns=warm_ns // 2)
         for src, dst in probe_pairs
@@ -93,23 +91,19 @@ def run_elephant_workload(
                     start_ns=warm_ns // 2)
         for src, dst in mice_pairs
     ]
-    loss = LossAccountant(tb.topo, tb.hosts)
     tb.run(warm_ns)
-    meter.mark_start(tb.sim.now)
-    loss.mark_start()
+    window = Window(tb, apps)
     tb.run(warm_ns + measure_ns)
-    meter.mark_end(tb.sim.now)
+    window.close()
 
-    rates = meter.flow_rates_bps()
-    per_pair = [meter.transfer_rate_bps(app, rates) for app in apps]
     snapshot = tb.telemetry.snapshot() if tb.telemetry.enabled else None
     tb.telemetry.export_trace()
     return RunResult(
         scheme=cfg.scheme,
         seed=cfg.seed,
-        flow_rates_bps=rates,
-        per_pair_rates_bps=per_pair,
-        loss_rate=loss.loss_rate(),
+        flow_rates_bps=window.flow_rates_bps(),
+        per_pair_rates_bps=[window.rate_bps(app) for app in apps],
+        loss_rate=window.loss_rate(),
         rtts_ns=[r for p in probes for r in p.rtts_ns],
         mice_fcts_ns=[f for m in mice for f in m.fcts_ns],
         metrics=snapshot,

@@ -45,13 +45,12 @@ from repro.experiments.common import (
 )
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.metrics import (
-    BlackholeAccountant,
     ConvergenceReport,
     ThroughputTimeline,
     convergence_report,
 )
 from repro.faults.schedule import FaultSchedule, LinkDown
-from repro.metrics.collectors import ThroughputMeter
+from repro.metrics.collectors import Window
 from repro.metrics.stats import mean
 from repro.runner import JobSpec, ref_of
 from repro.runner.sweep import Param, Sweep, seeds_param
@@ -165,7 +164,7 @@ def run_failure_timeline(
     if with_probes:
         probes = [tb.add_probe(pairs[0][0], pairs[0][1], start_ns=warm_ns // 2),
                   tb.add_probe(pairs[2][0], pairs[2][1], start_ns=warm_ns // 2)]
-    accountant = BlackholeAccountant(tb.topo, tb.hosts)
+    whole_run = Window(tb)
 
     windows = {
         "symmetry": (warm_ns, t_fault),
@@ -176,24 +175,17 @@ def run_failure_timeline(
     for name in STAGES:
         start, end = windows[name]
         tb.run(start)
-        meter = ThroughputMeter()
-        for app in apps:
-            meter.track(app)
-        meter.mark_start(tb.sim.now)
-        rtt_marks = [len(p.rtts_ns) for p in probes]
+        window = Window(tb, apps + probes)
         tb.run(end)
-        meter.mark_end(tb.sim.now)
-        rates = meter.flow_rates_bps()
+        window.close()
         phases[name] = PhaseStats(
             name=name,
             start_ns=start,
             end_ns=end,
-            mean_flow_tput_bps=mean(
-                [meter.transfer_rate_bps(app, rates) for app in apps]),
-            rtts_ns=[r for p, n in zip(probes, rtt_marks)
-                     for r in p.rtts_ns[n:]],
+            mean_flow_tput_bps=mean([window.rate_bps(app) for app in apps]),
+            rtts_ns=[r for p in probes for r in window.since(p.rtts_ns)],
         )
-    tb.run(t_end)
+    blackholed = whole_run.close().blackholed()  # "weighted" ends the run
 
     # recovery targets are each phase's own steady aggregate: after a
     # prune the network can never see the 4-tree baseline again
@@ -202,7 +194,7 @@ def run_failure_timeline(
         timeline,
         fault_ns=t_fault,
         reaction_ns=control.last_reaction_ns(),
-        accountant=accountant,
+        blackholed=blackholed,
         baseline_window_ns=measure_ns,
         failover_target_bps=phases["failover"].mean_flow_tput_bps * n_flows,
         rebalance_target_bps=phases["weighted"].mean_flow_tput_bps * n_flows,
@@ -215,7 +207,7 @@ def run_failure_timeline(
         phases=phases,
         trajectory=timeline.rates_bps(),
         convergence=report,
-        blackholed_bytes=accountant.delta(),
+        blackholed_bytes=blackholed,
     )
 
 

@@ -48,7 +48,7 @@ ZOO_GOLDEN_DRAIN_NS = msec(2)
 FLOW_GOLDENS = ("flow_presto", "flow_mptcp", "flow_repflow")
 
 
-def golden_zoo_run(scheme: str, fidelity=None):
+def golden_zoo_run(scheme: str, fidelity=None, telemetry=None):
     """The canonical tiny tournament cell for a zoo ``scheme``."""
     from repro.experiments.fabric_sweep import run_fabric_cell
     from repro.experiments.harness import TestbedConfig
@@ -59,16 +59,18 @@ def golden_zoo_run(scheme: str, fidelity=None):
         workload=ZOO_GOLDEN_WORKLOAD,
         duration_ns=ZOO_GOLDEN_DURATION_NS,
         drain_ns=ZOO_GOLDEN_DRAIN_NS,
+        telemetry=telemetry,
     )
 
 
-def golden_run(name: str):
+def golden_run(name: str, telemetry=None):
     """The canonical tiny run for golden ``name``: a scheme, or
-    ``flow_<scheme>`` for the same cell at flow fidelity."""
+    ``flow_<scheme>`` for the same cell at flow fidelity;
+    ``telemetry`` rides along for ``telemetry_snapshot.json``."""
     scheme = name.removeprefix("flow_")
     fidelity = "flow" if scheme != name else None
     if scheme in ZOO_SCHEMES:
-        return golden_zoo_run(scheme, fidelity)
+        return golden_zoo_run(scheme, fidelity, telemetry)
     # (the Fig 4a cell, ``run_scalability_seed`` spelled out.)  Flow
     # cells add a 1 ms mice stream beside the probe so the periodic
     # spawner is pinned too; the packet cell has none, and its eleven
@@ -82,6 +84,7 @@ def golden_run(name: str):
         probe_pairs=probe,
         mice_pairs=probe if fidelity else (),
         mice_interval_ns=msec(1),
+        telemetry=telemetry,
     )
 
 

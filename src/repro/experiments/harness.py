@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.experiments.schemes import (
     TRANSPORTS,
@@ -37,8 +37,10 @@ from repro.host.gro import OfficialGro, PrestoGro
 from repro.host.host import Host
 from repro.host.tcp import TcpConfig
 from repro.lb.base import VSwitch
+from repro.metrics.collectors import Counters
 from repro.mptcp.mptcp import MptcpConnection
 from repro.net.fabrics import SINGLE_SWITCH, TopologySpec, build_fabric
+from repro.net.port import Port
 from repro.net.topology import Topology
 from repro.presto.controller import PrestoController
 from repro.sim.engine import Simulator
@@ -310,12 +312,36 @@ class PacketPlane:
 
         return runtime_check(self.tb)
 
-    def link_bytes(self) -> Dict[str, int]:
-        """Per-directional-port tx bytes, switch and host sides."""
-        switches = self.tb.topo.switches
-        ports = [p for name in sorted(switches) for p in switches[name].ports]
-        ports += [h.nic.port for h in self.tb.hosts if h.nic.port is not None]
-        return {port.name: port.tx_bytes for port in ports}
+    def counters(self) -> Counters:
+        """The cumulative read-out, in one walk over switches, ports
+        and hosts — the one place that knows which component keeps
+        which counter.  Called O(windows) times per run, never from a
+        per-packet path."""
+        tb = self.tb
+        switches = tb.topo.switches.values()
+        queue_flush = wire = 0
+        port_tx_bytes = {}
+        for port in tb.ports():
+            port_tx_bytes[port.name] = port.tx_bytes
+            queue_flush += port.queue.drop_cause_bytes.get("link_down", 0)
+            wire += port.wire_drop_bytes
+        no_route = sum(sw.no_route_drop_bytes for sw in switches)
+        ttl = sum(sw.ttl_drop_bytes for sw in switches)
+        return Counters(
+            tx_pkts=sum(h.nic.tx_pkts for h in tb.hosts),
+            # a host's own egress queue is its qdisc, not a switch counter
+            dropped_pkts=(
+                sum(p.queue.dropped_pkts for sw in switches for p in sw.ports)
+                + sum(sw.no_route_drops + sw.ttl_drops for sw in switches)
+                + sum(h.nic.ring_drops for h in tb.hosts)),
+            blackholed={"queue_flush": queue_flush, "wire": wire,
+                        "no_route": no_route, "ttl": ttl,
+                        "total": queue_flush + wire + no_route + ttl},
+            port_tx_bytes=port_tx_bytes,
+            host_delivered={
+                h.host_id: sum(r.delivered_bytes
+                               for r in h.receivers.values())
+                for h in tb.hosts})
 
 
 class Testbed:
@@ -403,6 +429,14 @@ class Testbed:
         numbering so workload generators stay scheme-agnostic."""
         return self.cfg.topology_spec().edge_of(host_id)
 
+    def ports(self) -> List[Port]:
+        """Every directional port of the fabric, at either fidelity:
+        the switches' (by switch name), then each host's egress."""
+        switches = self.topo.switches
+        return ([p for name in sorted(switches) for p in switches[name].ports]
+                + [self.topo.host_port[h.host_id].peer_port
+                   for h in self.hosts])
+
     def enable_control_plane(self):
         """Attach the modeled control plane (repro.faults): the
         controller subscribes to every link and pushes reweighted
@@ -485,13 +519,6 @@ class Testbed:
                     f"{len(report.violations)} invariant violation(s) "
                     f"after run to t={until_ns}: "
                     + "; ".join(report.violations))
-
-    # --- measurement ----------------------------------------------------------
-
-    def link_bytes(self) -> Dict[str, int]:
-        """Bytes carried so far per directional port, keyed by port
-        name — the one place measurement code learns per-link bytes."""
-        return self.plane.link_bytes()
 
 
 def format_table(headers: List[str], rows: List[List[object]]) -> str:

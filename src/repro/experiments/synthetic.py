@@ -29,12 +29,13 @@ from repro.experiments.common import (
     schemes_param,
 )
 from repro.experiments.harness import Testbed, TestbedConfig
+from repro.metrics.collectors import Window
 from repro.metrics.stats import mean
 from repro.runner import JobSpec
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.sim.rand import RandomStreams
 from repro.telemetry import TelemetryConfig
-from repro.units import KB, MB, SEC, msec
+from repro.units import KB, MB, msec
 from repro.workloads.synthetic import (
     random_bijection_pairs,
     random_pairs,
@@ -153,22 +154,15 @@ def _run_shuffle_seed(
                             interval_ns=mice_interval_ns,
                             start_ns=warm_ns // 2)
             )
-    delivered_start: Dict[int, int] = {}
     tb.run(warm_ns)
-    for h in tb.hosts:
-        delivered_start[h.host_id] = sum(
-            r.delivered_bytes for r in h.receivers.values()
-        )
-    rates: List[float] = []
+    window = Window(tb)
     tb.run(warm_ns + measure_ns)
-    for h in tb.hosts:
-        end = sum(r.delivered_bytes for r in h.receivers.values())
-        rates.append((end - delivered_start[h.host_id]) * 8 * SEC / measure_ns)
+    window.close()
     snapshot = tb.telemetry.snapshot() if tb.telemetry.enabled else None
     tb.telemetry.export_trace()
     return SyntheticSeedRun(
         scheme=cfg.scheme, workload="shuffle", seed=cfg.seed,
-        rates_bps=rates,
+        rates_bps=list(window.host_rates_bps().values()),
         mice_fcts_ns=[f for m in mice_apps for f in m.fcts_ns],
         metrics=snapshot,
     )

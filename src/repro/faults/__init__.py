@@ -11,11 +11,9 @@ whole stack under random schedules with conservation-law checking
 
 from repro.faults.controlplane import ControlPlane, LinkChange, Reaction
 from repro.faults.metrics import (
-    BlackholeAccountant,
     ConvergenceReport,
     ThroughputTimeline,
     convergence_report,
-    register_fault_metrics,
 )
 from repro.faults.schedule import (
     ArmedFaults,
@@ -40,7 +38,6 @@ from repro.faults.soak import (
 
 __all__ = [
     "ArmedFaults",
-    "BlackholeAccountant",
     "ControlPlane",
     "ConvergenceReport",
     "FaultSchedule",
@@ -60,7 +57,6 @@ __all__ = [
     "convergence_report",
     "random_case",
     "random_schedule",
-    "register_fault_metrics",
     "run_soak",
     "run_soak_case",
 ]

@@ -1,19 +1,20 @@
 """Convergence metrics for fault runs.
 
-Three views of "how fast did the network recover":
+Two views of "how fast did the network recover":
 
 * :class:`ThroughputTimeline` — windowed aggregate goodput sampled *in
   simulation* (an event per window), the time series behind the dynamic
   Fig 17: full rate, cliff at the fault, partial recovery when hardware
   failover kicks in, full recovery after the controller reweights.
-* :class:`BlackholeAccountant` — wire bytes destroyed *by failures*
-  (dead-link queue flushes, frames lost mid-serialization, no-route and
-  TTL drops), as opposed to ordinary congestion loss; the paper's
-  blackhole window is ``failover_latency`` long and this is its
-  integral.
 * :func:`convergence_report` — folds a timeline plus the control
   plane's reaction log into the headline numbers: time-to-failover and
   time-to-rebalance.
+
+(What failures *destroyed* — dead-link queue flushes, frames lost
+mid-serialization, no-route and TTL drops, as opposed to congestion
+loss — is :meth:`repro.metrics.collectors.Window.blackholed`: the
+paper's blackhole window is ``failover_latency`` long and that is its
+integral.)
 
 All of it is observational: sampling draws no randomness and mutates
 no component state, so a metered run and an unmetered run see
@@ -26,9 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.units import SEC, msec
-
-#: queue-drop causes attributable to failures rather than congestion
-FAILURE_DROP_CAUSES = ("link_down",)
 
 
 class ThroughputTimeline:
@@ -91,59 +89,6 @@ class ThroughputTimeline:
         return None
 
 
-class BlackholeAccountant:
-    """Failure-destroyed wire bytes, from the simulator's own counters.
-
-    ``mark()`` snapshots; :meth:`delta` reports what failures ate since
-    the snapshot, split by mechanism:
-
-    * ``queue_flush`` — packets flushed from a queue when its link died
-      (plus anything sent at a dead link before TCP backs off);
-    * ``wire`` — the frame mid-serialization when the cable was cut;
-    * ``no_route`` — packets that reached a switch with no usable
-      egress (the paper's spine blackhole, Fig 17 "failover" dip);
-    * ``ttl`` — packets killed by the hop budget (failover loops).
-    """
-
-    def __init__(self, topo, hosts):
-        self.topo = topo
-        self.hosts = hosts
-        self._base: Dict[str, int] = {}
-        self.mark()
-
-    def _ports(self):
-        for sw in self.topo.switches.values():
-            for port in sw.ports:
-                yield port
-        for host in self.hosts:
-            if host.nic.port is not None:
-                yield host.nic.port
-
-    def totals(self) -> Dict[str, int]:
-        queue_flush = wire = 0
-        for port in self._ports():
-            for cause in FAILURE_DROP_CAUSES:
-                queue_flush += port.queue.drop_cause_bytes.get(cause, 0)
-            wire += port.wire_drop_bytes
-        no_route = sum(
-            sw.no_route_drop_bytes for sw in self.topo.switches.values())
-        ttl = sum(sw.ttl_drop_bytes for sw in self.topo.switches.values())
-        return {
-            "queue_flush": queue_flush,
-            "wire": wire,
-            "no_route": no_route,
-            "ttl": ttl,
-            "total": queue_flush + wire + no_route + ttl,
-        }
-
-    def mark(self) -> None:
-        self._base = self.totals()
-
-    def delta(self) -> Dict[str, int]:
-        now = self.totals()
-        return {k: now[k] - self._base.get(k, 0) for k in now}
-
-
 @dataclass
 class ConvergenceReport:
     """Headline recovery numbers for one fault run."""
@@ -159,7 +104,7 @@ class ConvergenceReport:
     time_to_rebalance_ns: Optional[int]
     #: pre-fault aggregate goodput
     baseline_bps: float
-    #: failure-destroyed bytes since the accountant's mark, by mechanism
+    #: failure-destroyed bytes over the run, by mechanism
     blackholed_bytes: Dict[str, int] = field(default_factory=dict)
     #: recovery threshold as a fraction of baseline
     fraction: float = 0.8
@@ -169,7 +114,7 @@ def convergence_report(
     timeline: ThroughputTimeline,
     fault_ns: int,
     reaction_ns: Optional[int],
-    accountant: Optional[BlackholeAccountant] = None,
+    blackholed: Optional[Dict[str, int]] = None,
     baseline_window_ns: int = msec(10),
     fraction: float = 0.8,
     failover_target_bps: Optional[float] = None,
@@ -210,22 +155,6 @@ def convergence_report(
         time_to_failover_ns=failover_ns,
         time_to_rebalance_ns=rebalance_ns,
         baseline_bps=baseline,
-        blackholed_bytes=accountant.delta() if accountant is not None else {},
+        blackholed_bytes=blackholed or {},
         fraction=fraction,
     )
-
-
-def register_fault_metrics(telemetry, topo, hosts) -> None:
-    """Mirror failure-loss counters into a telemetry registry.
-
-    Adds a sampler producing ``faults.blackholed_bytes.<mechanism>``
-    counters next to the existing switch/host metrics.
-    """
-    accountant = BlackholeAccountant(topo, hosts)
-
-    def sample(reg) -> None:
-        for mechanism, value in sorted(accountant.totals().items()):
-            reg.counter(
-                f"faults.blackholed_bytes.{mechanism}").record_total(value)
-
-    telemetry.add_sampler(sample)

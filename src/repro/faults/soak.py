@@ -28,8 +28,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.common import START_JITTER_NS, topology_param
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.faults.metrics import BlackholeAccountant
 from repro.faults.schedule import FaultSchedule, random_schedule
+from repro.metrics.collectors import Window
 from repro.net.fabrics import fabric_link_names, wiring
 from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Param, Sweep
@@ -139,7 +139,7 @@ def run_soak_case(case: SoakCase) -> SoakResult:
         apps.append(tb.add_elephant(
             src, dst, size_bytes=case.size_bytes,
             start_ns=rng.randrange(START_JITTER_NS)))
-    accountant = BlackholeAccountant(tb.topo, tb.hosts)
+    whole_run = Window(tb)
     tb.run(case.deadline_ns)
     report = check_invariants(tb, apps)
     if not control.settled():
@@ -149,7 +149,7 @@ def run_soak_case(case: SoakCase) -> SoakResult:
         ok=report.ok and control.settled(),
         violations=report.violations,
         stats=report.stats,
-        blackholed_bytes=accountant.delta(),
+        blackholed_bytes=whole_run.close().blackholed(),
         faults_applied=len(armed.applied),
         reactions=len(control.reactions),
         end_ns=tb.sim.now,

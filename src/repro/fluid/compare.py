@@ -34,7 +34,7 @@ from repro.experiments.common import (
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.scalability import scalability_config
 from repro.faults.schedule import FaultSchedule, LinkDown
-from repro.metrics.collectors import ThroughputMeter
+from repro.metrics.collectors import Window
 from repro.runner import JobSpec
 from repro.runner.sweep import Artifact, Param, Sweep, seeds_param
 from repro.units import KB, SEC, msec
@@ -50,19 +50,15 @@ FIDELITIES = ("packet", "flow")
 DEFAULT_SCHEMES = ("presto", "ecmp")
 
 
-def _utilization(delta: Dict[str, int], tb, window_ns: int) -> Dict[str, float]:
-    """bytes -> fraction of line rate over the window, keyed by port."""
-    rates: Dict[str, float] = {}
-    for link in tb.topo.links:
-        for port in link.ports:
-            rates[port.name] = link.rate_bps
-    out = {}
-    for name in sorted(delta):
-        rate = rates.get(name)
-        if rate is None or window_ns <= 0:
-            continue
-        out[name] = round(delta[name] * 8 * SEC / (rate * window_ns), 6)
-    return out
+def _utilization(window: Window, tb) -> Dict[str, float]:
+    """Each port's carried bytes as a fraction of its line rate."""
+    rate_bps = {port.name: port.link.rate_bps for port in tb.ports()}
+    return {name: round(nbytes * 8 * SEC / (rate_bps[name] * window.span_ns), 6)
+            for name, nbytes in window.port_tx_bytes().items()}
+
+
+def _agg_gbps(window: Window) -> float:
+    return round(sum(window.flow_rates_bps().values()) / 1e9, 4)
 
 
 # --- cell runners ------------------------------------------------------------
@@ -78,24 +74,16 @@ def run_scalability_cell(cfg: TestbedConfig, warm_ns: int,
     mice = tb.add_mice(0, n_paths, size_bytes=50 * KB,
                        interval_ns=msec(2),
                        stop_ns=warm_ns + measure_ns)
-    meter = ThroughputMeter()
-    for app in apps:
-        meter.track(app)
-    marks: Dict[str, Dict[str, int]] = {}
-    tb.sim.schedule(warm_ns, lambda: (meter.mark_start(tb.sim.now),
-                                      marks.update(warm=tb.link_bytes())))
+    tb.run(warm_ns)
+    window = Window(tb, apps)
     tb.run(warm_ns + measure_ns)
-    meter.mark_end(tb.sim.now)
-    end = tb.link_bytes()
-    delta = {k: end.get(k, 0) - marks.get("warm", {}).get(k, 0)
-             for k in sorted(end)}
-    rates = meter.flow_rates_bps()
+    window.close()
     return {
-        "agg_gbps": round(sum(rates.values()) / 1e9, 4),
+        "agg_gbps": _agg_gbps(window),
         "fct_percentiles_ms": {k: round(v, 6) for k, v in
                                fct_percentiles(mice.fcts_ns).items()},
         "mice_count": len(mice.fcts_ns),
-        "link_utilization": _utilization(delta, tb, measure_ns),
+        "link_utilization": _utilization(window, tb),
     }
 
 
@@ -111,31 +99,17 @@ def run_failover_cell(cfg: TestbedConfig, warm_ns: int,
     t_end = t_fault + 2 * measure_ns
     FaultSchedule.of(LinkDown(t_fault, "L1--S1")).arm(tb.sim, tb.topo)
 
-    phases = {}
-    meter = ThroughputMeter()
-    for app in apps:
-        meter.track(app)
-
-    def mark(name, start, end):
-        tb.sim.schedule(start, lambda: meter.mark_start(tb.sim.now))
-
-        def close():
-            meter.mark_end(tb.sim.now)
-            phases[name] = round(
-                sum(meter.flow_rates_bps().values()) / 1e9, 4)
-        tb.sim.schedule(end, close)
-
-    mark("before", warm_ns, t_fault)
-    mark("after", t_fault + cfg.failover_latency_ns + msec(1), t_end)
-    base = {}
-    tb.sim.schedule(warm_ns, lambda: base.update(tb.link_bytes()))
+    tb.run(warm_ns)
+    whole_run, before = Window(tb), Window(tb, apps)
+    tb.run(t_fault)
+    before.close()
+    tb.run(t_fault + cfg.failover_latency_ns + msec(1))
+    after = Window(tb, apps)
     tb.run(t_end)
-    end_bytes = tb.link_bytes()
-    delta = {k: end_bytes.get(k, 0) - base.get(k, 0)
-             for k in sorted(end_bytes)}
     return {
-        "phase_agg_gbps": phases,
-        "link_utilization": _utilization(delta, tb, t_end - warm_ns),
+        "phase_agg_gbps": {"before": _agg_gbps(before),
+                           "after": _agg_gbps(after.close())},
+        "link_utilization": _utilization(whole_run.close(), tb),
     }
 
 

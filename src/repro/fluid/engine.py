@@ -46,6 +46,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.fluid.allocator import max_min_allocation
+from repro.host.transfer import Transfer
 from repro.net.switch import Switch
 from repro.units import SEC
 
@@ -84,10 +85,9 @@ class _Pipe:
         self.delivered = 0.0            # bytes carried by this pipe
 
 
-class FluidTransfer:
-    """A transfer modeled as fluid; speaks the ``Transfer`` protocol
-    (``flow_ids`` / ``delivered_by_flow`` / ``delivered_bytes`` /
-    ``fcts_ns``) so every collector works unchanged."""
+class FluidTransfer(Transfer):
+    """A transfer modeled as fluid; a :class:`Transfer`, so every
+    collector works unchanged."""
 
     def __init__(self, engine: "FluidEngine", src: int, dst: int, lb,
                  wire_flow_ids: Sequence[int],
@@ -123,13 +123,6 @@ class FluidTransfer:
         for pipe in self.pipes:
             out[pipe.flow_id] = out.get(pipe.flow_id, 0.0) + pipe.delivered
         return {f: int(v) for f, v in out.items()}
-
-    def delivered_bytes(self) -> int:
-        return sum(self.delivered_by_flow().values())
-
-    @property
-    def fcts_ns(self) -> Tuple[int, ...]:
-        return (self.fct_ns,) if self.fct_ns is not None else ()
 
     # --- internals --------------------------------------------------------
 
@@ -259,14 +252,14 @@ class FluidEngine:
                       size_bytes: Optional[int] = None,
                       start_ns: int = 0,
                       on_complete: Optional[Callable] = None) -> FluidTransfer:
-        """Register a transfer; it becomes fluid at ``start_ns``."""
+        """Register a transfer; it becomes fluid ``start_ns`` from now
+        (a delay, as every packet-level app takes it)."""
         if size_bytes is not None and size_bytes <= 0:
             raise ValueError(f"size_bytes must be positive: {size_bytes}")
         transfer = FluidTransfer(self, src, dst, lb, wire_flow_ids,
                                  size_bytes, start_ns, on_complete)
         self.transfers.append(transfer)
-        self.sim.schedule(max(0, start_ns - self.sim.now),
-                          self._start_transfer, transfer)
+        self.sim.schedule(start_ns, self._start_transfer, transfer)
         return transfer
 
     def _start_transfer(self, transfer: FluidTransfer) -> None:

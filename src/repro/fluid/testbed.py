@@ -14,60 +14,30 @@ post-run check is the fluid conservation laws.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.fluid.engine import FluidEngine, FluidTransfer
+from repro.host.transfer import Transfer
+from repro.metrics.collectors import Counters
 from repro.units import msec
 
 
-class _FluidNic:
-    """Counter-compatible NIC stub: accountants read these fields."""
-
-    def __init__(self):
-        self.port = None       # set to the real egress Port on attach
-        self.tx_pkts = 0
-        self.tx_segments = 0
-        self.rx_pkts = 0
-        self.ring_drops = 0
-
-
-class _FluidRx:
-    """Receiver-side mirror of one wire flow, so closed-loop workloads
-    (``shuffle_workload``) can read ``receivers[f].delivered_bytes``
-    exactly as on a packet host."""
-
-    __slots__ = ("_transfer", "_flow_id")
-
-    def __init__(self, transfer: FluidTransfer, flow_id: int):
-        self._transfer = transfer
-        self._flow_id = flow_id
-
-    @property
-    def delivered_bytes(self) -> int:
-        return self._transfer.delivered_by_flow().get(self._flow_id, 0)
-
-
 class FluidHost:
-    """Duck-typed host: enough surface for Topology, the controller and
-    the metric accountants; no packet machinery."""
+    """Duck-typed host: enough surface for Topology and the
+    controller; no packet machinery."""
 
     def __init__(self, host_id: int, lb):
         self.host_id = host_id
         self.lb = lb
-        self.nic = _FluidNic()
-        self.receivers: Dict[int, _FluidRx] = {}
-        self.senders: Dict[int, object] = {}
-        self.tx_pkts = 0
-        self.rx_ring_drops = 0
 
     def attach(self, egress_port, topo) -> None:
-        self.nic.port = egress_port
+        pass  # the engine finds the egress port through the topology
 
     def receive(self, pkt, in_port=None) -> None:
         pass  # nothing packet-shaped ever arrives at fluid fidelity
 
 
-class FluidProbeApp:
+class FluidProbeApp(Transfer):
     """RTT probe at fluid fidelity: resolves the probe's path through
     the real LB + switch state and reports the queueless floor —
     propagation plus per-hop serialization, doubled for the echo."""
@@ -113,14 +83,6 @@ class FluidProbeApp:
     def delivered_by_flow(self) -> dict:
         return {self.flow_id: 0, self.reply_flow_id: 0}
 
-    def delivered_bytes(self) -> int:
-        return 0
-
-    @property
-    def fcts_ns(self) -> tuple:
-        """Probes are open-ended; they record RTTs, not completions."""
-        return ()
-
 
 class FluidPlane:
     """The flow-fidelity data plane of one :class:`Testbed`."""
@@ -155,17 +117,12 @@ class FluidPlane:
              start_ns: Optional[int], on_complete,
              subflows: Optional[int] = None) -> FluidTransfer:
         """One fluid over ``subflows`` (default 1) fresh wire flow ids,
-        starting at ``start_ns`` (None = now), mirrored into the
-        destination host's ``receivers``."""
+        starting ``start_ns`` from now (None = now)."""
         tb = self.tb
         ids = [tb.flow_ids.next() for _ in range(subflows or 1)]
-        transfer = self.engine.open_transfer(
+        return self.engine.open_transfer(
             src, dst, tb.hosts[src].lb, ids, size_bytes=size_bytes,
             start_ns=start_ns or 0, on_complete=on_complete)
-        receivers = tb.hosts[dst].receivers
-        for flow_id in ids:
-            receivers[flow_id] = _FluidRx(transfer, flow_id)
-        return transfer
 
     def open_probe(self, src: int, dst: int, interval_ns: int,
                    start_ns: int, stop_ns: Optional[int]) -> FluidProbeApp:
@@ -207,13 +164,23 @@ class FluidPlane:
             },
         )
 
-    def link_bytes(self) -> Dict[str, int]:
-        return self.engine.link_bytes()
+    def counters(self) -> Counters:
+        """The cumulative read-out: a fluid sends no packets, drops
+        nothing and loses nothing to failures — it stalls instead."""
+        delivered = dict.fromkeys((h.host_id for h in self.tb.hosts), 0)
+        for transfer in self.engine.transfers:
+            delivered[transfer.dst] += transfer.delivered_bytes()
+        return Counters(
+            tx_pkts=0, dropped_pkts=0,
+            blackholed=dict.fromkeys(
+                ("queue_flush", "wire", "no_route", "ttl", "total"), 0),
+            port_tx_bytes=self.engine.link_bytes(),
+            host_delivered=delivered)
 
     def _sampler(self, reg) -> None:
         engine = self.engine
         reg.counter("fluid.reallocs").record_total(engine.reallocs)
         reg.counter("fluid.slices").record_total(engine.slices)
         reg.counter("fluid.transfers").record_total(len(engine.transfers))
-        for name, nbytes in engine.link_bytes().items():
+        for name, nbytes in self.counters().port_tx_bytes.items():
             reg.counter(f"fluid.port.{name}.tx_bytes").record_total(nbytes)

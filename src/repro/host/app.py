@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.host.host import Host
-from repro.host.transfer import delivered_for
+from repro.host.transfer import Transfer, delivered_for
 from repro.sim.engine import Simulator
 from repro.units import KB, msec
 
@@ -38,7 +38,7 @@ class FlowIdAllocator:
         return flow_id
 
 
-class BulkApp:
+class BulkApp(Transfer):
     """One elephant transfer from ``src`` to ``dst``."""
 
     def __init__(
@@ -86,21 +86,13 @@ class BulkApp:
     def delivered_by_flow(self) -> Dict[int, int]:
         return {self.flow_id: delivered_for(self.dst, self.flow_id)}
 
-    def delivered_bytes(self) -> int:
-        return delivered_for(self.dst, self.flow_id)
-
     @property
     def fct_ns(self):
         """Flow completion time (None while incomplete or unbounded)."""
         return self.sender.fct_ns if self.sender is not None else None
 
-    @property
-    def fcts_ns(self) -> Tuple[int, ...]:
-        fct = self.fct_ns
-        return (fct,) if fct is not None else ()
 
-
-class RaceApp:
+class RaceApp(Transfer):
     """One payload raced as ``copies`` full-size transfers over distinct
     paths (RepFlow, Xu & Li: see :class:`repro.lb.repflow.RepFlow`).
 
@@ -166,21 +158,13 @@ class RaceApp:
         out.update(leader.delivered_by_flow())
         return out
 
-    def delivered_bytes(self) -> int:
-        return self._leader().delivered_bytes()
-
     @property
     def fct_ns(self):
         """First-finisher-wins completion time."""
         return self.winner.fct_ns if self.winner is not None else None
 
-    @property
-    def fcts_ns(self) -> Tuple[int, ...]:
-        fct = self.fct_ns
-        return (fct,) if fct is not None else ()
 
-
-class MiceApp:
+class MiceApp(Transfer):
     """Periodic mice flows from ``src`` to ``dst`` over the scheme's
     transport (whatever ``tb.open`` opens: a TCP flow, an MPTCP
     connection, a RepFlow race, a fluid).
@@ -202,7 +186,7 @@ class MiceApp:
         self.size_bytes = size_bytes
         self.interval_ns = interval_ns
         self.stop_ns = stop_ns
-        self.fcts_ns: List[int] = []
+        self._fcts_ns: List[int] = []
         self.sent = 0
         self._transfers: List = []
         tb.sim.schedule(start_ns, self._tick)
@@ -218,7 +202,12 @@ class MiceApp:
 
     def _done(self, transfer) -> None:
         if transfer.fct_ns is not None:
-            self.fcts_ns.append(transfer.fct_ns)
+            self._fcts_ns.append(transfer.fct_ns)
+
+    @property
+    def fcts_ns(self) -> List[int]:
+        """One entry per completed request, in completion order."""
+        return self._fcts_ns
 
     @property
     def dup_suppressed_bytes(self) -> int:
@@ -238,11 +227,8 @@ class MiceApp:
             out.update(transfer.delivered_by_flow())
         return out
 
-    def delivered_bytes(self) -> int:
-        return sum(t.delivered_bytes() for t in self._transfers)
 
-
-class RttProbeApp:
+class RttProbeApp(Transfer):
     """sockperf-style RTT probe: single-packet ping-pong over TCP."""
 
     PROBE_BYTES = 64
@@ -310,11 +296,3 @@ class RttProbeApp:
             self._c2s: delivered_for(self.server, self._c2s),
             self._s2c: delivered_for(self.client, self._s2c),
         }
-
-    def delivered_bytes(self) -> int:
-        return sum(self.delivered_by_flow().values())
-
-    @property
-    def fcts_ns(self) -> Tuple[int, ...]:
-        """Probes are open-ended; they record RTTs, not completions."""
-        return ()

@@ -60,18 +60,6 @@ class Host:
         self.tx_tap: Optional[Callable[[Segment], None]] = None
         self.topo = None
 
-    # --- counters ---------------------------------------------------------------
-
-    @property
-    def tx_pkts(self) -> int:
-        """Wire packets this host has queued for transmission."""
-        return self.nic.tx_pkts
-
-    @property
-    def rx_ring_drops(self) -> int:
-        """Packets lost to NIC ring overflow (receive-side livelock)."""
-        return self.nic.ring_drops
-
     # --- topology wiring --------------------------------------------------------
 
     def attach(self, egress_port, topo) -> None:

@@ -4,7 +4,8 @@
 objects with inconsistent shapes (``delivered_bytes()`` vs ``fcts_ns``
 vs ``fct_ns``), forcing measurement code to branch on transport and
 reach into ``host.receivers`` internals.  :class:`Transfer` is the
-contract the collectors consume instead:
+contract the collectors consume instead, and the base every traffic
+object inherits the derived half of it from:
 
 * ``flow_ids()`` — the wire flows this transfer occupies, in a stable
   order (an MPTCP connection returns its subflows);
@@ -27,29 +28,33 @@ and :class:`~repro.host.app.MiceApp`
 
 from __future__ import annotations
 
-from typing import Dict, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, Sequence, Tuple
 
 
-@runtime_checkable
-class Transfer(Protocol):
-    """What the measurement layer may assume about any transfer."""
+class Transfer:
+    """What the measurement layer may assume about any transfer.  An
+    implementation says which wire flows it occupies and what each has
+    delivered (and sets ``fct_ns`` if it can complete); the rest
+    follows."""
 
     def flow_ids(self) -> Tuple[int, ...]:
         """Wire flow ids in use, in a stable order."""
-        ...
+        raise NotImplementedError
 
     def delivered_by_flow(self) -> Dict[int, int]:
         """In-order bytes delivered at the receiver, per flow."""
-        ...
+        raise NotImplementedError
 
     def delivered_bytes(self) -> int:
         """Total in-order bytes delivered across all flows."""
-        ...
+        return sum(self.delivered_by_flow().values())
 
     @property
     def fcts_ns(self) -> Sequence[int]:
-        """Completion times recorded so far (ns)."""
-        ...
+        """Completion times recorded so far (ns): ``fct_ns`` once set;
+        nothing for open-ended traffic (probes), which has none."""
+        fct = getattr(self, "fct_ns", None)
+        return (fct,) if fct is not None else ()
 
 
 def delivered_for(host, flow_id: int) -> int:

@@ -1,7 +1,7 @@
 """Measurement utilities: statistics, run collectors, reordering metrics."""
 
 from repro.metrics.stats import cdf_points, ewma, jain_fairness, mean, percentile
-from repro.metrics.collectors import LossAccountant, ThroughputMeter
+from repro.metrics.collectors import Counters, Window
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.streaming import P2Quantile, StreamingQuantiles, TopK
 
@@ -11,8 +11,8 @@ __all__ = [
     "cdf_points",
     "jain_fairness",
     "ewma",
-    "ThroughputMeter",
-    "LossAccountant",
+    "Counters",
+    "Window",
     "ReorderTracker",
     "P2Quantile",
     "StreamingQuantiles",

@@ -1,104 +1,150 @@
-"""Run-time collectors: throughput windows and loss accounting.
+"""Measurement is ``after - before``: one read-out, one window.
 
-Both collectors consume the :class:`~repro.host.transfer.Transfer`
-interface (and Host-level counter properties) instead of reaching into
-``host.receivers`` / ``host.nic`` internals, so any new application
-type that satisfies the protocol is measurable without touching this
-module.
+A data plane answers ``counters()`` with one :class:`Counters` — the
+simulator's cumulative counters, read in one walk; *where* they live
+(ports, queues, switches, NICs, the fluid engine's ledgers) is the
+plane's business alone.  A :class:`Window` is two such read-outs plus
+the tracked transfers' per-flow delivered bytes, and their difference:
+receiver goodput as nuttcp reports it, switch-counter loss (Figs 9a,
+12a), failure-destroyed bytes, per-port and per-host bytes, and the
+RTT / FCT samples that landed inside::
+
+    tb.run(start); w = Window(tb, apps); tb.run(end); w.close()
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from repro.host.host import Host
 from repro.host.transfer import Transfer
-from repro.net.topology import Topology
 from repro.units import SEC
 
 
-class ThroughputMeter:
-    """Per-flow goodput measured at the receiver over a window.
+@dataclass(frozen=True)
+class Counters:
+    """One cumulative read-out of a data plane."""
 
-    ``mark_start``/``mark_end`` snapshot each tracked transfer's
-    per-flow in-order delivered byte counts; throughput is the delta
-    over the wall window, matching how nuttcp reports.  Rates stay
-    keyed by wire flow id (an MPTCP transfer contributes one entry per
-    subflow); :meth:`transfer_rate_bps` aggregates them back per
-    transfer.
-    """
+    #: wire packets the hosts' NICs queued for transmission
+    tx_pkts: int
+    #: packets dropped at switch output queues, for want of a route, by
+    #: the hop budget, or at a NIC ring — what the paper's switch-counter
+    #: loss rate counts
+    dropped_pkts: int
+    #: wire bytes destroyed *by failures*, by mechanism: ``queue_flush``
+    #: (flushed from — or sent at — a queue whose link died), ``wire``
+    #: (the frame mid-serialization when the cable was cut),
+    #: ``no_route`` (reached a switch with no usable egress: the Fig 17
+    #: blackhole), ``ttl`` (killed by the hop budget), and ``total``
+    blackholed: Dict[str, int]
+    #: bytes transmitted per directional port, by port name
+    port_tx_bytes: Dict[str, int]
+    #: in-order bytes delivered to each host's receivers, by host id
+    host_delivered: Dict[int, int]
 
-    def __init__(self):
-        self._transfers: List[Transfer] = []
-        self._start_bytes: Dict[int, int] = {}
-        self._start_ns: Optional[int] = None
-        self._end_bytes: Dict[int, int] = {}
-        self._end_ns: Optional[int] = None
 
-    def track(self, transfer: Transfer) -> None:
-        self._transfers.append(transfer)
+class _Reading(NamedTuple):
+    """Everything a window reads at one instant."""
 
-    def _snapshot(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
+    ns: int
+    counters: Counters
+    #: wire flow id -> delivered bytes, in the transfers' flow order (an
+    #: MPTCP transfer contributes one entry per subflow)
+    by_flow: Dict[int, int]
+    #: length of each held sample list
+    n_samples: List[int]
+
+
+class Window:
+    """What happened on ``tb`` between now and :meth:`close`."""
+
+    def __init__(self, tb, transfers: Sequence[Transfer] = ()):
+        self._tb = tb
+        self._transfers = tuple(transfers)
+        #: the tracked transfers' append-only sample lists (held, so
+        #: :meth:`since` can tell them apart by identity)
+        self._samples = [s for t in self._transfers
+                         for s in (t.fcts_ns, getattr(t, "rtts_ns", ()))]
+        self._before = self._read()
+        self._after: Optional[_Reading] = None
+
+    def _read(self) -> _Reading:
+        by_flow: Dict[int, int] = {}
         for transfer in self._transfers:
             delivered = transfer.delivered_by_flow()
             for flow_id in transfer.flow_ids():
-                out[flow_id] = delivered.get(flow_id, 0)
-        return out
+                by_flow[flow_id] = delivered.get(flow_id, 0)
+        return _Reading(self._tb.sim.now, self._tb.plane.counters(), by_flow,
+                        [len(s) for s in self._samples])
 
-    def mark_start(self, now_ns: int) -> None:
-        self._start_ns = now_ns
-        self._start_bytes = self._snapshot()
+    def close(self) -> "Window":
+        self._after = self._read()
+        return self
 
-    def mark_end(self, now_ns: int) -> None:
-        self._end_ns = now_ns
-        self._end_bytes = self._snapshot()
+    def _closed(self) -> _Reading:
+        if self._after is None:
+            raise RuntimeError("window read before close()")
+        return self._after
+
+    @property
+    def span_ns(self) -> int:
+        return self._closed().ns - self._before.ns
+
+    def _rate_bps(self, nbytes: int) -> float:
+        span = self.span_ns
+        return nbytes * 8 * SEC / span if span > 0 else 0.0
+
+    # --- goodput ------------------------------------------------------------
+
+    def _flow_rate_bps(self, flow_id: int) -> float:
+        return self._rate_bps(self._closed().by_flow[flow_id]
+                              - self._before.by_flow.get(flow_id, 0))
 
     def flow_rates_bps(self) -> Dict[int, float]:
-        if self._start_ns is None or self._end_ns is None:
-            raise RuntimeError("mark_start/mark_end not called")
-        window = self._end_ns - self._start_ns
-        if window <= 0:
-            return {flow_id: 0.0 for flow_id in self._end_bytes}
-        return {
-            flow_id: (end - self._start_bytes.get(flow_id, 0)) * 8 * SEC / window
-            for flow_id, end in self._end_bytes.items()
-        }
+        """Receiver goodput per wire flow id."""
+        return {f: self._flow_rate_bps(f) for f in self._closed().by_flow}
 
-    def transfer_rate_bps(
-        self, transfer: Transfer, rates: Optional[Dict[int, float]] = None
-    ) -> float:
-        """One tracked transfer's rate: the sum over its wire flows."""
-        if rates is None:
-            rates = self.flow_rates_bps()
-        return sum(rates[f] for f in transfer.flow_ids())
+    def rate_bps(self, transfer: Transfer) -> float:
+        """One tracked transfer's goodput: the sum over its wire flows."""
+        return sum(self._flow_rate_bps(f) for f in transfer.flow_ids())
 
+    def host_rates_bps(self) -> Dict[int, float]:
+        """Aggregate receive goodput per host id, tracked or not."""
+        before = self._before.counters.host_delivered
+        return {host_id: self._rate_bps(end - before[host_id])
+                for host_id, end
+                in self._closed().counters.host_delivered.items()}
 
-class LossAccountant:
-    """Switch-counter loss rate, as the paper measures (Figs 9a, 12a)."""
-
-    def __init__(self, topo: Topology, hosts: List[Host]):
-        self.topo = topo
-        self.hosts = hosts
-        self._start_drops = 0
-        self._start_tx = 0
-
-    def mark_start(self) -> None:
-        self._start_drops = self._total_drops()
-        self._start_tx = self._total_tx()
-
-    def _total_drops(self) -> int:
-        drops = self.topo.total_switch_drops()
-        drops += sum(h.rx_ring_drops for h in self.hosts)
-        return drops
-
-    def _total_tx(self) -> int:
-        return sum(h.tx_pkts for h in self.hosts)
+    # --- counters -----------------------------------------------------------
 
     def loss_rate(self) -> float:
-        """Dropped / transmitted packets over the marked window."""
-        sent = self._total_tx() - self._start_tx
+        """Dropped / transmitted packets, as the paper's switch counters."""
+        before, after = self._before.counters, self._closed().counters
+        sent = after.tx_pkts - before.tx_pkts
         if sent <= 0:
             return 0.0
-        dropped = self._total_drops() - self._start_drops
-        return dropped / sent
+        return (after.dropped_pkts - before.dropped_pkts) / sent
+
+    def blackholed(self) -> Dict[str, int]:
+        """Failure-destroyed wire bytes, by mechanism (+ ``total``)."""
+        before = self._before.counters.blackholed
+        return {mechanism: total - before[mechanism] for mechanism, total
+                in self._closed().counters.blackholed.items()}
+
+    def port_tx_bytes(self) -> Dict[str, int]:
+        """Bytes carried per directional port, sorted by port name."""
+        before = self._before.counters.port_tx_bytes
+        after = self._closed().counters.port_tx_bytes
+        return {name: after[name] - before.get(name, 0)
+                for name in sorted(after)}
+
+    # --- samples ------------------------------------------------------------
+
+    def since(self, samples: List[int]) -> List[int]:
+        """The part of a tracked transfer's ``fcts_ns`` / ``rtts_ns``
+        that was appended inside the window."""
+        for held, lo, hi in zip(self._samples, self._before.n_samples,
+                                self._closed().n_samples):
+            if held is samples:
+                return samples[lo:hi]
+        raise ValueError("not a sample list of a tracked transfer")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -42,7 +43,9 @@ def jain_fairness(values: Sequence[float]) -> float:
         return 1.0
     total = sum(values)
     squares = sum(v * v for v in values)
-    if squares == 0:
+    if squares < sys.float_info.min:
+        # zero, or subnormal: squares that underflowed have lost the
+        # precision the ratio needs ([3.4e-158] * 2 read 1.000000002)
         return 1.0
     return (total * total) / (len(values) * squares)
 

@@ -18,14 +18,14 @@ from typing import Callable, List, Optional
 
 from repro.host.app import FlowIdAllocator
 from repro.host.host import Host
-from repro.host.transfer import delivered_for
+from repro.host.transfer import Transfer, delivered_for
 from repro.mptcp.coupled import CoupledCc, CoupledGroup
 from repro.sim.engine import Simulator
 
 DEFAULT_SUBFLOWS = 8
 
 
-class MptcpConnection:
+class MptcpConnection(Transfer):
     """One MPTCP transfer from ``src`` to ``dst``."""
 
     def __init__(
@@ -114,14 +114,3 @@ class MptcpConnection:
 
     def delivered_by_flow(self) -> dict:
         return {f: delivered_for(self.dst, f) for f in self.subflow_ids}
-
-    def delivered_bytes(self) -> int:
-        total = 0
-        for flow_id in self.subflow_ids:
-            total += delivered_for(self.dst, flow_id)
-        return total
-
-    @property
-    def fcts_ns(self) -> tuple:
-        fct = self.fct_ns
-        return (fct,) if fct is not None else ()

@@ -212,15 +212,5 @@ class Switch:
             pkt.dst_mac = dst_mac
         out.send(pkt)
 
-    # --- counters -----------------------------------------------------------
-
-    def dropped_pkts(self) -> int:
-        """Total packets dropped at this switch's output queues."""
-        return (
-            sum(p.queue.dropped_pkts for p in self.ports)
-            + self.no_route_drops
-            + self.ttl_drops
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Switch {self.name} ports={len(self.ports)}>"

@@ -167,8 +167,3 @@ class Topology:
             if self.up[sw]:
                 sw.ecmp_default = EcmpGroup(
                     self.up[sw], salt=sw.salt, mode=leaf_hash_mode)
-
-    # --- counters -------------------------------------------------------------
-
-    def total_switch_drops(self) -> int:
-        return sum(sw.dropped_pkts() for sw in self.switches.values())

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.experiments.common import START_JITTER_NS
+from repro.experiments.common import run_elephant_workload
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.schedule import FaultSchedule, LinkDown
-from repro.metrics.collectors import LossAccountant, ThroughputMeter
 from repro.metrics.stats import mean, percentile
 from repro.units import KB, msec
 
@@ -74,47 +73,31 @@ def run_search_cell(
     mice_interval_ns: int = DEFAULT_MICE_INTERVAL_NS,
     disrupt: bool = False,
 ) -> Dict[str, float]:
-    """One seeded trial of the search workload; returns plain metrics.
+    """One seeded trial of the search workload — the shared elephant
+    run on :func:`cross_rack_pairs` — as plain metrics.
 
-    The FCT population is every mouse completing after the warm-up
-    mark, so a ``disrupt`` blackhole mid-window shows up in the mean
-    rather than being averaged away by a trailing steady state.
+    The FCT population is every mouse of the run, so a ``disrupt``
+    blackhole mid-window shows up in the mean rather than being
+    averaged away by a trailing steady state.
     """
-    tb = Testbed(cfg)
-    if disrupt:
+    def arm_fault(tb: Testbed) -> None:
         tb.controller.enable_fast_failover(cfg.failover_latency_ns)
         tb.enable_control_plane()
         # drop the first rack's first uplink once flows are established
         FaultSchedule.of(
             LinkDown(warm_ns + measure_ns // 3, "L1--S1"),
         ).arm(tb.sim, tb.topo)
-    elephants, mice_pairs = cross_rack_pairs(cfg)
-    rng = tb.streams.stream("starts")
-    meter = ThroughputMeter()
-    apps = []
-    for src, dst in elephants:
-        app = tb.add_elephant(src, dst, start_ns=rng.randrange(START_JITTER_NS))
-        apps.append(app)
-        meter.track(app)
-    mice = [
-        tb.add_mice(src, dst, size_bytes=mice_size,
-                    interval_ns=mice_interval_ns, start_ns=warm_ns // 2)
-        for src, dst in mice_pairs
-    ]
-    loss = LossAccountant(tb.topo, tb.hosts)
-    tb.run(warm_ns)
-    meter.mark_start(tb.sim.now)
-    loss.mark_start()
-    tb.run(warm_ns + measure_ns)
-    meter.mark_end(tb.sim.now)
 
-    fcts = [f for app in mice for f in app.fcts_ns]
-    rates = meter.flow_rates_bps()
-    per_pair = [meter.transfer_rate_bps(app, rates) for app in apps]
+    elephants, mice_pairs = cross_rack_pairs(cfg)
+    run = run_elephant_workload(
+        cfg, elephants, warm_ns, measure_ns, mice_pairs=mice_pairs,
+        mice_size=mice_size, mice_interval_ns=mice_interval_ns,
+        setup=arm_fault if disrupt else None)
+    fcts = run.mice_fcts_ns
     return {
         "mean_mice_fct_ns": mean(fcts) if fcts else None,
         "p99_mice_fct_ns": percentile(fcts, 99) if fcts else None,
         "n_mice": len(fcts),
-        "mean_tput_bps": mean(per_pair) if per_pair else 0.0,
-        "loss_rate": loss.loss_rate(),
+        "mean_tput_bps": run.mean_rate_bps,
+        "loss_rate": run.loss_rate,
     }

@@ -10,7 +10,11 @@ Two complementary mechanisms feed the registry:
 * **Samplers** run at snapshot time and mirror the simulator's own
   cumulative counters (drops by cause, tx/rx packets, retransmit
   stats) into registry metrics.  Nothing is double-counted: probes
-  never increment counters a sampler also reads.
+  never increment counters a sampler also reads.  What a measurement
+  ``Window`` also reads (``faults.blackholed_bytes.*``) is mirrored
+  from the data plane's one read-out, ``plane.counters()``; the
+  per-port / per-switch / per-host detail only telemetry wants is
+  read from the components here.
 
 Metric names follow ``component.instance.metric``:
 
@@ -308,28 +312,29 @@ def _host_sampler(hosts):
     return sample
 
 
+def _blackhole_sampler(plane):
+    """Failure-loss byte counters, mirrored from the plane's read-out."""
+    def sample(reg: MetricsRegistry) -> None:
+        for mechanism, value in sorted(plane.counters().blackholed.items()):
+            reg.counter(
+                f"faults.blackholed_bytes.{mechanism}").record_total(value)
+    return sample
+
+
 def instrument_testbed(tb) -> None:
     """Install probes on every hot component of ``tb`` and register the
     snapshot-time samplers.  Idempotent per testbed; only called when
     ``tb.telemetry.enabled``."""
     telemetry: Telemetry = tb.telemetry
-    for sw in tb.topo.switches.values():
-        for port in sw.ports:
-            port.queue.probe = QueueProbe(telemetry, port.name)
+    # switch queues, and each host's own egress queue (its qdisc)
+    for port in tb.ports():
+        port.queue.probe = QueueProbe(telemetry, port.name)
     for host in tb.hosts:
         host.nic.probe = NicProbe(telemetry, host.host_id)
         host.gro.probe = GroProbe(telemetry, host.host_id)
         host.tcp_probe = TcpProbe(telemetry, host.host_id)
         host.lb.probe = FlowcellProbe(telemetry, host.host_id)
-        # the host's own egress queue (qdisc) is worth watching too
-        if host.nic.port is not None:
-            host.nic.port.queue.probe = QueueProbe(
-                telemetry, host.nic.port.name)
     _watch_links(telemetry, tb.topo)
     telemetry.add_sampler(_switch_sampler(tb.topo))
     telemetry.add_sampler(_host_sampler(tb.hosts))
-    # failure-loss byte counters (lazy import: repro.faults builds on
-    # the experiment harness, which imports this module at load time)
-    from repro.faults.metrics import register_fault_metrics
-
-    register_fault_metrics(telemetry, tb.topo, tb.hosts)
+    telemetry.add_sampler(_blackhole_sampler(tb.plane))

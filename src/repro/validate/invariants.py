@@ -58,15 +58,6 @@ class InvariantReport:
         return not self.violations
 
 
-def _all_ports(tb):
-    for sw in tb.topo.switches.values():
-        for port in sw.ports:
-            yield port
-    for host in tb.hosts:
-        if host.nic.port is not None:
-            yield host.nic.port
-
-
 def byte_ledger(tb) -> Dict[str, int]:
     """The conservation ledger, in wire bytes."""
     ledger = {
@@ -80,7 +71,7 @@ def byte_ledger(tb) -> Dict[str, int]:
         "ttl_drop": sum(
             sw.ttl_drop_bytes for sw in tb.topo.switches.values()),
     }
-    for port in _all_ports(tb):
+    for port in tb.ports():
         ledger["queue_drop"] += port.queue.dropped_bytes
         ledger["wire_drop"] += port.wire_drop_bytes
     ledger["accounted"] = (

@@ -183,9 +183,7 @@ class TraceWorkload:
         self.tb.sim.schedule(self._next_gap(), self._tick, src)
 
     def _done(self, app, size: int) -> None:
-        fct = app.fct_ns if hasattr(app, "fct_ns") else None
-        if fct is None and hasattr(app, "sender"):
-            fct = app.sender.fct_ns
+        fct = app.fct_ns
         if fct is None:
             return
         self.flows_completed += 1

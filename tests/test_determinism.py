@@ -21,6 +21,7 @@ import pytest
 from repro.experiments.goldens import FLOW_GOLDENS, golden_bytes, golden_run
 from repro.experiments.schemes import scheme_names
 from repro.runner import JobSpec, collect_results, run_jobs, to_jsonable
+from repro.telemetry import TelemetryConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCHEMES = scheme_names()
@@ -48,9 +49,10 @@ def test_parallel_matches_serial():
 def test_every_scheme_has_a_golden_fixture():
     # sweep_specs.json and figures.json are tests/test_sweeps.py's,
     # fabric_tables.json is tests/test_fabrics.py's, lb_sequences.json
-    # is tests/test_lb.py's
+    # is tests/test_lb.py's, telemetry_snapshot.json is checked below
     assert ({p.stem for p in GOLDEN_DIR.glob("*.json")}
-            - {"sweep_specs", "figures", "fabric_tables", "lb_sequences"}
+            - {"sweep_specs", "figures", "fabric_tables", "lb_sequences",
+               "telemetry_snapshot"}
             == set(SCHEMES) | set(FLOW_GOLDENS))
 
 
@@ -61,6 +63,17 @@ def test_golden_fixture_unchanged(scheme):
         f"simulation behavior changed for {scheme!r}; if intentional, "
         "regenerate with tools/gen_golden.py and review the fixture diff"
     )
+
+
+@pytest.mark.parametrize("cell", ["presto", "flow_presto"])
+def test_telemetry_snapshot_keeps_every_parent_metric(cell):
+    """``telemetry_snapshot.json`` was written by the code before the
+    samplers mirrored ``plane.counters()`` (ISSUE 24): every metric it
+    reported is still reported, with the same value."""
+    pinned = json.loads(
+        (GOLDEN_DIR / "telemetry_snapshot.json").read_text())[cell]
+    metrics = golden_run(cell, TelemetryConfig(metrics=True)).metrics
+    assert {key: metrics.get(key) for key in pinned} == pinned
 
 
 @pytest.mark.tier2

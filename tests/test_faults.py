@@ -6,7 +6,7 @@ import pytest
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.controlplane import ControlPlane
 from repro.validate.invariants import byte_ledger, check_invariants
-from repro.faults.metrics import BlackholeAccountant, ThroughputTimeline
+from repro.faults.metrics import ThroughputTimeline
 from repro.faults.schedule import (
     FaultSchedule,
     LinkDegrade,
@@ -19,6 +19,7 @@ from repro.faults.schedule import (
     random_schedule,
 )
 from repro.faults.soak import random_case, run_soak, run_soak_case
+from repro.metrics.collectors import Window
 from repro.net.addresses import shadow_mac_tree
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
@@ -258,18 +259,18 @@ def test_throughput_timeline_validates_args():
         ThroughputTimeline(sim, window_ns=10, stop_ns=0)
 
 
-def test_blackhole_accountant_counts_fault_losses():
+def test_window_blackholed_counts_fault_losses():
     tb = Testbed(small_cfg())
     tb.controller.enable_fast_failover(tb.cfg.failover_latency_ns)
     tb.enable_control_plane()
-    accountant = BlackholeAccountant(tb.topo, tb.hosts)
-    assert accountant.delta()["total"] == 0
+    window = Window(tb)
+    assert window.close().blackholed()["total"] == 0
     app = tb.add_elephant(0, 12, size_bytes=512 * KB)
     # kill the uplink while the flow is in flight
     FaultSchedule.of(LinkDown(usec(200), "L1--S1")).arm(tb.sim, tb.topo)
     tb.run(msec(120))
     assert app.fct_ns is not None
-    delta = accountant.delta()
+    delta = window.close().blackholed()
     assert delta["total"] > 0
     assert delta["total"] == sum(
         v for k, v in delta.items() if k != "total")

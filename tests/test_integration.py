@@ -4,7 +4,7 @@ reduced scale (kept fast enough for the unit-test suite)."""
 import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.metrics.collectors import LossAccountant, ThroughputMeter
+from repro.metrics.collectors import Window
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.stats import jain_fairness
 from repro.units import KB, msec, usec
@@ -66,13 +66,12 @@ def test_presto_no_loss_on_symmetric_stride():
     tb = Testbed(TestbedConfig(scheme="presto", seed=4))
     from repro.workloads.synthetic import stride_pairs
 
-    loss = LossAccountant(tb.topo, tb.hosts)
     for src, dst in stride_pairs(16, 8):
         tb.add_elephant(src, dst, start_ns=tb.streams.stream("s").randrange(usec(300)))
-    loss.mark_start()
+    window = Window(tb)
     tb.run(msec(15))
-    assert loss.loss_rate() < 1e-3
-    assert tb.topo.total_switch_drops() == 0
+    assert window.close().loss_rate() < 1e-3
+    assert tb.plane.counters().dropped_pkts == 0
 
 
 def test_failover_keeps_network_connected():

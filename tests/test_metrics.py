@@ -1,7 +1,7 @@
 """Unit + property tests for metrics (stats, collectors, reordering)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.stats import cdf_points, ewma, jain_fairness, mean, percentile
@@ -51,6 +51,7 @@ class TestJain:
         assert jain_fairness([]) == 1.0
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=32))
+    @example([3.393057921039016e-158] * 2)  # squares underflow to subnormals
     def test_bounds(self, rates):
         index = jain_fairness(rates)
         assert 0 <= index <= 1.0 + 1e-9

@@ -251,7 +251,7 @@ def test_a_new_policy_runs_at_both_fidelities_with_no_src_edit(host_hashed):
         assert tb.last_invariant_report.ok
         # byte conservation: every transfer delivered exactly its size
         assert [a.delivered_bytes() for a in apps] == [size, size]
-        carried = tb.link_bytes()
+        carried = tb.plane.counters().port_tx_bytes
         shares[fidelity] = [
             carried[f"{leaf}->S1"]
             / (carried[f"{leaf}->S1"] + carried[f"{leaf}->S2"])

@@ -191,7 +191,7 @@ def test_ttl_guard_kills_looping_packet():
     p.hops = Switch.MAX_HOPS + 1
     sw.receive(p, None)
     assert sw.ttl_drops == 1
-    assert sw.dropped_pkts() == 1
+    assert sw.ttl_drop_bytes == p.wire_size
 
 
 def test_failover_reverts_to_primary_after_recovery():

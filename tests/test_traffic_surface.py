@@ -85,3 +85,20 @@ def test_flow_id_allocation_is_fidelity_independent(scheme):
     assert allocated["packet"] == allocated["flow"]
     flat = [f for ids in allocated["flow"] for f in ids]
     assert sorted(flat) == list(range(1, len(flat) + 1))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+def test_start_ns_is_a_delay_from_the_call(fidelity, scheme):
+    """``start_ns`` counts from the moment of the call, whatever the
+    clock reads then — on every transport and both data planes."""
+    tb = _testbed(scheme, fidelity)
+    opened = []
+    tb.sim.schedule(msec(1), lambda: opened.append(tb.add_elephant(
+        0, 2, size_bytes=10 * KB, start_ns=usec(300))))
+    tb.run(msec(1) + usec(300))
+    (app,) = opened
+    assert app.delivered_bytes() == 0  # no byte before now + start_ns
+    tb.run(msec(3))
+    assert app.delivered_bytes() == 10 * KB
+    assert 0 < app.fct_ns < msec(2) - usec(300)
