@@ -510,7 +510,7 @@ class FluidEngine:
             if soonest is None or delay < soonest:
                 soonest = delay
         if soonest is not None:
-            self._completion_event = self.sim.schedule(
+            self._completion_event = self.sim.timer(
                 max(1, soonest), self._completion_due)
 
     def _complete_drained(self, now: int) -> None:

@@ -44,7 +44,6 @@ class Host:
         self.nic = Nic(sim, self.gro, self.cpu, **nic_kwargs)
         self.nic.on_segment = self._on_segment
         self.nic.on_ack_packet = self._on_ack_packet
-        self.nic.on_tx_space = self._wake_blocked_sender
         self._tsq_blocked: Dict[int, object] = {}
         if self.lb.policy.sprays:
             self.nic.packet_label = self.lb.spray
@@ -65,6 +64,8 @@ class Host:
     def attach(self, egress_port, topo) -> None:
         """Called by Topology.attach_host with this host's uplink port."""
         self.nic.attach_port(egress_port)
+        # TSQ: each packet leaving the egress queue may wake its sender
+        egress_port.on_dequeue = self._wake_blocked_sender
         self.topo = topo
         # Shadow the receive() method with the NIC's bound rx: the leaf
         # port then lands packets in the ring without an extra frame.
@@ -93,10 +94,11 @@ class Host:
         """Park a sender until its bytes drain below the TSQ mark."""
         self._tsq_blocked[sender.flow_id] = sender
 
-    def _wake_blocked_sender(self, flow_id: int) -> None:
+    def _wake_blocked_sender(self, pkt: Packet) -> None:
         blocked = self._tsq_blocked
         if not blocked:  # common case: fires per dequeued packet
             return
+        flow_id = pkt.flow_id
         sender = blocked.get(flow_id)
         if sender is not None and self.nic.tx_ok(flow_id):
             del blocked[flow_id]

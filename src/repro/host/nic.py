@@ -65,9 +65,6 @@ class Nic:
         self.poll_budget = poll_budget
         self.tsq_bytes = tsq_bytes
         self.port: Optional[Port] = None  # egress toward the leaf switch
-        #: fired with a flow_id as that flow's packets leave the egress
-        #: queue; Host uses it to wake TSQ-blocked TCP senders
-        self.on_tx_space: Callable[[int], None] = lambda flow_id: None
         #: per-derived-packet hook for spraying schemes: ``(flow_id,
         #: dst_host) -> (dst_mac, flowcell_id)``, or None (keep TSO's)
         self.packet_label: Optional[Callable] = None
@@ -95,10 +92,6 @@ class Nic:
     def attach_port(self, port: Port) -> None:
         self.port = port
         port.queue.track_flows = True
-        port.on_dequeue = self._on_dequeue
-
-    def _on_dequeue(self, pkt: Packet) -> None:
-        self.on_tx_space(pkt.flow_id)
 
     def tx_ok(self, flow_id: int) -> bool:
         """Per-socket TSQ check: may this flow queue another segment?"""
@@ -185,7 +178,7 @@ class Nic:
                 self._interrupt_event = None
             self._schedule_poll()
         elif self._interrupt_event is None:
-            self._interrupt_event = self.sim.schedule(self.coalesce_ns, self._interrupt)
+            self._interrupt_event = self.sim.timer(self.coalesce_ns, self._interrupt)
 
     def _interrupt(self) -> None:
         self._interrupt_event = None
@@ -250,7 +243,7 @@ class Nic:
         # The 1 us floor guards against zero-delay rescheduling storms when
         # a deadline computed in the past cannot fire yet (beta extension).
         delay = max(usec(1), deadline - self.sim.now)
-        self._gro_timer = self.sim.schedule(delay, self._gro_timer_fire)
+        self._gro_timer = self.sim.timer(delay, self._gro_timer_fire)
 
     def _gro_timer_fire(self) -> None:
         self._gro_timer = None

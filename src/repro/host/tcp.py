@@ -396,7 +396,7 @@ class TcpSender:
             self._rto_event.cancel()
         delay = min(self.rto_ns * self._backoff, self.cfg.max_rto_ns)
         delay = int(delay * self._rto_jitter())
-        self._rto_event = self.sim.schedule(delay, self._rto_fire)
+        self._rto_event = self.sim.timer(delay, self._rto_fire)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:

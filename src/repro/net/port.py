@@ -29,13 +29,13 @@ class Port:
     __slots__ = (
         "sim",
         "_schedule",
+        "_on_tx_done",
         "name",
         "link",
         "queue",
         "peer",
         "peer_port",
         "_busy",
-        "_tx_event",
         "_tx_pkt",
         "tx_pkts",
         "tx_bytes",
@@ -43,9 +43,6 @@ class Port:
         "wire_drop_bytes",
         "tx_jitter_ns",
         "_jstate",
-        "space_threshold",
-        "on_space",
-        "_space_armed",
         "on_dequeue",
     )
 
@@ -57,16 +54,19 @@ class Port:
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
     ):
         self.sim = sim
-        # bound once: the transmit machinery schedules 2+ events per
-        # packet and the attribute/descriptor chain shows up in profiles
+        # bound once: the transmit machinery schedules two events per
+        # packet, and the lookup (and, for _tx_done, a fresh bound-method
+        # object) per event shows up in profiles
         self._schedule = sim.schedule
+        self._on_tx_done = self._tx_done
         self.name = name
         self.link = link
         self.queue = DropTailQueue(buffer_bytes)
         self.peer = None  # node with .receive(pkt, port); set by Topology
         self.peer_port: Optional["Port"] = None  # reverse direction
         self._busy = False
-        self._tx_event = None  # pending _tx_done for the serializing packet
+        #: the frame in the serializer; a link failure clears it, which
+        #: turns that frame's pending _tx_done into a no-op
         self._tx_pkt: Optional[Packet] = None
         self.tx_pkts = 0
         self.tx_bytes = 0
@@ -82,13 +82,8 @@ class Port:
         self.tx_jitter_ns = 0
         # zlib.crc32 (not hash()) so runs are stable under hash randomization
         self._jstate = (zlib.crc32(name.encode()) | 1) & 0xFFFFFFFF
-        #: optional low-watermark callback: fired once each time the queue
-        #: drains below the threshold (used for TSQ-style backpressure)
-        self.space_threshold: Optional[int] = None
-        self.on_space = None
-        self._space_armed = True
         #: optional per-dequeue callback (pkt) — fired as each packet
-        #: starts serialization; the NIC uses it for per-flow TSQ wakeups
+        #: starts serialization; a host's uplink uses it for TSQ wakeups
         self.on_dequeue = None
         link.ports.append(self)
 
@@ -98,27 +93,25 @@ class Port:
 
     def send(self, pkt: Packet) -> bool:
         """Queue ``pkt`` for transmission.  Returns False on drop."""
+        queue = self.queue
         if not self.link._up:
-            self.queue.record_drop(pkt, "link_down")
+            queue.record_drop(pkt, "link_down")
             return False
-        if not self.queue.enqueue(pkt):
+        if self._busy or queue.probe is not None:
+            if not queue.enqueue(pkt):
+                return False
+            if not self._busy:
+                self._start_tx(queue.dequeue())
+            return True
+        # An idle port's queue is empty: admit the packet by the queue's
+        # own rule and counters, and serialize it without the deque
+        # round trip (a probe wants to see the enqueue, so not then).
+        if not queue.admit(pkt):
             return False
-        if not self._busy:
-            self._start_tx()
+        self._start_tx(pkt)
         return True
 
-    def _start_tx(self) -> None:
-        pkt = self.queue.dequeue()
-        if self.space_threshold is not None:
-            if self.queue.bytes_queued >= self.space_threshold:
-                self._space_armed = True
-            elif self._space_armed and self.on_space is not None:
-                self._space_armed = False
-                # deferred so the callback's sends cannot re-enter _start_tx
-                self.sim.schedule(0, self.on_space)
-        if pkt is None:
-            self._busy = False
-            return
+    def _start_tx(self, pkt: Packet) -> None:
         self._busy = True
         if self.on_dequeue is not None:
             # _busy is already True, so sends triggered by the wakeup only
@@ -143,47 +136,39 @@ class Port:
             self._jstate = x
             ser += x % (jitter_ns + 1)
         self._tx_pkt = pkt
-        self._tx_event = self._schedule(ser, self._tx_done, pkt)
+        self._schedule(ser, self._on_tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
-        self._tx_event = None
-        self._tx_pkt = None
+        if pkt is not self._tx_pkt:
+            return  # lost on the wire: the link died mid-serialization
         self.tx_pkts += 1
         self.tx_bytes += pkt.wire_size
-        if self.link._up:
-            # Packet leaves the wire prop_delay later; the transmitter is
-            # free to start the next packet immediately (pipelining).
-            self._schedule(self.link.prop_delay_ns, self._deliver, pkt)
-        else:
-            self.wire_drop_pkts += 1
-            self.wire_drop_bytes += pkt.wire_size
-        self._start_tx()
-
-    def _deliver(self, pkt: Packet) -> None:
         pkt.hops += 1
-        self.peer.receive(pkt, self)
+        # Packet leaves the wire prop_delay later; the transmitter is
+        # free to start the next packet immediately (pipelining).
+        self._schedule(self.link.prop_delay_ns, self.peer.receive, pkt, self)
+        queue = self.queue
+        if queue.bytes_queued:
+            self._start_tx(queue.dequeue())
+        else:
+            self._busy = False
 
     def on_link_down(self) -> None:
         """Flush queued packets when the cable dies; the frame in the
         serializer is lost on the wire."""
-        while True:
-            pkt = self.queue.dequeue()
-            if pkt is None:
-                break
-            self.queue.record_drop(pkt, "link_down")
-        if self._tx_event is not None:
-            self._tx_event.cancel()
-            self._tx_event = None
-        if self._tx_pkt is not None:
+        queue = self.queue
+        while queue.bytes_queued:
+            queue.record_drop(queue.dequeue(), "link_down")
+        if self._busy:
             self.wire_drop_pkts += 1
             self.wire_drop_bytes += self._tx_pkt.wire_size
             self._tx_pkt = None
-        self._busy = False
+            self._busy = False
 
     def on_link_up(self) -> None:
         """Cable restored: resume transmission of anything queued."""
-        if not self._busy and len(self.queue):
-            self._start_tx()
+        if not self._busy and self.queue.bytes_queued:
+            self._start_tx(self.queue.dequeue())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Port {self.name}>"

@@ -20,7 +20,7 @@ from repro.net.packet import Packet
 class SharedBuffer:
     """A switch's packet-memory pool with dynamic thresholding: the
     pool's size, its ``alpha`` and the bytes in use.  The admission
-    rule itself is in :meth:`DropTailQueue.enqueue`.
+    rule itself is in :meth:`DropTailQueue.admit`.
     """
 
     __slots__ = ("total_bytes", "alpha", "used_bytes")
@@ -100,8 +100,11 @@ class DropTailQueue:
         if self.probe is not None:
             self.probe.on_drop(pkt, cause, self.bytes_queued)
 
-    def enqueue(self, pkt: Packet) -> bool:
-        """Add ``pkt``; returns False (and counts a drop) when full."""
+    def admit(self, pkt: Packet) -> bool:
+        """The admission rule: False (and a counted drop) when ``pkt``
+        would overflow the port's cap or its share of the shared pool,
+        else True and ``pkt`` counts as enqueued.  A port whose
+        serializer is idle calls this alone and sends ``pkt`` at once."""
         size = pkt.wire_size
         if self.bytes_queued + size > self.capacity_bytes:
             self.record_drop(pkt, "cap")
@@ -118,11 +121,19 @@ class DropTailQueue:
             ):
                 self.record_drop(pkt, "pool")
                 return False
-            shared.used_bytes = used + size
-        self._queue.append(pkt)
-        self.bytes_queued += size
         self.enqueued_pkts += 1
         self.enqueued_bytes += size
+        return True
+
+    def enqueue(self, pkt: Packet) -> bool:
+        """Add ``pkt``; returns False (and counts a drop) when full."""
+        if not self.admit(pkt):
+            return False
+        size = pkt.wire_size
+        if self.shared is not None:
+            self.shared.used_bytes += size
+        self._queue.append(pkt)
+        self.bytes_queued += size
         if self.track_flows:
             self.flow_bytes[pkt.flow_id] = self.flow_bytes.get(pkt.flow_id, 0) + size
         if self.probe is not None:

@@ -8,7 +8,7 @@ only, and reports the wall time of the hot section plus the natural
 work-unit count.  Fixed seeds make the *work* identical run to run;
 ``scale`` shrinks the workload without changing its shape.
 
-* ``bench_event_churn``      — schedule/cancel churn à la TCP RTO
+* ``bench_event_churn``      — ``timer()``/cancel churn à la TCP RTO
   re-arming (units: reschedules + events fired);
 * ``bench_tso_fanout``       — 64 KB segments fanned into MTU packets
   through the host egress port/queue/serializer cycle (units: wire
@@ -37,24 +37,25 @@ def _noop() -> None:
 
 
 def bench_event_churn(scale: float = 1.0) -> Tuple[float, int]:
-    """Schedule/cancel churn: long-dated timers re-armed per "ACK".
+    """Timer/cancel churn: long-dated timers re-armed per "ACK".
 
     Mirrors what TCP does to the heap: every ACK cancels the pending
-    RTO event and schedules a fresh one ~20 ms out, so cancelled
-    entries pile up far beyond the run horizon.  Work units are the
-    reschedule operations plus the events that actually fire.
+    RTO timer and arms a fresh one ~20 ms out with ``sim.timer``, so
+    cancelled entries pile up far beyond the run horizon; plain
+    fire-and-forget ``schedule`` events keep the loop firing.  Work
+    units are the reschedule operations plus the events that fire.
     """
     from repro.sim.engine import Simulator
 
     n_timers = 256
     ops = max(1000, int(150_000 * scale))
     sim = Simulator()
-    timers = [sim.schedule(msec(20) + i, _noop) for i in range(n_timers)]
+    timers = [sim.timer(msec(20) + i, _noop) for i in range(n_timers)]
     t0 = time.perf_counter()
     for i in range(ops):
         idx = i & (n_timers - 1)
         timers[idx].cancel()
-        timers[idx] = sim.schedule(msec(20) + i, _noop)
+        timers[idx] = sim.timer(msec(20) + i, _noop)
         if not (i & 3):
             # near-term work events keep the loop actually firing
             sim.schedule(i & 63, _noop)
@@ -82,8 +83,10 @@ def bench_tso_fanout(scale: float = 1.0) -> Tuple[float, int]:
     """64 KB segments through TSO -> egress queue -> serializer -> wire.
 
     Each segment fans into 46 MTU packets, every one of which costs a
-    queue enqueue/dequeue and two simulator events (tx-done, deliver).
-    Work units are wire packets delivered.
+    queue enqueue/dequeue (the first packet of a burst finds the port
+    idle and skips the queue) and two simulator events: the
+    serializer's tx-done and the far end's receive.  Work units are
+    wire packets delivered.
     """
     from repro.host.cpu import ReceiverCpu
     from repro.host.gro import OfficialGro

@@ -1,10 +1,14 @@
 """Unit tests for links and ports (serialization, delivery, failure)."""
 
+import itertools
+from unittest import mock
+
 import pytest
 
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.port import Port
+from repro.net.queues import DropTailQueue, SharedBuffer
 from repro.sim.engine import Simulator
 from repro.units import HEADER_BYTES, gbps, serialization_time_ns, usec
 
@@ -194,3 +198,130 @@ def test_set_rate_applies_to_later_packets():
     assert times[0] == ser_fast + link.prop_delay_ns
     # sent from idle at times[0]: serialization (at the new rate) + prop
     assert times[1] - times[0] == ser_slow + link.prop_delay_ns
+
+
+def test_link_down_mid_serialization_stale_completion_is_a_no_op():
+    """The frame on the wire when the cable dies is counted once as a
+    wire drop; its serializer completion still pops later and must
+    neither count a transmission nor deliver anything."""
+    sim = Simulator()
+    port, sink, link = make_port(sim)
+    p = pkt(1000)
+    port.send(p)
+    sim.run(until=100)
+    link.set_down()
+    assert (port.wire_drop_pkts, port.wire_drop_bytes) == (1, p.wire_size)
+    assert sim.run() == 1                   # the stale completion
+    assert sink.received == []
+    assert (port.tx_pkts, port.tx_bytes) == (0, 0)
+    assert port.wire_drop_pkts == 1
+    assert p.hops == 0
+
+
+def test_link_flap_inside_one_frame_times_the_new_frame_by_itself():
+    """Down and up again while a long frame serializes, then a new frame
+    starts: the new frame finishes at its own serialization time.  The
+    stale completion of the lost frame pops in between and must neither
+    deliver it nor free the serializer under the new frame (a frame
+    sent meanwhile waits its turn)."""
+    sim = Simulator()
+    port, sink, link = make_port(sim)
+    arrivals = []
+    sink.receive = lambda p, _: arrivals.append((sim.now, p))
+    lost, new, queued = pkt(100), pkt(1400), pkt(1000)
+
+    def ser(p):
+        return serialization_time_ns(p.wire_size, link.rate_bps)
+
+    port.send(lost)                         # serializes 0 .. ser(lost)
+    sim.run(until=50)
+    link.set_down()
+    link.set_up()
+    assert port.send(new)                   # starts at 50 on an idle port
+    sim.run(until=ser(lost) + 10)           # the stale completion popped
+    assert port.send(queued)                # must queue behind `new`
+    sim.run()
+    done = 50 + ser(new)
+    assert arrivals == [(done + link.prop_delay_ns, new),
+                        (done + ser(queued) + link.prop_delay_ns, queued)]
+    assert port.tx_pkts == 2 and port.wire_drop_pkts == 1
+
+
+class _QueueRecorder:
+    """A telemetry-style queue probe: attaching one sends every packet
+    through the queue, idle port or not."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_enqueue(self, pkt, depth_bytes):
+        self.seen.append(("enqueue", pkt.flow_id, depth_bytes))
+
+    def on_drop(self, pkt, cause, depth_bytes):
+        self.seen.append((cause, pkt.flow_id, depth_bytes))
+
+
+def _shared_pool_train(probe):
+    """One packet train into a port on a shared buffer whose neighbour
+    (a slow port on the same pool) holds most of the pool at first:
+    the early bursts meet pool drops — on the idle port too — and a
+    later one, once the pool has drained, overruns the port's cap."""
+    sim = Simulator()
+    pool = SharedBuffer(12_000, alpha=8.0)
+    port, sink, _ = make_port(sim)
+    port.queue = DropTailQueue(5_000, track_flows=True, shared=pool)
+    neighbour, _, _ = make_port(sim, rate=gbps(1), buffer_bytes=100_000)
+    neighbour.queue = DropTailQueue(100_000, shared=pool)
+    if probe:
+        port.queue.probe = _QueueRecorder()
+    arrivals, wakes = [], []
+    sink.receive = lambda p, _: arrivals.append((sim.now, p.flow_id, p.seq))
+    port.on_dequeue = lambda p: wakes.append(
+        (sim.now, p.flow_id, port.queue.flow_bytes.get(p.flow_id, 0)))
+    for i in range(12):
+        neighbour.send(pkt(1000, flow=99))
+    seq = itertools.count()
+    for at, burst in ((100, 3), (20_000, 6), (200_000, 7), (300_000, 1)):
+        for i in range(burst):
+            p = pkt(1400, flow=1 + i % 2)
+            p.seq = next(seq)
+            sim.schedule_at(at, port.send, p)
+    q = port.queue
+    real_enqueue = DropTailQueue.enqueue
+    enqueues = 0
+
+    def counted_enqueue(queue, p):
+        nonlocal enqueues
+        enqueues += queue is q
+        return real_enqueue(queue, p)
+
+    with mock.patch.object(DropTailQueue, "enqueue", counted_enqueue):
+        sim.run()
+    return {
+        "arrivals": arrivals,
+        "wakes": wakes,
+        "enqueued": (q.enqueued_pkts, q.enqueued_bytes),
+        "drops": (q.dropped_pkts, q.dropped_bytes, dict(q.drop_causes),
+                  dict(q.drop_cause_bytes)),
+        "pool_used": pool.used_bytes,
+        "flow_bytes": dict(q.flow_bytes),
+    }, enqueues
+
+
+def test_idle_fast_path_equals_the_queued_path():
+    """An idle port with no probe skips its queue; the same train with a
+    probe attached takes the queue every time.  Every observable must
+    agree: delivery times, enqueue and drop counters (cap and pool drops
+    both provoked), the pool back at 0, no per-flow residue and the
+    TSQ wake sequence."""
+    fast, fast_enqueues = _shared_pool_train(probe=False)
+    queued, queued_enqueues = _shared_pool_train(probe=True)
+    assert fast == queued
+    causes = fast["drops"][2]
+    assert causes.get("cap", 0) > 0 and causes.get("pool", 0) > 0
+    assert fast["pool_used"] == 0 and fast["flow_bytes"] == {}
+    assert len(fast["arrivals"]) == fast["enqueued"][0]
+    # the probe run offered every packet to the queue; the fast one
+    # skipped it whenever the port was idle
+    assert queued_enqueues == 17
+    assert 0 < fast_enqueues < queued_enqueues

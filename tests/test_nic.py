@@ -1,7 +1,10 @@
 """Unit tests for the NIC: TSO, interrupt coalescing, ring, TSQ."""
 
+from types import SimpleNamespace
+
 from repro.host.cpu import CpuCosts, ReceiverCpu
 from repro.host.gro import OfficialGro, PrestoGro
+from repro.host.host import Host
 from repro.host.nic import Nic
 from repro.net.link import Link
 from repro.net.packet import ACK, DATA, Packet, Segment, make_ack
@@ -211,11 +214,20 @@ class TestTsq:
         assert nic.tx_ok(1)       # drained
 
     def test_tx_space_callback_fires(self):
+        """A host's uplink wakes a TSQ-parked sender as that flow's
+        packets leave the egress queue, once it is below the mark."""
         sim = Simulator()
-        nic, _ = make_nic(sim, tsq_bytes=100 * KB)
-        attach_tx(sim, nic)
+        host = Host(sim, 0, model_cpu=False, tsq_bytes=100 * KB)
+        port = Port(sim, "h->sw", Link("h->sw", gbps(10), usec(1)), 10_000_000)
+        port.peer = TxSink()
+        host.attach(port, None)
         woken = []
-        nic.on_tx_space = woken.append
-        nic.tx_segment(data_segment(10 * KB, flow=5))
+        parked = SimpleNamespace(flow_id=5,
+                                 on_tx_space=lambda: woken.append(sim.now))
+        host.nic.tx_segment(data_segment(64 * KB, flow=5))
+        host.nic.tx_segment(data_segment(64 * KB, seq=64 * KB, flow=5))
+        host.tsq_block(parked)
+        assert not host.tx_ok(5)
         sim.run()
-        assert 5 in woken
+        assert len(woken) == 1          # woken once, then unparked
+        assert host.tx_ok(5)
