@@ -6,8 +6,8 @@ tiered test pyramid:
   marked ``tier2`` is tier 1, and a plain ``pytest`` run selects only
   these (the default ``-m`` expression below), so push CI wall-clock
   never silently grows a nightly-sized test.
-* ``tier2`` — nightly paper-fidelity runs: figure oracles over real
-  seed sweeps, soak slices, oracle-report determinism.  Select with
+* ``tier2`` — nightly paper-fidelity runs: the paper's claims over
+  real seed sweeps, soak slices, verdict determinism.  Select with
   ``pytest -m tier2``.
 """
 
@@ -24,7 +24,7 @@ def pytest_configure(config):
         "markers", "tier1: fast push-gating tests (default selection)")
     config.addinivalue_line(
         "markers",
-        "tier2: nightly paper-fidelity tests (figure oracles, soak slices)")
+        "tier2: nightly paper-fidelity tests (the paper's claims, soak slices)")
     if not config.option.markexpr:
         config.option.markexpr = "not tier2"
 

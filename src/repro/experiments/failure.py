@@ -217,11 +217,11 @@ def run_failure_timeline(
 def failure_spec(workload: str, seed: int, warm_ns: int, measure_ns: int,
                  fidelity: Optional[str] = None, with_probes: bool = False,
                  label: str = "") -> JobSpec:
-    """One :func:`run_failure_timeline` job, for the ``failure`` sweep
-    and the ``failover`` oracle alike (equal cells share a store
-    record).  Defaults stay out of the kwargs — ``cfg`` compared after
-    ``TestbedConfig`` normalized it, so ``fidelity="packet"`` is one —
-    and historic cells keep their hashes.  ``cfg`` rides in kwargs: the
+    """One :func:`run_failure_timeline` job of the ``failure`` sweep
+    (whose cells the ``failover`` claims run too).  Defaults stay out
+    of the kwargs — ``cfg`` compared after ``TestbedConfig`` normalized
+    it, so ``fidelity="packet"`` is one — and historic cells keep their
+    hashes.  ``cfg`` rides in kwargs: the
     JobSpec ``cfg`` slot is the first positional (``workload`` here)."""
     kwargs: Dict[str, Any] = dict(
         workload=workload, seed=seed, warm_ns=warm_ns, measure_ns=measure_ns)

@@ -14,19 +14,26 @@ non-blocking switch, no reordering) — the paper's +6% overhead claim.
 Each figure is a two-cell sweep (one cell per GRO flavour):
 :data:`GRO_MICRO` over :func:`run_fig5`, :data:`CPU_OVERHEAD` over
 :func:`run_fig6`.
+
+Figs 5/11 over seeds: :data:`GRO_REORDERING` runs the same two-path
+fabric per (scheme, seed) — Presto (flowcells + Presto GRO) against
+per-packet spraying into the stock GRO — and counts the disorder TCP
+sees: per-flowcell interleavings and segments delivered behind the
+highest sequence already delivered (:func:`run_reorder_cell`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
+from repro.experiments.common import SCALE, scaled_ns
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.stats import mean, percentile
 from repro.net.fabrics import TopologySpec
 from repro.runner import JobSpec
-from repro.runner.sweep import Param, Sweep
+from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.units import SEC, msec
 from repro.workloads.synthetic import stride_pairs
 
@@ -114,6 +121,130 @@ GRO_MICRO = Sweep(
     table=_fig5_table,
 )
 run_figure5 = GRO_MICRO.run
+
+
+REORDER_SCHEMES = ("presto", "perpacket")
+REORDER_DURATION_NS = msec(25)
+
+
+@dataclass
+class ReorderCell:
+    """One (scheme, seed) reordering trial's raw evidence."""
+
+    scheme: str
+    seed: int
+    #: per-flowcell interleave counts (Fig 5a; only meaningful for
+    #: schemes that actually batch segments into flowcells)
+    ooo_counts: List[int] = field(default_factory=list)
+    pushed_segments: int = 0
+    #: segments delivered to TCP behind the highest sequence already
+    #: delivered for their flow — scheme-agnostic TCP-visible disorder
+    ooo_segments: int = 0
+
+
+class _SeqOrderTap:
+    """Segment tap: feed the ReorderTracker and count sequence-order
+    violations as TCP would see them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self._hi: Dict[int, int] = {}
+        self.total = 0
+        self.ooo = 0
+
+    def __call__(self, seg) -> None:
+        self.inner(seg)
+        hi = self._hi.get(seg.flow_id)
+        self.total += 1
+        if hi is not None and seg.seq < hi:
+            self.ooo += 1
+        if hi is None or seg.end_seq > hi:
+            self._hi[seg.flow_id] = seg.end_seq
+
+
+def reorder_config(scheme: str, seed: int) -> TestbedConfig:
+    """The Fig 4b two-path fabric, receive window pinned to 1 MB so the
+    path queues breathe enough to reorder (see :func:`run_fig5`)."""
+    cfg = TestbedConfig(scheme=scheme, n_spines=2, n_leaves=2,
+                        hosts_per_leaf=2, seed=seed)
+    return replace(cfg, tcp=replace(cfg.tcp, rcv_wnd=1024 * 1024))
+
+
+def run_reorder_cell(cfg: TestbedConfig,
+                     duration_ns: int = REORDER_DURATION_NS) -> ReorderCell:
+    """One (scheme, seed) trial — the picklable job unit."""
+    tb = Testbed(cfg)
+    trackers = []
+    taps = []
+    for dst in (2, 3):
+        tracker = ReorderTracker()
+        tap = _SeqOrderTap(tracker.observe)
+        tb.hosts[dst].segment_tap = tap
+        trackers.append(tracker)
+        taps.append(tap)
+    tb.add_elephant(0, 2)
+    tb.add_elephant(1, 3)
+    tb.run(duration_ns)
+    return ReorderCell(
+        scheme=cfg.scheme,
+        seed=cfg.seed,
+        ooo_counts=[c for t in trackers for c in t.out_of_order_counts()],
+        pushed_segments=sum(tap.total for tap in taps),
+        ooo_segments=sum(tap.ooo for tap in taps),
+    )
+
+
+@dataclass
+class ReorderStats:
+    """One scheme's reordering over every seed."""
+
+    scheme: str
+    flowcells: int
+    #: fraction of flowcells TCP saw with zero out-of-order
+    #: interleavings; 0 when no flowcell was seen
+    frac_zero_ooo: float
+    pushed_segments: int
+    #: fraction of pushed segments behind the highest delivered
+    #: sequence; 1 when nothing was pushed
+    frac_ooo: float
+
+
+def _reorder_reduce(cells, p) -> Dict[str, ReorderStats]:
+    stats = {}
+    for (scheme,), runs in cells:
+        counts = [c for run in runs for c in run.ooo_counts]
+        pushed = sum(run.pushed_segments for run in runs)
+        ooo = sum(run.ooo_segments for run in runs)
+        stats[scheme] = ReorderStats(
+            scheme=scheme,
+            flowcells=len(counts),
+            frac_zero_ooo=(sum(1 for c in counts if c == 0) / len(counts)
+                           if counts else 0.0),
+            pushed_segments=pushed,
+            frac_ooo=ooo / pushed if pushed else 1.0,
+        )
+    return stats
+
+
+#: keyed scheme -> ReorderStats; packet fidelity only (it taps
+#: per-segment GRO delivery) and pinned to the Fig 4b fabric
+GRO_REORDERING = Sweep(
+    name="gro_reordering",
+    description="Figs 5/11 over seeds: reordering TCP sees under Presto "
+                "(flowcells + Presto GRO) vs per-packet spraying into the "
+                "stock GRO, on the two-path fabric",
+    params=(seeds_param((1, 2, 3)), SCALE),
+    axes=(lambda p: REORDER_SCHEMES,),
+    cell=lambda scheme, seed, p: JobSpec.make(
+        run_reorder_cell, cfg=reorder_config(scheme, seed),
+        label=f"gro_reordering/{scheme}/seed{seed}",
+        duration_ns=scaled_ns(REORDER_DURATION_NS, p["scale"])),
+    reduce=_reorder_reduce,
+    table=lambda stats: (
+        ["scheme", "flowcells", "frac OoO=0", "segments", "frac behind"],
+        [[s.scheme, s.flowcells, f"{s.frac_zero_ooo:.3f}",
+          s.pushed_segments, f"{s.frac_ooo:.4f}"] for s in stats.values()]),
+)
 
 
 @dataclass

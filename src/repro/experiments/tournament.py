@@ -30,11 +30,11 @@ The grid, its flags and the artifact gate are the :data:`TOURNAMENT`
 declaration; ``tournament_specs``/``run_tournament`` are its derived
 ``specs``/``run``.
 
-RepFlow's "mice at or below ECMP" claim is checked by the
-``tournament_ordering`` oracle (:mod:`repro.validate.oracles`) at
-packet fidelity: the collision queueing RepFlow hedges against is
-invisible to the fluid engine's smooth rate sharing, so the flow-level
-grid here ranks it but does not gate on it.
+RepFlow's "mice at or below ECMP" claim is the ``tournament_ordering``
+row of :data:`repro.validate.claims.CLAIMS`: one doubled-load websearch
+cell of this sweep at packet fidelity.  The collision queueing RepFlow
+hedges against is invisible to the fluid engine's smooth rate sharing,
+so the flow-level grid here ranks it but does not gate on it.
 """
 
 from __future__ import annotations

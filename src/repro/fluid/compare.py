@@ -46,7 +46,8 @@ EXPERIMENTS = ("scalability", "failover")
 FIDELITIES = ("packet", "flow")
 
 #: default schemes compared per cell (the paper's protagonist and its
-#: baseline; both must agree across fidelities for the oracles to hold)
+#: baseline; both must agree across fidelities for the ``_flow`` claims
+#: to hold)
 DEFAULT_SCHEMES = ("presto", "ecmp")
 
 

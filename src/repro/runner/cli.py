@@ -19,7 +19,7 @@ and a machine-readable ``runner_<sweep>.json``; per-job results land in
 ``<results-dir>/store/<hash>.json``, which is what makes a re-run
 resume instead of re-simulate.
 
-Exit status: 0, 1 when the sweep's own verdict fails (an oracle check,
+Exit status: 0, 1 when the sweep's own verdict fails (a claim's check,
 a soak invariant, a crashed cell of either) or ``--check`` finds drift,
 2 for a flag value the sweep cannot run with.
 

@@ -153,11 +153,15 @@ def run_jobs(
         if store is not None and force:
             store.invalidate(spec)
         record = store.load_record(spec) if store is not None and not force else None
+        try:
+            result = record and from_jsonable(record["result"])
+        except (ValueError, TypeError, KeyError, ImportError, AttributeError):
+            record = None  # undecodable: a miss, re-run and overwritten
         if record is not None:
             outcomes[i] = JobOutcome(
                 spec=spec,
                 status=STATUS_CACHED,
-                result=from_jsonable(record["result"]),
+                result=result,
                 attempts=0,
                 elapsed_s=0.0,
             )

@@ -71,13 +71,26 @@ def to_jsonable(obj: Any) -> Any:
     )
 
 
+def _dataclass_of(ref: str) -> type:
+    """The class a ``__dataclass__`` tag names.  Tags arrive in
+    ``/submit`` bodies and store records, and decoding calls the class,
+    so only dataclasses defined under ``repro`` qualify; anything else
+    is a ValueError before a module outside ``repro`` is imported."""
+    module = ref.partition(":")[0]
+    if module == "repro" or module.startswith("repro."):
+        cls = resolve_ref(ref)
+        if isinstance(cls, type) and is_dataclass(cls):
+            return cls
+    raise ValueError(f"refusing to decode {ref!r}: not a repro dataclass")
+
+
 def from_jsonable(obj: Any) -> Any:
     """Invert :func:`to_jsonable`."""
     if isinstance(obj, list):
         return [from_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         if "__dataclass__" in obj:
-            cls = resolve_ref(obj["__dataclass__"])
+            cls = _dataclass_of(obj["__dataclass__"])
             return cls(**{k: from_jsonable(v) for k, v in obj["fields"].items()})
         if "__tuple__" in obj:
             return tuple(from_jsonable(v) for v in obj["__tuple__"])

@@ -7,16 +7,12 @@ cannot pass silently.
   conservation laws any ``Testbed`` run can arm via
   ``TestbedConfig(validate=True)``: quiesce, byte conservation,
   schedule consistency, flowcell-ID monotonicity, GRO no-data-loss.
-* **Figure oracles** (:mod:`repro.validate.oracles`) — seed-robust
-  qualitative assertions per headline paper result (FCT ordering, GRO
-  reordering bounds, failover/rebalance convergence).  Each is a sweep
-  whose reducer returns a verdict: ``python -m repro.runner run
-  fct_ordering`` prints the checks, writes ``runner_fct_ordering.json``
-  and exits 1 when one fails.
+* **The paper's claims** (:mod:`repro.validate.claims`) — one table
+  row per figure, table or ablation claim, judged by the ``claims``
+  sweep (``python -m repro.runner run claims``).
 
-This package's top level stays import-light (invariants + report
-shapes only): the experiment-heavy oracle modules load lazily so
-``repro.experiments.harness`` can import the probe without cycles.
+The top level imports only the invariants: the claims import the
+experiments, and ``repro.experiments.harness`` imports the probe.
 """
 
 from repro.validate.invariants import (
@@ -27,7 +23,6 @@ from repro.validate.invariants import (
     check_invariants,
     runtime_check,
 )
-from repro.validate.report import OracleCheck, OracleReport
 
 __all__ = [
     "InvariantReport",
@@ -36,6 +31,4 @@ __all__ = [
     "byte_ledger",
     "check_invariants",
     "runtime_check",
-    "OracleCheck",
-    "OracleReport",
 ]

@@ -78,19 +78,18 @@ def test_telemetry_snapshot_keeps_every_parent_metric(cell):
 
 @pytest.mark.tier2
 def test_oracle_reports_byte_identical_across_runs_and_serial_vs_parallel():
-    """Every figure oracle's OracleReport JSON is byte-identical across
-    two runs and between serial and pooled execution (store disabled so
-    nothing is cached away)."""
+    """The verdicts of the claim rows that run seed sweeps are
+    byte-identical across two runs and between serial and pooled
+    execution (store disabled so nothing is cached away)."""
     from repro.runner.serialize import canonical_json
-    from repro.validate import oracles
+    from repro.runner.sweeps import SWEEPS
 
-    kw = dict(seeds=(1, 2), scale=0.1, store=None)
+    rows = ("fct_ordering", "fct_ordering_flow", "failover", "failover_flow",
+            "gro_reordering", "tournament_ordering")
 
     def payload_bytes(jobs):
-        return canonical_json([
-            oracle.run(jobs=jobs, **kw) for oracle in (
-                oracles.FCT_ORDERING, oracles.TOURNAMENT_ORDERING,
-                oracles.GRO_REORDERING, oracles.FAILOVER)])
+        return canonical_json(
+            SWEEPS["claims"].run(claims=rows, jobs=jobs, store=None))
 
     first = payload_bytes(jobs=1)
     second = payload_bytes(jobs=1)

@@ -208,14 +208,6 @@ def test_cross_fidelity_mice_ordering_agreement():
 
 
 @pytest.mark.tier2
-def test_fct_ordering_oracle_passes_at_flow_fidelity():
-    from repro.validate.oracles import FCT_ORDERING
-
-    report = FCT_ORDERING.run(seeds=(1, 2, 3), scale=0.3, fidelity="flow")
-    assert report.passed, report.failures()
-
-
-@pytest.mark.tier2
 def test_fluid_at_least_20x_faster_on_scalability_grid():
     """The acceptance floor: the fluid engine runs the scalability
     sweep grid >= 20x faster than the packet engine (observed: several

@@ -3,9 +3,10 @@ sweep.
 
 Every sweep that takes ``--fidelity`` must reject an unknown value as
 an argparse error (SystemExit 2) rather than deep inside a worker
-process, and the packet-only gro_reordering oracle must refuse
-``--fidelity flow``.  ``runner run compare`` validates its inputs the
-same way and writes a byte-deterministic report.
+process; the packet-only gro_reordering, and claims, whose rows fix
+their own fidelity, have no ``--fidelity`` to set.  ``runner run
+compare`` validates its inputs the same way and writes a
+byte-deterministic report.
 """
 
 import json
@@ -28,10 +29,12 @@ def test_runner_cli_rejects_unknown_fidelity(argv):
     assert exc.value.code == 2
 
 
-def test_validate_cli_rejects_unknown_fidelity():
+def test_validate_cli_rejects_unknown_fidelity(capsys):
+    # a claim row fixes its fidelity (fct_ordering_flow, failover_flow)
     with pytest.raises(SystemExit) as exc:
-        runner_main(["run", "fct_ordering", "--fidelity", "quantum"])
+        runner_main(["run", "claims", "--fidelity", "quantum"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --fidelity" in capsys.readouterr().err
 
 
 def test_faults_cli_rejects_unknown_fidelity():
@@ -41,27 +44,31 @@ def test_faults_cli_rejects_unknown_fidelity():
 
 
 def test_validate_cli_refuses_packet_only_oracle_at_flow(capsys):
-    code = runner_main(["run", "gro_reordering", "--fidelity", "flow",
-                        "--no-store"])
-    assert code == 2
-    assert "packet-only" in capsys.readouterr().err
+    # gro_reordering taps per-segment GRO delivery, which the fluid
+    # engine does not model: there is no --fidelity to ask for flow
+    with pytest.raises(SystemExit) as exc:
+        runner_main(["run", "gro_reordering", "--fidelity", "flow",
+                     "--no-store"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fidelity" in capsys.readouterr().err
 
 
 def test_reorder_specs_refuse_flow_fidelity():
-    from repro.validate.oracles import GRO_REORDERING
+    from repro.experiments.gro_micro import GRO_REORDERING
 
-    with pytest.raises(ValueError, match="packet-only"):
+    with pytest.raises(TypeError, match="takes seeds, scale"):
         GRO_REORDERING.specs([1], 1.0, "flow")
 
 
 def test_run_oracles_default_set_skips_packet_only_at_flow():
-    from repro.validate.oracles import FAILOVER, FCT_ORDERING, GRO_REORDERING
+    from repro.experiments.gro_micro import GRO_REORDERING
+    from repro.validate.claims import CLAIMS
 
-    # there is no default set any more: an oracle is packet-only by
-    # what its fidelity parameter accepts (spec-building only)
-    assert FCT_ORDERING.specs(fidelity="flow")
-    assert FAILOVER.specs(fidelity="flow")
-    with pytest.raises(ValueError):
+    # the flow-fidelity claims are rows of their own, and only the rows
+    # whose sweep the fluid engine models have one
+    assert {c.id for c in CLAIMS if c.params.get("fidelity") == "flow"} == {
+        "fct_ordering_flow", "failover_flow"}
+    with pytest.raises(TypeError):
         GRO_REORDERING.run(seeds=(1,), scale=0.1, fidelity="flow")
 
 

@@ -1,277 +1,20 @@
-"""The paper's shape claims — who wins, by roughly what factor — as one
-table: ``(figure, sweep, run kwargs, check(payload))``.
-
-Each row runs a registered sweep through ``SWEEPS[name].run`` — the
-call ``python -m repro.runner run <sweep>`` makes — at the parameters
-EXPERIMENTS.md quotes its numbers at, and asserts what the paper's
-figure shows.  Absolute numbers are simulator-scale (EXPERIMENTS.md
-"Time scaling"); the thresholds are calibrated at these parameters
-only, which is why they are not the sweeps' ``ok`` verdicts (those
-would also judge a 2 ms smoke run).  Tier 2: ~15 min serial.
+"""The paper's claims, one test per row of
+:data:`repro.validate.claims.CLAIMS` — the rows ``runner run claims``
+judges, run here through the same ``claims`` sweep, in-process and
+without a store.  Tier 2: ~11 min serial.
 """
 
 import pytest
 
-from repro.experiments.common import mice_vs_ecmp
-from repro.experiments.failure import STAGES, stage_rtts_ns, stage_tput_bps
-from repro.metrics.stats import mean, percentile
+from repro.experiments.harness import format_table
 from repro.runner.sweeps import SWEEPS
-from repro.units import MB, msec, usec
+from repro.validate.claims import CLAIMS, Verdict, verdict_table
 
 pytestmark = pytest.mark.tier2
 
-WINDOWS = dict(warm_ns=msec(15), measure_ns=msec(25))
 
-
-def fig1_flowlet_sizes(results):
-    # Paper: up to 3 competing flows, >50% of the transfer in one flowlet.
-    for n in (0, 1, 2, 3):
-        assert results[n].head_fraction() > 0.5, (
-            f"{n} competitors: head flowlet only "
-            f"{results[n].head_fraction():.0%} of transfer"
-        )
-    # And flowlet sizes are wildly non-uniform: top flowlet dwarfs the 10th.
-    sizes = results[2].top(10)
-    assert sizes[0] > 10 * sizes[-1] or len(sizes) < 10
-
-
-def fig5_gro_reordering(results):
-    presto, official = results["presto"], results["official"]
-    # Fig 5a: Presto GRO masks reordering completely; official does not.
-    assert presto.frac_zero_ooo >= 0.99
-    assert official.frac_zero_ooo < 0.9
-    # Fig 5b: Presto pushes much larger segments.
-    assert mean(presto.segment_sizes) > 1.5 * mean(official.segment_sizes)
-    # S5 text: ~2x throughput gap (9.3 vs 4.6 Gbps).
-    assert presto.throughput_bps > 1.6 * official.throughput_bps
-    # Reordering causes spurious fast retransmits only under official GRO.
-    assert presto.fast_retransmits == 0
-    assert official.fast_retransmits > 0
-
-
-def fig6_cpu_overhead(result):
-    # Paper: ~6% overhead; accept anything modest and nonnegative-ish.
-    assert -0.02 <= result.overhead <= 0.15, f"overhead {result.overhead:.1%}"
-    # Both runs are actually doing 9+ Gbps worth of work.
-    assert result.mean_util["official"] > 0.3
-
-
-def fig7_8_9_scalability(grid):
-    def curve(scheme):
-        return {p.n_paths: p for p in grid[scheme]}
-
-    presto, optimal, ecmp = curve("presto"), curve("optimal"), curve("ecmp")
-    for n in (2, 4, 8):
-        # Fig 7: Presto within a few percent of Optimal; ECMP clearly below.
-        assert presto[n].mean_tput_bps > 0.9 * optimal[n].mean_tput_bps
-        assert ecmp[n].mean_tput_bps < 0.95 * presto[n].mean_tput_bps
-        # Fig 9b: Presto/Optimal near-perfect fairness, ECMP worse.
-        assert presto[n].fairness > 0.97
-        assert optimal[n].fairness > 0.99
-        assert ecmp[n].fairness < presto[n].fairness
-        # Fig 9a: Presto's loss is tiny.
-        assert presto[n].loss_rate < 0.005
-
-
-def fig10_12_oversub(grid):
-    by = {s: {p.n_pairs: p for p in pts} for s, pts in grid.items()}
-    # 1x oversubscription: non-blocking, Presto ~= Optimal.
-    assert by["presto"][2].mean_tput_bps > 0.9 * by["optimal"][2].mean_tput_bps
-    # 4x: Presto converges near the physical fair share (2 x 10G / 8
-    # pairs = 2.5 Gbps; the paper's "Optimal" keeps dedicated links and
-    # stays flat, so fair share is computed from the fabric).
-    fair = 2 * 10e9 / 8
-    assert by["presto"][8].mean_tput_bps > 0.7 * fair
-    # ECMP is the weakest under *moderate* congestion (paper S5).
-    assert (
-        by["ecmp"][4].mean_tput_bps
-        <= min(by[s][4].mean_tput_bps for s in ("presto", "mptcp", "optimal"))
-        * 1.05
-    )
-    # Fairness: Presto ~1 at moderate load, ECMP behind.
-    assert by["presto"][4].fairness > 0.9
-    assert by["ecmp"][4].fairness < 0.98
-
-
-def fig13_flowlet_cmp(results):
-    presto = results["presto"]
-    f100 = results["flowlet100us"]
-    f500 = results["flowlet500us"]
-    # Fig 13 ordering: presto > flowlet500 > flowlet100 on throughput.
-    assert presto.mean_tput_bps > f500.mean_tput_bps > f100.mean_tput_bps
-    # The 100us timer costs dearly (paper: 4.3 vs 9.3 Gbps).
-    assert f100.mean_tput_bps < 0.75 * presto.mean_tput_bps
-
-
-def fig14_perhop(results):
-    shadow = results["presto"]
-    perhop = results["presto_ecmp"]
-    # Paper: shadow-MAC round robin beats per-hop hashing (9.3 vs 8.9
-    # Gbps) because randomized placement piles flowcells onto one link
-    # transiently.  The simulator amplifies the gap: the transient skew
-    # also outlives the GRO hold timeout more often, costing spurious
-    # fast retransmits (see EXPERIMENTS.md).  Direction must hold.
-    assert shadow.mean_tput_bps > 1.05 * perhop.mean_tput_bps
-
-
-def fig15_16_synthetic(grid):
-    for workload in ("random", "stride", "bijection"):
-        presto = grid[("presto", workload)]
-        optimal = grid[("optimal", workload)]
-        ecmp = grid[("ecmp", workload)]
-        # Fig 15: Presto tracks Optimal (paper: within 1-4%; at simulator
-        # scale with mice cross-traffic the gap widens to 10-20% — see
-        # EXPERIMENTS.md) and clearly beats ECMP on non-shuffle loads.
-        assert presto.mean_elephant_tput_bps > 0.78 * optimal.mean_elephant_tput_bps
-        assert presto.mean_elephant_tput_bps > 1.15 * ecmp.mean_elephant_tput_bps
-    # Shuffle: receiver-bound, schemes comparable (within 25%).
-    sh_p = grid[("presto", "shuffle")].mean_elephant_tput_bps
-    sh_e = grid[("ecmp", "shuffle")].mean_elephant_tput_bps
-    assert abs(sh_p - sh_e) / max(sh_p, sh_e) < 0.4
-    # Fig 16: ECMP's stride mice tail far worse than Presto's.
-    p_tail = percentile(grid[("presto", "stride")].mice_fcts_ns, 99)
-    e_tail = percentile(grid[("ecmp", "stride")].mice_fcts_ns, 99)
-    assert e_tail > 1.5 * p_tail
-
-
-def fig17_failure_throughput(grid):
-    for workload in ("L1->L4", "L4->L1", "stride", "bijection"):
-        sym, fo, wt = (stage_tput_bps(grid[workload], stage)
-                       for stage in STAGES)
-        # symmetry is (near) line rate
-        assert sym > 7e9, f"{workload} symmetry {sym / 1e9:.1f}G"
-        # failover keeps the network connected (nonzero, degraded)
-        assert fo > 0.5e9, f"{workload} failover {fo / 1e9:.1f}G"
-        assert fo < sym
-        # the weighted stage recovers over raw failover
-        assert wt > 0.8 * fo, f"{workload} weighted {wt / 1e9:.1f}G < failover"
-
-
-def fig18_failure_rtt(grid):
-    stages = {stage: stage_rtts_ns(grid["bijection"], stage)
-              for stage in STAGES}
-    # Fig 18 caveat: in the paper the degraded stages' RTT CDFs sit above
-    # symmetry's *at matched utilization*; our failover/weighted stages
-    # run at lower throughput, so their medians can be lower while the
-    # tail-to-median spread widens.  Assert the robust part: every stage
-    # yields samples, and the degraded stages' relative tail (p99/p50)
-    # is at least symmetry's.
-    sym = stages["symmetry"]
-    assert sym, "no probe samples in symmetry stage"
-    sym_spread = percentile(sym, 99) / percentile(sym, 50)
-    for stage in ("failover", "weighted"):
-        rtts = stages[stage]
-        assert rtts, f"no probe samples in {stage} stage"
-        spread = percentile(rtts, 99) / percentile(rtts, 50)
-        assert spread >= 0.8 * sym_spread
-
-
-def table1_trace(results):
-    normalized = mice_vs_ecmp(results)
-    # Paper shape: Presto's mice FCT tail clearly below ECMP's.  (The
-    # simulator shows -17..-30% at p90-p99.9 vs the paper's -32..-60%;
-    # receiver-port sharing, identical across schemes, makes up a larger
-    # share of our tail — see EXPERIMENTS.md.)
-    assert normalized["presto"]["p90"] < -0.1
-    assert normalized["presto"]["p99"] < -0.1
-    # Optimal also clearly better than ECMP at the tail.
-    assert normalized["optimal"]["p99"] < 0.0
-    # Elephants: Presto above ECMP.
-    assert (
-        results["presto"].mean_elephant_tput_bps
-        > results["ecmp"].mean_elephant_tput_bps
-    )
-
-
-def table2_northsouth(results):
-    normalized = mice_vs_ecmp(results)
-    # Throughput ordering (paper: 5.7 / 7.4 / 8.2 / 8.9).
-    assert (
-        results["presto"].mean_elephant_tput_bps
-        > results["ecmp"].mean_elephant_tput_bps
-    )
-    assert (
-        results["optimal"].mean_elephant_tput_bps
-        >= 0.95 * results["presto"].mean_elephant_tput_bps
-    )
-    # Presto improves the mice tail over ECMP.
-    assert normalized["presto"]["p99.9"] < -0.1
-    # MPTCP mice hit RTOs more than Presto mice (the TIMEOUT row).
-    assert (
-        results["mptcp"].mice_timeout_fraction
-        >= results["presto"].mice_timeout_fraction
-    )
-
-
-def ablation_adaptive_timeout(results):
-    # A 10 ms static hold must not beat the adaptive timeout on the mice
-    # tail (it delays loss recovery at flowcell boundaries).
-    adaptive = results["timeout"]["adaptive"]
-    static = results["timeout"]["static10ms"]
-    if adaptive.mice_fcts_ns and static.mice_fcts_ns:
-        assert percentile(adaptive.mice_fcts_ns, 99) <= 1.2 * percentile(
-            static.mice_fcts_ns, 99
-        )
-
-
-def ablation_flowcell_size(results):
-    # 64 KB (the TSO-aligned choice) performs at least as well as the
-    # alternatives on this workload.
-    results = results["cellsize"]
-    best = max(res.mean_rate_bps for res in results.values())
-    assert results["64KB"].mean_rate_bps > 0.9 * best
-
-
-def ablation_rr_vs_random(results):
-    # RR's deterministic evenness should not lose to randomized placement.
-    results = results["rr_vs_random"]
-    assert results["rr"].mean_rate_bps > 0.95 * results["random"].mean_rate_bps
-
-
-def ablation_loss_detection(results):
-    # Turning discrimination off must not improve elephants materially.
-    results = results["loss_detection"]
-    assert results["on"].mean_rate_bps > 0.9 * results["off"].mean_rate_bps
-
-
-def claim(figure, sweep, check, **kwargs):
-    return pytest.param(sweep, kwargs, check, id=figure)
-
-
-def ablation(study, check):
-    return claim(f"ablation_{study}", "ablations", check,
-                 studies=(study,), seeds=(1,), **WINDOWS)
-
-
-CLAIMS = [
-    claim("fig1", "flowlet_sizes", fig1_flowlet_sizes,
-          max_competing=8, transfer_bytes=16 * MB, gap_ns=usec(500),
-          duration_ns=msec(60)),
-    claim("fig5", "gro_micro", fig5_gro_reordering, duration_ns=msec(40)),
-    claim("fig6", "cpu_overhead", fig6_cpu_overhead, duration_ns=msec(40)),
-    claim("fig7_8_9", "scalability", fig7_8_9_scalability,
-          path_counts=(2, 4, 8), seeds=(1, 2), **WINDOWS),
-    claim("fig10_12", "oversub", fig10_12_oversub,
-          pair_counts=(2, 4, 8), seeds=(1, 2), **WINDOWS),
-    claim("fig13", "flowlet_cmp", fig13_flowlet_cmp, seeds=(1, 2), **WINDOWS),
-    claim("fig14", "perhop_cmp", fig14_perhop, seeds=(1, 2), **WINDOWS),
-    claim("fig15_16", "synthetic", fig15_16_synthetic,
-          workloads=("shuffle", "random", "stride", "bijection"),
-          seeds=(1, 2), **WINDOWS),
-    claim("fig17", "failure", fig17_failure_throughput,
-          seeds=(1, 2), **WINDOWS),
-    claim("fig18", "failure", fig18_failure_rtt,
-          workloads=("bijection",), seeds=(1,), with_probes=True, **WINDOWS),
-    claim("table1", "trace", table1_trace,
-          seeds=(1, 2), duration_ns=msec(100)),
-    claim("table2", "northsouth", table2_northsouth, seeds=(1, 2), **WINDOWS),
-    ablation("timeout", ablation_adaptive_timeout),
-    ablation("cellsize", ablation_flowcell_size),
-    ablation("rr_vs_random", ablation_rr_vs_random),
-    ablation("loss_detection", ablation_loss_detection),
-]
-
-
-@pytest.mark.parametrize("sweep, kwargs, check", CLAIMS)
-def test_paper_shape(sweep, kwargs, check):
-    check(SWEEPS[sweep].run(**kwargs))
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda claim: claim.id)
+def test_paper_shape(claim):
+    verdict, = SWEEPS["claims"].run(claims=(claim.id,))
+    failed = Verdict(verdict.claim, verdict.figure, verdict.failures())
+    assert verdict.passed, format_table(*verdict_table([failed]))

@@ -409,6 +409,9 @@ def test_cli_validates_grid_options(capsys):
     "not json at all \x00",              # binary noise
     "[1, 2, 3]",                         # valid JSON, wrong shape
     '{"hash": "abc"}',                   # dict missing the result field
+    # a hostile record: decoding it must not call subprocess.run
+    '{"hash": "abc", "result": {"__dataclass__": "subprocess:run", '
+    '"fields": {"args": ["touch", "TMP/pwned"]}}}',
 ])
 def test_corrupt_store_entry_is_cache_miss_and_reruns(tmp_path, garbage):
     marker = tmp_path / "runs"
@@ -422,10 +425,11 @@ def test_corrupt_store_entry_is_cache_miss_and_reruns(tmp_path, garbage):
         for f in os.listdir(store.store_dir) if f.endswith(".json")
     ]
     with open(record_path, "w") as fh:
-        fh.write(garbage)
+        fh.write(garbage.replace("TMP", str(tmp_path)))
 
     out = run_jobs([spec], jobs=1, store=store)
     assert [o.status for o in out] == ["ok"]  # re-ran, not "cached"
+    assert not (tmp_path / "pwned").exists()
     assert marker.read_text() == "xx"
     assert collect_results(out) == [9]
     # and the re-run repaired the record

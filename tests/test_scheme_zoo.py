@@ -503,7 +503,7 @@ def test_zoo_golden_fixtures_pin_tournament_cells():
             assert kind.endswith("RunResult"), scheme
 
 
-# --- tier 2: cross-fidelity parity + the ordering oracle ---------------------
+# --- tier 2: cross-fidelity parity ------------------------------------------
 
 #: flow fidelity omits slow-start and queueing delay, so it is
 #: absolutely faster; the band documents how far the engines may sit
@@ -531,18 +531,3 @@ def test_cross_fidelity_fct_parity(scheme):
     ratio = packet.fct_summary["mean"] / flow.fct_summary["mean"]
     assert 1.0 <= ratio <= CROSS_FIDELITY_MAX_RATIO, ratio
 
-
-@pytest.mark.tier2
-def test_tournament_ordering_oracle_passes():
-    from repro.validate.oracles import TOURNAMENT_ORDERING
-
-    report = TOURNAMENT_ORDERING.run(seeds=(1, 2, 3))
-    assert report.passed, report.failures()
-
-
-@pytest.mark.tier2
-def test_tournament_ordering_oracle_rejects_flow_fidelity():
-    from repro.validate.oracles import TOURNAMENT_ORDERING
-
-    with pytest.raises(ValueError, match="packet-only"):
-        TOURNAMENT_ORDERING.run(seeds=(1,), fidelity="flow")

@@ -430,13 +430,23 @@ def _raw_post(url, path, body, content_length=None):
     ("/submit", json.dumps({"specs": [
         {"__dataclass__": "no.such.module:Spec", "fields": {}}]}).encode(),
      None, 400),
+    # decoding calls the tagged class: only repro dataclasses qualify
+    ("/submit", json.dumps({"specs": [
+        {"__dataclass__": "subprocess:run",
+         "fields": {"args": ["touch", "TMP/pwned"]}}]}).encode(), None, 400),
+    ("/submit", json.dumps({"specs": [
+        {"__dataclass__": "repro.runner.store:ResultStore",
+         "fields": {"root": "TMP/store"}}]}).encode(), None, 400),
 ], ids=["negative-length", "non-integer-length", "huge-length", "array-body",
-        "not-json", "spec-not-a-jobspec", "spec-undecodable"])
+        "not-json", "spec-not-a-jobspec", "spec-undecodable",
+        "spec-names-a-stdlib-callable", "spec-names-a-repro-non-dataclass"])
 def test_hostile_bodies_are_refused_and_the_server_still_serves(
-        coordinator_factory, path, body, content_length, expected):
+        coordinator_factory, tmp_path, path, body, content_length, expected):
     start, _ = coordinator_factory
     _, url = start(None)
+    body = body.replace(b"TMP", str(tmp_path).encode())
     assert _raw_post(url, path, body, content_length) == expected
+    assert not (tmp_path / "pwned").exists()
     status, reply = request_json(url, "/claim", {"worker": "w"})
     assert (status, reply) == (200, {"job": None})
 

@@ -68,19 +68,42 @@ def test_failure_cells_hash_explicit_packet_like_the_default():
     """``fidelity="packet"`` is the default: naming it must not move a
     failure-timeline cell's store key (it did — the extra ``cfg`` kwarg
     moved the hash even though the config inside normalized), and the
-    sweep and the oracle, built by one function, share equal cells."""
-    from repro.validate import oracles
+    ``failover`` claim runs the cells the failover oracle ran."""
+    from repro.validate.claims import FAILURE_L1_L4
 
-    failure, failover = SWEEPS["failure"], SWEEPS["failover"]
-    for sweep in (failure, failover):
-        default, packet, flow = (
-            [spec.hash for spec in sweep.specs(seeds=(1,), fidelity=fidelity)]
-            for fidelity in (None, "packet", "flow"))
-        assert default == packet != flow
-    assert failover.specs(seeds=(1,))[0].hash == "ee93b1095bf30ed6"
-    assert failover.specs(seeds=(1, 2))[1].hash == failure.specs(
-        ("L1->L4",), (2,), oracles.FAILOVER_WARM_NS,
-        oracles.FAILOVER_MEASURE_NS)[0].hash
+    failure = SWEEPS["failure"]
+    default, packet, flow = (
+        [spec.hash for spec in failure.specs(seeds=(1,), fidelity=fidelity)]
+        for fidelity in (None, "packet", "flow"))
+    assert default == packet != flow
+    assert failure.specs(**FAILURE_L1_L4)[0].hash == "ee93b1095bf30ed6"
+
+
+CLAIMS_CASE, = (case for case in GOLDEN if case.startswith("claims "))
+#: the oracle sweeps' cells at the commit that replaced them with claim
+#: rows, as tests/golden/sweep_specs.json pinned them then: the rows
+#: must run exactly these cells, in this order, so their store records
+#: stay warm
+ORACLE_HASHES = (
+    # fct_ordering
+    "07b58ceebccd3118", "ad24d30d604ce62a", "7e1a73757b5b544c",
+    "3f96d631bd15797b", "1b04c1e95bf8352e", "d7b898f250535eb8",
+    "af3fe253c5a470de", "525d5ad4558e45e0", "0c1e8290d224c37c",
+    # fct_ordering --fidelity flow
+    "6264a7bb4ffd194c", "f9ab6ea04d780cbd", "c77251bcb1ac4057",
+    "6a1c5757fe5c38e5", "f7c6f381df41ee6b", "29da65c1b0a03147",
+    "0f5fad5519a95723", "fcc6dde3a8637976", "e3b7a351d4d2dbe2",
+    # failover, then failover --fidelity flow
+    "ee93b1095bf30ed6", "e02caeef39811428", "7164ce88f59b0652",
+    "8c142aac2cb9e892", "168579180ca735a1", "bb804d790cc9db05",
+)
+
+
+def test_claim_rows_run_the_oracle_cells():
+    assert CLAIMS_CASE.split()[2].startswith(
+        "fct_ordering,fct_ordering_flow,failover,failover_flow,")
+    hashes = tuple(row[2] for row in GOLDEN[CLAIMS_CASE])
+    assert hashes[:len(ORACLE_HASHES)] == ORACLE_HASHES
 
 
 def test_run_regroups_results_in_spec_order():
@@ -193,8 +216,9 @@ TINY = {
     "northsouth": ["--schemes", "presto", *_TINY_WINDOWS],
     "failure": ["--workloads", "L1->L4", "--seeds", "1", "--warm-ms", "1",
                 "--measure-ms", "3"],
-    **{oracle: ["--seeds", "1", "--scale", "0.1"] for oracle in (
-        "fct_ordering", "tournament_ordering", "gro_reordering", "failover")},
+    "gro_reordering": ["--seeds", "1", "--scale", "0.1"],
+    # the cheapest row: three flow-fidelity failure timelines
+    "claims": ["--claims", "failover_flow"],
     "soak": ["--cases", "1", "--seed", "1"],
     "compare": ["--experiments", "scalability", "--schemes", "presto",
                 "--seeds", "1", "--scale", "0.05"],
@@ -226,28 +250,37 @@ def test_run_prints_its_table(name, tmp_path, capsys):
     payload = json.loads(
         (tmp_path / "results" / f"runner_{name}.json").read_text())
     assert payload["name"] == name and payload["table"] + "\n" == out
-    # every payload decodes, and the exit status is its own verdict (at
-    # these windows an oracle may legitimately fail its checks)
+    # every payload decodes, and the exit status is its own verdict
     verdict = SWEEPS[name].ok(from_jsonable(payload["data"]))
     assert status == (0 if verdict else 1)
 
 
 DEAD_URL = "http://127.0.0.1:1"
-_PR12_SWEEPS = list(SWEEPS)[:6]
 #: every job-executing command, with arguments that would run it (the
 #: sweep is the last one): `runner run` of every registered sweep, and
-#: `service submit`.  The oracles and the soak had CLIs of their own
-#: until PR 14; one of each keeps the id it had then, at the position it
-#: had then, so their test ids (and `service submit`'s, which are
-#: positional) stay comparable across the port.
+#: `service submit`.  Validation and the soak had CLIs of their own
+#: until PR 14; their commands keep those names.
 COMMANDS = {
-    **{f"runner run {name}": (runner_main, ["run", name])
-       for name in _PR12_SWEEPS},
-    "validate run": (runner_main, ["run", "fct_ordering"]),
+    "validate run": (runner_main, ["run", "claims"]),
     "faults soak": (runner_main, ["run", "soak"]),
     "service submit": (service_main, ["submit", DEAD_URL, "scalability"]),
     **{f"runner run {name}": (runner_main, ["run", name]) for name in SWEEPS
-       if name not in (*_PR12_SWEEPS, "fct_ordering", "soak")},
+       if name not in ("claims", "soak")},
+}
+#: the number each command's first rejected flag had in its test id
+#: when ids were positional; the command's later flags count on from
+#: it, so adding or deleting a sweep moves no other command's ids
+FIRST_ID = {
+    "runner run scalability": 0, "runner run oversub": 4,
+    "runner run synthetic": 8, "runner run fabric": 12,
+    "runner run tournament": 16, "runner run search": 20,
+    "validate run": 24, "faults soak": 28, "service submit": 31,
+    "runner run flowlet_sizes": 35, "runner run gro_micro": 38,
+    "runner run cpu_overhead": 41, "runner run flowlet_cmp": 44,
+    "runner run perhop_cmp": 48, "runner run trace": 52,
+    "runner run northsouth": 56, "runner run failure": 60,
+    "runner run gro_reordering": 68, "runner run compare": 76,
+    "runner run ablations": 80,
 }
 REJECTED = [
     (["--jobs", "0"], "--jobs must be >= 1, got 0"),
@@ -267,16 +300,22 @@ SUBMIT_REJECTED = [
 ]
 
 
-@pytest.mark.parametrize("command, flags, message", [
-    (command, flags, message)
-    for command, (_, argv) in COMMANDS.items()
-    for flags, message in (
-        SUBMIT_REJECTED if command == "service submit" else REJECTED)
-    # a sweep with no seeds axis has no --seeds (the soak derives its
-    # per-case seeds from one --seed; Figs 1/5/6 take one seed)
-    if any(p.flag == flags[0] for p in SWEEPS[argv[-1]].params)
-    or flags[0] != "--seeds"
-])
+def _rejections():
+    for command, (_, argv) in COMMANDS.items():
+        cases = [
+            (flags, message) for flags, message in (
+                SUBMIT_REJECTED if command == "service submit" else REJECTED)
+            # a sweep with no seeds axis has no --seeds (the soak derives
+            # its per-case seeds from one --seed; Figs 1/5/6 take one
+            # seed; a claim row fixes its own)
+            if any(p.flag == flags[0] for p in SWEEPS[argv[-1]].params)
+            or flags[0] != "--seeds"]
+        for n, (flags, message) in enumerate(cases, FIRST_ID[command]):
+            yield pytest.param(command, flags, message,
+                               id=f"{command}-flags{n}-{message}")
+
+
+@pytest.mark.parametrize("command, flags, message", list(_rejections()))
 def test_bad_flag_values_exit_2_with_the_shared_message(
         command, flags, message, capsys):
     main, argv = COMMANDS[command]
@@ -291,22 +330,7 @@ def test_bad_flag_values_exit_2_with_the_shared_message(
 def test_every_sweep_rejects_bad_flag_values():
     assert {argv[-1] for main, argv in COMMANDS.values()
             if main is runner_main} == set(SWEEPS)
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["gro_reordering", "--fidelity", "flow"],
-     "bad --fidelity: gro_reordering is packet-only"),
-    (["tournament_ordering", "--fidelity", "flow"],
-     "bad --fidelity: tournament_ordering is packet-only"),
-    (["gro_reordering", "--topology", "fat-tree:k=4"],
-     "bad --topology: gro_reordering is pinned to the Fig 4b"),
-    (["failover", "--topology", "fat-tree:k=4"],
-     "bad --topology: failover is pinned to the 16-host Clos"),
-])
-def test_oracle_says_what_it_cannot_run_on_by_what_its_flags_accept(
-        argv, message, capsys):
-    assert runner_main(["run", *argv]) == 2
-    assert message in capsys.readouterr().err
+    assert set(FIRST_ID) == set(COMMANDS)
 
 
 def _reverse_standings(text):
@@ -403,15 +427,32 @@ def test_soak_contains_a_crashed_case(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "store").exists()  # --no-store
 
 
-def test_oracle_contains_a_crashed_cell_as_a_failed_check():
-    oracle = _crashing_at(SWEEPS["gro_reordering"], "perpacket")
-    report = oracle.run(seeds=(1,), scale=0.05)
-    assert [c.name for c in report.checks] == ["jobs_completed"]
-    check, = report.failures()
-    assert check.observed == {"n_failed": 1, "n_jobs": 2}
-    assert "validate/reorder/perpacket/seed1: " in check.detail
-    assert "cell exploded" in check.detail
-    assert not oracle.ok(report)
+def _tiny_claims(monkeypatch, check):
+    """Two cheap claim rows over gro_reordering in place of the table,
+    both checked by ``check``: ``crashes`` (its perpacket cell raises)
+    and ``judged``."""
+    from repro.validate import claims
+
+    tiny = dict(seeds=(1,), scale=0.05)
+    monkeypatch.setattr(claims, "CLAIMS", tuple(
+        claims.Claim(cid, "Fig 0", sweep, tiny, check)
+        for cid, sweep in (("crashes", "crashing"),
+                           ("judged", "gro_reordering"))))
+    monkeypatch.setitem(SWEEPS, "crashing", _crashing_at(
+        SWEEPS["gro_reordering"], "perpacket"))
+
+
+def test_oracle_contains_a_crashed_cell_as_a_failed_check(monkeypatch):
+    """A claim row whose sweep raises is one failed ``jobs_completed``
+    check carrying the error; the rows after it are still judged."""
+    _tiny_claims(monkeypatch, lambda stats, v: v.require("ran", True))
+    crashed, judged = SWEEPS["claims"].run(claims=("crashes", "judged"))
+    assert [c.name for c in crashed.checks] == ["jobs_completed"]
+    check, = crashed.failures()
+    assert "gro_reordering/perpacket/seed1: " in check.observed["error"]
+    assert "cell exploded" in check.observed["error"]
+    assert [c.name for c in judged.checks] == ["ran"] and judged.passed
+    assert not SWEEPS["claims"].ok([crashed, judged])
 
 
 def test_plain_sweep_still_raises_on_a_crashed_cell():
@@ -426,23 +467,16 @@ def test_failed_verdict_prints_table_writes_json_and_exits_1(
     """A failing check is a result, not an error: the table and
     ``runner_<sweep>.json`` carry the evidence, the exit status the
     verdict."""
-    oracle = SWEEPS["gro_reordering"]
-
-    def impossible(cells, p):
-        report = oracle.reduce(cells, p)
-        report.require("impossible", False, needed=1.0)
-        return report
-
-    monkeypatch.setitem(SWEEPS, "gro_reordering",
-                        replace(oracle, reduce=impossible))
-    assert runner_main(["run", "gro_reordering", *TINY["gro_reordering"],
+    _tiny_claims(monkeypatch,
+                 lambda stats, v: v.require("impossible", False, needed=1.0))
+    assert runner_main(["run", "claims", "--claims", "judged",
                         "--jobs", "1", "--quiet",
                         "--results-dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "impossible" in out and "FAIL" in out and "needed=1" in out
-    saved = from_jsonable(json.loads(
-        (tmp_path / "runner_gro_reordering.json").read_text())["data"])
-    assert [c.name for c in saved.failures()][-1] == "impossible"
+    saved, = from_jsonable(json.loads(
+        (tmp_path / "runner_claims.json").read_text())["data"])
+    assert [c.name for c in saved.failures()] == ["impossible"]
 
 
 def test_runner_list_names_every_sweep_and_search_preset(capsys):

@@ -2,10 +2,10 @@
 
 Tier 1: invariant/probe units against fabricated evidence, the
 ``TestbedConfig(validate=True)`` opt-in on a plain (non-soak) run, the
-report shape, and the oracles' argument validation through ``runner
-run``.  Tier 2 (nightly): a real oracle subset end-to-end through the
-CLI, ``runner_<oracle>.json`` and back.  (Verdict -> exit status and
-contained cell crashes are pinned in ``tests/test_sweeps.py``.)
+verdict shape, and argument validation through ``runner run``.  Tier 2
+(nightly): real claim rows end-to-end through the CLI,
+``runner_claims.json`` and back.  (Verdict -> exit status and contained
+cell crashes are pinned in ``tests/test_sweeps.py``.)
 """
 
 import json
@@ -15,7 +15,9 @@ import pytest
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.runner.cli import main as runner_main
 from repro.runner.serialize import from_jsonable
+from repro.runner.sweeps import SWEEPS
 from repro.units import msec
+from repro.validate.claims import Verdict
 from repro.validate.invariants import (
     InvariantReport,
     InvariantViolation,
@@ -23,9 +25,10 @@ from repro.validate.invariants import (
     bounded_transfers,
     byte_ledger,
 )
-from repro.validate.report import OracleReport
 
-ORACLES = ("fct_ordering", "tournament_ordering", "gro_reordering", "failover")
+#: the validation sweeps: the claims table's judge and the one sweep
+#: that exists only for a claim row
+ORACLES = ("claims", "gro_reordering")
 
 
 # --- fabricated-evidence fixtures for the online probe ----------------------
@@ -221,16 +224,16 @@ def test_validate_defaults_off_and_config_hash_unchanged():
     assert "validate" not in encoded["fields"]
 
 
-# --- report shapes -----------------------------------------------------------
+# --- verdict shape -----------------------------------------------------------
 
 def test_oracle_report_require_and_failures():
-    report = OracleReport(oracle="demo", figure="fig0", seeds=(1, 2))
-    report.require("good", True, detail="fine", x=1.5)
-    report.require("bad", 0, detail="nope", y=2.0)
-    assert not report.passed
-    assert [c.name for c in report.failures()] == ["bad"]
-    assert report.checks[1].passed is False  # coerced to bool
-    assert report.checks[0].observed == {"x": 1.5}
+    verdict = Verdict(claim="demo", figure="fig0")
+    verdict.require("good", True, x=1.5)
+    verdict.require("bad", 0, y=2.0)
+    assert not verdict.passed
+    assert [c.name for c in verdict.failures()] == ["bad"]
+    assert verdict.checks[1].passed is False  # coerced to bool
+    assert verdict.checks[0].observed == {"x": 1.5}
 
 
 # --- CLI argument validation --------------------------------------------------
@@ -244,16 +247,16 @@ def test_cli_list_names_all_oracles(capsys):
 
 @pytest.mark.parametrize("argv, fragment", [
     (["run"], "a sweep name is required"),
-    (["run", "failover", "--scale", "x"], "bad --scale"),
+    (["run", "compare", "--scale", "x"], "bad --scale"),
     (["run", "bogus_oracle"], "unknown sweep"),
-    (["run", "failover", "--jobs", "0"], "--jobs"),
-    (["run", "failover", "--jobs", "-2"], "--jobs"),
-    (["run", "failover", "--timeout", "0"], "--timeout"),
-    (["run", "failover", "--timeout", "-1"], "--timeout"),
-    (["run", "failover", "--scale", "0"], "--scale"),
-    (["run", "failover", "--scale", "-0.5"], "--scale"),
-    (["run", "failover", "--seeds", ""], "at least one seed"),
-    (["run", "failover", "--seeds", "1,x"], "integers"),
+    (["run", "compare", "--jobs", "0"], "--jobs"),
+    (["run", "compare", "--jobs", "-2"], "--jobs"),
+    (["run", "compare", "--timeout", "0"], "--timeout"),
+    (["run", "compare", "--timeout", "-1"], "--timeout"),
+    (["run", "compare", "--scale", "0"], "--scale"),
+    (["run", "compare", "--scale", "-0.5"], "--scale"),
+    (["run", "compare", "--seeds", ""], "at least one seed"),
+    (["run", "compare", "--seeds", "1,x"], "integers"),
 ])
 def test_cli_run_rejects_bad_arguments(argv, fragment, capsys):
     assert runner_main(argv) == 2
@@ -261,38 +264,36 @@ def test_cli_run_rejects_bad_arguments(argv, fragment, capsys):
 
 
 def test_run_oracles_validates_inputs():
-    from repro.validate.oracles import FAILOVER
-
+    claims, reordering = SWEEPS["claims"], SWEEPS["gro_reordering"]
+    with pytest.raises(ValueError, match="unknown claim"):
+        claims.run(claims=("fig99",))
     with pytest.raises(ValueError, match="seed"):
-        FAILOVER.run(seeds=())
+        reordering.run(seeds=())
     with pytest.raises(ValueError, match="scale"):
-        FAILOVER.run(seeds=(1,), scale=0)
+        reordering.run(seeds=(1,), scale=0)
     with pytest.raises(TypeError, match="names"):
-        FAILOVER.run(names=("failover",))
+        claims.run(names=("failover",))
 
 
-# --- tier 2: real oracles end-to-end -----------------------------------------
+# --- tier 2: real claim rows end-to-end --------------------------------------
 
 @pytest.mark.tier2
 def test_cli_run_end_to_end_writes_validation_json(tmp_path):
-    for oracle in ("gro_reordering", "failover"):
-        rc = runner_main([
-            "run", oracle,
-            "--seeds", "1,2", "--scale", "0.3", "--jobs", "2",
-            "--results-dir", str(tmp_path), "--quiet",
-        ])
-        assert rc == 0
-        report = from_jsonable(json.loads(
-            (tmp_path / f"runner_{oracle}.json").read_text())["data"])
-        assert report.oracle == oracle and report.passed
-        assert report.seeds == (1, 2)
-        assert report.checks
+    rc = runner_main([
+        "run", "claims", "--claims", "gro_reordering,failover",
+        "--jobs", "2", "--results-dir", str(tmp_path), "--quiet",
+    ])
+    assert rc == 0
+    verdicts = from_jsonable(json.loads(
+        (tmp_path / "runner_claims.json").read_text())["data"])
+    assert [v.claim for v in verdicts] == ["gro_reordering", "failover"]
+    assert all(v.passed and v.checks for v in verdicts)
 
 
 @pytest.mark.tier2
 def test_oracle_rerun_resumes_from_store(tmp_path, capsys):
     argv = [
-        "run", "failover", "--seeds", "1", "--scale", "0.2", "--jobs", "1",
+        "run", "claims", "--claims", "failover", "--jobs", "1",
         "--results-dir", str(tmp_path),
     ]
     assert runner_main(argv) == 0

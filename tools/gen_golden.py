@@ -59,12 +59,14 @@ TINY_CLOS = "clos:spines=2,leaves=2,hosts=2"
 #:
 #: Provenance: the rows of the first two blocks were generated by the
 #: code *before* the sweep was ported onto `repro.runner.sweep` (PR 12
-#: for the first, PR 14 for the oracles / soak / failure timeline, from
-#: the old `_fct_specs`/`_tournament_specs`/`_reorder_specs`/
-#: `_failover_specs`/`run_soak` spec construction), so they prove the
-#: store's cache keys survived the port.  The last block's sweeps had
-#: no store history (serial hand loops until PR 14); their rows were
-#: generated by the ported code and pin it from here on.
+#: for the first, PR 14 for the soak / failure timeline, from the old
+#: `run_soak` spec construction), so they prove the store's cache keys
+#: survived the port.  The last block's rows were generated by the
+#: current code and pin it from here on: those sweeps had no store
+#: history (serial hand loops until PR 14), or their cells moved
+#: module (`gro_reordering`, once an oracle).  The `claims` case is the
+#: cells of the oracle rows; its fct/failover rows keep the hashes the
+#: oracles' own cells had (`tests/test_sweeps.py` pins them).
 SWEEP_CASES = (
     "scalability",
     "oversub",
@@ -85,21 +87,14 @@ SWEEP_CASES = (
     "search --preset smoke (first rung)",
     "search --preset paper (first rung)",
     # -- parent-generated at PR 14 ------------------------------------
-    "fct_ordering",
-    "tournament_ordering",
-    "gro_reordering",
-    "failover",
-    "fct_ordering --seeds 1 --scale 0.2",
-    "tournament_ordering --seeds 1 --scale 0.2",
-    "gro_reordering --seeds 1 --scale 0.2",
-    "failover --seeds 1 --scale 0.2",
-    "fct_ordering --fidelity flow",
-    "fct_ordering --topology fat-tree:k=4",
-    "failover --fidelity flow",
     "soak",
     "soak --cases 3 --seed 1 --topology fat-tree:k=4",
     "failure",
-    # -- no store history: generated by the ported code ---------------
+    # -- generated by the current code --------------------------------
+    "gro_reordering",
+    "gro_reordering --seeds 1 --scale 0.2",
+    "claims --claims fct_ordering,fct_ordering_flow,failover,failover_flow,"
+    "gro_reordering,tournament_ordering",
     "flowlet_sizes",
     "gro_micro",
     "cpu_overhead",
@@ -154,6 +149,12 @@ def sweep_case_specs(case):
     name, *flags = shlex.split(case.replace(" (first rung)", ""))
     sweep = SWEEPS[name]
     params = sweep_params(sweep, run_parser(sweep).parse_args(flags))
+    if name == "claims":
+        from repro.validate.claims import CLAIMS
+
+        rows = {claim.id: claim for claim in CLAIMS}
+        return [spec for cid in params["claims"]
+                for spec in SWEEPS[rows[cid].sweep].specs(**rows[cid].params)]
     if sweep.cell is None:
         return _search_first_rung(params)
     return sweep.specs(**params)
