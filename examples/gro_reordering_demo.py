@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import Testbed, TestbedConfig
+from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.stats import mean, percentile
 from repro.units import msec

@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import Testbed, TestbedConfig
+from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.stats import percentile
 from repro.units import KB, msec, usec
 from repro.workloads.synthetic import stride_pairs

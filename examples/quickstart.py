@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import Testbed, TestbedConfig
+from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.collectors import Window
 from repro.metrics.stats import jain_fairness
 from repro.units import msec, usec

@@ -1,20 +1,1 @@
 """Experiment harness and one module per paper table/figure."""
-
-from repro.experiments.harness import SCHEMES, Testbed, TestbedConfig, format_table
-from repro.experiments.common import (
-    RunResult,
-    fct_percentiles,
-    normalize_to,
-    run_elephant_workload,
-)
-
-__all__ = [
-    "Testbed",
-    "TestbedConfig",
-    "SCHEMES",
-    "format_table",
-    "RunResult",
-    "run_elephant_workload",
-    "fct_percentiles",
-    "normalize_to",
-]

@@ -28,7 +28,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.harness import TestbedConfig
 from repro.metrics.stats import jain_fairness, mean
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.units import KB, msec
 from repro.workloads.synthetic import stride_pairs

@@ -21,9 +21,9 @@ from repro.experiments.schemes import scheme_names
 from repro.metrics.collectors import Window
 from repro.metrics.stats import jain_fairness, mean, percentile
 from repro.net.fabrics import as_spec
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.core import TelemetryConfig
 from repro.units import KB, msec, usec
 
 DEFAULT_WARM_NS = msec(15)

@@ -36,9 +36,9 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.streaming import StreamingQuantiles, TopK
 from repro.net.fabrics import as_spec
 from repro.net.routing import validate_trees
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.core import TelemetryConfig
 from repro.units import MB, msec
 from repro.workloads.tracedriven import (
     IncastWorkload,
@@ -257,5 +257,5 @@ FABRIC = Sweep(
     reduce=_reduce,
     table=_table,
 )
-fabric_specs = FABRIC.specs
+# benchmarks/ledger/ imports this alias; nothing else may.
 run_fabric_sweep = FABRIC.run

@@ -52,7 +52,8 @@ from repro.faults.metrics import (
 from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.collectors import Window
 from repro.metrics.stats import mean
-from repro.runner import JobSpec, ref_of
+from repro.runner.jobspec import JobSpec
+from repro.runner.serialize import ref_of
 from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.sim.rand import RandomStreams
 from repro.workloads.synthetic import random_bijection_pairs, stride_pairs

@@ -27,7 +27,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.harness import TestbedConfig
 from repro.metrics.stats import mean
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Sweep, seeds_param
 from repro.workloads.synthetic import stride_pairs
 
@@ -87,5 +87,3 @@ PERHOP_CMP = stride_cmp_sweep(
     "perhop_cmp", "Fig 14: Presto + shadow MACs vs per-hop ECMP on the "
     "flowcell ID, stride(8) on the 16-host Clos",
     ("presto", "presto_ecmp"))
-run_flowlet_cmp = FLOWLET_CMP.run
-run_perhop_cmp = PERHOP_CMP.run

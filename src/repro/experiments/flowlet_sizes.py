@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.net.fabrics import TopologySpec
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Param, Sweep
 from repro.units import MB, msec, usec
 
@@ -120,4 +120,3 @@ FLOWLET_SIZES = Sweep(
     reduce=lambda cells, p: {n: res for (n,), (res,) in cells},
     table=_table,
 )
-run_figure1 = FLOWLET_SIZES.run

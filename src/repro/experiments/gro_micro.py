@@ -32,7 +32,7 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.stats import mean, percentile
 from repro.net.fabrics import TopologySpec
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.units import SEC, msec
 from repro.workloads.synthetic import stride_pairs
@@ -120,7 +120,6 @@ GRO_MICRO = Sweep(
     reduce=lambda cells, p: {gro: res for (gro,), (res,) in cells},
     table=_fig5_table,
 )
-run_figure5 = GRO_MICRO.run
 
 
 REORDER_SCHEMES = ("presto", "perpacket")
@@ -305,4 +304,3 @@ CPU_OVERHEAD = Sweep(
     reduce=_fig6_reduce,
     table=_fig6_table,
 )
-run_figure6 = CPU_OVERHEAD.run

@@ -6,9 +6,9 @@ A *scheme* bundles what the paper varies between compared systems: the
 edge load balancer, the receiver GRO, how transfers are opened (its
 transport) and, for "Optimal", the topology override (a single
 non-blocking switch).  Schemes and transports are declared in
-:mod:`repro.experiments.schemes`; ``SCHEMES`` here is a live view of
-that registry, so registering a new scheme makes it runnable without
-touching this module.
+:mod:`repro.experiments.schemes`, so registering a new scheme makes it
+runnable without touching this module; ``scheme_names()`` there lists
+them.
 
 There is one :class:`Testbed`.  What differs between fidelities sits
 behind its *data plane* (``tb.plane``), picked from ``cfg.fidelity``
@@ -45,16 +45,14 @@ from repro.net.topology import Topology
 from repro.presto.controller import PrestoController
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
-from repro.telemetry import NULL_TELEMETRY, Telemetry, TelemetryConfig
-from repro.telemetry import instrument_testbed
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry, TelemetryConfig
+from repro.telemetry.instrument import instrument_testbed
 from repro.units import KB, MB, gbps, msec, usec
-
-
-def __getattr__(name: str):
-    # PEP 562: SCHEMES stays importable but reflects the live registry.
-    if name == "SCHEMES":
-        return scheme_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.validate.invariants import (
+    InvariantViolation,
+    ValidationProbe,
+    runtime_check,
+)
 
 
 @dataclass
@@ -166,15 +164,12 @@ class TestbedConfig:
             if isinstance(self.topology, str):
                 self.topology = TopologySpec.parse(self.topology)
             self.topology.validate()
+            (self.n_spines, self.n_leaves,
+             self.hosts_per_leaf) = self.topology.legacy_fields()
             if self.topology.kind == "clos":
-                # a 2-tier spec IS the historic trio: normalize onto it
-                # and drop the spec so hashes match pre-spec configs
-                (self.n_spines, self.n_leaves,
-                 self.hosts_per_leaf) = self.topology.legacy_fields()
+                # a 2-tier spec IS the historic trio: drop the spec so
+                # hashes match pre-spec configs
                 self.topology = None
-            else:
-                (self.n_spines, self.n_leaves,
-                 self.hosts_per_leaf) = self.topology.legacy_fields()
         if self.gro_override not in (None, "official", "presto"):
             raise ValueError(
                 f"gro_override must be None, 'official' or 'presto', "
@@ -270,9 +265,6 @@ class PacketPlane:
         if tb.telemetry.enabled:
             instrument_testbed(tb)
         if tb.cfg.validate:
-            # Local import: repro.validate imports this module.
-            from repro.validate.invariants import ValidationProbe
-
             tb.validation = ValidationProbe(tb)
 
     # --- traffic ----------------------------------------------------------
@@ -308,8 +300,6 @@ class PacketPlane:
         pass  # packet state is always current
 
     def check(self):
-        from repro.validate.invariants import runtime_check
-
         return runtime_check(self.tb)
 
     def counters(self) -> Counters:
@@ -510,8 +500,6 @@ class Testbed:
         self.sim.run(until=until_ns)
         self.plane.sync()
         if self.cfg.validate:
-            from repro.validate.invariants import InvariantViolation
-
             report = self.plane.check()
             self.last_invariant_report = report
             if not report.ok:
@@ -519,15 +507,3 @@ class Testbed:
                     f"{len(report.violations)} invariant violation(s) "
                     f"after run to t={until_ns}: "
                     + "; ".join(report.violations))
-
-
-def format_table(headers: List[str], rows: List[List[object]]) -> str:
-    """Plain-text table for experiment output, GitHub-markdown style."""
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-    lines = []
-    for r, row in enumerate(cells):
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-        if r == 0:
-            lines.append("-+-".join("-" * w for w in widths))
-    return "\n".join(lines)

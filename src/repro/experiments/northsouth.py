@@ -32,7 +32,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.stats import mean
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Sweep, seeds_param
 from repro.units import msec
 from repro.workloads.northsouth import NorthSouthWorkload
@@ -120,4 +120,3 @@ NORTHSOUTH = Sweep(
     reduce=_reduce,
     table=_table,
 )
-run_table2 = NORTHSOUTH.run

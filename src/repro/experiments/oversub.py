@@ -23,7 +23,7 @@ from repro.experiments.common import (
     run_elephant_workload,
 )
 from repro.experiments.harness import TestbedConfig
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.core import TelemetryConfig
 
 
 @dataclass
@@ -79,5 +79,3 @@ OVERSUB = elephant_grid_sweep(
     point_cls=OversubPoint,
     cell_fn=run_oversub_seed, config_fn=oversub_config,
 )
-oversub_specs = OVERSUB.specs
-run_oversub = OVERSUB.run

@@ -7,8 +7,8 @@ samples (Fig 8), loss rate (Fig 9a) and Jain fairness (Fig 9b).
 The sweep's unit of work is one (scheme, path count, seed) simulation
 — :func:`run_scalability_seed` — which the parallel runner
 (:mod:`repro.runner`) executes across worker processes.  The grid
-itself is the :data:`SCALABILITY` declaration; ``scalability_specs``
-and ``run_scalability`` are its derived ``specs``/``run``.
+itself is the :data:`SCALABILITY` declaration: ``SCALABILITY.specs``
+lists its cells and ``SCALABILITY.run`` runs them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.experiments.common import (
     run_elephant_workload,
 )
 from repro.experiments.harness import TestbedConfig
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.core import TelemetryConfig
 
 
 @dataclass
@@ -77,5 +77,3 @@ SCALABILITY = elephant_grid_sweep(
     point_cls=ScalabilityPoint,
     cell_fn=run_scalability_seed, config_fn=scalability_config,
 )
-scalability_specs = SCALABILITY.specs
-run_scalability = SCALABILITY.run

@@ -20,8 +20,8 @@ Adding a scheme does not touch the harness::
     ))
 
 and it is immediately runnable everywhere (``Testbed``, the sweep
-CLI's ``--schemes``, plotting scripts) because ``SCHEMES`` in
-:mod:`repro.experiments.harness` is a live view of this registry.  A
+CLI's ``--schemes``, plotting scripts) because they all read this
+registry through :func:`scheme_names` and :func:`get_scheme`.  A
 new *decision* is a few lines over the flow's state record (contract:
 :mod:`repro.lb.base`) that run unchanged at packet and flow fidelity.
 
@@ -156,8 +156,8 @@ def is_registered(name: str) -> bool:
 
 
 # --- the paper's eight comparable systems ------------------------------------
-# Registration order is the canonical SCHEMES order experiments iterate
-# in, so keep the original tuple's sequence.
+# Registration order is the canonical scheme_names() order experiments
+# iterate in, so keep the original tuple's sequence.
 
 register(Scheme(
     name="ecmp",

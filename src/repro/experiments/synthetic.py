@@ -31,10 +31,10 @@ from repro.experiments.common import (
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.collectors import Window
 from repro.metrics.stats import mean
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.sim.rand import RandomStreams
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.core import TelemetryConfig
 from repro.units import KB, MB, msec
 from repro.workloads.synthetic import (
     random_bijection_pairs,
@@ -226,5 +226,3 @@ SYNTHETIC = Sweep(
     reduce=_reduce,
     table=_table,
 )
-synthetic_specs = SYNTHETIC.specs
-run_figure15_16 = SYNTHETIC.run

@@ -27,8 +27,8 @@ by the bounded-memory P² collectors.  The driver then
   and nightly CI (``--check``) diffs the ranking against it.
 
 The grid, its flags and the artifact gate are the :data:`TOURNAMENT`
-declaration; ``tournament_specs``/``run_tournament`` are its derived
-``specs``/``run``.
+declaration: ``TOURNAMENT.specs`` lists its cells and
+``TOURNAMENT.run`` runs them.
 
 RepFlow's "mice at or below ECMP" claim is the ``tournament_ordering``
 row of :data:`repro.validate.claims.CLAIMS`: one doubled-load websearch
@@ -47,7 +47,7 @@ from repro.experiments.common import known_schemes
 from repro.experiments.fabric_sweep import fabric_cell_spec, fabric_grid_params
 from repro.experiments.schemes import scheme_names
 from repro.net.fabrics import as_spec
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.serialize import to_jsonable
 from repro.runner.sweep import Artifact, Param, Sweep
 from repro.units import msec
@@ -401,5 +401,6 @@ TOURNAMENT = Sweep(
     artifact=Artifact(TOURNAMENT_PATH, tournament_json, render_markdown,
                       drift=_ranking_diff),
 )
+# benchmarks/ledger/ imports these two aliases; nothing else may.
 tournament_specs = TOURNAMENT.specs
 run_tournament = TOURNAMENT.run

@@ -22,7 +22,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.stats import mean
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.units import SEC, msec
 from repro.workloads.tracedriven import TraceWorkload
@@ -124,4 +124,3 @@ TRACE = Sweep(
     reduce=_reduce,
     table=_table,
 )
-run_table1 = TRACE.run

@@ -24,8 +24,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.units import msec
-
 
 class _Action(NamedTuple):
     """One primitive, timed mutation of a named component."""
@@ -362,10 +360,3 @@ def random_schedule(
     assert schedule.restores_network(switches), \
         "random_schedule drew a non-restoring schedule"
     return schedule
-
-
-def classic_failure_schedule(at_ns: int = msec(20),
-                             link: str = "L1--S1") -> FaultSchedule:
-    """The paper's Fig 17/18 perturbation: one leaf uplink dies and
-    stays dead — symmetry before, failover + weighted after."""
-    return FaultSchedule.of(LinkDown(at_ns, link))

@@ -243,4 +243,5 @@ SOAK = Sweep(
          "violations"], report.rows()),
     ok=lambda report: report.ok,
 )
+# benchmarks/ledger/ imports this alias; nothing else may.
 run_soak = SOAK.run

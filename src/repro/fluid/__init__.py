@@ -17,8 +17,3 @@ telemetry when armed.
 at both fidelities and writes a per-metric divergence report
 (:mod:`repro.fluid.compare`).
 """
-
-from repro.fluid.allocator import max_min_allocation
-from repro.fluid.engine import FluidEngine
-
-__all__ = ["max_min_allocation", "FluidEngine"]

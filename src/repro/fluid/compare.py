@@ -35,7 +35,7 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.scalability import scalability_config
 from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.collectors import Window
-from repro.runner import JobSpec
+from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Artifact, Param, Sweep, seeds_param
 from repro.units import KB, SEC, msec
 

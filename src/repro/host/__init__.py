@@ -1,19 +1,1 @@
 """End-host stack: NIC offloads, GRO, CPU model, TCP, applications."""
-
-from repro.host.cpu import CpuCosts, ReceiverCpu
-from repro.host.gro import GroBase, OfficialGro, PrestoGro
-from repro.host.nic import Nic
-from repro.host.tcp import TcpReceiver, TcpSender
-from repro.host.host import Host
-
-__all__ = [
-    "CpuCosts",
-    "ReceiverCpu",
-    "GroBase",
-    "OfficialGro",
-    "PrestoGro",
-    "Nic",
-    "TcpSender",
-    "TcpReceiver",
-    "Host",
-]

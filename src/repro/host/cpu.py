@@ -55,18 +55,15 @@ class ReceiverCpu:
     def __init__(self, sim: Simulator, costs: CpuCosts = None):
         self.sim = sim
         self.costs = costs if costs is not None else CpuCosts()
-        self._busy_until = 0
+        #: when the work accepted so far completes
+        self._done_ns = 0
         self.busy_ns_total = 0
         #: (time, cumulative_busy_ns) checkpoints for utilization sampling
         self._samples: List[Tuple[int, int]] = [(0, 0)]
 
-    @property
-    def busy_until(self) -> int:
-        return self._busy_until
-
     def free_at(self) -> int:
         """Earliest time the core can take new work."""
-        return max(self.sim.now, self._busy_until)
+        return max(self.sim.now, self._done_ns)
 
     def consume(self, cost_ns: float) -> int:
         """Account ``cost_ns`` of work starting when the core is free;
@@ -75,9 +72,9 @@ class ReceiverCpu:
         if cost <= 0:
             return self.free_at()
         start = self.free_at()
-        self._busy_until = start + cost
+        self._done_ns = start + cost
         self.busy_ns_total += cost
-        return self._busy_until
+        return self._done_ns
 
     # --- utilization sampling -------------------------------------------------
 
@@ -85,8 +82,8 @@ class ReceiverCpu:
         """Record a (now, busy_total) point for later utilization math."""
         busy = self.busy_ns_total
         # Work scheduled into the future should not count as already done.
-        if self._busy_until > self.sim.now:
-            busy -= self._busy_until - self.sim.now
+        if self._done_ns > self.sim.now:
+            busy -= self._done_ns - self.sim.now
         self._samples.append((self.sim.now, max(0, busy)))
 
     def utilization(self, since_ns: int = 0, until_ns: int = None) -> float:

@@ -6,7 +6,3 @@ the values of an outgoing segment, pick a label index and a flowcell
 ID.  Presto's own policy (Algorithm 1) lives in
 :mod:`repro.presto.flowcell`.
 """
-
-from repro.lb.base import DIRECT, SPRAY, FlowState, Policy, VSwitch
-
-__all__ = ["VSwitch", "Policy", "FlowState", "SPRAY", "DIRECT"]

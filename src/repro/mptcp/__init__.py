@@ -1,7 +1,2 @@
 """Multipath TCP baseline: subflows over ECMP paths with coupled
 congestion control (LIA / OLIA-style)."""
-
-from repro.mptcp.coupled import CoupledCc, CoupledGroup
-from repro.mptcp.mptcp import MptcpConnection
-
-__all__ = ["CoupledGroup", "CoupledCc", "MptcpConnection"]

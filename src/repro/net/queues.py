@@ -34,10 +34,6 @@ class SharedBuffer:
         self.alpha = alpha
         self.used_bytes = 0
 
-    def release(self, size: int) -> None:
-        self.used_bytes -= size
-        assert self.used_bytes >= 0, "shared buffer accounting underflow"
-
 
 class DropTailQueue:
     """FIFO with a byte capacity; enqueue beyond capacity drops the packet."""
@@ -157,13 +153,3 @@ class DropTailQueue:
             else:
                 self.flow_bytes.pop(pkt.flow_id, None)
         return pkt
-
-    def clear(self) -> int:
-        """Drop everything queued (used when a link dies); returns count."""
-        n = len(self._queue)
-        if self.shared is not None:
-            self.shared.release(self.bytes_queued)
-        self._queue.clear()
-        self.bytes_queued = 0
-        self.flow_bytes.clear()
-        return n

@@ -156,9 +156,6 @@ class Switch:
         seen by packets, not by fluids already flowing)."""
         self.l2_table[mac] = port
 
-    def remove_route(self, mac: int) -> None:
-        self.l2_table.pop(mac, None)
-
     #: hop budget: a forwarding loop (e.g. mis-configured failover
     #: bounces) kills the packet instead of the simulator
     MAX_HOPS = 32

@@ -1,7 +1,7 @@
 """The four timed loops the perf ledger imports.
 
 ``benchmarks/ledger/direct.py`` is the only caller; this file goes when
-the ledger owns its own copies (ROADMAP item 1b).  Each loop is a plain
+the ledger owns its own copies (ROADMAP item 1a).  Each loop is a plain
 function ``fn(scale) -> (wall_s, units)`` that builds its own fixture
 (excluded from timing), runs a fixed-seed workload through public APIs
 only, and reports the wall time of the hot section plus the natural

@@ -274,7 +274,7 @@ def sweep_params(sweep: Sweep, ns: argparse.Namespace) -> Dict[str, Any]:
     results root)."""
     params = param_values(sweep.params, ns)
     if ns.trace or ns.metrics_out:
-        from repro.telemetry import TelemetryConfig
+        from repro.telemetry.core import TelemetryConfig
 
         root = ResultStore(ns.results_dir).root
         params["telemetry"] = TelemetryConfig(
@@ -283,6 +283,18 @@ def sweep_params(sweep: Sweep, ns: argparse.Namespace) -> Dict[str, Any]:
             trace_dir=os.path.join(root, "traces") if ns.trace else None,
         )
     return params
+
+
+def format_table(headers: List[str], rows: List[List[object]]) -> str:
+    """Plain-text table for experiment output, GitHub-markdown style."""
+    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    lines = []
+    for r, row in enumerate(cells):
+        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+        if r == 0:
+            lines.append("-+-".join("-" * w for w in widths))
+    return "\n".join(lines)
 
 
 def save_table(stem: str, name: str, table: str,
@@ -303,7 +315,6 @@ def save_table(stem: str, name: str, table: str,
 
 
 def _cmd_run(argv: List[str]) -> int:
-    from repro.experiments.harness import format_table
     from repro.runner.sweeps import SWEEPS
 
     if not argv or argv[0].startswith("-"):
@@ -405,8 +416,6 @@ def _cmd_store(ns: argparse.Namespace) -> int:
 
 
 def _cmd_summary(ns: argparse.Namespace) -> int:
-    from repro.experiments.harness import format_table
-
     store = ResultStore(ns.results_dir)
     rows: List[List[object]] = []
     total_elapsed = 0.0

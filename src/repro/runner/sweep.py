@@ -163,7 +163,7 @@ class Sweep:
     def _spec(self, trial: tuple, p: Dict[str, Any]) -> JobSpec:
         spec = self.cell(*trial, p)
         if p.get("telemetry") is not None:
-            from repro.telemetry import per_cell_telemetry
+            from repro.telemetry.core import per_cell_telemetry
 
             spec = replace(spec, kwargs={
                 **spec.kwargs,

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import TestbedConfig
-from repro.runner import JobSpec, collect_results
-from repro.runner.pool import STATUS_CACHED
+from repro.runner.jobspec import JobSpec
+from repro.runner.pool import STATUS_CACHED, collect_results
 from repro.runner.serialize import content_hash
 from repro.runner import sweep
 from repro.search.fitness import (

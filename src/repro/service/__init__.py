@@ -29,19 +29,3 @@ timestamps) to a local ``run_jobs`` run of the same specs.
 Start with ``python -m repro.service coordinator`` and see
 EXPERIMENTS.md "Sweep-as-a-service" for the full workflow.
 """
-
-from repro.service.protocol import (
-    DEFAULT_LEASE_TTL_S,
-    DEFAULT_MAX_QUEUE,
-    DEFAULT_PORT,
-    Backpressure,
-    ServiceError,
-)
-
-__all__ = [
-    "Backpressure",
-    "DEFAULT_LEASE_TTL_S",
-    "DEFAULT_MAX_QUEUE",
-    "DEFAULT_PORT",
-    "ServiceError",
-]

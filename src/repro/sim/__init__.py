@@ -1,6 +1,1 @@
 """Deterministic discrete-event simulation kernel."""
-
-from repro.sim.engine import Event, Simulator
-from repro.sim.rand import RandomStreams
-
-__all__ = ["Event", "Simulator", "RandomStreams"]

@@ -1,8 +1,8 @@
 """Simulation telemetry: metrics registry, event tracer, Testbed probes.
 
-Off by default.  Enable per run::
+Off by default.  Enable per run with a
+:class:`~repro.telemetry.core.TelemetryConfig`::
 
-    from repro.telemetry import TelemetryConfig
     tb = Testbed(cfg, telemetry=TelemetryConfig(trace=True, trace_dir="out"))
     ...
     snapshot = tb.telemetry.snapshot()       # sorted metrics dict
@@ -10,33 +10,3 @@ Off by default.  Enable per run::
 
 or from the runner CLI with ``--trace`` / ``--metrics-out``.
 """
-
-from repro.telemetry.core import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-    TelemetryConfig,
-    per_cell_telemetry,
-)
-from repro.telemetry.instrument import instrument_testbed
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.trace import Tracer
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "Telemetry",
-    "TelemetryConfig",
-    "Tracer",
-    "instrument_testbed",
-    "per_cell_telemetry",
-]

@@ -10,25 +10,4 @@ cannot pass silently.
 * **The paper's claims** (:mod:`repro.validate.claims`) — one table
   row per figure, table or ablation claim, judged by the ``claims``
   sweep (``python -m repro.runner run claims``).
-
-The top level imports only the invariants: the claims import the
-experiments, and ``repro.experiments.harness`` imports the probe.
 """
-
-from repro.validate.invariants import (
-    InvariantReport,
-    InvariantViolation,
-    ValidationProbe,
-    byte_ledger,
-    check_invariants,
-    runtime_check,
-)
-
-__all__ = [
-    "InvariantReport",
-    "InvariantViolation",
-    "ValidationProbe",
-    "byte_ledger",
-    "check_invariants",
-    "runtime_check",
-]

@@ -1,35 +1,1 @@
 """Workload generators for the paper's evaluation."""
-
-from repro.workloads.flows import EmpiricalDistribution
-from repro.workloads.synthetic import (
-    random_bijection_pairs,
-    random_pairs,
-    shuffle_workload,
-    stride_pairs,
-)
-from repro.workloads.tracedriven import (
-    DATAMINING_FLOW_SIZES,
-    KANDULA_FLOW_SIZES,
-    TRACE_PROFILES,
-    WEBSEARCH_FLOW_SIZES,
-    IncastWorkload,
-    TraceWorkload,
-    trace_profile,
-)
-from repro.workloads.northsouth import NorthSouthWorkload
-
-__all__ = [
-    "EmpiricalDistribution",
-    "stride_pairs",
-    "random_pairs",
-    "random_bijection_pairs",
-    "shuffle_workload",
-    "KANDULA_FLOW_SIZES",
-    "WEBSEARCH_FLOW_SIZES",
-    "DATAMINING_FLOW_SIZES",
-    "TRACE_PROFILES",
-    "trace_profile",
-    "TraceWorkload",
-    "IncastWorkload",
-    "NorthSouthWorkload",
-]

@@ -45,10 +45,6 @@ class EmpiricalDistribution:
                 )
         return pts[-1][0]
 
-    def mean_estimate(self, rng: random.Random, n: int = 10_000) -> float:
-        """Monte-Carlo mean (used to convert load targets to arrival rates)."""
-        return sum(self.sample(rng) for _ in range(n)) / n
-
     def scaled(self, factor: float) -> "EmpiricalDistribution":
         """Same shape with every value multiplied by ``factor`` (the
         paper scales its trace's flow sizes by 10)."""

@@ -20,8 +20,10 @@ import pytest
 
 from repro.experiments.goldens import FLOW_GOLDENS, golden_bytes, golden_run
 from repro.experiments.schemes import scheme_names
-from repro.runner import JobSpec, collect_results, run_jobs, to_jsonable
-from repro.telemetry import TelemetryConfig
+from repro.runner.jobspec import JobSpec
+from repro.runner.pool import collect_results, run_jobs
+from repro.runner.serialize import to_jsonable
+from repro.telemetry.core import TelemetryConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCHEMES = scheme_names()

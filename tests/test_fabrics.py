@@ -29,9 +29,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.fabric_sweep import (
+    FABRIC,
     FabricCellResult,
     fabric_config,
-    fabric_specs,
     run_fabric_cell,
 )
 from repro.experiments.harness import Testbed, TestbedConfig
@@ -561,8 +561,8 @@ def test_fabric_cell_rejects_unknown_workload():
 
 def test_fabric_specs_validate_topologies_up_front():
     with pytest.raises(ValueError):
-        fabric_specs(topologies=("fat-tree:k=5",))
-    specs = fabric_specs(topologies=("fat-tree:k=4",),
+        FABRIC.specs(topologies=("fat-tree:k=5",))
+    specs = FABRIC.specs(topologies=("fat-tree:k=4",),
                          workloads=("incast",), schemes=("presto",),
                          seeds=(1,))
     assert len(specs) == 1

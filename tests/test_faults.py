@@ -15,10 +15,9 @@ from repro.faults.schedule import (
     LinkUp,
     SwitchDown,
     SwitchUp,
-    classic_failure_schedule,
     random_schedule,
 )
-from repro.faults.soak import random_case, run_soak, run_soak_case
+from repro.faults.soak import SOAK, random_case, run_soak_case
 from repro.metrics.collectors import Window
 from repro.net.addresses import shadow_mac_tree
 from repro.sim.engine import Simulator
@@ -108,7 +107,7 @@ def test_random_schedule_deterministic_and_self_restoring():
 
 
 def test_classic_failure_schedule_is_permanent():
-    sched = classic_failure_schedule()
+    sched = FaultSchedule.of(LinkDown(msec(20), "L1--S1"))
     assert not sched.restores_network()
     assert sched.link_names() == ("L1--S1",)
 
@@ -347,7 +346,7 @@ def test_run_soak_case_holds_invariants():
 
 
 def test_run_soak_through_runner():
-    report = run_soak(n_cases=2, base_seed=1, jobs=1, store=None)
+    report = SOAK.run(n_cases=2, base_seed=1, jobs=1, store=None)
     assert report.ok, [r.violations for r in report.results if r]
     assert report.n_passed == 2
     assert len(report.rows()) == 2

@@ -19,16 +19,13 @@ import time
 import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.experiments.scalability import (
-    scalability_config,
-    scalability_specs,
-)
+from repro.experiments.scalability import SCALABILITY, scalability_config
 from repro.experiments.synthetic import run_synthetic_seed
 from repro.faults.schedule import FaultSchedule, LinkDown, random_schedule
 from repro.faults.soak import _fabric_names
 from repro.fluid.engine import FluidTransfer
-from repro.runner import collect_results, run_jobs, to_jsonable
-from repro.runner.serialize import content_hash
+from repro.runner.pool import collect_results, run_jobs
+from repro.runner.serialize import content_hash, to_jsonable
 from repro.units import KB, MB, msec, usec
 
 # --- satellite 1: omit-if-default serialization ------------------------------
@@ -45,7 +42,7 @@ def test_seed_config_hashes_unchanged():
     assert content_hash(TestbedConfig()) == SEED_DEFAULT_CONFIG_HASH
     assert (content_hash(scalability_config("presto", 4, 1))
             == SEED_SCALABILITY_CONFIG_HASH)
-    assert scalability_specs()[0].hash == SEED_SCALABILITY_SPEC_HASH
+    assert SCALABILITY.specs()[0].hash == SEED_SCALABILITY_SPEC_HASH
 
 
 def test_explicit_packet_hashes_like_default():
@@ -173,7 +170,7 @@ def test_fluid_serial_parallel_byte_identical():
     2-process pool produces byte-identical results: the allocator's
     sorted-order float reductions leave nothing for fork order or
     dict seeding to perturb."""
-    specs = scalability_specs(
+    specs = SCALABILITY.specs(
         schemes=("presto", "ecmp"), path_counts=(2, 4), seeds=(1,),
         warm_ns=msec(1), measure_ns=msec(2), with_probes=True,
         fidelity="flow",
@@ -216,7 +213,7 @@ def test_fluid_at_least_20x_faster_on_scalability_grid():
                 warm_ns=msec(1), measure_ns=msec(3), with_probes=True)
     walls = {}
     for fidelity in (None, "flow"):
-        specs = scalability_specs(fidelity=fidelity, **grid)
+        specs = SCALABILITY.specs(fidelity=fidelity, **grid)
         t0 = time.perf_counter()
         outcomes = run_jobs(specs, jobs=1)
         walls[fidelity] = time.perf_counter() - t0

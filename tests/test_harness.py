@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.harness import SCHEMES, Testbed, TestbedConfig, format_table
+from repro.experiments.harness import Testbed, TestbedConfig
+from repro.experiments.schemes import scheme_names
 from repro.host.gro import OfficialGro, PrestoGro
 from repro.lb.base import VSwitch
 from repro.lb.ecmp import Ecmp
@@ -11,6 +12,7 @@ from repro.lb.perpacket import PerPacket
 from repro.lb.presto_ecmp import PrestoEcmp
 from repro.net.switch import HASH_FLOW, HASH_FLOWCELL
 from repro.presto.flowcell import Presto
+from repro.runner.cli import format_table
 from repro.units import KB, msec, usec
 
 
@@ -20,7 +22,7 @@ def test_unknown_scheme_rejected():
 
 
 def test_all_schemes_construct():
-    for scheme in SCHEMES:
+    for scheme in scheme_names():
         tb = Testbed(TestbedConfig(scheme=scheme, n_spines=2, n_leaves=2,
                                    hosts_per_leaf=1))
         assert len(tb.hosts) == 2

@@ -6,7 +6,7 @@ without a store.  Tier 2: ~11 min serial.
 
 import pytest
 
-from repro.experiments.harness import format_table
+from repro.runner.cli import format_table
 from repro.runner.sweeps import SWEEPS
 from repro.validate.claims import CLAIMS, Verdict, verdict_table
 

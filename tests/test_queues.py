@@ -44,15 +44,6 @@ def test_capacity_must_be_positive():
         DropTailQueue(0)
 
 
-def test_clear():
-    q = DropTailQueue(100_000)
-    for _ in range(5):
-        q.enqueue(pkt())
-    assert q.clear() == 5
-    assert len(q) == 0
-    assert q.bytes_queued == 0
-
-
 def test_flow_tracking():
     q = DropTailQueue(100_000, track_flows=True)
     q.enqueue(pkt(1000, flow=1))
@@ -64,7 +55,7 @@ def test_flow_tracking():
     assert q.flow_bytes[1] == 1000 + HEADER_BYTES
     q.dequeue()
     assert 1 not in q.flow_bytes  # fully drained flows are evicted
-    q.clear()
+    q.dequeue()
     assert not q.flow_bytes
 
 

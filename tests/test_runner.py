@@ -17,16 +17,11 @@ import time
 import pytest
 
 from repro.experiments.harness import TestbedConfig
-from repro.experiments.scalability import run_scalability, scalability_specs
-from repro.runner import (
-    JobSpec,
-    ResultStore,
-    canonical_json,
-    collect_results,
-    from_jsonable,
-    run_jobs,
-    to_jsonable,
-)
+from repro.experiments.scalability import SCALABILITY
+from repro.runner.jobspec import JobSpec
+from repro.runner.pool import collect_results, run_jobs
+from repro.runner.serialize import canonical_json, from_jsonable, to_jsonable
+from repro.runner.store import ResultStore
 from repro.runner.cli import main as cli_main
 from repro.units import msec
 
@@ -158,8 +153,8 @@ def test_jobspec_executes_resolved_function():
 
 def test_parallel_matches_serial_scalability():
     kw = dict(schemes=("presto", "ecmp"), path_counts=(2,), seeds=(1, 2), **TINY)
-    serial = run_scalability(**kw, jobs=1)
-    parallel = run_scalability(**kw, jobs=2)
+    serial = SCALABILITY.run(**kw, jobs=1)
+    parallel = SCALABILITY.run(**kw, jobs=2)
     assert canonical_json(parallel) == canonical_json(serial)
 
 
@@ -186,7 +181,7 @@ def test_store_resume_skips_completed(tmp_path):
 
 
 def test_store_resume_from_pool_run(tmp_path):
-    specs = scalability_specs(("presto",), (2,), (1,), **TINY)
+    specs = SCALABILITY.specs(("presto",), (2,), (1,), **TINY)
     store = ResultStore(str(tmp_path))
     fresh = run_jobs(specs, jobs=2, store=store)
     cached = run_jobs(specs, jobs=2, store=store)

@@ -441,14 +441,14 @@ class TestTournamentRanking:
         assert not check.ok and check.ratio == pytest.approx(2.0)
 
     def test_specs_reject_unknown_inputs(self):
-        from repro.experiments.tournament import tournament_specs
+        from repro.experiments.tournament import TOURNAMENT
 
         with pytest.raises(ValueError, match="unknown scheme"):
-            tournament_specs(schemes=("nope",))
+            TOURNAMENT.specs(schemes=("nope",))
         with pytest.raises(ValueError, match="unknown workload"):
-            tournament_specs(schemes=("ecmp",), workloads=("nope",))
+            TOURNAMENT.specs(schemes=("ecmp",), workloads=("nope",))
         with pytest.raises(ValueError):
-            tournament_specs(schemes=("ecmp",), topologies=("nope:k=4",))
+            TOURNAMENT.specs(schemes=("ecmp",), topologies=("nope:k=4",))
 
     def test_registered_as_runner_sweep(self):
         from repro.runner.sweeps import SWEEPS
@@ -463,8 +463,8 @@ def test_tiny_tournament_is_deterministic(tmp_path):
     """The same grid twice — without a shared store — byte-identical
     JSON and a full set of standings/checks."""
     from repro.experiments.tournament import (
+        TOURNAMENT,
         render_markdown,
-        run_tournament,
         tournament_json,
     )
 
@@ -475,8 +475,8 @@ def test_tiny_tournament_is_deterministic(tmp_path):
         seeds=(1,),
         duration_ns=msec(2),
     )
-    first = run_tournament(**kwargs)
-    second = run_tournament(**kwargs)
+    first = TOURNAMENT.run(**kwargs)
+    second = TOURNAMENT.run(**kwargs)
     assert tournament_json(first) == tournament_json(second)
     assert [s.scheme for s in first.standings] == ["presto", "ecmp"] or \
            [s.scheme for s in first.standings] == ["ecmp", "presto"]

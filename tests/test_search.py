@@ -23,7 +23,7 @@ import random
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from repro.runner import ResultStore
+from repro.runner.store import ResultStore
 from repro.search.driver import (
     PRESETS,
     SearchSettings,

@@ -21,8 +21,11 @@ import urllib.request
 
 import pytest
 
-from repro.runner import JobSpec, ResultStore, run_jobs, to_jsonable
+from repro.runner.jobspec import JobSpec
 from repro.runner.lease import LeaseQueue
+from repro.runner.pool import run_jobs
+from repro.runner.serialize import to_jsonable
+from repro.runner.store import ResultStore
 from repro.service.cli import main as service_main
 from repro.service.coordinator import SweepCoordinator, serve
 from repro.service.protocol import Backpressure, request_json
@@ -493,7 +496,7 @@ def test_collect_sweep_specs_matches_direct_construction(
     """`submit` takes its flags from the sweep's own declaration and
     enqueues exactly the sweep's ``specs()`` — including parameters the
     old hard-copied flag list could not pass (--topology)."""
-    from repro.experiments.fabric_sweep import fabric_specs
+    from repro.experiments.fabric_sweep import FABRIC
     from repro.units import msec
 
     start, _ = coordinator_factory
@@ -503,7 +506,7 @@ def test_collect_sweep_specs_matches_direct_construction(
         "--workloads", "websearch", "--seeds", "1,2",
         "--duration-ms", "1"]) == 0
     assert "submitted 4 spec(s)" in capsys.readouterr().out
-    direct = fabric_specs(("fat-tree:k=4",), ("websearch",), seeds=(1, 2),
+    direct = FABRIC.specs(("fat-tree:k=4",), ("websearch",), seeds=(1, 2),
                           duration_ns=msec(1))
     queued = {job["id"]: job["label"] for job in coordinator.progress()["jobs"]}
     assert queued == {spec.hash: spec.label for spec in direct}

@@ -480,7 +480,7 @@ def test_failed_verdict_prints_table_writes_json_and_exits_1(
 
 
 def test_runner_list_names_every_sweep_and_search_preset(capsys):
-    from repro.search import PRESETS
+    from repro.search.driver import PRESETS
 
     assert runner_main(["list"]) == 0
     out = capsys.readouterr().out

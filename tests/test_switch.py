@@ -53,16 +53,6 @@ def test_no_route_drop_counted():
     assert sw.no_route_drops == 1
 
 
-def test_remove_route():
-    sim = Simulator()
-    sw = Switch("S")
-    p1, _ = wire(sim, sw, "p1")
-    sw.install_route(42, p1)
-    sw.remove_route(42)
-    sw.receive(pkt(42), None)
-    assert sw.no_route_drops == 1
-
-
 def test_ecmp_flow_hash_is_sticky_per_flow():
     sim = Simulator()
     sw = Switch("S")

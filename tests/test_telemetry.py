@@ -14,27 +14,21 @@ import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.scalability import (
+    SCALABILITY,
     run_scalability_seed,
     scalability_config,
-    scalability_specs,
 )
-from repro.runner import (
-    ResultStore,
-    canonical_json,
-    collect_results,
-    run_jobs,
-    to_jsonable,
-)
+from repro.runner.pool import collect_results, run_jobs
+from repro.runner.serialize import canonical_json, to_jsonable
+from repro.runner.store import ResultStore
 from repro.sim.engine import Simulator
-from repro.telemetry import (
+from repro.telemetry.core import (
     NULL_TELEMETRY,
-    Counter,
-    Histogram,
-    MetricsRegistry,
     TelemetryConfig,
-    Tracer,
     per_cell_telemetry,
 )
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
+from repro.telemetry.trace import Tracer
 from repro.units import msec
 
 TINY = dict(warm_ns=msec(2), measure_ns=msec(3))
@@ -143,11 +137,11 @@ def test_snapshot_deterministic_serial_vs_parallel(tmp_path):
         **TINY,
     )
     serial = collect_results(run_jobs(
-        scalability_specs(**specs_kwargs), jobs=1,
+        SCALABILITY.specs(**specs_kwargs), jobs=1,
         store=ResultStore(str(tmp_path / "serial")),
     ))
     parallel = collect_results(run_jobs(
-        scalability_specs(**specs_kwargs), jobs=2,
+        SCALABILITY.specs(**specs_kwargs), jobs=2,
         store=ResultStore(str(tmp_path / "parallel")),
     ))
     assert [canonical_json(r) for r in serial] == \
@@ -157,7 +151,7 @@ def test_snapshot_deterministic_serial_vs_parallel(tmp_path):
 
 def test_metric_snapshots_land_in_result_store(tmp_path):
     store = ResultStore(str(tmp_path))
-    specs = scalability_specs(
+    specs = SCALABILITY.specs(
         schemes=("presto",), path_counts=(2,), seeds=(1,),
         telemetry=TelemetryConfig(), **TINY,
     )

@@ -113,7 +113,7 @@ def _search_first_rung(params):
     """The jobs the search submits before it has seen any result."""
     from dataclasses import replace
 
-    from repro.runner import JobSpec
+    from repro.runner.jobspec import JobSpec
     from repro.runner.serialize import content_hash
     from repro.search.driver import PRESETS
     from repro.search.fitness import run_search_cell
@@ -453,7 +453,7 @@ def telemetry_snapshot_text():
     """tests/golden/telemetry_snapshot.json: per cell, one row per
     metric of its snapshot."""
     from repro.experiments.goldens import golden_run
-    from repro.telemetry import TelemetryConfig
+    from repro.telemetry.core import TelemetryConfig
 
     blocks = []
     for name in TELEMETRY_CELLS:
