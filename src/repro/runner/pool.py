@@ -299,6 +299,15 @@ def _run_leases(
         finish(lease.index,
                outcome_of(lease.spec, reply, lease.attempts, store))
 
+    def dispatch(worker: _Worker) -> None:
+        """Hand ``worker`` the next pending lease."""
+        worker.lease = queue.claim(ttl_s=timeout_s)
+        try:
+            worker.conn.send(to_jsonable(worker.lease.spec))
+        except OSError:
+            pass  # found dead: reads as EOF below
+        busy[worker.conn] = worker
+
     def lost(worker: _Worker, why: str) -> None:
         """``worker`` will never reply: replace it, charge its lease."""
         _retire(worker, kill=True)
@@ -313,26 +322,26 @@ def _run_leases(
                 settle(lease, execute_leased(to_jsonable(lease.spec)))
                 continue
             while queue.pending and len(busy) < workers:
-                worker = idle.pop() if idle else _spawn(ctx)
-                worker.lease = queue.claim(ttl_s=timeout_s)
-                try:
-                    worker.conn.send(to_jsonable(worker.lease.spec))
-                except OSError:
-                    pass  # found dead: reads as EOF below
-                busy[worker.conn] = worker
+                dispatch(idle.pop() if idle else _spawn(ctx))
             patience = None
             if timeout_s is not None:
                 nearest = min(w.lease.deadline for w in busy.values())
                 patience = max(0.0, nearest - time.monotonic())
             for conn in wait(list(busy), patience):
                 worker = busy.pop(conn)
+                lease = worker.lease
                 try:
                     reply = conn.recv()
                 except (EOFError, OSError):
                     lost(worker, "worker process died")
                     continue
-                idle.append(worker)
-                settle(worker.lease, reply)
+                # the worker starts its next job while this one settles;
+                # a charged retry still joins the back of the queue
+                if queue.pending:
+                    dispatch(worker)
+                else:
+                    idle.append(worker)
+                settle(lease, reply)
             for conn, worker in list(busy.items()):
                 if worker.lease.expired():
                     del busy[conn]

@@ -3,14 +3,15 @@
 The process pool in :mod:`repro.runner.pool` parallelizes a sweep
 across one machine's cores; this package stretches the same job model
 across machines with nothing but the standard library (``http.server``
-+ ``urllib``):
++ ``http.client``, one kept-alive connection per worker):
 
 * **coordinator** — owns the :class:`~repro.runner.lease.LeaseQueue`
   (the exact class the pool uses), the
   :class:`~repro.runner.store.ResultStore` and the dashboard;
 * **workers** — poll ``/claim`` for leases, run them through the same
   :func:`~repro.runner.pool.execute_leased` the pool's workers call,
-  heartbeat while running, and ``POST /complete`` its reply;
+  heartbeat while running, and ``POST /complete`` its reply, which
+  hands back the next lease;
 * **clients** — any ``run_jobs(..., service=URL)`` caller, including
   every sweep/validate/faults CLI via ``--service``.  The parameter
   search (``python -m repro.runner run search --service URL``) is the

@@ -1,10 +1,10 @@
 """Client glue: make ``run_jobs(..., service=URL)`` ride the coordinator.
 
 :func:`run_via_service` is the branch :func:`repro.runner.pool.run_jobs`
-takes for the jobs its local store could not satisfy: submit the spec
-payloads (chunked, honoring 429 backpressure), poll ``/results`` until
-every id is terminal, and turn each terminal answer into a
-:class:`JobOutcome` with the local pool's own
+takes for the jobs its local store could not satisfy: over one
+kept-alive connection, submit the spec payloads (chunked, honoring 429
+backpressure), poll ``/results`` until every id is terminal, and turn
+each terminal answer into a :class:`JobOutcome` with the local pool's own
 :func:`~repro.runner.pool.outcome_of`, handed back through the same
 ``finish`` callback — so callers see no difference beyond where the
 CPUs were.
@@ -32,9 +32,9 @@ from repro.runner.store import ResultStore
 from repro.service.protocol import (
     FAILED,
     Backpressure,
+    Connection,
     ServiceError,
     TERMINAL,
-    request_json,
 )
 
 #: specs per /submit request — bounds request size, not sweep size
@@ -67,20 +67,31 @@ def run_via_service(
     for index, spec in todo:
         by_id.setdefault(spec.hash, []).append((index, spec))
 
-    _submit(url, [spec for _, spec in todo], force=force, log=log)
+    with Connection(url) as conn:
+        _submit(conn, [spec for _, spec in todo], force=force, log=log)
+        _poll(conn, by_id, store=store, finish=finish, poll_s=poll_s)
 
+
+def _poll(
+    conn: Connection,
+    by_id: Dict[str, List[Tuple[int, JobSpec]]],
+    *,
+    store: Optional[ResultStore],
+    finish: Callable[[int, JobOutcome], None],
+    poll_s: float,
+) -> None:
+    """Poll ``/results`` until every id is terminal; ``finish`` each."""
     pending = set(by_id)
     consecutive_errors = 0
     while pending:
         time.sleep(poll_s)
         try:
-            _, body = request_json(
-                url, "/results", {"ids": sorted(pending)})
+            _, body = conn.request("/results", {"ids": sorted(pending)})
         except ServiceError as exc:
             consecutive_errors += 1
             if consecutive_errors >= MAX_CONSECUTIVE_ERRORS:
                 raise RuntimeError(
-                    f"coordinator at {url} unreachable for "
+                    f"coordinator at {conn.base_url} unreachable for "
                     f"{consecutive_errors} consecutive polls; "
                     f"{len(pending)} job(s) unresolved") from exc
             continue
@@ -106,7 +117,7 @@ def run_via_service(
 
 
 def _submit(
-    url: str,
+    conn: Connection,
     specs: List[JobSpec],
     *,
     force: bool,
@@ -118,8 +129,8 @@ def _submit(
         payloads = [to_jsonable(spec) for spec in chunk]
         while True:
             try:
-                status, body = request_json(
-                    url, "/submit", {"specs": payloads, "force": force})
+                status, body = conn.request(
+                    "/submit", {"specs": payloads, "force": force})
             except Backpressure as exc:
                 log(f"coordinator queue full; backing off "
                     f"{exc.retry_after_s:g}s before resubmitting "
@@ -127,6 +138,6 @@ def _submit(
                 time.sleep(exc.retry_after_s)
                 continue
             if status != 200:
-                raise ServiceError(
-                    f"submit to {url} failed (status {status}): {body}")
+                raise ServiceError(f"submit to {conn.base_url} failed "
+                                   f"(status {status}): {body}")
             break

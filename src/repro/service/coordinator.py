@@ -26,9 +26,10 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.runner.jobspec import JobSpec
 from repro.runner.lease import DEFAULT_MAX_RELEASES, LeaseQueue
@@ -134,7 +135,8 @@ class SweepCoordinator:
         self._queue = LeaseQueue(retries=retries, max_releases=max_releases)
         self._jobs: Dict[str, _Job] = {}
         self._workers: Dict[str, _Worker] = {}
-        self._completions: List[float] = []  # wall stamps, pruned to window
+        #: wall stamps, pruned to the window from the left
+        self._completions: Deque[float] = deque()
         self.counters = {name: Counter(name) for name in COUNTER_NAMES}
         self.started_unix = time.time()
 
@@ -371,7 +373,7 @@ class SweepCoordinator:
     def _prune_timeline(self) -> None:
         cutoff = time.time() - TIMELINE_WINDOW_S
         while self._completions and self._completions[0] < cutoff:
-            self._completions.pop(0)
+            self._completions.popleft()
 
     # --- dashboard ----------------------------------------------------------
 
@@ -463,9 +465,21 @@ MAX_BODY_BYTES = 64 << 20
 
 
 class CoordinatorHandler(BaseHTTPRequestHandler):
-    """Routes HTTP verbs onto one shared :class:`SweepCoordinator`."""
+    """Routes HTTP verbs onto one shared :class:`SweepCoordinator`.
+
+    Connections are HTTP/1.1 keep-alive: one handler thread serves one
+    connection's requests in turn until the peer hangs up or leaves it
+    idle for ``timeout`` seconds."""
 
     server_version = "repro-service/1"
+    protocol_version = "HTTP/1.1"
+    #: the headers and the body leave in two sends; with Nagle on, the
+    #: second waits for the client's delayed ACK (~40 ms per request)
+    disable_nagle_algorithm = True
+    #: seconds a connection may sit silent — idle between requests or
+    #: stalled mid-request — before it is closed and its thread freed.
+    #: A worker whose job outlasts it resends on a fresh connection.
+    timeout = 60.0
     #: set by make_server
     coordinator: SweepCoordinator = None  # type: ignore[assignment]
 
@@ -488,15 +502,20 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
     def _read_json(self) -> Optional[Dict[str, Any]]:
         """The request's JSON object; None, with the 400/413 already
         sent, for a body the peer must not be able to make us wait on,
-        buffer or index."""
+        buffer or index.  A refusal before the body is read closes the
+        connection (``send_header`` sets ``close_connection``): the
+        unread bytes must not be parsed as the next request."""
+        close = {"Connection": "close"}
         raw = self.headers.get("Content-Length") or "0"
         if not raw.isdecimal():  # "-1" would read until the peer hangs up
-            self._send_json(400, {"error": f"bad Content-Length {raw!r}"})
+            self._send_json(400, {"error": f"bad Content-Length {raw!r}"},
+                            headers=close)
             return None
         length = int(raw)
         if length > MAX_BODY_BYTES:
             self._send_json(413, {"error": f"body of {length} bytes exceeds "
-                                           f"{MAX_BODY_BYTES}"})
+                                           f"{MAX_BODY_BYTES}"},
+                            headers=close)
             return None
         try:
             body = json.loads(self.rfile.read(length)) if length else {}
@@ -533,9 +552,7 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
             if self.path == "/submit":
                 self._post_submit(body)
             elif self.path == "/claim":
-                job = self.coordinator.claim(
-                    str(body.get("worker") or self.client_address[0]))
-                self._send_json(200, {"job": job})
+                self._send_json(200, {"job": self._claim(body)})
             elif self.path == "/heartbeat":
                 out = self.coordinator.heartbeat(
                     str(body.get("worker") or ""),
@@ -550,7 +567,10 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
                     error=body.get("error"),
                     elapsed_s=float(body.get("elapsed_s") or 0.0),
                 )
-                self._send_json(200, {"accepted": accepted})
+                reply: Dict[str, Any] = {"accepted": accepted}
+                if body.get("claim"):  # the next lease, same round trip
+                    reply["job"] = self._claim(body)
+                self._send_json(200, reply)
             elif self.path == "/results":
                 out = self.coordinator.results(list(body.get("ids") or ()))
                 self._send_json(200, {"jobs": out})
@@ -570,6 +590,10 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 — a bad request must not kill the server
             self._send_json(
                 500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    def _claim(self, body: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        return self.coordinator.claim(
+            str(body.get("worker") or self.client_address[0]))
 
     def _post_submit(self, body: Dict[str, Any]) -> None:
         payloads = body.get("specs")

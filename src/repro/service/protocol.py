@@ -1,7 +1,9 @@
 """Wire protocol shared by the sweep coordinator, workers and clients.
 
-Everything rides JSON over HTTP/1.1 (stdlib ``http.server`` +
-``urllib``; no new dependencies).  Job payloads are the exact
+Everything rides JSON over HTTP/1.1 keep-alive connections (stdlib
+``http.server`` + ``http.client``; no new dependencies): a worker
+opens one :class:`Connection` and sends every ``/claim`` and
+``/complete`` over it.  Job payloads are the exact
 ``to_jsonable(JobSpec)`` dicts the local pool sends its workers, and a
 ``/complete`` body is what :func:`repro.runner.pool.execute_leased`
 returned for one plus the lease and worker ids — so a job's result
@@ -18,21 +20,28 @@ Endpoints (all bodies JSON)::
     POST /heartbeat  {"worker": name, "leases": [lease_id...]}
                      -> {"renewed": [...], "stale": [...]}
     POST /complete   {"lease": id, "worker": name, "ok": bool,
-                      "result": payload | "error": str, "elapsed_s": f}
-                     -> {"accepted": bool}
+                      "result": payload | "error": str, "elapsed_s": f,
+                      "claim": true (optional)}
+                     -> {"accepted": bool}; with "claim", also "job" in
+                        /claim's shape: the worker's next lease, one
+                        round trip per job
     POST /results    {"ids": [job_id...]}
                      -> {"jobs": {id: {"status", ...}}}
     POST /shutdown   {} -> {"ok": true}; the server exits afterwards
     GET  /api/progress -> the dashboard/status snapshot
     GET  /healthz      -> {"ok": true}
     GET  /             -> the HTML dashboard
+
+A connection stays open between requests until either side closes it:
+the coordinator closes one that sits idle for
+``CoordinatorHandler.timeout`` seconds, and after an error reply sent
+before the request body was read (400 bad ``Content-Length``, 413).
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Optional, Tuple
 
 DEFAULT_PORT = 8642
@@ -60,47 +69,113 @@ class Backpressure(Exception):
         self.retry_after_s = retry_after_s
 
 
+#: what a kept-alive connection the server has since closed fails with
+#: before any reply byte: the request reached no handler, so it is sent
+#: once more on a fresh connection
+_CLOSED_BY_PEER = (http.client.RemoteDisconnected, BrokenPipeError,
+                   ConnectionResetError)
+
+
+class Connection:
+    """One HTTP/1.1 connection to a coordinator, kept alive between
+    JSON round trips.
+
+    The socket opens on the first request and reopens after either
+    side closed it.  Not thread-safe: every thread that talks to the
+    coordinator owns its own.  Use as a context manager, or call
+    :meth:`close`; an open connection holds one coordinator handler
+    thread.
+    """
+
+    def __init__(self, base_url: str, timeout_s: float = 30.0) -> None:
+        self.base_url = base_url.rstrip("/")
+        self.timeout_s = timeout_s
+        scheme, _, rest = self.base_url.partition("://")
+        if scheme != "http":
+            raise ServiceError(f"not an http:// URL: {base_url!r}")
+        netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        try:
+            self._http = http.client.HTTPConnection(netloc, timeout=timeout_s)
+        except http.client.InvalidURL as exc:
+            raise ServiceError(f"bad coordinator URL {base_url!r}: "
+                               f"{exc}") from None
+
+    def __enter__(self) -> "Connection":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._http.close()
+
+    def request(
+        self,
+        path: str,
+        payload: Optional[Dict[str, Any]] = None,
+        timeout_s: Optional[float] = None,
+    ) -> Tuple[int, Any]:
+        """One JSON round trip: POST ``payload`` (or GET when None).
+
+        Returns ``(status_code, decoded_body)``.  Raises
+        :class:`Backpressure` on 429 and :class:`ServiceError` when the
+        coordinator is unreachable or replies with a non-JSON body.
+        """
+        url = self.base_url + path
+        method, body = "GET", None
+        headers = {"Accept": "application/json"}
+        if payload is not None:
+            method, body = "POST", json.dumps(payload).encode()
+            headers["Content-Type"] = "application/json"
+        timeout_s = self.timeout_s if timeout_s is None else timeout_s
+        if timeout_s != self._http.timeout:
+            self._http.timeout = timeout_s
+            if self._http.sock is not None:
+                self._http.sock.settimeout(timeout_s)
+        reused = self._http.sock is not None
+        try:
+            while True:
+                try:
+                    self._http.request(method, self._prefix + path, body,
+                                       headers)
+                    resp = self._http.getresponse()
+                    break
+                except _CLOSED_BY_PEER:
+                    self.close()
+                    if not reused:
+                        raise
+                    reused = False
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            self.close()
+            raise ServiceError(
+                f"coordinator unreachable at {url}: {exc}") from exc
+        status = resp.status
+        if status == 429:
+            try:
+                retry_after = float(resp.getheader("Retry-After", "1"))
+            except ValueError:
+                retry_after = 1.0
+            raise Backpressure(retry_after)
+        if not data:
+            return status, None
+        try:
+            return status, json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ServiceError(
+                f"coordinator at {url} replied non-JSON "
+                f"(status {status}): {data[:200]!r}") from exc
+
+
 def request_json(
     base_url: str,
     path: str,
     payload: Optional[Dict[str, Any]] = None,
     timeout_s: float = 30.0,
 ) -> Tuple[int, Any]:
-    """One JSON round-trip: POST ``payload`` (or GET when None).
-
-    Returns ``(status_code, decoded_body)``.  Raises
-    :class:`Backpressure` on 429 and :class:`ServiceError` when the
-    coordinator is unreachable or replies with a non-JSON body.
-    """
-    url = base_url.rstrip("/") + path
-    data = None
-    headers = {"Accept": "application/json"}
-    if payload is not None:
-        data = json.dumps(payload).encode()
-        headers["Content-Type"] = "application/json"
-    req = urllib.request.Request(url, data=data, headers=headers)
-    try:
-        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-            body = resp.read()
-            status = resp.status
-    except urllib.error.HTTPError as exc:
-        if exc.code == 429:
-            try:
-                retry_after = float(exc.headers.get("Retry-After", "1"))
-            except ValueError:
-                retry_after = 1.0
-            exc.close()
-            raise Backpressure(retry_after) from None
-        body = exc.read()
-        status = exc.code
-        exc.close()
-    except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
-        raise ServiceError(f"coordinator unreachable at {url}: {exc}") from exc
-    if not body:
-        return status, None
-    try:
-        return status, json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ServiceError(
-            f"coordinator at {url} replied non-JSON "
-            f"(status {status}): {body[:200]!r}") from exc
+    """One JSON round trip on a connection of its own, closed after it
+    (see :meth:`Connection.request`).  A caller that sends more than a
+    few requests keeps a :class:`Connection` instead."""
+    with Connection(base_url, timeout_s) as conn:
+        return conn.request(path, payload)

@@ -1,20 +1,24 @@
 """The sweep worker: claim, execute, heartbeat, complete, repeat.
 
-A worker is stateless — everything it knows about a job arrives in the
-``/claim`` response, and everything it produces leaves via
-``/complete``.  Execution is :func:`repro.runner.pool.execute_leased`,
-the body the local pool's workers run, and its reply is the
-``/complete`` body — so a result's encoded bytes are identical whether
-the job ran locally or across the service.
+A worker is stateless — everything it knows about a job arrives in its
+lease, and everything it produces leaves via ``/complete``.  Execution
+is :func:`repro.runner.pool.execute_leased`, the body the local pool's
+workers run, and its reply is the ``/complete`` body — so a result's
+encoded bytes are identical whether the job ran locally or across the
+service.
 
-While a job runs, a daemon heartbeat thread renews its lease every
-``ttl/3`` seconds.  If the heartbeat learns the lease went stale (the
-coordinator expired it during a partition and handed the job to
-someone else), the worker keeps computing but its eventual
-``/complete`` is rejected — the replacement attempt owns the job.  A
-worker that is SIGKILLed simply stops heartbeating, and the
-coordinator requeues its lease without charging the job's retry
-budget.
+A job costs one round trip: the worker keeps one connection open and
+its ``/complete`` asks for the next lease (``"claim": true``) whenever
+it would claim again anyway, so ``/claim`` is only the first request
+and the poll of an idle worker.
+
+One heartbeat thread per worker renews the running lease every
+``max(0.2, ttl/3)`` seconds, on a connection of its own.  If it learns
+the lease went stale (the coordinator expired it during a partition
+and handed the job to someone else), the worker keeps computing but
+drops the result — the replacement attempt owns the job.  A worker
+that is SIGKILLed simply stops heartbeating, and the coordinator
+requeues its lease without charging the job's retry budget.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ import os
 import socket
 import threading
 import time
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.runner.pool import execute_leased
-from repro.service.protocol import ServiceError, request_json
+from repro.service.protocol import Connection, ServiceError
 
 #: how long a fresh worker waits between empty /claim polls
 DEFAULT_POLL_S = 0.5
@@ -38,24 +42,69 @@ def default_worker_name() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _heartbeat_loop(
-    url: str,
-    worker: str,
-    lease_id: str,
-    ttl_s: float,
-    done: threading.Event,
-    stale: threading.Event,
-) -> None:
-    interval = max(0.2, ttl_s / 3.0)
-    while not done.wait(interval):
-        try:
-            _, body = request_json(
-                url, "/heartbeat", {"worker": worker, "leases": [lease_id]})
-        except ServiceError:
-            continue  # partition: keep computing, retry next beat
-        if lease_id in (body or {}).get("stale", ()):
-            stale.set()
-            return
+class _Heartbeat:
+    """A worker's one heartbeat thread.
+
+    It sleeps until :meth:`begin` names a lease, then renews that lease
+    every ``max(0.2, ttl/3)`` seconds until :meth:`end`.  A renewal
+    answered "stale" marks the lease and stops its beats.
+    """
+
+    def __init__(self, url: str, worker: str) -> None:
+        self._url = url
+        self._worker = worker
+        self._cond = threading.Condition()
+        self._lease: Optional[str] = None
+        self._ttl_s = 0.0
+        self._stale = False
+        self._closed = False
+        self._thread = threading.Thread(
+            target=self._run, name=f"heartbeat {worker}", daemon=True)
+        self._thread.start()
+
+    def begin(self, lease_id: str, ttl_s: float) -> None:
+        with self._cond:
+            self._lease, self._ttl_s, self._stale = lease_id, ttl_s, False
+            self._cond.notify()
+
+    def end(self) -> bool:
+        """Stop renewing; True if the lease went stale meanwhile."""
+        with self._cond:
+            self._lease = None
+            return self._stale
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
+        self._thread.join()
+
+    def _run(self) -> None:
+        with Connection(self._url) as conn:
+            while True:
+                with self._cond:
+                    self._cond.wait_for(lambda: self._closed or (
+                        self._lease is not None and not self._stale))
+                    if self._closed:
+                        return
+                    lease, ttl_s = self._lease, self._ttl_s
+                    # one interval of this lease, cut short when it ends
+                    if self._cond.wait_for(
+                            lambda: self._closed or self._lease != lease,
+                            max(0.2, ttl_s / 3.0)):
+                        continue
+                try:
+                    # a renewal later than the TTL comes too late anyway
+                    _, body = conn.request(
+                        "/heartbeat",
+                        {"worker": self._worker, "leases": [lease]},
+                        timeout_s=ttl_s)
+                except ServiceError:
+                    continue  # partition: keep computing, retry next beat
+                if lease in (body or {}).get("stale", ()):
+                    with self._cond:
+                        if self._lease == lease:
+                            self._stale = True
 
 
 def run_worker(
@@ -70,67 +119,78 @@ def run_worker(
 ) -> int:
     """Serve jobs from the coordinator at ``url`` until idle too long,
     ``max_jobs`` jobs are done, or ``stop`` is set.  Returns the number
-    of jobs executed (failures included — they were work)."""
+    of jobs executed (failures included — they were work).  Its
+    connections and heartbeat thread are gone when it returns."""
     worker = name or default_worker_name()
     _log = log or (lambda msg: None)
     stop = stop or threading.Event()
     executed = 0
     idle_since: Optional[float] = None
+    #: a lease the last /complete handed over; it is run even past stop
+    job: Optional[Dict[str, Any]] = None
     _log(f"worker {worker} polling {url}")
-    while not stop.is_set():
-        if max_jobs is not None and executed >= max_jobs:
-            break
-        try:
-            _, body = request_json(url, "/claim", {"worker": worker})
-            job = (body or {}).get("job")
-        except ServiceError as exc:
-            if idle_since is None:
-                idle_since = time.monotonic()
-            if (max_idle_s is not None
-                    and time.monotonic() - idle_since > max_idle_s):
-                _log(f"worker {worker}: coordinator unreachable for "
-                     f"{max_idle_s:.0f}s, giving up ({exc})")
-                return executed
-            stop.wait(poll_s)
-            continue
-        if job is None:
-            if idle_since is None:
-                idle_since = time.monotonic()
-            if (max_idle_s is not None
-                    and time.monotonic() - idle_since > max_idle_s):
-                _log(f"worker {worker}: idle {max_idle_s:.0f}s, exiting")
-                return executed
-            stop.wait(poll_s)
-            continue
-        idle_since = None
+    conn = Connection(url)
+    heartbeat = _Heartbeat(url, worker)
+    try:
+        while job is not None or not stop.is_set():
+            if job is None:
+                if max_jobs is not None and executed >= max_jobs:
+                    break
+                try:
+                    _, body = conn.request("/claim", {"worker": worker})
+                    job = (body or {}).get("job")
+                except ServiceError as exc:
+                    if idle_since is None:
+                        idle_since = time.monotonic()
+                    if (max_idle_s is not None
+                            and time.monotonic() - idle_since > max_idle_s):
+                        _log(f"worker {worker}: coordinator unreachable "
+                             f"for {max_idle_s:.0f}s, giving up ({exc})")
+                        return executed
+                    stop.wait(poll_s)
+                    continue
+                if job is None:
+                    if idle_since is None:
+                        idle_since = time.monotonic()
+                    if (max_idle_s is not None
+                            and time.monotonic() - idle_since > max_idle_s):
+                        _log(f"worker {worker}: idle {max_idle_s:.0f}s, "
+                             "exiting")
+                        return executed
+                    stop.wait(poll_s)
+                    continue
+            idle_since = None
 
-        lease_id = job["lease"]
-        _log(f"worker {worker}: running {job['label']} "
-             f"(attempt {job['attempts']}, lease {lease_id})")
-        done = threading.Event()
-        stale = threading.Event()
-        beat = threading.Thread(
-            target=_heartbeat_loop,
-            args=(url, worker, lease_id, float(job["ttl_s"]), done, stale),
-            daemon=True,
-        )
-        beat.start()
-        try:
-            outcome = execute_leased(job["payload"])
-        finally:
-            done.set()
-        executed += 1
-        if stale.is_set():
-            _log(f"worker {worker}: lease {lease_id} went stale mid-job; "
-                 "dropping result")
-            continue
-        body = {"lease": lease_id, "worker": worker, **outcome}
-        try:
-            _, reply = request_json(url, "/complete", body, timeout_s=60.0)
-        except ServiceError as exc:
-            _log(f"worker {worker}: could not report {job['label']}: {exc}")
-            continue
-        if not (reply or {}).get("accepted"):
-            _log(f"worker {worker}: completion of {job['label']} rejected "
-                 "(lease expired)")
+            lease_id, label = job["lease"], job["label"]
+            _log(f"worker {worker}: running {label} "
+                 f"(attempt {job['attempts']}, lease {lease_id})")
+            heartbeat.begin(lease_id, float(job["ttl_s"]))
+            try:
+                outcome = execute_leased(job["payload"])
+            finally:
+                stale = heartbeat.end()
+            executed += 1
+            job = None
+            if stale:
+                _log(f"worker {worker}: lease {lease_id} went stale "
+                     "mid-job; dropping result")
+                continue
+            body = {"lease": lease_id, "worker": worker, **outcome}
+            claim = not stop.is_set() and (
+                max_jobs is None or executed < max_jobs)
+            if claim:
+                body["claim"] = True
+            try:
+                _, reply = conn.request("/complete", body, timeout_s=60.0)
+            except ServiceError as exc:
+                _log(f"worker {worker}: could not report {label}: {exc}")
+                continue
+            reply = reply or {}
+            if not reply.get("accepted"):
+                _log(f"worker {worker}: completion of {label} rejected "
+                     "(lease expired)")
+            job = reply.get("job")
+    finally:
+        heartbeat.close()
+        conn.close()
     return executed

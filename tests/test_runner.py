@@ -87,6 +87,16 @@ def job_big(n):
     return "x" * n
 
 
+def job_logged(log, name, fail=False):
+    """Append ``name`` to the file ``log`` (run order), then maybe
+    raise; returns when it ran."""
+    with open(log, "a") as fh:
+        fh.write(name + "\n")
+    if fail:
+        raise RuntimeError(f"injected failure in {name}")
+    return time.monotonic()
+
+
 def job_pid():
     return os.getpid()
 
@@ -335,6 +345,38 @@ def test_large_reply_does_not_deadlock_the_loop():
                     for i in range(3)], jobs=2, retries=0, timeout_s=30.0)
     assert [o.status for o in out] == ["ok"] * 3
     assert all(o.result == "x" * n for o in out)
+
+
+def test_pool_hands_out_the_next_lease_before_settling(tmp_path, monkeypatch):
+    """A worker that replied starts its next job while the parent is
+    still writing the reply's store record."""
+    saved = {}
+    real_save = ResultStore.save
+
+    def slow_save(self, spec, *args):
+        time.sleep(0.3)
+        real_save(self, spec, *args)
+        saved[spec.label] = time.monotonic()
+
+    monkeypatch.setattr(ResultStore, "save", slow_save)
+    log = str(tmp_path / "order")
+    specs = [JobSpec.make(job_logged, label=f"j{i}", log=log, name=f"j{i}")
+             for i in range(2)]
+    out = run_jobs(specs, jobs=1, timeout_s=30.0,
+                   store=ResultStore(str(tmp_path / "store")))
+    assert [o.status for o in out] == ["ok", "ok"]
+    assert out[1].result < saved["j0"]  # j1 ran while j0's record was saved
+
+
+def test_pool_charged_retry_goes_to_the_back_of_the_queue(tmp_path):
+    log = str(tmp_path / "order")
+    specs = [JobSpec.make(job_logged, log=log, name="boom", fail=True),
+             JobSpec.make(job_logged, log=log, name="a"),
+             JobSpec.make(job_logged, log=log, name="b")]
+    out = run_jobs(specs, jobs=1, retries=1, timeout_s=30.0)
+    assert open(log).read().split() == ["boom", "a", "b", "boom"]
+    assert [(o.status, o.attempts) for o in out] == [
+        ("failed", 2), ("ok", 1), ("ok", 1)]
 
 
 def test_run_jobs_rejects_bad_jobs_count():

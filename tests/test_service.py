@@ -1,12 +1,14 @@
 """Tests for the sweep service (repro.service).
 
-Covers the ISSUE-mandated behaviors: a coordinator + two workers
-producing store records whose ``result`` (and spec/hash/label) fields
-are byte-identical to a local ``run_jobs`` run; a SIGKILLed worker's
-in-flight job requeued via lease expiry and finished elsewhere with
-its retry budget uncharged; 429 backpressure on a full queue; stale
-completions rejected; the ``/api/progress`` and dashboard endpoints;
-and the shared :class:`LeaseQueue` budget rules both executors ride.
+Covers: a coordinator + two workers producing store records whose
+``result`` (and spec/hash/label) fields are byte-identical to a local
+``run_jobs`` run; a SIGKILLed worker's in-flight job requeued via lease
+expiry and finished elsewhere with its retry budget uncharged; 429
+backpressure on a full queue; stale completions rejected; ``/complete``
+handing out the next lease; keep-alive connections that a silent peer
+cannot park and a worker leaves none of behind; the ``/api/progress``
+and dashboard endpoints; and the shared :class:`LeaseQueue` budget
+rules both executors ride.
 """
 
 import json
@@ -26,9 +28,15 @@ from repro.runner.lease import LeaseQueue
 from repro.runner.pool import run_jobs
 from repro.runner.serialize import to_jsonable
 from repro.runner.store import ResultStore
+from repro.service import worker as worker_mod
 from repro.service.cli import main as service_main
-from repro.service.coordinator import SweepCoordinator, serve
-from repro.service.protocol import Backpressure, request_json
+from repro.service.coordinator import CoordinatorHandler, serve
+from repro.service.protocol import (
+    Backpressure,
+    Connection,
+    ServiceError,
+    request_json,
+)
 from repro.service.worker import run_worker
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -331,6 +339,188 @@ def test_heartbeat_keeps_short_ttl_lease_alive(coordinator_factory):
     assert res["jobs"][spec.hash]["attempts"] == 1
 
 
+# --- /complete hands out the next lease --------------------------------------
+
+def _submit(url, specs):
+    request_json(url, "/submit", {"specs": [to_jsonable(s) for s in specs]})
+
+
+def _complete(url, lease, **extra):
+    return request_json(url, "/complete", {
+        "lease": lease, "worker": "w", "ok": True, "result": 1,
+        "elapsed_s": 0.1, **extra})[1]
+
+
+def test_complete_with_claim_carries_the_next_lease(coordinator_factory):
+    start, _ = coordinator_factory
+    coordinator, url = start(None)
+    specs = [JobSpec.make(job_ok, label=f"j{i}", value=i) for i in range(2)]
+    _submit(url, specs)
+    _, first = request_json(url, "/claim", {"worker": "w"})
+    reply = _complete(url, first["job"]["lease"], claim=True)
+    assert reply["accepted"] is True
+    assert set(reply["job"]) == set(first["job"])  # exactly /claim's shape
+    assert reply["job"]["id"] == specs[1].hash
+    assert reply["job"]["attempts"] == 1
+    # an empty queue answers a null lease
+    assert _complete(url, reply["job"]["lease"], claim=True) == {
+        "accepted": True, "job": None}
+    assert coordinator.counters["leases_granted"].value == 2
+    assert coordinator.counters["jobs_completed"].value == 2
+
+
+def test_complete_without_claim_is_answered_accepted_only(
+        coordinator_factory):
+    start, _ = coordinator_factory
+    coordinator, url = start(None)
+    _submit(url, [JobSpec.make(job_ok, label=f"j{i}", value=i)
+                  for i in range(2)])
+    _, first = request_json(url, "/claim", {"worker": "w"})
+    assert _complete(url, first["job"]["lease"]) == {"accepted": True}
+    assert coordinator.counters["leases_granted"].value == 1
+    assert coordinator.progress()["queue"]["pending"] == 1
+
+
+def test_stale_completion_with_claim_still_gets_a_lease(coordinator_factory):
+    start, _ = coordinator_factory
+    coordinator, url = start(None, lease_ttl_s=0.2)
+    spec = JobSpec.make(job_ok, label="j")
+    _submit(url, [spec])
+    _, claimed = request_json(url, "/claim", {"worker": "slow"})
+    time.sleep(0.3)  # expire without heartbeating
+    reply = _complete(url, claimed["job"]["lease"], claim=True)
+    assert reply["accepted"] is False
+    # the expired job, requeued uncharged, is the lease handed back
+    assert reply["job"]["id"] == spec.hash
+    assert reply["job"]["attempts"] == 1
+    assert coordinator.counters["stale_completions"].value == 1
+
+
+def _record_worker_connections(monkeypatch):
+    """The connections ``run_worker`` opens and the paths it requests."""
+    opened, paths = [], []
+
+    class Recorded(Connection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+        def request(self, path, *args, **kwargs):
+            paths.append(path)
+            return super().request(path, *args, **kwargs)
+
+    monkeypatch.setattr(worker_mod, "Connection", Recorded)
+    return opened, paths
+
+
+def test_worker_max_jobs_is_granted_exactly_that_many_leases(
+        coordinator_factory, monkeypatch):
+    start, _ = coordinator_factory
+    coordinator, url = start(None)
+    _submit(url, [JobSpec.make(job_ok, label=f"j{i}", value=i)
+                  for i in range(5)])
+    _, paths = _record_worker_connections(monkeypatch)
+    assert run_worker(url, name="w", max_jobs=3, poll_s=0.02,
+                      max_idle_s=None) == 3
+    # one round trip per job: each /complete brought the next lease
+    assert paths == ["/claim", "/complete", "/complete", "/complete"]
+    counters = {k: c.value for k, c in coordinator.counters.items()}
+    assert counters["leases_granted"] == 3
+    assert counters["jobs_completed"] == 3
+    assert counters["leases_expired"] == 0
+    assert coordinator.progress()["queue"] == {
+        "pending": 2, "in_flight": 0, "depth": 2, "max_queue": 1024}
+
+
+def test_worker_stopped_mid_job_requests_no_further_lease(
+        coordinator_factory):
+    start, _ = coordinator_factory
+    coordinator, url = start(None)
+    _submit(url, [JobSpec.make(job_nap, label="nap", duration=0.5),
+                  JobSpec.make(job_ok, label="next")])
+    stop = threading.Event()
+    timer = threading.Timer(0.2, stop.set)
+    timer.start()
+    try:
+        assert run_worker(url, name="w", stop=stop, poll_s=0.02,
+                          max_idle_s=None) == 1
+    finally:
+        timer.cancel()
+    assert coordinator.counters["leases_granted"].value == 1
+    assert coordinator.counters["jobs_completed"].value == 1
+    assert coordinator.progress()["queue"]["pending"] == 1
+
+
+def test_heartbeat_stress_many_workers_short_leases(coordinator_factory):
+    """More worker threads than cores, each beating short leases while
+    the interpreter switches threads as often as it can: every job runs
+    once, and no beat marks a lease other than its own stale."""
+    start, start_workers = coordinator_factory
+    coordinator, url = start(None, lease_ttl_s=0.6)
+    specs = [JobSpec.make(job_nap, label=f"nap{i}", duration=0.01 * i)
+             for i in range(24)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start_workers(url, 4)
+        outcomes = run_jobs(specs, service=url)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(o.status, o.attempts) for o in outcomes] == [("ok", 1)] * 24
+    counters = {k: c.value for k, c in coordinator.counters.items()}
+    assert counters["leases_granted"] == counters["jobs_completed"] == 24
+    assert counters["stale_completions"] == 0
+    assert counters["leases_renewed"] >= 1
+
+
+def _threads_left(baseline, timeout_s=10.0):
+    """Threads not in ``baseline`` still alive once up to ``timeout_s``
+    has passed: a closed connection's handler thread exits on EOF."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        extra = [t for t in threading.enumerate() if t not in baseline]
+        if not extra or time.monotonic() > deadline:
+            return extra
+        time.sleep(0.02)
+
+
+@pytest.mark.parametrize("exit_by", ["max_jobs", "idle", "stop", "exception"])
+def test_worker_teardown_leaves_nothing_running(
+        coordinator_factory, monkeypatch, exit_by):
+    """Whichever way ``run_worker`` returns, its heartbeat thread has
+    exited and both its connections are closed: no coordinator handler
+    thread stays parked on one."""
+    start, _ = coordinator_factory
+    # beats every 0.2 s, so the heartbeat's own connection is open too
+    coordinator, url = start(None, lease_ttl_s=0.6)
+    opened, _ = _record_worker_connections(monkeypatch)
+    _submit(url, [JobSpec.make(job_nap, label="nap", duration=0.5)])
+    stop = threading.Event()
+    kwargs = dict(name="w", poll_s=0.02, max_idle_s=None, stop=stop)
+    baseline = set(threading.enumerate())
+    if exit_by == "max_jobs":
+        kwargs["max_jobs"] = 1
+    elif exit_by == "idle":
+        kwargs["max_idle_s"] = 0.2
+    elif exit_by == "stop":
+        threading.Timer(0.2, stop.set).start()
+    else:
+        def crash(payload):
+            time.sleep(0.5)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(worker_mod, "execute_leased", crash)
+    if exit_by == "exception":
+        with pytest.raises(KeyboardInterrupt):
+            run_worker(url, **kwargs)
+    else:
+        assert run_worker(url, **kwargs) == 1
+    assert coordinator.counters["leases_renewed"].value >= 1
+    assert len(opened) == 2  # the worker's and its heartbeat's
+    assert all(conn._http.sock is None for conn in opened)
+    assert _threads_left(baseline) == []
+
+
 # --- backpressure ------------------------------------------------------------
 
 def test_submit_backpressure_429(coordinator_factory):
@@ -452,6 +642,99 @@ def test_hostile_bodies_are_refused_and_the_server_still_serves(
     assert not (tmp_path / "pwned").exists()
     status, reply = request_json(url, "/claim", {"worker": "w"})
     assert (status, reply) == (200, {"job": None})
+
+
+# --- keep-alive connections --------------------------------------------------
+
+def _address(url):
+    host, port = url.rsplit("/", 1)[1].split(":")
+    return host, int(port)
+
+
+def _read_to_eof(sock):
+    """Everything the server sends until it closes the connection."""
+    chunks = []
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            break  # closed with our unread bytes still in its buffer
+        if not chunk:
+            break
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("sent", [b"", b"POST /cla"],
+                         ids=["nothing", "half-a-request-line"])
+def test_hostile_silent_connection_is_closed(
+        coordinator_factory, monkeypatch, sent):
+    monkeypatch.setattr(CoordinatorHandler, "timeout", 0.5)
+    start, _ = coordinator_factory
+    _, url = start(None)
+    with socket.create_connection(_address(url), timeout=10) as sock:
+        sock.sendall(sent)
+        # the parked peer holds one handler thread, not the server
+        assert request_json(url, "/healthz") == (200, {"ok": True})
+        t0 = time.monotonic()
+        assert _read_to_eof(sock) == b""
+        assert time.monotonic() - t0 < 5
+    assert request_json(url, "/healthz") == (200, {"ok": True})
+
+
+@pytest.mark.parametrize("content_length, expected", [
+    ("-1", 400), ("999999999999", 413)], ids=["bad-length", "huge-length"])
+def test_hostile_refusal_before_the_body_closes_the_connection(
+        coordinator_factory, content_length, expected):
+    """The unread body must not be parsed as the next request: here it
+    is one, pipelined on the same socket, and it goes unanswered."""
+    start, _ = coordinator_factory
+    _, url = start(None)
+    host, port = _address(url)
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(
+            f"POST /claim HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+            + f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
+        reply = _read_to_eof(sock)
+    assert int(reply.split()[1]) == expected
+    assert b"\r\nconnection: close\r\n" in reply.lower()
+    assert reply.count(b"HTTP/1.1 ") == 1
+
+
+def test_hostile_429_keeps_a_reused_connection_usable(coordinator_factory):
+    start, _ = coordinator_factory
+    _, url = start(None, max_queue=2)
+    specs = [to_jsonable(JobSpec.make(job_ok, label=f"j{i}", value=i))
+             for i in range(3)]
+    with Connection(url) as conn:
+        assert conn.request("/healthz") == (200, {"ok": True})
+        sock = conn._http.sock
+        with pytest.raises(Backpressure):
+            conn.request("/submit", {"specs": specs})
+        status, body = conn.request("/submit", {"specs": specs[:2]})
+        assert status == 200
+        assert [j["status"] for j in body["jobs"]] == ["queued", "queued"]
+        assert conn._http.sock is sock  # one connection throughout
+
+
+def test_reused_connection_the_server_closed_is_resent_once(
+        coordinator_factory, monkeypatch):
+    monkeypatch.setattr(CoordinatorHandler, "timeout", 0.3)
+    start, _ = coordinator_factory
+    coordinator, url = start(None)
+    _submit(url, [JobSpec.make(job_ok, label="j")])
+    with Connection(url) as conn:
+        assert conn.request("/healthz") == (200, {"ok": True})
+        time.sleep(0.6)  # the server closes the idle connection
+        status, body = conn.request("/claim", {"worker": "w"})
+    assert status == 200 and body["job"]["attempts"] == 1
+    assert coordinator.counters["leases_granted"].value == 1
+    # a fresh connection that fails is an error, not a resend
+    with pytest.raises(ServiceError, match="unreachable"):
+        Connection("http://127.0.0.1:1").request("/healthz")
+    with pytest.raises(ServiceError, match="not an http"):
+        Connection("127.0.0.1:8642")
 
 
 # --- service CLI -------------------------------------------------------------

@@ -7,6 +7,9 @@ localhost, runs a tiny scalability sweep through
 sweep locally and asserts the two result stores hold the same records
 — same hashes, specs, labels and byte-identical ``result`` payloads
 (timestamps/elapsed are execution metadata and legitimately differ).
+The workers hold keep-alive connections and take each next lease from
+their ``/complete`` reply; the coordinator must report no expired
+lease and no stale completion.
 
 Usage::
 
@@ -109,6 +112,9 @@ def main():
             progress = json.load(r)
         assert progress["finished"] == progress["total"] > 0, progress
         assert len(progress["workers"]) == 2, progress["workers"]
+        counters = progress["counters"]
+        assert counters["leases_expired"] == 0, counters
+        assert counters["stale_completions"] == 0, counters
 
         svc = store_essence(svc_dir)
         local = store_essence(local_dir)
