@@ -3,12 +3,20 @@
 Instead of queueing packets, the engine keeps every active transfer as
 a set of *pipes* — (wire flow id, LB label, resolved port path, byte
 fraction) — and recomputes a weighted max-min fair allocation
-(:func:`repro.fluid.allocator.max_min_allocation`) whenever the flow
-population or the topology changes: transfer arrival, transfer
-completion, link up/down/rate events, and controller schedule pushes.
-Between reallocations rates are constant, so delivered bytes are exact
+(:func:`repro.fluid.allocator.fill`) whenever the flow population or
+the topology changes: transfer arrival, transfer completion, link
+up/down/rate events, and controller schedule pushes.  Between
+reallocations rates are constant, so delivered bytes are exact
 integrals and the next completion time is a single division — one sim
 event per transition instead of one per packet.
+
+The allocator's input stands between reallocations: the engine keeps
+one :class:`~repro.fluid.allocator.Leg` per port crossed, and a pipe
+(a :class:`~repro.fluid.allocator.Strand`) is a member of the legs of
+its path from when it is sliced or re-walked onto them until it is
+retired, re-walked off them or its transfer completes.  A
+reallocation walks pipes only when the forwarding epoch moved, then
+fills over the legs as they are.
 
 Fidelity anchors (what stays *identical* to the packet engine):
 
@@ -45,7 +53,7 @@ import math
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.fluid.allocator import max_min_allocation
+from repro.fluid.allocator import Leg, Strand, fill
 from repro.host.transfer import Transfer
 from repro.net.switch import Switch
 from repro.units import SEC
@@ -67,21 +75,22 @@ UNBOUNDED_CELLS_PER_LABEL = 8
 _UNWALKED = object()
 
 
-class _Pipe:
-    """One (wire flow, label, path) strand of a transfer's fluid."""
+class _Pipe(Strand):
+    """One (wire flow, label, path) strand of a transfer's fluid.  Its
+    ``weight`` is its byte fraction of the transfer and its ``rate``, in
+    bytes/ns, is set by each reallocation."""
 
-    __slots__ = ("flow_id", "dst_mac", "flowcell_id", "frac", "path",
-                 "epoch", "rate", "delivered")
+    __slots__ = ("flow_id", "dst_mac", "flowcell_id", "path", "epoch",
+                 "delivered")
 
     def __init__(self, flow_id: int, dst_mac: int, flowcell_id: int,
                  path: Optional[Tuple[str, ...]], epoch: int):
+        super().__init__()
         self.flow_id = flow_id
         self.dst_mac = dst_mac          # label as originally selected
         self.flowcell_id = flowcell_id  # representative cell (ECMP hash)
-        self.frac = 0.0                 # byte fraction of the transfer
         self.path = path                # port names, or None (blackholed)
         self.epoch = epoch              # forwarding epoch `path` was walked in
-        self.rate = 0.0                 # bytes/ns, set by realloc
         self.delivered = 0.0            # bytes carried by this pipe
 
 
@@ -136,6 +145,7 @@ class FluidTransfer(Transfer):
         """Fold current pipes' delivered bytes into the retired ledger
         (before re-slicing onto a new schedule)."""
         for pipe in self.pipes:
+            self.engine._unroute(pipe)
             self._retired[pipe.flow_id] = (
                 self._retired.get(pipe.flow_id, 0.0) + pipe.delivered)
         self.pipes = []
@@ -179,8 +189,12 @@ class FluidEngine:
         self._active: List[FluidTransfer] = []
         self._last_ns = 0
         self._ports: Dict[str, object] = {}  # port name -> Port
-        #: bytes/ns of every port in ``_ports``: the allocator's capacities
-        self._capacity: Dict[str, float] = {}
+        #: the allocator's standing input: one leg per port in
+        #: ``_ports`` (capacity in bytes/ns), whose members are the
+        #: routed pipes crossing it
+        self._legs: Dict[str, Leg] = {}
+        #: pipes with a path and a weight, i.e. members of their legs
+        self._routed: Dict[_Pipe, None] = {}
         self._leg_bytes: Dict[str, float] = {}
         self._realloc_times: set = set()
         self._reslice_pending = False
@@ -192,6 +206,8 @@ class FluidEngine:
         #: again only if it dates from an older epoch.  (Schedule pushes
         #: re-slice, which walks everything afresh.)
         self._fwd_epoch = 0
+        #: the epoch every active pipe's path was last checked against
+        self._walked_epoch = 0
         #: times at which a detection window opened by a link change
         #: closes and :class:`FailoverGroup` backups engage, ascending
         self._window_closes: Deque[int] = deque()
@@ -222,8 +238,9 @@ class FluidEngine:
     def _on_link_change(self, link) -> None:
         self._fwd_epoch += 1
         for port in link.ports:
-            if port.name in self._capacity:
-                self._capacity[port.name] = link.rate_bps / (8.0 * SEC)
+            leg = self._legs.get(port.name)
+            if leg is not None:
+                leg.set_capacity(link.rate_bps / (8.0 * SEC))
         self.request_realloc(0)
         if self.failover_latency_ns > 0:
             self._window_closes.append(self.sim.now + self.failover_latency_ns)
@@ -312,8 +329,10 @@ class FluidEngine:
             if pipe is None:
                 pipes[key] = pipe = _Pipe(flow_id, dst_mac, cell_id, path,
                                           epoch)
-            pipe.frac += nbytes / grand
+            pipe.weight += nbytes / grand
         transfer.pipes = list(pipes.values())
+        for pipe in transfer.pipes:
+            self._route(pipe)
 
     def _slice_flow(self, lb, flow_id: int, dst: int,
                     budget: Optional[float]):
@@ -395,7 +414,35 @@ class FluidEngine:
     def _see_port(self, port) -> None:
         if port.name not in self._ports:
             self._ports[port.name] = port
-            self._capacity[port.name] = port.link.rate_bps / (8.0 * SEC)
+            self._legs[port.name] = Leg(port.name,
+                                        port.link.rate_bps / (8.0 * SEC))
+
+    # --- the link index ---------------------------------------------------
+
+    def _route(self, pipe: _Pipe) -> None:
+        """Make a pipe with a path and a weight a member of its legs."""
+        if pipe.path is None or pipe.weight <= 0.0:
+            return
+        legs = self._legs
+        crossed = []
+        for name in pipe.path:
+            leg = legs[name]
+            if leg.members and leg.members[-1] is pipe:
+                continue  # a path may repeat a port: count it once
+            leg.join(pipe)
+            crossed.append(leg)
+        pipe.legs = crossed
+        self._routed[pipe] = None
+
+    def _unroute(self, pipe: _Pipe) -> None:
+        """Take a pipe out of its legs; it carries nothing until routed
+        again."""
+        if pipe.legs:
+            for leg in pipe.legs:
+                leg.leave(pipe)
+            pipe.legs = ()
+            del self._routed[pipe]
+        pipe.rate = 0.0
 
     # --- advancement ------------------------------------------------------
 
@@ -457,41 +504,41 @@ class FluidEngine:
             self._reslice_pending = False
             for transfer in self._active:
                 self._slice_transfer(transfer)
+        if self._walked_epoch != epoch:
+            self._walked_epoch = epoch
+            for transfer in self._active:
+                for pipe in transfer.pipes:
+                    if pipe.epoch != epoch:
+                        self._rewalk(transfer, pipe, now)
 
-        entries = []   # allocator input
-        routed = []    # pipes aligned with entries
-        for transfer in self._active:
-            for pipe in transfer.pipes:
-                if pipe.epoch != epoch:
-                    pipe.path = self.resolve_path(
-                        transfer.src, transfer.dst, pipe.flow_id,
-                        pipe.dst_mac, pipe.flowcell_id, now)
-                    pipe.epoch = epoch
-                pipe.rate = 0.0
-                if pipe.path is not None and pipe.frac > 0.0:
-                    entries.append((pipe.path, pipe.frac, None))
-                    routed.append(pipe)
-        if entries:
-            rates = max_min_allocation(entries, self._capacity)
-            for pipe, rate in zip(routed, rates):
-                pipe.rate = rate
+        if self._routed:
+            fill(self._legs.values(), self._routed)
             if self.validate:
-                self._check_allocation(entries, rates, self._capacity)
-
+                self._check_allocation()
         self._schedule_completion()
         self.reallocs += 1
 
-    def _check_allocation(self, entries, rates, capacity) -> None:
-        used: Dict[str, float] = {}
-        for (links, _w, _d), rate in zip(entries, rates):
-            for leg in links:
-                used[leg] = used.get(leg, 0.0) + rate
-        for leg in sorted(used):
-            cap = capacity[leg]
-            if used[leg] > cap * (1.0 + 1e-9) + 1e-15:
-                self.violations.append(
-                    f"t={self.sim.now}: allocation exceeds capacity on "
-                    f"{leg}: {used[leg]:.6g} > {cap:.6g} bytes/ns")
+    def _rewalk(self, transfer: FluidTransfer, pipe: _Pipe, now: int) -> None:
+        pipe.epoch = self._fwd_epoch
+        path = self.resolve_path(transfer.src, transfer.dst, pipe.flow_id,
+                                 pipe.dst_mac, pipe.flowcell_id, now)
+        if path != pipe.path:
+            self._unroute(pipe)
+            pipe.path = path
+            self._route(pipe)
+
+    def _check_allocation(self) -> None:
+        over = []
+        for leg in self._legs.values():
+            used = 0.0
+            for pipe in leg.members:
+                used += pipe.rate
+            if used > leg.cap * (1.0 + 1e-9) + 1e-15:
+                over.append((leg.name, used, leg.cap))
+        for name, used, cap in sorted(over):
+            self.violations.append(
+                f"t={self.sim.now}: allocation exceeds capacity on "
+                f"{name}: {used:.6g} > {cap:.6g} bytes/ns")
 
     def _schedule_completion(self) -> None:
         """Re-arm the completion timer for the transfer that, at the

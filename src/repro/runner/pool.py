@@ -13,6 +13,10 @@ is all of it:
   killed, in which case there is one worker.  Without fork there are
   never workers and timeouts are not enforced (a log note says so).
 
+A cell that runs in this process or in a forked worker is followed by
+a collection of the reference cycles it leaves (``_collecting``), so a
+long sweep's memory does not ride on garbage-collector timing.
+
 Failure handling: a job that raises is retried up to ``retries`` times,
 then reported failed in its outcome — it never kills the sweep.  A
 worker that *dies* (segfault, ``os._exit``) is EOF on its own pipe and a
@@ -33,12 +37,15 @@ serial, parallel and remote runs of the same spec are byte-identical.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.runner.jobspec import JobSpec
 from repro.runner.lease import Lease, LeaseQueue
@@ -88,6 +95,28 @@ def execute_leased(payload: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
                 "elapsed_s": time.monotonic() - t0}
     return {"ok": True, "result": result, "elapsed_s": time.monotonic() - t0}
+
+
+@contextmanager
+def _collecting() -> Iterator[None]:
+    """Run one cell, then free the reference cycles it leaves behind
+    (port and link, bound callbacks, pipes and their legs), so the next
+    cell starts from the same footprint.
+
+    The heap from before the cell is frozen while it runs, so the
+    closing collection scans only what the cell allocated; the young
+    collection first keeps what the loop made since the last cell out
+    of the freeze.  While frozen, a collection cannot free older
+    garbage either, so a loop that runs cells here ends with a full
+    collection.  The freeze is the process's own: a caller's
+    ``gc.freeze()`` does not outlive a cell run here."""
+    gc.collect(1)
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.collect()
+        gc.unfreeze()
 
 
 def outcome_of(
@@ -234,7 +263,9 @@ def _worker_main(conn: Connection, parent_end: Connection) -> None:
             payload = conn.recv()
             if payload is None:
                 return
-            conn.send(execute_leased(payload))
+            with _collecting():
+                reply = execute_leased(payload)
+            conn.send(reply)
     except (EOFError, OSError):
         return  # the parent is gone
 
@@ -319,7 +350,9 @@ def _run_leases(
         while not queue.idle:
             if not workers:
                 lease = queue.claim()
-                settle(lease, execute_leased(to_jsonable(lease.spec)))
+                with _collecting():
+                    reply = execute_leased(to_jsonable(lease.spec))
+                settle(lease, reply)
                 continue
             while queue.pending and len(busy) < workers:
                 dispatch(idle.pop() if idle else _spawn(ctx))
@@ -351,3 +384,5 @@ def _run_leases(
             _retire(worker, kill=False)
         for worker in busy.values():  # only on the way out of an exception
             _retire(worker, kill=True)
+        if not workers:
+            gc.collect()  # what the frozen heap made garbage meanwhile

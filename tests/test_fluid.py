@@ -26,7 +26,10 @@ from repro.faults.soak import _fabric_names
 from repro.fluid.engine import FluidTransfer
 from repro.runner.pool import collect_results, run_jobs
 from repro.runner.serialize import content_hash, to_jsonable
-from repro.units import KB, MB, msec, usec
+from repro.units import KB, MB, SEC, msec, usec
+from tests.reference_allocator import (
+    max_min_allocation as reference_allocation,
+)
 
 # --- satellite 1: omit-if-default serialization ------------------------------
 
@@ -228,10 +231,32 @@ FAST_CONTROL = dict(ctrl_detection_delay_ns=usec(300),
                     ctrl_reaction_delay_ns=usec(200))
 
 
-def _assert_cached_paths_are_fresh(tb):
+def _fresh_solve(engine):
+    """The allocation rebuilt from nothing kept: the routed pipes of the
+    active transfers, solved by the reference allocator over the links'
+    current rates.  Returns (pipes, rates, members by port name)."""
+    pipes, entries, members = [], [], {}
+    for transfer in engine._active:
+        for pipe in transfer.pipes:
+            if pipe.path is None or pipe.weight <= 0.0:
+                continue
+            pipes.append(pipe)
+            entries.append((pipe.path, pipe.weight, None))
+            for name in set(pipe.path):
+                members.setdefault(name, []).append(pipe)
+    capacity = {name: port.link.rate_bps / (8.0 * SEC)
+                for name, port in engine._ports.items()}
+    return pipes, reference_allocation(entries, capacity), members
+
+
+def _assert_kept_state_is_fresh(tb):
     """Wrap ``FluidEngine._realloc``: after every reallocation, every
     active pipe's kept ``path`` must be what a fresh walk of the switch
-    tables returns right now.  Returns the running count of comparisons."""
+    tables returns right now, every pipe's rate must be bitwise (sign of
+    zero included) what the reference allocator gives over entries
+    rebuilt from scratch, and every port's leg must hold exactly the
+    pipes crossing it, with their ascending weight sum.  Returns the
+    running count of pipes compared."""
     engine = tb.engine
     realloc = engine._realloc
     compared = [0]
@@ -246,6 +271,28 @@ def _assert_cached_paths_are_fresh(tb):
                     pipe.flowcell_id, now), (
                     f"t={now}: stale path on flow {pipe.flow_id}")
                 compared[0] += 1
+        pipes, rates, members = _fresh_solve(engine)
+        assert set(engine._routed) == set(pipes)
+        for pipe, rate in zip(pipes, rates):
+            assert (pipe.rate, math.copysign(1.0, pipe.rate)) == (
+                rate, math.copysign(1.0, rate)), (
+                f"t={now}: flow {pipe.flow_id} at {pipe.rate!r}, "
+                f"a fresh solve says {rate!r}")
+        for transfer in engine._active:
+            for pipe in transfer.pipes:
+                if pipe not in engine._routed:
+                    assert (pipe.rate, math.copysign(1.0, pipe.rate)) == (
+                        0.0, 1.0)
+        for name, leg in engine._legs.items():
+            fresh = members.get(name, [])
+            assert len(leg.members) == len(fresh)
+            assert set(leg.members) == set(fresh), f"t={now}: leg {name}"
+            assert leg.cap == engine._ports[name].link.rate_bps / (8.0 * SEC)
+            total = 0.0
+            for weight in sorted(pipe.weight for pipe in fresh):
+                total += weight
+            assert (leg.wsum, leg.dirty) == (total, False), (
+                f"t={now}: leg {name}")
 
     engine._realloc = checked
     return compared
@@ -288,7 +335,7 @@ def test_reused_paths_equal_fresh_walks_under_random_faults(scheme, topology):
                                     start_ns=rng.randrange(usec(100)))
                 tb.add_mice(1, n_hosts - 2, size_bytes=100 * KB,
                             interval_ns=usec(150), stop_ns=msec(5))
-                counter = _assert_cached_paths_are_fresh(tb)
+                counter = _assert_kept_state_is_fresh(tb)
                 tb.run(msec(6))
                 compared += counter[0]
     assert compared > 1_000  # the wrapper really ran
@@ -309,7 +356,7 @@ def test_arrival_on_the_timestamp_a_failover_window_closes(scheme):
     late = tb.add_elephant(1, 14, size_bytes=2 * MB,
                            start_ns=down_at + latency)
     FaultSchedule.of(LinkDown(down_at, "L1--S1")).arm(tb.sim, tb.topo)
-    counter = _assert_cached_paths_are_fresh(tb)
+    counter = _assert_kept_state_is_fresh(tb)
 
     tb.sim.run(until=down_at + latency - 1)
     assert any(pipe.path is None for pipe in inside.pipes)  # blackholed
@@ -320,6 +367,49 @@ def test_arrival_on_the_timestamp_a_failover_window_closes(scheme):
             assert pipe.path is not None and "L1->S1" not in pipe.path
     tb.run(msec(6))
     assert counter[0] and late.done and inside.done
+
+
+def test_link_index_equals_a_fresh_solve_through_every_kind_of_change():
+    """The engine keeps one leg per port between reallocations, so
+    every change that moves a pipe onto, off or along a leg is driven
+    here with each reallocation checked against a from-scratch solve:
+    arrivals and completions, the control plane's schedule pushes
+    (re-slices), a link going down and back up inside one failover
+    detection window, and a rate change on a leg that carries pipes."""
+    from repro.faults.schedule import LinkDegrade, LinkUp
+
+    latency, down_at = usec(50), usec(400)
+    tb = _chaos_testbed("presto", None, latency, control=True, seed=3)
+    engine = tb.engine
+    starts = [0]
+    start = engine._start_transfer
+
+    def counted_start(transfer):
+        starts[0] += 1
+        start(transfer)
+
+    engine._start_transfer = counted_start
+    carried_at_change = []
+    degraded = next(l for l in tb.topo.links if l.name == "L2--S3")
+    degraded.on_state_change.append(lambda link: carried_at_change.append(
+        any(engine._legs[p.name].members for p in link.ports
+            if p.name in engine._legs)))
+    FaultSchedule.of(
+        LinkDown(down_at, "L1--S1"), LinkUp(down_at + latency // 2, "L1--S1"),
+        LinkDegrade(usec(700), "L2--S3", 0.5, duration_ns=msec(1)),
+    ).arm(tb.sim, tb.topo)
+    tb.add_elephant(0, 15)
+    tb.add_elephant(4, 11, size_bytes=3 * MB, start_ns=usec(20))
+    tb.add_elephant(8, 7, size_bytes=2 * MB, start_ns=down_at + latency // 4)
+    tb.add_mice(1, 14, size_bytes=100 * KB, interval_ns=usec(150),
+                stop_ns=msec(5))
+    counter = _assert_kept_state_is_fresh(tb)
+    tb.run(msec(6))
+
+    assert counter[0] > 500 and not engine.violations
+    assert sum(t.done for t in engine.transfers) >= 10   # completions
+    assert engine.slices > starts[0]                     # schedule pushes
+    assert carried_at_change == [True, True]             # slowed, restored
 
 
 def test_cell_hashed_drop_does_not_blackhole_the_flows_other_cells():
@@ -333,7 +423,7 @@ def test_cell_hashed_drop_does_not_blackhole_the_flows_other_cells():
     FaultSchedule.of(LinkDown(down_at, "L1--S1")).arm(tb.sim, tb.topo)
     inside = tb.add_elephant(2, 13, size_bytes=4 * MB,
                              start_ns=down_at + usec(50))
-    counter = _assert_cached_paths_are_fresh(tb)
+    counter = _assert_kept_state_is_fresh(tb)
     tb.sim.run(until=down_at + usec(100))
 
     group = tb.topo.host_leaf[2].ecmp_default
@@ -346,7 +436,7 @@ def test_cell_hashed_drop_does_not_blackhole_the_flows_other_cells():
         assert tb.engine._cell_hashed
         assert (path is None) == (cell in dead)
 
-    lost = sum(p.frac for p in inside.pipes if p.path is None)
+    lost = sum(p.weight for p in inside.pipes if p.path is None)
     assert lost == pytest.approx(len(dead) / 64)
     assert {p.path[1] for p in inside.pipes if p.path} == {
         "L1->S2", "L1->S3", "L1->S4"}

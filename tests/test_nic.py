@@ -69,6 +69,18 @@ class TestTso:
         assert sum(p.payload_len for p in tx.pkts) == 64 * KB
         assert all(p.payload_len <= nic.mss for p in tx.pkts)
 
+    def test_tso_cuts_at_the_hosts_mss(self):
+        """A host's NIC cuts segments at its TCP's MSS, not the NIC
+        default."""
+        from repro.host.tcp import TcpConfig
+
+        sim = Simulator()
+        host = Host(sim, 0, model_cpu=False, tcp_cfg=TcpConfig(mss=1000))
+        tx = attach_tx(sim, host.nic)
+        host.nic.tx_segment(data_segment(10 * KB))
+        sim.run()
+        assert [p.payload_len for p in tx.pkts] == [1000] * 10 + [240]
+
     def test_replicates_mac_and_flowcell(self):
         """The property Presto relies on: TSO copies header fields to
         every derived packet."""

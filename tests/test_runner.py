@@ -8,22 +8,24 @@ plus serialization round-trips, spec hashing and the CLI.
 """
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
 import pickle
 import time
+import weakref
 
 import pytest
 
-from repro.experiments.harness import TestbedConfig
+from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.scalability import SCALABILITY
 from repro.runner.jobspec import JobSpec
 from repro.runner.pool import collect_results, run_jobs
 from repro.runner.serialize import canonical_json, from_jsonable, to_jsonable
 from repro.runner.store import ResultStore
 from repro.runner.cli import main as cli_main
-from repro.units import msec
+from repro.units import MB, msec
 
 TINY = dict(warm_ns=msec(2), measure_ns=msec(3))
 
@@ -99,6 +101,22 @@ def job_logged(log, name, fail=False):
 
 def job_pid():
     return os.getpid()
+
+
+#: a weak reference to the testbed of this process's last job_tiny_cell
+_LAST_TESTBED = []
+
+
+def job_tiny_cell(seed):
+    """Build, run and drop a tiny flow-fidelity testbed.  Returns
+    whether the previous one this process built was still in memory
+    when this cell started."""
+    lingering = bool(_LAST_TESTBED) and _LAST_TESTBED[0]() is not None
+    tb = Testbed(TestbedConfig(scheme="presto", seed=seed, fidelity="flow"))
+    tb.add_elephant(0, 15, size_bytes=MB)
+    tb.run(msec(1))
+    _LAST_TESTBED[:] = [weakref.ref(tb)]
+    return lingering
 
 
 # --- serialization ----------------------------------------------------------
@@ -547,3 +565,23 @@ def test_cli_rejects_nonpositive_timeout(capsys):
     assert "--timeout" in capsys.readouterr().err
     assert cli_main(["run", "scalability", "--timeout", "-3"]) == 2
     assert "--timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_runner_frees_each_cells_cycles(jobs):
+    """A testbed is reference cycles all through (port and link, bound
+    callbacks, pipes and their legs), so it outlives its cell until a
+    collection finds it.  The runner collects as each cell ends: with
+    automatic collection off, no cell — in-process or in a forked
+    worker — starts beside the last one's testbed."""
+    gc.collect()
+    gc.disable()
+    try:
+        _LAST_TESTBED.clear()
+        job_tiny_cell(1)
+        assert _LAST_TESTBED[0]() is not None   # outside the runner
+        gc.collect()
+        specs = [JobSpec.make(job_tiny_cell, seed=seed) for seed in range(4)]
+        assert collect_results(run_jobs(specs, jobs=jobs)) == [False] * 4
+    finally:
+        gc.enable()
