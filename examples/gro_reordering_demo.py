@@ -16,50 +16,23 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments.harness import Testbed, TestbedConfig
-from repro.metrics.reordering import ReorderTracker
-from repro.metrics.stats import mean, percentile
+from repro.experiments.gro_micro import run_fig5
+from repro.metrics.stats import percentile
 from repro.units import msec
 
 
 def run(gro: str) -> None:
-    from dataclasses import replace
-
-    # Fig 4b topology: 2 leaves, 2 spines, 2 hosts per leaf.  The
-    # receive window is pinned to 1 MB (testbed-autotuned scale): with
-    # the harness's scaled-down windows the two-path queues are too
-    # short/symmetric to reorder at all (see EXPERIMENTS.md, Fig 5).
-    cfg = TestbedConfig(
-        scheme="presto", n_spines=2, n_leaves=2, hosts_per_leaf=2,
-        gro_override=gro, seed=0,
-    )
-    cfg = replace(cfg, tcp=replace(cfg.tcp, rcv_wnd=1024 * 1024))
-    tb = Testbed(cfg)
-    trackers = {}
-    for dst in (2, 3):
-        trackers[dst] = ReorderTracker()
-        tb.hosts[dst].segment_tap = trackers[dst].observe
-
-    apps = [tb.add_elephant(0, 2), tb.add_elephant(1, 3)]
-    duration = msec(30)
-    tb.run(duration)
-
-    tput = mean([a.delivered_bytes() * 8 / (duration / 1e9) / 1e9 for a in apps])
-    ooo = [c for t in trackers.values() for c in t.out_of_order_counts()]
-    sizes = [s for t in trackers.values() for s in t.segment_sizes()]
-    masked = sum(1 for c in ooo if c == 0) / max(1, len(ooo))
-    spurious = sum(
-        tb.hosts[i].senders[a.flow_id].fast_retransmits
-        for i, a in enumerate(apps)
-    )
-    cpu = max(tb.hosts[d].cpu.utilization(0, duration) for d in (2, 3))
+    # Fig 4b topology: 2 leaves, 2 spines, 2 hosts per leaf, receive
+    # window pinned to 1 MB (see EXPERIMENTS.md, Fig 5).
+    cell = run_fig5(gro, duration_ns=msec(30))
 
     print(f"--- {gro} GRO ---")
-    print(f"  throughput          {tput:5.2f} Gbps per flow")
-    print(f"  receive-core usage  {cpu:5.0%}")
-    print(f"  flowcells w/o reordering exposed to TCP: {masked:.0%}")
-    print(f"  median segment pushed to TCP: {percentile(sizes, 50) / 1024:.1f} KB")
-    print(f"  spurious fast retransmits: {spurious}")
+    print(f"  throughput          {cell.throughput_bps / 1e9:5.2f} Gbps per flow")
+    print(f"  receive-core usage  {cell.cpu_utilization:5.0%}")
+    print(f"  flowcells w/o reordering exposed to TCP: {cell.frac_zero_ooo:.0%}")
+    print(f"  median segment pushed to TCP: "
+          f"{percentile(cell.segment_sizes, 50) / 1024:.1f} KB")
+    print(f"  spurious fast retransmits: {cell.fast_retransmits}")
     print()
 
 

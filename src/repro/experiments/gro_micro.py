@@ -11,20 +11,26 @@ Fig 6: receiver CPU utilization time series for Presto GRO (stride on
 the Clos, reordering present) vs official GRO (stride on a
 non-blocking switch, no reordering) — the paper's +6% overhead claim.
 
-Each figure is a two-cell sweep (one cell per GRO flavour):
-:data:`GRO_MICRO` over :func:`run_fig5`, :data:`CPU_OVERHEAD` over
-:func:`run_fig6`.
+The two-path cell is written once: :func:`run_reorder_cell` runs the
+elephants 0->2 and 1->3 on :func:`reorder_config`'s fabric, with a
+:class:`~repro.metrics.reordering.ReorderTracker` on each receiver,
+and returns a :class:`ReorderCell`.  Two sweeps run it:
 
-Figs 5/11 over seeds: :data:`GRO_REORDERING` runs the same two-path
-fabric per (scheme, seed) — Presto (flowcells + Presto GRO) against
-per-packet spraying into the stock GRO — and counts the disorder TCP
-sees: per-flowcell interleavings and segments delivered behind the
-highest sequence already delivered (:func:`run_reorder_cell`).
+* :data:`GRO_MICRO` (Fig 5), one cell per GRO flavour through
+  :func:`run_fig5`: Presto's flowcells into Presto's GRO or the stock
+  one;
+* :data:`GRO_REORDERING` (Figs 5/11 over seeds), one cell per
+  (scheme, seed): Presto (flowcells + Presto GRO) against per-packet
+  spraying into the stock GRO, reduced to the disorder TCP sees —
+  per-flowcell interleavings and segments delivered behind the highest
+  sequence already delivered.
+
+:data:`CPU_OVERHEAD` (Fig 6) is a two-cell sweep over :func:`run_fig6`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from repro.experiments.common import SCALE, scaled_ns
@@ -41,37 +47,54 @@ GROS = ("presto", "official")
 DURATION = Param("duration_ns", msec(40), "--duration-ms", "ms",
                  "simulated run length, ms (default: 40)")
 SEED = Param("seed", 0, "--seed", "int", "simulator seed (default: 0)")
+REORDER_SCHEMES = ("presto", "perpacket")
+REORDER_DURATION_NS = msec(25)
 
 
 @dataclass
-class GroMicroResult:
-    gro: str
+class ReorderCell:
+    """One two-path trial's raw evidence: Fig 5's curves and operating
+    point, and the disorder TCP saw."""
+
+    scheme: str
+    seed: int
+    gro: str                    # the receivers' GRO flavour
     throughput_bps: float       # mean per-flow goodput
-    cpu_utilization: float      # receive-core utilization, busiest host
-    ooo_counts: List[int]       # Fig 5a samples
+    cpu_utilization: float      # receive-core utilization, busiest receiver
+    #: per-flowcell interleave counts (Fig 5a; only meaningful for
+    #: schemes that actually batch segments into flowcells)
+    ooo_counts: List[int]
     segment_sizes: List[int]    # Fig 5b samples
+    pushed_segments: int
+    #: segments delivered to TCP behind the highest sequence already
+    #: delivered for their flow — scheme-agnostic TCP-visible disorder
+    ooo_segments: int
     retx_bytes: int
     fast_retransmits: int
 
     @property
     def frac_zero_ooo(self) -> float:
+        """Fraction of flowcells with no interleaving; 1 when none was seen."""
         if not self.ooo_counts:
             return 1.0
         return sum(1 for c in self.ooo_counts if c == 0) / len(self.ooo_counts)
 
 
-def run_fig5(gro: str, duration_ns: int = msec(40), seed: int = 0) -> GroMicroResult:
-    """One curve of Fig 5a/5b: ``gro`` is "presto" or "official".
+def reorder_config(scheme: str, seed: int) -> TestbedConfig:
+    """The Fig 4b two-path fabric, receive window pinned to 1 MB (vs the
+    harness's scaled 640 KB): with tiny windows the two-path queues stay
+    so short and symmetric that spraying barely reorders — the
+    testbed's autotuned windows are what make its queues breathe enough
+    to reorder, and that oscillation is the phenomenon under test."""
+    cfg = TestbedConfig(scheme=scheme, topology=TopologySpec.clos(2, 2, 2),
+                        seed=seed)
+    return replace(cfg, tcp=replace(cfg.tcp, rcv_wnd=1024 * 1024))
 
-    This experiment pins the receive window to 1 MB (vs the harness's
-    scaled 640 KB): with tiny windows the two-path queues stay so short
-    and symmetric that spraying barely reorders — the testbed's
-    autotuned windows are what make its queues breathe enough to
-    reorder, and that oscillation is the phenomenon under test."""
-    cfg = TestbedConfig(scheme="presto",
-                        topology=TopologySpec.clos(2, 2, 2),
-                        gro_override=gro, seed=seed)
-    cfg = replace(cfg, tcp=replace(cfg.tcp, rcv_wnd=1024 * 1024))
+
+def run_reorder_cell(cfg: TestbedConfig,
+                     duration_ns: int = REORDER_DURATION_NS) -> ReorderCell:
+    """Elephants 0->2 and 1->3 over the two paths, a tracker on each
+    receiver — the picklable job unit."""
     tb = Testbed(cfg)
     trackers = []
     for dst in (2, 3):
@@ -82,17 +105,28 @@ def run_fig5(gro: str, duration_ns: int = msec(40), seed: int = 0) -> GroMicroRe
     tb.run(duration_ns)
     rates = [a.delivered_bytes() * 8 * SEC / duration_ns for a in apps]
     senders = [tb.hosts[i].senders[a.flow_id] for i, a in enumerate(apps)]
-    return GroMicroResult(
-        gro=gro,
+    return ReorderCell(
+        scheme=cfg.scheme,
+        seed=cfg.seed,
+        gro=tb.hosts[2].gro.name,
         throughput_bps=mean(rates),
         cpu_utilization=max(
-            tb.hosts[dst].cpu.utilization(0, duration_ns) for dst in (2, 3)
-        ),
+            tb.hosts[dst].cpu.utilization(0, duration_ns) for dst in (2, 3)),
         ooo_counts=[c for t in trackers for c in t.out_of_order_counts()],
         segment_sizes=[s for t in trackers for s in t.segment_sizes()],
+        pushed_segments=sum(t.pushed for t in trackers),
+        ooo_segments=sum(t.behind for t in trackers),
         retx_bytes=sum(s.bytes_retx for s in senders),
         fast_retransmits=sum(s.fast_retransmits for s in senders),
     )
+
+
+def run_fig5(gro: str, duration_ns: int = msec(40), seed: int = 0) -> ReorderCell:
+    """One curve of Fig 5a/5b: Presto's flowcells into ``gro``
+    ("presto" or "official") at the receivers."""
+    return run_reorder_cell(
+        replace(reorder_config("presto", seed), gro_override=gro),
+        duration_ns)
 
 
 def _fig5_table(results):
@@ -106,7 +140,7 @@ def _fig5_table(results):
              for gro, res in results.items()])
 
 
-#: keyed gro flavour -> GroMicroResult
+#: keyed gro flavour -> ReorderCell
 GRO_MICRO = Sweep(
     name="gro_micro",
     description="Fig 5: Presto GRO vs official GRO under flowcell "
@@ -120,77 +154,6 @@ GRO_MICRO = Sweep(
     reduce=lambda cells, p: {gro: res for (gro,), (res,) in cells},
     table=_fig5_table,
 )
-
-
-REORDER_SCHEMES = ("presto", "perpacket")
-REORDER_DURATION_NS = msec(25)
-
-
-@dataclass
-class ReorderCell:
-    """One (scheme, seed) reordering trial's raw evidence."""
-
-    scheme: str
-    seed: int
-    #: per-flowcell interleave counts (Fig 5a; only meaningful for
-    #: schemes that actually batch segments into flowcells)
-    ooo_counts: List[int] = field(default_factory=list)
-    pushed_segments: int = 0
-    #: segments delivered to TCP behind the highest sequence already
-    #: delivered for their flow — scheme-agnostic TCP-visible disorder
-    ooo_segments: int = 0
-
-
-class _SeqOrderTap:
-    """Segment tap: feed the ReorderTracker and count sequence-order
-    violations as TCP would see them."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self._hi: Dict[int, int] = {}
-        self.total = 0
-        self.ooo = 0
-
-    def __call__(self, seg) -> None:
-        self.inner(seg)
-        hi = self._hi.get(seg.flow_id)
-        self.total += 1
-        if hi is not None and seg.seq < hi:
-            self.ooo += 1
-        if hi is None or seg.end_seq > hi:
-            self._hi[seg.flow_id] = seg.end_seq
-
-
-def reorder_config(scheme: str, seed: int) -> TestbedConfig:
-    """The Fig 4b two-path fabric, receive window pinned to 1 MB so the
-    path queues breathe enough to reorder (see :func:`run_fig5`)."""
-    cfg = TestbedConfig(scheme=scheme, n_spines=2, n_leaves=2,
-                        hosts_per_leaf=2, seed=seed)
-    return replace(cfg, tcp=replace(cfg.tcp, rcv_wnd=1024 * 1024))
-
-
-def run_reorder_cell(cfg: TestbedConfig,
-                     duration_ns: int = REORDER_DURATION_NS) -> ReorderCell:
-    """One (scheme, seed) trial — the picklable job unit."""
-    tb = Testbed(cfg)
-    trackers = []
-    taps = []
-    for dst in (2, 3):
-        tracker = ReorderTracker()
-        tap = _SeqOrderTap(tracker.observe)
-        tb.hosts[dst].segment_tap = tap
-        trackers.append(tracker)
-        taps.append(tap)
-    tb.add_elephant(0, 2)
-    tb.add_elephant(1, 3)
-    tb.run(duration_ns)
-    return ReorderCell(
-        scheme=cfg.scheme,
-        seed=cfg.seed,
-        ooo_counts=[c for t in trackers for c in t.out_of_order_counts()],
-        pushed_segments=sum(tap.total for tap in taps),
-        ooo_segments=sum(tap.ooo for tap in taps),
-    )
 
 
 @dataclass

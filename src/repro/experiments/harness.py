@@ -117,15 +117,11 @@ class TestbedConfig:
     gro_loss_detection: bool = True
     gro_initial_ewma_ns: Optional[int] = None
     gro_alpha: Optional[float] = None
-    #: Presto GRO reordering-EWMA smoothing gain (paper: 1/8).  A gain
-    #: is only meaningful in (0, 1]; tri-state with ``omit_if_none`` so
-    #: unset configs keep their historic store hashes.
-    gro_ewma_gain: Optional[float] = field(
-        default=None, metadata={"omit_if_none": True})
     #: override the active zoo scheme's flow-size threshold (DiffFlow's
     #: 100 KB mice cutoff / elephant_iso's 1 MB detection point) — the
     #: knob repro.search sweeps for DiffFlow-style sensitivity curves.
-    #: Tri-state like ``gro_ewma_gain`` for hash stability.
+    #: Tri-state with ``omit_if_none`` so unset configs keep their
+    #: historic store hashes.
     zoo_threshold_bytes: Optional[int] = field(
         default=None, metadata={"omit_if_none": True})
     #: arm the always-on invariants (repro.validate): every ``run()``
@@ -209,10 +205,6 @@ class TestbedConfig:
             raise ValueError(
                 f"gro_alpha must be positive and finite, "
                 f"got {self.gro_alpha}")
-        if self.gro_ewma_gain is not None and not (
-                0.0 < self.gro_ewma_gain <= 1.0):
-            raise ValueError(
-                f"gro_ewma_gain must be in (0, 1], got {self.gro_ewma_gain}")
         if self.zoo_threshold_bytes is not None and self.zoo_threshold_bytes <= 0:
             raise ValueError(
                 f"zoo_threshold_bytes must be positive, "
@@ -252,7 +244,7 @@ class PacketPlane:
         if (cfg.gro_override or self.tb.scheme_def.gro) == "official":
             return OfficialGro()
         tuned = dict(initial_ewma_ns=cfg.gro_initial_ewma_ns,
-                     alpha=cfg.gro_alpha, ewma_gain=cfg.gro_ewma_gain)
+                     alpha=cfg.gro_alpha)
         return PrestoGro(
             adaptive=cfg.gro_adaptive,
             loss_detection=cfg.gro_loss_detection,

@@ -77,17 +77,6 @@ class ThroughputTimeline:
         rates = [r for t, r in self.rates_bps() if start_ns < t <= end_ns]
         return sum(rates) / len(rates) if rates else 0.0
 
-    def recovery_ns(
-        self, after_ns: int, target_bps: float, fraction: float = 0.8
-    ) -> Optional[int]:
-        """Delay from ``after_ns`` until a window first sustains
-        ``fraction * target_bps``; None if it never does."""
-        threshold = fraction * target_bps
-        for t, rate in self.rates_bps():
-            if t > after_ns and rate >= threshold:
-                return t - after_ns
-        return None
-
 
 @dataclass
 class ConvergenceReport:

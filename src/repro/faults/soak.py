@@ -169,10 +169,6 @@ class SoakReport:
     def ok(self) -> bool:
         return all(r is not None and r.ok for r in self.results)
 
-    @property
-    def n_passed(self) -> int:
-        return sum(1 for r in self.results if r is not None and r.ok)
-
     def rows(self) -> List[List[object]]:
         out: List[List[object]] = []
         for i, (case, result, error) in enumerate(

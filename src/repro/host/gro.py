@@ -19,6 +19,12 @@ per-segment whether to push or hold:
   an adaptive timeout (alpha * EWMA of observed reordering durations,
   extended while merges are still landing within EWMA/beta) fires;
 * stale flowcell                          -> push immediately.
+
+Both flavours cap a merged segment at ``MAX_TSO_BYTES`` (64 KB, the
+largest TSO segment), and Presto's beta and EWMA gain are the module
+constants ``DEFAULT_BETA`` and ``EWMA_GAIN``: the merge and flush code
+reads all three at call time, so no instance carries a copy.  Alpha,
+the initial EWMA and the two ablation switches stay parameters.
 """
 
 from __future__ import annotations
@@ -77,8 +83,7 @@ class OfficialGro(GroBase):
 
     name = "official"
 
-    def __init__(self, max_segment_bytes: int = MAX_TSO_BYTES):
-        self.max_segment_bytes = max_segment_bytes
+    def __init__(self):
         self._current: Dict[int, Segment] = {}
         self._ready: List[Segment] = []
         self.merged_pkts = 0
@@ -89,7 +94,7 @@ class OfficialGro(GroBase):
         seg = self._current.get(pkt.flow_id)
         if seg is not None:
             if (
-                seg.payload_len + pkt.payload_len <= self.max_segment_bytes
+                seg.payload_len + pkt.payload_len <= MAX_TSO_BYTES
                 and seg.try_merge(pkt, require_same_flowcell=False)
             ):
                 seg.last_merge_at = now
@@ -140,23 +145,14 @@ class PrestoGro(GroBase):
     def __init__(
         self,
         alpha: float = DEFAULT_ALPHA,
-        beta: float = DEFAULT_BETA,
         initial_ewma_ns: int = DEFAULT_INITIAL_EWMA_NS,
-        max_segment_bytes: int = MAX_TSO_BYTES,
         loss_detection: bool = True,
         adaptive: bool = True,
-        ewma_gain: float = EWMA_GAIN,
     ):
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        if not 0.0 < ewma_gain <= 1.0:
-            raise ValueError(
-                f"ewma_gain must be in (0, 1], got {ewma_gain}")
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
         self.alpha = alpha
-        self.beta = beta
-        self.ewma_gain = ewma_gain
         self.initial_ewma_ns = initial_ewma_ns
-        self.max_segment_bytes = max_segment_bytes
         #: ablation knob: adaptive=False freezes the EWMA, making the hold
         #: timeout the *static* alpha * initial_ewma the paper argues
         #: against (e.g. DRB's fixed 10 ms)
@@ -187,7 +183,7 @@ class PrestoGro(GroBase):
         # the newest flowcell arriving back-to-back) merge is O(1).
         for seg in flow.segments:
             if (
-                seg.payload_len + pkt.payload_len <= self.max_segment_bytes
+                seg.payload_len + pkt.payload_len <= MAX_TSO_BYTES
                 and seg.try_merge(pkt, require_same_flowcell=True)
             ):
                 seg.last_merge_at = now
@@ -276,7 +272,7 @@ class PrestoGro(GroBase):
             return False
         # beta optimization: merges still landing recently suggest the gap
         # is reordering in flight — keep holding.
-        if now - seg.last_merge_at < flow.ewma_ns / self.beta:
+        if now - seg.last_merge_at < flow.ewma_ns / DEFAULT_BETA:
             return False
         return True
 
@@ -287,8 +283,8 @@ class PrestoGro(GroBase):
         if self.probe is not None:
             self.probe.on_reorder_sample(flow_id, wait_ns)
         if self.adaptive:
-            gain = self.ewma_gain
-            flow.ewma_ns = (1 - gain) * flow.ewma_ns + gain * wait_ns
+            flow.ewma_ns = ((1 - EWMA_GAIN) * flow.ewma_ns
+                            + EWMA_GAIN * wait_ns)
 
     # --- timers ----------------------------------------------------------------
 
@@ -300,7 +296,7 @@ class PrestoGro(GroBase):
                 # flush nothing and re-arm at the same instant, forever.
                 d = max(
                     seg.created_at + math.ceil(self.alpha * flow.ewma_ns),
-                    seg.last_merge_at + math.ceil(flow.ewma_ns / self.beta),
+                    seg.last_merge_at + math.ceil(flow.ewma_ns / DEFAULT_BETA),
                 )
                 if deadline is None or d < deadline:
                     deadline = d

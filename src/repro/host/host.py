@@ -29,7 +29,6 @@ class Host:
         cpu_costs: Optional[CpuCosts] = None,
         tcp_cfg: Optional[TcpConfig] = None,
         model_cpu: bool = True,
-        **nic_kwargs,
     ):
         self.sim = sim
         self.host_id = host_id
@@ -41,8 +40,7 @@ class Host:
             # pure network-effect experiments and fast unit tests).
             self.cpu.costs = CpuCosts(0, 0, 0, 0, 0, 0, 0)
         self.tcp_cfg = tcp_cfg if tcp_cfg is not None else TcpConfig()
-        self.nic = Nic(sim, self.gro, self.cpu, mss=self.tcp_cfg.mss,
-                       **nic_kwargs)
+        self.nic = Nic(sim, self.gro, self.cpu, mss=self.tcp_cfg.mss)
         self.nic.on_segment = self._on_segment
         self.nic.on_ack_packet = self._on_ack_packet
         self._tsq_blocked: Dict[int, object] = {}

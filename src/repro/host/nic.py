@@ -13,6 +13,11 @@ flush, charges the :class:`~repro.host.cpu.ReceiverCpu` for the work,
 and delivers the flushed segments up the stack.  When the core cannot
 keep up, the ring overflows and packets drop: this is the mechanism by
 which small segment flooding caps throughput.
+
+The ring size, coalescing delay and frame threshold, poll budget and
+TSQ mark are the module's ``DEFAULT_*`` constants, copied onto each
+NIC at construction; only the MSS is a parameter (the host passes its
+TCP's).
 """
 
 from __future__ import annotations
@@ -49,21 +54,16 @@ class Nic:
         gro: GroBase,
         cpu: ReceiverCpu,
         mss: int = DEFAULT_MSS,
-        ring_slots: int = DEFAULT_RING_SLOTS,
-        coalesce_ns: int = DEFAULT_COALESCE_NS,
-        coalesce_frames: int = DEFAULT_COALESCE_FRAMES,
-        poll_budget: int = DEFAULT_POLL_BUDGET,
-        tsq_bytes: int = DEFAULT_TSQ_BYTES,
     ):
         self.sim = sim
         self.gro = gro
         self.cpu = cpu
         self.mss = mss
-        self.ring_slots = ring_slots
-        self.coalesce_ns = coalesce_ns
-        self.coalesce_frames = coalesce_frames
-        self.poll_budget = poll_budget
-        self.tsq_bytes = tsq_bytes
+        self.ring_slots = DEFAULT_RING_SLOTS
+        self.coalesce_ns = DEFAULT_COALESCE_NS
+        self.coalesce_frames = DEFAULT_COALESCE_FRAMES
+        self.poll_budget = DEFAULT_POLL_BUDGET
+        self.tsq_bytes = DEFAULT_TSQ_BYTES
         self.port: Optional[Port] = None  # egress toward the leaf switch
         #: per-derived-packet hook for spraying schemes: ``(flow_id,
         #: dst_host) -> (dst_mac, flowcell_id)``, or None (keep TSO's)

@@ -69,14 +69,6 @@ class RangeSet:
                 break
         return False
 
-    def covered_point(self, point: int) -> bool:
-        for s, e in self._ranges:
-            if s <= point < e:
-                return True
-            if s > point:
-                break
-        return False
-
     def first_gap(self, floor: int, limit: Optional[int] = None) -> Optional[Tuple[int, int]]:
         """First uncovered ``[gap_start, gap_end)`` at or above ``floor``.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -29,13 +29,6 @@ def percentile(values: Sequence[float], pct: float) -> float:
     return data[lo] * (1 - frac) + data[hi] * frac
 
 
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """(value, cumulative fraction) pairs for plotting/printing a CDF."""
-    data = sorted(values)
-    n = len(data)
-    return [(v, (i + 1) / n) for i, v in enumerate(data)]
-
-
 def jain_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index over per-flow throughputs: 1 is perfect."""
     values = [v for v in values]
@@ -50,13 +43,3 @@ def jain_fairness(values: Sequence[float]) -> float:
     return (total * total) / (len(values) * squares)
 
 
-def ewma(samples: Iterable[float], gain: float) -> float:
-    """Exponentially weighted moving average of a sample stream."""
-    if not 0 < gain <= 1:
-        raise ValueError(f"gain must be in (0, 1]: {gain}")
-    avg = None
-    for sample in samples:
-        avg = sample if avg is None else (1 - gain) * avg + gain * sample
-    if avg is None:
-        raise ValueError("ewma of empty sequence")
-    return avg

@@ -140,12 +140,6 @@ class StreamingQuantiles:
     def mean(self) -> Optional[float]:
         return self._sum / self.count if self.count else None
 
-    def quantile(self, q: float) -> Optional[float]:
-        for est in self._estimators:
-            if est.q == q:
-                return est.value()
-        raise KeyError(f"quantile {q} not tracked (have {self.quantiles})")
-
     def summary(self) -> Dict[str, Any]:
         """Plain-dict summary (JSON-ready) of the stream so far."""
         out: Dict[str, Any] = {

@@ -214,10 +214,6 @@ class TopologySpec:
 
     # --- shape queries ----------------------------------------------------
 
-    @property
-    def n_tiers(self) -> int:
-        return 3 if self.kind == "fat-tree" else 2
-
     def n_hosts(self) -> int:
         if self.kind == "fat-tree":
             return self.k ** 3 // 4

@@ -23,6 +23,10 @@ from repro.net.switch import HASH_FLOW, EcmpGroup, Switch
 from repro.sim.engine import Simulator
 from repro.units import gbps, usec
 
+#: serialization jitter ceiling on every host's uplink port (see
+#: ``Port.tx_jitter_ns`` for why hosts get one)
+HOST_TX_JITTER_NS = 32
+
 
 class Topology:
     """Switches + host attachment points + links of one experiment."""
@@ -113,7 +117,6 @@ class Topology:
         prop_delay_ns: int = usec(1),
         buffer_bytes: Optional[int] = None,
         host_buffer_bytes: int = 4 * 1024 * 1024,
-        host_tx_jitter_ns: int = 32,
     ) -> Link:
         """Wire ``host`` (anything with ``.host_id`` and ``.receive``) to a
         leaf switch and install its real-MAC route on that leaf.
@@ -130,7 +133,7 @@ class Topology:
         to_host = Port(self.sim, f"{leaf.name}->h{host_id}", link, cap)
         to_host.queue.shared = leaf.shared_buffer
         to_leaf = Port(self.sim, f"h{host_id}->{leaf.name}", link, host_buffer_bytes)
-        to_leaf.tx_jitter_ns = host_tx_jitter_ns
+        to_leaf.tx_jitter_ns = HOST_TX_JITTER_NS
         to_host.peer, to_leaf.peer = host, leaf
         to_host.peer_port, to_leaf.peer_port = to_leaf, to_host
         leaf.add_port(to_host)

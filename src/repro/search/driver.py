@@ -52,7 +52,6 @@ PAPER_CONSTANTS: Dict[str, Any] = {
     "flowcell_bytes": 64 * KB,
     "gro_alpha": 2.0,
     "gro_initial_ewma_ns": usec(150),
-    "gro_ewma_gain": 0.125,
     "presto_mode": "rr",
     "ctrl_detection_delay_ns": msec(10),
     "ctrl_reaction_delay_ns": msec(5),

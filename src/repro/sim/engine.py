@@ -24,6 +24,12 @@ cancellations and, when more than half the heap is dead, rebuilds it
 without the cancelled entries.  Entries keep their original ``(time,
 seq)`` keys, so the pop order — and with it every simulation result —
 is unchanged.
+
+:meth:`Simulator.run` is the one loop that drives a simulation: it
+pops events until the heap drains or the ``until`` horizon.
+:meth:`Simulator.step` and :meth:`Simulator.peek_time` execute or peek
+one event at a time, for tests that single-step the heap and for the
+invariant checker.
 """
 
 from __future__ import annotations
@@ -160,44 +166,32 @@ class Simulator:
             return True
         return False
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have fired.  Returns the number of events executed.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run events until the queue drains or ``until`` is reached.
+        Returns the number of events executed.
 
         When stopping at ``until``, the clock is advanced to ``until`` so
         rate computations over a fixed window are exact.
         """
         horizon = math.inf if until is None else until
         count = 0
-        if max_events is not None:
-            # a bounded run steps one event at a time, which keeps the
-            # bound check off the loop below
-            while count < max_events:
-                time = self.peek_time()
-                if time is None or time > horizon:
-                    break
-                self.step()
-                count += 1
-            else:
-                return count
-        else:
-            heap = self._heap
-            pop = _heappop
-            while heap:
-                entry = pop(heap)
-                time, _, fn, args, handle = entry
-                if time > horizon:
-                    # popping first and pushing the one entry past the
-                    # horizon back is cheaper than peeking at every event
-                    _heappush(heap, entry)
-                    break
-                if handle is not None and handle.cancelled:
-                    self._cancelled -= 1
-                    continue
-                self._now = time
-                fn(*args)
-                count += 1
-            self.events_executed += count
+        heap = self._heap
+        pop = _heappop
+        while heap:
+            entry = pop(heap)
+            time, _, fn, args, handle = entry
+            if time > horizon:
+                # popping first and pushing the one entry past the
+                # horizon back is cheaper than peeking at every event
+                _heappush(heap, entry)
+                break
+            if handle is not None and handle.cancelled:
+                self._cancelled -= 1
+                continue
+            self._now = time
+            fn(*args)
+            count += 1
+        self.events_executed += count
         if until is not None and self._now < until:
             self._now = until
         return count

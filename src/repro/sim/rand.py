@@ -28,8 +28,3 @@ class RandomStreams:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RandomStreams":
-        """A new stream factory whose seed is derived from ``name``."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))

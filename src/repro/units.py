@@ -17,11 +17,6 @@ MSEC = 1_000_000
 SEC = 1_000_000_000
 
 
-def nsec(value: float) -> int:
-    """Nanoseconds as an integer time value."""
-    return int(round(value))
-
-
 def usec(value: float) -> int:
     """Microseconds -> integer nanoseconds."""
     return int(round(value * USEC))
@@ -35,11 +30,6 @@ def msec(value: float) -> int:
 def seconds(value: float) -> int:
     """Seconds -> integer nanoseconds."""
     return int(round(value * SEC))
-
-
-def to_seconds(time_ns: int) -> float:
-    """Integer nanoseconds -> float seconds (for reporting only)."""
-    return time_ns / SEC
 
 
 # --- sizes -----------------------------------------------------------------
@@ -62,10 +52,6 @@ MAX_TSO_BYTES = 64 * KB
 
 
 # --- rates -----------------------------------------------------------------
-
-
-def kbps(value: float) -> float:
-    return value * 1e3
 
 
 def mbps(value: float) -> float:

@@ -104,7 +104,6 @@ def test_fat_tree_arithmetic():
     assert spec.n_hosts() == 16
     assert spec.n_edges() == 8
     assert spec.hosts_per_edge() == 2
-    assert spec.n_tiers == 3
     assert TopologySpec.fat_tree(8).n_hosts() == 128
     assert spec.edge_of(0) == 0 and spec.edge_of(15) == 7
     with pytest.raises(ValueError):

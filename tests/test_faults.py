@@ -246,8 +246,6 @@ def test_throughput_timeline_windows_and_quiesce():
     assert rates[100] == pytest.approx(1000 * 8 * 1e9 / 100)
     assert tl.mean_bps_between(100, 300) == pytest.approx(
         (rates[200] + rates[300]) / 2)
-    assert tl.recovery_ns(100, rates[300], fraction=1.0) == 200
-    assert tl.recovery_ns(300, rates[100], fraction=1.0) is None
 
 
 def test_throughput_timeline_validates_args():
@@ -348,5 +346,4 @@ def test_run_soak_case_holds_invariants():
 def test_run_soak_through_runner():
     report = SOAK.run(n_cases=2, base_seed=1, jobs=1, store=None)
     assert report.ok, [r.violations for r in report.results if r]
-    assert report.n_passed == 2
     assert len(report.rows()) == 2

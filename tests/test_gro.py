@@ -54,8 +54,9 @@ class TestOfficialGro:
         assert len(segs) == 2
         assert {s.flow_id for s in segs} == {1, 2}
 
-    def test_segment_size_cap(self):
-        gro = OfficialGro(max_segment_bytes=3000)
+    def test_segment_size_cap(self, monkeypatch):
+        monkeypatch.setattr("repro.host.gro.MAX_TSO_BYTES", 3000)
+        gro = OfficialGro()
         for i in range(4):
             gro.merge(pkt(i * 1448), now=0)
         segs = gro.flush(0)
@@ -219,5 +220,3 @@ class TestPrestoGroReordering:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             PrestoGro(alpha=0)
-        with pytest.raises(ValueError):
-            PrestoGro(beta=-1)

@@ -153,13 +153,6 @@ class TestConfigValidation:
                 TestbedConfig(gro_alpha=bad)
         TestbedConfig(gro_alpha=2.0)  # the paper's own value passes
 
-    def test_gro_ewma_gain_in_unit_interval(self):
-        for bad in (0.0, -0.5, 1.0001, 2.0):
-            with pytest.raises(ValueError, match="gro_ewma_gain"):
-                TestbedConfig(gro_ewma_gain=bad)
-        TestbedConfig(gro_ewma_gain=1.0)  # closed upper end
-        TestbedConfig(gro_ewma_gain=0.125)
-
     def test_delays_must_be_nonnegative(self):
         for name in ("failover_latency_ns", "ctrl_detection_delay_ns",
                      "ctrl_reaction_delay_ns"):
@@ -171,10 +164,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="zoo_threshold_bytes"):
             TestbedConfig(zoo_threshold_bytes=0)
         TestbedConfig(zoo_threshold_bytes=100 * KB)
-
-    def test_gro_ewma_gain_reaches_the_gro(self):
-        tb = Testbed(TestbedConfig(scheme="presto", gro_ewma_gain=0.5))
-        assert tb.hosts[0].gro.ewma_gain == 0.5
 
     def test_zoo_threshold_reaches_the_zoo_lbs(self):
         tb = Testbed(TestbedConfig(scheme="diffflow",

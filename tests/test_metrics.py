@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.metrics.reordering import ReorderTracker
-from repro.metrics.stats import cdf_points, ewma, jain_fairness, mean, percentile
+from repro.metrics.stats import jain_fairness, mean, percentile
 from repro.net.packet import Segment
 
 
@@ -61,23 +61,9 @@ def test_mean_empty():
     assert mean([]) == 0.0
 
 
-def test_cdf_points():
-    pts = cdf_points([3, 1, 2])
-    assert pts == [(1, 1 / 3), (2, 2 / 3), (3, 1.0)]
-
-
-def test_ewma():
-    assert ewma([10], 0.5) == 10
-    assert ewma([10, 20], 0.5) == 15
-    with pytest.raises(ValueError):
-        ewma([], 0.5)
-    with pytest.raises(ValueError):
-        ewma([1], 0)
-
-
-def seg(flow, cell, size=1000):
+def seg(flow, cell, size=1000, seq=0):
     return Segment(flow_id=flow, src_host=0, dst_host=1,
-                   seq=0, end_seq=size, flowcell_id=cell)
+                   seq=seq, end_seq=seq + size, flowcell_id=cell)
 
 
 class TestReorderTracker:
@@ -101,7 +87,8 @@ class TestReorderTracker:
         tracker.observe(seg(1, 1))
         tracker.observe(seg(2, 9))
         tracker.observe(seg(1, 1))
-        assert tracker.out_of_order_counts(flow_id=1) == [0]
+        # one stream would put flow 2's cell inside flow 1's: [1, 0]
+        assert tracker.out_of_order_counts() == [0, 0]
 
     def test_segment_sizes(self):
         tracker = ReorderTracker()
@@ -109,12 +96,35 @@ class TestReorderTracker:
         tracker.observe(seg(1, 1, size=700))
         assert sorted(tracker.segment_sizes()) == [500, 700]
 
-    def test_truncation(self):
-        tracker = ReorderTracker(max_samples=3)
+    def test_truncation(self, monkeypatch):
+        monkeypatch.setattr("repro.metrics.reordering.MAX_SAMPLES", 3)
+        tracker = ReorderTracker()
         for i in range(10):
             tracker.observe(seg(1, i))
         assert tracker.truncated
         assert len(tracker.segment_sizes()) == 3
+
+    def test_pushed_and_behind_counts(self):
+        tracker = ReorderTracker()
+        # flow 1 delivers [0, 1000) and [2000, 3000), then the hole
+        # [1000, 2000) behind its high mark; flow 2 starts from 0 on
+        # its own high mark
+        for flow, seq in ((1, 0), (1, 2000), (1, 1000), (2, 0), (1, 3000)):
+            tracker.observe(seg(flow, 1, seq=seq))
+        assert tracker.pushed == 5
+        assert tracker.behind == 1
+
+    def test_counts_run_past_the_sample_cap(self, monkeypatch):
+        monkeypatch.setattr("repro.metrics.reordering.MAX_SAMPLES", 2)
+        tracker = ReorderTracker()
+        # the last three arrive after the cap; two of them land behind
+        # the high mark (3000, then 4000)
+        for seq in (0, 2000, 1000, 3000, 500):
+            tracker.observe(seg(1, 1, seq=seq))
+        assert tracker.truncated
+        assert len(tracker.segment_sizes()) == 2
+        assert tracker.pushed == 5
+        assert tracker.behind == 2
 
 
 # --- streaming collectors under search load ----------------------------------

@@ -25,9 +25,13 @@ class Collector:
         self.acks.append(pkt)
 
 
-def make_nic(sim, gro=None, zero_cost=True, **kwargs):
+def make_nic(sim, gro=None, zero_cost=True, **attrs):
+    """A NIC with a zero-cost CPU; ``attrs`` overwrite its constants
+    (``ring_slots=8``, ``tsq_bytes=...``) after construction."""
     cpu = ReceiverCpu(sim, CpuCosts(0, 0, 0, 0, 0, 0, 0) if zero_cost else None)
-    nic = Nic(sim, gro if gro is not None else OfficialGro(), cpu, **kwargs)
+    nic = Nic(sim, gro if gro is not None else OfficialGro(), cpu)
+    for name, value in attrs.items():
+        setattr(nic, name, value)
     sink = Collector()
     nic.on_segment = sink.on_segment
     nic.on_ack_packet = sink.on_ack
@@ -185,7 +189,8 @@ class TestRx:
                              presto_per_pkt_ns=0, presto_flush_ns=0,
                              presto_per_held_segment_ns=0)
         cpu = ReceiverCpu(sim, cpu_costs)
-        nic = Nic(sim, OfficialGro(), cpu, ring_slots=16, coalesce_frames=1)
+        nic = Nic(sim, OfficialGro(), cpu)
+        nic.ring_slots, nic.coalesce_frames = 16, 1
         delivered = []
         nic.on_segment = delivered.append
         # feed 100 packets of 100 different flows over 100us: each becomes
@@ -229,7 +234,8 @@ class TestTsq:
         """A host's uplink wakes a TSQ-parked sender as that flow's
         packets leave the egress queue, once it is below the mark."""
         sim = Simulator()
-        host = Host(sim, 0, model_cpu=False, tsq_bytes=100 * KB)
+        host = Host(sim, 0, model_cpu=False)
+        host.nic.tsq_bytes = 100 * KB
         port = Port(sim, "h->sw", Link("h->sw", gbps(10), usec(1)), 10_000_000)
         port.peer = TxSink()
         host.attach(port, None)

@@ -71,14 +71,6 @@ def test_contains():
     assert not rs.contains(15, 25)
 
 
-def test_covered_point():
-    rs = RangeSet([(10, 20)])
-    assert rs.covered_point(10)
-    assert rs.covered_point(19)
-    assert not rs.covered_point(20)
-    assert not rs.covered_point(9)
-
-
 def test_first_gap_simple():
     rs = RangeSet([(10, 20), (30, 40)])
     assert rs.first_gap(0, 50) == (0, 10)

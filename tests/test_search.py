@@ -42,7 +42,7 @@ from repro.search.halving import (
     total_submitted,
 )
 from repro.search.space import Param, ParamSpace
-from repro.units import KB
+from repro.units import KB, msec
 
 # --- halving properties ------------------------------------------------------
 
@@ -123,7 +123,8 @@ def _space() -> ParamSpace:
         Param("flowcell_bytes", "log", lo=16 * KB, hi=512 * KB,
               steps=6, integer=True),
         Param("gro_alpha", "log", lo=0.5, hi=8.0, steps=5),
-        Param("gro_ewma_gain", "linear", lo=0.125, hi=1.0, steps=8),
+        Param("failover_latency_ns", "linear", lo=msec(1), hi=msec(8),
+              steps=8, integer=True),
         Param("presto_mode", "choice", choices=("rr", "random")),
     ))
 
@@ -159,12 +160,13 @@ def test_space_apply_and_validate():
     cfg = space.apply(base, (2, 1, 0, 0))
     assert cfg.flowcell_bytes == 64 * KB
     assert cfg.gro_alpha == 1.0
-    assert cfg.gro_ewma_gain == 0.125
+    assert cfg.failover_latency_ns == msec(1)
     assert cfg.presto_mode == "rr"
     # an invalid range is caught by the harness's own ValueError
     bad = ParamSpace((
-        Param("gro_ewma_gain", "linear", lo=0.5, hi=2.0, steps=3),))
-    with pytest.raises(ValueError, match="gro_ewma_gain"):
+        Param("failover_latency_ns", "linear", lo=-msec(1), hi=msec(1),
+              steps=3, integer=True),))
+    with pytest.raises(ValueError, match="failover_latency_ns"):
         bad.validate(base)
 
 

@@ -100,14 +100,6 @@ def test_run_returns_event_count():
     assert sim.run() == 7
 
 
-def test_max_events_limit():
-    sim = Simulator()
-    for i in range(10):
-        sim.schedule(i, lambda: None)
-    assert sim.run(max_events=3) == 3
-    assert sim.run() == 7
-
-
 def test_peek_time_skips_cancelled():
     sim = Simulator()
     ev = sim.timer(5, lambda: None)
@@ -256,15 +248,11 @@ class _Reference:
     def step(self):
         return self._fire_next(math.inf)
 
-    def run(self, until=None, max_events=None):
+    def run(self, until=None):
         horizon = math.inf if until is None else until
         count = 0
-        while max_events is None or count < max_events:
-            if not self._fire_next(horizon):
-                break
+        while self._fire_next(horizon):
             count += 1
-        else:
-            return count        # stopped by max_events: clock stays put
         if until is not None and self.now < until:
             self.now = until
         return count
@@ -302,10 +290,6 @@ def _interpret(sim, phases):
             apply(op)
         if drain[0] == "until":
             result = sim.run(until=sim.now + drain[1])
-        elif drain[0] == "max":
-            result = sim.run(max_events=drain[1])
-        elif drain[0] == "both":
-            result = sim.run(until=sim.now + drain[1], max_events=drain[2])
         else:
             result = sim.step()
         drains.append((result, sim.now))
@@ -328,9 +312,6 @@ _OPS = st.recursive(st.one_of(_scheduling(st.just(())), _CANCEL),
                         _CANCEL),
                     max_leaves=12)
 _DRAINS = st.one_of(st.tuples(st.just("until"), st.integers(-3, 30)),
-                    st.tuples(st.just("max"), st.integers(0, 4)),
-                    st.tuples(st.just("both"), st.integers(-3, 30),
-                              st.integers(0, 4)),
                     st.tuples(st.just("step")))
 _PROGRAMS = st.lists(st.tuples(st.lists(_OPS, max_size=4), _DRAINS),
                      max_size=6)
@@ -342,10 +323,9 @@ _PROGRAMS = st.lists(st.tuples(st.lists(_OPS, max_size=4), _DRAINS),
 def test_engine_matches_reference_model(compact_min, phases):
     """Random programs of schedule / timer / schedule_at / cancel —
     cancel twice, after fire and from inside a callback included —
-    drained by any mix of ``run(until=)``, ``run(max_events=)``, both,
-    and ``step()``: the engine fires exactly what the reference fires, in
-    its order, with the same clock and return values, and counts every
-    fired event once.  ``compact_min=0`` compacts on nearly every
+    drained by any mix of ``run(until=)`` and ``step()``: the engine
+    fires exactly what the reference fires, in its order, with the same
+    clock and return values, and counts every fired event once.  ``compact_min=0`` compacts on nearly every
     cancel, mid-dispatch too."""
     with mock.patch.object(engine, "_COMPACT_MIN", compact_min):
         got = _interpret(Simulator(), phases)
@@ -373,8 +353,3 @@ class TestRandomStreams:
         a = RandomStreams(seed=1).stream("x").random()
         b = RandomStreams(seed=2).stream("x").random()
         assert a != b
-
-    def test_fork_is_deterministic(self):
-        a = RandomStreams(seed=3).fork("child").stream("s").random()
-        b = RandomStreams(seed=3).fork("child").stream("s").random()
-        assert a == b
