@@ -17,7 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.stats import percentile
-from repro.units import KB, msec, usec
+from repro.units import msec, usec
 from repro.workloads.synthetic import stride_pairs
 
 
@@ -27,8 +27,7 @@ def run_scheme(scheme: str):
     for src, dst in stride_pairs(16, 8):
         tb.add_elephant(src, dst, start_ns=rng.randrange(usec(500)))
     mice = [
-        tb.add_mice(src, dst, size_bytes=50 * KB, interval_ns=msec(2),
-                    start_ns=msec(8))
+        tb.add_mice(src, dst, interval_ns=msec(2), start_ns=msec(8))
         for src, dst in stride_pairs(16, 8)[::4]
     ]
     tb.run(msec(60))

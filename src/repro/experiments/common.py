@@ -7,8 +7,10 @@ that skeleton; experiment modules parameterize it.
 
 Scale note: the paper runs 10 s x 20 trials at 10 Gbps.  Packet-level
 simulation in Python makes that ~10^10 events, so defaults here use
-the same rates but tens-of-ms windows and a handful of seeds; every
-knob is exposed for longer runs (see EXPERIMENTS.md).
+the same rates but tens-of-ms windows and a handful of seeds; the
+windows, seeds and mice cadence are parameters for longer runs (see
+EXPERIMENTS.md), while the paper's fixed values (50 KB mice, a 1 ms
+probe cadence) are constants in :mod:`repro.host.app`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.net.fabrics import as_spec
 from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.telemetry.core import TelemetryConfig
-from repro.units import KB, msec, usec
+from repro.units import msec, usec
 
 DEFAULT_WARM_NS = msec(15)
 DEFAULT_MEASURE_NS = msec(30)
@@ -63,9 +65,7 @@ def run_elephant_workload(
     warm_ns: int = DEFAULT_WARM_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
     probe_pairs: Sequence[Tuple[int, int]] = (),
-    probe_interval_ns: int = msec(1),
     mice_pairs: Sequence[Tuple[int, int]] = (),
-    mice_size: int = 50 * KB,
     mice_interval_ns: int = msec(5),
     telemetry: Optional[TelemetryConfig] = None,
     setup: Optional[Callable[[Testbed], None]] = None,
@@ -83,11 +83,11 @@ def run_elephant_workload(
         for src, dst in pairs
     ]
     probes = [
-        tb.add_probe(src, dst, interval_ns=probe_interval_ns, start_ns=warm_ns // 2)
+        tb.add_probe(src, dst, start_ns=warm_ns // 2)
         for src, dst in probe_pairs
     ]
     mice = [
-        tb.add_mice(src, dst, size_bytes=mice_size, interval_ns=mice_interval_ns,
+        tb.add_mice(src, dst, interval_ns=mice_interval_ns,
                     start_ns=warm_ns // 2)
         for src, dst in mice_pairs
     ]

@@ -39,8 +39,9 @@ from repro.net.routing import validate_trees
 from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.telemetry.core import TelemetryConfig
-from repro.units import MB, msec
+from repro.units import msec
 from repro.workloads.tracedriven import (
+    INCAST_FANIN,
     IncastWorkload,
     TraceWorkload,
     trace_profile,
@@ -97,8 +98,7 @@ def run_fabric_cell(
     workload: str,
     duration_ns: int = DEFAULT_DURATION_NS,
     load_scale: float = 1.0,
-    fanin: int = 8,
-    request_bytes: int = 1 * MB,
+    fanin: int = INCAST_FANIN,
     validate: bool = False,
     drain_ns: int = msec(5),
     telemetry: Optional[TelemetryConfig] = None,
@@ -121,8 +121,7 @@ def run_fabric_cell(
     rng = tb.streams.stream(f"fabric-{workload}")
     if workload == "incast":
         wl = IncastWorkload(
-            tb, rng, fanin=fanin, request_bytes=request_bytes,
-            stop_ns=duration_ns,
+            tb, rng, fanin=fanin, stop_ns=duration_ns,
             sink=lambda fct: (fcts.add(fct), worst.add(fct, None)),
         )
     else:

@@ -279,12 +279,10 @@ class PacketPlane:
                                start_ns=start_ns or 0,
                                on_complete=on_complete)
 
-    def open_probe(self, src: int, dst: int, interval_ns: int,
-                   start_ns: int, stop_ns: Optional[int]) -> RttProbeApp:
+    def open_probe(self, src: int, dst: int, start_ns: int) -> RttProbeApp:
         tb = self.tb
         return RttProbeApp(tb.sim, tb.hosts[src], tb.hosts[dst],
-                           tb.flow_ids, interval_ns=interval_ns,
-                           start_ns=start_ns, stop_ns=stop_ns)
+                           tb.flow_ids, start_ns=start_ns)
 
     # --- running / measurement ----------------------------------------------
 
@@ -469,22 +467,22 @@ class Testbed:
         self,
         src: int,
         dst: int,
-        size_bytes: int = 50 * KB,
         interval_ns: int = msec(100),
         start_ns: int = 0,
         stop_ns: Optional[int] = None,
     ) -> MiceApp:
-        """Periodic mice flows; returns an object exposing ``fcts_ns``."""
-        app = MiceApp(self, src, dst, size_bytes=size_bytes,
-                      interval_ns=interval_ns, start_ns=start_ns,
-                      stop_ns=stop_ns)
+        """Periodic :data:`~repro.host.app.MICE_BYTES` mice flows;
+        returns an object exposing ``fcts_ns``."""
+        app = MiceApp(self, src, dst, interval_ns=interval_ns,
+                      start_ns=start_ns, stop_ns=stop_ns)
         self.apps.append(app)
         return app
 
-    def add_probe(self, src: int, dst: int, interval_ns: int = msec(1),
-                  start_ns: int = 0, stop_ns: Optional[int] = None):
-        """An RTT probe; returns an object exposing ``rtts_ns``."""
-        app = self.plane.open_probe(src, dst, interval_ns, start_ns, stop_ns)
+    def add_probe(self, src: int, dst: int, start_ns: int = 0):
+        """An RTT probe pinging every
+        :data:`~repro.host.app.PROBE_INTERVAL_NS`; returns an object
+        exposing ``rtts_ns``."""
+        app = self.plane.open_probe(src, dst, start_ns)
         self.apps.append(app)
         return app
 

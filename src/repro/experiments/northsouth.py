@@ -34,7 +34,6 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.stats import mean
 from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Sweep, seeds_param
-from repro.units import msec
 from repro.workloads.northsouth import NorthSouthWorkload
 from repro.workloads.synthetic import stride_pairs
 
@@ -54,21 +53,18 @@ def run_northsouth(
     cfg: TestbedConfig,
     warm_ns: int = DEFAULT_WARM_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
-    ns_interval_ns: int = msec(1),
-    mice_interval_ns: int = msec(5),
 ) -> RunResult:
     """One (scheme, seed) trial — the picklable job unit: the stride(8)
     elephant run with mice on every fourth pair, under cross traffic."""
     def cross_traffic(tb: Testbed) -> None:
         # north-south users hang off spines; the single switch has none
         if cfg.scheme != "optimal":
-            NorthSouthWorkload(tb, tb.streams.stream("northsouth"),
-                               interval_ns=ns_interval_ns).start()
+            NorthSouthWorkload(tb, tb.streams.stream("northsouth")).start()
 
     pairs = stride_pairs(16, 8)
     return run_elephant_workload(
         cfg, pairs, warm_ns, measure_ns, mice_pairs=pairs[::4],
-        mice_interval_ns=mice_interval_ns, setup=cross_traffic)
+        setup=cross_traffic)
 
 
 def _cell(scheme: str, seed: int, p: Dict[str, Any]) -> JobSpec:

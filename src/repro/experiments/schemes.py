@@ -234,6 +234,7 @@ register(Scheme(
     name="elephant_iso",
     description="RDNA-style isolation: detected elephants moved to "
                 "dedicated source-routed trees, mice share the rest",
-    policy=lambda cfg: ElephantIso(cfg.zoo_threshold_bytes),
+    policy=lambda cfg: ElephantIso(cfg.zoo_threshold_bytes,
+                                   cfg.flowcell_bytes),
     gro="presto",
 ))

@@ -35,7 +35,7 @@ from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.sim.rand import RandomStreams
 from repro.telemetry.core import TelemetryConfig
-from repro.units import KB, MB, msec
+from repro.units import msec
 from repro.workloads.synthetic import (
     random_bijection_pairs,
     random_pairs,
@@ -101,7 +101,6 @@ def run_synthetic_seed(
     measure_ns: int = DEFAULT_MEASURE_NS,
     with_mice: bool = True,
     mice_interval_ns: int = msec(5),
-    shuffle_transfer_bytes: int = 8 * MB,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> SyntheticSeedRun:
     """One (scheme, workload, seed) trial — the picklable job unit."""
@@ -109,7 +108,7 @@ def run_synthetic_seed(
     if workload == "shuffle":
         return _run_shuffle_seed(
             cfg, warm_ns, measure_ns, with_mice, mice_interval_ns,
-            shuffle_transfer_bytes, telemetry=telemetry,
+            telemetry=telemetry,
         )
     spec = cfg.topology_spec()
     pairs = _pairs_for(workload, spec.n_hosts(), spec.hosts_per_edge(),
@@ -134,7 +133,6 @@ def _run_shuffle_seed(
     measure_ns: int,
     with_mice: bool,
     mice_interval_ns: int,
-    transfer_bytes: int,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> SyntheticSeedRun:
     """Shuffle is closed-loop (2 concurrent sized transfers per host), so
@@ -143,15 +141,14 @@ def _run_shuffle_seed(
     receiver NIC is the bottleneck, as the paper notes)."""
     tb = Testbed(cfg, telemetry=telemetry)
     rng = tb.streams.stream("shuffle")
-    wl = shuffle_workload(tb, transfer_bytes, concurrent=2, rng=rng)
+    wl = shuffle_workload(tb, rng)
     wl.start()
     mice_apps = []
     if with_mice:
         n_hosts = cfg.topology_spec().n_hosts()
         for src, dst in stride_pairs(n_hosts, _stride_for(n_hosts))[::4]:
             mice_apps.append(
-                tb.add_mice(src, dst, size_bytes=50 * KB,
-                            interval_ns=mice_interval_ns,
+                tb.add_mice(src, dst, interval_ns=mice_interval_ns,
                             start_ns=warm_ns // 2)
             )
     tb.run(warm_ns)

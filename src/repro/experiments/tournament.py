@@ -51,6 +51,7 @@ from repro.runner.jobspec import JobSpec
 from repro.runner.serialize import to_jsonable
 from repro.runner.sweep import Artifact, Param, Sweep
 from repro.units import msec
+from repro.workloads.tracedriven import INCAST_FANIN
 
 #: the three tournament fabrics: the paper's 16-host Clos shape, a
 #: 2:1-oversubscribed leaf-spine (canonicalizes to clos-2x4x4), and
@@ -62,9 +63,6 @@ DEFAULT_TOPOLOGIES = (
 )
 DEFAULT_SEEDS = (1, 2, 3)
 DEFAULT_DURATION_NS = msec(5)
-#: ``run_fabric_cell``'s incast fan-in default, mirrored here so small
-#: fabrics can clamp it without touching full-size job hashes
-DEFAULT_INCAST_FANIN = 8
 
 #: workloads where the paper predicts multipath spraying improves mice
 #: FCT; incast is excluded (receiver access link is the bottleneck)
@@ -154,7 +152,7 @@ def _cell(topology: str, workload: str, scheme: str, seed: int,
             raise ValueError(
                 f"topology {topology!r} has no out-of-rack hosts "
                 f"for the incast workload")
-        if pool < DEFAULT_INCAST_FANIN:
+        if pool < INCAST_FANIN:
             extra["fanin"] = pool
     return fabric_cell_spec(
         "tournament", topology, workload, scheme, seed, p, **extra)
@@ -224,12 +222,10 @@ def rank_standings(cells: Sequence[TournamentCell],
     ]
 
 
-def ordering_checks(
-    cells: Sequence[TournamentCell],
-    tolerance: float = ORDERING_TOLERANCE,
-) -> List[OrderingCheck]:
-    """Presto at or below ECMP (x ``tolerance``) on mean mice FCT, per
-    trace-workload cell — the paper's headline prediction, as data."""
+def ordering_checks(cells: Sequence[TournamentCell]) -> List[OrderingCheck]:
+    """Presto at or below ECMP (x :data:`ORDERING_TOLERANCE`) on mean
+    mice FCT, per trace-workload cell — the paper's headline
+    prediction, as data."""
     by_key = {(c.topology, c.workload, c.scheme): c for c in cells}
     checks = []
     for (topology, workload, scheme), cell in sorted(by_key.items()):
@@ -242,7 +238,7 @@ def ordering_checks(
         ok = False
         if cell.mean_fct_ns is not None and base.mean_fct_ns:
             ratio = round(cell.mean_fct_ns / base.mean_fct_ns, 4)
-            ok = ratio <= tolerance
+            ok = ratio <= ORDERING_TOLERANCE
         checks.append(OrderingCheck(
             name=f"presto_vs_ecmp/{as_spec(topology).slug()}/{workload}",
             topology=topology,
@@ -251,7 +247,7 @@ def ordering_checks(
             baseline="ecmp",
             ok=ok,
             ratio=ratio,
-            tolerance=tolerance,
+            tolerance=ORDERING_TOLERANCE,
         ))
     return checks
 

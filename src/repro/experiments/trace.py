@@ -6,7 +6,10 @@ elephant throughput tracks Optimal within 2% and beats ECMP by >10%.
 MPTCP is omitted, as in the paper (unstable under many small flows).
 
 The unit of work is one (scheme, seed) simulation, :func:`run_trace`;
-the grid is the :data:`TRACE` declaration.
+the grid is the :data:`TRACE` declaration.  The paper's x10 size
+scaling is :data:`repro.workloads.tracedriven.SIZE_SCALE`; the load and
+size cap that fit it to our shorter windows are :data:`LOAD_SCALE` and
+:data:`MAX_SIZE`.
 """
 
 from __future__ import annotations
@@ -24,8 +27,15 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.stats import mean
 from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Param, Sweep, seeds_param
-from repro.units import SEC, msec
+from repro.units import MB, SEC, msec
 from repro.workloads.tracedriven import TraceWorkload
+
+#: arrival-rate multiplier and per-flow size cap, calibrated so fabric
+#: hotspots (where load balancing matters) rather than receiver-port
+#: sharing (identical across schemes) dominate the mice tail, mirroring
+#: the regime of the paper's testbed (see EXPERIMENTS.md)
+LOAD_SCALE = 0.8
+MAX_SIZE = 30 * MB
 
 
 @dataclass
@@ -45,24 +55,12 @@ class TraceResult:
         return mean(self.elephant_tputs_bps)
 
 
-def run_trace(
-    cfg: TestbedConfig,
-    duration_ns: int = msec(100),
-    size_scale: float = 10.0,
-    load_scale: float = 0.8,
-    max_size: int = 30 * 1024 * 1024,
-) -> TraceResult:
-    """One (scheme, seed) trial — the picklable job unit.
-
-    ``load_scale``/``max_size`` are calibrated so fabric hotspots
-    (where load balancing matters) rather than receiver-port sharing
-    (identical across schemes) dominate the mice tail, mirroring the
-    regime of the paper's testbed (see EXPERIMENTS.md)."""
+def run_trace(cfg: TestbedConfig, duration_ns: int = msec(100)) -> TraceResult:
+    """One (scheme, seed) trial — the picklable job unit."""
     tb = Testbed(cfg)
     wl = TraceWorkload(
-        tb, tb.streams.stream("trace"),
-        size_scale=size_scale, load_scale=load_scale,
-        stop_ns=duration_ns, max_size=max_size,
+        tb, tb.streams.stream("trace"), load_scale=LOAD_SCALE,
+        stop_ns=duration_ns, max_size=MAX_SIZE,
     )
     wl.start()
     tb.run(duration_ns)

@@ -28,21 +28,24 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.units import SEC, msec
 
+#: a window counts as recovered at this fraction of its target rate
+RECOVERY_FRACTION = 0.8
+
 
 class ThroughputTimeline:
     """Aggregate delivered-byte deltas per fixed window, in-sim.
 
     Tracks :class:`~repro.host.transfer.Transfer` objects; each window
     boundary snapshots the sum of their receiver-side delivered bytes.
-    ``stop_ns`` bounds the sampling so a finished run can still quiesce
-    (the soak harness checks exactly that).
+    Sampling starts now; ``stop_ns`` bounds it so a finished run can
+    still quiesce (the soak harness checks exactly that).
     """
 
-    def __init__(self, sim, window_ns: int, stop_ns: int, start_ns: int = 0):
+    def __init__(self, sim, window_ns: int, stop_ns: int):
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive: {window_ns}")
-        if stop_ns <= start_ns:
-            raise ValueError("stop_ns must be after start_ns")
+        if stop_ns <= 0:
+            raise ValueError(f"stop_ns must be positive: {stop_ns}")
         self.sim = sim
         self.window_ns = int(window_ns)
         self.stop_ns = int(stop_ns)
@@ -50,7 +53,7 @@ class ThroughputTimeline:
         #: (window_end_ns, delivered_bytes_in_window)
         self.samples: List[Tuple[int, int]] = []
         self._last_total: Optional[int] = None
-        self.sim.schedule(max(0, start_ns - sim.now), self._tick)
+        self.sim.schedule(0, self._tick)
 
     def track(self, transfer) -> None:
         self._transfers.append(transfer)
@@ -96,7 +99,7 @@ class ConvergenceReport:
     #: failure-destroyed bytes over the run, by mechanism
     blackholed_bytes: Dict[str, int] = field(default_factory=dict)
     #: recovery threshold as a fraction of baseline
-    fraction: float = 0.8
+    fraction: float = RECOVERY_FRACTION
 
 
 def convergence_report(
@@ -105,16 +108,16 @@ def convergence_report(
     reaction_ns: Optional[int],
     blackholed: Optional[Dict[str, int]] = None,
     baseline_window_ns: int = msec(10),
-    fraction: float = 0.8,
     failover_target_bps: Optional[float] = None,
     rebalance_target_bps: Optional[float] = None,
 ) -> ConvergenceReport:
     """Fold a timeline + reaction instant into a :class:`ConvergenceReport`.
 
-    ``time_to_failover`` is fault -> first window at ``fraction`` of
-    ``failover_target_bps`` *before* the controller reacted (recovery
-    attributable to hardware failover alone); ``time_to_rebalance`` is
-    fault -> first window at ``fraction`` of ``rebalance_target_bps``
+    ``time_to_failover`` is fault -> first window at
+    :data:`RECOVERY_FRACTION` of ``failover_target_bps`` *before* the
+    controller reacted (recovery attributable to hardware failover
+    alone); ``time_to_rebalance`` is fault -> first window at that
+    fraction of ``rebalance_target_bps``
     from the reaction onward.  Both targets default to the pre-fault
     baseline — callers that know the achievable plateau (e.g. 3 of 4
     trees after a prune) should pass it, since a fault permanently
@@ -130,10 +133,12 @@ def convergence_report(
     for t, rate in timeline.rates_bps():
         if t <= fault_ns:
             continue
-        if (failover_ns is None and rate >= fraction * failover_target_bps
+        if (failover_ns is None
+                and rate >= RECOVERY_FRACTION * failover_target_bps
                 and (reaction_ns is None or t <= reaction_ns)):
             failover_ns = t - fault_ns
-        if (rebalance_ns is None and rate >= fraction * rebalance_target_bps
+        if (rebalance_ns is None
+                and rate >= RECOVERY_FRACTION * rebalance_target_bps
                 and reaction_ns is not None and t >= reaction_ns):
             rebalance_ns = t - fault_ns
         if failover_ns is not None and rebalance_ns is not None:
@@ -145,5 +150,5 @@ def convergence_report(
         time_to_rebalance_ns=rebalance_ns,
         baseline_bps=baseline,
         blackholed_bytes=blackholed or {},
-        fraction=fraction,
+        fraction=RECOVERY_FRACTION,
     )

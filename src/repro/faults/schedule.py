@@ -15,7 +15,9 @@ nobody scripted.
 Event times are absolute simulation nanoseconds.  Composite events
 (``LinkFlap``, ``SwitchDown``) expand to primitive link actions at arm
 time, so everything the simulator sees is a plain ``set_down`` /
-``set_up`` / ``set_rate`` call.
+``set_up`` / ``set_rate`` call.  An armed schedule records each action
+it applied in :attr:`ArmedFaults.applied`; :func:`random_schedule`
+draws from every kind in :data:`RANDOM_FAULT_KINDS`.
 """
 
 from __future__ import annotations
@@ -217,9 +219,9 @@ class FaultSchedule:
                 degraded[action.target] = False
         return all(up.values()) and not any(degraded.values())
 
-    def arm(self, sim, topo, log=None) -> "ArmedFaults":
+    def arm(self, sim, topo) -> "ArmedFaults":
         """Compile onto ``sim``'s event heap against live ``topo``."""
-        return ArmedFaults(self, sim, topo, log=log)
+        return ArmedFaults(self, sim, topo)
 
 
 class ArmedFaults:
@@ -230,11 +232,10 @@ class ArmedFaults:
     links exactly.
     """
 
-    def __init__(self, schedule: FaultSchedule, sim, topo, log=None):
+    def __init__(self, schedule: FaultSchedule, sim, topo):
         self.schedule = schedule
         self.sim = sim
         self.topo = topo
-        self._log_fn = log
         #: (at_ns, description) per applied primitive action
         self.applied: List[Tuple[int, str]] = []
         self._links = {link.name: link for link in topo.links}
@@ -284,8 +285,6 @@ class ArmedFaults:
         if action.arg is not None:
             desc += f" x{action.arg:g}"
         self.applied.append((self.sim.now, desc))
-        if self._log_fn is not None:
-            self._log_fn(f"[fault t={self.sim.now}] {desc}")
 
 
 #: composite fault kinds :func:`random_schedule` draws from
@@ -299,7 +298,6 @@ def random_schedule(
     window_ns: int,
     switches: Optional[Mapping[str, Sequence[str]]] = None,
     max_faults: int = 2,
-    kinds: Sequence[str] = RANDOM_FAULT_KINDS,
 ) -> FaultSchedule:
     """Draw a self-restoring random schedule inside ``[0, window_ns)``.
 
@@ -311,9 +309,7 @@ def random_schedule(
     """
     if window_ns < 100:
         raise ValueError(f"window_ns too small to fit faults: {window_ns}")
-    kinds = [k for k in kinds if k != "switch" or switches]
-    if not kinds:
-        raise ValueError("no fault kinds to draw from")
+    kinds = [k for k in RANDOM_FAULT_KINDS if k != "switch" or switches]
     free_links = list(links)
     free_switches = sorted(switches) if switches else []
     events: List[FaultEvent] = []
@@ -346,12 +342,10 @@ def random_schedule(
             period = rng.randrange(max(2, budget // (count * 3)),
                                    max(4, budget // count))
             events.append(LinkFlap(start, name, period, count))
-        elif kind == "degrade":
+        else:  # degrade
             factor = rng.choice((0.25, 0.5))
             duration = rng.randrange(max(1, budget // 4), max(2, budget // 2))
             events.append(LinkDegrade(start, name, factor, duration))
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
     if not events:  # every draw collided; fall back to one clean outage
         name = rng.choice(list(links))
         start = window_ns // 4

@@ -37,7 +37,7 @@ from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.collectors import Window
 from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Artifact, Param, Sweep, seeds_param
-from repro.units import KB, SEC, msec
+from repro.units import SEC, msec
 
 SCHEMA = "repro.fluid.compare/1"
 COMPARE_PATH = "FLUID_COMPARE.json"
@@ -72,8 +72,7 @@ def run_scalability_cell(cfg: TestbedConfig, warm_ns: int,
     n_paths = cfg.n_spines
     tb = Testbed(cfg)
     apps = [tb.add_elephant(i, n_paths + i) for i in range(n_paths)]
-    mice = tb.add_mice(0, n_paths, size_bytes=50 * KB,
-                       interval_ns=msec(2),
+    mice = tb.add_mice(0, n_paths, interval_ns=msec(2),
                        stop_ns=warm_ns + measure_ns)
     tb.run(warm_ns)
     window = Window(tb, apps)

@@ -17,9 +17,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.fluid.engine import FluidEngine, FluidTransfer
+from repro.host import app as host_app
 from repro.host.transfer import Transfer
 from repro.metrics.collectors import Counters
-from repro.units import msec
 
 
 class FluidHost:
@@ -40,18 +40,16 @@ class FluidHost:
 class FluidProbeApp(Transfer):
     """RTT probe at fluid fidelity: resolves the probe's path through
     the real LB + switch state and reports the queueless floor —
-    propagation plus per-hop serialization, doubled for the echo."""
+    propagation plus per-hop serialization, doubled for the echo —
+    every :data:`~repro.host.app.PROBE_INTERVAL_NS`, as the packet
+    probe pings."""
 
     PROBE_BYTES = 64
 
-    def __init__(self, tb, src: int, dst: int,
-                 interval_ns: int = msec(1), start_ns: int = 0,
-                 stop_ns: Optional[int] = None):
+    def __init__(self, tb, src: int, dst: int, start_ns: int = 0):
         self.tb = tb
         self.src = src
         self.dst = dst
-        self.interval_ns = interval_ns
-        self.stop_ns = stop_ns
         # two ids, like the packet probe's request/reply pair
         self.flow_id = tb.flow_ids.next()
         self.reply_flow_id = tb.flow_ids.next()
@@ -60,8 +58,6 @@ class FluidProbeApp(Transfer):
 
     def _tick(self) -> None:
         sim = self.tb.sim
-        if self.stop_ns is not None and sim.now >= self.stop_ns:
-            return
         lb = self.tb.hosts[self.src].lb
         dst_mac, cell_id = lb.label(
             self.flow_id, self.dst, self.PROBE_BYTES, self.PROBE_BYTES,
@@ -73,7 +69,7 @@ class FluidProbeApp(Transfer):
         if path is not None:
             one_way = self.tb.engine.path_latency_ns(path, self.PROBE_BYTES)
             self.rtts_ns.append(2 * one_way)
-        sim.schedule(self.interval_ns, self._tick)
+        sim.schedule(host_app.PROBE_INTERVAL_NS, self._tick)
 
     # --- Transfer protocol (probes carry no payload) ----------------------
 
@@ -124,10 +120,8 @@ class FluidPlane:
             src, dst, tb.hosts[src].lb, ids, size_bytes=size_bytes,
             start_ns=start_ns or 0, on_complete=on_complete)
 
-    def open_probe(self, src: int, dst: int, interval_ns: int,
-                   start_ns: int, stop_ns: Optional[int]) -> FluidProbeApp:
-        return FluidProbeApp(self.tb, src, dst, interval_ns=interval_ns,
-                             start_ns=start_ns, stop_ns=stop_ns)
+    def open_probe(self, src: int, dst: int, start_ns: int) -> FluidProbeApp:
+        return FluidProbeApp(self.tb, src, dst, start_ns=start_ns)
 
     # --- running / measurement ----------------------------------------------
 

@@ -25,6 +25,11 @@ from repro.host.transfer import Transfer, delivered_for
 from repro.sim.engine import Simulator
 from repro.units import KB, msec
 
+#: every mice request's payload (the paper's 50 KB mice)
+MICE_BYTES = 50 * KB
+#: gap between an RTT probe's echo and its next ping (sockperf's 1 ms)
+PROBE_INTERVAL_NS = msec(1)
+
 
 class FlowIdAllocator:
     """Monotonic flow-id source shared by an experiment."""
@@ -169,21 +174,19 @@ class MiceApp(Transfer):
     transport (whatever ``tb.open`` opens: a TCP flow, an MPTCP
     connection, a RepFlow race, a fluid).
 
-    Each request is a fresh transfer; its FCT (write -> fully acked) is
-    appended to ``fcts_ns``.  Requests overlap if the previous one has
-    not finished (open-loop, as in the paper's 100 ms cadence).  Over
-    MPTCP the paper's Table 2 shows these timing out — small
-    per-subflow windows cannot trigger fast retransmit, so losses cost
-    an RTO.
+    Each request is a fresh :data:`MICE_BYTES` transfer; its FCT
+    (write -> fully acked) is appended to ``fcts_ns``.  Requests overlap
+    if the previous one has not finished (open-loop, as in the paper's
+    100 ms cadence).  Over MPTCP the paper's Table 2 shows these timing
+    out — small per-subflow windows cannot trigger fast retransmit, so
+    losses cost an RTO.
     """
 
-    def __init__(self, tb, src: int, dst: int, size_bytes: int = 50 * KB,
-                 interval_ns: int = msec(100), start_ns: int = 0,
-                 stop_ns: Optional[int] = None):
+    def __init__(self, tb, src: int, dst: int, interval_ns: int = msec(100),
+                 start_ns: int = 0, stop_ns: Optional[int] = None):
         self.tb = tb
         self.src = src
         self.dst = dst
-        self.size_bytes = size_bytes
         self.interval_ns = interval_ns
         self.stop_ns = stop_ns
         self._fcts_ns: List[int] = []
@@ -196,7 +199,7 @@ class MiceApp(Transfer):
         if self.stop_ns is not None and sim.now >= self.stop_ns:
             return
         self._transfers.append(self.tb.open(
-            self.src, self.dst, self.size_bytes, None, self._done))
+            self.src, self.dst, MICE_BYTES, None, self._done))
         self.sent += 1
         sim.schedule(self.interval_ns, self._tick)
 
@@ -229,7 +232,8 @@ class MiceApp(Transfer):
 
 
 class RttProbeApp(Transfer):
-    """sockperf-style RTT probe: single-packet ping-pong over TCP."""
+    """sockperf-style RTT probe: single-packet ping-pong over TCP, the
+    next ping :data:`PROBE_INTERVAL_NS` after each echo."""
 
     PROBE_BYTES = 64
 
@@ -239,15 +243,11 @@ class RttProbeApp(Transfer):
         client: Host,
         server: Host,
         flow_ids: FlowIdAllocator,
-        interval_ns: int = msec(1),
         start_ns: int = 0,
-        stop_ns: Optional[int] = None,
     ):
         self.sim = sim
         self.client = client
         self.server = server
-        self.interval_ns = interval_ns
-        self.stop_ns = stop_ns
         self.rtts_ns: List[int] = []
         self._c2s = flow_ids.next()
         self._s2c = flow_ids.next()
@@ -266,8 +266,6 @@ class RttProbeApp(Transfer):
         self._send_probe()
 
     def _send_probe(self) -> None:
-        if self.stop_ns is not None and self.sim.now >= self.stop_ns:
-            return
         self._sent_at = self.sim.now
         self._client_sender.write(self.PROBE_BYTES)
 
@@ -283,8 +281,7 @@ class RttProbeApp(Transfer):
             if self._sent_at is not None:
                 self.rtts_ns.append(self.sim.now - self._sent_at)
                 self._sent_at = None
-                delay = max(0, self.interval_ns)
-                self.sim.schedule(delay, self._send_probe)
+                self.sim.schedule(PROBE_INTERVAL_NS, self._send_probe)
 
     # --- Transfer interface ---------------------------------------------------
 

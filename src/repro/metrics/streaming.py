@@ -116,9 +116,8 @@ class StreamingQuantiles:
     count/mean/min/max — without holding the samples.
     """
 
-    def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
-        self.quantiles = tuple(quantiles)
-        self._estimators = [P2Quantile(q) for q in self.quantiles]
+    def __init__(self) -> None:
+        self._estimators = [P2Quantile(q) for q in DEFAULT_QUANTILES]
         self.count = 0
         self._sum = 0.0
         self._min: Optional[float] = None

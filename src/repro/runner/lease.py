@@ -12,8 +12,8 @@ is that bookkeeping, with two ways for a lease to end badly:
 * ``release`` — nobody can say what became of the attempt: a service
   lease expired because its worker was SIGKILLed or partitioned away —
   requeues at the *front* **without charging** the budget.  A per-job
-  cap (``max_releases``) stops a job that somehow takes down every
-  worker it touches from cycling forever.
+  cap (:data:`DEFAULT_MAX_RELEASES`) stops a job that somehow takes
+  down every worker it touches from cycling forever.
 
 The queue is deliberately synchronous and lock-free; callers that need
 thread safety (the HTTP coordinator) hold their own lock around it.
@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-#: default cap on uncharged requeues before a job is declared cursed
+#: cap on uncharged requeues before a job is declared cursed
 DEFAULT_MAX_RELEASES = 8
 
 
@@ -67,15 +67,11 @@ class LeaseQueue:
     def __init__(
         self,
         retries: int = 1,
-        max_releases: int = DEFAULT_MAX_RELEASES,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if max_releases < 1:
-            raise ValueError(f"max_releases must be >= 1, got {max_releases}")
         self.retries = retries
-        self.max_releases = max_releases
         self._clock = clock
         self._pending: Deque[_Entry] = deque()
         self._leases: Dict[str, Lease] = {}
@@ -170,9 +166,9 @@ class LeaseQueue:
         """The attempt was lost: requeue at the front, budget uncharged.
 
         Returns ``("requeued", lease)`` normally, ``("failed", lease)``
-        once the job has been released ``max_releases`` times (a job
-        that takes down every worker it meets must not spin forever),
-        or ``("stale", None)``.
+        once the job has been released :data:`DEFAULT_MAX_RELEASES`
+        times (a job that takes down every worker it meets must not spin
+        forever), or ``("stale", None)``.
         """
         lease = self._leases.pop(lease_id, None)
         entry = self._entries.pop(lease_id, None)
@@ -180,7 +176,7 @@ class LeaseQueue:
             return ("stale", None)
         entry.attempts -= 1  # this attempt never counts
         entry.releases += 1
-        if entry.releases >= self.max_releases:
+        if entry.releases >= DEFAULT_MAX_RELEASES:
             entry.attempts += 1  # report the true attempt count
             return ("failed", lease)
         self._pending.appendleft(entry)

@@ -105,7 +105,8 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
-def content_hash(obj: Any, length: int = 16) -> str:
-    """Stable hex digest of ``obj``'s canonical JSON."""
+def content_hash(obj: Any) -> str:
+    """Stable hex digest of ``obj``'s canonical JSON: the first 16 hex
+    digits of its SHA-256."""
     digest = hashlib.sha256(canonical_json(obj).encode()).hexdigest()
-    return digest[:length]
+    return digest[:16]

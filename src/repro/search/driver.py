@@ -394,14 +394,14 @@ PRESETS: Dict[str, SearchSettings] = {
         population=8,
     ),
     # DiffFlow's mice/elephant cutoff sensitivity (Carpio et al.).
+    # DiffFlow has no flowcells (mice spray per packet, elephants pin
+    # to ECMP), so flowcell_bytes is not an axis here.
     "zoo": SearchSettings(
         preset="zoo",
         scheme="diffflow",
         space=ParamSpace((
             Param("zoo_threshold_bytes", "log", lo=25 * KB, hi=400 * KB,
                   steps=5, integer=True),
-            Param("flowcell_bytes", "log", lo=32 * KB, hi=128 * KB,
-                  steps=3, integer=True),
         )),
         population=6,
         generations=1,

@@ -26,12 +26,12 @@ from repro.experiments.common import run_elephant_workload
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.stats import mean, percentile
-from repro.units import KB, msec
+from repro.units import msec
 
 DEFAULT_WARM_NS = msec(3)
 DEFAULT_MEASURE_NS = msec(6)
-DEFAULT_MICE_SIZE = 50 * KB
-DEFAULT_MICE_INTERVAL_NS = msec(1)
+#: one mouse per pair per millisecond: enough samples in a 6 ms window
+MICE_INTERVAL_NS = msec(1)
 
 
 def cross_rack_pairs(cfg: TestbedConfig) -> Tuple[List[Tuple[int, int]],
@@ -69,8 +69,6 @@ def run_search_cell(
     cfg: TestbedConfig,
     warm_ns: int = DEFAULT_WARM_NS,
     measure_ns: int = DEFAULT_MEASURE_NS,
-    mice_size: int = DEFAULT_MICE_SIZE,
-    mice_interval_ns: int = DEFAULT_MICE_INTERVAL_NS,
     disrupt: bool = False,
 ) -> Dict[str, float]:
     """One seeded trial of the search workload — the shared elephant
@@ -91,7 +89,7 @@ def run_search_cell(
     elephants, mice_pairs = cross_rack_pairs(cfg)
     run = run_elephant_workload(
         cfg, elephants, warm_ns, measure_ns, mice_pairs=mice_pairs,
-        mice_size=mice_size, mice_interval_ns=mice_interval_ns,
+        mice_interval_ns=MICE_INTERVAL_NS,
         setup=arm_fault if disrupt else None)
     fcts = run.mice_fcts_ns
     return {

@@ -67,8 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("url", help="coordinator base URL")
     worker.add_argument("--name", default=None,
                         help="worker name (default host-pid)")
-    worker.add_argument("--poll", type=float, default=0.5, metavar="S",
-                        help="seconds between empty claims (default 0.5)")
+    worker.add_argument("--poll", type=float, default=protocol.POLL_S,
+                        metavar="S", help="seconds between empty claims "
+                                          f"(default {protocol.POLL_S:g})")
     worker.add_argument(
         "--max-idle", type=float, default=None, metavar="S",
         help="exit after this long with no work (default: never)")

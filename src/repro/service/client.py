@@ -3,11 +3,12 @@
 :func:`run_via_service` is the branch :func:`repro.runner.pool.run_jobs`
 takes for the jobs its local store could not satisfy: over one
 kept-alive connection, submit the spec payloads (chunked, honoring 429
-backpressure), poll ``/results`` until every id is terminal, and turn
-each terminal answer into a :class:`JobOutcome` with the local pool's own
-:func:`~repro.runner.pool.outcome_of`, handed back through the same
-``finish`` callback — so callers see no difference beyond where the
-CPUs were.
+backpressure), poll ``/results`` every
+:data:`~repro.service.protocol.POLL_S` until every id is terminal, and
+turn each terminal answer into a :class:`JobOutcome` with the local
+pool's own :func:`~repro.runner.pool.outcome_of`, handed back through
+the same ``finish`` callback — so callers see no difference beyond
+where the CPUs were.
 
 Retry budgets are enforced coordinator-side (it was started with
 ``--retries``); the client's ``retries`` argument exists for signature
@@ -31,6 +32,7 @@ from repro.runner.serialize import to_jsonable
 from repro.runner.store import ResultStore
 from repro.service.protocol import (
     FAILED,
+    POLL_S,
     Backpressure,
     Connection,
     ServiceError,
@@ -39,8 +41,6 @@ from repro.service.protocol import (
 
 #: specs per /submit request — bounds request size, not sweep size
 SUBMIT_CHUNK = 64
-#: how often the client polls /results
-DEFAULT_POLL_S = 0.5
 #: consecutive unreachable polls before the sweep is declared dead
 MAX_CONSECUTIVE_ERRORS = 30
 
@@ -54,7 +54,6 @@ def run_via_service(
     store: Optional[ResultStore] = None,
     finish: Callable[[int, JobOutcome], None],
     log: Callable[[str], None],
-    poll_s: float = DEFAULT_POLL_S,
 ) -> None:
     """Run ``todo`` on the coordinator at ``url``; calls
     ``finish(index, JobOutcome)`` exactly once per entry."""
@@ -69,7 +68,7 @@ def run_via_service(
 
     with Connection(url) as conn:
         _submit(conn, [spec for _, spec in todo], force=force, log=log)
-        _poll(conn, by_id, store=store, finish=finish, poll_s=poll_s)
+        _poll(conn, by_id, store=store, finish=finish)
 
 
 def _poll(
@@ -78,13 +77,12 @@ def _poll(
     *,
     store: Optional[ResultStore],
     finish: Callable[[int, JobOutcome], None],
-    poll_s: float,
 ) -> None:
     """Poll ``/results`` until every id is terminal; ``finish`` each."""
     pending = set(by_id)
     consecutive_errors = 0
     while pending:
-        time.sleep(poll_s)
+        time.sleep(POLL_S)
         try:
             _, body = conn.request("/results", {"ids": sorted(pending)})
         except ServiceError as exc:

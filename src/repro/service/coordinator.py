@@ -119,7 +119,6 @@ class SweepCoordinator:
         retries: int = 1,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        max_releases: int = DEFAULT_MAX_RELEASES,
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
         if lease_ttl_s <= 0:
@@ -132,7 +131,7 @@ class SweepCoordinator:
         self.max_queue = max_queue
         self._log = log or (lambda msg: None)
         self._lock = threading.Lock()
-        self._queue = LeaseQueue(retries=retries, max_releases=max_releases)
+        self._queue = LeaseQueue(retries=retries)
         self._jobs: Dict[str, _Job] = {}
         self._workers: Dict[str, _Worker] = {}
         #: wall stamps, pruned to the window from the left
@@ -359,7 +358,7 @@ class SweepCoordinator:
                 continue
             if status == "failed":
                 job.status = FAILED
-                job.error = (f"lease expired {self._queue.max_releases} "
+                job.error = (f"lease expired {DEFAULT_MAX_RELEASES} "
                              "times without a completion")
                 job.finished_unix = time.time()
                 self.counters["jobs_failed"].inc()

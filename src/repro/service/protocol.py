@@ -47,6 +47,9 @@ from typing import Any, Dict, Optional, Tuple
 DEFAULT_PORT = 8642
 DEFAULT_LEASE_TTL_S = 30.0
 DEFAULT_MAX_QUEUE = 1024
+#: how often a client polls /results, and a worker's default wait
+#: between empty /claim polls
+POLL_S = 0.5
 
 #: job lifecycle states reported by /results and /api/progress
 QUEUED = "queued"
@@ -172,10 +175,9 @@ def request_json(
     base_url: str,
     path: str,
     payload: Optional[Dict[str, Any]] = None,
-    timeout_s: float = 30.0,
 ) -> Tuple[int, Any]:
     """One JSON round trip on a connection of its own, closed after it
     (see :meth:`Connection.request`).  A caller that sends more than a
     few requests keeps a :class:`Connection` instead."""
-    with Connection(base_url, timeout_s) as conn:
+    with Connection(base_url) as conn:
         return conn.request(path, payload)

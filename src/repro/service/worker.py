@@ -30,10 +30,8 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 from repro.runner.pool import execute_leased
-from repro.service.protocol import Connection, ServiceError
+from repro.service.protocol import POLL_S, Connection, ServiceError
 
-#: how long a fresh worker waits between empty /claim polls
-DEFAULT_POLL_S = 0.5
 #: give up after this long with neither jobs nor reachable coordinator
 DEFAULT_MAX_IDLE_S = 60.0
 
@@ -111,7 +109,7 @@ def run_worker(
     url: str,
     *,
     name: Optional[str] = None,
-    poll_s: float = DEFAULT_POLL_S,
+    poll_s: float = POLL_S,
     max_idle_s: Optional[float] = DEFAULT_MAX_IDLE_S,
     max_jobs: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,

@@ -61,13 +61,12 @@ class Tracer:
         name: str,
         track: str,
         args: Optional[Dict[str, Any]] = None,
-        ts_ns: Optional[int] = None,
     ) -> None:
         self._append({
             "ph": PH_INSTANT,
             "cat": cat,
             "name": name,
-            "ts_ns": self.sim.now if ts_ns is None else ts_ns,
+            "ts_ns": self.sim.now,
             "tid": self.track_id(track),
             "args": args or {},
         })

@@ -1,21 +1,28 @@
 """North-south cross traffic (paper S6, Table 2).
 
 One remote-user host hangs off each spine switch behind a 100 Mbps
-(WAN-emulating) link.  Every datacenter server starts a flow to a
-random remote user each millisecond, sized from a web-transfer
-distribution (He et al., IMC'13 [29]) — this is ECMP-load-balanced
-north-south traffic coexisting with Presto's east-west traffic.
+(WAN-emulating) link, :data:`WAN_RATE_BPS`.  Every datacenter server
+starts a flow to a random remote user each millisecond
+(:data:`INTERVAL_NS`), sized from a web-transfer distribution (He et
+al., IMC'13 [29]) — this is ECMP-load-balanced north-south traffic
+coexisting with Presto's east-west traffic.  It runs until the
+simulation stops.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.host.gro import OfficialGro
 from repro.host.host import Host
 from repro.units import KB, MB, mbps, msec, usec
 from repro.workloads.flows import EmpiricalDistribution
+
+#: the remote users' WAN-limited access links
+WAN_RATE_BPS = mbps(100)
+#: each server's gap between north-south flows
+INTERVAL_NS = msec(1)
 
 #: Web-object transfer sizes (IMC'13 shape: mostly small responses,
 #: occasional large downloads).
@@ -33,20 +40,9 @@ WEB_FLOW_SIZES = EmpiricalDistribution(
 class NorthSouthWorkload:
     """Attaches remote users to the spines and drives the flows."""
 
-    def __init__(
-        self,
-        testbed,
-        rng: random.Random,
-        wan_rate_bps: float = mbps(100),
-        interval_ns: int = msec(1),
-        sizes: Optional[EmpiricalDistribution] = None,
-        stop_ns: Optional[int] = None,
-    ):
+    def __init__(self, testbed, rng: random.Random):
         self.tb = testbed
         self.rng = rng
-        self.interval_ns = interval_ns
-        self.sizes = sizes or WEB_FLOW_SIZES
-        self.stop_ns = stop_ns
         self.remote_users: List[Host] = []
         self.flows_started = 0
         next_id = len(testbed.hosts)
@@ -60,7 +56,7 @@ class NorthSouthWorkload:
             )
             # remote users hang off the spines behind the WAN-limited link
             testbed.topo.attach_host(
-                user, spine, rate_bps=wan_rate_bps,
+                user, spine, rate_bps=WAN_RATE_BPS,
                 prop_delay_ns=usec(50),
             )
             self.remote_users.append(user)
@@ -69,16 +65,14 @@ class NorthSouthWorkload:
     def start(self) -> None:
         for src in range(len(self.tb.hosts)):
             self.tb.sim.schedule(
-                self.rng.randrange(self.interval_ns), self._tick, src
+                self.rng.randrange(INTERVAL_NS), self._tick, src
             )
 
     def _tick(self, src: int) -> None:
-        if self.stop_ns is not None and self.tb.sim.now >= self.stop_ns:
-            return
         user = self.rng.choice(self.remote_users)
-        size = max(350, int(self.sizes.sample(self.rng)))
+        size = max(350, int(WEB_FLOW_SIZES.sample(self.rng)))
         flow_id = self.tb.flow_ids.next()
         sender = self.tb.hosts[src].open_sender(flow_id, user.host_id)
         sender.write(size)
         self.flows_started += 1
-        self.tb.sim.schedule(self.interval_ns, self._tick, src)
+        self.tb.sim.schedule(INTERVAL_NS, self._tick, src)

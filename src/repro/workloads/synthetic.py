@@ -1,13 +1,25 @@
 """The paper's synthetic workloads (S4): stride, random, random
 bijection, and shuffle.  These functions compute sender->receiver pairs
 or drive transfer schedules; the experiment harness turns pairs into
-elephants/mice/probes.
+elephants/mice/probes.  The shuffle's transfer size and pipeline depth
+are the constants :data:`SHUFFLE_TRANSFER_BYTES` and
+:data:`SHUFFLE_CONCURRENT`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
+
+from repro.units import MB
+
+#: shuffles tried before :func:`random_bijection_pairs` gives up
+BIJECTION_TRIES = 10_000
+#: bytes each shuffle sender sends each receiver: the paper sends 1 GB;
+#: 15 receivers x 8 MB still outlast a default 45 ms run at 10 Gbps
+SHUFFLE_TRANSFER_BYTES = 8 * MB
+#: active shuffle transfers per sender (the paper's two)
+SHUFFLE_CONCURRENT = 2
 
 
 def stride_pairs(n_hosts: int, stride: int = 8) -> List[Tuple[int, int]]:
@@ -39,12 +51,11 @@ def random_bijection_pairs(
     n_hosts: int,
     hosts_per_pod: int,
     rng: random.Random,
-    max_tries: int = 10_000,
 ) -> List[Tuple[int, int]]:
     """Random bijection: a permutation where every server sends to a
     different-pod destination and receives from exactly one sender."""
     hosts = list(range(n_hosts))
-    for _ in range(max_tries):
+    for _ in range(BIJECTION_TRIES):
         dsts = hosts[:]
         rng.shuffle(dsts)
         if all(
@@ -56,40 +67,29 @@ def random_bijection_pairs(
 
 
 class shuffle_workload:
-    """Shuffle: every server sends ``bytes_per_transfer`` to every other
-    server in random order, ``concurrent`` transfers at a time (the
-    paper: 1 GB to each server, two active flows per host, emulating a
-    Hadoop shuffle).
+    """Shuffle: every server sends :data:`SHUFFLE_TRANSFER_BYTES` to
+    every other server in ``rng``'s order, :data:`SHUFFLE_CONCURRENT`
+    transfers at a time (the paper: 1 GB to each server, two active
+    flows per host, emulating a Hadoop shuffle).
 
     Drive it by calling :meth:`start`; it keeps each sender's pipeline
     full by starting the next transfer whenever one finishes.
     """
 
-    def __init__(
-        self,
-        testbed,
-        bytes_per_transfer: int,
-        concurrent: int = 2,
-        rng: Optional[random.Random] = None,
-        jitter_ns: int = 0,
-    ):
+    def __init__(self, testbed, rng: random.Random):
         self.tb = testbed
-        self.bytes_per_transfer = bytes_per_transfer
-        self.concurrent = concurrent
-        self.rng = rng if rng is not None else random.Random(0)
-        self.jitter_ns = jitter_ns
         n = len(testbed.hosts)
         self._queues = {}
         for src in range(n):
             dsts = [d for d in range(n) if d != src]
-            self.rng.shuffle(dsts)
+            rng.shuffle(dsts)
             self._queues[src] = dsts
         self.completed = 0
         self.apps = []
 
     def start(self) -> None:
         for src in self._queues:
-            for _ in range(self.concurrent):
+            for _ in range(SHUFFLE_CONCURRENT):
                 self._launch(src)
 
     def _launch(self, src: int) -> None:
@@ -97,9 +97,8 @@ class shuffle_workload:
         if not queue:
             return
         dst = queue.pop()
-        start = self.rng.randrange(self.jitter_ns + 1) if self.jitter_ns else 0
         app = self.tb.add_elephant(
-            src, dst, size_bytes=self.bytes_per_transfer, start_ns=start,
+            src, dst, size_bytes=SHUFFLE_TRANSFER_BYTES,
             on_complete=lambda _app, src=src: self._done(src),
         )
         self.apps.append(app)

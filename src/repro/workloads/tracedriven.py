@@ -16,6 +16,12 @@ sweeps: the web-search distribution from the DCTCP measurement study
 (Alizadeh et al., SIGCOMM 2010) and the data-mining distribution from
 VL2 (Greenberg et al., SIGCOMM 2009).  ``TRACE_PROFILES`` maps names to
 (sizes, interarrivals) pairs so sweeps can select one by string.
+
+Every size distribution is scaled by the paper's x10 (:data:`SIZE_SCALE`).
+The incast pattern's request size, cadence and fan-in are the
+constants :data:`INCAST_REQUEST_BYTES`, :data:`INCAST_INTERVAL_NS` and
+:data:`INCAST_FANIN`; only the fan-in is a parameter, which small
+fabrics clamp.
 """
 
 from __future__ import annotations
@@ -85,6 +91,16 @@ KANDULA_INTERARRIVALS_NS = EmpiricalDistribution(
     ]
 )
 
+#: the paper's flow-size scaling of the measured distributions
+SIZE_SCALE = 10.0
+
+#: an incast request: its bytes, split evenly over the workers, and
+#: the gap between requests
+INCAST_REQUEST_BYTES = 1 * MB
+INCAST_INTERVAL_NS = msec(2)
+#: out-of-rack workers answering each request
+INCAST_FANIN = 8
+
 #: Named (sizes, interarrivals) pairs the fabric sweep selects from.
 #: All three reuse the Kandula arrival process; published studies vary
 #: the size distribution far more than the arrival shape.
@@ -110,7 +126,8 @@ class TraceWorkload:
     """Replays the empirical distributions on a testbed.
 
     Each server loops: wait ~interarrival, pick a random receiver not in
-    its own rack, send a sampled-size transfer.  Completions are sorted
+    its own rack, send a transfer sized from ``sizes`` x
+    :data:`SIZE_SCALE`.  Completions are sorted
     into mice (<100 KB) and elephants (>1 MB) FCT/throughput records.
 
     By default every completion is appended to the in-memory lists
@@ -130,7 +147,6 @@ class TraceWorkload:
         self,
         testbed,
         rng: random.Random,
-        size_scale: float = 10.0,
         load_scale: float = 1.0,
         sizes: Optional[EmpiricalDistribution] = None,
         interarrivals: Optional[EmpiricalDistribution] = None,
@@ -141,7 +157,7 @@ class TraceWorkload:
     ):
         self.tb = testbed
         self.rng = rng
-        self.sizes = (sizes or KANDULA_FLOW_SIZES).scaled(size_scale)
+        self.sizes = (sizes or KANDULA_FLOW_SIZES).scaled(SIZE_SCALE)
         self.interarrivals = interarrivals or KANDULA_INTERARRIVALS_NS
         self.load_scale = load_scale
         self.stop_ns = stop_ns
@@ -200,10 +216,11 @@ class TraceWorkload:
 
 
 class IncastWorkload:
-    """Fan-in (incast) pattern: an aggregator repeatedly requests
-    ``request_bytes`` split across ``fanin`` out-of-rack workers, who
-    all respond at once.  The request FCT is the time until the *last*
-    response completes — the paper-style partition/aggregate metric.
+    """Fan-in (incast) pattern: every :data:`INCAST_INTERVAL_NS` an
+    aggregator requests :data:`INCAST_REQUEST_BYTES` split across
+    ``fanin`` out-of-rack workers, who all respond at once.  The request
+    FCT is the time until the *last* response completes — the
+    paper-style partition/aggregate metric.
 
     Each host takes a turn as aggregator round-robin; request FCTs feed
     ``sink`` when given (bounded memory), else ``request_fcts_ns``.
@@ -213,17 +230,13 @@ class IncastWorkload:
         self,
         testbed,
         rng: random.Random,
-        fanin: int = 8,
-        request_bytes: int = 1 * MB,
-        interval_ns: int = msec(2),
+        fanin: int = INCAST_FANIN,
         stop_ns: Optional[int] = None,
         sink: Optional[Callable[[int], None]] = None,
     ):
         self.tb = testbed
         self.rng = rng
         self.fanin = fanin
-        self.request_bytes = request_bytes
-        self.interval_ns = interval_ns
         self.stop_ns = stop_ns
         self.sink = sink
         self.request_fcts_ns: List[int] = []
@@ -254,7 +267,7 @@ class IncastWorkload:
         self._next_aggregator = (aggregator + 1) % len(self.tb.hosts)
         workers = self._workers_for(aggregator)
         start_ns = self.tb.sim.now
-        per_worker = max(1, self.request_bytes // self.fanin)
+        per_worker = max(1, INCAST_REQUEST_BYTES // self.fanin)
         pending = {"left": len(workers)}
         self.requests_started += 1
 
@@ -272,4 +285,4 @@ class IncastWorkload:
             self.tb.add_elephant(
                 w, aggregator, size_bytes=per_worker, on_complete=one_done
             )
-        self.tb.sim.schedule(self.interval_ns, self._fire)
+        self.tb.sim.schedule(INCAST_INTERVAL_NS, self._fire)

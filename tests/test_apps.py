@@ -27,7 +27,7 @@ def test_bulk_app_start_delay():
 
 def test_mice_app_cadence():
     tb = mini()
-    mice = tb.add_mice(0, 1, size_bytes=50 * KB, interval_ns=msec(2))
+    mice = tb.add_mice(0, 1, interval_ns=msec(2))
     tb.run(msec(21))
     assert mice.sent == 11  # t = 0, 2, ..., 20
     assert len(mice.fcts_ns) >= 10
@@ -42,7 +42,7 @@ def test_mice_app_stop():
 
 def test_mice_fcts_reasonable():
     tb = mini()
-    mice = tb.add_mice(0, 1, size_bytes=50 * KB, interval_ns=msec(2))
+    mice = tb.add_mice(0, 1, interval_ns=msec(2))
     tb.run(msec(20))
     # idle network: a 50 KB mouse takes tens of microseconds wire time
     # plus interrupt coalescing; well under a millisecond
@@ -51,15 +51,9 @@ def test_mice_fcts_reasonable():
 
 def test_probe_pingpong():
     tb = mini()
-    probe = tb.add_probe(0, 1, interval_ns=msec(1))
+    probe = tb.add_probe(0, 1)
     tb.run(msec(10))
     assert len(probe.rtts_ns) >= 8
     # idle RTT dominated by 2x interrupt coalescing (~15us per side)
     assert all(usec(20) < r < usec(200) for r in probe.rtts_ns)
 
-
-def test_probe_stop():
-    tb = mini()
-    probe = tb.add_probe(0, 1, interval_ns=msec(1), stop_ns=msec(3))
-    tb.run(msec(20))
-    assert 2 <= len(probe.rtts_ns) <= 4

@@ -24,6 +24,7 @@ from repro.experiments.synthetic import run_synthetic_seed
 from repro.faults.schedule import FaultSchedule, LinkDown, random_schedule
 from repro.faults.soak import _fabric_names
 from repro.fluid.engine import FluidTransfer
+from repro.host import app as host_app
 from repro.runner.pool import collect_results, run_jobs
 from repro.runner.serialize import content_hash, to_jsonable
 from repro.units import KB, MB, SEC, msec, usec
@@ -127,14 +128,14 @@ def test_fluid_mice_fct_presto_beats_ecmp():
     assert fcts["presto"] < fcts["ecmp"]
 
 
-def test_fluid_transfer_byte_ledger_exact():
+def test_fluid_transfer_byte_ledger_exact(monkeypatch):
     """Bounded transfers complete with delivered == size, to the byte,
     and the invariant checker signs off on the run."""
+    monkeypatch.setattr(host_app, "MICE_BYTES", 200 * KB)
     cfg = TestbedConfig(scheme="presto", seed=1, fidelity="flow",
                         validate=True)
     tb = Testbed(cfg)
-    app = tb.add_mice(0, 8, size_bytes=200 * KB, interval_ns=msec(2),
-                      start_ns=0)
+    app = tb.add_mice(0, 8, interval_ns=msec(2), start_ns=0)
     tb.run(msec(6))
     assert app.fcts_ns, "mice must complete"
     for transfer in tb.engine.transfers:
@@ -312,12 +313,14 @@ def _chaos_testbed(scheme, topology, failover_latency_ns, control, seed):
 
 @pytest.mark.parametrize("topology", [None, "fat-tree:k=4"])
 @pytest.mark.parametrize("scheme", ["presto", "ecmp", "presto_ecmp", "mptcp"])
-def test_reused_paths_equal_fresh_walks_under_random_faults(scheme, topology):
+def test_reused_paths_equal_fresh_walks_under_random_faults(scheme, topology,
+                                                            monkeypatch):
     """A pipe's path is walked again only when the forwarding epoch
     moved.  Under random link deaths, flaps, degradations and switch
     outages — with backups engaging 0 / 50 us / 2 ms after a failure and
     the control plane reweighting or not — what the engine kept must
     equal a fresh walk after every single reallocation."""
+    monkeypatch.setattr(host_app, "MICE_BYTES", 100 * KB)
     compared = 0
     for failover_latency_ns in (0, usec(50), msec(2)):
         for control in (False, True):
@@ -333,8 +336,8 @@ def test_reused_paths_equal_fresh_walks_under_random_faults(scheme, topology):
                     tb.add_elephant(i, n_hosts - 1 - i,
                                     size_bytes=rng.choice((None, 3 * MB)),
                                     start_ns=rng.randrange(usec(100)))
-                tb.add_mice(1, n_hosts - 2, size_bytes=100 * KB,
-                            interval_ns=usec(150), stop_ns=msec(5))
+                tb.add_mice(1, n_hosts - 2, interval_ns=usec(150),
+                            stop_ns=msec(5))
                 counter = _assert_kept_state_is_fresh(tb)
                 tb.run(msec(6))
                 compared += counter[0]
@@ -369,7 +372,8 @@ def test_arrival_on_the_timestamp_a_failover_window_closes(scheme):
     assert counter[0] and late.done and inside.done
 
 
-def test_link_index_equals_a_fresh_solve_through_every_kind_of_change():
+def test_link_index_equals_a_fresh_solve_through_every_kind_of_change(
+        monkeypatch):
     """The engine keeps one leg per port between reallocations, so
     every change that moves a pipe onto, off or along a leg is driven
     here with each reallocation checked against a from-scratch solve:
@@ -378,6 +382,7 @@ def test_link_index_equals_a_fresh_solve_through_every_kind_of_change():
     detection window, and a rate change on a leg that carries pipes."""
     from repro.faults.schedule import LinkDegrade, LinkUp
 
+    monkeypatch.setattr(host_app, "MICE_BYTES", 100 * KB)
     latency, down_at = usec(50), usec(400)
     tb = _chaos_testbed("presto", None, latency, control=True, seed=3)
     engine = tb.engine
@@ -401,8 +406,7 @@ def test_link_index_equals_a_fresh_solve_through_every_kind_of_change():
     tb.add_elephant(0, 15)
     tb.add_elephant(4, 11, size_bytes=3 * MB, start_ns=usec(20))
     tb.add_elephant(8, 7, size_bytes=2 * MB, start_ns=down_at + latency // 4)
-    tb.add_mice(1, 14, size_bytes=100 * KB, interval_ns=usec(150),
-                stop_ns=msec(5))
+    tb.add_mice(1, 14, interval_ns=usec(150), stop_ns=msec(5))
     counter = _assert_kept_state_is_fresh(tb)
     tb.run(msec(6))
 

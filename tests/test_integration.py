@@ -7,7 +7,7 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.collectors import Window
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.stats import jain_fairness
-from repro.units import KB, msec, usec
+from repro.units import msec, usec
 
 
 def test_presto_tracks_optimal_on_two_paths():
@@ -113,8 +113,7 @@ def test_mice_tail_presto_beats_ecmp():
         rng = tb.streams.stream("starts")
         for src, dst in stride_pairs(16, 8):
             tb.add_elephant(src, dst, start_ns=rng.randrange(usec(300)))
-        mice = [tb.add_mice(src, dst, size_bytes=50 * KB,
-                            interval_ns=msec(3), start_ns=msec(5))
+        mice = [tb.add_mice(src, dst, interval_ns=msec(3), start_ns=msec(5))
                 for src, dst in stride_pairs(16, 8)[::4]]
         tb.run(msec(40))
         fcts = sorted(f for m in mice for f in m.fcts_ns)

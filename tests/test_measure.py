@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.schedule import FaultSchedule, LinkDown
+from repro.host import app as host_app
 from repro.metrics.collectors import Window
 from repro.units import KB, SEC, msec, usec
 
@@ -100,10 +101,12 @@ def test_blackholed_split_equals_the_counters_read_directly():
     assert tb.plane.counters().blackholed == read()
 
 
-def test_since_returns_only_in_window_samples():
+def test_since_returns_only_in_window_samples(monkeypatch):
+    monkeypatch.setattr(host_app, "PROBE_INTERVAL_NS", usec(100))
+    monkeypatch.setattr(host_app, "MICE_BYTES", 10 * KB)
     tb = _testbed()
-    probe = tb.add_probe(0, 12, interval_ns=usec(100))
-    mice = tb.add_mice(1, 13, size_bytes=10 * KB, interval_ns=usec(200))
+    probe = tb.add_probe(0, 12)
+    mice = tb.add_mice(1, 13, interval_ns=usec(200))
     elephant = tb.add_elephant(2, 14)
     tb.run(msec(1))
     window = Window(tb, [probe, mice, elephant])
@@ -133,7 +136,7 @@ def test_fluid_window_reads_the_engine_ledgers():
     tb = _testbed(fidelity="flow")
     tb.controller.enable_fast_failover(tb.cfg.failover_latency_ns)
     apps = [tb.add_elephant(i, 12 + (i % 2)) for i in range(4)]
-    tb.add_mice(5, 12, size_bytes=50 * KB, interval_ns=usec(300))
+    tb.add_mice(5, 12, interval_ns=usec(300))
     FaultSchedule.of(LinkDown(msec(2), "L1--S1")).arm(tb.sim, tb.topo)
 
     def delivered_to(host_id):

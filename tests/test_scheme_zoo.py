@@ -23,6 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.harness import Testbed, TestbedConfig
+from repro.experiments.schemes import get_scheme
+from repro.host import app as host_app
 from repro.host.transfer import delivered_for
 from repro.lb.base import Policy, VSwitch
 from repro.lb.diffflow import DIFFFLOW_THRESHOLD, DiffFlow
@@ -181,15 +183,16 @@ def repflow3():
 
 @pytest.mark.parametrize("fidelity", ["packet", "flow"])
 def test_new_transport_is_one_table_row_at_both_fidelities(repflow3,
-                                                           fidelity):
+                                                           fidelity,
+                                                           monkeypatch):
     size = 60 * KB
+    monkeypatch.setattr(host_app, "MICE_BYTES", size)
     tb = Testbed(TestbedConfig(scheme=repflow3, n_spines=2, n_leaves=2,
                                hosts_per_leaf=2, seed=1, fidelity=fidelity,
                                validate=True))
     done = []
     app = tb.add_elephant(0, 2, size_bytes=size, on_complete=done.append)
-    mice = tb.add_mice(1, 3, size_bytes=size, interval_ns=msec(1),
-                       stop_ns=msec(2))
+    mice = tb.add_mice(1, 3, interval_ns=msec(1), stop_ns=msec(2))
     tb.run(msec(20))
     assert tb.last_invariant_report.ok
     assert len(app.flow_ids()) == 3 and len(mice.flow_ids()) == 2 * 3
@@ -358,6 +361,20 @@ def test_elephant_iso_moves_detected_elephants_off_shared_trees():
     assert is_elephant(lb, 1)
     assert macs_before <= set(shared)
     assert seg(lb, seq=offset, end=offset + 64 * KB) in dedicated
+
+
+def test_elephant_iso_cuts_cells_at_the_configured_size():
+    """``TestbedConfig.flowcell_bytes`` sizes elephant_iso's mouse
+    cells as it sizes presto's: 16 KB segments at 32 KB cells start a
+    new cell every second segment."""
+    cells = {}
+    for scheme in ("presto", "elephant_iso"):
+        cfg = TestbedConfig(scheme=scheme, flowcell_bytes=32 * KB)
+        lb = VSwitch(0, get_scheme(scheme).policy(cfg), random.Random(1))
+        lb.set_schedule(3, LABELS)
+        cells[scheme] = [lb.label(1, 3, 16 * KB, (i + 1) * 16 * KB, 0)[1]
+                         for i in range(8)]
+    assert cells["elephant_iso"] == cells["presto"] == [1, 1, 2, 2, 3, 3, 4, 4]
 
 
 def test_elephant_iso_flowcells_stay_monotone_across_promotion():

@@ -351,6 +351,26 @@ def test_cli_list(capsys):
         assert preset in captured.out
 
 
+def test_diffflow_ignores_flowcell_bytes():
+    """DiffFlow has no flowcells: mice spray per packet and elephants
+    pin to ECMP.  A packet-fidelity fitness cell gives identical
+    metrics at two flowcell sizes, which is why the zoo preset searches
+    only the mice/elephant cutoff."""
+    from repro.experiments.harness import TestbedConfig
+    from repro.search.fitness import run_search_cell
+
+    metrics = [
+        run_search_cell(TestbedConfig(scheme="diffflow", seed=1,
+                                      zoo_threshold_bytes=50 * KB,
+                                      flowcell_bytes=cell),
+                        warm_ns=msec(1), measure_ns=msec(2))
+        for cell in (32 * KB, 128 * KB)]
+    assert metrics[0]["n_mice"] > 0
+    assert metrics[0] == metrics[1]
+    assert [p.name for p in PRESETS["zoo"].space.params] == [
+        "zoo_threshold_bytes"]
+
+
 def test_runner_sweep_registration(tmp_path):
     from repro.runner.sweeps import SWEEPS
 

@@ -23,6 +23,7 @@ import urllib.request
 
 import pytest
 
+from repro.runner import lease as lease_mod
 from repro.runner.jobspec import JobSpec
 from repro.runner.lease import LeaseQueue
 from repro.runner.pool import run_jobs
@@ -829,8 +830,9 @@ def test_lease_queue_fail_charges_release_does_not():
     assert q.idle
 
 
-def test_lease_queue_release_cap_declares_cursed_job_failed():
-    q = LeaseQueue(retries=1, max_releases=3)
+def test_lease_queue_release_cap_declares_cursed_job_failed(monkeypatch):
+    monkeypatch.setattr(lease_mod, "DEFAULT_MAX_RELEASES", 3)
+    q = LeaseQueue(retries=1)
     q.add(0, "spec")
     for n in range(2):
         lease = q.claim()

@@ -144,7 +144,7 @@ def test_completion_callback_fires_once():
 def test_mice_interleaved_with_elephant_complete():
     tb = mini_testbed(hosts_per_leaf=3)
     tb.add_elephant(0, 2)
-    mice = tb.add_mice(1, 2, size_bytes=50 * KB, interval_ns=msec(2))
+    mice = tb.add_mice(1, 2, interval_ns=msec(2))
     tb.run(msec(30))
     assert len(mice.fcts_ns) >= 10
     assert all(f > 0 for f in mice.fcts_ns)

@@ -75,7 +75,8 @@ def test_registry_snapshot_sorted_and_typed():
 def test_tracer_chrome_export_is_valid_json(tmp_path):
     sim = Simulator()
     tr = Tracer(sim)
-    tr.instant("gro", "flush", "h0", {"n": 3}, ts_ns=1500)
+    sim.run(until=1500)
+    tr.instant("gro", "flush", "h0", {"n": 3})
     tr.complete("nic", "poll", "h0", start_ns=2000, dur_ns=500, args={})
     path = tmp_path / "t.trace.json"
     tr.write_chrome(str(path))
@@ -91,9 +92,11 @@ def test_tracer_chrome_export_is_valid_json(tmp_path):
 
 
 def test_tracer_bounded():
-    tr = Tracer(Simulator(), max_events=2)
+    sim = Simulator()
+    tr = Tracer(sim, max_events=2)
     for i in range(5):
-        tr.instant("c", "n", "x", {}, ts_ns=i)
+        sim.run(until=i)
+        tr.instant("c", "n", "x", {})
     assert len(tr.events) == 2
     assert tr.dropped_events == 3
 

@@ -11,6 +11,7 @@ of the engine that carries them.
 import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
+from repro.host import app as host_app
 from repro.host.transfer import Transfer
 from repro.units import KB, msec, usec
 
@@ -30,14 +31,19 @@ KINDS = {
         lambda tb: tb.add_elephant(0, 2, size_bytes=2_000_000),
         {"presto": 1, "mptcp": 8, "repflow": 1}),
     "mice": (
-        lambda tb: tb.add_mice(1, 3, size_bytes=50 * KB,
-                               interval_ns=usec(500), stop_ns=msec(1)),
+        lambda tb: tb.add_mice(1, 3, interval_ns=usec(500), stop_ns=msec(1)),
         # two requests by t = 1 ms
         {"presto": 2, "mptcp": 16, "repflow": 4}),
     "probe": (
-        lambda tb: tb.add_probe(0, 3, interval_ns=usec(200)),
+        lambda tb: tb.add_probe(0, 3),
         {"presto": 2, "mptcp": 2, "repflow": 2}),
 }
+
+
+@pytest.fixture(autouse=True)
+def _probe_every_200us(monkeypatch):
+    """Probes ping every 200 us, so a 2 ms run samples several."""
+    monkeypatch.setattr(host_app, "PROBE_INTERVAL_NS", usec(200))
 
 
 def _testbed(scheme, fidelity):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.units import KB, MB, msec
+from repro.workloads import synthetic
 from repro.workloads.flows import EmpiricalDistribution
 from repro.workloads.northsouth import NorthSouthWorkload
 from repro.workloads.synthetic import (
@@ -55,9 +56,10 @@ class TestBijection:
         for src, dst in pairs:
             assert src // 4 != dst // 4
 
-    def test_impossible_raises(self):
+    def test_impossible_raises(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "BIJECTION_TRIES", 5)
         with pytest.raises(RuntimeError):
-            random_bijection_pairs(4, 4, random.Random(0), max_tries=5)
+            random_bijection_pairs(4, 4, random.Random(0))
 
 
 class TestEmpiricalDistribution:
@@ -98,20 +100,21 @@ def mini_clos(scheme="presto"):
                                  hosts_per_leaf=2, model_cpu=False))
 
 
-def test_shuffle_workload_progresses_and_refills():
+def test_shuffle_workload_progresses_and_refills(monkeypatch):
+    monkeypatch.setattr(synthetic, "SHUFFLE_TRANSFER_BYTES", 100 * KB)
     tb = mini_clos()
-    wl = shuffle_workload(tb, bytes_per_transfer=100 * KB, concurrent=2,
-                          rng=random.Random(1))
+    wl = shuffle_workload(tb, random.Random(1))
     wl.start()
     tb.run(msec(30))
     assert wl.completed > 4
-    # senders keep 'concurrent' transfers outstanding until queues drain
+    # senders keep SHUFFLE_CONCURRENT transfers outstanding until
+    # queues drain
     assert len(wl.apps) >= wl.completed
 
 
 def test_trace_workload_classifies_flows():
     tb = mini_clos()
-    wl = TraceWorkload(tb, random.Random(3), size_scale=1.0, stop_ns=msec(30))
+    wl = TraceWorkload(tb, random.Random(3), stop_ns=msec(30))
     wl.start()
     tb.run(msec(60))
     assert wl.flows_started > 10
