@@ -75,13 +75,26 @@ UNBOUNDED_CELLS_PER_LABEL = 8
 _UNWALKED = object()
 
 
+class _Port(Leg):
+    """One directional port's leg, which also counts the bytes carried
+    through the port (the fluid ``port.tx_bytes``)."""
+
+    __slots__ = ("carried",)
+
+    def __init__(self, name: str, cap: float):
+        super().__init__(name, cap)
+        self.carried = 0.0
+
+
 class _Pipe(Strand):
     """One (wire flow, label, path) strand of a transfer's fluid.  Its
     ``weight`` is its byte fraction of the transfer and its ``rate``, in
-    bytes/ns, is set by each reallocation."""
+    bytes/ns, is set by each reallocation.  ``hops`` are the legs of
+    ``path`` in path order, a repeated port repeated (``legs`` holds
+    each once)."""
 
     __slots__ = ("flow_id", "dst_mac", "flowcell_id", "path", "epoch",
-                 "delivered")
+                 "delivered", "hops")
 
     def __init__(self, flow_id: int, dst_mac: int, flowcell_id: int,
                  path: Optional[Tuple[str, ...]], epoch: int):
@@ -92,6 +105,7 @@ class _Pipe(Strand):
         self.path = path                # port names, or None (blackholed)
         self.epoch = epoch              # forwarding epoch `path` was walked in
         self.delivered = 0.0            # bytes carried by this pipe
+        self.hops: Tuple[_Port, ...] = ()
 
 
 class FluidTransfer(Transfer):
@@ -192,10 +206,9 @@ class FluidEngine:
         #: the allocator's standing input: one leg per port in
         #: ``_ports`` (capacity in bytes/ns), whose members are the
         #: routed pipes crossing it
-        self._legs: Dict[str, Leg] = {}
+        self._legs: Dict[str, _Port] = {}
         #: pipes with a path and a weight, i.e. members of their legs
         self._routed: Dict[_Pipe, None] = {}
-        self._leg_bytes: Dict[str, float] = {}
         self._realloc_times: set = set()
         self._reslice_pending = False
         self._watching = False
@@ -293,8 +306,7 @@ class FluidEngine:
         group cells into pipes by (wire flow, label, path)."""
         self.slices += 1
         transfer._retire_pipes()
-        total = (transfer.remaining if transfer.remaining is not None
-                 else None)
+        total = transfer.remaining
         per_flow: List[Tuple[int, Optional[float]]] = [
             (f, None if total is None else total / len(transfer._flow_ids))
             for f in transfer._flow_ids]
@@ -414,8 +426,8 @@ class FluidEngine:
     def _see_port(self, port) -> None:
         if port.name not in self._ports:
             self._ports[port.name] = port
-            self._legs[port.name] = Leg(port.name,
-                                        port.link.rate_bps / (8.0 * SEC))
+            self._legs[port.name] = _Port(port.name,
+                                          port.link.rate_bps / (8.0 * SEC))
 
     # --- the link index ---------------------------------------------------
 
@@ -424,9 +436,9 @@ class FluidEngine:
         if pipe.path is None or pipe.weight <= 0.0:
             return
         legs = self._legs
+        pipe.hops = hops = tuple([legs[name] for name in pipe.path])
         crossed = []
-        for name in pipe.path:
-            leg = legs[name]
+        for leg in hops:
             if leg.members and leg.members[-1] is pipe:
                 continue  # a path may repeat a port: count it once
             leg.join(pipe)
@@ -440,7 +452,7 @@ class FluidEngine:
         if pipe.legs:
             for leg in pipe.legs:
                 leg.leave(pipe)
-            pipe.legs = ()
+            pipe.legs = pipe.hops = ()
             del self._routed[pipe]
         pipe.rate = 0.0
 
@@ -455,7 +467,6 @@ class FluidEngine:
         dt = now - self._last_ns
         if dt <= 0:
             return
-        leg_bytes = self._leg_bytes
         for transfer in self._active:
             total = transfer._total_rate()
             if total <= 0.0:
@@ -470,9 +481,8 @@ class FluidEngine:
                     continue
                 moved = pipe.rate * eff
                 pipe.delivered += moved
-                if pipe.path is not None:
-                    for leg in pipe.path:
-                        leg_bytes[leg] = leg_bytes.get(leg, 0.0) + moved
+                for leg in pipe.hops:
+                    leg.carried += moved
             if transfer.remaining is not None:
                 transfer.remaining = max(0.0, transfer.remaining - total * eff)
         self._last_ns = now
@@ -578,8 +588,9 @@ class FluidEngine:
         """Bytes carried per directional port (sorted by name), the
         fluid counterpart of the packet engine's ``port.tx_bytes``."""
         self.sync()
-        return {name: int(self._leg_bytes[name])
-                for name in sorted(self._leg_bytes)}
+        return {name: int(leg.carried)
+                for name, leg in sorted(self._legs.items())
+                if leg.carried > 0.0}
 
     def path_latency_ns(self, path: Sequence[str], payload_bytes: int) -> int:
         """One-way propagation + per-hop serialization along a resolved

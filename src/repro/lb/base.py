@@ -13,7 +13,7 @@ engine (``FluidEngine._slice_flow``) call the same object the same way.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.addresses import host_mac
 
@@ -75,9 +75,9 @@ class Policy:
     #: decisions are flowcell assignments worth a telemetry event
     traced = False
     #: optional ``view(labels) -> labels``: what of an installed schedule
-    #: the policy indexes, computed once per ``set_schedule``, not per
-    #: segment (None: the schedule as pushed)
-    view: Optional[Callable[[List[int]], List[int]]] = None
+    #: the policy indexes, computed once per install, not per segment
+    #: (None: the schedule as pushed)
+    view: Optional[Callable[[Sequence[int]], Sequence[int]]] = None
 
     def __call__(self, st: FlowState, n: int, nbytes: int, end_seq: int,
                  now: int, rng: random.Random) -> Tuple[int, int]:
@@ -87,10 +87,12 @@ class Policy:
 class VSwitch:
     """Per-host path selection at the soft edge.
 
-    The controller pushes a *schedule* per destination: an ordered list
-    of forwarding labels (shadow MACs), possibly with duplicates to
-    realize WCMP-style weights (paper S3.3).  :meth:`label` turns one
-    outgoing unit into ``(dst_mac, flowcell_id)``, which TSO then
+    The controller pushes a *schedule* per destination: an ordered,
+    immutable tuple of forwarding labels (shadow MACs), possibly with
+    duplicates to realize WCMP-style weights (paper S3.3).  It installs
+    its edge switch's whole table in one :meth:`set_schedules` call, so
+    the hosts below one edge hold the same tuples.  :meth:`label` turns
+    one outgoing unit into ``(dst_mac, flowcell_id)``, which TSO then
     replicates onto the wire packets.
     """
 
@@ -104,24 +106,34 @@ class VSwitch:
         self.rng = rng if rng is not None else random.Random(host_id)
         #: called (no arguments) after every schedule install
         self.on_schedule_change: List[Callable[[], None]] = []
-        self._schedules: Dict[int, List[int]] = {}
+        self._schedules: Dict[int, Tuple[int, ...]] = {}
         #: what the policy indexes: the schedules, or its view of them
         self._views = {} if self.policy.view else self._schedules
         self._flows: Dict[int, FlowState] = {}
 
-    def set_schedule(self, dst_host: int, labels: List[int]) -> None:
+    def set_schedule(self, dst_host: int, labels: Sequence[int]) -> None:
         """Install/replace the label schedule toward ``dst_host``."""
-        if not labels:
-            raise ValueError("schedule must contain at least one label")
-        self._schedules[dst_host] = labels = list(labels)
-        if self.policy.view:
-            self._views[dst_host] = self.policy.view(labels)
+        self.set_schedules({dst_host: labels})
+
+    def set_schedules(self, table: Mapping[int, Sequence[int]]) -> None:
+        """Install/replace the schedule toward every destination in
+        ``table``; observers hear one change.  A tuple is kept as given
+        (shared, never copied), any other sequence as a tuple of it."""
+        view = self.policy.view
+        for dst_host, labels in table.items():
+            if not labels:
+                raise ValueError("schedule must contain at least one label")
+            if not isinstance(labels, tuple):
+                labels = tuple(labels)
+            self._schedules[dst_host] = labels
+            if view:
+                self._views[dst_host] = view(labels)
         for observer in self.on_schedule_change:
             observer()
 
-    def labels_for(self, dst_host: int) -> List[int]:
+    def labels_for(self, dst_host: int) -> Tuple[int, ...]:
         """Schedule for a destination; defaults to its real MAC (direct)."""
-        return self._schedules.get(dst_host) or [host_mac(dst_host)]
+        return self._schedules.get(dst_host) or (host_mac(dst_host),)
 
     def flow(self, flow_id: int) -> FlowState:
         """The flow's state record, created untouched on first use."""
@@ -135,7 +147,7 @@ class VSwitch:
         (a raced copy): policies that care keep the two apart."""
         self.flow(replica_flow_id).primary = self.flow(primary_flow_id)
 
-    def _view(self, dst_host: int) -> List[int]:
+    def _view(self, dst_host: int) -> Sequence[int]:
         """Nothing pushed toward ``dst_host``: the default, kept."""
         labels = self.labels_for(dst_host)
         view = self._views[dst_host] = (

@@ -5,8 +5,8 @@ Responsibilities (paper S3.1 and S3.3):
 * partition the fabric into disjoint spanning trees (one up-port index
   per tier: one tree per spine, or per fat-tree core) and install
   shadow-MAC forwarding rules;
-* push, to every vSwitch, the per-destination label schedule (the list
-  of shadow MACs iterated round-robin by Algorithm 1);
+* push, to every vSwitch, the per-destination label schedule (the
+  tuple of shadow MACs iterated round-robin by Algorithm 1);
 * on failure, recompute *weighted* schedules — WCMP-style weights are
   realized by duplicating labels in the schedule — and push the update
   to the edge (no switch firmware involvement);
@@ -34,7 +34,15 @@ from repro.net.topology import Topology
 
 
 class PrestoController:
-    """Builds trees, programs the fabric, and manages vSwitch schedules."""
+    """Builds trees, programs the fabric, and manages vSwitch schedules.
+
+    A schedule depends on its source host only through the host's edge
+    switch, so the controller builds one table per edge switch — an
+    immutable label tuple per destination host, one tuple for every edge
+    with the same tree plan toward the host — and hands each vSwitch
+    below the edge the whole table in one
+    :meth:`~repro.lb.base.VSwitch.set_schedules` call.
+    """
 
     def __init__(self, topo: Topology, trees: Optional[List[SpanningTree]] = None):
         self.topo = topo
@@ -54,11 +62,16 @@ class PrestoController:
             if (legs := tree_legs(topo, self.trees[0], src, dst)) is not None}
         # Weights read nothing but the state of the links trees climb
         # through, and depend on the hosts only through their edge
-        # switches: one plan per edge pair, dropped when a link changes.
-        self._plans: Dict[Tuple[Switch, Switch], List[int]] = {}
+        # switches: one table per edge; tables and labels are dropped
+        # when a link changes.
+        self._tables: Dict[Switch, Dict[int, Tuple[int, ...]]] = {}
+        #: (destination host, tree plan) -> labels, shared by every
+        #: edge with that plan toward the host's edge (in a healthy
+        #: fabric, all of them: one shadow MAC per tree and host)
+        self._labels: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
         for link in {leg.link for climb in self._climb.values()
                      for leg in climb}:
-            link.on_state_change.append(self._forget_plans)
+            link.on_state_change.append(self._forget_tables)
 
     # --- schedule computation -------------------------------------------------
 
@@ -78,20 +91,37 @@ class PrestoController:
             return 1.0
         return min(leg.link.rate_bps for leg in legs)
 
-    def schedule_for(self, src_host: int, dst_host: int) -> List[int]:
-        """Ordered label list ``src_host`` should round-robin toward
-        ``dst_host``, with duplicates expressing weights."""
-        src_leaf = self.topo.host_leaf[src_host]
-        dst_leaf = self.topo.host_leaf[dst_host]
-        if src_leaf is dst_leaf:
-            return [host_mac(dst_host)]
-        plan = self._plans.get((src_leaf, dst_leaf))
-        if plan is None:
-            plan = self._plans[src_leaf, dst_leaf] = self._tree_plan(
-                src_leaf, dst_leaf)
-        return [shadow_mac(tree_id, dst_host) for tree_id in plan]
+    def schedule_for(self, src_host: int, dst_host: int) -> Tuple[int, ...]:
+        """Ordered labels ``src_host`` should round-robin toward
+        ``dst_host``, with duplicates expressing weights: the tuple every
+        host below ``src_host``'s edge switch shares."""
+        return self._table(self.topo.host_leaf[src_host])[dst_host]
 
-    def _tree_plan(self, src_leaf: Switch, dst_leaf: Switch) -> List[int]:
+    def _table(self, edge: Switch) -> Dict[int, Tuple[int, ...]]:
+        """The schedules of the hosts below ``edge``, per destination
+        host: its real MAC below the same edge, else its shadow MACs
+        along the edge pair's tree plan."""
+        table = self._tables.get(edge)
+        if table is not None:
+            return table
+        table = self._tables[edge] = {}
+        plans: Dict[Switch, Tuple[int, ...]] = {}
+        for dst_host, dst_leaf in self.topo.host_leaf.items():
+            if dst_leaf is edge:
+                table[dst_host] = (host_mac(dst_host),)
+                continue
+            plan = plans.get(dst_leaf)
+            if plan is None:
+                plan = plans[dst_leaf] = self._tree_plan(edge, dst_leaf)
+            labels = self._labels.get((dst_host, plan))
+            if labels is None:
+                labels = self._labels[dst_host, plan] = tuple(
+                    [shadow_mac(tree_id, dst_host) for tree_id in plan])
+            table[dst_host] = labels
+        return table
+
+    def _tree_plan(self, src_leaf: Switch,
+                   dst_leaf: Switch) -> Tuple[int, ...]:
         """The tree ids hosts below ``src_leaf`` round-robin toward hosts
         below ``dst_leaf``, a tree repeated once per unit of weight."""
         weights = [(t, self.tree_weight(t, src_leaf, dst_leaf)) for t in self.trees]
@@ -107,10 +137,11 @@ class PrestoController:
             plan.extend([tree.tree_id] * copies)
         # interleaved by tree id, which is by label: for one host a
         # shadow MAC grows with its tree id
-        return _interleave_schedule(plan)
+        return tuple(_interleave_schedule(plan))
 
-    def _forget_plans(self, link) -> None:
-        self._plans.clear()
+    def _forget_tables(self, link) -> None:
+        self._tables.clear()
+        self._labels.clear()
 
     # --- vSwitch management ------------------------------------------------------
 
@@ -120,10 +151,8 @@ class PrestoController:
         self.push_schedules(lb)
 
     def push_schedules(self, lb) -> None:
-        for dst_host in self.topo.hosts:
-            if dst_host == lb.host_id:
-                continue
-            lb.set_schedule(dst_host, self.schedule_for(lb.host_id, dst_host))
+        """Hand ``lb`` its edge switch's table, in one install."""
+        lb.set_schedules(self._table(self.topo.host_leaf[lb.host_id]))
 
     def push_all(self) -> None:
         """Recompute and push schedules to every registered vSwitch —

@@ -256,14 +256,17 @@ def check_invariants(
             for dst_host in tb.topo.hosts:
                 if dst_host == lb.host_id:
                     continue
+                # by value: a vSwitch given a schedule by hand holds a
+                # tuple of its own, which is stale only if it differs
                 expected = tb.controller.schedule_for(lb.host_id, dst_host)
-                if lb.labels_for(dst_host) != expected:
+                labels = lb.labels_for(dst_host)
+                if labels != expected:
                     mismatches += 1
                     if mismatches <= 3:  # keep the report readable
                         report.violations.append(
                             f"stale schedule at host {lb.host_id} -> "
-                            f"{dst_host}: {lb.labels_for(dst_host)} != "
-                            f"{expected}")
+                            f"{dst_host}: {list(labels)} != "
+                            f"{list(expected)}")
         if mismatches > 3:
             report.violations.append(
                 f"... and {mismatches - 3} more stale schedules")

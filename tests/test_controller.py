@@ -1,9 +1,13 @@
 """Unit tests for the Presto controller (schedules, weights, failover)."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from repro.experiments.fabric_sweep import fabric_config
+from repro.experiments.harness import Testbed
+from repro.faults.controlplane import ControlPlane
 from repro.host.gro import PrestoGro
 from repro.host.host import Host
 from repro.lb.base import VSwitch
@@ -38,7 +42,7 @@ def test_schedule_covers_all_trees_when_healthy():
 
 def test_same_leaf_pair_uses_direct_mac():
     _, topo, controller, hosts = build()
-    assert controller.schedule_for(0, 1) == [host_mac(1)]
+    assert list(controller.schedule_for(0, 1)) == [host_mac(1)]
 
 
 def test_single_switch_schedules_direct():
@@ -49,7 +53,7 @@ def test_single_switch_schedules_direct():
     topo.attach_host(host0, topo.tiers[0][0])
     topo.attach_host(host1, topo.tiers[0][0])
     controller = PrestoController(topo)
-    assert controller.schedule_for(0, 1) == [host_mac(1)]
+    assert list(controller.schedule_for(0, 1)) == [host_mac(1)]
 
 
 def test_failure_prunes_tree_for_affected_pairs():
@@ -215,3 +219,70 @@ def test_disconnected_pair_falls_back_to_all_trees():
     schedule = controller.schedule_for(0, 2)
     assert len(schedule) == 4
     assert {shadow_mac_tree(m) for m in schedule} == {0, 1, 2, 3}
+
+
+# --- one table per edge switch, shared by the vSwitches below it -------------
+
+
+def test_hosts_below_one_edge_share_every_schedule():
+    _, topo, controller, hosts = build()
+    for dst in topo.hosts:
+        shared = hosts[0].lb.labels_for(dst)
+        assert hosts[1].lb.labels_for(dst) is shared  # both below L1
+        assert isinstance(shared, tuple)
+    assert hosts[2].lb.labels_for(0) is controller.schedule_for(3, 0)
+
+
+def test_control_plane_swaps_shared_tuples_only_when_it_reacts():
+    sim, topo, controller, hosts = build()
+    control = ControlPlane(sim, controller, topo.links,
+                           detection_delay_ns=100, reaction_delay_ns=50)
+    before = [{dst: h.lb.labels_for(dst) for dst in topo.hosts}
+              for h in hosts]
+    link = next(l for l in topo.links if l.name == "L1--S1")
+    link.set_rate(link.rate_bps / 2)
+    sim.run(until=control.total_delay_ns - 1)
+    for host, held in zip(hosts, before):
+        assert all(host.lb.labels_for(dst) is labels
+                   for dst, labels in held.items())
+    sim.run(until=control.total_delay_ns)
+    assert len(control.reactions) == 1
+    for host in hosts:
+        for dst in topo.hosts:
+            assert (host.lb.labels_for(dst)
+                    is controller.schedule_for(host.host_id, dst))
+    weighted = hosts[0].lb.labels_for(2)
+    assert weighted is hosts[1].lb.labels_for(2) != before[0][2]
+    assert Counter(shadow_mac_tree(m) for m in weighted) == {
+        0: 1, 1: 2, 2: 2, 3: 2}
+
+
+def test_a_hand_set_schedule_stays_with_its_host():
+    _, topo, controller, hosts = build()
+    hosts[0].lb.set_schedule(2, [shadow_mac(1, 2)])
+    assert hosts[0].lb.labels_for(2) == (shadow_mac(1, 2),)
+    assert hosts[1].lb.labels_for(2) is controller.schedule_for(1, 2)
+    assert len(controller.schedule_for(0, 2)) == 4
+
+
+def test_one_push_notifies_each_vswitch_once():
+    _, topo, controller, hosts = build()
+    heard = Counter()
+    for host in hosts:
+        host.lb.on_schedule_change.append(
+            lambda host_id=host.host_id: heard.update([host_id]))
+    controller.push_all()
+    assert heard == {host.host_id: 1 for host in hosts}
+
+
+def test_k8_flow_testbed_holds_no_per_host_schedules():
+    """A fat-tree:k=8 testbed's 128 vSwitches share their edge's tables:
+    it once allocated 19 MB here, 256 000 label ints of it."""
+    tracemalloc.start()
+    try:
+        tb = Testbed(fabric_config("fat-tree:k=8", "presto", 1, "flow"))
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tb.hosts) == 128
+    assert traced <= 12 * 1024 * 1024

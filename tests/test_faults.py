@@ -180,7 +180,7 @@ def test_control_plane_reacts_after_detection_plus_reaction():
     # observed immediately, but no push until the delays elapse
     assert [c.link for c in control.observed] == ["L1--S1"]
     assert control.reactions == [] and not control.settled()
-    assert lb.labels_for(12) == before
+    assert list(lb.labels_for(12)) == before
     tb.run(usec(10) + control.total_delay_ns)
     assert control.last_reaction_ns() == usec(10) + control.total_delay_ns
     assert control.settled()
@@ -210,7 +210,7 @@ def test_recovery_restores_unweighted_schedules():
     assert {shadow_mac_tree(m) for m in lb.labels_for(12)} == {1, 2, 3}
     tb.run(msec(2))
     assert len(control.reactions) == 2
-    assert lb.labels_for(12) == healthy
+    assert list(lb.labels_for(12)) == healthy
 
 
 def test_control_plane_rejects_negative_delays():

@@ -42,7 +42,7 @@ def test_base_schedule_validation():
 def test_schedule_observers_fire_after_every_install():
     vs = VSwitch(0)
     seen = []
-    vs.on_schedule_change.append(lambda: seen.append(vs.labels_for(3)))
+    vs.on_schedule_change.append(lambda: seen.append(list(vs.labels_for(3))))
     vs.set_schedule(3, LABELS)
     vs.set_schedule(3, LABELS[:2])
     assert seen == [LABELS, LABELS[:2]]  # called with the new one in place

@@ -1,8 +1,10 @@
-"""``tools/ledger_pairs.pair_wins``: the pairs-won count a perf gain
-claim is decided by."""
+"""``tools/ledger_pairs``: the parent's exported tree and the pairs-won
+count a perf gain claim is decided by."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -10,6 +12,7 @@ _spec = importlib.util.spec_from_file_location(
 ledger_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ledger_pairs)
 pair_wins = ledger_pairs.pair_wins
+export_tree = ledger_pairs.export_tree
 
 WALL = {"name": "wall_s", "better": "lower"}
 RATE = {"name": "cells_per_s", "better": "higher"}
@@ -58,3 +61,12 @@ def test_every_workload_and_metric_is_counted_separately():
     assert pair_wins(parent, change, [WALL, RATE]) == {
         ("a", "wall_s"): [1, 0, 1], ("a", "cells_per_s"): [0, 1, 1],
         ("b", "wall_s"): [0, 0, 1], ("b", "cells_per_s"): [1, 0, 1]}
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(),
+                    reason="exports a commit: needs a git checkout")
+def test_export_tree_writes_the_committed_ledger(tmp_path):
+    dest = tmp_path / "parent"
+    export_tree("HEAD", str(dest))
+    assert (dest / "benchmarks" / "ledger" / "run.py").is_file()
+    assert not (dest / ".git").exists()  # files only, no worktree

@@ -5,8 +5,8 @@
                                              [--seed N]
 
 The measurement protocol a gain claim has to follow (see
-``benchmarks/ledger/README.md``): check the parent commit out beside
-this tree (``git worktree add`` under a temp dir), run
+``benchmarks/ledger/README.md``): export the parent commit beside
+this tree (``git archive PARENT_REF | tar -x`` into a temp dir), run
 ``benchmarks/ledger/run.py --out`` on both trees ``--pairs`` times,
 alternating which side goes first, hand the two files to ``run.py
 compare`` and count, per workload and end-to-end metric, in how many
@@ -18,10 +18,10 @@ metric.
 
 The change side is this working tree as it stands, uncommitted edits
 included.  Nothing under ``benchmarks/ledger/`` is touched; the
-worktree and both ``--out`` files live in a fresh temp dir (``$TMPDIR``
-picks where).  The worktree is removed on exit, the two files are left
-there — their paths are printed — for the PR text and for re-running
-``compare``.
+parent's tree and both ``--out`` files live in a fresh temp dir
+(``$TMPDIR`` picks where).  The tree is removed on exit, the two files
+are left there — their paths are printed — for the PR text and for
+re-running ``compare``.
 """
 
 import argparse
@@ -35,6 +35,18 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_PY = os.path.join("benchmarks", "ledger", "run.py")
+
+
+def export_tree(ref, dest):
+    """Write the committed files of ``ref`` into the new directory
+    ``dest``: ``git archive ref | tar -x``, no worktree, no checkout."""
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "archive", ref], cwd=REPO,
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise SystemExit(f"could not export {ref} into {dest}")
 
 
 def run_ledger(tree, out, ns):
@@ -92,8 +104,7 @@ def main(argv=None):
     trees = {"parent": parent, "change": REPO}
     failed = 0
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet",
-                        parent, ns.parent_ref], cwd=REPO, check=True)
+        export_tree(ns.parent_ref, parent)
         for pair in range(ns.pairs):
             order = ("parent", "change") if pair % 2 == 0 else (
                 "change", "parent")
@@ -109,10 +120,7 @@ def main(argv=None):
             wins = pair_wins(json.load(a)["runs"], json.load(b)["runs"],
                              metrics)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", parent],
-                       cwd=REPO, stderr=subprocess.DEVNULL)
         shutil.rmtree(parent, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=REPO)
 
     print(f"\nchange ahead of {ns.parent_ref} (pairs won / pairs, ties "
           f"count for neither):")
