@@ -23,7 +23,7 @@ from repro.experiments.schemes import scheme_names
 from repro.metrics.collectors import Window
 from repro.metrics.stats import jain_fairness, mean, percentile
 from repro.net.fabrics import as_spec
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.telemetry.core import TelemetryConfig
 from repro.units import msec, usec
@@ -59,6 +59,7 @@ class RunResult:
         return jain_fairness(self.per_pair_rates_bps)
 
 
+@cell
 def run_elephant_workload(
     cfg: TestbedConfig,
     pairs: Sequence[Tuple[int, int]],

@@ -36,7 +36,7 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.streaming import StreamingQuantiles, TopK
 from repro.net.fabrics import as_spec
 from repro.net.routing import validate_trees
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.telemetry.core import TelemetryConfig
 from repro.units import msec
@@ -93,6 +93,7 @@ def fabric_config(
     )
 
 
+@cell
 def run_fabric_cell(
     cfg: TestbedConfig,
     workload: str,

@@ -52,7 +52,7 @@ from repro.faults.metrics import (
 from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.collectors import Window
 from repro.metrics.stats import mean
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.serialize import ref_of
 from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.sim.rand import RandomStreams
@@ -115,6 +115,7 @@ def _phase_guard_ns(cfg: TestbedConfig, measure_ns: int) -> int:
     return min(guard, max(0, (measure_ns - cfg.failover_latency_ns) // 2))
 
 
+@cell
 def run_failure_timeline(
     workload: str,
     seed: int = 1,

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.net.fabrics import TopologySpec
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import Param, Sweep
 from repro.units import MB, msec, usec
 
@@ -53,6 +53,7 @@ def slice_flowlets(events: List[Tuple[int, int]], gap_ns: int) -> List[int]:
     return sizes
 
 
+@cell
 def run_flowlet_sizes(
     competing: int,
     transfer_bytes: int = 64 * MB,

@@ -20,6 +20,7 @@ import json
 
 from repro.experiments.common import run_elephant_workload
 from repro.experiments.scalability import scalability_config
+from repro.runner.jobspec import cell
 from repro.runner.serialize import to_jsonable
 from repro.units import msec
 
@@ -63,6 +64,7 @@ def golden_zoo_run(scheme: str, fidelity=None, telemetry=None):
     )
 
 
+@cell
 def golden_run(name: str, telemetry=None):
     """The canonical tiny run for golden ``name``: a scheme, or
     ``flow_<scheme>`` for the same cell at flow fidelity;

@@ -38,7 +38,7 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.reordering import ReorderTracker
 from repro.metrics.stats import mean, percentile
 from repro.net.fabrics import TopologySpec
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.units import SEC, msec
 from repro.workloads.synthetic import stride_pairs
@@ -91,6 +91,7 @@ def reorder_config(scheme: str, seed: int) -> TestbedConfig:
     return replace(cfg, tcp=replace(cfg.tcp, rcv_wnd=1024 * 1024))
 
 
+@cell
 def run_reorder_cell(cfg: TestbedConfig,
                      duration_ns: int = REORDER_DURATION_NS) -> ReorderCell:
     """Elephants 0->2 and 1->3 over the two paths, a tracker on each
@@ -121,6 +122,7 @@ def run_reorder_cell(cfg: TestbedConfig,
     )
 
 
+@cell
 def run_fig5(gro: str, duration_ns: int = msec(40), seed: int = 0) -> ReorderCell:
     """One curve of Fig 5a/5b: Presto's flowcells into ``gro``
     ("presto" or "official") at the receivers."""
@@ -220,6 +222,7 @@ class CpuOverheadResult:
         return self.mean_util["presto"] - self.mean_util["official"]
 
 
+@cell
 def run_fig6(gro: str, duration_ns: int = msec(40), sample_ns: int = msec(2),
              seed: int = 0) -> CpuOverheadResult:
     """One curve of Fig 6: receive-core utilization under the stride

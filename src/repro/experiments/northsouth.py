@@ -32,7 +32,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.stats import mean
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import Sweep, seeds_param
 from repro.workloads.northsouth import NorthSouthWorkload
 from repro.workloads.synthetic import stride_pairs
@@ -49,6 +49,7 @@ class NorthSouthResult:
         return fct_percentiles(self.mice_fcts_ns)
 
 
+@cell
 def run_northsouth(
     cfg: TestbedConfig,
     warm_ns: int = DEFAULT_WARM_NS,

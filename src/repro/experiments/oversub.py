@@ -23,6 +23,7 @@ from repro.experiments.common import (
     run_elephant_workload,
 )
 from repro.experiments.harness import TestbedConfig
+from repro.runner.jobspec import cell
 from repro.telemetry.core import TelemetryConfig
 
 
@@ -53,6 +54,7 @@ def oversub_config(
     )
 
 
+@cell
 def run_oversub_seed(
     cfg: TestbedConfig,
     warm_ns: int = DEFAULT_WARM_NS,

@@ -24,6 +24,7 @@ from repro.experiments.common import (
     run_elephant_workload,
 )
 from repro.experiments.harness import TestbedConfig
+from repro.runner.jobspec import cell
 from repro.telemetry.core import TelemetryConfig
 
 
@@ -51,6 +52,7 @@ def scalability_config(
     )
 
 
+@cell
 def run_scalability_seed(
     cfg: TestbedConfig,
     warm_ns: int = DEFAULT_WARM_NS,

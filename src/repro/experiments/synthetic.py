@@ -31,7 +31,7 @@ from repro.experiments.common import (
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.collectors import Window
 from repro.metrics.stats import mean
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.sim.rand import RandomStreams
 from repro.telemetry.core import TelemetryConfig
@@ -94,6 +94,7 @@ def _check_workload(workload: str) -> None:
         raise ValueError(f"unknown workload {workload!r}")
 
 
+@cell
 def run_synthetic_seed(
     cfg: TestbedConfig,
     workload: str,

@@ -25,7 +25,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.stats import mean
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.units import MB, SEC, msec
 from repro.workloads.tracedriven import TraceWorkload
@@ -55,6 +55,7 @@ class TraceResult:
         return mean(self.elephant_tputs_bps)
 
 
+@cell
 def run_trace(cfg: TestbedConfig, duration_ns: int = msec(100)) -> TraceResult:
     """One (scheme, seed) trial — the picklable job unit."""
     tb = Testbed(cfg)

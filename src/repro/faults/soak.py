@@ -31,7 +31,7 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.schedule import FaultSchedule, random_schedule
 from repro.metrics.collectors import Window
 from repro.net.fabrics import fabric_link_names, wiring
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import Param, Sweep
 from repro.sim.rand import RandomStreams
 from repro.units import KB, MB, msec
@@ -127,6 +127,7 @@ def random_case(
     )
 
 
+@cell
 def run_soak_case(case: SoakCase) -> SoakResult:
     """Run one chaos case end to end and check every invariant."""
     tb = Testbed(case.cfg)

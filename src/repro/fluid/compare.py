@@ -35,7 +35,7 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.scalability import scalability_config
 from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.collectors import Window
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import Artifact, Param, Sweep, seeds_param
 from repro.units import SEC, msec
 
@@ -65,6 +65,7 @@ def _agg_gbps(window: Window) -> float:
 # --- cell runners ------------------------------------------------------------
 
 
+@cell
 def run_scalability_cell(cfg: TestbedConfig, warm_ns: int,
                          measure_ns: int) -> Dict:
     """Stride elephants + a mice stream on the scalability topology;
@@ -87,6 +88,7 @@ def run_scalability_cell(cfg: TestbedConfig, warm_ns: int,
     }
 
 
+@cell
 def run_failover_cell(cfg: TestbedConfig, warm_ns: int,
                       measure_ns: int) -> Dict:
     """Fig 17 shape: 4 L1→L4 elephants, spine link L1--S1 dies after

@@ -29,7 +29,7 @@ Fidelity anchors (what stays *identical* to the packet engine):
   from the same RNG streams and produce the same label sequences.
 * **Forwarding.**  Each pipe's path is found by asking every switch on
   the way for its ``next_hop`` — the one statement of the pipeline
-  ``Switch.receive`` runs: exact match, ECMP groups (including
+  ``Switch.receive`` runs: below / climb, ECMP groups (including
   per-(flow, cell) leaf hashing) and fast failover with its hardware
   latency — so shadow-MAC trees, backup paths and blackhole windows
   behave exactly as a packet would see them.  A walk is kept until the

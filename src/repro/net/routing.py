@@ -23,21 +23,21 @@ Two trees share a link between tiers ``t`` and ``t+1`` only if they
 agree on ``up[0..t]``: every tree owns its top-tier links exclusively
 (the generalization of "one disjoint tree per spine") and fat-tree
 trees share edge<->agg links only within an uplink class.
-:func:`validate_trees` checks exactly this, plus full (tree x host)
-shadow-MAC reachability, by walking the real L2 tables.
 
-Each tree gets a shadow-MAC label per destination host;
-:func:`install_tree_routes` programs the L2 tables so labelled packets
-ride exactly that tree.
+Each tree gets a shadow-MAC label per destination host, but a switch
+keeps no (tree, host) entry: the way down is its ``below`` (set as hosts
+attach), so :func:`install_tree_routes` programs only each tree's
+``climb``, and :func:`validate_trees` checks (tree x host) reachability
+and disjointness from those two maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, zip_longest
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.addresses import shadow_mac
+from repro.net.addresses import tree_field
 from repro.net.port import Port
 from repro.net.switch import Switch
 from repro.net.topology import Topology
@@ -90,28 +90,22 @@ def tree_root(topo: Topology, tree: SpanningTree) -> Switch:
 
 
 def install_tree_routes(topo: Topology, trees: List[SpanningTree]) -> None:
-    """Program shadow-MAC forwarding for every (tree, destination host):
-    a tier-``t`` switch sends the label down toward the host when the
-    host is below it, and out of up port ``tree.up[t]`` otherwise.
+    """Program shadow-MAC forwarding: a tier-``t`` switch climbs
+    ``tree``'s labels out of up port ``tree.up[t]``.
 
-    The down entry goes on *every* switch above the host, not just the
-    ones on the tree: that is what lets hardware fast failover detour a
-    labelled packet through a sibling switch without controller help.
-    At the destination's edge switch "down" is the host port (the host
-    vSwitch rewrites the real MAC back, paper S3.2).
+    The way down needs no programming: every switch above a host has
+    it in ``below``, which sends the host's labels of *every* tree down
+    — that is what lets hardware fast failover detour a labelled packet
+    through a sibling switch without controller help.  At the
+    destination's edge switch "down" is the host port (the host vSwitch
+    rewrites the real MAC back, paper S3.2).
     """
     for tree in trees:
-        labels = [(host_id, shadow_mac(tree.tree_id, host_id))
-                  for host_id in topo.host_port]
-        for tier, index in zip_longest(topo.tiers, tree.up):
+        field = tree_field(tree.tree_id)
+        # the top tier has no index: nowhere further to climb
+        for tier, index in zip(topo.tiers, tree.up):
             for sw in tier:
-                below = topo.below[sw]
-                # the top tier has no index: nowhere further to climb
-                climb = topo.up[sw][index] if index is not None else None
-                for host_id, label in labels:
-                    out = below.get(host_id, climb)
-                    if out is not None:
-                        sw.install_route(label, out)
+                sw.climb[field] = topo.up[sw][index]
 
 
 def tree_legs(
@@ -142,59 +136,44 @@ def validate_trees(topo: Topology, trees: List[SpanningTree]) -> None:
     """Check the two spanning-tree invariants against the *programmed*
     switch state, raising :class:`TreeValidationError` on a breach:
 
-    * **reachability** — for every (tree, destination host), the shadow
-      MAC walks the installed L2 tables from every edge switch to the
-      destination's host port without looping;
-    * **disjointness** — two trees cross the same link between tiers
+    * **reachability** — every (tree, edge switch) climb reaches a
+      switch with every host below it, and every ``below`` entry steps
+      down to a switch with that host below it or to the host's own
+      port: so every (tree, host) label, from every edge switch, walks
+      to the destination's host port without looping;
+    * **disjointness** — two trees climb the same link between tiers
       ``t`` and ``t+1`` only if they agree on ``up[0..t]`` (trunk links
       into the top tier belong to exactly one tree).
     """
     problems: List[str] = []
-    #: link name -> the first tree that crossed it
+    tier_of = {sw: t for t, tier in enumerate(topo.tiers) for sw in tier}
+    for sw, tier in tier_of.items():
+        for host_id, out in sw.below.items():
+            if out is topo.host_port.get(host_id):
+                continue
+            if tier_of.get(out.peer, tier) >= tier \
+                    or host_id not in out.peer.below:
+                problems.append(f"{sw.name}: the way down to host "
+                                f"{host_id} leaves through {out.name}")
+    #: link name -> the first tree that climbed it
     owner: Dict[str, SpanningTree] = {}
     clashes = set()
-    max_hops = 2 * len(topo.tiers) + 1
-    for tree, dst in product(trees, topo.tiers[0]):
-        # below an edge switch are its own hosts, behind their host ports
-        for nth, (host_id, target) in enumerate(topo.below[dst].items()):
-            label = shadow_mac(tree.tree_id, host_id)
-            for start in topo.tiers[0]:
-                node, path = start, []
-                while True:
-                    out = node.l2_table.get(label)
-                    if out is None:
-                        problems.append(
-                            f"tree {tree.tree_id}: no route for host "
-                            f"{host_id}'s label at {node.name}")
-                        break
-                    if out is target:
-                        break
-                    if not isinstance(out.peer, Switch):
-                        problems.append(
-                            f"tree {tree.tree_id}: host {host_id}'s label "
-                            f"delivered to the wrong host via {out.name}")
-                        break
-                    path.append(out)
-                    node = out.peer
-                    if len(path) > max_hops:
-                        problems.append(
-                            f"tree {tree.tree_id}: forwarding loop for "
-                            f"host {host_id}'s label starting at "
-                            f"{start.name}")
-                        break
-                if len(problems) > 20:
-                    raise TreeValidationError(
-                        "; ".join(problems[:20]) + "; ...")
-                if nth or out is not target:
-                    continue  # an edge's hosts share their fabric path
-                # the path climbed len/2 tiers and came back down, so
-                # its k-th link joins tiers level-1 and level
-                for k, port in enumerate(path):
-                    level = min(k, len(path) - 1 - k) + 1
-                    first = owner.setdefault(port.link.name, tree)
-                    if first.up[:level] != tree.up[:level]:
-                        clashes.add(
-                            (first.tree_id, tree.tree_id, port.link.name))
+    for tree, edge in product(trees, topo.tiers[0]):
+        field = tree_field(tree.tree_id)
+        node, level = edge, 0
+        while len(node.below) < len(topo.host_port):
+            # the climb's level-th link joins tiers level-1 and level
+            level += 1
+            out = node.climb.get(field)
+            if out is None or tier_of.get(out.peer) != level:
+                problems.append(
+                    f"tree {tree.tree_id}: no route up from {edge.name} "
+                    f"at {node.name}")
+                break
+            first = owner.setdefault(out.link.name, tree)
+            if first.up[:level] != tree.up[:level]:
+                clashes.add((first.tree_id, tree.tree_id, out.link.name))
+            node = out.peer
     problems += [f"trees {a} and {b} share link {link}"
                  for a, b, link in sorted(clashes)]
     if problems:

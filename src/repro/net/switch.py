@@ -1,10 +1,11 @@
-"""Output-queued L2 switch with exact-match tables, ECMP groups and
-OpenFlow-style fast-failover groups.
+"""Output-queued L2 switch with factored label forwarding, ECMP groups
+and OpenFlow-style fast-failover groups.
 
 Forwarding pipeline (matches how the paper's testbed is programmed):
 
-1. exact match on destination MAC (real host MACs and shadow-MAC labels
-   installed by the controller);
+1. ``below[host]`` when the MAC's host is below this switch, else
+   ``climb[tree field]`` (:mod:`repro.net.addresses`): a real MAC goes
+   down toward its host, a shadow-MAC label rides its spanning tree;
 2. otherwise the port's default ECMP group, hashing either per-flow
    (classic ECMP) or per-(flow, flowcell) (the paper's "Presto + ECMP"
    per-hop variant, Fig 14);
@@ -16,7 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.addresses import is_shadow_mac, shadow_mac, shadow_mac_host
+from repro.net.addresses import (
+    HOST_MASK,
+    TREE_SHIFT,
+    is_shadow_mac,
+    shadow_mac,
+    shadow_mac_host,
+)
 from repro.net.packet import Packet
 from repro.net.port import Port
 
@@ -113,10 +120,11 @@ class Switch:
         #: optional SharedBuffer pool backing all of this switch's ports
         self.shared_buffer = shared_buffer
         self.ports: List[Port] = []
-        self.l2_table: Dict[int, Port] = {}
+        #: host id -> down port, per host below (filled as hosts attach)
+        self.below: Dict[int, Port] = {}
+        #: tree field -> the up port that tree's labels climb through
+        self.climb: Dict[int, Port] = {}
         self.ecmp_default: Optional[EcmpGroup] = None
-        #: per-destination ECMP groups (checked before ecmp_default)
-        self.ecmp_by_mac: Dict[int, EcmpGroup] = {}
         self.failover: Optional[FailoverGroup] = None
         self.rx_pkts = 0
         self.no_route_drops = 0
@@ -146,16 +154,6 @@ class Switch:
                 self.failover.note_recovery(port)
         port.link.on_state_change.append(on_change)
 
-    def install_route(self, mac: int, port: Port) -> None:
-        """Exact-match L2 entry: ``mac`` forwards out ``port``.
-
-        Part of set-up.  Once traffic runs, forwarding changes only
-        through ``Link.set_down/set_up/set_rate``, vSwitch schedule
-        pushes and the failover detection window — the fluid engine
-        keeps walked paths between those (a route installed mid-run is
-        seen by packets, not by fluids already flowing)."""
-        self.l2_table[mac] = port
-
     #: hop budget: a forwarding loop (e.g. mis-configured failover
     #: bounces) kills the packet instead of the simulator
     MAX_HOPS = 32
@@ -163,9 +161,10 @@ class Switch:
     def next_hop(self, flow_id: int, dst_mac: int, flowcell_id: int,
                  now: Optional[int] = None
                  ) -> Tuple[Optional[Port], int, bool]:
-        """The forwarding pipeline, stated once, over values: exact
-        match, else an ECMP group, then fast failover if the chosen
-        egress is down at ``now`` (default: that port's clock).
+        """The forwarding pipeline, stated once, over values: the MAC's
+        host below, else its tree's climb, else the ECMP group, then
+        fast failover if the chosen egress is down at ``now`` (default:
+        that port's clock).
         Returns ``(egress port, dst_mac the packet leaves with, whether
         the choice hashed on the flowcell)``; the port is None where
         the packet is dropped (no route, or a dead egress whose bucket
@@ -175,10 +174,12 @@ class Switch:
         action and forwards out its explicit backup port — no second
         lookup here; the next hop resolves the (possibly new) label.
         With no failover the egress may be down: its port drops."""
-        out = self.l2_table.get(dst_mac)
+        out = self.below.get(dst_mac & HOST_MASK)
+        if out is None:
+            out = self.climb.get(dst_mac >> TREE_SHIFT)
         by_cell = False
         if out is None:
-            group = self.ecmp_by_mac.get(dst_mac) or self.ecmp_default
+            group = self.ecmp_default
             if group is None:
                 return None, dst_mac, False
             out = group.select(flow_id, flowcell_id)
@@ -197,8 +198,11 @@ class Switch:
             self.ttl_drops += 1
             self.ttl_drop_bytes += pkt.wire_size
             return
-        # next_hop()'s exact-match hit inlined: the per-packet path
-        out = self.l2_table.get(pkt.dst_mac)
+        # next_hop()'s label hit inlined: the per-packet path
+        mac = pkt.dst_mac
+        out = self.below.get(mac & HOST_MASK)
+        if out is None:
+            out = self.climb.get(mac >> TREE_SHIFT)
         if out is None or not out.link._up:
             out, dst_mac, _ = self.next_hop(
                 pkt.flow_id, pkt.dst_mac, pkt.flowcell_id)

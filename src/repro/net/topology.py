@@ -4,8 +4,9 @@ the *underlay* routing needed regardless of load-balancing scheme.
 A fabric is ordered **tiers** of switches (tier 0 = the edge switches
 hosts attach to, the top tier = the spanning-tree roots) joined by
 links that each climb one tier.  That is all a :class:`Topology` knows
-about shape: per switch its up ports, its down ports and — filled in as
-hosts attach — the hosts below it with the down port leading to each.
+about shape: per switch its up ports and its down ports; as hosts
+attach, each switch's own ``below`` learns the hosts under it with the
+down port leading to each.
 The paper's 2-tier Clos (Fig 3), a k-ary fat tree and the "Optimal"
 single switch differ only in the wiring plan handed to
 :func:`repro.net.fabrics.build_fabric`.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.net.addresses import host_mac
 from repro.net.link import Link
 from repro.net.port import Port
 from repro.net.queues import SharedBuffer
@@ -54,8 +54,6 @@ class Topology:
         #: per switch, in wiring order: ports to the tier above / below
         self.up: Dict[Switch, List[Port]] = {}
         self.down: Dict[Switch, List[Port]] = {}
-        #: per switch: host_id -> the down port leading to that host
-        self.below: Dict[Switch, Dict[int, Port]] = {}
         self._tier_of: Dict[Switch, int] = {}
 
     # --- construction --------------------------------------------------------
@@ -74,7 +72,7 @@ class Topology:
             self.tiers.append([])
         self.tiers[tier].append(sw)
         self._tier_of[sw] = tier
-        self.up[sw], self.down[sw], self.below[sw] = [], [], {}
+        self.up[sw], self.down[sw] = [], []
         return sw
 
     def connect(
@@ -119,7 +117,8 @@ class Topology:
         host_buffer_bytes: int = 4 * 1024 * 1024,
     ) -> Link:
         """Wire ``host`` (anything with ``.host_id`` and ``.receive``) to a
-        leaf switch and install its real-MAC route on that leaf.
+        leaf switch and enter it in the ``below`` of every switch above
+        it: that is its real-MAC route, and every label's way down.
 
         The leaf-side port gets switch-class (shallow) buffering; the
         host-side egress gets qdisc-class (deep) buffering so hosts do
@@ -137,19 +136,18 @@ class Topology:
         to_host.peer, to_leaf.peer = host, leaf
         to_host.peer_port, to_leaf.peer_port = to_leaf, to_host
         leaf.add_port(to_host)
-        leaf.install_route(host_mac(host_id), to_host)
         self.hosts[host_id] = host
         self.host_leaf[host_id] = leaf
         self.host_port[host_id] = to_host
         self.links.append(link)
         # the host is now below every switch above its leaf; where a
         # switch has several ways down, the first one wired wins
-        self.below[leaf][host_id] = to_host
+        leaf.below[host_id] = to_host
         climbing = [leaf]
         for sw in climbing:
             for up in self.up[sw]:
-                if host_id not in self.below[up.peer]:
-                    self.below[up.peer][host_id] = up.peer_port
+                if host_id not in up.peer.below:
+                    up.peer.below[host_id] = up.peer_port
                     climbing.append(up.peer)
         host.attach(to_leaf, self)
         return link
@@ -161,12 +159,10 @@ class Topology:
         return next((p for p in a.ports if p.peer is b), None)
 
     def install_underlay(self, leaf_hash_mode: str = HASH_FLOW) -> None:
-        """Install real-MAC routing: every switch gets an exact entry
-        where the path is forced (downhill, toward each host below it)
-        and an ECMP group over its up ports for everything else."""
+        """Install real-MAC routing: downhill the path is forced and
+        ``below`` already has it, so every switch with up ports gets an
+        ECMP group over them for everything else."""
         for sw in self.switches.values():
-            for host_id, down in self.below[sw].items():
-                sw.install_route(host_mac(host_id), down)
             if self.up[sw]:
                 sw.ecmp_default = EcmpGroup(
                     self.up[sw], salt=sw.salt, mode=leaf_hash_mode)

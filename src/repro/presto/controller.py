@@ -3,8 +3,8 @@
 Responsibilities (paper S3.1 and S3.3):
 
 * partition the fabric into disjoint spanning trees (one up-port index
-  per tier: one tree per spine, or per fat-tree core) and install
-  shadow-MAC forwarding rules;
+  per tier: one tree per spine, or per fat-tree core) and program each
+  switch's climb for every tree's shadow-MAC labels;
 * push, to every vSwitch, the per-destination label schedule (the
   tuple of shadow MACs iterated round-robin by Algorithm 1);
 * on failure, recompute *weighted* schedules — WCMP-style weights are
@@ -168,8 +168,8 @@ class PrestoController:
         Every switch below the top tier with two or more up ports backs
         each with the next (cyclic).  No rewrite is needed: the switch
         the backup reaches is a sibling of the dead port's, and every
-        switch above a host carries the down routes for all its labels
-        (see :func:`~repro.net.routing.install_tree_routes`).
+        switch above a host sends all its labels down (``Switch.below``
+        serves every tree).
 
         Dead *down* ports are left to the controller's weighted
         reschedule — the trees through them lose the destination and

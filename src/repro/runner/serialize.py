@@ -43,6 +43,12 @@ def resolve_ref(ref: str) -> Any:
     return target
 
 
+def in_repro(ref: str) -> bool:
+    """True when ``ref`` names something defined under ``repro``."""
+    module = ref.partition(":")[0]
+    return module == "repro" or module.startswith("repro.")
+
+
 def to_jsonable(obj: Any) -> Any:
     """Encode ``obj`` into JSON-compatible types, reversibly."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
@@ -76,8 +82,7 @@ def _dataclass_of(ref: str) -> type:
     ``/submit`` bodies and store records, and decoding calls the class,
     so only dataclasses defined under ``repro`` qualify; anything else
     is a ValueError before a module outside ``repro`` is imported."""
-    module = ref.partition(":")[0]
-    if module == "repro" or module.startswith("repro."):
+    if in_repro(ref):
         cls = resolve_ref(ref)
         if isinstance(cls, type) and is_dataclass(cls):
             return cls

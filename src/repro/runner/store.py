@@ -16,7 +16,7 @@ import tempfile
 import time
 from typing import Any, Dict, Iterator, Optional
 
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import BadSpec, JobSpec, cell_of
 from repro.runner.serialize import to_jsonable
 
 #: env var overriding the default results root (useful for tests/CI)
@@ -48,8 +48,13 @@ class ResultStore:
 
         Corruption covers structure, not just syntax: a record that
         parses but lost its ``result`` (truncated write, hand-edit) is
-        a cache miss — the job re-runs and overwrites it.
+        a cache miss — the job re-runs and overwrites it.  So is any
+        record of a spec that names no registered cell.
         """
+        try:
+            cell_of(spec.fn)
+        except BadSpec:
+            return None
         try:
             with open(self.path_for(spec)) as fh:
                 record = json.load(fh)

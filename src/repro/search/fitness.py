@@ -26,6 +26,7 @@ from repro.experiments.common import run_elephant_workload
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.stats import mean, percentile
+from repro.runner.jobspec import cell
 from repro.units import msec
 
 DEFAULT_WARM_NS = msec(3)
@@ -65,6 +66,7 @@ def cross_rack_pairs(cfg: TestbedConfig) -> Tuple[List[Tuple[int, int]],
     return elephants, mice
 
 
+@cell
 def run_search_cell(
     cfg: TestbedConfig,
     warm_ns: int = DEFAULT_WARM_NS,

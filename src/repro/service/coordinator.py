@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import BadSpec, JobSpec, cell_of
 from repro.runner.lease import DEFAULT_MAX_RELEASES, LeaseQueue
 from repro.runner.serialize import from_jsonable
 from repro.runner.store import ResultStore
@@ -66,11 +66,6 @@ COUNTER_NAMES = (
 #: how many wall-clock seconds of completions the timeline keeps
 TIMELINE_WINDOW_S = 600.0
 TIMELINE_BUCKET_S = 10.0
-
-
-class BadSpec(ValueError):
-    """Raised by :meth:`SweepCoordinator.submit` for a payload that does
-    not decode to a :class:`JobSpec`."""
 
 
 class QueueFull(Exception):
@@ -156,6 +151,8 @@ class SweepCoordinator:
                           f"{exc}") from exc
         if not all(isinstance(spec, JobSpec) for spec in specs):
             raise BadSpec("every spec must decode to a JobSpec")
+        for spec in specs:
+            cell_of(spec.fn)
         with self._lock:
             self._expire_leases()
             new = []

@@ -37,7 +37,7 @@ from repro.experiments.fabric_sweep import (
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.stats import percentile
 from repro.metrics.streaming import P2Quantile, StreamingQuantiles, TopK
-from repro.net.addresses import shadow_mac
+from repro.net.addresses import shadow_mac, tree_field
 from repro.net.fabrics import (
     TopologySpec,
     Wiring,
@@ -175,6 +175,26 @@ def _fat_tree_testbed(k: int, scheme: str = "presto") -> Testbed:
                                  topology=TopologySpec.fat_tree(k)))
 
 
+class _StubHost:
+    """Just enough host for ``attach_host``: an id and no NIC."""
+
+    def __init__(self, host_id):
+        self.host_id = host_id
+        self.receivers = {}
+
+    def attach(self, port, topo):
+        pass
+
+
+def _stub_fat_tree(k: int):
+    """A bare k-ary fat tree with a stub host in every slot."""
+    spec = TopologySpec.fat_tree(k)
+    topo = build_fabric(Simulator(), spec)
+    for h in range(spec.n_hosts()):
+        topo.attach_host(_StubHost(h), topo.tiers[0][spec.edge_of(h)])
+    return topo
+
+
 def test_fat_tree_shape_k4():
     tb = _fat_tree_testbed(4)
     topo = tb.topo
@@ -183,10 +203,10 @@ def test_fat_tree_shape_k4():
     for edge, agg in zip(topo.tiers[0], topo.tiers[1]):
         assert len(topo.up[edge]) == 2 and not topo.down[edge]
         assert len(topo.up[agg]) == 2 and len(topo.down[agg]) == 2
-        assert len(topo.below[edge]) == 2      # its own hosts
-        assert len(topo.below[agg]) == 4       # its pod's hosts
+        assert len(edge.below) == 2      # its own hosts
+        assert len(agg.below) == 4       # its pod's hosts
     for core in topo.tiers[2]:
-        assert len(topo.down[core]) == 4 and len(topo.below[core]) == 16
+        assert len(topo.down[core]) == 4 and len(core.below) == 16
     trees = tb.controller.trees
     # one per core, class-major: up = (agg class, core offset)
     assert [t.up for t in trees] == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -204,21 +224,9 @@ def test_fat_tree_paths_and_trees_properties(k, seed):
     agg inside a pod."""
     import random
 
-    sim = Simulator()
-    topo = build_fabric(sim, TopologySpec.fat_tree(k))
-    n_hosts = TopologySpec.fat_tree(k).n_hosts()
-
-    class _H:
-        def __init__(self, host_id):
-            self.host_id = host_id
-            self.receivers = {}
-
-        def attach(self, port, topo):
-            pass
-
+    topo = _stub_fat_tree(k)
     spec = TopologySpec.fat_tree(k)
-    for h in range(n_hosts):
-        topo.attach_host(_H(h), topo.tiers[0][spec.edge_of(h)])
+    n_hosts = spec.n_hosts()
     trees = allocate_spanning_trees(topo)
     assert len(trees) == (k // 2) ** 2
     install_tree_routes(topo, trees)
@@ -243,20 +251,8 @@ def test_fat_tree_paths_and_trees_properties(k, seed):
 def test_every_tree_host_label_resolves(k):
     """Walking any (tree, host) shadow-MAC label from any edge switch
     terminates at the destination host's access port."""
-    sim = Simulator()
     spec = TopologySpec.fat_tree(k)
-    topo = build_fabric(sim, spec)
-
-    class _H:
-        def __init__(self, host_id):
-            self.host_id = host_id
-            self.receivers = {}
-
-        def attach(self, port, topo):
-            pass
-
-    for h in range(spec.n_hosts()):
-        topo.attach_host(_H(h), topo.tiers[0][spec.edge_of(h)])
+    topo = _stub_fat_tree(k)
     trees = allocate_spanning_trees(topo)
     install_tree_routes(topo, trees)
     for tree in trees:
@@ -265,7 +261,7 @@ def test_every_tree_host_label_resolves(k):
             for start in topo.tiers[0]:
                 node, hops = start, 0
                 while hops <= 2 * len(topo.tiers) + 1:
-                    out = node.l2_table.get(label)
+                    out, _, _ = node.next_hop(0, label, 0)
                     assert out is not None, (
                         f"tree {tree.tree_id} label for host {host_id} "
                         f"dead-ends at {node.name}")
@@ -276,6 +272,21 @@ def test_every_tree_host_label_resolves(k):
                 else:
                     pytest.fail(f"label walk looped: tree {tree.tree_id} "
                                 f"host {host_id} from {start.name}")
+
+
+def test_fat_tree_k16_forwarding_state_is_factored():
+    """1 024 hosts under 320 switches and 64 trees: a per-(tree, host)
+    table would hold ~21 M entries; the programmed ``below`` + ``climb``
+    maps hold ~91 k, and the validator checks them all."""
+    from repro.presto.controller import PrestoController
+
+    topo = _stub_fat_tree(16)
+    controller = PrestoController(topo)
+    assert len(controller.trees) == 64
+    validate_trees(topo, controller.trees)
+    entries = sum(len(sw.below) + len(sw.climb)
+                  for sw in topo.switches.values())
+    assert entries < 100_000
 
 
 def test_tree_trunks_pairwise_disjoint_k4():
@@ -302,10 +313,9 @@ def test_tree_trunks_pairwise_disjoint_k4():
 
 def test_validator_catches_broken_tree():
     tb = _fat_tree_testbed(4)
-    # corrupt one edge's route for tree 0 toward host 15
-    label = shadow_mac(0, 15)
+    # corrupt one edge's route for tree 0 toward every other edge
     victim = tb.topo.tiers[0][0]
-    del victim.l2_table[label]
+    del victim.climb[tree_field(0)]
     with pytest.raises(TreeValidationError, match="no route|dead-ends"):
         validate_trees(tb.topo, tb.controller.trees)
 

@@ -500,7 +500,7 @@ def test_fluid_walk_is_the_path_a_packet_takes(fabric, leaf_hash_mode,
                                                failover_latency_ns):
     """``resolve_path`` and ``Switch.receive`` share one statement of
     the pipeline (``Switch.next_hop``), and receive keeps an inlined
-    exact-match hit: so a real packet injected at the source edge must
+    below/climb hit: so a real packet injected at the source edge must
     leave through exactly the ports the walk names, hop for hop, and
     die (blackhole, detection window, mislabel, the 2-tier root's
     relabel-and-bounce running out of hop budget) exactly where the

@@ -42,20 +42,22 @@ def test_install_tree_routes_complete():
     _, topo = build(n_spines=2, n_leaves=2, hosts_per_leaf=2)
     trees = allocate_spanning_trees(topo)
     install_tree_routes(topo, trees)
+    def out(sw, label):
+        return sw.next_hop(0, label, 0)[0]
+
     for tree in trees:
         for host_id, leaf in topo.host_leaf.items():
             label = shadow_mac(tree.tree_id, host_id)
             # destination leaf delivers to the host port
-            assert leaf.l2_table[label] is topo.host_port[host_id]
+            assert out(leaf, label) is topo.host_port[host_id]
             # every spine can route the label down (failover support)
             for spine in topo.tiers[1]:
-                assert label in spine.l2_table
+                assert out(spine, label).peer is leaf
             # other leaves route up to the tree's spine
             for other in topo.tiers[0]:
                 if other is leaf:
                     continue
-                up = other.l2_table[label]
-                assert up.peer is tree_root(topo, tree)
+                assert out(other, label).peer is tree_root(topo, tree)
 
 
 def test_label_path_uses_only_its_tree_spine():

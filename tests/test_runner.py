@@ -20,7 +20,7 @@ import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.experiments.scalability import SCALABILITY
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import JobSpec, cell
 from repro.runner.pool import collect_results, run_jobs
 from repro.runner.serialize import canonical_json, from_jsonable, to_jsonable
 from repro.runner.store import ResultStore
@@ -30,26 +30,31 @@ from repro.units import MB, msec
 TINY = dict(warm_ns=msec(2), measure_ns=msec(3))
 
 
-# --- picklable job functions (workers resolve these by module:name) ---------
+# --- job functions (registered cells: workers look them up by module:name) --
 
+@cell
 def job_ok(value=0):
     return {"value": value, "pair": ("a", 1), "by_id": {7: 1.5}}
 
 
+@cell
 def job_marker(path, value=0):
     with open(path, "a") as fh:
         fh.write("x")
     return value
 
 
+@cell
 def job_raise():
     raise RuntimeError("injected failure")
 
 
+@cell
 def job_exit():
     os._exit(7)
 
 
+@cell
 def job_hang():
     time.sleep(60)
 
@@ -60,6 +65,7 @@ def _wait_for(path):
         time.sleep(0.01)
 
 
+@cell
 def job_exit_beside(started, crashing):
     """Die — but only once the bystander is running beside us."""
     _wait_for(started)
@@ -67,6 +73,7 @@ def job_exit_beside(started, crashing):
     os._exit(7)
 
 
+@cell
 def job_slow_bystander(started, crashing, runs):
     """Still in flight when the crasher goes: outlive it by a margin."""
     with open(runs, "a") as fh:
@@ -77,6 +84,7 @@ def job_slow_bystander(started, crashing, runs):
     return "survived"
 
 
+@cell
 def job_nap(duration, runs=None):
     if runs is not None:
         with open(runs, "a") as fh:
@@ -85,10 +93,12 @@ def job_nap(duration, runs=None):
     return "rested"
 
 
+@cell
 def job_big(n):
     return "x" * n
 
 
+@cell
 def job_logged(log, name, fail=False):
     """Append ``name`` to the file ``log`` (run order), then maybe
     raise; returns when it ran."""
@@ -99,6 +109,7 @@ def job_logged(log, name, fail=False):
     return time.monotonic()
 
 
+@cell
 def job_pid():
     return os.getpid()
 
@@ -107,6 +118,7 @@ def job_pid():
 _LAST_TESTBED = []
 
 
+@cell
 def job_tiny_cell(seed):
     """Build, run and drop a tiny flow-fidelity testbed.  Returns
     whether the previous one this process built was still in memory

@@ -23,8 +23,9 @@ import urllib.request
 
 import pytest
 
+from repro.faults import soak as soak_mod
 from repro.runner import lease as lease_mod
-from repro.runner.jobspec import JobSpec
+from repro.runner.jobspec import BadSpec, JobSpec, cell
 from repro.runner.lease import LeaseQueue
 from repro.runner.pool import run_jobs
 from repro.runner.serialize import to_jsonable
@@ -43,21 +44,25 @@ from repro.service.worker import run_worker
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-# --- picklable job functions (workers resolve these by module:name) ---------
+# --- job functions (registered cells: workers look them up by module:name) --
 
+@cell
 def job_ok(value=0):
     return {"value": value, "pair": ("a", 1), "by_id": {7: 1.5}}
 
 
+@cell
 def job_raise():
     raise RuntimeError("injected failure")
 
 
+@cell
 def job_nap(duration=0.0):
     time.sleep(duration)
     return "rested"
 
 
+@cell
 def job_hang_once(marker):
     """Hang on the first execution, return instantly on the next.
 
@@ -251,6 +256,45 @@ def test_lease_expiry_requeues_without_charging(tmp_path,
     assert record["attempts"] == 1
 
 
+def test_lease_expiry_of_a_lease_whose_claim_reply_was_lost(
+        tmp_path, coordinator_factory):
+    """A worker's ``/complete {"claim": true}`` is processed but its
+    reply, carrying the next lease, is lost, so the worker resends it.
+    The resend is stale and finds nothing queued; the lease nobody
+    holds expires as an uncharged release that counts toward
+    ``DEFAULT_MAX_RELEASES``, and its job still ends done exactly
+    once."""
+    start, start_workers = coordinator_factory
+    store = ResultStore(str(tmp_path / "svc"))
+    coordinator, url = start(store, lease_ttl_s=0.3)
+    first, second = (JobSpec.make(job_ok, label=f"j{i}", value=i)
+                     for i in range(2))
+    _submit(url, [first, second])
+    _, claimed = request_json(url, "/claim", {"worker": "w"})
+    lost = _complete(url, claimed["job"]["lease"], claim=True)["job"]
+    assert lost["id"] == second.hash
+    resent = _complete(url, claimed["job"]["lease"], claim=True)
+    assert resent == {"accepted": False, "job": None}
+    time.sleep(0.4)  # let the lost lease lapse
+
+    assert coordinator.progress()["by_status"]["queued"] == 1
+    assert coordinator.counters["leases_expired"].value == 1
+    (entry,) = coordinator._queue._pending
+    assert (entry.attempts, entry.releases) == (0, 1)
+    start_workers(url, 1)
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        _, res = request_json(url, "/results", {"ids": [second.hash]})
+        if res["jobs"][second.hash]["status"] == "done":
+            break
+        time.sleep(0.05)
+    assert res["jobs"][second.hash]["status"] == "done"
+    assert res["jobs"][second.hash]["attempts"] == 1  # uncharged
+    assert store.load_record(second)["attempts"] == 1
+    assert coordinator.counters["jobs_completed"].value == 2
+    assert coordinator.counters["stale_completions"].value == 1
+
+
 def test_sigkilled_worker_job_finishes_elsewhere(tmp_path,
                                                  coordinator_factory):
     start, start_workers = coordinator_factory
@@ -263,9 +307,12 @@ def test_sigkilled_worker_job_finishes_elsewhere(tmp_path,
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO, "src"), os.path.dirname(__file__)])
+    # a worker runs registered cells only: it imports this module's
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "worker", url,
-         "--name", "victim", "--poll", "0.05"],
+        [sys.executable, "-c",
+         f"import sys, {__name__}; from repro.service.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "worker", url, "--name", "victim", "--poll", "0.05"],
         env=env, cwd=REPO,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
@@ -631,9 +678,15 @@ def _raw_post(url, path, body, content_length=None):
     ("/submit", json.dumps({"specs": [
         {"__dataclass__": "repro.runner.store:ResultStore",
          "fields": {"root": "TMP/store"}}]}).encode(), None, 400),
+    # a spec may name only a registered cell, inside repro too
+    ("/submit", json.dumps({"specs": [to_jsonable(JobSpec(
+        fn="repro.service.cli:main",
+        kwargs={"argv": ["coordinator", "--results-dir", "TMP/pwned"]}))]}
+    ).encode(), None, 400),
 ], ids=["negative-length", "non-integer-length", "huge-length", "array-body",
         "not-json", "spec-not-a-jobspec", "spec-undecodable",
-        "spec-names-a-stdlib-callable", "spec-names-a-repro-non-dataclass"])
+        "spec-names-a-stdlib-callable", "spec-names-a-repro-non-dataclass",
+        "spec-names-an-unregistered-repro-function"])
 def test_hostile_bodies_are_refused_and_the_server_still_serves(
         coordinator_factory, tmp_path, path, body, content_length, expected):
     start, _ = coordinator_factory
@@ -643,6 +696,23 @@ def test_hostile_bodies_are_refused_and_the_server_still_serves(
     assert not (tmp_path / "pwned").exists()
     status, reply = request_json(url, "/claim", {"worker": "w"})
     assert (status, reply) == (200, {"job": None})
+
+
+def test_hostile_unregistered_repro_function_is_never_called(
+        tmp_path, monkeypatch):
+    """A spec naming a ``repro`` function that is not a registered cell
+    is a cache miss in the store and :class:`BadSpec` when executed; the
+    function is not called."""
+    calls = []
+    monkeypatch.setattr(soak_mod, "run_soak",
+                        lambda **kwargs: calls.append(kwargs))
+    spec = JobSpec(fn="repro.faults.soak:run_soak", kwargs={"n_cases": 1})
+    store = ResultStore(str(tmp_path / "store"))
+    store.save(spec, 1, 0.0)
+    assert store.load_record(spec) is None
+    with pytest.raises(BadSpec, match="not a registered cell"):
+        spec.execute()
+    assert calls == []
 
 
 # --- keep-alive connections --------------------------------------------------

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.runner.cli import main as runner_main
+from repro.runner.jobspec import cell
 from repro.runner.serialize import from_jsonable, ref_of, to_jsonable
 from repro.runner.sweeps import SWEEPS
 from repro.service.cli import main as service_main
@@ -401,6 +402,7 @@ def test_artifact_write_check_tamper(name, tmp_path, capsys):
 # --- verdicts and contained failures -----------------------------------------
 
 
+@cell
 def job_crashes(cfg=None, **kwargs):
     raise RuntimeError("cell exploded")
 
@@ -408,12 +410,12 @@ def job_crashes(cfg=None, **kwargs):
 def _crashing_at(sweep, *bad):
     """``sweep`` with the cell at grid point ``bad`` swapped for one
     that raises."""
-    def cell(*args):
+    def crashing(*args):
         spec = sweep.cell(*args)
         return (replace(spec, fn=ref_of(job_crashes))
                 if args[:len(bad)] == bad else spec)
 
-    return replace(sweep, cell=cell)
+    return replace(sweep, cell=crashing)
 
 
 def test_soak_contains_a_crashed_case(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Unit tests for the switch: exact-match, ECMP groups, failover."""
+"""Unit tests for the switch: below/climb forwarding, ECMP groups,
+failover."""
 
-from repro.net.addresses import shadow_mac, shadow_mac_tree
+from repro.net.addresses import shadow_mac, shadow_mac_tree, tree_field
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.port import Port
@@ -38,7 +39,7 @@ def test_exact_match_forwarding():
     sw = Switch("S")
     p1, sink1 = wire(sim, sw, "p1")
     p2, sink2 = wire(sim, sw, "p2")
-    sw.install_route(42, p2)
+    sw.below[42] = p2
     sw.receive(pkt(42), None)
     sim.run()
     assert len(sink2.received) == 1
@@ -100,7 +101,7 @@ def test_failover_redirects_after_latency():
     p2, sink2 = wire(sim, sw, "p2")
     group = sw.enable_failover(latency_ns=usec(10))
     group.set_backup(p1, p2)
-    sw.install_route(42, p1)
+    sw.below[42] = p1
     p1.link.set_down()
     # before detection latency: dropped
     sw.receive(pkt(42), None)
@@ -118,7 +119,7 @@ def test_failover_rewrite_applied():
     p2, sink2 = wire(sim, sw, "p2")
     group = sw.enable_failover(latency_ns=0)
     group.set_backup(p1, p2, onto=2)  # set-field: move onto tree 2
-    sw.install_route(shadow_mac(1, 7), p1)
+    sw.climb[tree_field(1)] = p1
     p1.link.set_down()
     sw.receive(pkt(shadow_mac(1, 7)), None)
     sim.run()
@@ -132,13 +133,13 @@ def test_failover_rewrite_leaves_real_macs_alone():
     p1, _ = wire(sim, sw, "p1")
     p2, sink2 = wire(sim, sw, "p2")
     sw.enable_failover(latency_ns=0).set_backup(p1, p2, onto=2)
-    sw.install_route(7, p1)
+    sw.below[7] = p1
     p1.link.set_down()
     assert sw.next_hop(1, 7, 1) == (p2, 7, False)
 
 
 def test_next_hop_is_what_receive_does():
-    """The pipeline over values: exact match, then the group (saying
+    """The pipeline over values: below or climb, then the group (saying
     whether the flowcell was hashed), then failover at an explicit
     ``now`` — and no port where receive would count a no-route drop
     (the hashed-on-cell flag survives the drop: the fluid walk memo
@@ -146,14 +147,12 @@ def test_next_hop_is_what_receive_does():
     sim = Simulator()
     sw = Switch("S")
     ports = [wire(sim, sw, f"p{i}")[0] for i in range(4)]
-    sw.install_route(42, ports[0])
+    sw.below[42] = ports[0]
     assert sw.next_hop(5, 42, 1) == (ports[0], 42, False)
     assert sw.next_hop(5, 99, 1) == (None, 99, False)
     sw.ecmp_default = EcmpGroup(ports[1:], salt=7, mode=HASH_FLOWCELL)
     out, mac, by_cell = sw.next_hop(5, 99, 3)
     assert out is sw.ecmp_default.select(5, 3) and mac == 99 and by_cell
-    sw.ecmp_by_mac[99] = EcmpGroup(ports[:1], mode=HASH_FLOW)
-    assert sw.next_hop(5, 99, 3) == (ports[0], 99, False)
     # a dead egress with no failover is still the answer: the port drops
     ports[0].link.set_down()
     assert sw.next_hop(5, 42, 1) == (ports[0], 42, False)
@@ -176,7 +175,7 @@ def test_ttl_guard_kills_looping_packet():
     sim = Simulator()
     sw = Switch("S")
     p1, _ = wire(sim, sw, "p1")
-    sw.install_route(42, p1)
+    sw.below[42] = p1
     p = pkt(42)
     p.hops = Switch.MAX_HOPS + 1
     sw.receive(p, None)
@@ -195,7 +194,7 @@ def test_failover_reverts_to_primary_after_recovery():
     p2, sink2 = wire(sim, sw, "p2")
     group = sw.enable_failover(latency_ns=usec(10))
     group.set_backup(p1, p2)
-    sw.install_route(42, p1)
+    sw.below[42] = p1
 
     p1.link.set_down()
     sim.run(until=usec(20))

@@ -52,7 +52,7 @@ def test_attach_host_installs_route_and_wires_ports():
     host = make_host(sim, 0)
     topo.attach_host(host, topo.tiers[0][0])
     leaf = topo.tiers[0][0]
-    assert host_mac(0) in leaf.l2_table
+    assert leaf.next_hop(0, host_mac(0), 0)[0] is topo.host_port[0]
     assert host.nic.port is not None
     assert topo.host_leaf[0] is leaf
 
@@ -82,7 +82,8 @@ def test_install_underlay_spine_routes_and_leaf_ecmp():
     topo.install_underlay()
     for spine in topo.tiers[1]:
         for host_id in range(4):
-            assert host_mac(host_id) in spine.l2_table
+            out, _, _ = spine.next_hop(0, host_mac(host_id), 0)
+            assert out.peer is topo.host_leaf[host_id]
     for leaf in topo.tiers[0]:
         assert leaf.ecmp_default is not None
 

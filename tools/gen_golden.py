@@ -37,7 +37,12 @@ sys.path.insert(
 from repro.experiments.goldens import FLOW_GOLDENS, golden_bytes  # noqa: E402
 from repro.experiments.schemes import scheme_names  # noqa: E402
 from repro.host.host import Host  # noqa: E402
-from repro.net.addresses import mac_str, shadow_mac  # noqa: E402
+from repro.net.addresses import (  # noqa: E402
+    host_mac,
+    mac_str,
+    shadow_mac,
+    tree_field,
+)
 from repro.net.packet import ACK, DATA, Segment  # noqa: E402
 from repro.units import KB, MB, usec  # noqa: E402
 
@@ -191,7 +196,12 @@ def fabric_tables(shape):
     section, read back from the built presto testbed: every switch's L2
     table, ECMP group and fast-failover buckets (with the tree a bucket
     relabels onto), and every host pair's label schedule before and
-    after the first fabric link dies and the controller reacts."""
+    after the first fabric link dies and the controller reacts.
+
+    A switch keeps its L2 state factored (``below`` and ``climb``); the
+    "l2" section expands it into the exact-match table it stands for:
+    a real MAC per host below, and a label per (tree, host) that the
+    switch forwards down or up."""
     from repro.experiments.harness import Testbed, TestbedConfig
 
     tb = Testbed(TestbedConfig(scheme="presto", topology=shape))
@@ -199,13 +209,23 @@ def fabric_tables(shape):
     n = len(tb.hosts)
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
 
+    def l2_table(sw):
+        table = {host_mac(host): port for host, port in sw.below.items()}
+        for tree in tb.controller.trees:
+            climb = sw.climb.get(tree_field(tree.tree_id))
+            for host in tb.topo.host_port:
+                port = sw.below.get(host, climb)
+                if port is not None:
+                    table[shadow_mac(tree.tree_id, host)] = port
+        return table
+
     def relabel(onto):
         """What the bucket's set-field action makes of tree 0's label."""
         return None if onto is None else mac_str(shadow_mac(onto, 0))
 
     out = {
         "l2": {name: {mac_str(mac): port.name
-                      for mac, port in sw.l2_table.items()}
+                      for mac, port in l2_table(sw).items()}
                for name, sw in switches.items()},
         "ecmp": {name: {"ports": [p.name for p in sw.ecmp_default.ports],
                         "salt": sw.ecmp_default.salt,
