@@ -17,17 +17,17 @@ overrides, the fabric, and who sends elephants, probes and mice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from repro.experiments.common import (
     MEASURE,
     WARM,
     each_in,
     pct_ms,
+    reduce_pooled,
     run_elephant_workload,
 )
 from repro.experiments.harness import TestbedConfig
-from repro.metrics.stats import jain_fairness, mean
 from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Param, Sweep, seeds_param
 from repro.units import KB, msec
@@ -72,15 +72,6 @@ STUDIES: Dict[str, Study] = {
 }
 
 
-@dataclass
-class AblationResult:
-    mean_rate_bps: float
-    fairness: float
-    loss_rate: float
-    rtts_ns: List[int] = field(default_factory=list)
-    mice_fcts_ns: List[int] = field(default_factory=list)
-
-
 def _cell(study_variant: Tuple[str, str], seed: int,
           p: Dict[str, Any]) -> JobSpec:
     name, variant = study_variant
@@ -99,32 +90,17 @@ def _cell(study_variant: Tuple[str, str], seed: int,
     )
 
 
-def _reduce(cells, p) -> Dict[str, Dict[str, AblationResult]]:
-    out: Dict[str, Dict[str, AblationResult]] = {}
-    for ((name, variant),), runs in cells:
-        per_flow = [r for run in runs for r in run.per_pair_rates_bps]
-        out.setdefault(name, {})[variant] = AblationResult(
-            mean_rate_bps=mean(per_flow),
-            fairness=jain_fairness(per_flow),
-            loss_rate=mean([run.loss_rate for run in runs]),
-            rtts_ns=[r for run in runs for r in run.rtts_ns],
-            mice_fcts_ns=[f for run in runs for f in run.mice_fcts_ns],
-        )
-    return out
-
-
 def _table(results):
     return (["study", "variant", "eleph Gbps", "jain", "loss", "rtt p99 ms",
              "mice p99 ms", "n mice"],
-            [[name, variant, f"{res.mean_rate_bps / 1e9:.2f}",
+            [[name, variant, f"{res.mean_tput_bps / 1e9:.2f}",
               f"{res.fairness:.3f}", f"{res.loss_rate:.4%}",
               pct_ms(res.rtts_ns, 99), pct_ms(res.mice_fcts_ns, 99),
               len(res.mice_fcts_ns)]
-             for name, variants in results.items()
-             for variant, res in variants.items()])
+             for (name, variant), res in results.items()])
 
 
-#: grid order study > variant > seed; keyed study -> variant -> result
+#: grid order study > variant > seed; keyed (study, variant) -> Pooled
 ABLATIONS = Sweep(
     name="ablations",
     description="DESIGN.md S5 ablations: GRO hold timeout, flowcell size, "
@@ -140,6 +116,6 @@ ABLATIONS = Sweep(
     axes=(lambda p: [(name, variant) for name in p["studies"]
                      for variant in STUDIES[name].variants],),
     cell=_cell,
-    reduce=_reduce,
+    reduce=reduce_pooled,
     table=_table,
 )

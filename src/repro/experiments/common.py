@@ -123,6 +123,44 @@ def fct_percentiles(fcts_ns: Sequence[int]) -> Dict[str, float]:
     }
 
 
+@dataclass
+class Pooled:
+    """One grid point of an elephant sweep: the five numbers Figs 7-16,
+    Table 2 and the ablations report, over its per-seed runs pooled by
+    :func:`pool`."""
+
+    mean_tput_bps: float
+    fairness: float
+    loss_rate: float
+    rtts_ns: List[int] = field(default_factory=list)
+    mice_fcts_ns: List[int] = field(default_factory=list)
+
+    def mice_percentiles_ms(self) -> Dict[str, float]:
+        return fct_percentiles(self.mice_fcts_ns)
+
+
+def pool(runs: Sequence[RunResult]) -> Pooled:
+    """Mean and Jain index over every seed's per-pair rates together,
+    the mean of the per-seed loss rates, and the RTT and mice FCT
+    samples concatenated in seed order."""
+    rates = [r for run in runs for r in run.per_pair_rates_bps]
+    return Pooled(
+        mean_tput_bps=mean(rates),
+        fairness=jain_fairness(rates),
+        loss_rate=mean([run.loss_rate for run in runs]),
+        rtts_ns=[r for run in runs for r in run.rtts_ns],
+        mice_fcts_ns=[f for run in runs for f in run.mice_fcts_ns],
+    )
+
+
+def reduce_pooled(cells, p) -> Dict[Any, Pooled]:
+    """The elephant sweeps' one reducer: grid point -> :func:`pool` of
+    its runs, keyed by the point's axis tuple, or by its bare value
+    when the sweep has one axis."""
+    return {point if len(point) > 1 else point[0]: pool(runs)
+            for point, runs in cells}
+
+
 def pct_ms(samples_ns: Sequence[int], pct: float) -> str:
     """A table cell: one percentile of nanosecond samples, in ms."""
     return f"{percentile(samples_ns, pct) / 1e6:.2f}" if samples_ns else "nan"
@@ -238,14 +276,12 @@ def elephant_grid_sweep(
     description: str,
     points_name: str,
     point_word: str,
-    point_cls: type,
     cell_fn: Callable[..., RunResult],
     config_fn: Callable[..., TestbedConfig],
 ) -> Sweep:
     """Figs 7-9 and Figs 10-12 are one sweep over two fabrics: scheme x
-    fabric size x seed elephant runs, reduced per (scheme, size) to a
-    throughput / loss / fairness / RTT point.  ``point_word`` names the
-    size axis in labels, table headers and the point's ``n_<word>``."""
+    fabric size x seed elephant runs, pooled per (scheme, size).
+    ``point_word`` names the size axis in labels and table headers."""
 
     def cell(scheme: str, n: int, seed: int, p: Dict[str, Any]) -> JobSpec:
         return JobSpec.make(
@@ -257,28 +293,14 @@ def elephant_grid_sweep(
             with_probes=p["with_probes"],
         )
 
-    def reduce(cells, p):
-        grid: Dict[str, list] = {}
-        for (scheme, n), runs in cells:
-            per_flow = [r for run in runs for r in run.per_pair_rates_bps]
-            grid.setdefault(scheme, []).append(point_cls(
-                scheme, n,
-                mean_tput_bps=mean(per_flow),
-                loss_rate=mean([run.loss_rate for run in runs]),
-                fairness=jain_fairness(per_flow),
-                rtts_ns=[r for run in runs for r in run.rtts_ns],
-            ))
-        return grid
-
     def table(grid):
         headers = ["scheme", point_word, "tput Gbps", "loss", "jain",
                    "rtt p50 ms", "rtt p99 ms"]
         return headers, [
-            [scheme, getattr(pt, f"n_{point_word}"),
-             f"{pt.mean_tput_bps / 1e9:.2f}", f"{pt.loss_rate:.4%}",
-             f"{pt.fairness:.3f}", pct_ms(pt.rtts_ns, 50),
-             pct_ms(pt.rtts_ns, 99)]
-            for scheme, points in grid.items() for pt in points]
+            [scheme, n, f"{pt.mean_tput_bps / 1e9:.2f}",
+             f"{pt.loss_rate:.4%}", f"{pt.fairness:.3f}",
+             pct_ms(pt.rtts_ns, 50), pct_ms(pt.rtts_ns, 99)]
+            for (scheme, n), pt in grid.items()]
 
     return Sweep(
         name=name,
@@ -297,6 +319,6 @@ def elephant_grid_sweep(
         ),
         axes=("schemes", points_name),
         cell=cell,
-        reduce=reduce,
+        reduce=reduce_pooled,
         table=table,
     )

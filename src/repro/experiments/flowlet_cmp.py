@@ -15,28 +15,20 @@ random per-hop hashing allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.experiments.common import (
     MEASURE,
     WARM,
     pct_ms,
+    reduce_pooled,
     run_elephant_workload,
     schemes_param,
 )
 from repro.experiments.harness import TestbedConfig
-from repro.metrics.stats import mean
 from repro.runner.jobspec import JobSpec
 from repro.runner.sweep import Sweep, seeds_param
 from repro.workloads.synthetic import stride_pairs
-
-
-@dataclass
-class StrideCmpResult:
-    scheme: str
-    mean_tput_bps: float
-    rtts_ns: List[int] = field(default_factory=list)
 
 
 def stride_cmp_sweep(name: str, description: str,
@@ -52,15 +44,6 @@ def stride_cmp_sweep(name: str, description: str,
             probe_pairs=[(0, 8), (5, 13)],
         )
 
-    def reduce(cells, p) -> Dict[str, StrideCmpResult]:
-        return {
-            scheme: StrideCmpResult(
-                scheme,
-                mean([r for run in runs for r in run.per_pair_rates_bps]),
-                [r for run in runs for r in run.rtts_ns])
-            for (scheme,), runs in cells
-        }
-
     def table(results):
         return (["scheme", "tput Gbps", "rtt p50 ms", "rtt p99 ms",
                  "rtt p99.9 ms"],
@@ -74,7 +57,7 @@ def stride_cmp_sweep(name: str, description: str,
         params=(schemes_param(schemes), seeds_param((1, 2, 3)), WARM, MEASURE),
         axes=("schemes",),
         cell=cell,
-        reduce=reduce,
+        reduce=reduce_pooled,
         table=table,
     )
 

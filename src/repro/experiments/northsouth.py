@@ -14,8 +14,7 @@ The unit of work is one (scheme, seed) simulation,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.experiments.common import (
     DEFAULT_MEASURE_NS,
@@ -23,30 +22,19 @@ from repro.experiments.common import (
     MEASURE,
     PAPER_SCHEMES,
     WARM,
+    Pooled,
     RunResult,
-    fct_percentiles,
     mice_vs_ecmp,
+    reduce_pooled,
     run_elephant_workload,
     schemes_param,
     vs_ecmp_cell,
 )
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.metrics.stats import mean
 from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import Sweep, seeds_param
 from repro.workloads.northsouth import NorthSouthWorkload
 from repro.workloads.synthetic import stride_pairs
-
-
-@dataclass
-class NorthSouthResult:
-    scheme: str
-    mean_elephant_tput_bps: float
-    mice_fcts_ns: List[int] = field(default_factory=list)
-    mice_timeout_fraction: float = 0.0
-
-    def mice_percentiles_ms(self) -> Dict[str, float]:
-        return fct_percentiles(self.mice_fcts_ns)
 
 
 @cell
@@ -75,18 +63,12 @@ def _cell(scheme: str, seed: int, p: Dict[str, Any]) -> JobSpec:
         warm_ns=p["warm_ns"], measure_ns=p["measure_ns"])
 
 
-def _reduce(cells, p) -> Dict[str, NorthSouthResult]:
-    # "TIMEOUT" detection: FCTs that ate at least one RTO floor
+def mice_timeout_fraction(point: Pooled) -> float:
+    """Table 2's "TIMEOUT" row: the share of mice FCTs that ate at
+    least one RTO floor."""
     min_rto_ns = TestbedConfig().tcp.min_rto_ns
-    out = {}
-    for (scheme,), runs in cells:
-        fcts = [f for run in runs for f in run.mice_fcts_ns]
-        out[scheme] = NorthSouthResult(
-            scheme,
-            mean([r for run in runs for r in run.per_pair_rates_bps]),
-            fcts,
-            sum(1 for f in fcts if f >= min_rto_ns) / max(1, len(fcts)))
-    return out
+    fcts = point.mice_fcts_ns
+    return sum(1 for f in fcts if f >= min_rto_ns) / max(1, len(fcts))
 
 
 def _table(results):
@@ -96,17 +78,17 @@ def _table(results):
         pct = res.mice_percentiles_ms()
         rows.append([
             scheme,
-            f"{res.mean_elephant_tput_bps / 1e9:.2f}",
+            f"{res.mean_tput_bps / 1e9:.2f}",
             f"{pct.get('p50', float('nan')):.2f}",
             f"{pct.get('p99.9', float('nan')):.2f}",
             vs_ecmp_cell(normalized, scheme, "p99.9"),
-            f"{res.mice_timeout_fraction:.1%}",
+            f"{mice_timeout_fraction(res):.1%}",
         ])
     return ["scheme", "eleph Gbps", "mice p50 ms", "mice p99.9 ms",
             "p99.9 vs ecmp", "RTO-hit mice"], rows
 
 
-#: keyed scheme -> that scheme's samples pooled over seeds
+#: keyed scheme -> Pooled
 NORTHSOUTH = Sweep(
     name="northsouth",
     description="Table 2: stride(8) elephants + mice under north-south "
@@ -114,6 +96,6 @@ NORTHSOUTH = Sweep(
     params=(schemes_param(PAPER_SCHEMES), seeds_param((1, 2)), WARM, MEASURE),
     axes=("schemes",),
     cell=_cell,
-    reduce=_reduce,
+    reduce=reduce_pooled,
     table=_table,
 )

@@ -12,8 +12,7 @@ the :data:`OVERSUB` declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro.experiments.common import (
     DEFAULT_MEASURE_NS,
@@ -25,21 +24,6 @@ from repro.experiments.common import (
 from repro.experiments.harness import TestbedConfig
 from repro.runner.jobspec import cell
 from repro.telemetry.core import TelemetryConfig
-
-
-@dataclass
-class OversubPoint:
-    scheme: str
-    n_pairs: int
-    mean_tput_bps: float
-    loss_rate: float
-    fairness: float
-    rtts_ns: List[int] = field(default_factory=list)
-
-    @property
-    def oversubscription(self) -> float:
-        """Host pairs over spine paths (2): 1.0x at 2 pairs, 4.0x at 8."""
-        return self.n_pairs / 2.0
 
 
 def oversub_config(
@@ -72,12 +56,11 @@ def run_oversub_seed(
     )
 
 
-#: grid order scheme > pair count > seed; keyed scheme -> [OversubPoint]
+#: grid order scheme > pair count > seed; keyed (scheme, pair count) -> Pooled
 OVERSUB = elephant_grid_sweep(
     "oversub",
     "Figs 10-12: the same metrics as the fabric oversubscribes 1x-4x "
     "(2 spines, N host pairs)",
     points_name="pair_counts", point_word="pairs",
-    point_cls=OversubPoint,
     cell_fn=run_oversub_seed, config_fn=oversub_config,
 )

@@ -13,8 +13,7 @@ lists its cells and ``SCALABILITY.run`` runs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro.experiments.common import (
     DEFAULT_MEASURE_NS,
@@ -26,16 +25,6 @@ from repro.experiments.common import (
 from repro.experiments.harness import TestbedConfig
 from repro.runner.jobspec import cell
 from repro.telemetry.core import TelemetryConfig
-
-
-@dataclass
-class ScalabilityPoint:
-    scheme: str
-    n_paths: int
-    mean_tput_bps: float
-    loss_rate: float
-    fairness: float
-    rtts_ns: List[int] = field(default_factory=list)
 
 
 def scalability_config(
@@ -70,12 +59,11 @@ def run_scalability_seed(
     )
 
 
-#: grid order scheme > path count > seed; keyed scheme -> [ScalabilityPoint]
+#: grid order scheme > path count > seed; keyed (scheme, path count) -> Pooled
 SCALABILITY = elephant_grid_sweep(
     "scalability",
     "Figs 7-9: throughput/RTT/loss/fairness vs path count "
     "(2 leaves, N spines)",
     points_name="path_counts", point_word="paths",
-    point_cls=ScalabilityPoint,
     cell_fn=run_scalability_seed, config_fn=scalability_config,
 )

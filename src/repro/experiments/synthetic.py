@@ -13,8 +13,7 @@ grid is the :data:`SYNTHETIC` declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.experiments.common import (
     DEFAULT_MEASURE_NS,
@@ -22,15 +21,15 @@ from repro.experiments.common import (
     MEASURE,
     PAPER_SCHEMES,
     WARM,
+    RunResult,
     each_in,
-    fct_percentiles,
     fidelity_param,
+    reduce_pooled,
     run_elephant_workload,
     schemes_param,
 )
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.metrics.collectors import Window
-from repro.metrics.stats import mean
 from repro.runner.jobspec import JobSpec, cell
 from repro.runner.sweep import TELEMETRY, Param, Sweep, seeds_param
 from repro.sim.rand import RandomStreams
@@ -44,31 +43,6 @@ from repro.workloads.synthetic import (
 )
 
 WORKLOADS = ("shuffle", "random", "stride", "bijection")
-
-
-@dataclass
-class SyntheticResult:
-    scheme: str
-    workload: str
-    mean_elephant_tput_bps: float
-    mice_fcts_ns: List[int] = field(default_factory=list)
-
-    def mice_percentiles_ms(self) -> Dict[str, float]:
-        return fct_percentiles(self.mice_fcts_ns)
-
-
-@dataclass
-class SyntheticSeedRun:
-    """One (scheme, workload, seed) trial's raw samples."""
-
-    scheme: str
-    workload: str
-    seed: int
-    rates_bps: List[float] = field(default_factory=list)
-    mice_fcts_ns: List[int] = field(default_factory=list)
-    #: telemetry snapshot (omitted from serialized output when off)
-    metrics: Optional[Dict] = field(
-        default=None, metadata={"omit_if_none": True})
 
 
 def _stride_for(n_hosts: int) -> int:
@@ -103,7 +77,7 @@ def run_synthetic_seed(
     with_mice: bool = True,
     mice_interval_ns: int = msec(5),
     telemetry: Optional[TelemetryConfig] = None,
-) -> SyntheticSeedRun:
+) -> RunResult:
     """One (scheme, workload, seed) trial — the picklable job unit."""
     _check_workload(workload)
     if workload == "shuffle":
@@ -115,16 +89,10 @@ def run_synthetic_seed(
     pairs = _pairs_for(workload, spec.n_hosts(), spec.hosts_per_edge(),
                        cfg.seed)
     mice_pairs = pairs[::4] if with_mice else []
-    run = run_elephant_workload(
+    return run_elephant_workload(
         cfg, pairs, warm_ns, measure_ns,
         mice_pairs=mice_pairs, mice_interval_ns=mice_interval_ns,
         telemetry=telemetry,
-    )
-    return SyntheticSeedRun(
-        scheme=cfg.scheme, workload=workload, seed=cfg.seed,
-        rates_bps=list(run.per_pair_rates_bps),
-        mice_fcts_ns=list(run.mice_fcts_ns),
-        metrics=run.metrics,
     )
 
 
@@ -135,11 +103,11 @@ def _run_shuffle_seed(
     with_mice: bool,
     mice_interval_ns: int,
     telemetry: Optional[TelemetryConfig] = None,
-) -> SyntheticSeedRun:
+) -> RunResult:
     """Shuffle is closed-loop (2 concurrent sized transfers per host), so
-    it cannot reuse the open-loop elephant runner.  Throughput is the
-    aggregate receive rate per host over the measurement window (the
-    receiver NIC is the bottleneck, as the paper notes)."""
+    it cannot reuse the open-loop elephant runner.  Its per-pair rates
+    are the aggregate receive rate per host over the measurement window
+    (the receiver NIC is the bottleneck, as the paper notes)."""
     tb = Testbed(cfg, telemetry=telemetry)
     rng = tb.streams.stream("shuffle")
     wl = shuffle_workload(tb, rng)
@@ -158,9 +126,12 @@ def _run_shuffle_seed(
     window.close()
     snapshot = tb.telemetry.snapshot() if tb.telemetry.enabled else None
     tb.telemetry.export_trace()
-    return SyntheticSeedRun(
-        scheme=cfg.scheme, workload="shuffle", seed=cfg.seed,
-        rates_bps=list(window.host_rates_bps().values()),
+    return RunResult(
+        scheme=cfg.scheme,
+        seed=cfg.seed,
+        flow_rates_bps=window.flow_rates_bps(),
+        per_pair_rates_bps=list(window.host_rates_bps().values()),
+        loss_rate=window.loss_rate(),
         mice_fcts_ns=[f for m in mice_apps for f in m.fcts_ns],
         metrics=snapshot,
     )
@@ -179,23 +150,13 @@ def _cell(workload: str, scheme: str, seed: int, p: Dict[str, Any]) -> JobSpec:
     )
 
 
-def _reduce(cells, p) -> Dict[Tuple[str, str], SyntheticResult]:
-    return {
-        (scheme, workload): SyntheticResult(
-            scheme, workload,
-            mean([r for run in runs for r in run.rates_bps]),
-            [f for run in runs for f in run.mice_fcts_ns])
-        for (workload, scheme), runs in cells
-    }
-
-
 def _table(grid):
     rows = []
-    for (scheme, workload), res in grid.items():
+    for (workload, scheme), res in grid.items():
         pct = res.mice_percentiles_ms()
         rows.append([
             scheme, workload,
-            f"{res.mean_elephant_tput_bps / 1e9:.2f}",
+            f"{res.mean_tput_bps / 1e9:.2f}",
             f"{pct['p50']:.2f}" if pct else "nan",
             f"{pct['p99']:.2f}" if pct else "nan",
         ])
@@ -203,7 +164,7 @@ def _table(grid):
             "mice p50 ms", "mice p99 ms"], rows
 
 
-#: grid order workload > scheme > seed; keyed (scheme, workload)
+#: grid order workload > scheme > seed; keyed (workload, scheme) -> Pooled
 SYNTHETIC = Sweep(
     name="synthetic",
     description="Figs 15-16: shuffle/random/stride/bijection elephants "
@@ -221,6 +182,6 @@ SYNTHETIC = Sweep(
     ),
     axes=("workloads", "schemes"),
     cell=_cell,
-    reduce=_reduce,
+    reduce=reduce_pooled,
     table=_table,
 )

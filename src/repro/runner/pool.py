@@ -49,7 +49,7 @@ from typing import (
 
 from repro.runner.jobspec import JobSpec
 from repro.runner.lease import Lease, LeaseQueue
-from repro.runner.serialize import from_jsonable, to_jsonable
+from repro.runner.serialize import UNDECODABLE, from_jsonable, to_jsonable
 from repro.runner.store import ResultStore
 
 #: statuses a finished job can report
@@ -184,7 +184,7 @@ def run_jobs(
         record = store.load_record(spec) if store is not None and not force else None
         try:
             result = record and from_jsonable(record["result"])
-        except (ValueError, TypeError, KeyError, ImportError, AttributeError):
+        except UNDECODABLE:
             record = None  # undecodable: a miss, re-run and overwritten
         if record is not None:
             outcomes[i] = JobOutcome(

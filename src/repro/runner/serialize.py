@@ -1,7 +1,7 @@
 """JSON-safe serialization for experiment configs and results.
 
 Experiment inputs (``TestbedConfig``) and outputs (``RunResult``,
-``ScalabilityPoint``, ...) are plain dataclasses of stdlib values, so a
+``Pooled``, ...) are plain dataclasses of stdlib values, so a
 small structural encoding covers all of them without per-type code:
 
 * dataclass       -> ``{"__dataclass__": "module:QualName", "fields": {...}}``
@@ -81,12 +81,20 @@ def _dataclass_of(ref: str) -> type:
     """The class a ``__dataclass__`` tag names.  Tags arrive in
     ``/submit`` bodies and store records, and decoding calls the class,
     so only dataclasses defined under ``repro`` qualify; anything else
-    is a ValueError before a module outside ``repro`` is imported."""
+    — a module outside ``repro``, never imported, or a class that no
+    longer exists — is a ValueError."""
     if in_repro(ref):
-        cls = resolve_ref(ref)
+        try:
+            cls = resolve_ref(ref)
+        except (ImportError, AttributeError):
+            cls = None
         if isinstance(cls, type) and is_dataclass(cls):
             return cls
     raise ValueError(f"refusing to decode {ref!r}: not a repro dataclass")
+
+
+#: what :func:`from_jsonable` raises on a stale or malformed encoding
+UNDECODABLE = (ValueError, TypeError, KeyError, AttributeError)
 
 
 def from_jsonable(obj: Any) -> Any:

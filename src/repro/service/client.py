@@ -108,10 +108,12 @@ def _poll(
             }
             for index, spec in by_id[job_id]:
                 # the coordinator may share this store: keep its record
-                fresh = store is not None and store.load_record(spec) is None
+                # when it holds this result, replace a missing or stale one
+                record = store.load_record(spec) if store is not None else None
+                stale = record is None or record["result"] != reply["result"]
                 finish(index, outcome_of(
                     spec, reply, info.get("attempts", 1),
-                    store if fresh else None))
+                    store if stale else None))
 
 
 def _submit(

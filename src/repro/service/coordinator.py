@@ -33,7 +33,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.runner.jobspec import BadSpec, JobSpec, cell_of
 from repro.runner.lease import DEFAULT_MAX_RELEASES, LeaseQueue
-from repro.runner.serialize import from_jsonable
+from repro.runner.serialize import UNDECODABLE, from_jsonable
 from repro.runner.store import ResultStore
 from repro.service import protocol
 from repro.service.dashboard import DASHBOARD_HTML
@@ -85,7 +85,10 @@ class _Job:
     payload: Dict[str, Any]
     label: str
     status: str = QUEUED
+    #: charged attempts (a lease that expired is not one)
     attempts: int = 0
+    #: leases that expired uncharged (see LeaseQueue.release)
+    releases: int = 0
     worker: str = ""
     error: Optional[str] = None
     #: encoded result for DONE/CACHED jobs (what /results serves)
@@ -145,8 +148,7 @@ class SweepCoordinator:
         batch would exceed ``max_queue`` outstanding jobs."""
         try:
             specs = [from_jsonable(p) for p in payloads]
-        except (ValueError, TypeError, KeyError, AttributeError,
-                ImportError) as exc:
+        except UNDECODABLE as exc:
             raise BadSpec(f"undecodable spec: {type(exc).__name__}: "
                           f"{exc}") from exc
         if not all(isinstance(spec, JobSpec) for spec in specs):
@@ -188,6 +190,11 @@ class SweepCoordinator:
             self.store.invalidate(spec)
         record = (self.store.load_record(spec)
                   if self.store is not None and not force else None)
+        if record is not None:
+            try:
+                from_jsonable(record["result"])
+            except UNDECODABLE:
+                record = None  # a stale result type: re-run, overwritten
         job = _Job(job_id=spec.hash, spec=spec, payload=payload,
                    label=spec.display)
         self._jobs[spec.hash] = job
@@ -216,6 +223,7 @@ class SweepCoordinator:
                 info: Dict[str, Any] = {
                     "status": job.status,
                     "attempts": job.attempts,
+                    "releases": job.releases,
                     "elapsed_s": job.elapsed_s,
                 }
                 if job.status in (DONE, CACHED):
@@ -353,6 +361,7 @@ class SweepCoordinator:
                 winfo.current_job = None
             if job is None:
                 continue
+            job.releases += 1
             if status == "failed":
                 job.status = FAILED
                 job.error = (f"lease expired {DEFAULT_MAX_RELEASES} "
@@ -363,6 +372,7 @@ class SweepCoordinator:
             else:
                 job.status = QUEUED
                 job.worker = ""
+                job.attempts = lease.attempts - 1  # the lost one is free
                 self._log(f"lease {lease.lease_id} on {job.label} expired "
                           f"(worker {lease.worker}); requeued uncharged")
 
@@ -390,6 +400,7 @@ class SweepCoordinator:
                     "status": job.status,
                     "worker": job.worker,
                     "attempts": job.attempts,
+                    "releases": job.releases,
                     "elapsed_s": round(job.elapsed_s, 3),
                     "error": job.error,
                 })

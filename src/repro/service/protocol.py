@@ -26,7 +26,10 @@ Endpoints (all bodies JSON)::
                         /claim's shape: the worker's next lease, one
                         round trip per job
     POST /results    {"ids": [job_id...]}
-                     -> {"jobs": {id: {"status", ...}}}
+                     -> {"jobs": {id: {"status","attempts","releases",
+                                       "elapsed_s", "result" | "error"}}};
+                        attempts are charged ones, releases the leases
+                        that expired uncharged
     POST /shutdown   {} -> {"ok": true}; the server exits afterwards
     GET  /api/progress -> the dashboard/status snapshot
     GET  /healthz      -> {"ok": true}

@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.experiments.common import each_in, mice_vs_ecmp
 from repro.experiments.failure import STAGES, stage_rtts_ns, stage_tput_bps
+from repro.experiments.northsouth import mice_timeout_fraction
 from repro.metrics.stats import mean, percentile
 from repro.runner.sweep import Param, Sweep, SweepOptions
 from repro.units import MB, msec, usec
@@ -136,10 +137,9 @@ def _fig6(result, v: Verdict) -> None:
 
 
 def _fig7_8_9(grid, v: Verdict) -> None:
-    presto, optimal, ecmp = ({p.n_paths: p for p in grid[scheme]}
-                             for scheme in ("presto", "optimal", "ecmp"))
     for n in (2, 4, 8):
-        p, o, e = presto[n], optimal[n], ecmp[n]
+        p, o, e = (grid[(scheme, n)]
+                   for scheme in ("presto", "optimal", "ecmp"))
         # Fig 7: Presto within a few percent of Optimal; ECMP clearly below.
         v.require(f"presto_near_optimal_{n}paths",
                   p.mean_tput_bps > 0.9 * o.mean_tput_bps,
@@ -161,33 +161,31 @@ def _fig7_8_9(grid, v: Verdict) -> None:
 
 
 def _fig10_12(grid, v: Verdict) -> None:
-    by = {s: {p.n_pairs: p for p in pts} for s, pts in grid.items()}
+    def tput(scheme, n):
+        return grid[(scheme, n)].mean_tput_bps
+
     # 1x oversubscription: non-blocking, Presto ~= Optimal.
     v.require("presto_near_optimal_2pairs",
-              by["presto"][2].mean_tput_bps
-              > 0.9 * by["optimal"][2].mean_tput_bps,
-              presto_gbps=_gbps(by["presto"][2].mean_tput_bps),
-              optimal_gbps=_gbps(by["optimal"][2].mean_tput_bps))
+              tput("presto", 2) > 0.9 * tput("optimal", 2),
+              presto_gbps=_gbps(tput("presto", 2)),
+              optimal_gbps=_gbps(tput("optimal", 2)))
     # 4x: Presto converges near the physical fair share (2 x 10G / 8
     # pairs = 2.5 Gbps; the paper's "Optimal" keeps dedicated links and
     # stays flat, so fair share is computed from the fabric).
     fair = 2 * 10e9 / 8
     v.require("presto_near_fair_share_8pairs",
-              by["presto"][8].mean_tput_bps > 0.7 * fair,
-              presto_gbps=_gbps(by["presto"][8].mean_tput_bps),
-              fair_gbps=_gbps(fair))
+              tput("presto", 8) > 0.7 * fair,
+              presto_gbps=_gbps(tput("presto", 8)), fair_gbps=_gbps(fair))
     # ECMP is the weakest under *moderate* congestion (paper S5).
-    others = min(by[s][4].mean_tput_bps
-                 for s in ("presto", "mptcp", "optimal"))
-    v.require("ecmp_weakest_4pairs",
-              by["ecmp"][4].mean_tput_bps <= others * 1.05,
-              ecmp_gbps=_gbps(by["ecmp"][4].mean_tput_bps),
+    others = min(tput(s, 4) for s in ("presto", "mptcp", "optimal"))
+    v.require("ecmp_weakest_4pairs", tput("ecmp", 4) <= others * 1.05,
+              ecmp_gbps=_gbps(tput("ecmp", 4)),
               weakest_other_gbps=_gbps(others))
     # Fairness: Presto ~1 at moderate load, ECMP behind.
-    v.require("presto_fair_4pairs", by["presto"][4].fairness > 0.9,
-              jain=by["presto"][4].fairness)
-    v.require("ecmp_unfair_4pairs", by["ecmp"][4].fairness < 0.98,
-              jain=by["ecmp"][4].fairness)
+    presto, ecmp = grid[("presto", 4)], grid[("ecmp", 4)]
+    v.require("presto_fair_4pairs", presto.fairness > 0.9,
+              jain=presto.fairness)
+    v.require("ecmp_unfair_4pairs", ecmp.fairness < 0.98, jain=ecmp.fairness)
 
 
 def _fig13(results, v: Verdict) -> None:
@@ -215,7 +213,7 @@ def _fig14(results, v: Verdict) -> None:
 
 def _fig15_16(grid, v: Verdict) -> None:
     def tput(scheme, workload):
-        return grid[(scheme, workload)].mean_elephant_tput_bps
+        return grid[(workload, scheme)].mean_tput_bps
 
     for workload in ("random", "stride", "bijection"):
         presto, optimal, ecmp = (tput(s, workload)
@@ -233,7 +231,7 @@ def _fig15_16(grid, v: Verdict) -> None:
     v.require("shuffle_comparable", abs(sh_p - sh_e) / max(sh_p, sh_e) < 0.4,
               presto_gbps=_gbps(sh_p), ecmp_gbps=_gbps(sh_e))
     # Fig 16: ECMP's stride mice tail far worse than Presto's.
-    p_tail, e_tail = (percentile(grid[(s, "stride")].mice_fcts_ns, 99)
+    p_tail, e_tail = (percentile(grid[("stride", s)].mice_fcts_ns, 99)
                       for s in ("presto", "ecmp"))
     v.require("ecmp_stride_mice_tail", e_tail > 1.5 * p_tail,
               presto_p99_ms=p_tail / 1e6, ecmp_p99_ms=e_tail / 1e6)
@@ -299,7 +297,7 @@ def _table1(results, v: Verdict) -> None:
 
 def _table2(results, v: Verdict) -> None:
     normalized = mice_vs_ecmp(results)
-    presto, ecmp, optimal = (results[s].mean_elephant_tput_bps
+    presto, ecmp, optimal = (results[s].mean_tput_bps
                              for s in ("presto", "ecmp", "optimal"))
     # Throughput ordering (paper: 5.7 / 7.4 / 8.2 / 8.9).
     v.require("presto_elephants_above_ecmp", presto > ecmp,
@@ -310,7 +308,7 @@ def _table2(results, v: Verdict) -> None:
     v.require("presto_p99.9_below_ecmp", normalized["presto"]["p99.9"] < -0.1,
               change=normalized["presto"]["p99.9"])
     # MPTCP mice hit RTOs more than Presto mice (the TIMEOUT row).
-    mptcp_to, presto_to = (results[s].mice_timeout_fraction
+    mptcp_to, presto_to = (mice_timeout_fraction(results[s])
                            for s in ("mptcp", "presto"))
     v.require("mptcp_mice_time_out_more", mptcp_to >= presto_to,
               mptcp_fraction=mptcp_to, presto_fraction=presto_to)
@@ -319,8 +317,8 @@ def _table2(results, v: Verdict) -> None:
 def _ablation_timeout(results, v: Verdict) -> None:
     # A 10 ms static hold must not beat the adaptive timeout on the mice
     # tail (it delays loss recovery at flowcell boundaries).
-    adaptive = results["timeout"]["adaptive"].mice_fcts_ns
-    static = results["timeout"]["static10ms"].mice_fcts_ns
+    adaptive = results[("timeout", "adaptive")].mice_fcts_ns
+    static = results[("timeout", "static10ms")].mice_fcts_ns
     v.require("mice_samples", adaptive and static,
               n_adaptive=len(adaptive), n_static10ms=len(static))
     if adaptive and static:
@@ -335,7 +333,8 @@ def _ablation_timeout(results, v: Verdict) -> None:
 def _ablation_flowcell_size(results, v: Verdict) -> None:
     # 64 KB (the TSO-aligned choice) performs at least as well as the
     # alternatives on this workload.
-    rates = {size: r.mean_rate_bps for size, r in results["cellsize"].items()}
+    rates = {size: r.mean_tput_bps
+             for (study, size), r in results.items() if study == "cellsize"}
     best = max(rates.values())
     v.require("64KB_near_best", rates["64KB"] > 0.9 * best,
               gbps_64KB=_gbps(rates["64KB"]), best_gbps=_gbps(best))
@@ -343,7 +342,7 @@ def _ablation_flowcell_size(results, v: Verdict) -> None:
 
 def _ablation_rr_vs_random(results, v: Verdict) -> None:
     # RR's deterministic evenness should not lose to randomized placement.
-    rr, rand = (results["rr_vs_random"][m].mean_rate_bps
+    rr, rand = (results[("rr_vs_random", m)].mean_tput_bps
                 for m in ("rr", "random"))
     v.require("rr_not_beaten_by_random", rr > 0.95 * rand,
               rr_gbps=_gbps(rr), random_gbps=_gbps(rand))
@@ -351,7 +350,7 @@ def _ablation_rr_vs_random(results, v: Verdict) -> None:
 
 def _ablation_loss_detection(results, v: Verdict) -> None:
     # Turning discrimination off must not improve elephants materially.
-    on, off = (results["loss_detection"][m].mean_rate_bps
+    on, off = (results[("loss_detection", m)].mean_tput_bps
                for m in ("on", "off"))
     v.require("off_no_better", on > 0.9 * off,
               on_gbps=_gbps(on), off_gbps=_gbps(off))
@@ -391,7 +390,7 @@ WEBSEARCH_2X = dict(
 
 def _fct_ordering(grid, v: Verdict) -> None:
     schemes = STRIDE_MICE["schemes"]
-    samples = {s: grid[(s, "stride")].mice_fcts_ns for s in schemes}
+    samples = {s: grid[("stride", s)].mice_fcts_ns for s in schemes}
     # every scheme must complete mice inside the run
     v.require("mice_samples", all(samples.values()),
               **{f"n_{s}": len(samples[s]) for s in schemes})

@@ -8,11 +8,12 @@ benchmarks assert the paper shapes at proper scale.
 
 import pytest
 
+from repro.experiments.common import RunResult, fct_percentiles, pool
 from repro.experiments.failure import STAGES, run_failure_timeline
 from repro.experiments.flowlet_cmp import FLOWLET_CMP, PERHOP_CMP
 from repro.experiments.flowlet_sizes import run_flowlet_sizes, slice_flowlets
 from repro.experiments.gro_micro import CPU_OVERHEAD, run_fig5
-from repro.experiments.northsouth import NORTHSOUTH
+from repro.experiments.northsouth import NORTHSOUTH, mice_timeout_fraction
 from repro.experiments.oversub import OVERSUB
 from repro.experiments.scalability import SCALABILITY
 from repro.experiments.synthetic import SYNTHETIC
@@ -51,18 +52,34 @@ def test_fig6_runner():
     assert res.series["presto"]
 
 
+def test_pool_matches_the_per_sweep_formulas():
+    """Two hand-made seeds, pooled: the mean and Jain index over their
+    per-pair rates together, the mean of their loss rates, and their
+    samples concatenated in seed order."""
+    runs = [RunResult("presto", 1, {}, [4e9, 6e9], 0.01, [10, 30], [7]),
+            RunResult("presto", 2, {}, [8e9], 0.04, [20], [5, 9])]
+    point = pool(runs)
+    assert point.mean_tput_bps == pytest.approx(6e9)
+    assert point.fairness == pytest.approx(18e9 ** 2 / (3 * 116e18))
+    assert point.loss_rate == pytest.approx(0.025)
+    assert point.rtts_ns == [10, 30, 20]
+    assert point.mice_fcts_ns == [7, 5, 9]
+    assert point.mice_percentiles_ms() == fct_percentiles([7, 5, 9])
+
+
 def test_scalability_point():
     # a one-point grid is the serial per-cell path
-    p = SCALABILITY.run(("presto",), (2,), **FAST, with_probes=False)["presto"][0]
-    assert p.n_paths == 2
+    grid = SCALABILITY.run(("presto",), (2,), **FAST, with_probes=False)
+    assert list(grid) == [("presto", 2)]
+    p = grid[("presto", 2)]
     assert p.mean_tput_bps > 1e9
     assert 0 <= p.fairness <= 1
 
 
 def test_oversub_point():
-    p = OVERSUB.run(("ecmp",), (2,), **FAST, with_probes=False)["ecmp"][0]
-    assert p.oversubscription == 1.0
+    p = OVERSUB.run(("ecmp",), (2,), **FAST, with_probes=False)[("ecmp", 2)]
     assert p.mean_tput_bps > 0
+    assert 0 <= p.loss_rate <= 1
 
 
 def test_flowlet_cmp_runner():
@@ -77,17 +94,16 @@ def test_perhop_cmp_runner():
 
 
 def test_synthetic_runner_stride():
-    res = SYNTHETIC.run(("presto",), ("stride",), **FAST,
-                        with_mice=False)[("presto", "stride")]
-    assert res.workload == "stride"
-    assert res.mean_elephant_tput_bps > 1e9
+    grid = SYNTHETIC.run(("presto",), ("stride",), **FAST, with_mice=False)
+    assert list(grid) == [("stride", "presto")]
+    assert grid[("stride", "presto")].mean_tput_bps > 1e9
 
 
 def test_synthetic_runner_shuffle():
     res = SYNTHETIC.run(("ecmp",), ("shuffle",), **FAST,
-                        with_mice=False)[("ecmp", "shuffle")]
-    assert res.workload == "shuffle"
-    assert res.mean_elephant_tput_bps > 0
+                        with_mice=False)[("shuffle", "ecmp")]
+    assert res.mean_tput_bps > 0
+    assert 0 <= res.fairness <= 1
 
 
 def test_synthetic_rejects_unknown_workload():
@@ -104,8 +120,8 @@ def test_trace_runner():
 
 def test_northsouth_runner():
     res = NORTHSOUTH.run(("presto",), **FAST)["presto"]
-    assert res.mean_elephant_tput_bps > 0
-    assert 0 <= res.mice_timeout_fraction <= 1
+    assert res.mean_tput_bps > 0
+    assert 0 <= mice_timeout_fraction(res) <= 1
 
 
 def test_failure_stages():

@@ -28,7 +28,7 @@ from repro.runner import lease as lease_mod
 from repro.runner.jobspec import BadSpec, JobSpec, cell
 from repro.runner.lease import LeaseQueue
 from repro.runner.pool import run_jobs
-from repro.runner.serialize import to_jsonable
+from repro.runner.serialize import from_jsonable, to_jsonable
 from repro.runner.store import ResultStore
 from repro.service import worker as worker_mod
 from repro.service.cli import main as service_main
@@ -277,10 +277,11 @@ def test_lease_expiry_of_a_lease_whose_claim_reply_was_lost(
     assert resent == {"accepted": False, "job": None}
     time.sleep(0.4)  # let the lost lease lapse
 
-    assert coordinator.progress()["by_status"]["queued"] == 1
+    progress = coordinator.progress()
+    assert progress["by_status"]["queued"] == 1
     assert coordinator.counters["leases_expired"].value == 1
-    (entry,) = coordinator._queue._pending
-    assert (entry.attempts, entry.releases) == (0, 1)
+    (queued,) = (job for job in progress["jobs"] if job["id"] == second.hash)
+    assert (queued["attempts"], queued["releases"]) == (0, 1)
     start_workers(url, 1)
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline:
@@ -290,9 +291,63 @@ def test_lease_expiry_of_a_lease_whose_claim_reply_was_lost(
         time.sleep(0.05)
     assert res["jobs"][second.hash]["status"] == "done"
     assert res["jobs"][second.hash]["attempts"] == 1  # uncharged
+    assert res["jobs"][second.hash]["releases"] == 1
     assert store.load_record(second)["attempts"] == 1
     assert coordinator.counters["jobs_completed"].value == 2
     assert coordinator.counters["stale_completions"].value == 1
+
+
+def test_expired_lease_reports_charged_attempts_and_the_release(
+        coordinator_factory):
+    """A requeued job reports the attempts its queue entry is charged
+    (none: the expired lease was not one) and one uncharged release,
+    on ``/results`` and ``/api/progress`` alike."""
+    start, _ = coordinator_factory
+    coordinator, url = start(None, lease_ttl_s=0.1)
+    spec = JobSpec.make(job_ok, label="j", value=1)
+    _submit(url, [spec])
+    _, claimed = request_json(url, "/claim", {"worker": "doomed"})
+    assert claimed["job"]["attempts"] == 1
+    time.sleep(0.2)  # let the lease lapse
+
+    _, res = request_json(url, "/results", {"ids": [spec.hash]})
+    info = res["jobs"][spec.hash]
+    assert (info["status"], info["attempts"], info["releases"]) == (
+        "queued", 0, 1)
+    _, progress = request_json(url, "/api/progress")
+    (job,) = progress["jobs"]
+    assert (job["status"], job["attempts"], job["releases"]) == (
+        "queued", 0, 1)
+    # the next claim is the first charged attempt
+    _, claimed = request_json(url, "/claim", {"worker": "w"})
+    assert claimed["job"]["attempts"] == 1
+
+
+def test_stale_cached_result_is_a_miss_over_the_service(
+        tmp_path, coordinator_factory):
+    """A stored record whose result names a repro dataclass that no
+    longer exists is re-run through the coordinator, as it is locally,
+    and overwritten in the coordinator's store and the client's — not
+    served as ``cached`` for the client to choke on."""
+    start, start_workers = coordinator_factory
+    store, client_store = (ResultStore(str(tmp_path / name))
+                           for name in ("svc", "client"))
+    spec = JobSpec.make(job_ok, label="j", value=4)
+    stale = {"__dataclass__": "repro.experiments.fabric_sweep:GoneResult",
+             "fields": {}}
+    for held in (store, client_store):
+        held.save(spec, stale, 0.0)
+
+    coordinator, url = start(store)
+    start_workers(url, 1)
+    (outcome,) = run_jobs([spec], store=client_store, service=url)
+    assert (outcome.status, outcome.result) == ("ok", job_ok(4))
+    assert coordinator.counters["store_hits"].value == 0
+    assert coordinator.counters["jobs_completed"].value == 1
+    for held in (store, client_store):
+        assert from_jsonable(held.load_record(spec)["result"]) == job_ok(4)
+    with pytest.raises(ValueError, match="not a repro dataclass"):
+        from_jsonable(stale)
 
 
 def test_sigkilled_worker_job_finishes_elsewhere(tmp_path,

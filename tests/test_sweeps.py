@@ -115,8 +115,8 @@ def test_run_regroups_results_in_spec_order():
 
     grid = OVERSUB.run(("presto", "ecmp"), (2, 4), (1, 2),
                        msec(1), msec(1), with_probes=False)
-    assert list(grid) == ["presto", "ecmp"]
-    assert [[pt.n_pairs for pt in pts] for pts in grid.values()] == [[2, 4]] * 2
+    assert list(grid) == [
+        ("presto", 2), ("presto", 4), ("ecmp", 2), ("ecmp", 4)]
     with pytest.raises(TypeError, match="no_such_knob"):
         OVERSUB.specs(no_such_knob=1)
 
@@ -148,19 +148,41 @@ def _fig5_curves(results):
             for gro, cell in results.items()}
 
 
+def _stride_cmp(results):
+    """The pooled points projected onto the three fields the golden
+    holds: the per-sweep result class it was generated from carried
+    only those."""
+    return {scheme: dict(scheme=scheme, mean_tput_bps=point.mean_tput_bps,
+                         rtts_ns=point.rtts_ns)
+            for scheme, point in results.items()}
+
+
+def _northsouth(results):
+    """The pooled points projected onto the golden's four fields, the
+    timeout share computed as the Table 2 claim computes it."""
+    from repro.experiments.northsouth import mice_timeout_fraction
+
+    return {scheme: dict(
+                scheme=scheme, mean_elephant_tput_bps=point.mean_tput_bps,
+                mice_fcts_ns=point.mice_fcts_ns,
+                mice_timeout_fraction=mice_timeout_fraction(point))
+            for scheme, point in results.items()}
+
+
 _TINY_NS = dict(warm_ns=msec(1), measure_ns=msec(3))
 #: figures.json key -> (sweep, the arguments the parent's hand loop was
 #: given when the golden was generated, new payload -> the loop's return
 #: shape where the port changed it)
 PORTED = {
     "flowlet_cmp": ("flowlet_cmp", dict(
-        schemes=("flowlet500us", "presto"), seeds=(1,), **_TINY_NS), None),
+        schemes=("flowlet500us", "presto"), seeds=(1,), **_TINY_NS),
+        _stride_cmp),
     "perhop_cmp": ("perhop_cmp", dict(
-        schemes=("presto_ecmp",), seeds=(1, 2), **_TINY_NS), None),
+        schemes=("presto_ecmp",), seeds=(1, 2), **_TINY_NS), _stride_cmp),
     "trace": ("trace", dict(
         schemes=("ecmp", "presto"), seeds=(1, 2), duration_ns=msec(4)), None),
     "northsouth": ("northsouth", dict(
-        schemes=("ecmp", "optimal"), seeds=(1,), **_TINY_NS), None),
+        schemes=("ecmp", "optimal"), seeds=(1,), **_TINY_NS), _northsouth),
     "gro_micro": ("gro_micro", dict(duration_ns=msec(3), seed=0),
                   _fig5_curves),
     "cpu_overhead": ("cpu_overhead", dict(
