@@ -15,7 +15,7 @@ size cap that fit it to our shorter windows are :data:`LOAD_SCALE` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.experiments.common import (
     fct_percentiles,
@@ -59,16 +59,19 @@ class TraceResult:
 def run_trace(cfg: TestbedConfig, duration_ns: int = msec(100)) -> TraceResult:
     """One (scheme, seed) trial — the picklable job unit."""
     tb = Testbed(cfg)
+    mice: List[int] = []
+    elephants: List[Tuple[int, int]] = []  # (bytes, fct)
     wl = TraceWorkload(
         tb, tb.streams.stream("trace"), load_scale=LOAD_SCALE,
-        stop_ns=duration_ns, max_size=MAX_SIZE,
+        stop_ns=duration_ns, max_size=MAX_SIZE, mice_sink=mice.append,
+        elephant_sink=lambda size, fct: elephants.append((size, fct)),
     )
     wl.start()
     tb.run(duration_ns)
     return TraceResult(
         cfg.scheme,
-        list(wl.mice_fcts_ns),
-        [size * 8 * SEC / fct for size, fct in wl.elephant_records if fct > 0],
+        mice,
+        [size * 8 * SEC / fct for size, fct in elephants if fct > 0],
         wl.flows_started,
     )
 

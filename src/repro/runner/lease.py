@@ -15,6 +15,9 @@ is that bookkeeping, with two ways for a lease to end badly:
   cap (:data:`DEFAULT_MAX_RELEASES`) stops a job that somehow takes
   down every worker it touches from cycling forever.
 
+A job's state — charged attempts, uncharged releases, live lease — is
+one :class:`Entry`; a :class:`Lease` reads its job's fields from it.
+
 The queue is deliberately synchronous and lock-free; callers that need
 thread safety (the HTTP coordinator) hold their own lock around it.
 """
@@ -25,40 +28,57 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 #: cap on uncharged requeues before a job is declared cursed
 DEFAULT_MAX_RELEASES = 8
 
 
-@dataclass
+@dataclass(eq=False)
+class Entry:
+    """One job's lease state, and the only copy of it: the queue, its
+    leases and the coordinator's job table all read this record."""
+
+    #: the caller's key: a pool position, a spec hash at the coordinator
+    index: Any
+    #: opaque job payload — a JobSpec in both executors
+    spec: Any
+    #: charged attempts, the live lease's included
+    attempts: int = 0
+    #: uncharged requeues so far
+    releases: int = 0
+    #: the live lease; None while the job is pending or has ended
+    lease: Optional["Lease"] = None
+
+
+@dataclass(eq=False)
 class Lease:
     """One claim of one job by one worker, valid until ``deadline``."""
 
     lease_id: str
-    index: int
-    #: opaque job payload — a JobSpec in both executors; the queue never
-    #: looks inside it
-    spec: Any
-    #: attempts including this one (1 on the first claim)
-    attempts: int
-    worker: str = ""
-    started: float = field(default_factory=time.monotonic)
+    entry: Entry = field(repr=False)
+    worker: str
+    started: float
     #: monotonic time after which the lease is expired; None = forever
-    deadline: Optional[float] = None
+    deadline: Optional[float]
+
+    @property
+    def index(self) -> Any:
+        return self.entry.index
+
+    @property
+    def spec(self) -> Any:
+        return self.entry.spec
+
+    @property
+    def attempts(self) -> int:
+        """The job's charged attempts (1 on the first claim)."""
+        return self.entry.attempts
 
     def expired(self, now: Optional[float] = None) -> bool:
         if self.deadline is None:
             return False
         return (time.monotonic() if now is None else now) > self.deadline
-
-
-@dataclass
-class _Entry:
-    index: int
-    spec: Any
-    attempts: int  # completed attempts so far (0 before the first claim)
-    releases: int  # uncharged requeues so far
 
 
 class LeaseQueue:
@@ -73,9 +93,8 @@ class LeaseQueue:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.retries = retries
         self._clock = clock
-        self._pending: Deque[_Entry] = deque()
+        self._pending: Deque[Entry] = deque()
         self._leases: Dict[str, Lease] = {}
-        self._entries: Dict[str, _Entry] = {}  # lease_id -> entry
         self._seq = itertools.count(1)
 
     # --- introspection ------------------------------------------------------
@@ -100,11 +119,17 @@ class LeaseQueue:
     def get(self, lease_id: str) -> Optional[Lease]:
         return self._leases.get(lease_id)
 
+    def live(self) -> Iterable[Lease]:
+        """In-flight leases, oldest claim first."""
+        return self._leases.values()
+
     # --- lifecycle ----------------------------------------------------------
 
-    def add(self, index: int, spec: Any, attempts: int = 0) -> None:
-        """Enqueue a job at the back of the pending queue."""
-        self._pending.append(_Entry(index, spec, attempts, 0))
+    def add(self, index: Any, spec: Any) -> Entry:
+        """Enqueue a job at the back of the pending queue: its record."""
+        entry = Entry(index, spec)
+        self._pending.append(entry)
+        return entry
 
     def claim(
         self, worker: str = "", ttl_s: Optional[float] = None
@@ -119,17 +144,10 @@ class LeaseQueue:
         entry = self._pending.popleft()
         entry.attempts += 1
         now = self._clock()
-        lease = Lease(
-            lease_id=f"L{next(self._seq)}",
-            index=entry.index,
-            spec=entry.spec,
-            attempts=entry.attempts,
-            worker=worker,
-            started=now,
-            deadline=now + ttl_s if ttl_s is not None else None,
-        )
+        entry.lease = lease = Lease(
+            f"L{next(self._seq)}", entry, worker, now,
+            now + ttl_s if ttl_s is not None else None)
         self._leases[lease.lease_id] = lease
-        self._entries[lease.lease_id] = entry
         return lease
 
     def renew(self, lease_id: str, ttl_s: float) -> bool:
@@ -143,7 +161,8 @@ class LeaseQueue:
     def complete(self, lease_id: str) -> Optional[Lease]:
         """Retire a finished lease; None if it was already expired/stale."""
         lease = self._leases.pop(lease_id, None)
-        self._entries.pop(lease_id, None)
+        if lease is not None:
+            lease.entry.lease = None
         return lease
 
     def fail(self, lease_id: str) -> Tuple[str, Optional[Lease]]:
@@ -153,12 +172,11 @@ class LeaseQueue:
         back), ``("failed", lease)`` when its budget is spent, or
         ``("stale", None)`` when the lease was already gone.
         """
-        lease = self._leases.pop(lease_id, None)
-        entry = self._entries.pop(lease_id, None)
-        if lease is None or entry is None:
+        lease = self.complete(lease_id)
+        if lease is None:
             return ("stale", None)
-        if entry.attempts <= self.retries:
-            self._pending.append(entry)
+        if lease.attempts <= self.retries:
+            self._pending.append(lease.entry)
             return ("retry", lease)
         return ("failed", lease)
 
@@ -170,15 +188,14 @@ class LeaseQueue:
         times (a job that takes down every worker it meets must not spin
         forever), or ``("stale", None)``.
         """
-        lease = self._leases.pop(lease_id, None)
-        entry = self._entries.pop(lease_id, None)
-        if lease is None or entry is None:
+        lease = self.complete(lease_id)
+        if lease is None:
             return ("stale", None)
-        entry.attempts -= 1  # this attempt never counts
+        entry = lease.entry
         entry.releases += 1
         if entry.releases >= DEFAULT_MAX_RELEASES:
-            entry.attempts += 1  # report the true attempt count
             return ("failed", lease)
+        entry.attempts -= 1  # this attempt never counts
         self._pending.appendleft(entry)
         return ("requeued", lease)
 

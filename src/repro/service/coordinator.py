@@ -32,7 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.runner.jobspec import BadSpec, JobSpec, cell_of
-from repro.runner.lease import DEFAULT_MAX_RELEASES, LeaseQueue
+from repro.runner.lease import DEFAULT_MAX_RELEASES, Entry, Lease, LeaseQueue
 from repro.runner.serialize import UNDECODABLE, from_jsonable
 from repro.runner.store import ResultStore
 from repro.service import protocol
@@ -78,24 +78,32 @@ class QueueFull(Exception):
 
 @dataclass
 class _Job:
-    """One submitted spec, keyed by its content hash."""
+    """One submitted spec: what the lease queue does not know of it."""
 
-    job_id: str
-    spec: JobSpec
     payload: Dict[str, Any]
     label: str
-    status: str = QUEUED
-    #: charged attempts (a lease that expired is not one)
-    attempts: int = 0
-    #: leases that expired uncharged (see LeaseQueue.release)
-    releases: int = 0
-    worker: str = ""
-    error: Optional[str] = None
+    #: the job's lease state; a cached job's record is never enqueued
+    entry: Entry
+    #: how the job ended — DONE, CACHED or FAILED; None until then
+    outcome: Optional[str] = None
     #: encoded result for DONE/CACHED jobs (what /results serves)
     result: Optional[Any] = None
+    error: Optional[str] = None
     elapsed_s: float = 0.0
-    submitted_unix: float = field(default_factory=time.time)
     finished_unix: Optional[float] = None
+    #: the worker that finished the job
+    worker: str = ""
+
+    @property
+    def status(self) -> str:
+        if self.outcome is not None:
+            return self.outcome
+        return QUEUED if self.entry.lease is None else RUNNING
+
+    def view(self) -> Dict[str, Any]:
+        """The fields ``/results`` and ``/api/progress`` both report."""
+        return {"status": self.status, "attempts": self.entry.attempts,
+                "releases": self.entry.releases, "elapsed_s": self.elapsed_s}
 
 
 @dataclass
@@ -104,7 +112,6 @@ class _Worker:
     last_seen_unix: float = field(default_factory=time.time)
     jobs_done: int = 0
     jobs_failed: int = 0
-    current_job: Optional[str] = None
 
 
 class SweepCoordinator:
@@ -178,14 +185,11 @@ class SweepCoordinator:
     def _admit(self, payload: Dict[str, Any], spec: JobSpec,
                force: bool) -> str:
         job = self._jobs.get(spec.hash)
-        if job is not None:
-            if job.status in (QUEUED, RUNNING):
-                self.counters["jobs_deduped"].inc()
-                return job.status
-            if job.status in (DONE, CACHED) and not force:
-                self.counters["jobs_deduped"].inc()
-                return job.status
-            # failed (always re-admitted with a fresh budget) or forced
+        if job is not None and (job.status in (QUEUED, RUNNING) or
+                                (job.status in (DONE, CACHED) and not force)):
+            self.counters["jobs_deduped"].inc()
+            return job.status
+        # new, failed (always re-admitted with a fresh budget) or forced
         if force and self.store is not None:
             self.store.invalidate(spec)
         record = (self.store.load_record(spec)
@@ -195,20 +199,18 @@ class SweepCoordinator:
                 from_jsonable(record["result"])
             except UNDECODABLE:
                 record = None  # a stale result type: re-run, overwritten
-        job = _Job(job_id=spec.hash, spec=spec, payload=payload,
-                   label=spec.display)
-        self._jobs[spec.hash] = job
         self.counters["jobs_submitted"].inc()
-        if record is not None:
-            self.counters["store_hits"].inc()
-            job.status = CACHED
-            job.result = record["result"]
-            job.attempts = record.get("attempts", 0)
-            job.elapsed_s = record.get("elapsed_s", 0.0)
-            job.finished_unix = time.time()
-            return CACHED
-        self._queue.add(spec.hash, spec)
-        return QUEUED
+        if record is None:
+            self._jobs[spec.hash] = _Job(
+                payload, spec.display, self._queue.add(spec.hash, spec))
+            return QUEUED
+        self.counters["store_hits"].inc()
+        self._jobs[spec.hash] = _Job(
+            payload, spec.display,
+            Entry(spec.hash, spec, attempts=record.get("attempts", 0)),
+            outcome=CACHED, result=record["result"],
+            elapsed_s=record.get("elapsed_s", 0.0), finished_unix=time.time())
+        return CACHED
 
     def results(self, job_ids: List[str]) -> Dict[str, Dict[str, Any]]:
         """Status (and, when terminal, result/error) per requested id."""
@@ -220,17 +222,11 @@ class SweepCoordinator:
                 if job is None:
                     out[job_id] = {"status": "unknown"}
                     continue
-                info: Dict[str, Any] = {
-                    "status": job.status,
-                    "attempts": job.attempts,
-                    "releases": job.releases,
-                    "elapsed_s": job.elapsed_s,
-                }
+                info = out[job_id] = job.view()
                 if job.status in (DONE, CACHED):
                     info["result"] = job.result
                 elif job.status == FAILED:
                     info["error"] = job.error
-                out[job_id] = info
             return out
 
     # --- worker side --------------------------------------------------------
@@ -244,16 +240,11 @@ class SweepCoordinator:
             if lease is None:
                 return None
             job = self._jobs[lease.index]
-            job.status = RUNNING
-            job.worker = worker
-            job.attempts = lease.attempts
-            job.error = None
-            self._workers[worker].current_job = job.job_id
             self.counters["leases_granted"].inc()
             self._log(f"leased {job.label} to {worker} "
                       f"(attempt {lease.attempts}, lease {lease.lease_id})")
             return {
-                "id": job.job_id,
+                "id": lease.index,
                 "lease": lease.lease_id,
                 "payload": job.payload,
                 "label": job.label,
@@ -263,13 +254,14 @@ class SweepCoordinator:
 
     def heartbeat(self, worker: str,
                   lease_ids: List[str]) -> Dict[str, List[str]]:
-        """Renew leases; stale ids tell the worker its work is orphaned."""
+        """Renew the leases ``worker`` holds; the rest are stale."""
         with self._lock:
             self._expire_leases()
             self._touch_worker(worker)
             renewed, stale = [], []
             for lease_id in lease_ids:
-                if self._queue.renew(lease_id, self.lease_ttl_s):
+                if self._held(lease_id, worker) is not None:
+                    self._queue.renew(lease_id, self.lease_ttl_s)
                     renewed.append(lease_id)
                     self.counters["leases_renewed"].inc()
                 else:
@@ -289,11 +281,12 @@ class SweepCoordinator:
 
         Returns False for a stale lease — it expired and the job was
         requeued to someone else, so this attempt's result is dropped
-        (the replacement attempt owns the job now)."""
+        (the replacement attempt owns the job now) — and for a lease
+        ``worker`` does not hold."""
         with self._lock:
             self._expire_leases()
             self._touch_worker(worker)
-            lease = self._queue.get(lease_id)
+            lease = self._held(lease_id, worker)
             if lease is None:
                 self.counters["stale_completions"].inc()
                 self._log(f"stale completion from {worker} "
@@ -301,18 +294,13 @@ class SweepCoordinator:
                 return False
             job = self._jobs[lease.index]
             winfo = self._workers[worker]
-            winfo.current_job = None
             if ok:
                 self._queue.complete(lease_id)
-                job.status = DONE
                 job.result = result
-                job.attempts = lease.attempts
                 job.elapsed_s = elapsed_s
-                job.error = None
-                job.worker = worker
-                job.finished_unix = time.time()
+                self._end(job, DONE, worker)
                 if self.store is not None:
-                    self.store.save(job.spec, result, elapsed_s,
+                    self.store.save(lease.spec, result, elapsed_s,
                                     lease.attempts)
                 self._completions.append(job.finished_unix)
                 self._prune_timeline()
@@ -322,19 +310,13 @@ class SweepCoordinator:
                           f"({elapsed_s:.1f}s, attempt {lease.attempts})")
             else:
                 status, _ = self._queue.fail(lease_id)
-                job.error = error
                 winfo.jobs_failed += 1
                 if status == "retry":
-                    job.status = QUEUED
-                    job.worker = ""
                     self._log(f"retrying {job.label} "
                               f"(attempt {lease.attempts + 1}/"
                               f"{self.retries + 1}): {error}")
                 else:
-                    job.status = FAILED
-                    job.attempts = lease.attempts
-                    job.finished_unix = time.time()
-                    self.counters["jobs_failed"].inc()
+                    self._end(job, FAILED, worker, error)
                     self._log(f"failed {job.label} after "
                               f"{lease.attempts} attempt(s): {error}")
             return True
@@ -348,31 +330,36 @@ class SweepCoordinator:
             self._log(f"worker {worker} joined")
         info.last_seen_unix = time.time()
 
+    def _held(self, lease_id: str, worker: str) -> Optional[Lease]:
+        """The live lease ``lease_id`` if ``worker`` holds it; None if
+        it is stale — ended, expired, or another worker's."""
+        lease = self._queue.get(lease_id)
+        return lease if lease is not None and lease.worker == worker else None
+
+    def _end(self, job: _Job, outcome: str, worker: str,
+             error: Optional[str] = None) -> None:
+        """Record how ``job`` ended; the queue no longer holds it."""
+        job.outcome = outcome
+        job.worker = worker
+        job.error = error
+        job.finished_unix = time.time()
+        if outcome == FAILED:
+            self.counters["jobs_failed"].inc()
+
     def _expire_leases(self) -> None:
         """Requeue jobs whose lease lapsed, uncharged.  Called under
         the lock from every public entry point, so expiry needs no
         background thread."""
         for lease in self._queue.expired():
             status, _ = self._queue.release(lease.lease_id)
-            job = self._jobs.get(lease.index)
+            job = self._jobs[lease.index]
             self.counters["leases_expired"].inc()
-            winfo = self._workers.get(lease.worker)
-            if winfo is not None and winfo.current_job == lease.index:
-                winfo.current_job = None
-            if job is None:
-                continue
-            job.releases += 1
             if status == "failed":
-                job.status = FAILED
-                job.error = (f"lease expired {DEFAULT_MAX_RELEASES} "
-                             "times without a completion")
-                job.finished_unix = time.time()
-                self.counters["jobs_failed"].inc()
+                self._end(job, FAILED, lease.worker,
+                          f"lease expired {DEFAULT_MAX_RELEASES} "
+                          "times without a completion")
                 self._log(f"gave up on {job.label}: {job.error}")
             else:
-                job.status = QUEUED
-                job.worker = ""
-                job.attempts = lease.attempts - 1  # the lost one is free
                 self._log(f"lease {lease.lease_id} on {job.label} expired "
                           f"(worker {lease.worker}); requeued uncharged")
 
@@ -393,17 +380,16 @@ class SweepCoordinator:
                 s: 0 for s in (QUEUED, RUNNING, DONE, FAILED, CACHED)}
             jobs = []
             for job in self._jobs.values():
-                by_status[job.status] += 1
-                jobs.append({
-                    "id": job.job_id,
-                    "label": job.label,
-                    "status": job.status,
-                    "worker": job.worker,
-                    "attempts": job.attempts,
-                    "releases": job.releases,
-                    "elapsed_s": round(job.elapsed_s, 3),
-                    "error": job.error,
-                })
+                view = job.view()
+                by_status[view["status"]] += 1
+                lease = job.entry.lease
+                jobs.append(dict(
+                    view, id=job.entry.index, label=job.label,
+                    worker=job.worker if lease is None else lease.worker,
+                    elapsed_s=round(job.elapsed_s, 3), error=job.error))
+            #: each worker's newest live lease
+            holding = {lease.worker: self._jobs[lease.index].label
+                       for lease in self._queue.live()}
             # newest first, running before queued before terminal
             order = {RUNNING: 0, QUEUED: 1, FAILED: 2, DONE: 3, CACHED: 4}
             jobs.sort(key=lambda j: (order[j["status"]], j["label"]))
@@ -414,8 +400,7 @@ class SweepCoordinator:
                     "alive": (now - w.last_seen_unix) < 3 * self.lease_ttl_s,
                     "jobs_done": w.jobs_done,
                     "jobs_failed": w.jobs_failed,
-                    "current_job": (self._jobs[w.current_job].label
-                                    if w.current_job else None),
+                    "current_job": holding.get(w.name),
                 }
                 for w in sorted(self._workers.values(),
                                 key=lambda w: w.name)
@@ -562,13 +547,12 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
                 self._send_json(200, {"job": self._claim(body)})
             elif self.path == "/heartbeat":
                 out = self.coordinator.heartbeat(
-                    str(body.get("worker") or ""),
-                    list(body.get("leases") or ()))
+                    self._worker(body), list(body.get("leases") or ()))
                 self._send_json(200, out)
             elif self.path == "/complete":
                 accepted = self.coordinator.complete(
                     str(body.get("lease") or ""),
-                    worker=str(body.get("worker") or ""),
+                    worker=self._worker(body),
                     ok=bool(body.get("ok")),
                     result=body.get("result"),
                     error=body.get("error"),
@@ -598,9 +582,13 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
             self._send_json(
                 500, {"error": f"{type(exc).__name__}: {exc}"})
 
+    def _worker(self, body: Dict[str, Any]) -> str:
+        """The request's worker name; a nameless client is its address,
+        so its claims, heartbeats and completions name one holder."""
+        return str(body.get("worker") or self.client_address[0])
+
     def _claim(self, body: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        return self.coordinator.claim(
-            str(body.get("worker") or self.client_address[0]))
+        return self.coordinator.claim(self._worker(body))
 
     def _post_submit(self, body: Dict[str, Any]) -> None:
         payloads = body.get("specs")

@@ -18,11 +18,13 @@ Endpoints (all bodies JSON)::
                      -> {"job": {"id","lease","payload","label",
                                  "ttl_s","attempts"}} or {"job": null}
     POST /heartbeat  {"worker": name, "leases": [lease_id...]}
-                     -> {"renewed": [...], "stale": [...]}
+                     -> {"renewed": [...], "stale": [...]}; stale: ended,
+                        expired, or held by another worker
     POST /complete   {"lease": id, "worker": name, "ok": bool,
                       "result": payload | "error": str, "elapsed_s": f,
                       "claim": true (optional)}
-                     -> {"accepted": bool}; with "claim", also "job" in
+                     -> {"accepted": bool}, false for a stale lease (as
+                        /heartbeat's); with "claim", also "job" in
                         /claim's shape: the worker's next lease, one
                         round trip per job
     POST /results    {"ids": [job_id...]}
@@ -34,6 +36,8 @@ Endpoints (all bodies JSON)::
     GET  /api/progress -> the dashboard/status snapshot
     GET  /healthz      -> {"ok": true}
     GET  /             -> the HTML dashboard
+
+A request without a ``worker`` name speaks for the client's address.
 
 A connection stays open between requests until either side closes it:
 the coordinator closes one that sits idle for

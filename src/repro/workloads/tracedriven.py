@@ -128,15 +128,11 @@ class TraceWorkload:
     Each server loops: wait ~interarrival, pick a random receiver not in
     its own rack, send a transfer sized from ``sizes`` x
     :data:`SIZE_SCALE`.  Completions are sorted
-    into mice (<100 KB) and elephants (>1 MB) FCT/throughput records.
-
-    By default every completion is appended to the in-memory lists
-    (``mice_fcts_ns`` / ``elephant_records``) as before.  Large sweeps
-    pass ``mice_sink`` / ``elephant_sink`` callables instead —
-    typically :class:`repro.metrics.streaming.StreamingQuantiles` /
-    :class:`~repro.metrics.streaming.TopK` feeders — and the unbounded
-    lists are left empty, keeping per-cell memory O(1) in simulated
-    time.  The rack check uses ``testbed.pod_of``, so the workload runs
+    into mice (<100 KB) and elephants (>1 MB): each mouse's FCT goes to
+    ``mice_sink``, each elephant's (bytes, FCT) to ``elephant_sink`` —
+    a list's ``append``, or a :class:`repro.metrics.streaming`
+    feeder that keeps per-cell memory O(1) in simulated time.  The
+    rack check uses ``testbed.pod_of``, so the workload runs
     unchanged on 2-tier Clos and 3-tier fat-tree fabrics.
     """
 
@@ -152,8 +148,9 @@ class TraceWorkload:
         interarrivals: Optional[EmpiricalDistribution] = None,
         stop_ns: Optional[int] = None,
         max_size: int = 20 * MB,
-        mice_sink: Optional[Callable[[int], None]] = None,
-        elephant_sink: Optional[Callable[[int, int], None]] = None,
+        *,
+        mice_sink: Callable[[int], None],
+        elephant_sink: Callable[[int, int], None],
     ):
         self.tb = testbed
         self.rng = rng
@@ -165,8 +162,6 @@ class TraceWorkload:
         self.max_size = max_size
         self.mice_sink = mice_sink
         self.elephant_sink = elephant_sink
-        self.mice_fcts_ns: List[int] = []
-        self.elephant_records: List[Tuple[int, int]] = []  # (bytes, fct)
         self.flows_started = 0
         self.flows_completed = 0
 
@@ -204,15 +199,9 @@ class TraceWorkload:
             return
         self.flows_completed += 1
         if size < self.MICE_LIMIT:
-            if self.mice_sink is not None:
-                self.mice_sink(fct)
-            else:
-                self.mice_fcts_ns.append(fct)
+            self.mice_sink(fct)
         elif size > self.ELEPHANT_LIMIT:
-            if self.elephant_sink is not None:
-                self.elephant_sink(size, fct)
-            else:
-                self.elephant_records.append((size, fct))
+            self.elephant_sink(size, fct)
 
 
 class IncastWorkload:
@@ -223,7 +212,7 @@ class IncastWorkload:
     paper-style partition/aggregate metric.
 
     Each host takes a turn as aggregator round-robin; request FCTs feed
-    ``sink`` when given (bounded memory), else ``request_fcts_ns``.
+    ``sink``.
     """
 
     def __init__(
@@ -232,14 +221,14 @@ class IncastWorkload:
         rng: random.Random,
         fanin: int = INCAST_FANIN,
         stop_ns: Optional[int] = None,
-        sink: Optional[Callable[[int], None]] = None,
+        *,
+        sink: Callable[[int], None],
     ):
         self.tb = testbed
         self.rng = rng
         self.fanin = fanin
         self.stop_ns = stop_ns
         self.sink = sink
-        self.request_fcts_ns: List[int] = []
         self.requests_started = 0
         self.requests_completed = 0
         self._next_aggregator = 0
@@ -275,11 +264,7 @@ class IncastWorkload:
             _p["left"] -= 1
             if _p["left"] == 0:
                 self.requests_completed += 1
-                fct = self.tb.sim.now - _t0
-                if self.sink is not None:
-                    self.sink(fct)
-                else:
-                    self.request_fcts_ns.append(fct)
+                self.sink(self.tb.sim.now - _t0)
 
         for w in workers:
             self.tb.add_elephant(

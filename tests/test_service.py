@@ -7,21 +7,35 @@ expiry and finished elsewhere with its retry budget uncharged; 429
 backpressure on a full queue; stale completions rejected; ``/complete``
 handing out the next lease; keep-alive connections that a silent peer
 cannot park and a worker leaves none of behind; the ``/api/progress``
-and dashboard endpoints; and the shared :class:`LeaseQueue` budget
-rules both executors ride.
+and dashboard endpoints; the shared :class:`LeaseQueue` budget rules
+both executors ride; and the coordinator's lease protocol checked step
+by step against a model of those rules.
 """
 
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.request
+from collections import Counter
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.faults import soak as soak_mod
 from repro.runner import lease as lease_mod
@@ -32,7 +46,11 @@ from repro.runner.serialize import from_jsonable, to_jsonable
 from repro.runner.store import ResultStore
 from repro.service import worker as worker_mod
 from repro.service.cli import main as service_main
-from repro.service.coordinator import CoordinatorHandler, serve
+from repro.service.coordinator import (
+    CoordinatorHandler,
+    SweepCoordinator,
+    serve,
+)
 from repro.service.protocol import (
     Backpressure,
     Connection,
@@ -497,6 +515,45 @@ def test_stale_completion_with_claim_still_gets_a_lease(coordinator_factory):
     assert reply["job"]["id"] == spec.hash
     assert reply["job"]["attempts"] == 1
     assert coordinator.counters["stale_completions"].value == 1
+
+
+def test_non_holder_lease_is_stale():
+    """A lease presented by a worker other than its holder is stale: B
+    can neither complete nor renew A's lease, is credited nothing, and
+    leaves A's current job alone; A's own completion is accepted."""
+    coordinator = SweepCoordinator(None)
+    coordinator.submit([to_jsonable(JobSpec.make(job_ok, label="j"))])
+    lease = coordinator.claim("A")["lease"]
+
+    def workers():
+        return {w["name"]: (w["current_job"], w["jobs_done"])
+                for w in coordinator.progress()["workers"]}
+
+    assert coordinator.complete(lease, "B", ok=True, result=1) is False
+    assert coordinator.heartbeat("B", [lease]) == {
+        "renewed": [], "stale": [lease]}
+    assert workers() == {"A": ("j", 0), "B": (None, 0)}
+    assert coordinator.counters["stale_completions"].value == 1
+    assert coordinator.complete(lease, "A", ok=True, result=1) is True
+    assert workers() == {"A": (None, 1), "B": (None, 0)}
+
+
+def test_nameless_client_holds_the_lease_it_claimed(coordinator_factory):
+    """A request without a worker name speaks for the client's address
+    on ``/claim``, ``/heartbeat`` and ``/complete`` alike, so a nameless
+    client's own lease is never stale to it."""
+    start, _ = coordinator_factory
+    coordinator, url = start(None)
+    _submit(url, [JobSpec.make(job_ok, label="j")])
+    _, claimed = request_json(url, "/claim", {})
+    lease = claimed["job"]["lease"]
+    _, renewed = request_json(url, "/heartbeat", {"leases": [lease]})
+    assert renewed == {"renewed": [lease], "stale": []}
+    _, reply = request_json(url, "/complete", {
+        "lease": lease, "ok": True, "result": 1, "elapsed_s": 0.1})
+    assert reply == {"accepted": True}
+    (worker,) = coordinator.progress()["workers"]
+    assert (worker["name"], worker["jobs_done"]) == ("127.0.0.1", 1)
 
 
 def _record_worker_connections(monkeypatch):
@@ -979,3 +1036,277 @@ def test_lease_queue_expiry_and_renewal():
     assert [l.lease_id for l in q.expired(now[0])] == [lease.lease_id]
     assert q.renew(lease.lease_id, 5.0)
     assert q.expired(now[0]) == []
+
+
+# --- the lease protocol, model-checked ---------------------------------------
+
+#: a lease held by one of these workers is stale to the other
+WORKERS = ("A", "B")
+MACHINE_TTL_S = 10.0
+MACHINE_RETRIES = 1
+
+
+class _CheckedStore(ResultStore):
+    """A store that refuses to overwrite a record with different
+    content; after ``invalidate`` a record may be written afresh."""
+
+    def save(self, spec, result_jsonable, elapsed_s, attempts=1):
+        old = self.load_record(spec)
+        assert old is None or (old["result"], old["attempts"]) == (
+            result_jsonable, attempts), f"{spec.display} rewritten"
+        return super().save(spec, result_jsonable, elapsed_s, attempts)
+
+
+class LeaseProtocol(RuleBasedStateMachine):
+    """An in-process :class:`SweepCoordinator` on a fake clock, against
+    a model that keeps, per admission of a spec, how each of its leases
+    ended: ``live``, ``done``, ``failed`` (charged), ``expired``
+    (uncharged) or ``capped`` (expired, and failed the job at the
+    release cap).  A job's ``attempts`` are its leases that completed or
+    failed, the live one included; its ``releases`` are those that
+    expired."""
+
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp(prefix="lease-protocol-")
+        self.store = _CheckedStore(self.root)
+        self.now = 0.0
+        self.coordinator = SweepCoordinator(
+            self.store, retries=MACHINE_RETRIES, lease_ttl_s=MACHINE_TTL_S)
+        self.coordinator._queue = LeaseQueue(
+            retries=MACHINE_RETRIES, clock=lambda: self.now)
+        self.specs = [JobSpec.make(job_ok, label=f"j{i}", value=i)
+                      for i in range(3)]
+        # the last spec's result is stored already: its first submit
+        # is served from the store
+        cached = self.specs[-1]
+        self.store.save(cached, {"lease": None}, 0.0, 1)
+        #: spec hash -> the store record's (result, attempts)
+        self.stored = {cached.hash: ({"lease": None}, 1)}
+        #: spec hash -> the model of its latest admission
+        self.jobs = {}
+        #: lease id -> {"job", "slot", "holder", "deadline"} while live
+        self.leases = {}
+        #: every lease granted, in order, and its holder
+        self.holders = {}
+        self.ends = Counter()
+        self.stale = 0
+        self.expired = 0
+
+    def teardown(self):
+        try:
+            # every admitted job ends: let the live leases lapse, then
+            # run what is queued to completion
+            self.advance(MACHINE_TTL_S + 1)
+            while self._claimed("A", self.coordinator.claim("A")):
+                (lease_id,) = self.leases
+                self._complete(lease_id, "A", ok=True)
+            assert all(job["status"] in ("done", "failed", "cached")
+                       for job in self.jobs.values())
+            self.coordinator_agrees_with_the_model()
+        finally:
+            shutil.rmtree(self.root, ignore_errors=True)
+
+    # --- the model ---
+
+    @staticmethod
+    def _attempts(job):
+        if job["status"] == "cached":
+            return job["attempts"]
+        return sum(end != "expired" for end in job["leases"])
+
+    @staticmethod
+    def _releases(job):
+        return sum(end in ("expired", "capped") for end in job["leases"])
+
+    def _end_job(self, job, status):
+        assert job["status"] in ("queued", "running"), job
+        job["status"] = status
+        self.ends[status] += 1
+
+    def _claimed(self, worker, got):
+        """Check one ``/claim`` answer; True when it granted a lease."""
+        if got is None:
+            assert all(job["status"] != "queued"
+                       for job in self.jobs.values())
+            return False
+        job = self.jobs[got["id"]]
+        assert job["status"] == "queued"
+        job["status"] = "running"
+        job["leases"].append("live")
+        self.leases[got["lease"]] = {
+            "job": job, "slot": len(job["leases"]) - 1, "holder": worker,
+            "deadline": self.now + MACHINE_TTL_S}
+        self.holders[got["lease"]] = worker
+        assert got["attempts"] == self._attempts(job)
+        return True
+
+    def _complete(self, lease_id, worker, ok):
+        result = {"lease": lease_id}
+        lease = self.leases.pop(lease_id, None)
+        accepted = self.coordinator.complete(
+            lease_id, worker, ok, result=result,
+            error=None if ok else "injected", elapsed_s=0.5)
+        assert accepted is (lease is not None)
+        if lease is None:
+            self.stale += 1
+            return
+        job = lease["job"]
+        job["leases"][lease["slot"]] = "done" if ok else "failed"
+        if ok:
+            job["result"] = result
+            self.stored[job["hash"]] = (result, self._attempts(job))
+            self._end_job(job, "done")
+        elif self._attempts(job) <= MACHINE_RETRIES:
+            job["status"] = "queued"
+        else:
+            self._end_job(job, "failed")
+
+    # --- rules ---
+
+    @initialize()
+    def submit_all(self):
+        got = self.coordinator.submit([to_jsonable(s) for s in self.specs])
+        assert [job["status"] for job in got] == [
+            self._admit(spec, False) for spec in self.specs]
+
+    @rule(i=st.integers(0, 2), force=st.booleans(), twice=st.booleans())
+    def submit(self, i, force, twice):
+        spec = self.specs[i]
+        payloads = [to_jsonable(spec)] * (2 if twice else 1)
+        got = self.coordinator.submit(payloads, force=force)
+        assert [job["status"] for job in got] == [
+            self._admit(spec, force) for _ in payloads]
+
+    def _admit(self, spec, force):
+        job = self.jobs.get(spec.hash)
+        if job is not None and (
+                job["status"] in ("queued", "running") or
+                (job["status"] in ("done", "cached") and not force)):
+            return job["status"]
+        if force:
+            self.stored.pop(spec.hash, None)
+        job = self.jobs[spec.hash] = {
+            "hash": spec.hash, "label": spec.label, "status": "queued",
+            "leases": []}
+        if spec.hash in self.stored:
+            job["result"], job["attempts"] = self.stored[spec.hash]
+            job["status"] = "cached"
+        return job["status"]
+
+    @rule(worker=st.sampled_from(WORKERS))
+    def claim(self, worker):
+        self._claimed(worker, self.coordinator.claim(worker))
+
+    @precondition(lambda self: self.holders)
+    @rule(data=st.data())
+    def heartbeat(self, data):
+        lease_id = data.draw(st.sampled_from(list(self.holders)))
+        got = self.coordinator.heartbeat(self.holders[lease_id], [lease_id])
+        if lease_id in self.leases:
+            assert got == {"renewed": [lease_id], "stale": []}
+            self.leases[lease_id]["deadline"] = self.now + MACHINE_TTL_S
+        else:
+            assert got == {"renewed": [], "stale": [lease_id]}
+
+    @rule(dt=st.sampled_from([MACHINE_TTL_S / 2, MACHINE_TTL_S + 1]))
+    def advance(self, dt):
+        self.now += dt
+        for lease_id, lease in list(self.leases.items()):
+            if self.now <= lease["deadline"]:
+                continue
+            del self.leases[lease_id]
+            self.expired += 1
+            job = lease["job"]
+            if self._releases(job) + 1 < lease_mod.DEFAULT_MAX_RELEASES:
+                job["leases"][lease["slot"]] = "expired"
+                job["status"] = "queued"
+            else:
+                job["leases"][lease["slot"]] = "capped"
+                self._end_job(job, "failed")
+
+    @precondition(lambda self: self.holders)
+    @rule(data=st.data(), ok=st.booleans(), claim=st.booleans(),
+          twice=st.booleans())
+    def complete(self, data, ok, claim, twice):
+        """The holder of a live lease reports — of a lapsed one when
+        none is live; ``twice`` delivers the report again (a resend whose
+        first reply was lost), ``claim`` asks for the next lease in the
+        same round trip, as ``/complete`` does."""
+        lease_id = data.draw(st.sampled_from(
+            list(self.leases) or list(self.holders)))
+        holder = self.holders[lease_id]
+        for _ in range(2 if twice else 1):
+            self._complete(lease_id, holder, ok)
+            if claim:
+                self._claimed(holder, self.coordinator.claim(holder))
+
+    @precondition(lambda self: self.leases)
+    @rule(data=st.data(), ok=st.booleans())
+    def complete_as_non_holder(self, data, ok):
+        lease_id = data.draw(st.sampled_from(list(self.leases)))
+        (other,) = set(WORKERS) - {self.leases[lease_id]["holder"]}
+        assert self.coordinator.heartbeat(other, [lease_id]) == {
+            "renewed": [], "stale": [lease_id]}
+        assert self.coordinator.complete(
+            lease_id, other, ok, result={"lease": lease_id},
+            elapsed_s=0.5) is False
+        self.stale += 1
+
+    # --- invariants ---
+
+    @invariant()
+    def coordinator_agrees_with_the_model(self):
+        coordinator = self.coordinator
+        results = coordinator.results(list(self.jobs))
+        for job_id, job in self.jobs.items():
+            info = results[job_id]
+            assert (info["status"], info["attempts"], info["releases"]) == (
+                job["status"], self._attempts(job), self._releases(job)), job
+            if job["status"] in ("done", "cached"):
+                assert info["result"] == job["result"]
+        progress = coordinator.progress()
+        assert progress["by_status"] == {
+            status: sum(info["status"] == status
+                        for info in results.values())
+            for status in progress["by_status"]}
+        assert {job["id"]: (job["status"], job["attempts"], job["releases"])
+                for job in progress["jobs"]} == {
+            job_id: (info["status"], info["attempts"], info["releases"])
+            for job_id, info in results.items()}
+        holding = {worker: {lease["job"]["label"]
+                            for lease in self.leases.values()
+                            if lease["holder"] == worker}
+                   for worker in WORKERS}
+        for worker in progress["workers"]:
+            current = worker["current_job"]
+            assert current is None or current in holding[worker["name"]]
+            assert holding[worker["name"]] or current is None
+
+        counters = {name: c.value for name, c in coordinator.counters.items()}
+        assert counters["jobs_completed"] == self.ends["done"]
+        assert counters["jobs_failed"] == self.ends["failed"]
+        assert counters["stale_completions"] == self.stale
+        assert counters["leases_granted"] == len(self.holders)
+        assert counters["leases_expired"] == self.expired
+        for spec in self.specs:
+            record = self.store.load_record(spec)
+            if spec.hash in self.stored:
+                assert (record["result"], record["attempts"]) == \
+                    self.stored[spec.hash]
+            else:
+                assert record is None
+
+
+def test_lease_protocol_state_machine(monkeypatch):
+    """Submit (twice in a batch, forced), claim, heartbeat, let leases
+    lapse, complete ok or failed (with and without the next claim, and
+    delivered twice) and complete as a non-holder, in any order: every
+    job ends done or failed exactly once, ``attempts`` counts its leases
+    that completed or failed, ``releases`` those that expired, no store
+    record is rewritten with different content, and ``/api/progress``
+    agrees with ``/results``."""
+    monkeypatch.setattr(lease_mod, "DEFAULT_MAX_RELEASES", 3)
+    run_state_machine_as_test(LeaseProtocol, settings=settings(
+        derandomize=True, max_examples=100, stateful_step_count=30,
+        deadline=None))

@@ -114,12 +114,15 @@ def test_shuffle_workload_progresses_and_refills(monkeypatch):
 
 def test_trace_workload_classifies_flows():
     tb = mini_clos()
-    wl = TraceWorkload(tb, random.Random(3), stop_ns=msec(30))
+    mice = []
+    wl = TraceWorkload(tb, random.Random(3), stop_ns=msec(30),
+                       mice_sink=mice.append,
+                       elephant_sink=lambda size, fct: None)
     wl.start()
     tb.run(msec(60))
     assert wl.flows_started > 10
-    assert wl.mice_fcts_ns  # plenty of mice in the distribution
-    assert all(f > 0 for f in wl.mice_fcts_ns)
+    assert mice  # plenty of mice in the distribution
+    assert all(f > 0 for f in mice)
 
 
 def test_northsouth_attaches_wan_users():
