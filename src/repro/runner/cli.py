@@ -83,6 +83,7 @@ def add_execution_flags(parser: argparse.ArgumentParser) -> None:
         help="per-job wall-clock timeout; a hung job is killed, retried, "
              "then reported failed")
     add_retries_flag(parser)
+    parser.set_defaults(retries=None)  # None unless given: see --service
     parser.add_argument(
         "--service", default=None, metavar="URL",
         help="run the jobs on a sweep coordinator (python -m "
@@ -101,20 +102,33 @@ def add_execution_flags(parser: argparse.ArgumentParser) -> None:
         help="suppress per-job progress lines")
 
 
+#: where each local execution flag's setting lives with ``--service``
+SERVICE_SIDE = {
+    "--jobs": "the number of workers started against the coordinator",
+    "--timeout": "the coordinator's --lease-ttl",
+    "--retries": "the coordinator's --retries"}
+
+
 def execution_options(ns: argparse.Namespace) -> SweepOptions:
     """The parsed execution flags as :class:`SweepOptions`."""
+    given = [flag for flag in SERVICE_SIDE
+             if ns.service and getattr(ns, flag[2:]) is not None]
+    if given:
+        raise UsageError(
+            f"{', '.join(given)} cannot be used with --service: " + "; ".join(
+                f"{flag} is {SERVICE_SIDE[flag]}" for flag in given))
     if ns.jobs is not None and ns.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
     if ns.timeout is not None and ns.timeout <= 0:
         raise UsageError(f"--timeout must be positive, got {ns.timeout}")
-    if ns.retries < 0:
+    if ns.retries is not None and ns.retries < 0:
         raise UsageError(f"--retries must be >= 0, got {ns.retries}")
     return SweepOptions(
         jobs=ns.jobs,
         store=None if ns.no_store else ResultStore(ns.results_dir),
         force=ns.force,
         timeout_s=ns.timeout,
-        retries=ns.retries,
+        retries=SweepOptions.retries if ns.retries is None else ns.retries,
         log=None if ns.quiet else (lambda msg: print(msg, file=sys.stderr)),
         service=ns.service,
     )

@@ -49,7 +49,7 @@ from typing import (
 
 from repro.runner.jobspec import JobSpec
 from repro.runner.lease import Lease, LeaseQueue
-from repro.runner.serialize import UNDECODABLE, from_jsonable, to_jsonable
+from repro.runner.serialize import from_jsonable, to_jsonable
 from repro.runner.store import ResultStore
 
 #: statuses a finished job can report
@@ -159,8 +159,9 @@ def run_jobs(
 
     ``service`` is a coordinator base URL (``http://host:port``): the
     non-cached jobs run on that coordinator's workers instead of a
-    local pool (``jobs``/``timeout_s`` then govern the coordinator's
-    side, not this process).
+    local pool, and ``jobs``, ``timeout_s`` and ``retries`` are not
+    used — the coordinator's ``--retries`` and ``--lease-ttl`` and the
+    workers started against it decide those.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -179,21 +180,10 @@ def run_jobs(
     outcomes: Dict[int, JobOutcome] = {}
     todo: List[Tuple[int, JobSpec]] = []
     for i, spec in enumerate(specs):
-        if store is not None and force:
-            store.invalidate(spec)
-        record = store.load_record(spec) if store is not None and not force else None
-        try:
-            result = record and from_jsonable(record["result"])
-        except UNDECODABLE:
-            record = None  # undecodable: a miss, re-run and overwritten
-        if record is not None:
+        hit = store.hit(spec, force) if store is not None else None
+        if hit is not None:
             outcomes[i] = JobOutcome(
-                spec=spec,
-                status=STATUS_CACHED,
-                result=result,
-                attempts=0,
-                elapsed_s=0.0,
-            )
+                spec=spec, status=STATUS_CACHED, result=hit[1])
             _log(f"[{len(outcomes)}/{total}] cached {spec.display}")
         else:
             todo.append((i, spec))
@@ -207,16 +197,13 @@ def run_jobs(
             f"{note}"
         )
 
-    if todo:
-        if service is not None:
-            # Local import: repro.service imports repro.runner.
-            from repro.service.client import run_via_service
+    if todo and service is not None:
+        # Local import: repro.service imports repro.runner.
+        from repro.service.client import run_via_service
 
-            run_via_service(
-                todo, service, retries=retries, force=force,
-                store=store, finish=_finish, log=_log,
-            )
-            return [outcomes[i] for i in range(total)]
+        run_via_service(todo, service, force=force, store=store,
+                        finish=_finish, log=_log)
+    elif todo:
         fork = "fork" in multiprocessing.get_all_start_methods()
         if jobs > 1 and not fork:
             _log("fork start method unavailable; degrading to serial execution")

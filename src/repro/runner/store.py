@@ -2,8 +2,10 @@
 
 Each completed job becomes one JSON file
 ``benchmarks/results/store/<hash>.json`` holding the spec, the encoded
-result and execution metadata.  Re-running a sweep loads matching
-hashes instead of re-simulating (resume); ``--force`` invalidates.
+result and execution metadata: the one copy of a finished job, which
+``run_jobs`` and the sweep coordinator both ask for through
+:meth:`ResultStore.hit`.  Re-running a sweep loads matching hashes
+instead of re-simulating (resume); ``--force`` invalidates.
 Writes are atomic (tempfile + ``os.replace``) so a killed sweep never
 leaves a half-written record that would poison a resume.
 """
@@ -14,10 +16,10 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.runner.jobspec import BadSpec, JobSpec, cell_of
-from repro.runner.serialize import to_jsonable
+from repro.runner.serialize import UNDECODABLE, from_jsonable, to_jsonable
 
 #: env var overriding the default results root (useful for tests/CI)
 RESULTS_DIR_ENV = "REPRO_RESULTS_DIR"
@@ -36,33 +38,52 @@ class ResultStore:
     def path_for(self, spec: JobSpec) -> str:
         return os.path.join(self.store_dir, f"{spec.hash}.json")
 
+    def _names(self) -> List[str]:
+        """The store's file names, sorted (= by hash)."""
+        if not os.path.isdir(self.store_dir):
+            return []
+        return sorted(os.listdir(self.store_dir))
+
     @staticmethod
-    def _structurally_ok(record: Any) -> bool:
-        """The one corruption check every read path applies: a record
-        must be a dict that kept its ``result`` (a truncated write or
-        hand-edit that lost it is treated as absent everywhere)."""
-        return isinstance(record, dict) and "result" in record
+    def _read(path: str) -> Optional[Dict[str, Any]]:
+        """The record at ``path``; None unless it parses to a dict that
+        kept its ``result`` (the one corruption check every read path
+        applies: a truncated write or hand-edit reads as absent)."""
+        try:
+            with open(path) as fh:
+                record = json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            return None
+        if isinstance(record, dict) and "result" in record:
+            return record
+        return None
 
     def load_record(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
-        """The stored record for ``spec``, or None on miss/corruption.
-
-        Corruption covers structure, not just syntax: a record that
-        parses but lost its ``result`` (truncated write, hand-edit) is
-        a cache miss — the job re-runs and overwrites it.  So is any
-        record of a spec that names no registered cell.
-        """
+        """The stored record for ``spec``; None on a miss, a corrupt
+        record (the job re-runs and overwrites it) or a spec that names
+        no registered cell."""
         try:
             cell_of(spec.fn)
         except BadSpec:
             return None
+        return self._read(self.path_for(spec))
+
+    def hit(self, spec: JobSpec,
+            force: bool = False) -> Optional[Tuple[Dict[str, Any], Any]]:
+        """``(record, decoded result)`` when ``spec`` is done, else None:
+        a miss, a forced run (its record is invalidated first) or a
+        record whose result no longer decodes (a stale result type —
+        the job re-runs and overwrites it)."""
+        if force:
+            self.invalidate(spec)
+            return None
+        record = self.load_record(spec)
+        if record is None:
+            return None
         try:
-            with open(self.path_for(spec)) as fh:
-                record = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            return record, from_jsonable(record["result"])
+        except UNDECODABLE:
             return None
-        if not self._structurally_ok(record):
-            return None
-        return record
 
     def save(
         self,
@@ -103,24 +124,13 @@ class ResultStore:
             return False
 
     def records(self) -> Iterator[Dict[str, Any]]:
-        """All readable records, ordered by filename (= hash).
-
-        Applies the same structural-corruption check as
-        :meth:`load_record`: a record that parses but lost its
-        ``result`` is skipped, not yielded half-formed.
-        """
-        if not os.path.isdir(self.store_dir):
-            return
-        for name in sorted(os.listdir(self.store_dir)):
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(self.store_dir, name)) as fh:
-                    record = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if self._structurally_ok(record):
-                yield record
+        """All readable records, ordered by filename (= hash); a
+        corrupt one is skipped, not yielded half-formed."""
+        for name in self._names():
+            if name.endswith(".json"):
+                record = self._read(os.path.join(self.store_dir, name))
+                if record is not None:
+                    yield record
 
     def gc(self) -> Dict[str, int]:
         """Remove debris a SIGKILLed or buggy writer can leave behind.
@@ -132,33 +142,21 @@ class ResultStore:
         ``{"tmp_removed": n, "corrupt_removed": n, "kept": n}``.
         """
         stats = {"tmp_removed": 0, "corrupt_removed": 0, "kept": 0}
-        if not os.path.isdir(self.store_dir):
-            return stats
-        for name in sorted(os.listdir(self.store_dir)):
+        for name in self._names():
             path = os.path.join(self.store_dir, name)
             if name.endswith(".tmp"):
                 os.unlink(path)
                 stats["tmp_removed"] += 1
-                continue
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(path) as fh:
-                    record = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                record = None
-            if self._structurally_ok(record):
-                stats["kept"] += 1
-            else:
-                os.unlink(path)
-                stats["corrupt_removed"] += 1
+            elif name.endswith(".json"):
+                if self._read(path) is not None:
+                    stats["kept"] += 1
+                else:
+                    os.unlink(path)
+                    stats["corrupt_removed"] += 1
         return stats
 
     def __len__(self) -> int:
         """Record-file count — O(directory), no parsing.  May include
         structurally-corrupt files :meth:`records` would skip; run
         :meth:`gc` to reconcile."""
-        if not os.path.isdir(self.store_dir):
-            return 0
-        return sum(1 for name in os.listdir(self.store_dir)
-                   if name.endswith(".json"))
+        return sum(name.endswith(".json") for name in self._names())

@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     coord.add_argument("--port", type=int, default=protocol.DEFAULT_PORT)
     coord.add_argument(
         "--results-dir", default=None,
-        help="ResultStore root (default: benchmarks/results or "
-             "$REPRO_RESULTS_DIR); 'none' disables the store")
+        help="ResultStore root (default: $REPRO_RESULTS_DIR or "
+             "benchmarks/results); restart a coordinator on the same "
+             "root and resubmitted jobs it finished are store hits")
     add_retries_flag(coord)
     coord.add_argument(
         "--lease-ttl", type=float, default=protocol.DEFAULT_LEASE_TTL_S,
@@ -102,9 +103,7 @@ def _cmd_coordinator(ns: argparse.Namespace) -> int:
     from repro.runner.store import ResultStore
     from repro.service.coordinator import serve
 
-    store = None
-    if (ns.results_dir or "").lower() != "none":
-        store = ResultStore(ns.results_dir)
+    store = ResultStore(ns.results_dir)
     log = (lambda msg: None) if ns.quiet else \
         (lambda msg: print(msg, flush=True))
     coordinator, server = serve(
@@ -112,7 +111,7 @@ def _cmd_coordinator(ns: argparse.Namespace) -> int:
         lease_ttl_s=ns.lease_ttl, max_queue=ns.max_queue, log=log)
     host, port = server.server_address[:2]
     print(f"coordinator on http://{host}:{port}/ "
-          f"(store: {store.store_dir if store else 'disabled'}, "
+          f"(store: {store.store_dir}, "
           f"retries {ns.retries}, lease TTL {ns.lease_ttl:g}s, "
           f"queue cap {ns.max_queue})", flush=True)
     try:

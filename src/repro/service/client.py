@@ -10,11 +10,11 @@ pool's own :func:`~repro.runner.pool.outcome_of`, handed back through
 the same ``finish`` callback — so callers see no difference beyond
 where the CPUs were.
 
-Retry budgets are enforced coordinator-side (it was started with
-``--retries``); the client's ``retries`` argument exists for signature
-parity with the local pool and is intentionally not forwarded, because
-two clients sharing one coordinator must not fight over a job's
-budget.
+An id answered ``unknown`` (the coordinator restarted, or the job's
+record vanished) is resubmitted: ``/submit`` replay is the restart
+contract.  Retry budgets, lease TTLs and parallelism are the
+coordinator's and its workers'; the client sends specs and ``force``
+only, so two clients sharing one coordinator do not fight over a job.
 
 Results flowing back are written into the local store only when the
 record is absent, preserving ``created_unix`` on coordinator-shared
@@ -33,6 +33,7 @@ from repro.runner.store import ResultStore
 from repro.service.protocol import (
     FAILED,
     POLL_S,
+    UNKNOWN,
     Backpressure,
     Connection,
     ServiceError,
@@ -49,7 +50,6 @@ def run_via_service(
     todo: List[Tuple[int, JobSpec]],
     url: str,
     *,
-    retries: int = 1,
     force: bool = False,
     store: Optional[ResultStore] = None,
     finish: Callable[[int, JobOutcome], None],
@@ -57,8 +57,6 @@ def run_via_service(
 ) -> None:
     """Run ``todo`` on the coordinator at ``url``; calls
     ``finish(index, JobOutcome)`` exactly once per entry."""
-    if not todo:
-        return
     log(f"running {len(todo)} job(s) via coordinator at {url}")
 
     # duplicate specs share a hash; every index gets the shared outcome
@@ -68,7 +66,7 @@ def run_via_service(
 
     with Connection(url) as conn:
         _submit(conn, [spec for _, spec in todo], force=force, log=log)
-        _poll(conn, by_id, store=store, finish=finish)
+        _poll(conn, by_id, store=store, finish=finish, log=log)
 
 
 def _poll(
@@ -77,14 +75,27 @@ def _poll(
     *,
     store: Optional[ResultStore],
     finish: Callable[[int, JobOutcome], None],
+    log: Callable[[str], None],
 ) -> None:
-    """Poll ``/results`` until every id is terminal; ``finish`` each."""
+    """Poll ``/results`` until every id is terminal; ``finish`` each,
+    and resubmit the ones the coordinator answers ``unknown``."""
     pending = set(by_id)
     consecutive_errors = 0
     while pending:
         time.sleep(POLL_S)
         try:
             _, body = conn.request("/results", {"ids": sorted(pending)})
+            jobs = (body or {}).get("jobs", {})
+            unknown = sorted(job_id for job_id, info in jobs.items()
+                             if job_id in pending
+                             and info.get("status") == UNKNOWN)
+            if unknown:
+                log(f"coordinator at {conn.base_url} does not hold "
+                    f"{len(unknown)} job(s); resubmitting them")
+                # never forced: a record present after a forced submit
+                # was written after it
+                _submit(conn, [by_id[job_id][0][1] for job_id in unknown],
+                        force=False, log=log)
         except ServiceError as exc:
             consecutive_errors += 1
             if consecutive_errors >= MAX_CONSECUTIVE_ERRORS:
@@ -94,7 +105,7 @@ def _poll(
                     f"{len(pending)} job(s) unresolved") from exc
             continue
         consecutive_errors = 0
-        for job_id, info in (body or {}).get("jobs", {}).items():
+        for job_id, info in jobs.items():
             status = info.get("status")
             if job_id not in pending or status not in TERMINAL:
                 continue

@@ -12,13 +12,14 @@ local pool uses:
   partitioned away, and from here nobody can tell which — requeues
   the job at the front **without** charging its budget.
 
-Completed results are written to the coordinator's
-:class:`~repro.runner.store.ResultStore` through the same
-``store.save`` path ``run_jobs`` uses, so a distributed sweep's store
-records hold byte-identical ``result`` payloads to a local run of the
-same specs.  Submission is bounded: past ``max_queue`` outstanding
-jobs, ``/submit`` answers 429 with a Retry-After, and well-behaved
-clients (:mod:`repro.service.client`) back off.
+The coordinator always has a :class:`~repro.runner.store.ResultStore`
+and its record is the one copy of a finished job: saved through the
+``store.save`` path ``run_jobs`` uses (byte-identical ``result``
+payloads to a local run) before the lease completes, found by the same
+``store.hit`` rule, read back by ``/results``.  No journal: a restarted
+coordinator answers ``unknown``, the client resubmits, and the store
+serves what was finished.  Past ``max_queue`` outstanding jobs,
+``/submit`` answers 429 with a Retry-After, and clients back off.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.service.protocol import (
     FAILED,
     QUEUED,
     RUNNING,
-    TERMINAL,
+    UNKNOWN,
 )
 from repro.telemetry.metrics import Counter
 
@@ -84,13 +85,10 @@ class _Job:
     label: str
     #: the job's lease state; a cached job's record is never enqueued
     entry: Entry
-    #: how the job ended — DONE, CACHED or FAILED; None until then
+    #: DONE, CACHED (the result is the store record's) or FAILED
     outcome: Optional[str] = None
-    #: encoded result for DONE/CACHED jobs (what /results serves)
-    result: Optional[Any] = None
     error: Optional[str] = None
     elapsed_s: float = 0.0
-    finished_unix: Optional[float] = None
     #: the worker that finished the job
     worker: str = ""
 
@@ -119,7 +117,7 @@ class SweepCoordinator:
 
     def __init__(
         self,
-        store: Optional[ResultStore] = None,
+        store: ResultStore,
         *,
         retries: int = 1,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
@@ -164,67 +162,67 @@ class SweepCoordinator:
             cell_of(spec.fn)
         with self._lock:
             self._expire_leases()
-            new = []
-            for payload, spec in zip(payloads, specs):
-                job = self._jobs.get(spec.hash)
-                if job is None or (force and job.status in TERMINAL) or \
-                        job.status == FAILED:
-                    new.append((payload, spec))
-            admitted = self._queue.depth + len(new)
-            if admitted > self.max_queue:
+            new = sum(self._dedupe(spec, force) is None for spec in specs)
+            if self._queue.depth + new > self.max_queue:
                 self.counters["submits_rejected"].inc()
                 self._log(f"submit rejected: queue depth {self._queue.depth} "
-                          f"+ {len(new)} new > {self.max_queue}")
+                          f"+ {new} new > {self.max_queue}")
                 raise QueueFull(retry_after_s=1.0)
-            out = []
-            for payload, spec in zip(payloads, specs):
-                out.append({"id": spec.hash,
-                            "status": self._admit(payload, spec, force)})
-            return out
+            return [{"id": spec.hash,
+                     "status": self._admit(payload, spec, force)}
+                    for payload, spec in zip(payloads, specs)]
+
+    def _dedupe(self, spec: JobSpec, force: bool) -> Optional[_Job]:
+        """The job a submit of ``spec`` dedupes to: queued, running, or
+        finished and not forced; None if the submit admits it anew."""
+        job = self._jobs.get(spec.hash)
+        if job is not None and (job.status in (QUEUED, RUNNING) or (
+                job.status in (DONE, CACHED) and not force)):
+            return job
+        return None
 
     def _admit(self, payload: Dict[str, Any], spec: JobSpec,
                force: bool) -> str:
-        job = self._jobs.get(spec.hash)
-        if job is not None and (job.status in (QUEUED, RUNNING) or
-                                (job.status in (DONE, CACHED) and not force)):
+        job = self._dedupe(spec, force)
+        if job is not None:
             self.counters["jobs_deduped"].inc()
             return job.status
         # new, failed (always re-admitted with a fresh budget) or forced
-        if force and self.store is not None:
-            self.store.invalidate(spec)
-        record = (self.store.load_record(spec)
-                  if self.store is not None and not force else None)
-        if record is not None:
-            try:
-                from_jsonable(record["result"])
-            except UNDECODABLE:
-                record = None  # a stale result type: re-run, overwritten
+        hit = self.store.hit(spec, force)
         self.counters["jobs_submitted"].inc()
-        if record is None:
+        if hit is None:
             self._jobs[spec.hash] = _Job(
                 payload, spec.display, self._queue.add(spec.hash, spec))
             return QUEUED
+        record = hit[0]
         self.counters["store_hits"].inc()
         self._jobs[spec.hash] = _Job(
             payload, spec.display,
             Entry(spec.hash, spec, attempts=record.get("attempts", 0)),
-            outcome=CACHED, result=record["result"],
-            elapsed_s=record.get("elapsed_s", 0.0), finished_unix=time.time())
+            outcome=CACHED, elapsed_s=record.get("elapsed_s", 0.0))
         return CACHED
 
     def results(self, job_ids: List[str]) -> Dict[str, Dict[str, Any]]:
-        """Status (and, when terminal, result/error) per requested id."""
+        """Status (and, when terminal, result/error) per requested id.
+        A finished job whose record vanished (gc, deleted by hand) is
+        forgotten and answered ``unknown``: the resubmit re-runs it."""
         with self._lock:
             self._expire_leases()
             out: Dict[str, Dict[str, Any]] = {}
             for job_id in job_ids:
                 job = self._jobs.get(job_id)
+                record = None
+                if job is not None and job.status in (DONE, CACHED):
+                    record = self.store.load_record(job.entry.spec)
+                    if record is None:
+                        del self._jobs[job_id]
+                        job = None
                 if job is None:
-                    out[job_id] = {"status": "unknown"}
+                    out[job_id] = {"status": UNKNOWN}
                     continue
                 info = out[job_id] = job.view()
-                if job.status in (DONE, CACHED):
-                    info["result"] = job.result
+                if record is not None:
+                    info["result"] = record["result"]
                 elif job.status == FAILED:
                     info["error"] = job.error
             return out
@@ -295,14 +293,14 @@ class SweepCoordinator:
             job = self._jobs[lease.index]
             winfo = self._workers[worker]
             if ok:
+                # the record first: if the save raises, the lease stays
+                # live, lapses and requeues uncharged — no job is DONE
+                # without a record
+                self.store.save(lease.spec, result, elapsed_s, lease.attempts)
                 self._queue.complete(lease_id)
-                job.result = result
                 job.elapsed_s = elapsed_s
                 self._end(job, DONE, worker)
-                if self.store is not None:
-                    self.store.save(lease.spec, result, elapsed_s,
-                                    lease.attempts)
-                self._completions.append(job.finished_unix)
+                self._completions.append(time.time())
                 self._prune_timeline()
                 self.counters["jobs_completed"].inc()
                 winfo.jobs_done += 1
@@ -342,7 +340,6 @@ class SweepCoordinator:
         job.outcome = outcome
         job.worker = worker
         job.error = error
-        job.finished_unix = time.time()
         if outcome == FAILED:
             self.counters["jobs_failed"].inc()
 
@@ -437,11 +434,9 @@ class SweepCoordinator:
                         1 for t in self._completions if now - t <= 60.0),
                 },
                 "store": {
-                    "enabled": self.store is not None,
                     "hits": hits,
                     "hit_rate": (hits / submitted) if submitted else 0.0,
-                    "records": (len(self.store)
-                                if self.store is not None else 0),
+                    "records": len(self.store),
                 },
                 "counters": {name: c.value
                              for name, c in self.counters.items()},
@@ -472,7 +467,7 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
     #: stalled mid-request — before it is closed and its thread freed.
     #: A worker whose job outlasts it resends on a fresh connection.
     timeout = 60.0
-    #: set by make_server
+    #: set by serve
     coordinator: SweepCoordinator = None  # type: ignore[assignment]
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -601,22 +596,8 @@ class CoordinatorHandler(BaseHTTPRequestHandler):
         self._send_json(200, {"jobs": jobs})
 
 
-def make_server(
-    coordinator: SweepCoordinator,
-    host: str = "127.0.0.1",
-    port: int = protocol.DEFAULT_PORT,
-) -> ThreadingHTTPServer:
-    """A ready-to-``serve_forever`` HTTP server bound to ``host:port``
-    (``port=0`` picks a free port; read ``server.server_port``)."""
-    handler = type("BoundHandler", (CoordinatorHandler,),
-                   {"coordinator": coordinator})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
-
-
 def serve(
-    store: Optional[ResultStore] = None,
+    store: ResultStore,
     *,
     host: str = "127.0.0.1",
     port: int = protocol.DEFAULT_PORT,
@@ -625,10 +606,14 @@ def serve(
     max_queue: int = DEFAULT_MAX_QUEUE,
     log: Optional[Callable[[str], None]] = None,
 ) -> Tuple[SweepCoordinator, ThreadingHTTPServer]:
-    """Build a coordinator + server pair (does not block; call
-    ``server.serve_forever()``)."""
+    """A coordinator and its HTTP server bound to ``host:port``
+    (``port=0`` picks a free port; read ``server.server_port``).  Does
+    not block: call ``server.serve_forever()``."""
     coordinator = SweepCoordinator(
         store, retries=retries, lease_ttl_s=lease_ttl_s,
         max_queue=max_queue, log=log)
-    server = make_server(coordinator, host, port)
+    handler = type("BoundHandler", (CoordinatorHandler,),
+                   {"coordinator": coordinator})
+    server = ThreadingHTTPServer((host, port), handler)
+    server.daemon_threads = True
     return coordinator, server

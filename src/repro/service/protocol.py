@@ -31,7 +31,9 @@ Endpoints (all bodies JSON)::
                      -> {"jobs": {id: {"status","attempts","releases",
                                        "elapsed_s", "result" | "error"}}};
                         attempts are charged ones, releases the leases
-                        that expired uncharged
+                        that expired uncharged; an id it does not hold
+                        (restarted, or the record vanished) is
+                        {"status": "unknown"}: the client resubmits it
     POST /shutdown   {} -> {"ok": true}; the server exits afterwards
     GET  /api/progress -> the dashboard/status snapshot
     GET  /healthz      -> {"ok": true}
@@ -65,6 +67,8 @@ DONE = "done"
 FAILED = "failed"
 CACHED = "cached"
 TERMINAL = (DONE, FAILED, CACHED)
+#: what /results answers for an id the coordinator does not hold
+UNKNOWN = "unknown"
 
 
 class ServiceError(RuntimeError):

@@ -134,26 +134,19 @@ def run_worker(
             if job is None:
                 if max_jobs is not None and executed >= max_jobs:
                     break
+                why = "idle"
                 try:
                     _, body = conn.request("/claim", {"worker": worker})
                     job = (body or {}).get("job")
                 except ServiceError as exc:
-                    if idle_since is None:
-                        idle_since = time.monotonic()
-                    if (max_idle_s is not None
-                            and time.monotonic() - idle_since > max_idle_s):
-                        _log(f"worker {worker}: coordinator unreachable "
-                             f"for {max_idle_s:.0f}s, giving up ({exc})")
-                        return executed
-                    stop.wait(poll_s)
-                    continue
+                    why = f"coordinator unreachable ({exc})"
                 if job is None:
                     if idle_since is None:
                         idle_since = time.monotonic()
                     if (max_idle_s is not None
                             and time.monotonic() - idle_since > max_idle_s):
-                        _log(f"worker {worker}: idle {max_idle_s:.0f}s, "
-                             "exiting")
+                        _log(f"worker {worker}: {why} for "
+                             f"{max_idle_s:.0f}s, exiting")
                         return executed
                     stop.wait(poll_s)
                     continue
@@ -179,14 +172,18 @@ def run_worker(
             if claim:
                 body["claim"] = True
             try:
-                _, reply = conn.request("/complete", body, timeout_s=60.0)
+                status, reply = conn.request("/complete", body,
+                                             timeout_s=60.0)
             except ServiceError as exc:
                 _log(f"worker {worker}: could not report {label}: {exc}")
                 continue
             reply = reply or {}
             if not reply.get("accepted"):
+                # a 500 (a failed save) leaves the lease to lapse, too
+                why = "lease expired" if status == 200 else \
+                    f"status {status}: {reply.get('error')}"
                 _log(f"worker {worker}: completion of {label} rejected "
-                     "(lease expired)")
+                     f"({why})")
             job = reply.get("job")
     finally:
         heartbeat.close()

@@ -557,6 +557,47 @@ def test_cli_rejects_negative_retries(capsys):
     assert "--retries" in capsys.readouterr().err
 
 
+def test_cli_service_refuses_the_flags_the_coordinator_decides(
+        tmp_path, capsys):
+    """`run --service` used to drop --jobs, --timeout and --retries
+    without a word; each is now refused, naming where its setting lives,
+    before anything reaches the coordinator."""
+    import threading
+
+    from repro.service.coordinator import serve
+    from repro.service.worker import run_worker
+
+    coordinator, server = serve(ResultStore(str(tmp_path / "svc")), port=0)
+    url = f"http://127.0.0.1:{server.server_port}"
+    stop = threading.Event()
+    threads = [
+        threading.Thread(target=server.serve_forever, daemon=True),
+        threading.Thread(target=run_worker, args=(url,), daemon=True,
+                         kwargs=dict(name="w", poll_s=0.02, max_idle_s=None,
+                                     stop=stop))]
+    for thread in threads:
+        thread.start()
+    argv = ["run", "scalability", "--schemes", "presto", "--points", "2",
+            "--seeds", "1", "--warm-ms", "1", "--measure-ms", "1",
+            "--service", url, "--results-dir", str(tmp_path / "client"),
+            "--quiet"]
+    try:
+        for flags, where in ((["--jobs", "2"], "number of workers"),
+                             (["--timeout", "5"], "--lease-ttl"),
+                             (["--retries", "3"], "coordinator's --retries")):
+            assert cli_main(argv + flags) == 2, flags
+            err = capsys.readouterr().err
+            assert f"{flags[0]} cannot be used with --service" in err
+            assert where in err
+        assert coordinator.progress()["total"] == 0
+    finally:
+        stop.set()
+        server.shutdown()
+        server.server_close()
+        for thread in threads:
+            thread.join(timeout=5)
+
+
 def test_run_jobs_retries_zero_fails_fast():
     out = run_jobs([JobSpec.make(job_raise, label="raiser")],
                    jobs=1, retries=0)

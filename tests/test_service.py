@@ -3,7 +3,9 @@
 Covers: a coordinator + two workers producing store records whose
 ``result`` (and spec/hash/label) fields are byte-identical to a local
 ``run_jobs`` run; a SIGKILLed worker's in-flight job requeued via lease
-expiry and finished elsewhere with its retry budget uncharged; 429
+expiry and finished elsewhere with its retry budget uncharged; a
+SIGKILLed coordinator restarted over its store, its client recovering
+by resubmitting; a completion the store cannot save, run again; 429
 backpressure on a full queue; stale completions rejected; ``/complete``
 handing out the next lease; keep-alive connections that a silent peer
 cannot park and a worker leaves none of behind; the ``/api/progress``
@@ -97,11 +99,15 @@ def job_hang_once(marker):
 # --- harness ----------------------------------------------------------------
 
 @pytest.fixture
-def coordinator_factory():
-    """Start in-process coordinators/workers; tear all of them down."""
+def coordinator_factory(tmp_path_factory):
+    """Start in-process coordinators/workers; tear all of them down.
+    A coordinator started with ``store=None`` gets a fresh store of its
+    own in a temporary directory."""
     servers, stops, threads = [], [], []
 
     def start(store=None, **kwargs):
+        if store is None:
+            store = ResultStore(str(tmp_path_factory.mktemp("coordinator")))
         coordinator, server = serve(store, port=0, **kwargs)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -192,6 +198,28 @@ def test_service_resubmit_serves_cache_without_reexecuting(
     assert [o.result for o in third] == [o.result for o in first]
     assert revived.counters["store_hits"].value == 3
     assert revived.counters["jobs_completed"].value == 0
+
+
+def test_a_finished_job_whose_record_vanished_runs_again(
+        tmp_path, coordinator_factory):
+    """The store is the one record of a finished job: once a done job's
+    record is gone, ``/results`` forgets the job and answers
+    ``unknown``, and the client's resubmit runs it again instead of
+    being served a result the store no longer holds."""
+    start, start_workers = coordinator_factory
+    store = ResultStore(str(tmp_path / "svc"))
+    coordinator, url = start(store)
+    start_workers(url, 1)
+    specs = [JobSpec.make(job_ok, label=f"j{i}", value=i) for i in range(2)]
+    assert all(o.ok for o in run_jobs(specs, service=url))
+    assert store.invalidate(specs[0])
+    _, res = request_json(url, "/results", {"ids": [specs[0].hash]})
+    assert res["jobs"][specs[0].hash] == {"status": "unknown"}
+
+    outcomes = run_jobs(specs, service=url)
+    assert [o.result for o in outcomes] == [job_ok(0), job_ok(1)]
+    assert coordinator.counters["jobs_completed"].value == 3
+    assert from_jsonable(store.load_record(specs[0])["result"]) == job_ok(0)
 
 
 def test_service_local_store_also_caches_client_side(
@@ -417,6 +445,135 @@ def test_sigkilled_worker_job_finishes_elsewhere(tmp_path,
             proc.wait(timeout=10)
 
 
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _start_coordinator_process(port, results_dir):
+    """``python -m repro.service coordinator`` on ``port``, once healthy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "coordinator",
+         "--port", str(port), "--results-dir", results_dir, "--quiet"],
+        env=env, cwd=REPO,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    url = f"http://127.0.0.1:{port}"
+    deadline = time.monotonic() + 30
+    while True:
+        assert proc.poll() is None, "coordinator exited"
+        try:
+            if request_json(url, "/healthz") == (200, {"ok": True}):
+                return proc, url
+        except ServiceError:
+            assert time.monotonic() < deadline, "coordinator never healthy"
+            time.sleep(0.05)
+
+
+def test_sigkilled_coordinator_restarts_and_its_client_finishes(
+        tmp_path, coordinator_factory, monkeypatch):
+    """``kill -9`` the coordinator with 4 of 12 jobs done and 8 queued,
+    restart it on the same port and store: the client, still polling,
+    is answered ``unknown`` and resubmits; the store serves the 4 and
+    the workers run only the 8.  The coordinator runs as its own
+    process, so it admits registered ``repro`` cells only.  The
+    client's first poll waits for the restart, so that it has seen
+    none of the 4 finish."""
+    import repro.service.client as client_mod
+    from repro.experiments.tournament import tournament_specs
+    from repro.units import msec
+
+    restarted = threading.Event()
+
+    class Gated(Connection):
+        def request(self, path, *args, **kwargs):
+            if path == "/results":
+                restarted.wait()
+            return super().request(path, *args, **kwargs)
+
+    monkeypatch.setattr(client_mod, "Connection", Gated)
+    _, start_workers = coordinator_factory
+    specs = tournament_specs(topologies=("clos:spines=2,leaves=2,hosts=2",),
+                             duration_ns=msec(1))[:12]
+    port, svc_dir = _free_port(), str(tmp_path / "svc")
+    procs = []
+    got = {}
+
+    def client():
+        try:
+            got["outcomes"] = run_jobs(specs, service=url)
+        except Exception as exc:  # noqa: BLE001 — reported below
+            got["error"] = exc
+
+    try:
+        proc, url = _start_coordinator_process(port, svc_dir)
+        procs.append(proc)
+        thread = threading.Thread(target=client, daemon=True)
+        thread.start()
+        assert run_worker(url, name="first", max_jobs=4, poll_s=0.02,
+                          max_idle_s=30) == 4
+        proc.kill()  # SIGKILL: the queue of 8 dies with it
+        proc.wait(timeout=10)
+
+        proc, url = _start_coordinator_process(port, svc_dir)
+        procs.append(proc)
+        restarted.set()
+        start_workers(url, 2)
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "the client never finished"
+        assert "error" not in got, got
+        assert [o.status for o in got["outcomes"]] == ["ok"] * 12
+        _, progress = request_json(url, "/api/progress")
+        assert progress["counters"]["store_hits"] == 4
+        assert progress["counters"]["jobs_completed"] == 8
+    finally:
+        restarted.set()
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+    local_store = ResultStore(str(tmp_path / "local"))
+    assert all(o.ok for o in run_jobs(specs, jobs=1, store=local_store))
+    essence = {r["hash"]: _record_essence(r)
+               for r in ResultStore(svc_dir).records()}
+    assert essence == {r["hash"]: _record_essence(r)
+                       for r in local_store.records()}
+    assert len(essence) == 12
+
+
+class _SaveFailsOnce(ResultStore):
+    """A store whose first ``save`` raises, as on a full disk."""
+
+    failures = 0
+
+    def save(self, *args, **kwargs):
+        if not self.failures:
+            self.failures += 1
+            raise OSError("injected: no space left on device")
+        return super().save(*args, **kwargs)
+
+
+def test_a_completion_the_store_cannot_save_runs_again(
+        tmp_path, coordinator_factory):
+    """The record is saved before the lease completes: when the save
+    raises, the job is not done — its lease lapses, requeues uncharged
+    and the next attempt's result is stored."""
+    start, start_workers = coordinator_factory
+    store = _SaveFailsOnce(str(tmp_path / "svc"))
+    coordinator, url = start(store, lease_ttl_s=0.3)
+    start_workers(url, 1)
+    specs = [JobSpec.make(job_ok, label=f"j{i}", value=i) for i in range(3)]
+    outcomes = run_jobs(specs, service=url)
+    assert [(o.status, o.attempts) for o in outcomes] == [("ok", 1)] * 3
+    assert store.failures == 1
+    assert all(store.load_record(spec) is not None for spec in specs)
+    assert coordinator.counters["leases_expired"].value == 1
+    assert coordinator.counters["jobs_completed"].value == 3
+
+
 def test_stale_completion_rejected(coordinator_factory):
     start, _ = coordinator_factory
     coordinator, url = start(None, lease_ttl_s=0.2)
@@ -517,11 +674,11 @@ def test_stale_completion_with_claim_still_gets_a_lease(coordinator_factory):
     assert coordinator.counters["stale_completions"].value == 1
 
 
-def test_non_holder_lease_is_stale():
+def test_non_holder_lease_is_stale(tmp_path):
     """A lease presented by a worker other than its holder is stale: B
     can neither complete nor renew A's lease, is credited nothing, and
     leaves A's current job alone; A's own completion is accepted."""
-    coordinator = SweepCoordinator(None)
+    coordinator = SweepCoordinator(ResultStore(str(tmp_path)))
     coordinator.submit([to_jsonable(JobSpec.make(job_ok, label="j"))])
     lease = coordinator.claim("A")["lease"]
 
@@ -1064,17 +1221,14 @@ class LeaseProtocol(RuleBasedStateMachine):
     (uncharged) or ``capped`` (expired, and failed the job at the
     release cap).  A job's ``attempts`` are its leases that completed or
     failed, the live one included; its ``releases`` are those that
-    expired."""
+    expired.  A restart swaps in a fresh coordinator over the same
+    store: the model keeps only what is stored."""
 
     def __init__(self):
         super().__init__()
         self.root = tempfile.mkdtemp(prefix="lease-protocol-")
         self.store = _CheckedStore(self.root)
         self.now = 0.0
-        self.coordinator = SweepCoordinator(
-            self.store, retries=MACHINE_RETRIES, lease_ttl_s=MACHINE_TTL_S)
-        self.coordinator._queue = LeaseQueue(
-            retries=MACHINE_RETRIES, clock=lambda: self.now)
         self.specs = [JobSpec.make(job_ok, label=f"j{i}", value=i)
                       for i in range(3)]
         # the last spec's result is stored already: its first submit
@@ -1083,6 +1237,15 @@ class LeaseProtocol(RuleBasedStateMachine):
         self.store.save(cached, {"lease": None}, 0.0, 1)
         #: spec hash -> the store record's (result, attempts)
         self.stored = {cached.hash: ({"lease": None}, 1)}
+        self._start()
+
+    def _start(self):
+        """A coordinator over ``self.store`` that knows no job yet, and
+        a model of it."""
+        self.coordinator = SweepCoordinator(
+            self.store, retries=MACHINE_RETRIES, lease_ttl_s=MACHINE_TTL_S)
+        self.coordinator._queue = LeaseQueue(
+            retries=MACHINE_RETRIES, clock=lambda: self.now)
         #: spec hash -> the model of its latest admission
         self.jobs = {}
         #: lease id -> {"job", "slot", "holder", "deadline"} while live
@@ -1104,6 +1267,9 @@ class LeaseProtocol(RuleBasedStateMachine):
             assert all(job["status"] in ("done", "failed", "cached")
                        for job in self.jobs.values())
             self.coordinator_agrees_with_the_model()
+            for spec in self.specs:
+                assert (self.store.load_record(spec) is not None
+                        or self.jobs[spec.hash]["status"] == "failed"), spec
         finally:
             shutil.rmtree(self.root, ignore_errors=True)
 
@@ -1193,6 +1359,26 @@ class LeaseProtocol(RuleBasedStateMachine):
             job["result"], job["attempts"] = self.stored[spec.hash]
             job["status"] = "cached"
         return job["status"]
+
+    @rule()
+    def restart(self):
+        """The coordinator dies and a fresh one starts over the same
+        store.  Every lease that was live is stale to it, and the
+        client's resubmit of every spec is served from the store where
+        a record exists and queued where none does."""
+        live = {lease_id: lease["holder"]
+                for lease_id, lease in self.leases.items()}
+        self._start()
+        for lease_id, holder in live.items():
+            assert self.coordinator.heartbeat(holder, [lease_id]) == {
+                "renewed": [], "stale": [lease_id]}
+            self._complete(lease_id, holder, ok=True)
+        got = self.coordinator.submit([to_jsonable(s) for s in self.specs])
+        assert [job["status"] for job in got] == [
+            "cached" if spec.hash in self.stored else "queued"
+            for spec in self.specs]
+        for spec in self.specs:
+            self._admit(spec, False)
 
     @rule(worker=st.sampled_from(WORKERS))
     def claim(self, worker):
@@ -1301,11 +1487,13 @@ class LeaseProtocol(RuleBasedStateMachine):
 def test_lease_protocol_state_machine(monkeypatch):
     """Submit (twice in a batch, forced), claim, heartbeat, let leases
     lapse, complete ok or failed (with and without the next claim, and
-    delivered twice) and complete as a non-holder, in any order: every
-    job ends done or failed exactly once, ``attempts`` counts its leases
-    that completed or failed, ``releases`` those that expired, no store
-    record is rewritten with different content, and ``/api/progress``
-    agrees with ``/results``."""
+    delivered twice), complete as a non-holder and restart the
+    coordinator over its store, in any order: every job ends done or
+    failed exactly once, ``attempts`` counts its leases that completed
+    or failed, ``releases`` those that expired, no store record is
+    rewritten with different content, ``/api/progress`` agrees with
+    ``/results``, and after the drain every spec has a record or ended
+    failed."""
     monkeypatch.setattr(lease_mod, "DEFAULT_MAX_RELEASES", 3)
     run_state_machine_as_test(LeaseProtocol, settings=settings(
         derandomize=True, max_examples=100, stateful_step_count=30,

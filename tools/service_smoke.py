@@ -1,14 +1,19 @@
 #!/usr/bin/env python
 """CI smoke test for the sweep service (repro.service).
 
-Spawns a real coordinator and two real workers as subprocesses on
-localhost, runs a tiny scalability sweep through
-``python -m repro.runner run ... --service URL``, then runs the same
-sweep locally and asserts the two result stores hold the same records
-— same hashes, specs, labels and byte-identical ``result`` payloads
-(timestamps/elapsed are execution metadata and legitimately differ).
-The workers hold keep-alive connections and take each next lease from
-their ``/complete`` reply; the coordinator must report no expired
+Spawns a real coordinator as a subprocess on localhost and starts a
+tiny scalability sweep through
+``python -m repro.runner run ... --service URL``.  One worker runs
+``FIRST_JOBS`` of its jobs; then the coordinator is SIGKILLed with the
+rest still queued and restarted on the same port and ``--results-dir``.
+The client, still polling, is answered ``unknown`` and resubmits; the
+store serves what was finished and two fresh workers run the rest.
+The same sweep then runs locally, and the two result stores must hold
+the same records — same hashes, specs, labels and byte-identical
+``result`` payloads (timestamps/elapsed are execution metadata and
+legitimately differ).  The workers hold keep-alive connections and
+take each next lease from their ``/complete`` reply; the restarted
+coordinator must report the finished jobs as store hits, no expired
 lease and no stale completion.
 
 Usage::
@@ -30,9 +35,11 @@ import urllib.request
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SWEEP_ARGS = [
-    "run", "scalability", "--schemes", "presto,ecmp", "--points", "2",
-    "--seeds", "1", "--warm-ms", "1", "--measure-ms", "2",
+    "run", "scalability", "--schemes", "presto,ecmp", "--points", "2,4",
+    "--seeds", "1,2", "--warm-ms", "1", "--measure-ms", "2",
 ]
+#: jobs the first worker finishes before the coordinator is killed
+FIRST_JOBS = 3
 PORT = 8673  # fixed localhost port; nothing else in CI uses it
 
 
@@ -54,6 +61,20 @@ def wait_for(url, timeout_s=30.0):
         except OSError:
             time.sleep(0.2)
     raise RuntimeError(f"coordinator at {url} never became healthy")
+
+
+def progress(url):
+    with urllib.request.urlopen(url + "/api/progress", timeout=5) as r:
+        return json.load(r)
+
+
+def start_coordinator(url, svc_dir, env):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "coordinator",
+         "--port", str(PORT), "--results-dir", svc_dir],
+        env=env, cwd=REPO)
+    wait_for(url)
+    return proc
 
 
 def store_essence(results_dir):
@@ -84,23 +105,44 @@ def main():
     env = env_with_src()
     procs = []
     try:
-        procs.append(subprocess.Popen(
-            [sys.executable, "-m", "repro.service", "coordinator",
-             "--port", str(PORT), "--results-dir", svc_dir],
-            env=env, cwd=REPO))
-        wait_for(url)
+        coordinator = start_coordinator(url, svc_dir, env)
+        procs.append(coordinator)
+
+        print(f"+ sweep via coordinator at {url}", flush=True)
+        client = subprocess.Popen(
+            [sys.executable, "-m", "repro.runner", *SWEEP_ARGS,
+             "--service", url, "--results-dir",
+             os.path.join(workdir, "client")],
+            env=env, cwd=REPO)
+        procs.append(client)
+        deadline = time.monotonic() + 60
+        while progress(url)["total"] == 0:
+            assert time.monotonic() < deadline, "the client never submitted"
+            assert client.poll() is None, "the client exited early"
+            time.sleep(0.1)
+        total = progress(url)["total"]
+        subprocess.run(
+            [sys.executable, "-m", "repro.service", "worker", url,
+             "--name", "smoke-first", "--poll", "0.1",
+             "--max-jobs", str(FIRST_JOBS)],
+            env=env, cwd=REPO, check=True, timeout=600)
+        before = progress(url)
+        assert before["by_status"]["done"] == FIRST_JOBS, before["by_status"]
+
+        print(f"+ SIGKILL the coordinator with {total - FIRST_JOBS} "
+              "job(s) queued; restart it on the same store", flush=True)
+        coordinator.kill()
+        coordinator.wait(timeout=10)
+        coordinator = start_coordinator(url, svc_dir, env)
+        procs.append(coordinator)
         for i in range(2):
             procs.append(subprocess.Popen(
                 [sys.executable, "-m", "repro.service", "worker", url,
                  "--name", f"smoke-w{i}", "--poll", "0.1"],
                 env=env, cwd=REPO))
-
-        print(f"+ sweep via coordinator at {url}", flush=True)
-        subprocess.run(
-            [sys.executable, "-m", "repro.runner", *SWEEP_ARGS,
-             "--service", url, "--results-dir",
-             os.path.join(workdir, "client")],
-            env=env, cwd=REPO, check=True, timeout=600)
+        if client.wait(timeout=600) != 0:
+            print(f"the client exited {client.returncode}", file=sys.stderr)
+            return 1
 
         print("+ same sweep locally", flush=True)
         subprocess.run(
@@ -108,11 +150,15 @@ def main():
              "--jobs", "2", "--results-dir", local_dir],
             env=env, cwd=REPO, check=True, timeout=600)
 
-        with urllib.request.urlopen(url + "/api/progress", timeout=5) as r:
-            progress = json.load(r)
-        assert progress["finished"] == progress["total"] > 0, progress
-        assert len(progress["workers"]) == 2, progress["workers"]
-        counters = progress["counters"]
+        # the client resubmitted every job it had not yet seen finish:
+        # the queued ones run, the finished ones are store hits
+        after = progress(url)
+        assert after["finished"] == after["total"], after
+        assert len(after["workers"]) == 2, after["workers"]
+        counters = after["counters"]
+        assert counters["jobs_completed"] == total - FIRST_JOBS, counters
+        assert counters["store_hits"] == after["total"] - (
+            total - FIRST_JOBS), counters
         assert counters["leases_expired"] == 0, counters
         assert counters["stale_completions"] == 0, counters
 
@@ -129,8 +175,10 @@ def main():
             return 1
         print(f"service smoke OK: {len(svc)} record(s) identical across "
               "service and local runs; "
-              f"{progress['finished']}/{progress['total']} jobs, "
-              f"{len(progress['workers'])} workers")
+              f"{FIRST_JOBS} job(s) before the coordinator's SIGKILL, "
+              f"{counters['jobs_completed']} after its restart on "
+              f"{len(after['workers'])} workers, "
+              f"{counters['store_hits']} store hit(s)")
         return 0
     finally:
         for proc in procs:
