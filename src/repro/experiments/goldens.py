@@ -16,12 +16,10 @@ tools/gen_golden.py`` and review the diff like any other code change.
 
 from __future__ import annotations
 
-import json
-
 from repro.experiments.common import run_elephant_workload
 from repro.experiments.scalability import scalability_config
 from repro.runner.jobspec import cell
-from repro.runner.serialize import to_jsonable
+from repro.runner.serialize import artifact_json
 from repro.units import msec
 
 GOLDEN_SEED = 1
@@ -92,6 +90,4 @@ def golden_run(name: str, telemetry=None):
 
 def golden_bytes(name: str) -> str:
     """The run, serialized exactly as the fixture files store it."""
-    return json.dumps(
-        to_jsonable(golden_run(name)), indent=2, sort_keys=True
-    ) + "\n"
+    return artifact_json(golden_run(name))

@@ -39,7 +39,6 @@ so the flow-level grid here ranks it but does not gate on it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +47,7 @@ from repro.experiments.fabric_sweep import fabric_cell_spec, fabric_grid_params
 from repro.experiments.schemes import scheme_names
 from repro.net.fabrics import as_spec
 from repro.runner.jobspec import JobSpec
-from repro.runner.serialize import to_jsonable
+from repro.runner.serialize import artifact_json
 from repro.runner.sweep import Artifact, Param, Sweep
 from repro.units import msec
 from repro.workloads.tracedriven import INCAST_FANIN
@@ -278,12 +277,6 @@ def _reduce(cells, p: Dict[str, Any]) -> TournamentResult:
 # --- reports -----------------------------------------------------------------
 
 
-def tournament_json(result: TournamentResult) -> str:
-    """The committed-artifact serialization: sorted keys, no
-    timestamps, trailing newline — byte-reproducible by design."""
-    return json.dumps(to_jsonable(result), indent=2, sort_keys=True) + "\n"
-
-
 def _us(value: Optional[float]) -> str:
     return f"{value / 1e3:.1f}" if value is not None else "n/a"
 
@@ -356,18 +349,6 @@ def render_markdown(result: TournamentResult) -> str:
     return "\n".join(lines)
 
 
-def _ranking_diff(old: Dict, new: Dict) -> List[str]:
-    """Human-readable standings drift between two tournament payloads."""
-    def ladder(payload: Dict) -> List[str]:
-        standings = payload.get("fields", payload).get("standings", [])
-        return [s.get("fields", s).get("scheme", "?") for s in standings]
-
-    old_ladder, new_ladder = ladder(old), ladder(new)
-    if old_ladder == new_ladder:
-        return []
-    return [f"ranking drifted: committed {old_ladder} != new {new_ladder}"]
-
-
 # --- the declaration ---------------------------------------------------------
 
 _TOPOLOGIES, _WORKLOADS, _SCHEMES, *_REST = fabric_grid_params(
@@ -394,9 +375,9 @@ TOURNAMENT = Sweep(
     table=lambda result: (["rank", "scheme", "mean place", "wins", "cells"],
                           standings_rows(result)),
     ok=lambda result: result.checks_ok,
-    artifact=Artifact(TOURNAMENT_PATH, tournament_json, render_markdown,
-                      drift=_ranking_diff),
+    artifact=Artifact(TOURNAMENT_PATH, render_markdown),
 )
-# benchmarks/ledger/ imports these two aliases; nothing else may.
+# benchmarks/ledger/ imports these three aliases; nothing else may.
 tournament_specs = TOURNAMENT.specs
 run_tournament = TOURNAMENT.run
+tournament_json = artifact_json

@@ -21,7 +21,6 @@ live there:
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from repro.experiments.common import (
@@ -230,22 +229,6 @@ def render_markdown(report: Dict) -> str:
         *rows, ""])
 
 
-def _divergences(report: Dict) -> Dict[str, Optional[float]]:
-    return {f"{experiment}/{cell} {metric}": value
-            for experiment, family in report.get("experiments", {}).items()
-            for cell, record in family["cells"].items()
-            for metric, value in record["divergence"].items()}
-
-
-def _drift(old: Dict, new: Dict) -> List[str]:
-    """Every experiment/cell/metric whose divergence moved."""
-    was, now = _divergences(old), _divergences(new)
-    return [f"{key} drifted: committed {was.get(key)!r} != new "
-            f"{now.get(key)!r}"
-            for key in sorted(was.keys() | now.keys())
-            if was.get(key) != now.get(key)]
-
-
 #: grid order experiment > scheme > fidelity > seed; defaults reproduce
 #: the committed FLUID_COMPARE.json
 COMPARE = Sweep(
@@ -266,8 +249,5 @@ COMPARE = Sweep(
     reduce=_reduce,
     table=lambda report: (["experiment", "metric", "worst divergence"],
                           _summary_rows(report)),
-    artifact=Artifact(
-        COMPARE_PATH,
-        lambda report: json.dumps(report, indent=2, sort_keys=True) + "\n",
-        render_markdown, drift=_drift),
+    artifact=Artifact(COMPARE_PATH, render_markdown),
 )

@@ -37,7 +37,7 @@ import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.serialize import to_jsonable
+from repro.runner.serialize import artifact_json, movement
 from repro.runner.store import DEFAULT_RESULTS_DIR, RESULTS_DIR_ENV, ResultStore
 from repro.runner.sweep import TELEMETRY, Param, Sweep, SweepOptions
 from repro.units import msec
@@ -321,10 +321,9 @@ def save_table(stem: str, name: str, table: str,
         fh.write(table + "\n")
     payload = {"name": name, "table": table}
     if data is not None:
-        payload["data"] = to_jsonable(data)
+        payload["data"] = data
     with open(f"{stem}.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(artifact_json(payload))
     return f"{stem}.txt", f"{stem}.json"
 
 
@@ -369,13 +368,13 @@ def _cmd_run(argv: List[str]) -> int:
 
 
 def _artifact_gate(artifact, payload: Any, ns: argparse.Namespace) -> bool:
-    """Write the artifact, or with ``--check`` diff it against the
-    committed file; False = drift."""
+    """Write the artifact, or with ``--check`` compare it with the
+    committed file and print what moved; False = drift."""
     if ns.markdown:
         with open(ns.markdown, "w") as fh:
             fh.write(artifact.to_markdown(payload))
         print(f"saved {ns.markdown}", file=sys.stderr)
-    new = artifact.to_json(payload)
+    new = artifact_json(payload)
     if not ns.check:
         with open(ns.out, "w") as fh:
             fh.write(new)
@@ -390,7 +389,7 @@ def _artifact_gate(artifact, payload: Any, ns: argparse.Namespace) -> bool:
     if committed == new:
         print(f"--check: {ns.out} reproduced byte-for-byte", file=sys.stderr)
         return True
-    for line in artifact.drift(json.loads(committed), json.loads(new)):
+    for line in movement(json.loads(committed), json.loads(new)):
         print(f"--check: {line}", file=sys.stderr)
     print(f"--check: {ns.out} drifted from this run (regenerate with the "
           f"same flags and review the diff)", file=sys.stderr)

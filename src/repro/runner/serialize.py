@@ -21,7 +21,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable
+from typing import Any, Callable, List, Tuple
 
 #: marker keys — a plain str-keyed dict may not use these as keys
 _MARKERS = ("__dataclass__", "__tuple__", "__dict__")
@@ -116,6 +116,69 @@ def from_jsonable(obj: Any) -> Any:
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON text of ``obj`` — the hashing/equality form."""
     return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
+
+
+def artifact_json(obj: Any) -> str:
+    """The bytes of a committed artifact or golden: indented, sorted
+    keys, no timestamps, trailing newline — byte-reproducible."""
+    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
+#: lines :func:`movement` reports before summing up the rest
+MOVEMENT_LINES = 20
+
+
+def _bare(value: Any) -> Any:
+    """An encoded dataclass as its fields plus its class tag, a tuple
+    as its items, a keyed map by its keys: none adds a path step."""
+    if not isinstance(value, dict):
+        return value
+    if "__dataclass__" in value:
+        return dict(value["fields"], __dataclass__=value["__dataclass__"])
+    if "__dict__" in value:
+        return {json.dumps(k): v for k, v in value["__dict__"]}
+    return value.get("__tuple__", value)
+
+
+def movement(old: Any, new: Any) -> List[str]:
+    """Each leaf that moved between two decoded JSON documents, by its
+    path of keys and indices (``standings[0].scheme``): non-numbers
+    (strings, bools, None, keys added or removed, list lengths) first,
+    then numbers ``old -> new (+x.xx%)``, largest relative change
+    first, ties by path; at most :data:`MOVEMENT_LINES` lines."""
+    other: List[str] = []
+    numbers: List[Tuple[float, str, str]] = []
+
+    def walk(path: str, a: Any, b: Any) -> None:
+        a, b = _bare(a), _bare(b)
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(a.keys() | b.keys()):
+                step = f"{path}.{key}" if path else key
+                if key in a and key in b:
+                    walk(step, a[key], b[key])
+                else:
+                    other.append(f"{step}: {'added' if key in b else 'removed'}")
+        elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                other.append(f"{path}: length {len(a)} -> {len(b)}")
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(f"{path}[{i}]", x, y)
+        elif type(a) in (int, float) and type(b) in (int, float):
+            if a != b:  # a number off zero moves by an infinite share
+                rel = (b - a) / abs(a) if a else (b - a) * float("inf")
+                numbers.append((-abs(rel), path,
+                                f"{path}: {a!r} -> {b!r} ({rel:+.2%})"))
+        elif a != b or type(a) is not type(b):
+            brief = [type(v).__name__ if isinstance(v, (dict, list))
+                     else repr(v) for v in (a, b)]
+            other.append(f"{path}: {brief[0]} -> {brief[1]}")
+
+    walk("", old, new)
+    lines = other + [line for _, _, line in sorted(numbers)]
+    if len(lines) > MOVEMENT_LINES:
+        rest = len(lines) - MOVEMENT_LINES
+        lines = lines[:MOVEMENT_LINES] + [f"… and {rest} more"]
+    return lines
 
 
 def content_hash(obj: Any) -> str:

@@ -91,14 +91,11 @@ TELEMETRY = Param("telemetry", None)
 
 @dataclass(frozen=True)
 class Artifact:
-    """A committed result file: its bytes, its report, its drift gate."""
+    """A committed result file and its report; its bytes and its drift
+    gate are ``serialize.artifact_json`` and ``serialize.movement``."""
 
     path: str
-    to_json: Callable[[Any], str]
     to_markdown: Callable[[Any], str]
-    #: names what moved between the committed and the new decoded
-    #: JSON when ``--check`` finds the bytes differ
-    drift: Callable[[Dict, Dict], List[str]] = lambda old, new: []
 
 
 @dataclass(frozen=True)

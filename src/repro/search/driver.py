@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.harness import TestbedConfig
 from repro.runner.jobspec import JobSpec
 from repro.runner.pool import STATUS_CACHED, collect_results
-from repro.runner.serialize import content_hash
+from repro.runner.serialize import artifact_json, content_hash
 from repro.runner import sweep
 from repro.search.fitness import (
     DEFAULT_MEASURE_NS,
@@ -426,16 +426,6 @@ PRESETS: Dict[str, SearchSettings] = {
 # --- reports -----------------------------------------------------------------
 
 
-def search_json(result: SearchResult) -> str:
-    """Committed-artifact bytes: sorted keys, no timestamps, trailing
-    newline — same contract as ``TOURNAMENT.json``."""
-    import json
-
-    from repro.runner.serialize import to_jsonable
-
-    return json.dumps(to_jsonable(result), indent=2, sort_keys=True) + "\n"
-
-
 def _fmt(value: Any) -> str:
     if value is None:
         return "n/a"
@@ -536,16 +526,6 @@ def _frontier_table(result: SearchResult):
         for rank, rec in enumerate(result.frontier[:10], start=1)]
 
 
-def _drift(old: Dict, new: Dict) -> List[str]:
-    lines = []
-    for key in ("preset", "ga_seed", "evaluated"):
-        a = old.get("fields", old).get(key)
-        b = new.get("fields", new).get(key)
-        if a != b:
-            lines.append(f"{key} drifted: committed {a!r} != new {b!r}")
-    return lines
-
-
 def _drive(p: Dict[str, Any], options: sweep.SweepOptions) -> SearchResult:
     overrides = {name: value for name, value in p.items()
                  if name != "preset" and value is not None}
@@ -600,6 +580,7 @@ SEARCH = sweep.Sweep(
     ),
     table=_frontier_table,
     driver=_drive,
-    artifact=sweep.Artifact(SEARCH_PATH, search_json, render_markdown,
-                            drift=_drift),
+    artifact=sweep.Artifact(SEARCH_PATH, render_markdown),
 )
+# benchmarks/ledger/ imports this alias; nothing else may.
+search_json = artifact_json

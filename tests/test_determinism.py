@@ -22,16 +22,11 @@ from repro.experiments.goldens import FLOW_GOLDENS, golden_bytes, golden_run
 from repro.experiments.schemes import scheme_names
 from repro.runner.jobspec import JobSpec
 from repro.runner.pool import collect_results, run_jobs
-from repro.runner.serialize import to_jsonable
+from repro.runner.serialize import artifact_json, movement
 from repro.telemetry.core import TelemetryConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCHEMES = scheme_names()
-
-
-def result_bytes(result) -> str:
-    """Serialize a RunResult exactly as the fixtures store it."""
-    return json.dumps(to_jsonable(result), indent=2, sort_keys=True) + "\n"
 
 
 def test_serial_rerun_is_byte_identical():
@@ -45,7 +40,7 @@ def test_parallel_matches_serial():
     serial = [golden_bytes(s) for s in schemes]
     specs = [JobSpec.make(golden_run, s, label=s) for s in schemes]
     results = collect_results(run_jobs(specs, jobs=2))
-    assert [result_bytes(r) for r in results] == serial
+    assert [artifact_json(r) for r in results] == serial
 
 
 def test_every_scheme_has_a_golden_fixture():
@@ -61,10 +56,11 @@ def test_every_scheme_has_a_golden_fixture():
 @pytest.mark.parametrize("scheme", SCHEMES + FLOW_GOLDENS)
 def test_golden_fixture_unchanged(scheme):
     fixture = (GOLDEN_DIR / f"{scheme}.json").read_text()
-    assert golden_bytes(scheme) == fixture, (
+    new = golden_bytes(scheme)
+    assert new == fixture, "\n".join([
         f"simulation behavior changed for {scheme!r}; if intentional, "
-        "regenerate with tools/gen_golden.py and review the fixture diff"
-    )
+        "regenerate with tools/gen_golden.py and review the fixture diff",
+        *movement(json.loads(fixture), json.loads(new))])
 
 
 @pytest.mark.parametrize("cell", ["presto", "flow_presto"])

@@ -1,7 +1,9 @@
-"""``tools/ledger_pairs``: the parent's exported tree and the pairs-won
+"""``tools/ledger_pairs``: the two exported trees and the pairs-won
 count a perf gain claim is decided by."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ ledger_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ledger_pairs)
 pair_wins = ledger_pairs.pair_wins
 export_tree = ledger_pairs.export_tree
+export_working_tree = ledger_pairs.export_working_tree
 
 WALL = {"name": "wall_s", "better": "lower"}
 RATE = {"name": "cells_per_s", "better": "higher"}
@@ -70,3 +73,39 @@ def test_export_tree_writes_the_committed_ledger(tmp_path):
     export_tree("HEAD", str(dest))
     assert (dest / "benchmarks" / "ledger" / "run.py").is_file()
     assert not (dest / ".git").exists()  # files only, no worktree
+
+
+def _git(repo, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_export_working_tree_takes_edits_and_new_files_not_the_index(
+        tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "run.py").write_text("committed\n")
+    (repo / "staged.py").write_text("staged\n")
+    _git(repo, "add", ".gitignore", "run.py")
+    _git(repo, "commit", "-q", "-m", "seed")
+    _git(repo, "add", "staged.py")
+    (repo / "run.py").write_text("edited, not staged\n")
+    (repo / "new.py").write_text("untracked\n")
+    (repo / "out.log").write_text("ignored\n")
+    index = (repo / ".git" / "index").read_bytes()
+    status = _git(repo, "status", "--porcelain")
+
+    dest = tmp_path / "change"
+    export_working_tree(str(dest), repo=str(repo))
+    assert (dest / "run.py").read_text() == "edited, not staged\n"
+    assert (dest / "new.py").read_text() == "untracked\n"
+    assert (dest / "staged.py").read_text() == "staged\n"
+    assert not (dest / "out.log").exists()
+    assert not (dest / ".git").exists()
+    # the repo's own index and status are as they were
+    assert (repo / ".git" / "index").read_bytes() == index
+    assert _git(repo, "status", "--porcelain") == status

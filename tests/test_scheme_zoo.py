@@ -479,11 +479,8 @@ class TestTournamentRanking:
 def test_tiny_tournament_is_deterministic(tmp_path):
     """The same grid twice — without a shared store — byte-identical
     JSON and a full set of standings/checks."""
-    from repro.experiments.tournament import (
-        TOURNAMENT,
-        render_markdown,
-        tournament_json,
-    )
+    from repro.experiments.tournament import TOURNAMENT, render_markdown
+    from repro.runner.serialize import artifact_json
 
     kwargs = dict(
         schemes=("ecmp", "presto"),
@@ -494,7 +491,7 @@ def test_tiny_tournament_is_deterministic(tmp_path):
     )
     first = TOURNAMENT.run(**kwargs)
     second = TOURNAMENT.run(**kwargs)
-    assert tournament_json(first) == tournament_json(second)
+    assert artifact_json(first) == artifact_json(second)
     assert [s.scheme for s in first.standings] == ["presto", "ecmp"] or \
            [s.scheme for s in first.standings] == ["ecmp", "presto"]
     assert len(first.cells) == 2

@@ -23,12 +23,12 @@ import random
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from repro.runner.serialize import artifact_json
 from repro.runner.store import ResultStore
 from repro.search.driver import (
     PRESETS,
     SearchSettings,
     run_search,
-    search_json,
 )
 from repro.search.ga import (
     crossover,
@@ -256,7 +256,7 @@ def test_search_same_seed_byte_identical(tmp_path):
     settings = _smoke_settings()
     a, _ = run_search(settings, store=ResultStore(tmp_path / "a"))
     b, _ = run_search(settings, store=ResultStore(tmp_path / "b"))
-    assert search_json(a) == search_json(b)
+    assert artifact_json(a) == artifact_json(b)
 
 
 def test_search_warm_store_zero_new_evaluations(tmp_path):
@@ -265,7 +265,7 @@ def test_search_warm_store_zero_new_evaluations(tmp_path):
     cold, cold_stats = run_search(settings, store=store)
     warm, warm_stats = run_search(settings, store=store)
     # the committed bytes are identical cold vs warm...
-    assert search_json(cold) == search_json(warm)
+    assert artifact_json(cold) == artifact_json(warm)
     # ...while the live stats show the store did all the work
     assert cold_stats.executed > 0
     assert warm_stats.executed == 0
@@ -279,7 +279,7 @@ def test_search_serial_vs_parallel_identical(tmp_path):
                            store=ResultStore(tmp_path / "serial"))
     parallel, _ = run_search(settings, jobs=2,
                              store=ResultStore(tmp_path / "parallel"))
-    assert search_json(serial) == search_json(parallel)
+    assert artifact_json(serial) == artifact_json(parallel)
 
 
 def test_search_different_ga_seed_diverges(tmp_path):
@@ -289,8 +289,8 @@ def test_search_different_ga_seed_diverges(tmp_path):
     store = ResultStore(tmp_path / "store")
     a, _ = run_search(settings, store=store)
     b, _ = run_search(replace(settings, ga_seed=99), store=store)
-    assert json.loads(search_json(a))["fields"]["ga_seed"] != \
-        json.loads(search_json(b))["fields"]["ga_seed"]
+    assert json.loads(artifact_json(a))["fields"]["ga_seed"] != \
+        json.loads(artifact_json(b))["fields"]["ga_seed"]
 
 
 def test_search_result_shape(tmp_path):

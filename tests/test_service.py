@@ -1183,6 +1183,16 @@ def test_lease_queue_release_cap_declares_cursed_job_failed(monkeypatch):
     assert q.idle
 
 
+def test_lease_queue_release_requeues_at_the_front_a_retry_at_the_back():
+    q = LeaseQueue(retries=1)
+    for index in "abc":
+        q.add(index, "spec")
+    lost, failed = q.claim(), q.claim()
+    assert q.release(lost.lease_id)[0] == "requeued"  # ahead of c
+    assert q.fail(failed.lease_id)[0] == "retry"  # behind c
+    assert [q.claim().index for _ in range(3)] == ["a", "c", "b"]
+
+
 def test_lease_queue_expiry_and_renewal():
     now = [100.0]
     q = LeaseQueue(clock=lambda: now[0])

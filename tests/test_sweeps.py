@@ -9,11 +9,12 @@ instead of copied per sweep or per CLI:
   (``tests/golden/figures.json``, also generated before the port);
 * one CLI contract — ``runner run <sweep>`` prints its table, the
   shared execution flags are rejected with one message everywhere they
-  appear, artifact sweeps write -> ``--check`` -> name their drift;
+  appear, artifact sweeps write -> ``--check`` -> print what moved;
 * verdicts and contained failures — a failed check or a crashed cell
   of a failure-finding sweep is a table row and exit 1, never a
   traceback; a plain sweep still raises;
-* committed artifacts decode with ``from_jsonable``.
+* committed artifacts decode with ``from_jsonable``, and ``movement``
+  names each leaf that moved between two artifacts.
 """
 
 import importlib.util
@@ -25,7 +26,9 @@ import pytest
 
 from repro.runner.cli import main as runner_main
 from repro.runner.jobspec import cell
-from repro.runner.serialize import from_jsonable, ref_of, to_jsonable
+from repro.runner.serialize import (MOVEMENT_LINES, artifact_json,
+                                    from_jsonable, movement, ref_of,
+                                    to_jsonable)
 from repro.runner.sweeps import SWEEPS
 from repro.service.cli import main as service_main
 from repro.units import MB, msec, usec
@@ -379,13 +382,15 @@ def _perturb_divergence(text):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-#: how to tamper with each artifact, and the drift `--check` must name
+#: how to tamper with each artifact, and the start of the movement
+#: line `--check` must print for the leaf that moved
 TAMPER = {
-    "compare": (_perturb_divergence, "scalability/presto/seed1 agg_rel "
-                                     "drifted: committed 9.0 != new "),
-    "tournament": (_reverse_standings, "ranking drifted: committed ["),
+    "compare": (_perturb_divergence, "experiments.scalability.cells."
+                                     "presto/seed1.divergence.agg_rel: "
+                                     "9.0 -> "),
+    "tournament": (_reverse_standings, "standings[0].scheme: '"),
     "search": (lambda text: text.replace('"smoke"', '"broke"', 1),
-               "preset drifted: committed 'broke' != new 'smoke'"),
+               "preset: 'broke' -> 'smoke'"),
 }
 
 
@@ -395,14 +400,13 @@ def test_every_artifact_sweep_has_a_tamper_case():
 
 @pytest.mark.parametrize("name", ARTIFACT_SWEEPS)
 def test_artifact_write_check_tamper(name, tmp_path, capsys):
-    artifact = SWEEPS[name].artifact
     out, md = tmp_path / "ARTIFACT.json", tmp_path / "REPORT.md"
     argv = _run_argv(name, tmp_path) + ["--markdown", str(md)]
     assert runner_main(argv) == 0
     written = out.read_text()
     assert written.endswith("\n")
     # the bytes decode back to the result they came from
-    assert artifact.to_json(from_jsonable(json.loads(written))) == written
+    assert artifact_json(from_jsonable(json.loads(written))) == written
     assert md.read_text().startswith("# ")
 
     capsys.readouterr()
@@ -410,11 +414,15 @@ def test_artifact_write_check_tamper(name, tmp_path, capsys):
     assert "reproduced byte-for-byte" in capsys.readouterr().err
     assert out.read_text() == written  # --check never writes
 
-    tamper, drift = TAMPER[name]
+    tamper, leaf = TAMPER[name]
     out.write_text(tamper(written))
     assert runner_main(argv + ["--check"]) == 1
     err = capsys.readouterr().err
-    assert drift in err and "drifted from this run" in err
+    moved = movement(json.loads(tamper(written)), json.loads(written))
+    assert any(line.startswith(leaf) for line in moved), moved
+    for line in moved:
+        assert f"--check: {line}\n" in err
+    assert "drifted from this run" in err
 
     out.unlink()
     assert runner_main(argv + ["--check"]) == 1
@@ -537,6 +545,49 @@ def test_committed_artifacts_carry_importable_dataclass_tags():
 
 @pytest.mark.parametrize("name", ARTIFACT_SWEEPS)
 def test_committed_artifact_round_trips(name):
-    artifact = SWEEPS[name].artifact
-    text = (ROOT / artifact.path).read_text()
-    assert artifact.to_json(from_jsonable(json.loads(text))) == text
+    text = (ROOT / SWEEPS[name].artifact.path).read_text()
+    assert artifact_json(from_jsonable(json.loads(text))) == text
+
+
+def _row(tag="repro.x:Row", **fields):
+    """A dataclass as ``to_jsonable`` encodes it."""
+    return {"__dataclass__": tag, "fields": fields}
+
+
+def test_movement_names_each_leaf_non_numbers_first_then_by_size():
+    old = {"preset": "paper", "ok": True, "gone": 1,
+           "seeds": {"__tuple__": [1, 2]},
+           "rates": {"__dict__": [[7, 5.0], [9, 4.0]]},
+           "standings": [_row(scheme="presto", fct=100.0, wins=0)]}
+    new = {"preset": "smoke", "ok": False, "fresh": None,
+           "seeds": {"__tuple__": [1, 3]},
+           "rates": {"__dict__": [[7, 5.0], [9, 2.0]]},
+           "standings": [_row(scheme="ecmp", fct=90.0, wins=2),
+                         _row("repro.y:Row", scheme="mptcp")]}
+    assert movement(old, new) == [
+        "fresh: added",
+        "gone: removed",
+        "ok: True -> False",
+        "preset: 'paper' -> 'smoke'",
+        "standings: length 1 -> 2",
+        "standings[0].scheme: 'presto' -> 'ecmp'",
+        "standings[0].wins: 0 -> 2 (+inf%)",
+        # -50 % and +50 % tie on size: path order decides
+        "rates.9: 4.0 -> 2.0 (-50.00%)",
+        "seeds[1]: 2 -> 3 (+50.00%)",
+        "standings[0].fct: 100.0 -> 90.0 (-10.00%)",
+    ]
+    # the class tag is a leaf of its own; equal documents say nothing
+    assert movement(_row(a=1), _row("repro.y:Row", a=1)) == [
+        "__dataclass__: 'repro.x:Row' -> 'repro.y:Row'"]
+    assert movement(old, old) == []
+
+
+def test_movement_caps_its_lines_keeping_the_largest():
+    old = {f"k{i:02d}": 100 for i in range(25)}
+    new = {f"k{i:02d}": 100 + i + 1 for i in range(25)}
+    lines = movement(old, new)
+    assert len(lines) == MOVEMENT_LINES + 1
+    assert lines[0] == "k24: 100 -> 125 (+25.00%)"
+    assert lines[MOVEMENT_LINES - 1] == "k05: 100 -> 106 (+6.00%)"
+    assert lines[-1] == "… and 5 more"

@@ -5,23 +5,26 @@
                                              [--seed N]
 
 The measurement protocol a gain claim has to follow (see
-``benchmarks/ledger/README.md``): export the parent commit beside
-this tree (``git archive PARENT_REF | tar -x`` into a temp dir), run
-``benchmarks/ledger/run.py --out`` on both trees ``--pairs`` times,
-alternating which side goes first, hand the two files to ``run.py
-compare`` and count, per workload and end-to-end metric, in how many
-pairs the change read better.  A gain may be claimed when the change is
-ahead in at least nine tenths of the pairs and the medians differ by
-more than the parent's own inter-quartile spread; ``compare`` prints
-the medians, spreads and the no-regression verdict of every other
-metric.
+``benchmarks/ledger/README.md``): export the parent commit and this
+working tree side by side into one temp dir (``git archive | tar
+-x``), run ``benchmarks/ledger/run.py --out`` on both trees
+``--pairs`` times, alternating which side goes first, hand the two
+files to ``run.py compare`` and count, per workload and end-to-end
+metric, in how many pairs the change read better.  A gain may be
+claimed when the change is ahead in at least nine tenths of the pairs
+and the medians differ by more than the parent's own inter-quartile
+spread; ``compare`` prints the medians, spreads and the no-regression
+verdict of every other metric.
 
-The change side is this working tree as it stands, uncommitted edits
-included.  Nothing under ``benchmarks/ledger/`` is touched; the
-parent's tree and both ``--out`` files live in a fresh temp dir
-(``$TMPDIR`` picks where).  The tree is removed on exit, the two files
-are left there — their paths are printed — for the PR text and for
-re-running ``compare``.
+The change side is this working tree as it stands: uncommitted edits
+and untracked files are included, ignored files are not.  Its tree is
+built through a temporary index (``GIT_INDEX_FILE=… git add -A; git
+write-tree``) and exported like the parent's, so both sides run from
+the same kind of directory and the repo's own index is never touched.
+Nothing under ``benchmarks/ledger/`` is touched; both trees and both
+``--out`` files live in a fresh temp dir (``$TMPDIR`` picks where).
+The trees are removed on exit, the two files are left there — their
+paths are printed — for the PR text and for re-running ``compare``.
 """
 
 import argparse
@@ -37,16 +40,29 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_PY = os.path.join("benchmarks", "ledger", "run.py")
 
 
-def export_tree(ref, dest):
-    """Write the committed files of ``ref`` into the new directory
-    ``dest``: ``git archive ref | tar -x``, no worktree, no checkout."""
+def export_tree(ref, dest, repo=REPO):
+    """Write the files of the commit or tree ``ref`` into the new
+    directory ``dest``: ``git archive ref | tar -x``, no worktree, no
+    checkout."""
     os.makedirs(dest)
-    archive = subprocess.Popen(["git", "archive", ref], cwd=REPO,
+    archive = subprocess.Popen(["git", "archive", ref], cwd=repo,
                                stdout=subprocess.PIPE)
     untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
     archive.stdout.close()
     if archive.wait() != 0 or untar.returncode != 0:
         raise SystemExit(f"could not export {ref} into {dest}")
+
+
+def export_working_tree(dest, repo=REPO):
+    """Write ``repo``'s working tree as it stands into ``dest``: its
+    tree is built in a throwaway index, never the repo's own."""
+    with tempfile.TemporaryDirectory(prefix="ledger-index-") as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        subprocess.run(["git", "add", "-A"], cwd=repo, env=env, check=True)
+        tree = subprocess.run(["git", "write-tree"], cwd=repo, env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout.strip()
+    export_tree(tree, dest, repo)
 
 
 def run_ledger(tree, out, ns):
@@ -98,13 +114,12 @@ def main(argv=None):
         spec = json.load(fh)
     metrics = spec["end_to_end"]
     tmp = tempfile.mkdtemp(prefix="ledger-pairs-")
-    parent = os.path.join(tmp, "parent")
-    outs = {"parent": os.path.join(tmp, "parent.json"),
-            "change": os.path.join(tmp, "change.json")}
-    trees = {"parent": parent, "change": REPO}
+    trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
+    outs = {side: f"{tree}.json" for side, tree in trees.items()}
     failed = 0
     try:
-        export_tree(ns.parent_ref, parent)
+        export_tree(ns.parent_ref, trees["parent"])
+        export_working_tree(trees["change"])
         for pair in range(ns.pairs):
             order = ("parent", "change") if pair % 2 == 0 else (
                 "change", "parent")
@@ -120,7 +135,8 @@ def main(argv=None):
             wins = pair_wins(json.load(a)["runs"], json.load(b)["runs"],
                              metrics)
     finally:
-        shutil.rmtree(parent, ignore_errors=True)
+        for tree in trees.values():
+            shutil.rmtree(tree, ignore_errors=True)
 
     print(f"\nchange ahead of {ns.parent_ref} (pairs won / pairs, ties "
           f"count for neither):")
