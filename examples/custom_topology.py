@@ -79,7 +79,7 @@ def main() -> None:
     for i, app in enumerate(apps):
         rate = app.delivered_bytes() * 8 / (duration / 1e9) / 1e9
         print(f"elephant h{i} -> h{3 + i}: {rate:5.2f} Gbps")
-    drops = sum(port.queue.dropped_pkts
+    drops = sum(port.dropped_pkts
                 for sw in topo.switches.values() for port in sw.ports)
     print(f"switch queue drops: {drops}")
 

@@ -303,7 +303,7 @@ class PacketPlane:
         port_tx_bytes = {}
         for port in tb.ports():
             port_tx_bytes[port.name] = port.tx_bytes
-            queue_flush += port.queue.drop_cause_bytes.get("link_down", 0)
+            queue_flush += port.drop_cause_bytes.get("link_down", 0)
             wire += port.wire_drop_bytes
         no_route = sum(sw.no_route_drop_bytes for sw in switches)
         ttl = sum(sw.ttl_drop_bytes for sw in switches)
@@ -311,7 +311,7 @@ class PacketPlane:
             tx_pkts=sum(h.nic.tx_pkts for h in tb.hosts),
             # a host's own egress queue is its qdisc, not a switch counter
             dropped_pkts=(
-                sum(p.queue.dropped_pkts for sw in switches for p in sw.ports)
+                sum(p.dropped_pkts for sw in switches for p in sw.ports)
                 + sum(sw.no_route_drops + sw.ttl_drops for sw in switches)
                 + sum(h.nic.ring_drops for h in tb.hosts)),
             blackholed={"queue_flush": queue_flush, "wire": wire,

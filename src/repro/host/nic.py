@@ -91,13 +91,13 @@ class Nic:
 
     def attach_port(self, port: Port) -> None:
         self.port = port
-        port.queue.track_flows = True
+        port.track_flows = True
 
     def tx_ok(self, flow_id: int) -> bool:
         """Per-socket TSQ check: may this flow queue another segment?"""
         if self.port is None:
             return True
-        return self.port.queue.flow_bytes.get(flow_id, 0) < self.tsq_bytes
+        return self.port.flow_bytes.get(flow_id, 0) < self.tsq_bytes
 
     def tx_segment(self, seg: Segment) -> None:
         """TSO: fan the segment out into MSS packets and queue them."""

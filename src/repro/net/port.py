@@ -1,26 +1,53 @@
-"""Directional output port: drop-tail queue + store-and-forward serializer.
+"""Directional output port: a drop-tail FIFO on an optional shared
+buffer, in front of a store-and-forward serializer.
 
 Each port belongs to one node and delivers to a fixed peer node after
 ``serialization + propagation`` delay, mirroring a real switch ASIC's
-output-queued model.  Per-port counters feed the loss-rate and
-utilization figures.
+output-queued model.
+
+The paper's RackSwitch G8264 (Broadcom Scorpion/Trident class) keeps a
+~4 MB packet buffer *shared* across ports with dynamic per-port
+thresholds: a lone hot port may absorb megabytes of burst, but when the
+pool is contended every port's share shrinks.  :class:`SharedBuffer` is
+that pool and :meth:`Port.send` states the classic dynamic-threshold
+rule (port limit = alpha x free pool); loss under collision is what
+makes ECMP hurt, and the per-port counters mirror the switch counters
+the paper reads for its loss-rate and utilization figures.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import deque
 from typing import Optional
 
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
-from repro.units import SEC, serialization_time_ns
+from repro.units import SEC
 
 
 #: Default per-port buffering.  The G8264 shares ~4 MB among 64 ports;
 #: a few hundred KB per port reproduces the shallow-buffer loss behaviour.
 DEFAULT_BUFFER_BYTES = 300 * 1024
+
+
+class SharedBuffer:
+    """A switch's packet-memory pool with dynamic thresholding: the
+    pool's size, its ``alpha`` and the bytes in use.  The admission
+    rule itself is in :meth:`Port.send`.
+    """
+
+    __slots__ = ("total_bytes", "alpha", "used_bytes")
+
+    def __init__(self, total_bytes: int, alpha: float = 2.0):
+        if total_bytes <= 0:
+            raise ValueError(f"pool must be positive: {total_bytes}")
+        if alpha <= 0:
+            raise ValueError(f"alpha must be positive: {alpha}")
+        self.total_bytes = total_bytes
+        self.alpha = alpha
+        self.used_bytes = 0
 
 
 class Port:
@@ -32,7 +59,19 @@ class Port:
         "_on_tx_done",
         "name",
         "link",
-        "queue",
+        "capacity_bytes",
+        "shared",
+        "_fifo",
+        "bytes_queued",
+        "track_flows",
+        "flow_bytes",
+        "enqueued_pkts",
+        "enqueued_bytes",
+        "dropped_pkts",
+        "dropped_bytes",
+        "drop_causes",
+        "drop_cause_bytes",
+        "probe",
         "peer",
         "peer_port",
         "_busy",
@@ -53,6 +92,8 @@ class Port:
         link: Link,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
     ):
+        if buffer_bytes <= 0:
+            raise ValueError(f"capacity must be positive: {buffer_bytes}")
         self.sim = sim
         # bound once: the transmit machinery schedules two events per
         # packet, and the lookup (and, for _tx_done, a fresh bound-method
@@ -61,7 +102,29 @@ class Port:
         self._on_tx_done = self._tx_done
         self.name = name
         self.link = link
-        self.queue = DropTailQueue(buffer_bytes)
+        #: the port's hard cap on queued bytes
+        self.capacity_bytes = buffer_bytes
+        #: the switch's SharedBuffer this port draws on; set by Topology
+        self.shared: Optional[SharedBuffer] = None
+        #: packets waiting behind the serializer (it holds its own frame)
+        self._fifo: deque = deque()
+        self.bytes_queued = 0
+        #: per-flow occupancy (enabled on host egress ports for TSQ)
+        self.track_flows = False
+        self.flow_bytes: dict = {}
+        # queue counters (cumulative)
+        self.enqueued_pkts = 0
+        self.enqueued_bytes = 0
+        self.dropped_pkts = 0
+        self.dropped_bytes = 0
+        #: drops split by cause: "cap" (per-port hard cap), "pool"
+        #: (shared-buffer DT admission), "link_down"
+        self.drop_causes: dict = {}
+        #: same split in wire bytes (fault accounting separates
+        #: failure-induced losses from congestion losses by cause)
+        self.drop_cause_bytes: dict = {}
+        #: optional telemetry probe (repro.telemetry); None = disabled
+        self.probe = None
         self.peer = None  # node with .receive(pkt, port); set by Topology
         self.peer_port: Optional["Port"] = None  # reverse direction
         self._busy = False
@@ -91,25 +154,71 @@ class Port:
     def up(self) -> bool:
         return self.link.up
 
+    def _drop(self, pkt: Packet, cause: str) -> None:
+        """Count a dropped packet against ``cause``."""
+        self.dropped_pkts += 1
+        self.dropped_bytes += pkt.wire_size
+        self.drop_causes[cause] = self.drop_causes.get(cause, 0) + 1
+        self.drop_cause_bytes[cause] = (
+            self.drop_cause_bytes.get(cause, 0) + pkt.wire_size)
+        if self.probe is not None:
+            self.probe.on_drop(pkt, cause, self.bytes_queued)
+
     def send(self, pkt: Packet) -> bool:
-        """Queue ``pkt`` for transmission.  Returns False on drop."""
-        queue = self.queue
+        """Queue ``pkt`` for transmission.  Returns False (and counts a
+        drop) when the link is down or the admission rule refuses it."""
         if not self.link._up:
-            queue.record_drop(pkt, "link_down")
+            self._drop(pkt, "link_down")
             return False
-        if self._busy or queue.probe is not None:
-            if not queue.enqueue(pkt):
+        size = pkt.wire_size
+        queued = self.bytes_queued + size
+        if queued > self.capacity_bytes:
+            self._drop(pkt, "cap")
+            return False
+        shared = self.shared
+        if shared is not None:
+            # the standard Broadcom dynamic-threshold rule: a port may
+            # enqueue while the pool has room and its own occupancy
+            # stays within alpha x the free pool (alpha=2: a lone
+            # congested port can take up to 2/3 of the pool)
+            used = shared.used_bytes
+            if used + size > shared.total_bytes or (
+                queued > shared.alpha * (shared.total_bytes - used)
+            ):
+                self._drop(pkt, "pool")
                 return False
-            if not self._busy:
-                self._start_tx(queue.dequeue())
+        self.enqueued_pkts += 1
+        self.enqueued_bytes += size
+        if self.probe is not None:
+            self.probe.on_enqueue(pkt, queued)
+        if not self._busy:
+            # an idle port's FIFO is empty: the packet goes straight
+            # to the serializer and never occupies the buffer
+            self._start_tx(pkt)
             return True
-        # An idle port's queue is empty: admit the packet by the queue's
-        # own rule and counters, and serialize it without the deque
-        # round trip (a probe wants to see the enqueue, so not then).
-        if not queue.admit(pkt):
-            return False
-        self._start_tx(pkt)
+        if shared is not None:
+            shared.used_bytes += size
+        self._fifo.append(pkt)
+        self.bytes_queued = queued
+        if self.track_flows:
+            self.flow_bytes[pkt.flow_id] = self.flow_bytes.get(pkt.flow_id, 0) + size
         return True
+
+    def _pop(self) -> Packet:
+        """Take the head of the (non-empty) FIFO off the buffer."""
+        pkt = self._fifo.popleft()
+        size = pkt.wire_size
+        self.bytes_queued -= size
+        shared = self.shared
+        if shared is not None:
+            shared.used_bytes -= size
+        if self.track_flows:
+            left = self.flow_bytes.get(pkt.flow_id, 0) - size
+            if left > 0:
+                self.flow_bytes[pkt.flow_id] = left
+            else:
+                self.flow_bytes.pop(pkt.flow_id, None)
+        return pkt
 
     def _start_tx(self, pkt: Packet) -> None:
         self._busy = True
@@ -147,18 +256,16 @@ class Port:
         # Packet leaves the wire prop_delay later; the transmitter is
         # free to start the next packet immediately (pipelining).
         self._schedule(self.link.prop_delay_ns, self.peer.receive, pkt, self)
-        queue = self.queue
-        if queue.bytes_queued:
-            self._start_tx(queue.dequeue())
+        if self._fifo:
+            self._start_tx(self._pop())
         else:
             self._busy = False
 
     def on_link_down(self) -> None:
         """Flush queued packets when the cable dies; the frame in the
         serializer is lost on the wire."""
-        queue = self.queue
-        while queue.bytes_queued:
-            queue.record_drop(queue.dequeue(), "link_down")
+        while self._fifo:
+            self._drop(self._pop(), "link_down")
         if self._busy:
             self.wire_drop_pkts += 1
             self.wire_drop_bytes += self._tx_pkt.wire_size
@@ -167,8 +274,8 @@ class Port:
 
     def on_link_up(self) -> None:
         """Cable restored: resume transmission of anything queued."""
-        if not self._busy and self.queue.bytes_queued:
-            self._start_tx(self.queue.dequeue())
+        if not self._busy and self._fifo:
+            self._start_tx(self._pop())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Port {self.name}>"

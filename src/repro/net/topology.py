@@ -7,6 +7,9 @@ links that each climb one tier.  That is all a :class:`Topology` knows
 about shape: per switch its up ports and its down ports; as hosts
 attach, each switch's own ``below`` learns the hosts under it with the
 down port leading to each.
+Every switch gets one :class:`~repro.net.port.SharedBuffer` pool, and
+each of its ports draws on it beside its own hard cap; a host's egress
+port has only its (deep, qdisc-class) cap.
 The paper's 2-tier Clos (Fig 3), a k-ary fat tree and the "Optimal"
 single switch differ only in the wiring plan handed to
 :func:`repro.net.fabrics.build_fabric`.
@@ -17,8 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.net.link import Link
-from repro.net.port import Port
-from repro.net.queues import SharedBuffer
+from repro.net.port import Port, SharedBuffer
 from repro.net.switch import HASH_FLOW, EcmpGroup, Switch
 from repro.sim.engine import Simulator
 from repro.units import gbps, usec
@@ -96,8 +98,8 @@ class Topology:
         cap = buffer_bytes if buffer_bytes is not None else self.pool_bytes
         port_ab = Port(self.sim, f"{a.name}->{b.name}", link, cap)
         port_ba = Port(self.sim, f"{b.name}->{a.name}", link, cap)
-        port_ab.queue.shared = a.shared_buffer
-        port_ba.queue.shared = b.shared_buffer
+        port_ab.shared = a.shared_buffer
+        port_ba.shared = b.shared_buffer
         port_ab.peer, port_ba.peer = b, a
         port_ab.peer_port, port_ba.peer_port = port_ba, port_ab
         a.add_port(port_ab)
@@ -130,7 +132,7 @@ class Topology:
         link = Link(f"{leaf.name}--h{host_id}", rate_bps, prop_delay_ns)
         cap = buffer_bytes if buffer_bytes is not None else self.pool_bytes
         to_host = Port(self.sim, f"{leaf.name}->h{host_id}", link, cap)
-        to_host.queue.shared = leaf.shared_buffer
+        to_host.shared = leaf.shared_buffer
         to_leaf = Port(self.sim, f"h{host_id}->{leaf.name}", link, host_buffer_bytes)
         to_leaf.tx_jitter_ns = HOST_TX_JITTER_NS
         to_host.peer, to_leaf.peer = host, leaf

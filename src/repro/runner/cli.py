@@ -389,7 +389,12 @@ def _artifact_gate(artifact, payload: Any, ns: argparse.Namespace) -> bool:
     if committed == new:
         print(f"--check: {ns.out} reproduced byte-for-byte", file=sys.stderr)
         return True
-    for line in movement(json.loads(committed), json.loads(new)):
+    try:
+        old = json.loads(committed)
+    except ValueError as exc:
+        print(f"--check: {ns.out} is not JSON ({exc})", file=sys.stderr)
+        return False
+    for line in movement(old, json.loads(new)):
         print(f"--check: {line}", file=sys.stderr)
     print(f"--check: {ns.out} drifted from this run (regenerate with the "
           f"same flags and review the diff)", file=sys.stderr)

@@ -267,14 +267,14 @@ def _switch_sampler(topo):
                 reg.counter(f"{prefix}.tx_pkts").record_total(port.tx_pkts)
                 reg.counter(f"{prefix}.tx_bytes").record_total(port.tx_bytes)
                 reg.counter(f"{prefix}.drops.total").record_total(
-                    port.queue.dropped_pkts)
-                for cause, n in sorted(port.queue.drop_causes.items()):
+                    port.dropped_pkts)
+                for cause, n in sorted(port.drop_causes.items()):
                     reg.counter(f"{prefix}.drops.{cause}").record_total(n)
                 if port.wire_drop_pkts:
                     reg.counter(f"{prefix}.drops.wire").record_total(
                         port.wire_drop_pkts)
                 reg.gauge(f"{prefix}.queued_bytes").set(
-                    port.queue.bytes_queued)
+                    port.bytes_queued)
     return sample
 
 
@@ -328,7 +328,7 @@ def instrument_testbed(tb) -> None:
     telemetry: Telemetry = tb.telemetry
     # switch queues, and each host's own egress queue (its qdisc)
     for port in tb.ports():
-        port.queue.probe = QueueProbe(telemetry, port.name)
+        port.probe = QueueProbe(telemetry, port.name)
     for host in tb.hosts:
         host.nic.probe = NicProbe(telemetry, host.host_id)
         host.gro.probe = GroProbe(telemetry, host.host_id)

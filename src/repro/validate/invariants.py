@@ -72,7 +72,7 @@ def byte_ledger(tb) -> Dict[str, int]:
             sw.ttl_drop_bytes for sw in tb.topo.switches.values()),
     }
     for port in tb.ports():
-        ledger["queue_drop"] += port.queue.dropped_bytes
+        ledger["queue_drop"] += port.dropped_bytes
         ledger["wire_drop"] += port.wire_drop_bytes
     ledger["accounted"] = (
         ledger["nic_rx"] + ledger["nic_ring_drop"] + ledger["queue_drop"]

@@ -1,14 +1,12 @@
 """Unit tests for links and ports (serialization, delivery, failure)."""
 
 import itertools
-from unittest import mock
 
 import pytest
 
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.net.port import Port
-from repro.net.queues import DropTailQueue, SharedBuffer
+from repro.net.port import Port, SharedBuffer
 from repro.sim.engine import Simulator
 from repro.units import HEADER_BYTES, gbps, serialization_time_ns, usec
 
@@ -73,7 +71,7 @@ def test_link_down_drops_sends():
     port, sink, link = make_port(sim)
     link.set_down()
     assert not port.send(pkt())
-    assert port.queue.dropped_pkts == 1
+    assert port.dropped_pkts == 1
     sim.run()
     assert sink.received == []
 
@@ -248,8 +246,7 @@ def test_link_flap_inside_one_frame_times_the_new_frame_by_itself():
 
 
 class _QueueRecorder:
-    """A telemetry-style queue probe: attaching one sends every packet
-    through the queue, idle port or not."""
+    """A telemetry-style queue probe: records what the port shows it."""
 
     def __init__(self):
         self.seen = []
@@ -268,16 +265,16 @@ def _shared_pool_train(probe):
     later one, once the pool has drained, overruns the port's cap."""
     sim = Simulator()
     pool = SharedBuffer(12_000, alpha=8.0)
-    port, sink, _ = make_port(sim)
-    port.queue = DropTailQueue(5_000, track_flows=True, shared=pool)
+    port, sink, _ = make_port(sim, buffer_bytes=5_000)
+    port.shared = pool
+    port.track_flows = True
+    port.probe = probe
     neighbour, _, _ = make_port(sim, rate=gbps(1), buffer_bytes=100_000)
-    neighbour.queue = DropTailQueue(100_000, shared=pool)
-    if probe:
-        port.queue.probe = _QueueRecorder()
+    neighbour.shared = pool
     arrivals, wakes = [], []
     sink.receive = lambda p, _: arrivals.append((sim.now, p.flow_id, p.seq))
     port.on_dequeue = lambda p: wakes.append(
-        (sim.now, p.flow_id, port.queue.flow_bytes.get(p.flow_id, 0)))
+        (sim.now, p.flow_id, port.flow_bytes.get(p.flow_id, 0)))
     for i in range(12):
         neighbour.send(pkt(1000, flow=99))
     seq = itertools.count()
@@ -286,42 +283,34 @@ def _shared_pool_train(probe):
             p = pkt(1400, flow=1 + i % 2)
             p.seq = next(seq)
             sim.schedule_at(at, port.send, p)
-    q = port.queue
-    real_enqueue = DropTailQueue.enqueue
-    enqueues = 0
-
-    def counted_enqueue(queue, p):
-        nonlocal enqueues
-        enqueues += queue is q
-        return real_enqueue(queue, p)
-
-    with mock.patch.object(DropTailQueue, "enqueue", counted_enqueue):
-        sim.run()
+    sim.run()
     return {
         "arrivals": arrivals,
         "wakes": wakes,
-        "enqueued": (q.enqueued_pkts, q.enqueued_bytes),
-        "drops": (q.dropped_pkts, q.dropped_bytes, dict(q.drop_causes),
-                  dict(q.drop_cause_bytes)),
+        "enqueued": (port.enqueued_pkts, port.enqueued_bytes),
+        "drops": (port.dropped_pkts, port.dropped_bytes,
+                  dict(port.drop_causes), dict(port.drop_cause_bytes)),
         "pool_used": pool.used_bytes,
-        "flow_bytes": dict(q.flow_bytes),
-    }, enqueues
+        "flow_bytes": dict(port.flow_bytes),
+    }
 
 
-def test_idle_fast_path_equals_the_queued_path():
-    """An idle port with no probe skips its queue; the same train with a
-    probe attached takes the queue every time.  Every observable must
-    agree: delivery times, enqueue and drop counters (cap and pool drops
-    both provoked), the pool back at 0, no per-flow residue and the
-    TSQ wake sequence."""
-    fast, fast_enqueues = _shared_pool_train(probe=False)
-    queued, queued_enqueues = _shared_pool_train(probe=True)
-    assert fast == queued
-    causes = fast["drops"][2]
+def test_a_probe_changes_nothing():
+    """Ports with and without a probe share one send path: over the
+    same train every observable agrees — delivery times, enqueue and
+    drop counters (cap and pool drops both provoked), the pool back at
+    0, no per-flow residue and the TSQ wake sequence — and the probe
+    sees each admitted packet once and each drop once."""
+    recorder = _QueueRecorder()
+    bare = _shared_pool_train(probe=None)
+    probed = _shared_pool_train(probe=recorder)
+    assert bare == probed
+    admitted, dropped = bare["enqueued"][0], bare["drops"][0]
+    causes = bare["drops"][2]
     assert causes.get("cap", 0) > 0 and causes.get("pool", 0) > 0
-    assert fast["pool_used"] == 0 and fast["flow_bytes"] == {}
-    assert len(fast["arrivals"]) == fast["enqueued"][0]
-    # the probe run offered every packet to the queue; the fast one
-    # skipped it whenever the port was idle
-    assert queued_enqueues == 17
-    assert 0 < fast_enqueues < queued_enqueues
+    assert bare["pool_used"] == 0 and bare["flow_bytes"] == {}
+    assert len(bare["arrivals"]) == admitted
+    kinds = [seen[0] for seen in recorder.seen]
+    assert kinds.count("enqueue") == admitted
+    assert len(kinds) - admitted == dropped
+    assert admitted + dropped == 17        # every packet of the train

@@ -38,7 +38,7 @@ def test_drop_tail_overflow_shows_in_loss_rate_and_port_bytes():
     apps = [tb.add_elephant(src, 0) for src in (4, 8, 12)]
 
     def read():
-        return (sum(p.queue.dropped_pkts for p in _switch_ports(tb)),
+        return (sum(p.dropped_pkts for p in _switch_ports(tb)),
                 sum(h.nic.tx_pkts for h in tb.hosts),
                 {p.name: p.tx_bytes for p in _all_ports(tb)},
                 [app.delivered_bytes() for app in apps])
@@ -79,7 +79,7 @@ def test_blackholed_split_equals_the_counters_read_directly():
     def read():
         switches = tb.topo.switches.values()
         split = {
-            "queue_flush": sum(p.queue.drop_cause_bytes.get("link_down", 0)
+            "queue_flush": sum(p.drop_cause_bytes.get("link_down", 0)
                                for p in _all_ports(tb)),
             "wire": sum(p.wire_drop_bytes for p in _all_ports(tb)),
             "no_route": sum(sw.no_route_drop_bytes for sw in switches),

@@ -429,6 +429,16 @@ def test_artifact_write_check_tamper(name, tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_check_against_a_file_that_is_not_json_says_so(tmp_path, capsys):
+    argv = _run_argv("tournament", tmp_path) + ["--check"]
+    out = tmp_path / "ARTIFACT.json"
+    out.write_text("not json\n")
+    assert runner_main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"--check: {out} is not JSON (Expecting value" in err
+    assert out.read_text() == "not json\n"
+
+
 # --- verdicts and contained failures -----------------------------------------
 
 

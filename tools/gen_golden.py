@@ -29,7 +29,6 @@ import os
 import random
 import shlex
 import sys
-from types import SimpleNamespace
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -354,7 +353,8 @@ class _CapturePort:
     """Egress stand-in: records what TSO hands the wire, synchronously."""
 
     def __init__(self):
-        self.queue = SimpleNamespace(track_flows=False, flow_bytes={})
+        self.track_flows = False
+        self.flow_bytes = {}
         self.on_dequeue = None
         self.sent = []
 
