@@ -100,6 +100,15 @@ class SearchSettings:
             scheme=self.scheme, seed=seed, fidelity=self.fidelity)
         return self.space.apply(base, genome)
 
+    def job_spec(self, genome: Genome, seed: int, config_hash: str,
+                 **cell_kwargs: Any) -> JobSpec:
+        """The job :func:`run_search` submits for ``genome`` at ``seed``
+        (``cell_kwargs``: :meth:`cell_kwargs`, computed once a search)."""
+        return JobSpec.make(
+            run_search_cell, cfg=self.config(genome, seed),
+            label=f"search/{self.preset}/{config_hash[:8]}/seed{seed}",
+            **cell_kwargs)
+
     def cell_kwargs(self) -> Dict[str, Any]:
         """Fitness-cell kwargs, defaults omitted for hash hygiene."""
         kwargs: Dict[str, Any] = {}
@@ -245,21 +254,12 @@ def run_search(
     structural_submitted = 0
     cell_kwargs = settings.cell_kwargs()
 
-    def make_spec(genome: Genome, seed: int) -> JobSpec:
-        rec = records[genome]
-        return JobSpec.make(
-            run_search_cell,
-            cfg=settings.config(genome, seed),
-            label=f"search/{settings.preset}/{rec.config_hash[:8]}"
-                  f"/seed{seed}",
-            **cell_kwargs,
-        )
-
     def evaluate_rung(alive: List[Genome], cum_seeds: int) -> Tuple[int, int]:
         """Submit seeds[:cum_seeds] for each genome; returns
         (submitted, structurally-new) job counts."""
         nonlocal structural_submitted
-        specs = [make_spec(g, seed)
+        specs = [settings.job_spec(g, seed, records[g].config_hash,
+                                   **cell_kwargs)
                  for g in alive for seed in seeds[:cum_seeds]]
         fresh = 0
         for spec in specs:

@@ -24,6 +24,7 @@ from repro.runner.jobspec import JobSpec
 from repro.runner.pool import collect_results, run_jobs
 from repro.runner.serialize import artifact_json, movement
 from repro.telemetry.core import TelemetryConfig
+from tests.gen_golden_tool import gen_golden
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCHEMES = scheme_names()
@@ -44,12 +45,15 @@ def test_parallel_matches_serial():
 
 
 def test_every_scheme_has_a_golden_fixture():
-    # sweep_specs.json and figures.json are tests/test_sweeps.py's,
-    # fabric_tables.json is tests/test_fabrics.py's, lb_sequences.json
-    # is tests/test_lb.py's, telemetry_snapshot.json is checked below
-    assert ({p.stem for p in GOLDEN_DIR.glob("*.json")}
-            - {"sweep_specs", "figures", "fabric_tables", "lb_sequences",
-               "telemetry_snapshot"}
+    """Every file under tests/golden/ is a row of the one ``PINNED``
+    table but ``FROZEN``, and the rows ``golden_bytes`` makes are every
+    scheme and flow cell."""
+    rows = {path: make for path, make in gen_golden.PINNED.items()
+            if path.startswith("tests/golden/")}
+    assert ({f"tests/golden/{p.name}" for p in GOLDEN_DIR.glob("*.json")}
+            == set(rows) | {gen_golden.FROZEN})
+    assert ({make.args[0] for make in rows.values()
+             if getattr(make, "func", None) is golden_bytes}
             == set(SCHEMES) | set(FLOW_GOLDENS))
 
 
@@ -59,7 +63,8 @@ def test_golden_fixture_unchanged(scheme):
     new = golden_bytes(scheme)
     assert new == fixture, "\n".join([
         f"simulation behavior changed for {scheme!r}; if intentional, "
-        "regenerate with tools/gen_golden.py and review the fixture diff",
+        f"re-pin with python tools/gen_golden.py tests/golden/{scheme}.json "
+        "and review the fixture diff",
         *movement(json.loads(fixture), json.loads(new))])
 
 

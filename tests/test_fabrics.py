@@ -21,9 +21,7 @@ Covers the PR's acceptance surface:
 * an end-to-end 128-host fat-tree sweep through the runner (tier 2).
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,14 +54,10 @@ from repro.net.routing import (
 from repro.runner.serialize import content_hash, from_jsonable, to_jsonable
 from repro.sim.engine import Simulator
 from repro.units import msec
+from tests.gen_golden_tool import ROOT, gen_golden
 
 SEED_DEFAULT_CONFIG_HASH = "bc4b591b401b0e68"
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "gen_golden", ROOT / "tools" / "gen_golden.py")
-gen_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen_golden)
 FABRIC_TABLES = json.loads(
     (ROOT / "tests" / "golden" / "fabric_tables.json").read_text())
 

@@ -1,7 +1,6 @@
 """Unit tests for the vSwitch and the per-scheme policies."""
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -148,14 +147,9 @@ def test_label_sequences_match_the_parent_generated_golden():
     ``select(seg)`` classes this seam replaced; every scheme's vSwitch
     must label the scripted stream identically, through a real
     ``Host.send_segment`` + TSO and through the fluid slicer's call."""
-    import importlib.util
+    from tests.gen_golden_tool import ROOT, gen_golden
 
-    root = Path(__file__).parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "gen_golden", root / "tools" / "gen_golden.py")
-    gen_golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen_golden)
-    golden = (root / "tests" / "golden" / "lb_sequences.json").read_text()
+    golden = (ROOT / "tests" / "golden" / "lb_sequences.json").read_text()
     assert gen_golden.lb_sequences_text() == golden
 
 

@@ -17,10 +17,8 @@ instead of copied per sweep or per CLI:
   names each leaf that moved between two artifacts.
 """
 
-import importlib.util
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -32,22 +30,10 @@ from repro.runner.serialize import (MOVEMENT_LINES, artifact_json,
 from repro.runner.sweeps import SWEEPS
 from repro.service.cli import main as service_main
 from repro.units import MB, msec, usec
+from tests.gen_golden_tool import ROOT, gen_golden
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gen_golden = _load_tool("gen_golden")
-GOLDEN_DIR = ROOT / "tests" / "golden"
-GOLDEN = json.loads((GOLDEN_DIR / "sweep_specs.json").read_text())
-FIGURES = json.loads((GOLDEN_DIR / "figures.json").read_text())
+GOLDEN = json.loads((ROOT / "tests/golden/sweep_specs.json").read_text())
+FIGURES = json.loads((ROOT / gen_golden.FROZEN).read_text())
 
 
 # --- spec identity -----------------------------------------------------------
@@ -66,6 +52,27 @@ def test_specs_match_parent_commit_golden(case):
     rows = [[spec.label, spec.fn, spec.hash]
             for spec in gen_golden.sweep_case_specs(case)]
     assert rows == GOLDEN[case]
+
+
+def test_search_first_rung_rows_are_what_run_search_submits(monkeypatch):
+    """The ``search (first rung)`` rows pin the driver: ``run_search``
+    itself, stopped at its first ``outcomes`` call, submits them."""
+    from repro.runner.sweep import SweepOptions
+    from repro.search.driver import PRESETS, run_search
+
+    class FirstRung(Exception):
+        pass
+
+    def record(options, specs):
+        submitted.extend([spec.label, spec.fn, spec.hash] for spec in specs)
+        raise FirstRung
+
+    monkeypatch.setattr(SweepOptions, "outcomes", record)
+    for preset in ("paper", "smoke"):
+        submitted = []
+        with pytest.raises(FirstRung):
+            run_search(PRESETS[preset])
+        assert submitted == GOLDEN[f"search --preset {preset} (first rung)"]
 
 
 def test_failure_cells_hash_explicit_packet_like_the_default():

@@ -1,15 +1,24 @@
 #!/usr/bin/env python
-"""Regenerate the determinism golden fixtures in tests/golden/.
+"""Re-pin every pinned output: the goldens under tests/golden/ and the
+committed artifacts.
 
 Usage::
 
-    python tools/gen_golden.py            # all schemes + flow cells + sweep specs
-    python tools/gen_golden.py presto     # one scheme
-    python tools/gen_golden.py flow_mptcp # one flow-fidelity cell
-    python tools/gen_golden.py sweep_specs
-    python tools/gen_golden.py fabric_tables
-    python tools/gen_golden.py lb_sequences
-    python tools/gen_golden.py telemetry_snapshot
+    python tools/gen_golden.py                  # every row of PINNED
+    python tools/gen_golden.py tests/golden/presto.json TOURNAMENT.json
+
+:data:`PINNED` is the one list of pinned files.  A row is named by its
+file's path from the repo root and says how the file's bytes are made:
+a golden by a function of this file or of ``repro.experiments.goldens``,
+an artifact by one ``python -m repro.runner`` command line
+(:class:`Run`), run in-process at the runner's default ``--jobs``.
+
+For each named row (default: all) the tool makes the bytes; when they
+differ from the committed file it prints ``moved <path>`` and, for a
+JSON file, ``serialize.movement(old, new)`` under it — every moved
+leaf, old -> new — then writes the file.  That report is what a
+behaviour-changing PR quotes.  To check instead of re-pin, run the
+tool and then ``git diff --exit-code`` on the same paths.
 
 Scheme goldens pin the simulator's exact behavior (see
 ``repro.experiments.goldens``); ``sweep_specs.json`` pins every sweep's
@@ -19,19 +28,25 @@ fabric (L2 tables, ECMP groups, failover buckets, schedules);
 ``lb_sequences.json`` pins the label every scheme's vSwitch gives each
 unit of one scripted stream; ``telemetry_snapshot.json`` pins the
 metrics snapshot of one packet and one flow golden cell.
-Only regenerate any of them when a change is *meant* to move them, and
+:data:`FROZEN` (``figures.json``) is pinned too, but nothing here makes
+it.  Only re-pin a file when a change is *meant* to move it, and
 review the diff.
 """
 
 import hashlib
+import io
 import json
 import os
 import random
 import shlex
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
+from typing import NamedTuple
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.experiments.goldens import FLOW_GOLDENS, golden_bytes  # noqa: E402
 from repro.experiments.schemes import scheme_names  # noqa: E402
@@ -45,13 +60,6 @@ from repro.net.addresses import (  # noqa: E402
 from repro.net.packet import ACK, DATA, Segment  # noqa: E402
 from repro.units import KB, MB, usec  # noqa: E402
 
-GOLDEN_DIR = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "tests", "golden")
-SWEEP_SPECS = "sweep_specs"
-FABRIC_TABLES = "fabric_tables"
-LB_SEQUENCES = "lb_sequences"
-TELEMETRY_SNAPSHOT = "telemetry_snapshot"
-
 TINY_CLOS = "clos:spines=2,leaves=2,hosts=2"
 
 #: `python -m repro.runner run <case>` command lines whose job lists are
@@ -59,7 +67,8 @@ TINY_CLOS = "clos:spines=2,leaves=2,hosts=2"
 #: paths that have moved hashes before (fidelity, telemetry, the
 #: tournament's incast clamp on a small fabric, explicit windows).
 #: The search has no static grid; its first rung (the only one that
-#: does not depend on results) stands in.
+#: does not depend on results) stands in, each job built by the
+#: driver's own ``SearchSettings.job_spec``.
 #:
 #: Provenance: the rows of the first two blocks were generated by the
 #: code *before* the sweep was ported onto `repro.runner.sweep` (PR 12
@@ -117,31 +126,23 @@ def _search_first_rung(params):
     """The jobs the search submits before it has seen any result."""
     from dataclasses import replace
 
-    from repro.runner.jobspec import JobSpec
     from repro.runner.serialize import content_hash
     from repro.search.driver import PRESETS
-    from repro.search.fitness import run_search_cell
     from repro.search.ga import sample_population
     from repro.search.halving import halving_schedule
 
-    preset = params.pop("preset", "paper")
-    settings = replace(PRESETS[preset], **params)
+    settings = replace(PRESETS[params.pop("preset", "paper")], **params)
     population = sample_population(
         settings.space, settings.population, random.Random(settings.ga_seed))
     rung = next(iter(halving_schedule(
         len(population), len(settings.eval_seeds), settings.eta,
         settings.base_seeds)))
-    specs = []
-    for genome in population:
-        config_hash = content_hash({
-            "scheme": settings.scheme,
-            "knobs": settings.space.decode(genome)})
-        for seed in settings.eval_seeds[:rung.cum_seeds]:
-            specs.append(JobSpec.make(
-                run_search_cell, cfg=settings.config(genome, seed),
-                label=f"search/{preset}/{config_hash[:8]}/seed{seed}",
-                **settings.cell_kwargs()))
-    return specs
+    cell_kwargs = settings.cell_kwargs()
+    return [settings.job_spec(genome, seed, content_hash({
+                "scheme": settings.scheme,
+                "knobs": settings.space.decode(genome)}), **cell_kwargs)
+            for genome in population
+            for seed in settings.eval_seeds[:rung.cum_seeds]]
 
 
 def sweep_case_specs(case):
@@ -484,25 +485,105 @@ def telemetry_snapshot_text():
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
+class Run(NamedTuple):
+    """A file made by one ``python -m repro.runner`` command line: the
+    tool runs it with a fresh temporary ``--results-dir`` as its
+    working directory and ``--quiet``, and takes ``output`` from that
+    directory."""
+
+    command: str
+    output: str
+
+
+#: one search run writes both of its files
+SEARCH_RUN = "run search --markdown SEARCH.md"
+
+#: every pinned output but :data:`FROZEN`, by its path from the repo
+#: root, and how its bytes are made
+PINNED = {
+    **{f"tests/golden/{name}.json": partial(golden_bytes, name)
+       for name in (*scheme_names(), *FLOW_GOLDENS)},
+    "tests/golden/sweep_specs.json": sweep_specs_text,
+    "tests/golden/fabric_tables.json": fabric_tables_text,
+    "tests/golden/lb_sequences.json": lb_sequences_text,
+    "tests/golden/telemetry_snapshot.json": telemetry_snapshot_text,
+    "TOURNAMENT.json": Run("run tournament", "TOURNAMENT.json"),
+    "SEARCH.json": Run(SEARCH_RUN, "SEARCH.json"),
+    "SEARCH.md": Run(SEARCH_RUN, "SEARCH.md"),
+    "FLUID_COMPARE.json": Run("run compare", "FLUID_COMPARE.json"),
+    # the committed grid is the sweep's own summary file
+    "FABRIC_SWEEP.json": Run("run fabric --duration-ms 5 --validate",
+                             "runner_fabric.json"),
+}
+
+#: pinned with no generator: what the paper figures' hand loops
+#: computed before they were ported onto sweeps;
+#: ``tests/test_sweeps.py`` projects the ported sweeps onto it
+FROZEN = "tests/golden/figures.json"
+
+
+def run_output(run, scratch, ran):
+    """The file ``run`` makes, running each command once per ``ran``
+    (command -> its directory under ``scratch``)."""
+    from repro.runner.cli import main as runner_main
+
+    if run.command not in ran:
+        out = ran[run.command] = tempfile.mkdtemp(dir=scratch)
+        log = io.StringIO()
+        here = os.getcwd()
+        os.chdir(out)
+        try:
+            with redirect_stdout(log), redirect_stderr(log):
+                status = runner_main(
+                    [*shlex.split(run.command), "--results-dir", out,
+                     "--quiet"])
+        finally:
+            os.chdir(here)
+        if status:
+            raise SystemExit(
+                f"{run.command} exited {status}:\n{log.getvalue()}")
+    with open(os.path.join(ran[run.command], run.output)) as fh:
+        return fh.read()
+
+
+def repin(path, new):
+    """Write ``new`` over the pinned file ``path``, first printing
+    whether it moved and, for JSON, each leaf that moved."""
+    from repro.runner.serialize import movement
+
+    full = os.path.join(ROOT, path)
+    old = None
+    if os.path.exists(full):
+        with open(full) as fh:
+            old = fh.read()
+    if old == new:
+        print(f"unchanged {path}")
+        return
+    print(f"{'new' if old is None else 'moved'} {path}")
+    if old is not None and path.endswith(".json"):
+        try:
+            lines = movement(json.loads(old), json.loads(new))
+        except ValueError as exc:
+            lines = [f"the committed file is not JSON ({exc})"]
+        for line in lines:
+            print(f"  {line}")
+    with open(full, "w") as fh:
+        fh.write(new)
+
+
 def main(argv):
-    names = argv[1:] or [*scheme_names(), *FLOW_GOLDENS, SWEEP_SPECS,
-                         FABRIC_TABLES, LB_SEQUENCES, TELEMETRY_SNAPSHOT]
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name in names:
-        path = os.path.join(GOLDEN_DIR, f"{name}.json")
-        if name == SWEEP_SPECS:
-            data = sweep_specs_text()
-        elif name == FABRIC_TABLES:
-            data = fabric_tables_text()
-        elif name == LB_SEQUENCES:
-            data = lb_sequences_text()
-        elif name == TELEMETRY_SNAPSHOT:
-            data = telemetry_snapshot_text()
-        else:
-            data = golden_bytes(name)
-        with open(path, "w") as fh:
-            fh.write(data)
-        print(f"wrote {os.path.relpath(path)} ({len(data)} bytes)")
+    names = argv[1:] or list(PINNED)
+    unknown = [name for name in names if name not in PINNED]
+    if unknown:
+        print(f"not a pinned path: {', '.join(unknown)}; the rows are "
+              f"{', '.join(PINNED)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as scratch:
+        ran = {}
+        for name in names:
+            make = PINNED[name]
+            repin(name, run_output(make, scratch, ran)
+                  if isinstance(make, Run) else make())
     return 0
 
 
