@@ -45,16 +45,19 @@ def test_parallel_matches_serial():
 
 
 def test_every_scheme_has_a_golden_fixture():
-    """Every file under tests/golden/ is a row of the one ``PINNED``
-    table but ``FROZEN``, and the rows ``golden_bytes`` makes are every
-    scheme and flow cell."""
+    """The files under tests/golden/ are exactly the ``tests/golden/``
+    rows of the one ``PINNED`` table, the rows ``golden_bytes`` makes
+    are every scheme and flow cell, and the figures row holds one entry
+    per figure of its generator's table."""
     rows = {path: make for path, make in gen_golden.PINNED.items()
             if path.startswith("tests/golden/")}
     assert ({f"tests/golden/{p.name}" for p in GOLDEN_DIR.glob("*.json")}
-            == set(rows) | {gen_golden.FROZEN})
+            == set(rows))
     assert ({make.args[0] for make in rows.values()
              if getattr(make, "func", None) is golden_bytes}
             == set(SCHEMES) | set(FLOW_GOLDENS))
+    figures = json.loads((GOLDEN_DIR / "figures.json").read_text())
+    assert set(figures) == set(gen_golden.PORTED)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES + FLOW_GOLDENS)

@@ -5,8 +5,8 @@ instead of copied per sweep or per CLI:
   equals ``tests/golden/sweep_specs.json``, which was generated at the
   commit *before* each sweep was ported onto ``repro.runner.sweep``
   (``tools/gen_golden.py`` says which rows came from where);
-* the ported paper figures compute what their hand loops computed
-  (``tests/golden/figures.json``, also generated before the port);
+* each ported paper figure's sweep still makes its entry of
+  ``tests/golden/figures.json``, a row of the one ``PINNED`` table;
 * one CLI contract — ``runner run <sweep>`` prints its table, the
   shared execution flags are rejected with one message everywhere they
   appear, artifact sweeps write -> ``--check`` -> print what moved;
@@ -29,11 +29,10 @@ from repro.runner.serialize import (MOVEMENT_LINES, artifact_json,
                                     to_jsonable)
 from repro.runner.sweeps import SWEEPS
 from repro.service.cli import main as service_main
-from repro.units import MB, msec, usec
+from repro.units import msec
 from tests.gen_golden_tool import ROOT, gen_golden
 
 GOLDEN = json.loads((ROOT / "tests/golden/sweep_specs.json").read_text())
-FIGURES = json.loads((ROOT / gen_golden.FROZEN).read_text())
 
 
 # --- spec identity -----------------------------------------------------------
@@ -131,107 +130,23 @@ def test_run_regroups_results_in_spec_order():
         OVERSUB.specs(no_such_knob=1)
 
 
-# --- the ported figures compute what the hand loops computed ----------------
+# --- the ported figures: one pinned row --------------------------------------
+
+FIGURES_ROW = "tests/golden/figures.json"
 
 
-def _failure_bars(workloads):
-    """``run_figure17/18``'s return shape, read off the timelines."""
-    from repro.experiments.failure import STAGES, stage_rtts_ns, stage_tput_bps
-
-    def view(grid):
-        bars = {(stage, workload): dict(
-                    stage=stage, workload=workload,
-                    mean_tput_bps=stage_tput_bps(timelines, stage),
-                    rtts_ns=stage_rtts_ns(timelines, stage))
-                for workload, timelines in grid.items() for stage in STAGES}
-        return bars if workloads else {stage: bar
-                                       for (stage, _), bar in bars.items()}
-    return view
-
-
-def _fig5_curves(results):
-    """Each two-path cell projected onto the seven fields the golden
-    holds: ``run_fig5`` returned only those when it was generated."""
-    fields = ("gro", "throughput_bps", "cpu_utilization", "ooo_counts",
-              "segment_sizes", "retx_bytes", "fast_retransmits")
-    return {gro: {name: getattr(cell, name) for name in fields}
-            for gro, cell in results.items()}
-
-
-def _stride_cmp(results):
-    """The pooled points projected onto the three fields the golden
-    holds: the per-sweep result class it was generated from carried
-    only those."""
-    return {scheme: dict(scheme=scheme, mean_tput_bps=point.mean_tput_bps,
-                         rtts_ns=point.rtts_ns)
-            for scheme, point in results.items()}
-
-
-def _northsouth(results):
-    """The pooled points projected onto the golden's four fields, the
-    timeout share computed as the Table 2 claim computes it."""
-    from repro.experiments.northsouth import mice_timeout_fraction
-
-    return {scheme: dict(
-                scheme=scheme, mean_elephant_tput_bps=point.mean_tput_bps,
-                mice_fcts_ns=point.mice_fcts_ns,
-                mice_timeout_fraction=mice_timeout_fraction(point))
-            for scheme, point in results.items()}
-
-
-_TINY_NS = dict(warm_ns=msec(1), measure_ns=msec(3))
-#: figures.json key -> (sweep, the arguments the parent's hand loop was
-#: given when the golden was generated, new payload -> the loop's return
-#: shape where the port changed it)
-PORTED = {
-    "flowlet_cmp": ("flowlet_cmp", dict(
-        schemes=("flowlet500us", "presto"), seeds=(1,), **_TINY_NS),
-        _stride_cmp),
-    "perhop_cmp": ("perhop_cmp", dict(
-        schemes=("presto_ecmp",), seeds=(1, 2), **_TINY_NS), _stride_cmp),
-    "trace": ("trace", dict(
-        schemes=("ecmp", "presto"), seeds=(1, 2), duration_ns=msec(4)), None),
-    "northsouth": ("northsouth", dict(
-        schemes=("ecmp", "optimal"), seeds=(1,), **_TINY_NS), _northsouth),
-    "gro_micro": ("gro_micro", dict(duration_ns=msec(3), seed=0),
-                  _fig5_curves),
-    "cpu_overhead": ("cpu_overhead", dict(
-        duration_ns=msec(2), sample_ns=msec(1), seed=0), None),
-    "flowlet_sizes": ("flowlet_sizes", dict(
-        max_competing=1, transfer_bytes=1 * MB, gap_ns=usec(500),
-        duration_ns=msec(4)), None),
-    "failure_fig17": ("failure", dict(
-        workloads=("L1->L4",), seeds=(1, 2), **_TINY_NS),
-        _failure_bars(workloads=True)),
-    "failure_fig18": ("failure", dict(
-        workloads=("bijection",), seeds=(1,), with_probes=True, **_TINY_NS),
-        _failure_bars(workloads=False)),
-    "compare": ("compare", dict(seeds=(1,), scale=0.1), None),
-}
-
-
-def _untag(encoded):
-    """``to_jsonable`` output minus the dataclass names: two result
-    classes that merged still compare field for field."""
-    if isinstance(encoded, list):
-        return [_untag(v) for v in encoded]
-    if isinstance(encoded, dict):
-        inner = encoded["fields"] if "__dataclass__" in encoded else encoded
-        return {k: _untag(v) for k, v in inner.items()}
-    return encoded
-
-
-def test_every_parent_generated_figure_is_checked():
-    assert set(PORTED) == set(FIGURES)
-
-
-@pytest.mark.parametrize("figure", list(PORTED))
+@pytest.mark.parametrize("figure", list(gen_golden.PORTED))
 def test_ported_figure_computes_what_the_hand_loop_computed(figure):
-    name, arguments, view = PORTED[figure]
-    payload = SWEEPS[name].run(jobs=1, **arguments)
-    if view is not None:
-        payload = view(payload)
-    assert _untag(to_jsonable(payload)) == _untag(FIGURES[figure])
+    """The figure's sweep, run by the generator of its ``PINNED`` row,
+    still makes its entry of ``figures.json``.  When the row was first
+    generated, its entries were checked to hold what the figures' hand
+    loops computed before they were ported onto sweeps."""
+    pinned = json.loads((ROOT / FIGURES_ROW).read_text())[figure]
+    new = to_jsonable(gen_golden.figure_payload(figure))
+    assert new == pinned, "\n".join([
+        f"paper figure {figure!r} moved; if intentional, re-pin with "
+        f"python tools/gen_golden.py {FIGURES_ROW} and review the diff",
+        *movement(pinned, new)])
 
 
 # --- one CLI contract --------------------------------------------------------

@@ -27,10 +27,10 @@ ordered ``(label, fn, hash)`` job list — the result-store cache keys;
 fabric (L2 tables, ECMP groups, failover buckets, schedules);
 ``lb_sequences.json`` pins the label every scheme's vSwitch gives each
 unit of one scripted stream; ``telemetry_snapshot.json`` pins the
-metrics snapshot of one packet and one flow golden cell.
-:data:`FROZEN` (``figures.json``) is pinned too, but nothing here makes
-it.  Only re-pin a file when a change is *meant* to move it, and
-review the diff.
+metrics snapshot of one packet and one flow golden cell;
+``figures.json`` pins the payload of each ported paper figure's sweep
+(:data:`PORTED`).  Only re-pin a file when a change is *meant* to move
+it, and review the diff.
 """
 
 import hashlib
@@ -58,7 +58,7 @@ from repro.net.addresses import (  # noqa: E402
     tree_field,
 )
 from repro.net.packet import ACK, DATA, Segment  # noqa: E402
-from repro.units import KB, MB, usec  # noqa: E402
+from repro.units import KB, MB, msec, usec  # noqa: E402
 
 TINY_CLOS = "clos:spines=2,leaves=2,hosts=2"
 
@@ -274,9 +274,8 @@ def fabric_tables_text():
 # Provenance: the committed file is the output of this script and this
 # format run at the commit *before* the vSwitch/policy seam replaced
 # the ``select(seg)`` / ``packet_labeler()`` classes, through that old
-# API (``tools/gen_lb_sequences_parent.py`` replays it on a checkout of
-# that commit); this code regenerates it byte for byte through
-# ``VSwitch``.
+# API (the script that replayed it is in git history); this code
+# regenerates it byte for byte through ``VSwitch``.
 
 #: scheme variants whose label sequences are pinned: every registered
 #: scheme at its defaults, plus the two Presto knobs
@@ -441,11 +440,9 @@ def _lb_sequences(name, knobs):
             lb_cell_sequence(make_vswitch()))
 
 
-def lb_sequences_text(sequences=_lb_sequences):
+def lb_sequences_text():
     """tests/golden/lb_sequences.json: the script, then per variant the
-    labels at segment granularity and at fluid-cell granularity.
-    (``sequences``: ``tools/gen_lb_sequences_parent.py`` swaps in the
-    pre-seam API to show where the committed file came from.)"""
+    labels at segment granularity and at fluid-cell granularity."""
     variants = []
     for name, knobs in LB_VARIANTS:
         rows = ",\n".join(
@@ -453,7 +450,7 @@ def lb_sequences_text(sequences=_lb_sequences):
             + ",\n".join("    " + json.dumps(row) for row in seq)
             + "\n   ]"
             for mode, seq in zip(("segments", "cells"),
-                                 sequences(name, knobs)))
+                                 _lb_sequences(name, knobs)))
         key = name + "".join(f" {k}={v}" for k, v in knobs.items())
         variants.append(f'  {json.dumps(key)}: {{\n{rows}\n  }}')
     script = ",\n".join("  " + json.dumps(
@@ -485,6 +482,52 @@ def telemetry_snapshot_text():
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
+_TINY_NS = dict(warm_ns=msec(1), measure_ns=msec(3))
+#: the paper figures whose payloads ``figures.json`` pins: figure ->
+#: (sweep, its arguments).  Provenance: the arguments the figures' hand
+#: loops were given when their numbers were first pinned, before the
+#: loops were ported onto sweeps; the first generated file was checked
+#: to carry those loops' numbers (CHANGES.md).
+PORTED = {
+    "flowlet_cmp": ("flowlet_cmp", dict(
+        schemes=("flowlet500us", "presto"), seeds=(1,), **_TINY_NS)),
+    "perhop_cmp": ("perhop_cmp", dict(
+        schemes=("presto_ecmp",), seeds=(1, 2), **_TINY_NS)),
+    "trace": ("trace", dict(
+        schemes=("ecmp", "presto"), seeds=(1, 2), duration_ns=msec(4))),
+    "northsouth": ("northsouth", dict(
+        schemes=("ecmp", "optimal"), seeds=(1,), **_TINY_NS)),
+    "gro_micro": ("gro_micro", dict(duration_ns=msec(3), seed=0)),
+    "cpu_overhead": ("cpu_overhead", dict(
+        duration_ns=msec(2), sample_ns=msec(1), seed=0)),
+    "flowlet_sizes": ("flowlet_sizes", dict(
+        max_competing=1, transfer_bytes=1 * MB, gap_ns=usec(500),
+        duration_ns=msec(4))),
+    "failure_fig17": ("failure", dict(
+        workloads=("L1->L4",), seeds=(1, 2), **_TINY_NS)),
+    "failure_fig18": ("failure", dict(
+        workloads=("bijection",), seeds=(1,), with_probes=True, **_TINY_NS)),
+    "compare": ("compare", dict(seeds=(1,), scale=0.1)),
+}
+
+
+def figure_payload(figure):
+    """The payload of ``figure``'s sweep at its pinned arguments, run
+    in-process with no store."""
+    from repro.runner.sweeps import SWEEPS
+
+    name, arguments = PORTED[figure]
+    return SWEEPS[name].run(jobs=1, **arguments)
+
+
+def figures_text():
+    """tests/golden/figures.json: each figure's payload under its name."""
+    from repro.runner.serialize import artifact_json
+
+    return artifact_json({figure: figure_payload(figure)
+                          for figure in PORTED})
+
+
 class Run(NamedTuple):
     """A file made by one ``python -m repro.runner`` command line: the
     tool runs it with a fresh temporary ``--results-dir`` as its
@@ -498,8 +541,8 @@ class Run(NamedTuple):
 #: one search run writes both of its files
 SEARCH_RUN = "run search --markdown SEARCH.md"
 
-#: every pinned output but :data:`FROZEN`, by its path from the repo
-#: root, and how its bytes are made
+#: every pinned output, by its path from the repo root, and how its
+#: bytes are made
 PINNED = {
     **{f"tests/golden/{name}.json": partial(golden_bytes, name)
        for name in (*scheme_names(), *FLOW_GOLDENS)},
@@ -507,6 +550,7 @@ PINNED = {
     "tests/golden/fabric_tables.json": fabric_tables_text,
     "tests/golden/lb_sequences.json": lb_sequences_text,
     "tests/golden/telemetry_snapshot.json": telemetry_snapshot_text,
+    "tests/golden/figures.json": figures_text,
     "TOURNAMENT.json": Run("run tournament", "TOURNAMENT.json"),
     "SEARCH.json": Run(SEARCH_RUN, "SEARCH.json"),
     "SEARCH.md": Run(SEARCH_RUN, "SEARCH.md"),
@@ -515,12 +559,6 @@ PINNED = {
     "FABRIC_SWEEP.json": Run("run fabric --duration-ms 5 --validate",
                              "runner_fabric.json"),
 }
-
-#: pinned with no generator: what the paper figures' hand loops
-#: computed before they were ported onto sweeps;
-#: ``tests/test_sweeps.py`` projects the ported sweeps onto it
-FROZEN = "tests/golden/figures.json"
-
 
 def run_output(run, scratch, ran):
     """The file ``run`` makes, running each command once per ``ran``
