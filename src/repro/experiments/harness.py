@@ -12,17 +12,19 @@ them.
 
 There is one :class:`Testbed`.  What differs between fidelities sits
 behind its *data plane* (``tb.plane``), picked from ``cfg.fidelity``
-in the constructor: :class:`PacketPlane` here (hosts with TCP/GRO/CPU,
-wire transfers, the packet invariants) or
+in the constructor: :class:`repro.host.testbed.PacketPlane` (hosts
+with TCP/GRO/CPU, wire transfers, the packet invariants) or
 :class:`repro.fluid.testbed.FluidPlane` (fluid hosts and transfers).
-Everything above it — transports, races, mice — is written once.
+The constructor imports the plane it builds, so a run loads one data
+plane.  Everything above it — transports, races, mice — is written
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.experiments.schemes import (
     TRANSPORTS,
@@ -30,15 +32,10 @@ from repro.experiments.schemes import (
     is_registered,
     scheme_names,
 )
-from repro.fluid.testbed import FluidPlane
-from repro.host.app import BulkApp, FlowIdAllocator, MiceApp, RttProbeApp
+from repro.host.app import FlowIdAllocator, MiceApp
 from repro.host.cpu import CpuCosts
-from repro.host.gro import OfficialGro, PrestoGro
-from repro.host.host import Host
 from repro.host.tcp import TcpConfig
 from repro.lb.base import VSwitch
-from repro.metrics.collectors import Counters
-from repro.mptcp.mptcp import MptcpConnection
 from repro.net.fabrics import SINGLE_SWITCH, TopologySpec, build_fabric
 from repro.net.port import Port
 from repro.net.topology import Topology
@@ -46,13 +43,10 @@ from repro.presto.controller import PrestoController
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStreams
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry, TelemetryConfig
-from repro.telemetry.instrument import instrument_testbed
 from repro.units import KB, MB, gbps, msec, usec
-from repro.validate.invariants import (
-    InvariantViolation,
-    ValidationProbe,
-    runtime_check,
-)
+
+if TYPE_CHECKING:
+    from repro.host.host import Host
 
 
 @dataclass
@@ -225,105 +219,6 @@ class TestbedConfig:
             self.n_spines, self.n_leaves, self.hosts_per_leaf)
 
 
-class PacketPlane:
-    """The packet-fidelity data plane of one :class:`Testbed`: real
-    hosts, wire transfers, and the packet-path probes and invariants."""
-
-    def __init__(self, tb: "Testbed"):
-        self.tb = tb
-
-    def make_host(self, host_id: int, lb: VSwitch) -> Host:
-        cfg = self.tb.cfg
-        return Host(self.tb.sim, host_id, lb=lb, gro=self._make_gro(),
-                    cpu_costs=cfg.cpu_costs, tcp_cfg=cfg.tcp,
-                    model_cpu=cfg.model_cpu)
-
-    def _make_gro(self):
-        # both names were validated at config / scheme registration
-        cfg = self.tb.cfg
-        if (cfg.gro_override or self.tb.scheme_def.gro) == "official":
-            return OfficialGro()
-        tuned = dict(initial_ewma_ns=cfg.gro_initial_ewma_ns,
-                     alpha=cfg.gro_alpha)
-        return PrestoGro(
-            adaptive=cfg.gro_adaptive,
-            loss_detection=cfg.gro_loss_detection,
-            **{k: v for k, v in tuned.items() if v is not None})
-
-    def attach(self) -> None:
-        """After the controller installed the underlay: telemetry
-        probes, then the armed invariant observers."""
-        tb = self.tb
-        if tb.telemetry.enabled:
-            instrument_testbed(tb)
-        if tb.cfg.validate:
-            tb.validation = ValidationProbe(tb)
-
-    # --- traffic ----------------------------------------------------------
-
-    def open(self, src: int, dst: int, size_bytes: Optional[int],
-             start_ns: Optional[int], on_complete,
-             subflows: Optional[int] = None):
-        """One wire transfer on fresh flow ids: a TCP flow, or — with
-        ``subflows`` — a coupled MPTCP connection.  ``start_ns=None``
-        opens a TCP sender now; everything else starts through the
-        heap, ``start_ns`` from now."""
-        tb = self.tb
-        if subflows is None:
-            return BulkApp(tb.sim, tb.hosts[src], tb.hosts[dst],
-                           tb.flow_ids.next(), size_bytes=size_bytes,
-                           start_ns=start_ns, on_complete=on_complete)
-        return MptcpConnection(tb.sim, tb.hosts[src], tb.hosts[dst],
-                               tb.flow_ids, n_subflows=subflows,
-                               size_bytes=size_bytes,
-                               start_ns=start_ns or 0,
-                               on_complete=on_complete)
-
-    def open_probe(self, src: int, dst: int, start_ns: int) -> RttProbeApp:
-        tb = self.tb
-        return RttProbeApp(tb.sim, tb.hosts[src], tb.hosts[dst],
-                           tb.flow_ids, start_ns=start_ns)
-
-    # --- running / measurement ----------------------------------------------
-
-    def sync(self) -> None:
-        pass  # packet state is always current
-
-    def check(self):
-        return runtime_check(self.tb)
-
-    def counters(self) -> Counters:
-        """The cumulative read-out, in one walk over switches, ports
-        and hosts — the one place that knows which component keeps
-        which counter.  Called O(windows) times per run, never from a
-        per-packet path."""
-        tb = self.tb
-        switches = tb.topo.switches.values()
-        queue_flush = wire = 0
-        port_tx_bytes = {}
-        for port in tb.ports():
-            port_tx_bytes[port.name] = port.tx_bytes
-            queue_flush += port.drop_cause_bytes.get("link_down", 0)
-            wire += port.wire_drop_bytes
-        no_route = sum(sw.no_route_drop_bytes for sw in switches)
-        ttl = sum(sw.ttl_drop_bytes for sw in switches)
-        return Counters(
-            tx_pkts=sum(h.nic.tx_pkts for h in tb.hosts),
-            # a host's own egress queue is its qdisc, not a switch counter
-            dropped_pkts=(
-                sum(p.dropped_pkts for sw in switches for p in sw.ports)
-                + sum(sw.no_route_drops + sw.ttl_drops for sw in switches)
-                + sum(h.nic.ring_drops for h in tb.hosts)),
-            blackholed={"queue_flush": queue_flush, "wire": wire,
-                        "no_route": no_route, "ttl": ttl,
-                        "total": queue_flush + wire + no_route + ttl},
-            port_tx_bytes=port_tx_bytes,
-            host_delivered={
-                h.host_id: sum(r.delivered_bytes
-                               for r in h.receivers.values())
-                for h in tb.hosts})
-
-
 class Testbed:
     """A built, runnable instance of one configuration."""
 
@@ -347,9 +242,13 @@ class Testbed:
         self.flow_ids = FlowIdAllocator()
         self.topo = self._build_topology()
         #: the one place fidelity is decided: everything below talks to
-        #: the plane, never to ``cfg.fidelity``
-        self.plane = (FluidPlane if cfg.fidelity == "flow"
-                      else PacketPlane)(self)
+        #: the plane, never to ``cfg.fidelity``; only the chosen plane's
+        #: modules are loaded
+        if cfg.fidelity == "flow":
+            from repro.fluid.testbed import FluidPlane as Plane
+        else:
+            from repro.host.testbed import PacketPlane as Plane
+        self.plane = Plane(self)
         self.hosts: List[Host] = []
         self._build_hosts()
         self.controller = PrestoController(self.topo)
@@ -493,6 +392,8 @@ class Testbed:
             report = self.plane.check()
             self.last_invariant_report = report
             if not report.ok:
+                from repro.validate.invariants import InvariantViolation
+
                 raise InvariantViolation(
                     f"{len(report.violations)} invariant violation(s) "
                     f"after run to t={until_ns}: "

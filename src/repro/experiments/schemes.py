@@ -47,15 +47,7 @@ from typing import Callable, Dict, Tuple
 
 from repro.host.app import RaceApp
 from repro.lb.base import Policy
-from repro.lb.diffflow import DiffFlow
-from repro.lb.ecmp import Ecmp
-from repro.lb.elephant_iso import ElephantIso
-from repro.lb.flowlet import Flowlet
-from repro.lb.perpacket import PerPacket
-from repro.lb.presto_ecmp import PrestoEcmp
-from repro.lb.repflow import REPFLOW_MICE_BYTES, RepFlow
 from repro.net.switch import HASH_FLOW, HASH_FLOWCELL
-from repro.presto.flowcell import Presto
 from repro.units import usec
 
 
@@ -97,6 +89,8 @@ def _open_mptcp(tb, src, dst, size_bytes, start_ns, on_complete):
 def _open_repflow(tb, src, dst, size_bytes, start_ns, on_complete):
     """RepFlow races two copies of bounded mice only; elephants and
     unbounded streams stay single-path TCP."""
+    from repro.lb.repflow import REPFLOW_MICE_BYTES
+
     if size_bytes is None or size_bytes > REPFLOW_MICE_BYTES:
         return _open_tcp(tb, src, dst, size_bytes, start_ns, on_complete)
     return RaceApp(tb, src, dst, size_bytes, start_ns, on_complete)
@@ -155,6 +149,61 @@ def is_registered(name: str) -> bool:
     return name in _REGISTRY
 
 
+# --- policy factories ------------------------------------------------------
+# ``cfg -> Policy``.  Each imports its policy's module when called, so a
+# run loads only the policies of the schemes it builds.
+
+
+def _ecmp(cfg) -> Policy:
+    from repro.lb.ecmp import Ecmp
+
+    return Ecmp()
+
+
+def _presto(cfg) -> Policy:
+    from repro.presto.flowcell import Presto
+
+    return Presto(cfg.flowcell_bytes, cfg.presto_mode)
+
+
+def _flowlet(gap_ns: int) -> Callable[..., Policy]:
+    def factory(cfg) -> Policy:
+        from repro.lb.flowlet import Flowlet
+
+        return Flowlet(gap_ns)
+    return factory
+
+
+def _perpacket(cfg) -> Policy:
+    from repro.lb.perpacket import PerPacket
+
+    return PerPacket()
+
+
+def _presto_ecmp(cfg) -> Policy:
+    from repro.lb.presto_ecmp import PrestoEcmp
+
+    return PrestoEcmp(cfg.flowcell_bytes)
+
+
+def _diffflow(cfg) -> Policy:
+    from repro.lb.diffflow import DiffFlow
+
+    return DiffFlow(cfg.zoo_threshold_bytes)
+
+
+def _repflow(cfg) -> Policy:
+    from repro.lb.repflow import RepFlow
+
+    return RepFlow()
+
+
+def _elephant_iso(cfg) -> Policy:
+    from repro.lb.elephant_iso import ElephantIso
+
+    return ElephantIso(cfg.zoo_threshold_bytes, cfg.flowcell_bytes)
+
+
 # --- the paper's eight comparable systems ------------------------------------
 # Registration order is the canonical scheme_names() order experiments
 # iterate in, so keep the original tuple's sequence.
@@ -162,20 +211,20 @@ def is_registered(name: str) -> bool:
 register(Scheme(
     name="ecmp",
     description="per-flow ECMP hashing at the leaves (the baseline)",
-    policy=lambda cfg: Ecmp(),
+    policy=_ecmp,
 ))
 
 register(Scheme(
     name="presto",
     description="64 KB flowcells sprayed over shadow-MAC spanning trees",
-    policy=lambda cfg: Presto(cfg.flowcell_bytes, cfg.presto_mode),
+    policy=_presto,
     gro="presto",
 ))
 
 register(Scheme(
     name="mptcp",
     description="MPTCP with per-subflow ECMP paths (8 subflows)",
-    policy=lambda cfg: Ecmp(),
+    policy=_ecmp,
     transport="mptcp",
 ))
 
@@ -189,25 +238,25 @@ register(Scheme(
 register(Scheme(
     name="flowlet100us",
     description="flowlet switching with a 100 us idle gap",
-    policy=lambda cfg: Flowlet(usec(100)),
+    policy=_flowlet(usec(100)),
 ))
 
 register(Scheme(
     name="flowlet500us",
     description="flowlet switching with a 500 us idle gap",
-    policy=lambda cfg: Flowlet(usec(500)),
+    policy=_flowlet(usec(500)),
 ))
 
 register(Scheme(
     name="perpacket",
     description="per-packet random spraying (maximal reordering)",
-    policy=lambda cfg: PerPacket(),
+    policy=_perpacket,
 ))
 
 register(Scheme(
     name="presto_ecmp",
     description="Presto flowcells with per-hop (flow, cell) ECMP hashing",
-    policy=lambda cfg: PrestoEcmp(cfg.flowcell_bytes),
+    policy=_presto_ecmp,
     gro="presto",
     leaf_hash_mode=HASH_FLOWCELL,
 ))
@@ -219,14 +268,14 @@ register(Scheme(
     name="diffflow",
     description="DiffFlow: mice sprayed per-packet, elephants pinned "
                 "via ECMP past a 100 KB cutoff",
-    policy=lambda cfg: DiffFlow(cfg.zoo_threshold_bytes),
+    policy=_diffflow,
 ))
 
 register(Scheme(
     name="repflow",
     description="RepFlow: mice duplicated onto a disjoint second tree, "
                 "first finisher wins",
-    policy=lambda cfg: RepFlow(),
+    policy=_repflow,
     transport="repflow",
 ))
 
@@ -234,7 +283,6 @@ register(Scheme(
     name="elephant_iso",
     description="RDNA-style isolation: detected elephants moved to "
                 "dedicated source-routed trees, mice share the rest",
-    policy=lambda cfg: ElephantIso(cfg.zoo_threshold_bytes,
-                                   cfg.flowcell_bytes),
+    policy=_elephant_iso,
     gro="presto",
 ))

@@ -1,5 +1,6 @@
 """Fluid data plane: what :class:`~repro.experiments.harness.Testbed`
-plugs in at ``cfg.fidelity == "flow"``.
+plugs in at ``cfg.fidelity == "flow"``; its packet-fidelity twin is
+:class:`repro.host.testbed.PacketPlane`.
 
 The testbed — real topology, real vSwitches registered with the real
 :class:`PrestoController`, the modeled control plane, fault schedules,

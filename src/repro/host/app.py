@@ -18,12 +18,14 @@ packet and flow fidelity):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.host.host import Host
 from repro.host.transfer import Transfer, delivered_for
 from repro.sim.engine import Simulator
 from repro.units import KB, msec
+
+if TYPE_CHECKING:
+    from repro.host.host import Host
 
 #: every mice request's payload (the paper's 50 KB mice)
 MICE_BYTES = 50 * KB

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.host.cc import make_cc
-from repro.host.ranges import RangeSet
 from repro.net.packet import ACK, DATA, Segment, make_ack
 from repro.sim.engine import Event, Simulator
 from repro.units import MAX_TSO_BYTES, MB, msec, seconds
@@ -64,6 +62,11 @@ class TcpSender:
         on_complete: Optional[Callable[["TcpSender"], None]] = None,
         cc=None,
     ):
+        # here, not at the top: a flow-fidelity run takes TcpConfig from
+        # this module and never builds a connection
+        from repro.host.cc import make_cc
+        from repro.host.ranges import RangeSet
+
         self.sim = sim
         self.host = host
         self.flow_id = flow_id
@@ -452,6 +455,8 @@ class TcpReceiver:
         cfg: TcpConfig,
         on_data: Optional[Callable[[int], None]] = None,
     ):
+        from repro.host.ranges import RangeSet  # see TcpSender.__init__
+
         self.sim = sim
         self.host = host
         self.flow_id = flow_id

@@ -38,19 +38,21 @@ serial, parallel and remote runs of the same spec are byte-identical.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple)
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
+    Tuple)
 
 from repro.runner.jobspec import JobSpec
 from repro.runner.lease import Lease, LeaseQueue
 from repro.runner.serialize import from_jsonable, to_jsonable
 from repro.runner.store import ResultStore
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 #: statuses a finished job can report
 STATUS_OK = "ok"
@@ -204,7 +206,7 @@ def run_jobs(
         run_via_service(todo, service, force=force, store=store,
                         finish=_finish, log=_log)
     elif todo:
-        fork = "fork" in multiprocessing.get_all_start_methods()
+        fork = hasattr(os, "fork")
         if jobs > 1 and not fork:
             _log("fork start method unavailable; degrading to serial execution")
         if timeout_s is not None and not fork:
@@ -300,7 +302,11 @@ def _run_leases(
     queue = LeaseQueue(retries=retries)
     for index, spec in todo:
         queue.add(index, spec)
-    ctx = multiprocessing.get_context("fork") if workers else None
+    if workers:  # the only path that forks loads multiprocessing
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        ctx = multiprocessing.get_context("fork")
     idle: List[_Worker] = []
     busy: Dict[Connection, _Worker] = {}
 

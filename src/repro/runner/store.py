@@ -107,7 +107,9 @@ class ResultStore:
         fd, tmp = tempfile.mkstemp(dir=self.store_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh, sort_keys=True)
+                # one dumps, not a streaming dump: only dumps without an
+                # indent runs the C encoder, and the bytes are the same
+                fh.write(json.dumps(record, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

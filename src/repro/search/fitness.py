@@ -24,7 +24,6 @@ from typing import Dict, List, Tuple
 
 from repro.experiments.common import run_elephant_workload
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.metrics.stats import mean, percentile
 from repro.runner.jobspec import cell
 from repro.units import msec
@@ -81,6 +80,8 @@ def run_search_cell(
     averaged away by a trailing steady state.
     """
     def arm_fault(tb: Testbed) -> None:
+        from repro.faults.schedule import FaultSchedule, LinkDown
+
         tb.controller.enable_fast_failover(cfg.failover_latency_ns)
         tb.enable_control_plane()
         # drop the first rack's first uplink once flows are established

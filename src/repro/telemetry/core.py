@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.trace import Tracer
+if TYPE_CHECKING:
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,11 @@ class Telemetry:
     enabled = True
 
     def __init__(self, sim, config: Optional[TelemetryConfig] = None):
+        # loaded by the first enabled collector: a run with telemetry
+        # off never needs them
+        from repro.telemetry.metrics import MetricsRegistry
+        from repro.telemetry.trace import Tracer
+
         self.sim = sim
         self.config = config or TelemetryConfig()
         self.registry = MetricsRegistry()

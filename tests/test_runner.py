@@ -240,6 +240,23 @@ def test_store_records_are_atomic_json(tmp_path):
     assert not [f for f in os.listdir(store.store_dir) if f.endswith(".tmp")]
 
 
+def test_store_file_is_one_json_dumps_of_its_record(tmp_path):
+    """A saved record's bytes are ``json.dumps(record, sort_keys=True)``
+    — the C encoder's output — for a result holding a dataclass inside
+    a dataclass (``TestbedConfig.tcp``)."""
+    store = ResultStore(str(tmp_path))
+    spec = JobSpec.make(job_ok, value=5)
+    result = {"cfg": TestbedConfig(scheme="ecmp"), "pair": ("a", 1.25)}
+    path = store.save(spec, to_jsonable(result), elapsed_s=0.1)
+    with open(path) as fh:
+        text = fh.read()
+    record = json.loads(text)
+    assert record["result"]["cfg"]["fields"]["tcp"]["__dataclass__"] == (
+        "repro.host.tcp:TcpConfig")
+    assert text == json.dumps(record, sort_keys=True)
+    assert from_jsonable(record["result"]) == result
+
+
 # --- failure containment ----------------------------------------------------
 
 def test_worker_crash_retried_then_failed_without_killing_sweep():
@@ -343,8 +360,7 @@ def test_timeout_is_enforced_with_one_job():
 
 
 def test_without_fork_leases_run_in_process_and_say_so(monkeypatch):
-    monkeypatch.setattr(
-        multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     logs = []
     out = run_jobs([JobSpec.make(job_pid), JobSpec.make(job_raise)],
                    jobs=2, retries=1, timeout_s=5.0, log=logs.append)
