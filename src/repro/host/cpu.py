@@ -20,6 +20,7 @@ Default constants are calibrated (see DESIGN.md S2) so that, at 10 Gbps:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -53,13 +54,19 @@ class ReceiverCpu:
     """One receive core as a non-preemptive busy-until server."""
 
     def __init__(self, sim: Simulator, costs: CpuCosts = None):
+        # imported here: a flow-fidelity run imports this module for
+        # CpuCosts alone and builds no core
+        from array import array
+
         self.sim = sim
         self.costs = costs if costs is not None else CpuCosts()
         #: when the work accepted so far completes
         self._done_ns = 0
         self.busy_ns_total = 0
-        #: (time, cumulative_busy_ns) checkpoints for utilization sampling
-        self._samples: List[Tuple[int, int]] = [(0, 0)]
+        #: checkpoints for utilization sampling, one column each (16 B a
+        #: checkpoint): the time, and the cumulative busy ns by then
+        self._times = array("q", (0,))
+        self._busy_ns = array("q", (0,))
 
     def free_at(self) -> int:
         """Earliest time the core can take new work."""
@@ -84,7 +91,8 @@ class ReceiverCpu:
         # Work scheduled into the future should not count as already done.
         if self._done_ns > self.sim.now:
             busy -= self._done_ns - self.sim.now
-        self._samples.append((self.sim.now, max(0, busy)))
+        self._times.append(self.sim.now)
+        self._busy_ns.append(max(0, busy))
 
     def utilization(self, since_ns: int = 0, until_ns: int = None) -> float:
         """Fraction of [since, until] the core was busy (0..1)."""
@@ -98,9 +106,7 @@ class ReceiverCpu:
     def utilization_series(self, interval_ns: int) -> List[Tuple[int, float]]:
         """(window_end_time, utilization) per fixed window — Fig 6's
         time series."""
-        if not self._samples:
-            return []
-        end = self._samples[-1][0]
+        end = self._times[-1]
         series = []
         t = interval_ns
         while t <= end:
@@ -110,19 +116,14 @@ class ReceiverCpu:
 
     def _interp(self, t: int) -> float:
         """Cumulative busy ns at time ``t``, linearly interpolated."""
-        samples = self._samples
-        lo, hi = 0, len(samples) - 1
-        if t >= samples[hi][0]:
-            return samples[hi][1] + 0.0
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if samples[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        t0, b0 = samples[lo]
-        if lo + 1 < len(samples):
-            t1, b1 = samples[lo + 1]
+        times, busy = self._times, self._busy_ns
+        if t >= times[-1]:
+            return busy[-1] + 0.0
+        # the last checkpoint at or before t (the first, if none is)
+        lo = max(0, bisect_right(times, t) - 1)
+        t0, b0 = times[lo], busy[lo]
+        if lo + 1 < len(times):
+            t1, b1 = times[lo + 1], busy[lo + 1]
             if t1 > t0:
                 return b0 + (b1 - b0) * (t - t0) / (t1 - t0)
         return float(b0)

@@ -51,7 +51,13 @@ class SharedBuffer:
 
 
 class Port:
-    """One direction of a link: ``owner`` transmits to ``peer``."""
+    """One direction of a link: ``owner`` transmits to ``peer``.
+
+    Many ports never hold a packet back (at flow fidelity none carries
+    one), so the FIFO is allocated when the first packet has to wait
+    behind the serializer (``_fifo`` is None until then), and the
+    per-flow byte map only on a port that tracks flows.
+    """
 
     __slots__ = (
         "sim",
@@ -63,7 +69,6 @@ class Port:
         "shared",
         "_fifo",
         "bytes_queued",
-        "track_flows",
         "flow_bytes",
         "enqueued_pkts",
         "enqueued_bytes",
@@ -106,12 +111,13 @@ class Port:
         self.capacity_bytes = buffer_bytes
         #: the switch's SharedBuffer this port draws on; set by Topology
         self.shared: Optional[SharedBuffer] = None
-        #: packets waiting behind the serializer (it holds its own frame)
-        self._fifo: deque = deque()
+        #: packets waiting behind the serializer (it holds its own
+        #: frame); None until the first packet waits
+        self._fifo: Optional[deque] = None
         self.bytes_queued = 0
-        #: per-flow occupancy (enabled on host egress ports for TSQ)
-        self.track_flows = False
-        self.flow_bytes: dict = {}
+        #: per-flow occupancy, a dict where :attr:`track_flows` is set
+        #: (host egress ports, for TSQ), else None
+        self.flow_bytes: Optional[dict] = None
         # queue counters (cumulative)
         self.enqueued_pkts = 0
         self.enqueued_bytes = 0
@@ -153,6 +159,19 @@ class Port:
     @property
     def up(self) -> bool:
         return self.link.up
+
+    @property
+    def track_flows(self) -> bool:
+        """Whether the port keeps per-flow occupancy in
+        :attr:`flow_bytes`; setting it creates (or drops) the map."""
+        return self.flow_bytes is not None
+
+    @track_flows.setter
+    def track_flows(self, on: bool) -> None:
+        if not on:
+            self.flow_bytes = None
+        elif self.flow_bytes is None:
+            self.flow_bytes = {}
 
     def _drop(self, pkt: Packet, cause: str) -> None:
         """Count a dropped packet against ``cause``."""
@@ -198,10 +217,14 @@ class Port:
             return True
         if shared is not None:
             shared.used_bytes += size
-        self._fifo.append(pkt)
+        fifo = self._fifo
+        if fifo is None:
+            fifo = self._fifo = deque()
+        fifo.append(pkt)
         self.bytes_queued = queued
-        if self.track_flows:
-            self.flow_bytes[pkt.flow_id] = self.flow_bytes.get(pkt.flow_id, 0) + size
+        flow_bytes = self.flow_bytes
+        if flow_bytes is not None:
+            flow_bytes[pkt.flow_id] = flow_bytes.get(pkt.flow_id, 0) + size
         return True
 
     def _pop(self) -> Packet:
@@ -212,12 +235,13 @@ class Port:
         shared = self.shared
         if shared is not None:
             shared.used_bytes -= size
-        if self.track_flows:
-            left = self.flow_bytes.get(pkt.flow_id, 0) - size
+        flow_bytes = self.flow_bytes
+        if flow_bytes is not None:
+            left = flow_bytes.get(pkt.flow_id, 0) - size
             if left > 0:
-                self.flow_bytes[pkt.flow_id] = left
+                flow_bytes[pkt.flow_id] = left
             else:
-                self.flow_bytes.pop(pkt.flow_id, None)
+                flow_bytes.pop(pkt.flow_id, None)
         return pkt
 
     def _start_tx(self, pkt: Packet) -> None:

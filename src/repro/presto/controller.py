@@ -17,7 +17,8 @@ Responsibilities (paper S3.1 and S3.3):
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.net.addresses import host_mac, shadow_mac
 from repro.net.routing import (
@@ -41,7 +42,10 @@ class PrestoController:
     immutable label tuple per destination host, one tuple for every edge
     with the same tree plan toward the host — and hands each vSwitch
     below the edge the whole table in one
-    :meth:`~repro.lb.base.VSwitch.set_schedules` call.
+    :meth:`~repro.lb.base.VSwitch.set_schedules` call, as a read-only
+    mapping the vSwitches adopt without copying.  A table is never
+    mutated once built: a link change drops every table, and the next
+    push hands out new ones.
     """
 
     def __init__(self, topo: Topology, trees: Optional[List[SpanningTree]] = None):
@@ -63,8 +67,8 @@ class PrestoController:
         # Weights read nothing but the state of the links trees climb
         # through, and depend on the hosts only through their edge
         # switches: one table per edge; tables and labels are dropped
-        # when a link changes.
-        self._tables: Dict[Switch, Dict[int, Tuple[int, ...]]] = {}
+        # (never edited: vSwitches hold them) when a link changes.
+        self._tables: Dict[Switch, Mapping[int, Tuple[int, ...]]] = {}
         #: (destination host, tree plan) -> labels, shared by every
         #: edge with that plan toward the host's edge (in a healthy
         #: fabric, all of them: one shadow MAC per tree and host)
@@ -97,14 +101,14 @@ class PrestoController:
         host below ``src_host``'s edge switch shares."""
         return self._table(self.topo.host_leaf[src_host])[dst_host]
 
-    def _table(self, edge: Switch) -> Dict[int, Tuple[int, ...]]:
+    def _table(self, edge: Switch) -> Mapping[int, Tuple[int, ...]]:
         """The schedules of the hosts below ``edge``, per destination
         host: its real MAC below the same edge, else its shadow MACs
-        along the edge pair's tree plan."""
+        along the edge pair's tree plan — read-only."""
         table = self._tables.get(edge)
         if table is not None:
             return table
-        table = self._tables[edge] = {}
+        table = {}
         plans: Dict[Switch, Tuple[int, ...]] = {}
         for dst_host, dst_leaf in self.topo.host_leaf.items():
             if dst_leaf is edge:
@@ -118,6 +122,7 @@ class PrestoController:
                 labels = self._labels[dst_host, plan] = tuple(
                     [shadow_mac(tree_id, dst_host) for tree_id in plan])
             table[dst_host] = labels
+        table = self._tables[edge] = MappingProxyType(table)
         return table
 
     def _tree_plan(self, src_leaf: Switch,
@@ -151,7 +156,8 @@ class PrestoController:
         self.push_schedules(lb)
 
     def push_schedules(self, lb) -> None:
-        """Hand ``lb`` its edge switch's table, in one install."""
+        """Hand ``lb`` its edge switch's table, in one install; every
+        vSwitch below the edge holds that one table."""
         lb.set_schedules(self._table(self.topo.host_leaf[lb.host_id]))
 
     def push_all(self) -> None:

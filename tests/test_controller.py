@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.experiments.fabric_sweep import fabric_config
-from repro.experiments.harness import Testbed
+from repro.experiments.harness import Testbed, TestbedConfig
 from repro.faults.controlplane import ControlPlane
 from repro.host.gro import PrestoGro
 from repro.host.host import Host
@@ -16,6 +16,7 @@ from repro.net.fabrics import SINGLE_SWITCH, TopologySpec, build_fabric
 from repro.presto.controller import PrestoController, _interleave_schedule
 from repro.presto.flowcell import Presto
 from repro.sim.engine import Simulator
+from repro.validate.invariants import check_invariants
 
 
 def build(n_spines=4, n_leaves=2, hosts_per_leaf=2):
@@ -265,6 +266,57 @@ def test_a_hand_set_schedule_stays_with_its_host():
     assert len(controller.schedule_for(0, 2)) == 4
 
 
+def test_hosts_below_one_edge_hold_one_table():
+    _, topo, controller, hosts = build()
+    table = hosts[0].lb._schedules
+    assert hosts[1].lb._schedules is table
+    assert table is controller._table(topo.host_leaf[0])
+    assert hosts[2].lb._schedules is hosts[3].lb._schedules is not table
+    with pytest.raises(TypeError):
+        table[2] = (host_mac(2),)          # read-only: pushed, never edited
+
+
+def test_a_hand_set_schedule_copies_the_edge_table_first():
+    """Copy on write: the change reaches neither the host's neighbour
+    below the same edge nor the controller, and the host keeps sharing
+    every other destination's tuple."""
+    _, topo, controller, hosts = build()
+    table = hosts[1].lb._schedules
+    before = dict(table)
+    hosts[0].lb.set_schedule(2, [shadow_mac(1, 2)])
+    assert hosts[0].lb._schedules is not table
+    assert hosts[1].lb._schedules is table
+    assert controller._table(topo.host_leaf[0]) is table
+    assert dict(table) == before
+    assert hosts[1].lb.labels_for(2) == before[2] != (shadow_mac(1, 2),)
+    assert hosts[0].lb.labels_for(3) is table[3]
+
+
+def test_a_repush_after_a_link_change_installs_the_new_table():
+    """A link change drops the tables; until the push the vSwitches
+    hold the old ones (the stale-schedule invariant sees it), after it
+    every vSwitch below an edge holds that edge's new table — a
+    hand-edited host included — and the invariant passes."""
+    tb = Testbed(TestbedConfig(scheme="presto"))
+    controller = tb.controller
+    lbs = controller._vswitches
+    old = {lb.host_id: lb._schedules for lb in lbs}
+    far = next(h for h in tb.topo.hosts
+               if tb.topo.host_leaf[h] is not tb.topo.host_leaf[0])
+    tb.hosts[0].lb.set_schedule(far, [shadow_mac(0, far)])
+    link = next(l for l in tb.topo.links if l.name == "L1--S1")
+    link.set_rate(link.rate_bps / 2)
+    stale = check_invariants(tb, check_quiesced=False)
+    assert stale.stats["schedule_mismatches"] > 0
+    controller.push_all()
+    for lb in lbs:
+        table = controller._table(tb.topo.host_leaf[lb.host_id])
+        assert lb._schedules is table is not old[lb.host_id]
+    assert len(tb.hosts[0].lb.labels_for(far)) > len(controller.trees)
+    report = check_invariants(tb, check_quiesced=False)
+    assert report.stats["schedule_mismatches"] == 0, report.violations
+
+
 def test_one_push_notifies_each_vswitch_once():
     _, topo, controller, hosts = build()
     heard = Counter()
@@ -276,10 +328,13 @@ def test_one_push_notifies_each_vswitch_once():
 
 
 def test_k8_flow_testbed_holds_no_per_host_schedules():
-    """A fat-tree:k=8 testbed's 128 vSwitches share their edge's tables
-    (it once allocated 19 MB here, 256 000 label ints of it), and its
-    switches forward labels from ``below`` + ``climb`` maps (it once
-    traced 8.6 MiB, 5.65 MiB of it 166 528 per-label switch entries)."""
+    """A fat-tree:k=8 testbed's 128 vSwitches hold their 32 edges'
+    tables, not a copy each (they once held one 127-entry dict each of
+    shared tuples: 3.07 MiB traced here; before that 19 MB, 256 000
+    label ints of it), its ports allocate a FIFO only once a packet
+    waits (768 empty deques were 0.57 MiB), and its switches forward
+    labels from ``below`` + ``climb`` maps (it once traced 8.6 MiB,
+    5.65 MiB of it 166 528 per-label switch entries)."""
     tracemalloc.start()
     try:
         tb = Testbed(fabric_config("fat-tree:k=8", "presto", 1, "flow"))
@@ -287,5 +342,6 @@ def test_k8_flow_testbed_holds_no_per_host_schedules():
     finally:
         tracemalloc.stop()
     assert len(tb.hosts) == 128
-    assert traced <= 4 * 1024 * 1024
+    assert len({id(host.lb._schedules) for host in tb.hosts}) == 32
+    assert traced <= 2.5 * 1024 * 1024
 

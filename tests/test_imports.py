@@ -94,12 +94,13 @@ def test_packet_cell_loads_one_plane_and_its_own_policy(scheme, policy):
 
 def test_flow_cell_loads_no_packet_host_stack():
     """The MPTCP scheme at flow fidelity: fluid subflows, so neither
-    the packet host stack nor the MPTCP connection is loaded."""
+    the packet host stack, the MPTCP connection nor the receive core's
+    checkpoint log (``array``) is loaded."""
     modules = loaded_by(CELL.format(scheme="mptcp", fidelity="flow"))
     assert "repro.fluid.engine" in modules  # the cell did run
     assert under(modules, "repro.host.host", "repro.host.nic",
                  "repro.host.gro", "repro.host.cc", "repro.host.ranges",
-                 "repro.mptcp", "multiprocessing") == []
+                 "repro.mptcp", "multiprocessing", "array") == []
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Unit tests for the vSwitch and the per-scheme policies."""
 
 import random
+from types import MappingProxyType
 
 import pytest
 
 from repro.lb.base import VSwitch
 from repro.lb.ecmp import Ecmp
+from repro.lb.elephant_iso import ElephantIso
 from repro.lb.flowlet import Flowlet
 from repro.lb.perpacket import PerPacket
 from repro.lb.presto_ecmp import PrestoEcmp
@@ -45,6 +47,52 @@ def test_schedule_observers_fire_after_every_install():
     vs.set_schedule(3, LABELS)
     vs.set_schedule(3, LABELS[:2])
     assert seen == [LABELS, LABELS[:2]]  # called with the new one in place
+
+
+def test_a_read_only_table_of_tuples_is_adopted_any_other_mapping_copied():
+    table = MappingProxyType({3: tuple(LABELS), 4: (7,)})
+    vs = VSwitch(0)
+    vs.set_schedules(table)
+    assert vs._schedules is table
+    plain = {3: tuple(LABELS)}
+    vs.set_schedules(plain)               # merged into a copy of its own
+    assert vs._schedules is not table and vs.labels_for(4) == (7,)
+    assert vs.labels_for(3) is plain[3]   # a tuple is kept, not copied
+    assert dict(table) == {3: tuple(LABELS), 4: (7,)}
+    listed = MappingProxyType({3: LABELS})
+    vs = VSwitch(0)
+    vs.set_schedules(listed)
+    assert vs._schedules is not listed and vs.labels_for(3) == tuple(LABELS)
+    with pytest.raises(ValueError):
+        VSwitch(0).set_schedules(MappingProxyType({3: ()}))
+
+
+def test_an_adopted_table_never_drops_a_destination_the_host_holds():
+    vs = VSwitch(0)
+    vs.set_schedule(5, [9])
+    table = MappingProxyType({3: tuple(LABELS)})
+    vs.set_schedules(table)
+    assert vs._schedules is not table
+    assert vs.labels_for(5) == (9,) and vs.labels_for(3) is table[3]
+
+
+def test_a_default_filled_in_stays_out_of_the_adopted_table():
+    table = MappingProxyType({3: tuple(LABELS)})
+    vs = VSwitch(0)
+    vs.set_schedules(table)
+    assert label(vs, dst=5) == (host_mac(5), 1)
+    assert dict(table) == {3: tuple(LABELS)}
+    assert vs.labels_for(3) is table[3]
+
+
+def test_a_policy_view_of_an_adopted_table_is_the_hosts_own():
+    table = MappingProxyType({3: (1001, 1002, 1001, 1003)})
+    vs = VSwitch(0, ElephantIso())
+    vs.set_schedules(table)
+    assert vs._schedules is table
+    assert vs._views == {3: [1001, 1002, 1003]}
+    assert label(vs, dst=5)[0] == host_mac(5)
+    assert 5 not in table
 
 
 class TestEcmp:

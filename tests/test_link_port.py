@@ -314,3 +314,60 @@ def test_a_probe_changes_nothing():
     assert kinds.count("enqueue") == admitted
     assert len(kinds) - admitted == dropped
     assert admitted + dropped == 17        # every packet of the train
+
+
+# --- a FIFO only where a packet waits ------------------------------------------
+
+
+def test_a_port_that_never_queued_holds_no_fifo():
+    """Packets that each find the serializer idle never wait: the port
+    allocates no FIFO and, untracked, no per-flow map."""
+    sim = Simulator()
+    port, sink, link = make_port(sim)
+    assert port._fifo is None and port.flow_bytes is None
+    for at in (0, usec(10), usec(20)):
+        sim.schedule_at(at, port.send, pkt(1000))
+    sim.run()
+    assert len(sink.received) == port.tx_pkts == 3
+    assert port._fifo is None
+    link.set_down()
+    link.set_up()                          # flush and resume: nothing queued
+    assert port._fifo is None
+
+
+def test_a_queued_burst_drains_in_order_with_its_counters():
+    """The first packet that has to wait creates the FIFO; the burst
+    leaves in send order, back to back, and every counter (and the
+    shared pool) reads what a port with an eager FIFO read."""
+    sim = Simulator()
+    pool = SharedBuffer(1_000_000)
+    port, sink, link = make_port(sim)
+    port.shared = pool
+    times = []
+    sink.receive = lambda p, _: (sink.received.append(p),
+                                 times.append(sim.now))
+    burst = [pkt(1000, flow=1 + i % 3) for i in range(6)]
+    for i, p in enumerate(burst):
+        p.seq = i
+        assert port.send(p)
+    assert port._fifo is not None and len(port._fifo) == 5
+    assert port.bytes_queued == pool.used_bytes == 5 * (1000 + HEADER_BYTES)
+    sim.run()
+    ser = serialization_time_ns(1000 + HEADER_BYTES, link.rate_bps)
+    assert [p.seq for p in sink.received] == list(range(6))
+    assert times == [link.prop_delay_ns + ser * (i + 1) for i in range(6)]
+    wire = 6 * (1000 + HEADER_BYTES)
+    assert (port.enqueued_pkts, port.enqueued_bytes) == (6, wire)
+    assert (port.tx_pkts, port.tx_bytes) == (6, wire)
+    assert (port.dropped_pkts, port.bytes_queued, pool.used_bytes) == (0, 0, 0)
+    assert not port._fifo
+
+
+def test_track_flows_creates_and_drops_the_flow_map():
+    sim = Simulator()
+    port, _, _ = make_port(sim)
+    assert not port.track_flows
+    port.track_flows = True
+    assert port.track_flows and port.flow_bytes == {}
+    port.track_flows = False
+    assert port.flow_bytes is None
