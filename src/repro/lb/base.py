@@ -13,7 +13,6 @@ engine (``FluidEngine._slice_flow``) call the same object the same way.
 from __future__ import annotations
 
 import random
-from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.addresses import host_mac
@@ -90,15 +89,13 @@ class VSwitch:
 
     The controller pushes a *schedule* per destination: an ordered,
     immutable tuple of forwarding labels (shadow MACs), possibly with
-    duplicates to realize WCMP-style weights (paper S3.3).  It installs
-    its edge switch's whole table in one :meth:`set_schedules` call, as
-    a read-only mapping the vSwitch adopts without copying, so the hosts
-    below one edge hold the same table.  A host's own change — a
-    :meth:`set_schedule` by hand, a default filled in for a destination
-    nothing was pushed toward — first takes a private copy (copy on
-    write), so it reaches neither its neighbours nor the controller.
-    :meth:`label` turns one outgoing unit into ``(dst_mac,
-    flowcell_id)``, which TSO then replicates onto the wire packets.
+    duplicates to realize WCMP-style weights (paper S3.3).  The vSwitch
+    only holds what it is handed: the controller installs its edge
+    switch's whole table in one :meth:`set_schedules` call, so the hosts
+    below one edge hold the same table, and a destination missing from
+    it is reached by its real MAC.  :meth:`label` turns one outgoing
+    unit into ``(dst_mac, flowcell_id)``, which TSO then replicates onto
+    the wire packets.
     """
 
     #: optional telemetry probe (repro.telemetry); None = disabled
@@ -111,58 +108,31 @@ class VSwitch:
         self.rng = rng if rng is not None else random.Random(host_id)
         #: called (no arguments) after every schedule install
         self.on_schedule_change: List[Callable[[], None]] = []
-        #: a dict of the host's own, or an adopted read-only table
+        #: the table last installed, held as given
         self._schedules: Mapping[int, Tuple[int, ...]] = {}
         #: what the policy indexes: the schedules, or its view of them
         self._views = {} if self.policy.view else self._schedules
         self._flows: Dict[int, FlowState] = {}
 
     def set_schedule(self, dst_host: int, labels: Sequence[int]) -> None:
-        """Install/replace the label schedule toward ``dst_host``."""
-        self.set_schedules({dst_host: labels})
+        """Install a new table that replaces the schedule toward
+        ``dst_host``; the table it replaces is left as it was."""
+        self.set_schedules({**self._schedules, dst_host: tuple(labels)})
 
-    def set_schedules(self, table: Mapping[int, Sequence[int]]) -> None:
-        """Install/replace the schedule toward every destination in
-        ``table``; observers hear one change.
-
-        A read-only table (a ``MappingProxyType``) of non-empty tuples
-        that covers every destination already scheduled is adopted as
-        is: its owner never mutates a table it has handed out.  Any
-        other mapping is copied into the host's own dict, a tuple kept
-        as given (shared, never copied), any other sequence as a tuple
-        of it."""
+    def set_schedules(self, table: Mapping[int, Tuple[int, ...]]) -> None:
+        """Install ``table`` (destination host -> non-empty label tuple)
+        as every schedule this host holds, kept as given: its writer
+        never edits a table it has handed out.  Observers hear one
+        change."""
+        if not all(table.values()):
+            raise ValueError("schedule must contain at least one label")
         view = self.policy.view
-        if (type(table) is MappingProxyType
-                and table.keys() >= self._schedules.keys()
-                and all(type(labels) is tuple and labels
-                        for labels in table.values())):
-            self._schedules = table
-            self._views = ({dst_host: view(labels)
-                            for dst_host, labels in table.items()}
-                           if view else table)
-        else:
-            schedules = self._own()
-            for dst_host, labels in table.items():
-                if not labels:
-                    raise ValueError(
-                        "schedule must contain at least one label")
-                if not isinstance(labels, tuple):
-                    labels = tuple(labels)
-                schedules[dst_host] = labels
-                if view:
-                    self._views[dst_host] = view(labels)
+        self._schedules = table
+        self._views = ({dst_host: view(labels)
+                        for dst_host, labels in table.items()}
+                       if view else table)
         for observer in self.on_schedule_change:
             observer()
-
-    def _own(self) -> Dict[int, Tuple[int, ...]]:
-        """The schedules as a dict of this host's own: an adopted
-        table is copied first (its tuples stay shared)."""
-        schedules = self._schedules
-        if type(schedules) is not dict:
-            schedules = self._schedules = dict(schedules)
-            if not self.policy.view:
-                self._views = schedules
-        return schedules
 
     def labels_for(self, dst_host: int) -> Tuple[int, ...]:
         """Schedule for a destination; defaults to its real MAC (direct)."""
@@ -181,14 +151,10 @@ class VSwitch:
         self.flow(replica_flow_id).primary = self.flow(primary_flow_id)
 
     def _view(self, dst_host: int) -> Sequence[int]:
-        """Nothing pushed toward ``dst_host``: the default, kept (in
-        the host's own copy of the schedules)."""
-        labels = self.labels_for(dst_host)
-        if self.policy.view:
-            view = self._views[dst_host] = self.policy.view(labels)
-        else:
-            view = self._own()[dst_host] = labels
-        return view
+        """Nothing pushed toward ``dst_host``: its real MAC, or the
+        policy's view of it (not stored)."""
+        labels = (host_mac(dst_host),)
+        return self.policy.view(labels) if self.policy.view else labels
 
     def label(self, flow_id: int, dst_host: int, nbytes: int, end_seq: int,
               now: int) -> Tuple[int, int]:

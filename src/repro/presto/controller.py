@@ -17,6 +17,7 @@ Responsibilities (paper S3.1 and S3.3):
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -35,17 +36,21 @@ from repro.net.topology import Topology
 
 
 class PrestoController:
-    """Builds trees, programs the fabric, and manages vSwitch schedules.
+    """Builds trees, programs the fabric, and writes every vSwitch's
+    schedules.
 
-    A schedule depends on its source host only through the host's edge
-    switch, so the controller builds one table per edge switch — an
-    immutable label tuple per destination host, one tuple for every edge
-    with the same tree plan toward the host — and hands each vSwitch
-    below the edge the whole table in one
-    :meth:`~repro.lb.base.VSwitch.set_schedules` call, as a read-only
-    mapping the vSwitches adopt without copying.  A table is never
-    mutated once built: a link change drops every table, and the next
-    push hands out new ones.
+    A tree's weight for an edge pair is the usable capacity of the two
+    climbs up to where they meet, so the controller keeps, per edge
+    switch, each tree's climb capacities and weighs a pair from those.
+    Pairs with one weight vector share one tree plan, and a schedule
+    depends on its source host only through the host's edge switch: the
+    controller builds one table per edge switch — an immutable label
+    tuple per destination host, one tuple for every edge with the same
+    plan toward the host — and hands each vSwitch below the edge the
+    whole table in one :meth:`~repro.lb.base.VSwitch.set_schedules`
+    call, as a read-only mapping the vSwitches hold as given.  A table
+    is never mutated once built: a link change drops every table, and
+    the next push hands out new ones.
     """
 
     def __init__(self, topo: Topology, trees: Optional[List[SpanningTree]] = None):
@@ -53,47 +58,30 @@ class PrestoController:
         self.trees = trees if trees is not None else allocate_spanning_trees(topo)
         install_tree_routes(topo, self.trees)
         self._vswitches: List = []  # VSwitch instances we push updates to
-        # Walked once: links fail and recover, but where a tree climbs
-        # from an edge switch and how high two edge switches' climbs
-        # meet never change — and every schedule recomputation weighs
-        # every tree for every host pair.
+        # Walked once: links fail and recover, but how high two edge
+        # switches' climbs meet never changes.
         edges = topo.tiers[0]
-        self._climb: Dict[Tuple[int, Switch], List[Port]] = {
-            (tree.tree_id, edge): tree_climb(topo, tree, edge)
-            for tree in self.trees for edge in edges}
         self._meet: Dict[Tuple[Switch, Switch], int] = {
             (src, dst): len(legs) // 2 for src in edges for dst in edges
             if (legs := tree_legs(topo, self.trees[0], src, dst)) is not None}
-        # Weights read nothing but the state of the links trees climb
-        # through, and depend on the hosts only through their edge
-        # switches: one table per edge; tables and labels are dropped
-        # (never edited: vSwitches hold them) when a link changes.
+        # Everything below reads nothing but the state of the links trees
+        # climb through, and is dropped (never edited: vSwitches hold the
+        # tables) when a link changes.
+        #: edge -> per tree, the usable capacity of its climb's first
+        #: 1, 2, ... legs (0.0 from a down leg on)
+        self._capacities: Dict[Switch, List[List[float]]] = {}
+        #: tree weights -> tree plan
+        self._plans: Dict[Tuple[float, ...], Tuple[int, ...]] = {}
         self._tables: Dict[Switch, Mapping[int, Tuple[int, ...]]] = {}
         #: (destination host, tree plan) -> labels, shared by every
         #: edge with that plan toward the host's edge (in a healthy
         #: fabric, all of them: one shadow MAC per tree and host)
         self._labels: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
-        for link in {leg.link for climb in self._climb.values()
-                     for leg in climb}:
+        for link in {port.link for tree in self.trees for edge in edges
+                     for port in tree_climb(topo, tree, edge)}:
             link.on_state_change.append(self._forget_tables)
 
     # --- schedule computation -------------------------------------------------
-
-    def tree_weight(self, tree: SpanningTree, src_leaf: Switch, dst_leaf: Switch) -> float:
-        """Usable capacity of a tree for a leaf pair: the min of its leg
-        rates (0 when any leg is down) — the WCMP weighting input."""
-        height = self._meet.get((src_leaf, dst_leaf))
-        if height is None:  # no tree joins them
-            return 0.0
-        # both climbs up to where they meet: a link is up, and as fast,
-        # in both directions, so the far climb stands in for the descent
-        legs = (self._climb[tree.tree_id, src_leaf][:height]
-                + self._climb[tree.tree_id, dst_leaf][:height])
-        if not all(leg.up for leg in legs):
-            return 0.0
-        if not legs:  # same edge switch
-            return 1.0
-        return min(leg.link.rate_bps for leg in legs)
 
     def schedule_for(self, src_host: int, dst_host: int) -> Tuple[int, ...]:
         """Ordered labels ``src_host`` should round-robin toward
@@ -116,7 +104,7 @@ class PrestoController:
                 continue
             plan = plans.get(dst_leaf)
             if plan is None:
-                plan = plans[dst_leaf] = self._tree_plan(edge, dst_leaf)
+                plan = plans[dst_leaf] = self._plan(self._weights(edge, dst_leaf))
             labels = self._labels.get((dst_host, plan))
             if labels is None:
                 labels = self._labels[dst_host, plan] = tuple(
@@ -125,26 +113,51 @@ class PrestoController:
         table = self._tables[edge] = MappingProxyType(table)
         return table
 
-    def _tree_plan(self, src_leaf: Switch,
-                   dst_leaf: Switch) -> Tuple[int, ...]:
-        """The tree ids hosts below ``src_leaf`` round-robin toward hosts
-        below ``dst_leaf``, a tree repeated once per unit of weight."""
-        weights = [(t, self.tree_weight(t, src_leaf, dst_leaf)) for t in self.trees]
-        usable = [(t, w) for t, w in weights if w > 0]
+    def _weights(self, src_leaf: Switch, dst_leaf: Switch) -> Tuple[float, ...]:
+        """Each tree's usable capacity between two edge switches — the
+        WCMP weighting input: the slowest leg of both climbs up to where
+        they meet (a link is up, and as fast, in both directions, so the
+        far climb stands in for the descent), 0 if a leg is down or no
+        tree joins them."""
+        height = self._meet.get((src_leaf, dst_leaf))
+        if height is None:
+            return (0.0,) * len(self.trees)
+        return tuple([min(near[height - 1], far[height - 1]) for near, far
+                      in zip(self._capacity(src_leaf), self._capacity(dst_leaf))])
+
+    def _capacity(self, edge: Switch) -> List[List[float]]:
+        capacity = self._capacities.get(edge)
+        if capacity is None:
+            capacity = self._capacities[edge] = [
+                list(accumulate([port.link.rate_bps if port.up else 0.0
+                                 for port in tree_climb(self.topo, tree, edge)],
+                                min))
+                for tree in self.trees]
+        return capacity
+
+    def _plan(self, weights: Tuple[float, ...]) -> Tuple[int, ...]:
+        """The tree ids to round-robin over for one weight per tree, a
+        tree repeated once per unit of weight."""
+        plan = self._plans.get(weights)
+        if plan is not None:
+            return plan
+        usable = [(tree.tree_id, w) for tree, w in zip(self.trees, weights)
+                  if w > 0]
         if not usable:
             # Disconnected pair: fall back to all trees; packets will drop
             # in the fabric, which is what a real blackhole looks like.
-            usable = [(t, 1.0) for t in self.trees]
+            usable = [(tree.tree_id, 1.0) for tree in self.trees]
         min_w = min(w for _, w in usable)
-        plan: List[int] = []
-        for tree, w in usable:
-            copies = max(1, int(round(w / min_w)))
-            plan.extend([tree.tree_id] * copies)
         # interleaved by tree id, which is by label: for one host a
         # shadow MAC grows with its tree id
-        return tuple(_interleave_schedule(plan))
+        plan = self._plans[weights] = tuple(_interleave_schedule(
+            [tree_id for tree_id, w in usable
+             for _ in range(max(1, int(round(w / min_w))))]))
+        return plan
 
     def _forget_tables(self, link) -> None:
+        self._capacities.clear()
+        self._plans.clear()
         self._tables.clear()
         self._labels.clear()
 
@@ -219,15 +232,11 @@ def _interleave_schedule(labels: List[int]) -> List[int]:
     """Spread duplicate labels apart so weighted round robin does not
     send consecutive flowcells down the same tree (p1,p2,p3,p2 rather
     than p1,p2,p2,p3)."""
-    counts = Counter(labels)
-    if not counts:
-        return labels
-    total = sum(counts.values())
     # Largest-remainder style interleave: place each copy of a label at
     # evenly spaced fractional positions, then sort by position.
     placed = []
-    for label, count in counts.items():
+    for label, count in Counter(labels).items():
         for k in range(count):
             placed.append(((k + 0.5) / count, label))
     placed.sort(key=lambda item: (item[0], item[1]))
-    return [label for _, label in placed][:total]
+    return [label for _, label in placed]

@@ -1,5 +1,6 @@
 """Unit tests for the Presto controller (schedules, weights, failover)."""
 
+import random
 import tracemalloc
 from collections import Counter
 
@@ -13,10 +14,12 @@ from repro.host.host import Host
 from repro.lb.base import VSwitch
 from repro.net.addresses import host_mac, shadow_mac, shadow_mac_tree
 from repro.net.fabrics import SINGLE_SWITCH, TopologySpec, build_fabric
+from repro.presto import controller as controller_module
 from repro.presto.controller import PrestoController, _interleave_schedule
 from repro.presto.flowcell import Presto
 from repro.sim.engine import Simulator
 from repro.validate.invariants import check_invariants
+from tests import reference_schedule
 
 
 def build(n_spines=4, n_leaves=2, hosts_per_leaf=2):
@@ -345,3 +348,65 @@ def test_k8_flow_testbed_holds_no_per_host_schedules():
     assert len({id(host.lb._schedules) for host in tb.hosts}) == 32
     assert traced <= 2.5 * 1024 * 1024
 
+
+
+# --- the weighting rule against its per-pair reference ------------------------
+
+
+@pytest.mark.parametrize("shape", [
+    "clos:spines=4,leaves=4,hosts=4",
+    "clos:spines=2,leaves=2,hosts=2",
+    "fat-tree:k=4",
+    "fat-tree:k=8",
+    "leaf-spine:pods=8,spines=4,hosts=6",
+])
+def test_schedules_equal_the_per_pair_reference_through_link_changes(shape):
+    """Every host pair's schedule equals the rule that weighs each tree
+    leg by leg for each pair (``tests/reference_schedule.py``), healthy
+    and after each of a seeded sequence of link downs, ups and rate
+    halvings — and after ``push_all`` every vSwitch holds it."""
+    tb = Testbed(fabric_config(shape, "presto", 1, "flow"))
+    topo, controller = tb.topo, tb.controller
+    climbing = {port.link for tier in topo.tiers for sw in tier
+                for port in topo.up[sw]}
+    fabric = [link for link in topo.links if link in climbing]
+    rng = random.Random(shape)
+    down = []
+
+    def check():
+        expected = reference_schedule.schedules(topo, controller.trees)
+        assert {pair: controller.schedule_for(*pair)
+                for pair in expected} == expected
+        return expected
+
+    check()
+    for step in range(8):
+        change = rng.choice(["set_down", "set_rate", "set_up"])
+        if change == "set_up" and down:
+            down.pop(rng.randrange(len(down))).set_up()
+        elif change == "set_rate":
+            link = rng.choice(fabric)
+            link.set_rate(link.rate_bps / 2)
+        else:
+            link = rng.choice(fabric)
+            link.set_down()
+            down.append(link)
+        expected = check()
+    assert down  # a degraded state is among those checked
+    controller.push_all()
+    for host in tb.hosts:
+        for dst in topo.hosts:
+            assert host.lb.labels_for(dst) == expected[host.host_id, dst]
+
+
+def test_a_healthy_k8_build_interleaves_one_plan(monkeypatch):
+    """In a healthy fabric every edge pair has the same weights, so a
+    fat-tree:k=8 build (32 edges, 992 edge pairs) plans once."""
+    calls = []
+    interleave = controller_module._interleave_schedule
+    monkeypatch.setattr(controller_module, "_interleave_schedule",
+                        lambda labels: calls.append(labels) or
+                        interleave(labels))
+    tb = Testbed(fabric_config("fat-tree:k=8", "presto", 1, "flow"))
+    assert len(tb.hosts) == 128
+    assert len(calls) == 1

@@ -49,31 +49,23 @@ def test_schedule_observers_fire_after_every_install():
     assert seen == [LABELS, LABELS[:2]]  # called with the new one in place
 
 
-def test_a_read_only_table_of_tuples_is_adopted_any_other_mapping_copied():
+def test_set_schedules_holds_the_table_it_is_handed():
+    """One install path: the table is held as given, a destination it
+    does not name is reached by its real MAC, and ``set_schedule``
+    installs a new table, leaving the one it replaced as it was."""
     table = MappingProxyType({3: tuple(LABELS), 4: (7,)})
     vs = VSwitch(0)
+    vs.set_schedule(5, [9])
     vs.set_schedules(table)
     assert vs._schedules is table
-    plain = {3: tuple(LABELS)}
-    vs.set_schedules(plain)               # merged into a copy of its own
-    assert vs._schedules is not table and vs.labels_for(4) == (7,)
-    assert vs.labels_for(3) is plain[3]   # a tuple is kept, not copied
+    assert vs.labels_for(5) == (host_mac(5),)
+    assert label(vs, dst=5) == (host_mac(5), 1)
+    vs.set_schedule(4, [8, 9])
+    assert vs._schedules is not table
+    assert vs.labels_for(4) == (8, 9) and vs.labels_for(3) is table[3]
     assert dict(table) == {3: tuple(LABELS), 4: (7,)}
-    listed = MappingProxyType({3: LABELS})
-    vs = VSwitch(0)
-    vs.set_schedules(listed)
-    assert vs._schedules is not listed and vs.labels_for(3) == tuple(LABELS)
     with pytest.raises(ValueError):
         VSwitch(0).set_schedules(MappingProxyType({3: ()}))
-
-
-def test_an_adopted_table_never_drops_a_destination_the_host_holds():
-    vs = VSwitch(0)
-    vs.set_schedule(5, [9])
-    table = MappingProxyType({3: tuple(LABELS)})
-    vs.set_schedules(table)
-    assert vs._schedules is not table
-    assert vs.labels_for(5) == (9,) and vs.labels_for(3) is table[3]
 
 
 def test_a_default_filled_in_stays_out_of_the_adopted_table():
